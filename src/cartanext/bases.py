@@ -9,7 +9,7 @@ quaternionic matrix algebra.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InputError
 from .linalg import ZERO, Mat
@@ -38,19 +38,6 @@ def realify_complex(re: Mat, im: Mat) -> Mat:
 def complex_unit_matrix(m: int) -> Mat:
     """Realification of i * identity, the ambient complex structure."""
     return realify_complex(Mat.zero(m, m), Mat.identity(m))
-
-
-def complex_parts(mat: Mat) -> Optional[tuple]:
-    """Inverse of realify_complex when the block structure matches."""
-    if mat.rows % 2:
-        return None
-    m = mat.rows // 2
-    re = [[mat[i, j] for j in range(m)] for i in range(m)]
-    im = [[mat[m + i, j] for j in range(m)] for i in range(m)]
-    cand_re, cand_im = Mat.from_rows(re), Mat.from_rows(im)
-    if realify_complex(cand_re, cand_im) == mat:
-        return cand_re, cand_im
-    return None
 
 
 # Quaternion units as (a, b, c, d) coefficients of 1, i, j, k.
@@ -155,31 +142,6 @@ def so_diag_basis(signs: Sequence[int]) -> list:
         for j in range(i + 1, n):
             out.append(Mat.unit(n, n, i, j) - Mat.unit(n, n, j, i, signs[i] * signs[j]))
     return out
-
-
-def so_general_basis(gram: Mat) -> list:
-    """so(G) for an arbitrary nondegenerate symmetric rational G."""
-    from .linalg import kernel_of_sparse_rows, matrix_rank
-
-    if not gram.is_symmetric():
-        raise InputError("Gram matrix must be symmetric")
-    n = gram.rows
-    if matrix_rank(gram) != n:
-        raise InputError("Gram matrix must be nondegenerate")
-    rows = []
-    g = gram.to_rows()
-    for r in range(n):
-        for s in range(r, n):
-            row = {}
-            for k in range(n):
-                if g[k][s] != 0:
-                    row[r * n + k] = row.get(r * n + k, ZERO) + g[k][s]
-                if g[r][k] != 0:
-                    row[k * n + s] = row.get(k * n + s, ZERO) + g[r][k]
-            row = {k: v for k, v in row.items() if v != 0}
-            if row:
-                rows.append(row)
-    return [Mat(n, n, vec) for vec in kernel_of_sparse_rows(rows, n * n)]
 
 
 def sp_split_basis(n: int) -> list:

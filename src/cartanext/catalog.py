@@ -93,18 +93,19 @@ class GradedAlgebra:
     def grade_indices(self, k: int) -> list:
         return {-1: self.minus_one, 0: self.zero, 1: self.plus_one}[k]
 
-    def project(self, coords: Sequence[Fraction], k: int) -> list:
-        return [coords[i] for i in self.grade_indices(k)]
-
     def component_is_zero(self, coords: Sequence[Fraction], k: int) -> bool:
         return all(coords[i] == 0 for i in self.grade_indices(k))
+
+
+def _check_dim(dim: int) -> None:
+    if dim > MAX_DIM:
+        raise InputError(f"algebra dimension {dim} exceeds the desk-scale cap {MAX_DIM}")
 
 
 def _check_bounds(ambient: int, dim: int) -> None:
     if ambient > MAX_AMBIENT:
         raise InputError(f"realified ambient size {ambient} exceeds the desk-scale cap {MAX_AMBIENT}")
-    if dim > MAX_DIM:
-        raise InputError(f"algebra dimension {dim} exceeds the desk-scale cap {MAX_DIM}")
+    _check_dim(dim)
 
 
 def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
@@ -487,9 +488,16 @@ def _build_graded_cached(family: str, key: tuple) -> GradedAlgebra:
 
 
 def build_graded(family: str, params: dict) -> GradedAlgebra:
-    """Construct a catalog graded algebra; results are memoized."""
+    """Construct a catalog graded algebra; results are memoized.
+
+    The dimension cap is checked from the parameters, before any basis
+    matrix is allocated.
+    """
     if family not in _GRADED_BUILDERS:
         raise InputError(f"unsupported graded family {family!r}")
+    if not isinstance(params, dict):
+        raise InputError(f"{family} parameters must be a mapping, got {params!r}")
+    _check_dim(expected_graded_dims(family, params)["dim_g"])
     key = tuple(sorted(params.items()))
     return _build_graded_cached(family, key)
 
@@ -1154,35 +1162,47 @@ def default_pair_grid() -> list:
 
 
 def expected_graded_dims(family: str, params: dict) -> dict:
-    """Dimension formulas used by the verification manifest."""
+    """Dimension formulas used by the verification manifest and the size cap.
+
+    Raises InputError naming a parameter that is missing or not an integer.
+    """
+
+    def param(name: str) -> int:
+        if name not in params:
+            raise InputError(f"{family} needs the integer parameter {name!r}")
+        value = params[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"{family} parameter {name!r} must be an integer, got {value!r}")
+        return value
+
     if family == "projective":
-        n = params["n"]
+        n = param("n")
         return {"dim_g": (n + 1) ** 2 - 1, "dim_gm1": n}
     if family == "h_projective":
-        n = params["n"]
+        n = param("n")
         return {"dim_g": 2 * ((n + 1) ** 2 - 1), "dim_gm1": 2 * n}
     if family == "conformal":
-        n = params["p"] + params["q"]
+        n = param("p") + param("q")
         return {"dim_g": (n + 2) * (n + 1) // 2, "dim_gm1": n}
     if family == "complex_conformal":
-        n = params["n"]
+        n = param("n")
         return {"dim_g": (n + 2) * (n + 1), "dim_gm1": 2 * n}
     if family == "quaternionic":
-        n = params["n"]
+        n = param("n")
         return {"dim_g": 4 * (n + 1) ** 2 - 1, "dim_gm1": 4 * n}
     if family == "para_quaternionic":
-        n = params["n"]
+        n = param("n")
         return {"dim_g": (n + 2) ** 2 - 1, "dim_gm1": 2 * n}
     if family == "grassmannian":
-        p, q = params["p"], params["q"]
+        p, q = param("p"), param("q")
         return {"dim_g": (p + q) ** 2 - 1, "dim_gm1": p * q}
     if family == "lagrangean":
-        n = params["n"]
+        n = param("n")
         return {"dim_g": n * (2 * n + 1), "dim_gm1": n * (n + 1) // 2}
     if family == "spinorial":
-        n = params["n"]
+        n = param("n")
         return {"dim_g": n * (2 * n - 1), "dim_gm1": n * (n - 1) // 2}
     if family == "su_pp":
-        p = params["p"]
+        p = param("p")
         return {"dim_g": 4 * p * p - 1, "dim_gm1": p * p}
     raise InputError(f"no dimension formula for family {family!r}")

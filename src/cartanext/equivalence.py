@@ -271,12 +271,6 @@ def _predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[bool]:
     def image(i, j):
         return _image_as_matrix(t, layout, n, pos[(min(i, j), max(i, j))], antisym=True)
 
-    def colspace(m):
-        span = SpanSolver(n)
-        for j in range(n):
-            span.insert(m.col(j))
-        return span
-
     w01, w02 = image(0, 1), image(0, 2)
     if matrix_rank(w01) != 2 or matrix_rank(w02) != 2:
         return False

@@ -33,9 +33,6 @@ class Extension:
                 f"alpha must be {self.target.dim}x{self.pair.dim}, got {self.alpha.shape}"
             )
 
-    def alpha_column(self, k_index: int) -> list:
-        return self.alpha.col(k_index)
-
     def frame(self) -> Mat:
         """Restriction of alpha to the (-1)-eigenspace followed by the
         projection to g_-1, as a matrix in the chosen bases."""

@@ -55,15 +55,6 @@ def canonical_dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def algebra_to_json(alg: MatrixLieAlgebra) -> dict:
-    return {
-        "schema": "algebra",
-        "name": alg.name,
-        "ambient_size": alg.ambient_size,
-        "basis": [mat_to_json(b) for b in alg.basis],
-    }
-
-
 def algebra_from_json(data: dict) -> MatrixLieAlgebra:
     basis = [mat_from_json(rows) for rows in data["basis"]]
     alg = make_algebra(basis, data.get("name", ""))

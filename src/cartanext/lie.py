@@ -22,11 +22,12 @@ from .linalg import (
     Mat,
     MinimalPolynomial,
     SpanSolver,
-    commutator,
     kernel_of_sparse_rows,
     matrix_rank,
     minimal_polynomial,
     solve_linear,
+    sparse_commutator,
+    sparse_rows,
 )
 
 GENERIC_RETRIES = 5
@@ -92,21 +93,24 @@ class StructureConstants:
         """Index triples violating the Jacobi identity (empty when it holds)."""
         bad = []
         dim = self.dim
+        table = self.table
         for i in range(dim):
+            row_i = table[i]
             for j in range(i + 1, dim):
-                cij = self.table[i][j]
+                row_j = table[j]
+                cij = row_i[j]
                 for k in range(j + 1, dim):
-                    acc = [ZERO] * dim
-                    for m, c in self.table[j][k].items():
-                        for t, d in self.table[i][m].items():
-                            acc[t] += c * d
-                    for m, c in self.table[k][i].items():
-                        for t, d in self.table[j][m].items():
-                            acc[t] += c * d
-                    for m, c in cij.items():
-                        for t, d in self.table[k][m].items():
-                            acc[t] += c * d
-                    if any(x != 0 for x in acc):
+                    row_k = table[k]
+                    cjk, cki = row_j[k], row_k[i]
+                    if not (cij or cjk or cki):
+                        continue
+                    # [X_i, [X_j, X_k]] + [X_j, [X_k, X_i]] + [X_k, [X_i, X_j]]
+                    acc: dict[int, Fraction] = {}
+                    for row, inner in ((row_i, cjk), (row_j, cki), (row_k, cij)):
+                        for m, c in inner.items():
+                            for t, d in row[m].items():
+                                acc[t] = acc.get(t, ZERO) + c * d
+                    if any(acc.values()):
                         bad.append((i, j, k))
                         if len(bad) >= limit:
                             return bad
@@ -169,16 +173,19 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
         if not span.insert(b.entries):
             raise DependentBasisError(idx)
     dim = len(basis)
+    sparse = [sparse_rows(b) for b in basis]
     table = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         table[i][i] = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            br = commutator(basis[i], basis[j])
-            coords = span.decompose(br.entries)
-            if coords is None:
-                raise ClosureError(i, j)
-            fwd = {k: c for k, c in enumerate(coords) if c != 0}
+            bracket = sparse_commutator(sparse[i], sparse[j], n)
+            fwd = {}
+            if bracket:
+                coords = span.decompose(bracket)
+                if coords is None:
+                    raise ClosureError(i, j)
+                fwd = {k: c for k, c in enumerate(coords) if c}
             table[i][j] = fwd
             table[j][i] = {k: -c for k, c in fwd.items()}
     constants = StructureConstants(dim, table)
@@ -235,22 +242,21 @@ class Representation:
                 raise InputError(f"action is not a homomorphism at basis pair {bad}")
 
     def _homomorphism_witness(self):
+        """First basis pair (i, j) with [A_i, A_j] != sum_k c_ij^k A_k, or None."""
+        n = self.carrier_dim
         t = self.algebra.constants
+        sparse = [sparse_rows(a) for a in self.action]
+        flat = [{r * n + col: v for r, row in m.items() for col, v in row.items()} for m in sparse]
         for i in range(self.algebra.dim):
             for j in range(i + 1, self.algebra.dim):
-                expect = Mat.zero(self.carrier_dim, self.carrier_dim)
+                expect: dict[int, Fraction] = {}
                 for k, c in t.row(i, j).items():
-                    expect = expect + self.action[k].scale(c)
-                if commutator(self.action[i], self.action[j]) != expect:
+                    for key, v in flat[k].items():
+                        expect[key] = expect.get(key, ZERO) + c * v
+                expect = {key: v for key, v in expect.items() if v}
+                if sparse_commutator(sparse[i], sparse[j], n) != expect:
                     return (i, j)
         return None
-
-    def act(self, coords: Sequence[Fraction]) -> Mat:
-        out = Mat.zero(self.carrier_dim, self.carrier_dim)
-        for c, a in zip(coords, self.action):
-            if c != 0:
-                out = out + a.scale(c)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -638,35 +644,35 @@ def largest_invariant_subspace_dim(algebra: MatrixLieAlgebra, indices: Sequence[
     in span(basis[i] for i in indices); zero certifies effectivity.
     """
     dim = algebra.dim
-    cols = []
+    table = algebra.constants.table
     span = SpanSolver(dim)
-    for i in indices:
-        e = [ZERO] * dim
-        e[i] = ONE
-        if span.insert(e):
-            cols.append(e)
+    cols = [{i: ONE} for i in indices if span.insert({i: ONE})]
     while cols:
         k = len(cols)
-        col_rows = [{i: v for i, v in enumerate(c) if v != 0} for c in cols]
-        annihilator = kernel_of_sparse_rows(col_rows, dim)
+        annihilator = [
+            {t: v for t, v in enumerate(ell) if v} for ell in kernel_of_sparse_rows(cols, dim)
+        ]
         if not annihilator:
             return k  # subspace is everything and trivially invariant
-        images = []
-        for g in range(dim):
-            eg = [ZERO] * dim
-            eg[g] = ONE
-            images.append([algebra.bracket(eg, c) for c in cols])
         rows = []
         for g in range(dim):
+            row_g = table[g]
+            images = []  # [X_g, col] for each column
+            for col in cols:
+                w: dict[int, Fraction] = {}
+                for t, a in col.items():
+                    for m, c in row_g[t].items():
+                        w[m] = w.get(m, ZERO) + a * c
+                images.append(w)
             for ell in annihilator:
                 row = {}
-                for c in range(k):
+                for c, w in enumerate(images):
                     s = ZERO
-                    w = images[g][c]
-                    for t, lv in enumerate(ell):
-                        if lv != 0 and w[t] != 0:
-                            s += lv * w[t]
-                    if s != 0:
+                    for t, v in w.items():
+                        lv = ell.get(t)
+                        if lv is not None:
+                            s += lv * v
+                    if s:
                         row[c] = s
                 if row:
                     rows.append(row)
@@ -676,12 +682,11 @@ def largest_invariant_subspace_dim(algebra: MatrixLieAlgebra, indices: Sequence[
         new_cols = []
         new_span = SpanSolver(dim)
         for y in combos:
-            vec = [ZERO] * dim
+            vec: dict[int, Fraction] = {}
             for c, yc in enumerate(y):
-                if yc != 0:
-                    for t in range(dim):
-                        if cols[c][t] != 0:
-                            vec[t] += yc * cols[c][t]
+                if yc:
+                    for t, v in cols[c].items():
+                        vec[t] = vec.get(t, ZERO) + yc * v
             if new_span.insert(vec):
                 new_cols.append(vec)
         cols = new_cols

@@ -1,9 +1,11 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Every scalar in the package is a :class:`fractions.Fraction`; there is no
 floating point anywhere.  Matrices are small (ambient sizes stay well under
-a hundred), so the algorithms below are straightforward exact eliminations
-with sparsity-aware inner loops.
+a hundred) and stored densely, so the algorithms below are straightforward
+exact eliminations with sparsity-aware inner loops.  Brackets of the nearly
+empty basis matrices of the catalog are formed sparsely (`sparse_rows`,
+`sparse_commutator`), and `SpanSolver` reduces such sparse vectors directly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import InputError
 
 Scalar = Union[int, str, Fraction]
+Vector = Union[dict, Iterable[Fraction]]  # dense, or sparse {index: value}
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -173,9 +176,6 @@ class Mat:
             raise InputError("trace of a non-square matrix")
         return sum((self.entries[i * self.cols + i] for i in range(self.rows)), ZERO)
 
-    def flatten(self) -> list:
-        return list(self.entries)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
         return Mat(
             len(row_idx),
@@ -209,6 +209,33 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return a @ b - b @ a
 
 
+def sparse_rows(m: Mat) -> dict:
+    """Nonzero entries of a square matrix as rows {r: {c: value}}."""
+    n = m.cols
+    rows: dict[int, dict[int, Fraction]] = {}
+    for idx, v in enumerate(m.entries):
+        if v:
+            rows.setdefault(idx // n, {})[idx % n] = v
+    return rows
+
+
+def sparse_commutator(a: dict, b: dict, n: int) -> dict:
+    """AB - BA for n x n matrices in `sparse_rows` form, as {r*n + c: value}
+    with zero entries dropped."""
+    out: dict[int, Fraction] = {}
+    for r, row in a.items():
+        for t, x in row.items():
+            for c, y in b.get(t, {}).items():
+                k = r * n + c
+                out[k] = out.get(k, ZERO) + x * y
+    for r, row in b.items():
+        for t, y in row.items():
+            for c, x in a.get(t, {}).items():
+                k = r * n + c
+                out[k] = out.get(k, ZERO) - y * x
+    return {k: v for k, v in out.items() if v}
+
+
 # ---------------------------------------------------------------------------
 # Incremental span bookkeeping (sparse)
 # ---------------------------------------------------------------------------
@@ -217,10 +244,12 @@ def commutator(a: Mat, b: Mat) -> Mat:
 class SpanSolver:
     """Incremental row-space tracker with exact membership decomposition.
 
-    Vectors are stored sparsely.  Each inserted vector is reduced against the
-    pivots collected so far; independent residues become new pivot rows.  The
-    solver remembers how each pivot row is expressed in the inserted vectors,
-    so `decompose` returns coordinates with respect to the insertion order.
+    Vectors are given as dense sequences or as sparse {index: value}
+    mappings, and are stored sparsely.  Each inserted vector is reduced
+    against the pivots collected so far; independent residues become new
+    pivot rows.  The solver remembers how each pivot row is expressed in the
+    inserted vectors, so `decompose` returns coordinates with respect to the
+    insertion order.
     """
 
     def __init__(self, length: int):
@@ -231,8 +260,9 @@ class SpanSolver:
         self.count = 0  # number of inserted vectors (independent ones only)
 
     @staticmethod
-    def _sparsify(vec: Iterable[Fraction]) -> dict:
-        return {i: v for i, v in enumerate(vec) if v != 0}
+    def _sparsify(vec: Vector) -> dict:
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        return {i: v for i, v in items if v}
 
     def _reduce(self, v: dict) -> tuple[dict, dict]:
         """Reduce v against stored rows; returns (residue, combo over rows)."""
@@ -253,7 +283,7 @@ class SpanSolver:
             combo[r] = combo.get(r, ZERO) + c
         return v, combo
 
-    def insert(self, vec: Iterable[Fraction]) -> bool:
+    def insert(self, vec: Vector) -> bool:
         """Insert a vector; returns True if it was independent."""
         v, combo = self._reduce(self._sparsify(vec))
         idx = self.count
@@ -280,11 +310,11 @@ class SpanSolver:
     def rank(self) -> int:
         return len(self._rows)
 
-    def contains(self, vec: Iterable[Fraction]) -> bool:
+    def contains(self, vec: Vector) -> bool:
         v, _ = self._reduce(self._sparsify(vec))
         return not v
 
-    def decompose(self, vec: Iterable[Fraction]) -> Optional[list]:
+    def decompose(self, vec: Vector) -> Optional[list]:
         """Coordinates of vec over the inserted vectors, or None if outside."""
         v, combo = self._reduce(self._sparsify(vec))
         if v:

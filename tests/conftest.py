@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cartanext.linalg import Mat
+from cartanext.errors import ClosureError, DependentBasisError
+from cartanext.linalg import Mat, SpanSolver, commutator
 
 
 def rref_rank_oracle(rows):
@@ -62,6 +63,29 @@ def descartes_signature_oracle(gram: Mat):
     neg_poly = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
     neg = sign_changes(neg_poly)
     return (pos, neg, nullity)
+
+
+def dense_structure_table(basis):
+    """Structure constants of a matrix basis from dense commutators.
+
+    Raises the errors `make_algebra` raises, at the first dependent element
+    and the first pair (i < j) whose bracket leaves the span.
+    """
+    n = basis[0].rows
+    span = SpanSolver(n * n)
+    for idx, b in enumerate(basis):
+        if not span.insert(list(b.entries)):
+            raise DependentBasisError(idx)
+    dim = len(basis)
+    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            coords = span.decompose(list(commutator(basis[i], basis[j]).entries))
+            if coords is None:
+                raise ClosureError(i, j)
+            table[i][j] = {k: c for k, c in enumerate(coords) if c != 0}
+            table[j][i] = {k: -c for k, c in table[i][j].items()}
+    return table
 
 
 @pytest.fixture(scope="session")

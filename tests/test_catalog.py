@@ -16,9 +16,10 @@ from cartanext.catalog import (
     verify_graded,
     verify_pair,
 )
-from cartanext.errors import InputError
+from cartanext.errors import ClosureError, DependentBasisError, InputError
 from cartanext.lie import is_semisimple, make_algebra
 from cartanext.linalg import Mat, commutator
+from conftest import dense_structure_table
 
 F = Fraction
 
@@ -81,10 +82,73 @@ def test_ambient_cap_enforced():
         build_graded("projective", {"n": 40})
 
 
+def test_size_cap_checked_before_construction(monkeypatch):
+    def never(params):
+        raise AssertionError("builder called for a parameter set over the cap")
+
+    monkeypatch.setitem(catalog._GRADED_BUILDERS, "projective", never)
+    with pytest.raises(InputError, match="algebra dimension 1002000 exceeds the desk-scale cap 500"):
+        build_graded("projective", {"n": 1000})
+
+
+@pytest.mark.parametrize("params,name", [
+    ({"m": 3}, "'n'"),
+    ({"n": "3"}, "'n'"),
+    ({"n": 2.0}, "'n'"),
+    ({"n": True}, "'n'"),
+    ({"n": [3]}, "'n'"),
+    ({"p": 2}, "'q'"),
+])
+def test_missing_or_non_integer_param_is_input_error(params, name):
+    family = "grassmannian" if "p" in params else "projective"
+    with pytest.raises(InputError, match=name):
+        build_graded(family, params)
+
+
+def test_structure_constants_match_dense_reference_on_error_paths():
+    basis = build_graded("projective", {"n": 3}).algebra.basis
+
+    def first_error(build, trial):
+        try:
+            build(trial)
+        except (ClosureError, DependentBasisError) as err:
+            return type(err), getattr(err, "pair", None), getattr(err, "index", None)
+        return None
+
+    closure_pairs = set()
+    for drop in range(len(basis)):
+        trial = basis[:drop] + basis[drop + 1:]
+        expected = first_error(dense_structure_table, trial)
+        assert expected is not None and expected[0] is ClosureError
+        assert first_error(make_algebra, trial) == expected
+        closure_pairs.add(expected[1])
+    assert len(closure_pairs) > 1  # the first failing pair varies with the basis
+    for pos in (3, 9, 15):
+        trial = basis[:pos] + [basis[1] + basis[pos - 1].scale(2)] + basis[pos:]
+        expected = (DependentBasisError, None, pos)
+        assert first_error(make_algebra, trial) == first_error(dense_structure_table, trial) == expected
+
+
 def test_builders_are_memoized():
     a = build_graded("projective", {"n": 2})
     b = build_graded("projective", {"n": 2})
     assert a is b
+
+
+@pytest.mark.parametrize(
+    "kind,family,params",
+    [("graded", f, p) for f, p in catalog.default_graded_grid()]
+    + [("pair", f, p) for f, p in catalog.default_pair_grid()],
+)
+def test_structure_constants_match_dense_reference(kind, family, params):
+    if kind == "graded":
+        algebra = build_graded(family, params).algebra
+    else:
+        algebra = build_pair(family, params).k_algebra
+    table = algebra.constants.table
+    reference = dense_structure_table(algebra.basis)
+    assert [[list(d.items()) for d in row] for row in table] == \
+        [[list(d.items()) for d in row] for row in reference]
 
 
 # -- pairs ---------------------------------------------------------------------

@@ -36,6 +36,12 @@ def test_build_bad_params_exits_2():
     assert run(["build", "--family", "projective", "--params", "n=40"]) == 2
 
 
+def test_build_missing_param_exits_2(capsys):
+    assert run(["build", "--family", "projective", "--params", "m=3"]) == 2
+    err = capsys.readouterr().err
+    assert "'n'" in err and "Traceback" not in err
+
+
 def test_round_trip_byte_identical(tmp_path):
     out = tmp_path / "g.json"
     run(["build", "--family", "conformal", "--params", "p=1,q=2", "--out", str(out)])

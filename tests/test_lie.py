@@ -1,13 +1,16 @@
 """Lie core: brackets, Killing forms, commutants, invariant tensors."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from cartanext import bases
 from cartanext.errors import ClosureError, DependentBasisError, InputError
+from cartanext.catalog import build_graded
 from cartanext.lie import (
     Representation,
+    StructureConstants,
     commutant,
     invariant_bilinear_forms,
     invariant_complex_structures,
@@ -106,8 +109,64 @@ def test_semisimplicity(sl2_basis):
 def test_representation_rejects_non_homomorphism(sl2_basis):
     e, h, f = sl2_basis
     alg = make_algebra([e, h, f], "sl2")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"basis pair \(0, 2\)"):
         Representation(alg, 2, [e, h, e])  # wrong matrix for f
+
+
+def test_representation_names_first_failing_pair():
+    alg = build_graded("projective", {"n": 2}).algebra
+    adjoint = [alg.constants.ad_matrix(i) for i in range(alg.dim)]
+    Representation(alg, alg.dim, adjoint)
+    # (action index changed, its new matrix, the first pair i < j that fails)
+    cases = [
+        (1, adjoint[1].scale(2), (0, 3)),
+        (2, adjoint[2].scale(2), (0, 7)),
+        (3, adjoint[3] + adjoint[2], (1, 3)),
+        (7, adjoint[7] + adjoint[0], (2, 6)),
+    ]
+    for index, matrix, pair in cases:
+        action = list(adjoint)
+        action[index] = matrix
+        with pytest.raises(InputError, match=re.escape(f"basis pair {pair}")):
+            Representation(alg, alg.dim, action)
+
+
+# -- the Jacobi identity ---------------------------------------------------------
+
+
+def _jacobi_reference(sc: StructureConstants) -> list:
+    """Every violating triple i < j < k, from dense coordinate brackets."""
+    dim = sc.dim
+
+    def unit(i):
+        return [F(int(t == i)) for t in range(dim)]
+
+    out = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                terms = [sc.bracket_coords(unit(a), sc.bracket_coords(unit(b), unit(c)))
+                         for a, b, c in ((i, j, k), (j, k, i), (k, i, j))]
+                if any(sum(x) != 0 for x in zip(*terms)):
+                    out.append((i, j, k))
+    return out
+
+
+def test_jacobi_witnesses_on_corrupted_table():
+    sl3 = build_graded("projective", {"n": 2}).algebra.constants
+    assert sl3.jacobi_witnesses() == []
+    table = [[dict(d) for d in row] for row in sl3.table]
+    table[0][6][4] = F(2)  # [X_0, X_6] = X_4 in sl(3)
+    table[6][0][4] = F(-2)
+    bad = StructureConstants(sl3.dim, table)
+    expected = [(0, 1, 6), (0, 2, 6), (0, 3, 6), (0, 3, 7), (0, 6, 7), (1, 2, 6)]
+    assert _jacobi_reference(bad) == expected
+    assert bad.jacobi_witnesses(limit=100) == expected
+    assert bad.jacobi_witnesses() == expected[:3]
+    for limit in (1, 4, 6):
+        assert bad.jacobi_witnesses(limit=limit) == expected[:limit]
+    assert not bad.jacobi_holds()
+    assert sl3.table[0][6] == {4: F(1)}  # the copy left the catalog table alone
 
 
 # -- commutants ----------------------------------------------------------------
@@ -296,3 +355,33 @@ def test_largest_invariant_subspace(sl2_basis):
     alg = make_algebra([e, h, f], "sl2")
     assert largest_invariant_subspace_dim(alg, [0]) == 0  # span(E) is not an ideal
     assert largest_invariant_subspace_dim(alg, [0, 1, 2]) == 3
+
+
+def test_largest_invariant_subspace_finds_proper_ideals(so3_basis):
+    def block_sum(a, b):
+        n = a.rows + b.rows
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(a.rows):
+            for j in range(a.rows):
+                rows[i][j] = a[i, j]
+        for i in range(b.rows):
+            for j in range(b.rows):
+                rows[a.rows + i][a.rows + j] = b[i, j]
+        return Mat.from_rows(rows)
+
+    zero = Mat.zero(3, 3)
+    left = [block_sum(x, zero) for x in so3_basis]
+    right = [block_sum(zero, x) for x in so3_basis]
+    so3_so3 = make_algebra(left + right, "so3+so3")
+    assert largest_invariant_subspace_dim(so3_so3, [0, 1, 2, 3]) == 3
+    assert largest_invariant_subspace_dim(so3_so3, [0, 3, 4, 5]) == 3
+    assert largest_invariant_subspace_dim(so3_so3, [0, 1, 3, 4]) == 0
+    assert largest_invariant_subspace_dim(so3_so3, [0, 1, 2, 3, 4, 5]) == 6
+
+    e = Mat.from_rows([[0, 1], [0, 0]])
+    h = Mat.from_rows([[1, 0], [0, -1]])
+    f = Mat.from_rows([[0, 0], [1, 0]])
+    gl2 = make_algebra([Mat.identity(2), e, h, f], "gl2")
+    assert largest_invariant_subspace_dim(gl2, [0, 1]) == 1  # the centre
+    assert largest_invariant_subspace_dim(gl2, [1, 2, 3]) == 3  # sl(2)
+    assert largest_invariant_subspace_dim(gl2, [1, 2]) == 0

@@ -8,9 +8,13 @@ import pytest
 from cartanext.errors import InputError
 from cartanext.linalg import (
     Mat,
+    SpanSolver,
+    commutator,
     minimal_polynomial,
     poly_eval_matrix,
     solve_linear,
+    sparse_commutator,
+    sparse_rows,
     symmetric_signature,
 )
 from conftest import descartes_signature_oracle, rref_rank_oracle
@@ -49,6 +53,40 @@ def test_solve_residuals_random():
         for k in sol.kernel:
             assert (a @ k).is_zero()
         assert len(sol.kernel) == cols - rref_rank_oracle(a.to_rows())
+
+
+def test_sparse_commutator_matches_dense():
+    rng = random.Random(11)
+    for trial in range(40):
+        n = rng.randint(1, 5)
+
+        def sparse_random():
+            return Mat(n, n, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                              if rng.random() < 0.3 else 0 for _ in range(n * n)])
+
+        a, b = sparse_random(), sparse_random()
+        rows = sparse_rows(a)
+        assert all(v != 0 for row in rows.values() for v in row.values())
+        assert all(a[r, c] == v for r, row in rows.items() for c, v in row.items())
+        assert sum(len(row) for row in rows.values()) == sum(1 for x in a.entries if x != 0)
+        dense = commutator(a, b).entries
+        assert sparse_commutator(rows, sparse_rows(b), n) == \
+            {k: v for k, v in enumerate(dense) if v != 0}
+    assert sparse_commutator(sparse_rows(a), sparse_rows(a), n) == {}
+
+
+def test_span_solver_accepts_sparse_vectors():
+    rng = random.Random(5)
+    vecs = [[Fraction(rng.randint(-2, 2)) for _ in range(6)] for _ in range(8)]
+    dense, sparse = SpanSolver(6), SpanSolver(6)
+    for v in vecs:
+        as_dict = {i: x for i, x in enumerate(v) if x != 0}
+        assert dense.contains(v) == sparse.contains(as_dict)
+        assert dense.decompose(v) == sparse.decompose(as_dict)
+        assert dense.insert(v) == sparse.insert(as_dict)
+    probe = {0: Fraction(1), 3: Fraction(0), 5: Fraction(-2)}  # stored zeros are ignored
+    assert sparse.decompose(probe) == dense.decompose([1, 0, 0, 0, 0, -2])
+    assert probe == {0: Fraction(1), 3: Fraction(0), 5: Fraction(-2)}  # left unchanged
 
 
 def test_solve_shape_error():
