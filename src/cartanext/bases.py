@@ -245,45 +245,58 @@ def sp_complex_basis(n: int) -> list:
     return out
 
 
+def _half(size: int, name: str) -> int:
+    if size % 2:
+        raise InputError(f"{name} needs an even size")
+    return size // 2
+
+
+def _signs(a: list) -> list:
+    return [1] * a[0] + [-1] * (a[1] if len(a) > 1 else 0)
+
+
+# (head, field) -> (realified ambient size, basis), both from the integer arguments
+_TOKENS = {
+    ("sl", "R"): (lambda a: a[0], lambda a: sl_basis(a[0])),
+    ("sl", "C"): (lambda a: 2 * a[0], lambda a: sl_complex_basis(a[0])),
+    ("so", "C"): (lambda a: 2 * a[0], lambda a: so_complex_basis(a[0])),
+    ("so", ""): (lambda a: sum(max(x, 0) for x in a[:2]), lambda a: so_diag_basis(_signs(a))),
+    ("sp", "R"): (lambda a: a[0], lambda a: sp_split_basis(_half(a[0], "sp(2n,R)"))),
+    ("sp", "C"): (lambda a: 2 * a[0], lambda a: sp_complex_basis(_half(a[0], "sp(2n,C)"))),
+    ("su", ""): (lambda a: 2 * sum(max(x, 0) for x in a[:2]), lambda a: su_basis(_signs(a))),
+    ("so*", ""): (lambda a: 2 * a[0], lambda a: so_star_basis(_half(a[0], "so*(2n)"))),
+}
+
+
+def _read_token(token: str) -> tuple:
+    """(ambient size, basis builder, integer arguments, normalized name)."""
+    if not isinstance(token, str):
+        raise InputError(f"algebra token must be a string, got {token!r}")
+    tok = token.replace(" ", "")
+    head, _, rest = tok.partition("(")
+    args = rest.rstrip(")").split(",")
+    field = args.pop() if args[-1] in ("R", "C") else ""
+    try:
+        ints = [int(a) for a in args]
+    except ValueError:
+        raise InputError(f"cannot parse algebra token {token!r}") from None
+    if (head, field) not in _TOKENS or not ints:
+        raise InputError(f"unsupported algebra token {token!r}")
+    return (*_TOKENS[head, field], ints, tok)
+
+
+def algebra_token_size(token: str) -> int:
+    """Realified ambient size of `parse_simple_algebra(token)`, read from the
+    token alone, without building the basis."""
+    size, _build, ints, _name = _read_token(token)
+    return size(ints)
+
+
 def parse_simple_algebra(token: str) -> tuple[list, str]:
     """Parse a token like sl(2,R), so(2,1), sp(4,R), su(1,1), sl(2,C).
 
     Returns (basis, normalized name).  `sp(2n,R)` takes the full matrix size,
     so sp(2,R) is the 2x2 realization.
     """
-    tok = token.replace(" ", "")
-    name = tok
-    try:
-        head, rest = tok.split("(", 1)
-        args = rest.rstrip(")").split(",")
-    except ValueError as exc:
-        raise InputError(f"cannot parse algebra token {token!r}") from exc
-    if head == "sl" and args[-1] in ("R", "C"):
-        n = int(args[0])
-        return (sl_basis(n) if args[-1] == "R" else sl_complex_basis(n)), name
-    if head == "so" and args[-1] == "C":
-        return so_complex_basis(int(args[0])), name
-    if head == "so":
-        dims = [int(a) for a in args]
-        p = dims[0]
-        q = dims[1] if len(dims) > 1 else 0
-        return so_diag_basis([1] * p + [-1] * q), name
-    if head == "sp" and args[-1] == "R":
-        size = int(args[0])
-        if size % 2:
-            raise InputError("sp(2n,R) needs an even size")
-        return sp_split_basis(size // 2), name
-    if head == "sp" and args[-1] == "C":
-        size = int(args[0])
-        if size % 2:
-            raise InputError("sp(2n,C) needs an even size")
-        return sp_complex_basis(size // 2), name
-    if head == "su":
-        p, q = int(args[0]), int(args[1]) if len(args) > 1 else 0
-        return su_basis([1] * p + [-1] * q), name
-    if head == "so*":
-        size = int(args[0])
-        if size % 2:
-            raise InputError("so*(2n) needs an even size")
-        return so_star_basis(size // 2), name
-    raise InputError(f"unsupported algebra token {token!r}")
+    _size, build, ints, name = _read_token(token)
+    return build(ints), name

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from . import bases
@@ -23,7 +23,8 @@ from .lie import (
     largest_invariant_subspace_dim,
     make_algebra,
 )
-from .linalg import ONE, ZERO, Mat, Signature, SpanSolver, commutator, symmetric_signature
+from .linalg import (ONE, ZERO, Mat, Signature, SpanSolver, sparse_commutator, sparse_product,
+                     sparse_rows, symmetric_signature)
 
 MAX_AMBIENT = 32
 MAX_DIM = 500
@@ -97,15 +98,33 @@ class GradedAlgebra:
         return all(coords[i] == 0 for i in self.grade_indices(k))
 
 
+def _int_param(family: str, params: dict, name: str) -> int:
+    """The integer parameter `name`; InputError naming it when it is missing
+    or not an integer (strings, floats and booleans included)."""
+    if name not in params:
+        raise InputError(f"{family} needs the integer parameter {name!r}")
+    value = params[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{family} parameter {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def _check_dim(dim: int) -> None:
     if dim > MAX_DIM:
         raise InputError(f"algebra dimension {dim} exceeds the desk-scale cap {MAX_DIM}")
 
 
-def _check_bounds(ambient: int, dim: int) -> None:
+def _check_bounds(ambient: int, dim: int = 0) -> None:
     if ambient > MAX_AMBIENT:
         raise InputError(f"realified ambient size {ambient} exceeds the desk-scale cap {MAX_AMBIENT}")
     _check_dim(dim)
+
+
+def _conjugates_to(left: dict, right: dict, b: dict, sign: int) -> bool:
+    """Whether left @ b @ right == sign * b, all in `sparse_rows` form: the
+    conjugation by an involution sends the basis element b to +-itself."""
+    image = sparse_product(sparse_product(left, b), right)
+    return image == {r: {c: sign * v for c, v in row.items()} for r, row in b.items()}
 
 
 def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
@@ -117,12 +136,14 @@ def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
     minus_one = list(range(n0))
     zero = list(range(n0, n0 + n1))
     plus_one = list(range(n0 + n1, len(basis)))
+    e_rows, flip_rows = sparse_rows(e_mat), sparse_rows(flip)
     for idx, b in enumerate(basis):
-        k = -1 if idx in minus_one else (0 if idx in zero else 1)
-        if commutator(e_mat, b) != b.scale(k):
+        k = -1 if idx < n0 else (0 if idx < n0 + n1 else 1)
+        b_rows = sparse_rows(b)
+        k_b = {r * b.rows + c: k * v for r, row in b_rows.items() for c, v in row.items() if k}
+        if sparse_commutator(e_rows, b_rows, b.rows) != k_b:
             raise InternalCheckError(f"{name}: ad(E) is not {k} on basis element {idx}")
-        sign = 1 if k == 0 else -1
-        if flip @ b @ flip != b.scale(sign):
+        if not _conjugates_to(flip_rows, flip_rows, b_rows, 1 if k == 0 else -1):
             raise InternalCheckError(f"{name}: flip conjugation sign wrong on element {idx}")
     coords = algebra.coordinates(e_mat)
     if coords is None:
@@ -408,18 +429,8 @@ def _build_su_pp(params: dict) -> GradedAlgebra:
     zero_m = Mat.zero(m, m)
     u_parts, layout = _u_block_matrices(n)
 
-    def lower(re, im):
-        return bases.realify_complex(
-            _embed_block(m, n, re, "lower"), _embed_block(m, n, im, "lower")
-        )
-
-    def upper(re, im):
-        return bases.realify_complex(
-            _embed_block(m, n, re, "upper"), _embed_block(m, n, im, "upper")
-        )
-
-    gm1 = [lower(re, im) for (re, im) in u_parts]
-    gp1 = [upper(re, im) for (re, im) in u_parts]
+    gm1 = [bases.realify_complex(_embed(re, m, n, 0), _embed(im, m, n, 0)) for re, im in u_parts]
+    gp1 = [bases.realify_complex(_embed(re, m, 0, n), _embed(im, m, 0, n)) for re, im in u_parts]
     g0 = []
     for i in range(n):
         for j in range(n):
@@ -442,30 +453,22 @@ def _build_su_pp(params: dict) -> GradedAlgebra:
     )
 
 
-def _embed_block(m: int, n: int, blk: Mat, where: str) -> Mat:
-    out = Mat.zero(m, m)
-    rows = range(n, m) if where == "lower" else range(n)
-    cols = range(n) if where == "lower" else range(n, m)
-    entries = list(out.entries)
-    for bi, r in enumerate(rows):
-        for bj, c in enumerate(cols):
-            entries[r * m + c] = blk[bi, bj]
-    return Mat(m, m, entries)
+def _embed(x: Mat, size: int, row: int = 0, col: Optional[int] = None) -> Mat:
+    """x placed in a size x size zero matrix with its corner at (row, col),
+    on the diagonal when col is omitted."""
+    col = row if col is None else col
+    entries = [ZERO] * (size * size)
+    for i in range(x.rows):
+        for j in range(x.cols):
+            entries[(row + i) * size + col + j] = x[i, j]
+    return Mat(size, size, entries)
 
 
 def _g0_su(m: int, n: int, re: Mat, im: Mat) -> Mat:
     """Realified [[A, 0], [0, -A^dagger]] for A = re + i im."""
-    re_full = Mat.zero(m, m)
-    entries_re = list(re_full.entries)
-    entries_im = list(re_full.entries)
-    for i in range(n):
-        for j in range(n):
-            entries_re[i * m + j] = re[i, j]
-            entries_im[i * m + j] = im[i, j]
-            # -A^dagger = -conj(A)^T: real part -re^T, imaginary part im^T
-            entries_re[(n + i) * m + (n + j)] = -re[j, i]
-            entries_im[(n + i) * m + (n + j)] = im[j, i]
-    return bases.realify_complex(Mat(m, m, entries_re), Mat(m, m, entries_im))
+    # -A^dagger = -conj(A)^T: real part -re^T, imaginary part im^T
+    return bases.realify_complex(_embed(re, m) + _embed(-re.transpose(), m, n),
+                                 _embed(im, m) + _embed(im.transpose(), m, n))
 
 
 _GRADED_BUILDERS = {
@@ -598,10 +601,9 @@ def _assemble_pair(name, family, params, h_mats, m_mats, conjugator=None,
         scalar = inv_check[0, 0]
         if inv_check != Mat.identity(conjugator.rows).scale(scalar) or scalar == 0:
             raise InternalCheckError(f"{name}: conjugator squared is not a scalar")
+        left, right = sparse_rows(conjugator), sparse_rows(conjugator.scale(ONE / scalar))
         for i, b in enumerate(basis):
-            sign = 1 if i < nh else -1
-            image = conjugator @ b @ conjugator.scale(ONE / scalar)
-            if image != b.scale(sign):
+            if not _conjugates_to(left, right, sparse_rows(b), 1 if i < nh else -1):
                 raise InternalCheckError(f"{name}: conjugator action mismatch at {i}")
     return SymmetricPair(algebra, family, dict(params), h_idx, m_idx, sigma,
                          conjugator, certificate_ideal)
@@ -639,21 +641,12 @@ def _pair_from_involution(name, family, params, k_mats, conjugator,
 def _pair_group_type(params: dict) -> SymmetricPair:
     token = params["base"]
     base, norm = bases.parse_simple_algebra(token)
+    if not base:
+        raise InputError(f"group_type parameter 'base': {token!r} is the zero algebra")
     m = base[0].rows
     size = 2 * m
-
-    def embed(x: Mat, where: int) -> Mat:
-        entries = [ZERO] * (size * size)
-        off = 0 if where == 0 else m
-        for i in range(m):
-            for j in range(m):
-                v = x[i, j]
-                if v != 0:
-                    entries[(off + i) * size + (off + j)] = v
-        return Mat(size, size, entries)
-
-    h_mats = [embed(x, 0) + embed(x, 1) for x in base]
-    m_mats = [embed(x, 0) - embed(x, 1) for x in base]
+    h_mats = [_embed(x, size) + _embed(x, size, m) for x in base]
+    m_mats = [_embed(x, size) - _embed(x, size, m) for x in base]
     swap = Mat.from_rows(
         [[ONE if j == i + m or j == i - m else ZERO for j in range(size)] for i in range(size)]
     )
@@ -731,18 +724,8 @@ def _pair_sp_block(params: dict) -> SymmetricPair:
     if p < 1 or q < 1:
         raise InputError("sp_block needs p, q >= 1")
     m = 2 * (p + q)
-
-    def embed(x: Mat, off: int) -> Mat:
-        entries = [ZERO] * (m * m)
-        for i in range(x.rows):
-            for j in range(x.cols):
-                v = x[i, j]
-                if v != 0:
-                    entries[(off + i) * m + off + j] = v
-        return Mat(m, m, entries)
-
-    h_mats = [embed(x, 0) for x in bases.sp_split_basis(p)]
-    h_mats += [embed(x, 2 * p) for x in bases.sp_split_basis(q)]
+    h_mats = [_embed(x, m) for x in bases.sp_split_basis(p)]
+    h_mats += [_embed(x, m, 2 * p) for x in bases.sp_split_basis(q)]
     omega1 = _sp_paired_omega(p, 0).submatrix(range(2 * p), range(2 * p))
     omega2 = _sp_paired_omega(q, 0).submatrix(range(2 * q), range(2 * q))
     m_mats = []
@@ -750,16 +733,7 @@ def _pair_sp_block(params: dict) -> SymmetricPair:
         for j in range(2 * q):
             r = Mat.unit(2 * p, 2 * q, i, j)
             s = omega2 @ r.transpose() @ omega1
-            entries = [ZERO] * (m * m)
-            for ii in range(2 * p):
-                for jj in range(2 * q):
-                    if r[ii, jj] != 0:
-                        entries[ii * m + 2 * p + jj] = r[ii, jj]
-            for ii in range(2 * q):
-                for jj in range(2 * p):
-                    if s[ii, jj] != 0:
-                        entries[(2 * p + ii) * m + jj] = s[ii, jj]
-            m_mats.append(Mat(m, m, entries))
+            m_mats.append(_embed(r, m, 0, 2 * p) + _embed(s, m, 2 * p, 0))
     conj = Mat.diag([-1] * (2 * p) + [1] * (2 * q))
     cert = None
     if p == 1:
@@ -922,12 +896,46 @@ def _build_pair_cached(family: str, key: tuple) -> SymmetricPair:
     return _PAIR_BUILDERS[family](dict(key))
 
 
+def _group_ambient(token) -> int:
+    try:
+        return 2 * bases.algebra_token_size(token)
+    except InputError as exc:
+        raise InputError(f"group_type parameter 'base': {exc}") from None
+
+
+def _nonneg(*counts: int) -> int:
+    return sum(max(c, 0) for c in counts)
+
+
+# Parameters of each pair family and the realified ambient size they give.
+_PAIR_SIZES = {
+    "group_type": (("base",), _group_ambient),
+    "sl_block": (("p", "q"), lambda p, q: p + q),
+    "so_block": (("a", "b", "c", "d"), _nonneg),
+    "conformal_model": (("k", "l"), lambda k, l: _nonneg(k, l) + 2),
+    "sp_block": (("p", "q"), lambda p, q: 2 * (p + q)),
+    "su_block": (("a", "b", "c", "d"), lambda *counts: 2 * _nonneg(*counts)),
+    "so_complex": (("n",), lambda n: 2 * n),
+    "sp1_block": (("p", "q"), lambda p, q: 4 * _nonneg(1 + p, q)),
+    "so_star": (("n",), lambda n: 4 * (n + 1)),
+}
+
+
 def build_pair(family: str, params: dict) -> SymmetricPair:
-    """Construct a catalog symmetric pair; results are memoized."""
+    """Construct a catalog symmetric pair; results are memoized.
+
+    The parameters and the realified ambient size are checked before any
+    basis matrix is allocated.
+    """
     if family not in _PAIR_BUILDERS:
         raise InputError(f"unsupported pair family {family!r}")
-    key = tuple(sorted(params.items()))
-    return _build_pair_cached(family, key)
+    if not isinstance(params, dict):
+        raise InputError(f"{family} parameters must be a mapping, got {params!r}")
+    names, ambient = _PAIR_SIZES[family]
+    values = [params.get(name) if family == "group_type" else _int_param(family, params, name)
+              for name in names]
+    _check_bounds(ambient(*values))
+    return _build_pair_cached(family, tuple(zip(names, values)))
 
 
 def verify_pair(pair: SymmetricPair) -> list:
@@ -988,20 +996,9 @@ def direct_sum_pairs(parts: Sequence[SymmetricPair], name: str = "") -> Symmetri
     h_mats, m_mats = [], []
     offset = 0
     for p in parts:
-        amb = p.k_algebra.ambient_size
-
-        def embed(x: Mat, off=offset, a=amb) -> Mat:
-            entries = [ZERO] * (total * total)
-            for i in range(a):
-                for j in range(a):
-                    v = x[i, j]
-                    if v != 0:
-                        entries[(off + i) * total + off + j] = v
-            return Mat(total, total, entries)
-
-        h_mats += [embed(x) for x in p.h_basis()]
-        m_mats += [embed(x) for x in p.m_basis()]
-        offset += amb
+        h_mats += [_embed(x, total, offset) for x in p.h_basis()]
+        m_mats += [_embed(x, total, offset) for x in p.m_basis()]
+        offset += p.k_algebra.ambient_size
     label = name or "+".join(p.name for p in parts)
     return _assemble_pair(label, "direct_sum", {"parts": len(parts)}, h_mats, m_mats)
 
@@ -1166,15 +1163,7 @@ def expected_graded_dims(family: str, params: dict) -> dict:
 
     Raises InputError naming a parameter that is missing or not an integer.
     """
-
-    def param(name: str) -> int:
-        if name not in params:
-            raise InputError(f"{family} needs the integer parameter {name!r}")
-        value = params[name]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"{family} parameter {name!r} must be an integer, got {value!r}")
-        return value
-
+    param = partial(_int_param, family, params)
     if family == "projective":
         n = param("n")
         return {"dim_g": (n + 1) ** 2 - 1, "dim_gm1": n}

@@ -62,17 +62,22 @@ class ExistenceVerdict:
 
 
 def g0_action_solver(target: GradedAlgebra) -> Mat:
-    """Matrix of the map g_0 -> gl(g_-1) given by the bracket action."""
-    sc = target.algebra.constants
-    n = target.dim_gm1
-    cols = []
-    for z in target.zero:
-        ez = [ZERO] * target.dim
-        ez[z] = ONE
-        ad = sc.ad_of_coords(ez)
-        block = ad.submatrix(target.minus_one, target.minus_one)
-        cols.append(block.entries)
-    return Mat.from_rows([[cols[c][r] for c in range(len(cols))] for r in range(n * n)])
+    """Matrix of the map g_0 -> gl(g_-1) given by the bracket action.
+
+    Read from the structure-constant table: the column of X_z holds the
+    entries of [X_z, X_m] = table[z][m] for X_m in g_-1, flattened row-major
+    as an n x n block.
+    """
+    table = target.algebra.constants.table
+    n, width = target.dim_gm1, len(target.zero)
+    local = {m: a for a, m in enumerate(target.minus_one)}
+    entries = [ZERO] * (n * n * width)
+    for c, z in enumerate(target.zero):
+        for b, m in enumerate(target.minus_one):
+            for t, v in table[z][m].items():
+                if t in local:
+                    entries[(local[t] * n + b) * width + c] = v
+    return Mat(n * n, width, entries)
 
 
 def standard_witness(pair: SymmetricPair, target: GradedAlgebra,
@@ -81,7 +86,8 @@ def standard_witness(pair: SymmetricPair, target: GradedAlgebra,
 
     The g_0 coordinates of each alpha(h) are solved exactly from the
     requirement that its bracket action on g_-1 matches the framed isotropy
-    action; the no-ideal condition makes that solution unique.
+    action; the no-ideal condition makes that solution unique.  All h-elements
+    are solved in one elimination, one right-hand column each.
     """
     n = pair.dim_m
     if n != target.dim_gm1:
@@ -89,19 +95,19 @@ def standard_witness(pair: SymmetricPair, target: GradedAlgebra,
     frame = frame or Mat.identity(n)
     frame_inv = invert(frame)
     rep = isotropy_rep(pair)
-    solver = g0_action_solver(target)
+    framed = [(frame @ a @ frame_inv).entries for a in rep.action]
+    sol = solve_linear(g0_action_solver(target),
+                       Mat(n * n, len(framed), [col[r] for r in range(n * n) for col in framed]))
+    if sol is None:
+        raise InputError(
+            "isotropy action does not land in the grading-preserving block"
+        )
+    if sol.kernel:
+        raise InternalCheckError("g_0 action map is not injective; target not effective")
     alpha_rows = [[ZERO] * pair.dim for _ in range(target.dim)]
     for pos, h_idx in enumerate(pair.h_indices):
-        framed = frame @ rep.action[pos] @ frame_inv
-        sol = solve_linear(solver, Mat.column(framed.entries))
-        if sol is None:
-            raise InputError(
-                "isotropy action does not land in the grading-preserving block"
-            )
-        if sol.kernel:
-            raise InternalCheckError("g_0 action map is not injective; target not effective")
         for local, z in enumerate(target.zero):
-            alpha_rows[z][h_idx] = sol.particular[local, 0]
+            alpha_rows[z][h_idx] = sol.particular[local, pos]
     for local, m_idx in enumerate(pair.m_indices):
         col = frame.col(local)
         for r, v in enumerate(col):

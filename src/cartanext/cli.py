@@ -248,7 +248,7 @@ def _verify_item(item: dict, seed: int) -> dict:
     checks = []
     label = ""
     if kind == "graded":
-        g = build_graded(item["family"], item["params"])
+        g = build_graded(item["family"], item.get("params"))
         label = g.algebra.name
         failures = verify_graded(g)
         checks.append(_check("graded_invariants", not failures, "; ".join(failures)))
@@ -257,7 +257,7 @@ def _verify_item(item: dict, seed: int) -> dict:
         checks.append(_check("graded_dims", dims_ok,
                              f"dim={g.dim}, dim_gm1={g.dim_gm1}"))
     elif kind == "pair":
-        p = build_pair(item["family"], item["params"])
+        p = build_pair(item["family"], item.get("params"))
         label = p.name
         failures = verify_pair(p)
         checks.append(_check("pair_invariants", not failures, "; ".join(failures)))
@@ -272,7 +272,7 @@ def _verify_item(item: dict, seed: int) -> dict:
         ok = verdict.verdict == classify.EXISTS and torsion_free(verdict.witness)
         checks.append(_check("projective", ok, verdict.reason))
     elif kind == "row":
-        pair = build_pair(item["pair"]["family"], item["pair"]["params"])
+        pair = build_pair(item["pair"]["family"], item["pair"].get("params"))
         verdict = classify.verify_family_row(item["family"], pair)
         label = f"{pair.name}->{item['family']}"
         if verdict.verdict == classify.UNDECIDED:

@@ -331,12 +331,10 @@ def dstar_projective(ext: Extension) -> list:
         uj = frame_inv.col(j)
         total = [ZERO] * target.dim
         for i in range(n):
-            ui = frame_inv.col(i)
-            kij = kappa.evaluate(ui, uj)
-            zi = [ZERO] * target.dim
-            zi[target.plus_one[i]] = ONE
-            term = sc_g.bracket_coords(zi, kij)
-            total = [p + q for p, q in zip(total, term)]
+            kij = kappa.evaluate(frame_inv.col(i), uj)
+            term = sc_g.bracket_with(target.plus_one[i], {m: c for m, c in enumerate(kij) if c})
+            for t, c in term.items():
+                total[t] += c
         out.append(total)
     return out
 
@@ -347,40 +345,35 @@ def projective_normalization_operator(target: GradedAlgebra) -> tuple[Mat, dict]
     Returns (L, index) with L acting on flattened b2 entries b[k, j]
     (b sends the j-th elementary g_-1 vector to b[k, j] times the k-th
     elementary g_1 vector); equations are indexed by (j, t) for the
-    g_1-coordinate t of the contraction at X_j.
+    g_1-coordinate t of the contraction at X_j.  Every bracket is read from
+    the structure-constant table: u[i][k] = [X^-_i, X^+_k] is a table row,
+    and each [X^+_i, u] is summed over the rows table[X^+_i][m].
     """
     n = target.dim_gm1
     sc_g = target.algebra.constants
-    dim = target.dim
-
-    def unit(i, grade):
-        v = [ZERO] * dim
-        v[(target.minus_one if grade == -1 else target.plus_one)[i]] = ONE
-        return v
-
-    u_table = [[sc_g.bracket_coords(unit(i, -1), unit(k, 1)) for k in range(n)] for i in range(n)]
+    minus, plus = target.minus_one, target.plus_one
+    local = {t: r for r, t in enumerate(plus)}
+    u_table = [[sc_g.table[minus[i]][plus[k]] for k in range(n)] for i in range(n)]
     s_table = []
     for k in range(n):
-        acc = [ZERO] * dim
+        acc: dict[int, Fraction] = {}
         for i in range(n):
-            term = sc_g.bracket_coords(unit(i, 1), u_table[i][k])
-            acc = [p + q for p, q in zip(acc, term)]
+            for t, c in sc_g.bracket_with(plus[i], u_table[i][k]).items():
+                acc[t] = acc.get(t, ZERO) + c
         s_table.append(acc)
-    rows = []
+    width = n * n
+    entries = [ZERO] * (n * len(plus) * width)
     for j in range(n):
-        contributions = {}
+        row = j * len(plus)
         for k0 in range(n):
+            for t, c in s_table[k0].items():
+                if t in local:
+                    entries[(row + local[t]) * width + k0 * n + j] += c
             for j0 in range(n):
-                vec = list(s_table[k0]) if j == j0 else [ZERO] * dim
-                cross = sc_g.bracket_coords(unit(j0, 1), u_table[j][k0])
-                contributions[(k0, j0)] = [p - q for p, q in zip(vec, cross)]
-        for t in target.plus_one:
-            row = [ZERO] * (n * n)
-            for (k0, j0), vec in contributions.items():
-                if vec[t] != 0:
-                    row[k0 * n + j0] = vec[t]
-            rows.append(row)
-    return Mat.from_rows(rows), {"equations": n * n, "unknowns": n * n}
+                for t, c in sc_g.bracket_with(plus[j0], u_table[j][k0]).items():
+                    if t in local:
+                        entries[(row + local[t]) * width + k0 * n + j0] -= c
+    return Mat(n * len(plus), width, entries), {"equations": width, "unknowns": width}
 
 
 def solve_projective_b2(ext: Extension) -> B2Solution:

@@ -49,16 +49,25 @@ class StructureConstants:
     def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list:
         """Coordinates of [u, v] for coordinate vectors u, v."""
         out = [ZERO] * self.dim
+        v_nonzero = [(j, b) for j, b in enumerate(v) if b]
         for i, a in enumerate(u):
             if a == 0:
                 continue
             row_i = self.table[i]
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
+            for j, b in v_nonzero:
                 ab = a * b
                 for k, c in row_i[j].items():
                     out[k] += ab * c
+        return out
+
+    def bracket_with(self, i: int, w: dict) -> dict:
+        """Coordinates of [X_i, w] for sparse coordinates w = {index: value},
+        summed over the table rows table[i][m]; zero sums are kept."""
+        out: dict[int, Fraction] = {}
+        row_i = self.table[i]
+        for m, a in w.items():
+            for k, c in row_i[m].items():
+                out[k] = out.get(k, ZERO) + a * c
         return out
 
     def ad_matrix(self, i: int) -> Mat:
@@ -182,10 +191,9 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
             bracket = sparse_commutator(sparse[i], sparse[j], n)
             fwd = {}
             if bracket:
-                coords = span.decompose(bracket)
-                if coords is None:
+                fwd = span.sparse_decompose(bracket)
+                if fwd is None:
                     raise ClosureError(i, j)
-                fwd = {k: c for k, c in enumerate(coords) if c}
             table[i][j] = fwd
             table[j][i] = {k: -c for k, c in fwd.items()}
     constants = StructureConstants(dim, table)
@@ -644,7 +652,7 @@ def largest_invariant_subspace_dim(algebra: MatrixLieAlgebra, indices: Sequence[
     in span(basis[i] for i in indices); zero certifies effectivity.
     """
     dim = algebra.dim
-    table = algebra.constants.table
+    sc = algebra.constants
     span = SpanSolver(dim)
     cols = [{i: ONE} for i in indices if span.insert({i: ONE})]
     while cols:
@@ -656,14 +664,7 @@ def largest_invariant_subspace_dim(algebra: MatrixLieAlgebra, indices: Sequence[
             return k  # subspace is everything and trivially invariant
         rows = []
         for g in range(dim):
-            row_g = table[g]
-            images = []  # [X_g, col] for each column
-            for col in cols:
-                w: dict[int, Fraction] = {}
-                for t, a in col.items():
-                    for m, c in row_g[t].items():
-                        w[m] = w.get(m, ZERO) + a * c
-                images.append(w)
+            images = [sc.bracket_with(g, col) for col in cols]  # [X_g, col]
             for ell in annihilator:
                 row = {}
                 for c, w in enumerate(images):

@@ -3,9 +3,11 @@
 Every scalar in the package is a :class:`fractions.Fraction`; there is no
 floating point anywhere.  Matrices are small (ambient sizes stay well under
 a hundred) and stored densely, so the algorithms below are straightforward
-exact eliminations with sparsity-aware inner loops.  Brackets of the nearly
-empty basis matrices of the catalog are formed sparsely (`sparse_rows`,
-`sparse_commutator`), and `SpanSolver` reduces such sparse vectors directly.
+exact eliminations with sparsity-aware inner loops.  Products and brackets
+of the nearly empty basis matrices of the catalog are formed sparsely
+(`sparse_rows`, `sparse_product`, `sparse_commutator`); `SpanSolver` reduces
+such sparse vectors directly and returns sparse coordinates
+(`sparse_decompose`), of which `decompose` is the dense form.
 """
 
 from __future__ import annotations
@@ -219,6 +221,21 @@ def sparse_rows(m: Mat) -> dict:
     return rows
 
 
+def sparse_product(a: dict, b: dict) -> dict:
+    """AB for matrices in `sparse_rows` form, in the same form with zero
+    entries and empty rows dropped."""
+    out: dict[int, dict[int, Fraction]] = {}
+    for r, row in a.items():
+        acc: dict[int, Fraction] = {}
+        for t, x in row.items():
+            for c, y in b.get(t, {}).items():
+                acc[c] = acc.get(c, ZERO) + x * y
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
+
+
 def sparse_commutator(a: dict, b: dict, n: int) -> dict:
     """AB - BA for n x n matrices in `sparse_rows` form, as {r*n + c: value}
     with zero entries dropped."""
@@ -314,16 +331,22 @@ class SpanSolver:
         v, _ = self._reduce(self._sparsify(vec))
         return not v
 
-    def decompose(self, vec: Vector) -> Optional[list]:
-        """Coordinates of vec over the inserted vectors, or None if outside."""
+    def sparse_decompose(self, vec: Vector) -> Optional[dict]:
+        """Nonzero coordinates {inserted index: value} of vec, in increasing
+        index order, or None if vec is outside the span."""
         v, combo = self._reduce(self._sparsify(vec))
         if v:
             return None
-        out = [ZERO] * self.count
+        out: dict[int, Fraction] = {}
         for r, c in combo.items():
             for s, coeff in self._combos[r].items():
-                out[s] += c * coeff
-        return out
+                out[s] = out.get(s, ZERO) + c * coeff
+        return {s: out[s] for s in sorted(out) if out[s]}
+
+    def decompose(self, vec: Vector) -> Optional[list]:
+        """Coordinates of vec over the inserted vectors, or None if outside."""
+        coords = self.sparse_decompose(vec)
+        return None if coords is None else [coords.get(s, ZERO) for s in range(self.count)]
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +642,3 @@ def minimal_polynomial(m: Mat) -> MinimalPolynomial:
                 tag = disc < 0
             factors.append(PolyFactor(tuple(irr), mult, tag))
     return MinimalPolynomial(tuple(coeffs), tuple(factors))
-
-
-def poly_eval_matrix(coeffs: Sequence[Fraction], m: Mat) -> Mat:
-    """Evaluate a polynomial (ascending coefficients) at a square matrix."""
-    out = Mat.zero(m.rows, m.cols)
-    power = Mat.identity(m.rows)
-    for i, c in enumerate(coeffs):
-        if i:
-            power = power @ m
-        if c != 0:
-            out = out + power.scale(c)
-    return out

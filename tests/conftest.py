@@ -88,6 +88,66 @@ def dense_structure_table(basis):
     return table
 
 
+def dense_g0_action(target):
+    """The map g_0 -> gl(g_-1) from dense adjoint matrices: for each X_z in
+    g_0, the g_-1 block of ad(X_z) flattened row-major into one column."""
+    sc = target.algebra.constants
+    n = target.dim_gm1
+    cols = []
+    for z in target.zero:
+        ez = [Fraction(0)] * target.dim
+        ez[z] = Fraction(1)
+        cols.append(sc.ad_of_coords(ez).submatrix(target.minus_one, target.minus_one).entries)
+    return Mat.from_rows([[cols[c][r] for c in range(len(cols))] for r in range(n * n)])
+
+
+def dense_normalization_operator(target):
+    """The projective normalization operator from `bracket_coords` of dense
+    unit vectors: rows (j, t) for t in g_1, columns k0 * n + j0."""
+    n = target.dim_gm1
+    sc = target.algebra.constants
+    dim = target.dim
+
+    def unit(i, grade):
+        v = [Fraction(0)] * dim
+        v[(target.minus_one if grade == -1 else target.plus_one)[i]] = Fraction(1)
+        return v
+
+    u_table = [[sc.bracket_coords(unit(i, -1), unit(k, 1)) for k in range(n)] for i in range(n)]
+    s_table = []
+    for k in range(n):
+        acc = [Fraction(0)] * dim
+        for i in range(n):
+            term = sc.bracket_coords(unit(i, 1), u_table[i][k])
+            acc = [p + q for p, q in zip(acc, term)]
+        s_table.append(acc)
+    rows = []
+    for j in range(n):
+        contributions = {}
+        for k0 in range(n):
+            for j0 in range(n):
+                vec = list(s_table[k0]) if j == j0 else [Fraction(0)] * dim
+                cross = sc.bracket_coords(unit(j0, 1), u_table[j][k0])
+                contributions[(k0, j0)] = [p - q for p, q in zip(vec, cross)]
+        for t in target.plus_one:
+            row = [Fraction(0)] * (n * n)
+            for (k0, j0), vec in contributions.items():
+                if vec[t] != 0:
+                    row[k0 * n + j0] = vec[t]
+            rows.append(row)
+    return Mat.from_rows(rows)
+
+
+def naive_bracket_coords(sc, u, v):
+    """[u, v] by the plain double loop over all coordinate pairs."""
+    out = [Fraction(0)] * sc.dim
+    for i in range(sc.dim):
+        for j in range(sc.dim):
+            for k, c in sc.table[i][j].items():
+                out[k] += u[i] * v[j] * c
+    return out
+
+
 @pytest.fixture(scope="session")
 def sl2_basis():
     e = Mat.from_rows([[0, 1], [0, 0]])

@@ -279,3 +279,125 @@ def test_effectivity_holds_for_grid():
 
     p = build_pair("conformal_model", {"k": 1, "l": 1})
     assert largest_invariant_subspace_dim(p.k_algebra, p.h_indices) == 0
+
+
+# -- assembly checks ---------------------------------------------------------
+
+
+def test_graded_assembly_rejects_wrong_grading_element():
+    from cartanext.errors import InternalCheckError
+
+    gm1, g0, gp1, e, flip, layout = catalog._sl_split_parts(1, 2)
+    wrong = e + Mat.diag([0, 0, 1])  # commutes with E_10 but not with E_20
+    with pytest.raises(InternalCheckError,
+                       match=r"^sl3: ad\(E\) is not -1 on basis element 1$"):
+        catalog._assemble_graded("sl3", "projective", {"n": 2}, gm1, g0, gp1, wrong, flip,
+                                 layout, layout)
+
+
+def test_graded_assembly_rejects_wrong_flip_sign():
+    from cartanext.errors import InternalCheckError
+
+    gm1, g0, gp1, e, flip, layout = catalog._sl_split_parts(1, 2)
+    wrong = Mat.diag([1, -1, 1])  # conjugation fixes E_20, which lies in g_-1
+    with pytest.raises(InternalCheckError,
+                       match="^sl3: flip conjugation sign wrong on element 1$"):
+        catalog._assemble_graded("sl3", "projective", {"n": 2}, gm1, g0, gp1, e, wrong,
+                                 layout, layout)
+
+
+def test_pair_assembly_rejects_wrong_conjugator():
+    from cartanext.errors import InternalCheckError
+
+    n, p = 3, 2
+    h_mats, m_mats = [], []
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                (h_mats if (i < p) == (j < p) else m_mats).append(Mat.unit(n, n, i, j))
+    h_mats += [Mat.unit(n, n, i, i) - Mat.unit(n, n, 0, 0) for i in range(1, n)]
+    right = catalog._assemble_pair("blk", "sl_block", {}, h_mats, m_mats, Mat.diag([-1, -1, 1]))
+    assert right.dim_h == 4
+    # -1 fixes the whole algebra, so the first m-element (index 4) is the first mismatch
+    with pytest.raises(InternalCheckError, match="^blk: conjugator action mismatch at 4$"):
+        catalog._assemble_pair("blk", "sl_block", {}, h_mats, m_mats, Mat.diag([-1, -1, -1]))
+    # a scalar square other than 1: diag(2, 2, -2) squares to 4 and acts like diag(-1, -1, 1)
+    catalog._assemble_pair("blk", "sl_block", {}, h_mats, m_mats, Mat.diag([2, 2, -2]))
+    with pytest.raises(InternalCheckError, match="^blk: conjugator action mismatch at 0$"):
+        catalog._assemble_pair("blk", "sl_block", {}, h_mats, m_mats, Mat.diag([-1, 1, 1]))
+
+
+# -- pair parameters -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,params,match", [
+    ("sl_block", [("p", 1), ("q", 1)], "sl_block parameters must be a mapping"),
+    ("sl_block", {"p": 1}, "sl_block needs the integer parameter 'q'"),
+    ("so_block", {"a": 1, "b": 1, "c": 1}, "so_block needs the integer parameter 'd'"),
+    ("sl_block", {"p": "3", "q": 1}, "sl_block parameter 'p' must be an integer, got '3'"),
+    ("sp_block", {"p": 1, "q": 2.0}, "sp_block parameter 'q' must be an integer, got 2.0"),
+    ("so_star", {"n": True}, "so_star parameter 'n' must be an integer, got True"),
+    ("sp1_block", {"p": [1], "q": 1}, r"sp1_block parameter 'p' must be an integer, got \[1\]"),
+    ("group_type", {}, "group_type parameter 'base': algebra token must be a string, got None"),
+    ("group_type", {"base": 3}, "group_type parameter 'base': algebra token must be a string"),
+    ("group_type", {"base": "sl(x,R)"},
+     r"group_type parameter 'base': cannot parse algebra token 'sl\(x,R\)'"),
+    ("group_type", {"base": "e8(1)"},
+     r"group_type parameter 'base': unsupported algebra token 'e8\(1\)'"),
+    ("group_type", {"base": "so(1)"}, r"group_type parameter 'base': 'so\(1\)' is the zero algebra"),
+])
+def test_malformed_pair_params_are_input_errors(family, params, match):
+    with pytest.raises(InputError, match=match):
+        build_pair(family, params)
+
+
+@pytest.mark.parametrize("family,params,ambient", [
+    ("group_type", {"base": "sl(17,R)"}, 34),
+    ("group_type", {"base": "sl(9,C)"}, 36),
+    ("group_type", {"base": "so(10,7)"}, 34),
+    ("group_type", {"base": "sp(18,R)"}, 36),
+    ("group_type", {"base": "sp(10,C)"}, 40),
+    ("group_type", {"base": "su(5,4)"}, 36),
+    ("group_type", {"base": "so(9,C)"}, 36),
+    ("group_type", {"base": "so*(10)"}, 40),
+    ("sl_block", {"p": 20, "q": 13}, 33),
+    ("so_block", {"a": 9, "b": 8, "c": 8, "d": 8}, 33),
+    ("conformal_model", {"k": 20, "l": 11}, 33),
+    ("sp_block", {"p": 9, "q": 8}, 34),
+    ("su_block", {"a": 5, "b": 4, "c": 4, "d": 4}, 34),
+    ("so_complex", {"n": 17}, 34),
+    ("sp1_block", {"p": 4, "q": 4}, 36),
+    ("so_star", {"n": 8}, 36),
+])
+def test_pair_ambient_cap_checked_before_construction(monkeypatch, family, params, ambient):
+    from cartanext import bases
+
+    def never(*args):
+        raise AssertionError("a basis was built for a parameter set over the cap")
+
+    monkeypatch.setitem(catalog._PAIR_BUILDERS, family, never)
+    monkeypatch.setattr(bases, "parse_simple_algebra", never)
+    with pytest.raises(InputError,
+                       match=f"realified ambient size {ambient} exceeds the desk-scale cap 32"):
+        build_pair(family, params)
+
+
+def test_pair_ambient_sizes_match_the_built_pairs():
+    # one below or at the cap for each family: the size read from the
+    # parameters is the size of the matrices the builder makes
+    for family, params, ambient in [
+        ("group_type", {"base": "sl(3,R)"}, 6),
+        ("group_type", {"base": "su(2,1)"}, 12),
+        ("group_type", {"base": "so*(4)"}, 16),
+        ("sl_block", {"p": 1, "q": 2}, 3),
+        ("so_block", {"a": 1, "b": 2, "c": 0, "d": 0}, 3),
+        ("conformal_model", {"k": 1, "l": 1}, 4),
+        ("sp_block", {"p": 1, "q": 1}, 4),
+        ("su_block", {"a": 1, "b": 1, "c": 1, "d": 0}, 6),
+        ("so_complex", {"n": 2}, 4),
+        ("sp1_block", {"p": 1, "q": 1}, 12),
+        ("so_star", {"n": 2}, 12),
+    ]:
+        assert build_pair(family, params).k_algebra.ambient_size == ambient
+        names, size = catalog._PAIR_SIZES[family]
+        assert size(*(params[name] for name in names)) == ambient

@@ -184,3 +184,70 @@ def test_centralizer_report_block_pair_factors():
     report = classify.centralizer_report(pair)
     assert sorted(report.factor_labels) == ["RxR", "RxR"]
     assert report.total_dim == 4
+
+
+def _projective_targets():
+    """The projective targets of the default-grid pairs with dim m >= 2,
+    and the h-projective targets of complex rank 4 and 5."""
+    ranks = sorted({build_pair(f, p).dim_m for f, p in catalog.default_pair_grid()} - {0, 1})
+    return ([("projective", {"n": n}) for n in ranks]
+            + [("h_projective", {"n": n}) for n in (4, 5)])
+
+
+@pytest.mark.parametrize("family,params", _projective_targets())
+def test_table_driven_operators_match_dense_references(family, params):
+    from cartanext.extension import projective_normalization_operator
+    from conftest import dense_g0_action, dense_normalization_operator
+
+    target = catalog.build_graded(family, params)
+    assert classify.g0_action_solver(target) == dense_g0_action(target)
+    op, meta = projective_normalization_operator(target)
+    n = target.dim_gm1
+    assert op == dense_normalization_operator(target)
+    assert meta == {"equations": n * n, "unknowns": n * n}
+
+
+def test_projective_target_ranks_cover_the_default_grid():
+    assert [params["n"] for family, params in _projective_targets()] == [2, 3, 4, 6, 8, 4, 5]
+
+
+@pytest.mark.parametrize("family,params", [
+    ("group_type", {"base": "sl(3,R)"}),
+    ("so_block", {"a": 2, "b": 1, "c": 1, "d": 1}),
+    ("sp1_block", {"p": 1, "q": 1}),
+])
+def test_standard_witness_matches_one_solve_per_h_element(family, params):
+    from cartanext.linalg import invert, solve_linear
+    from conftest import dense_g0_action
+
+    pair = build_pair(family, params)
+    target = catalog.build_graded("projective", {"n": pair.dim_m})
+    frame = Mat.from_rows([[1 if c == r else (2 if c == r + 1 else 0) for c in range(pair.dim_m)]
+                           for r in range(pair.dim_m)])
+    witness = classify.standard_witness(pair, target, frame=frame)
+    rep = catalog.isotropy_rep(pair)
+    solver = dense_g0_action(target)
+    for pos, h_idx in enumerate(pair.h_indices):
+        framed = frame @ rep.action[pos] @ invert(frame)
+        sol = solve_linear(solver, Mat.column(framed.entries))
+        assert not sol.kernel
+        assert [witness.alpha[z, h_idx] for z in target.zero] == sol.particular.col(0)
+    assert validate(witness).passed
+
+
+def test_standard_witness_errors(monkeypatch):
+    from cartanext.errors import InputError, InternalCheckError
+
+    pair = build_pair("group_type", {"base": "sl(2,R)"})
+    target = catalog.build_graded("projective", {"n": 3})
+    solver = classify.g0_action_solver(target)
+    monkeypatch.setattr(classify, "g0_action_solver",
+                        lambda t: Mat.zero(solver.rows, solver.cols))
+    with pytest.raises(InputError,
+                       match="^isotropy action does not land in the grading-preserving block$"):
+        classify.standard_witness(pair, target)
+    widened = Mat.from_rows([list(solver.row(r)) + [0] for r in range(solver.rows)])
+    monkeypatch.setattr(classify, "g0_action_solver", lambda t: widened)
+    with pytest.raises(InternalCheckError,
+                       match="^g_0 action map is not injective; target not effective$"):
+        classify.standard_witness(pair, target)

@@ -42,6 +42,31 @@ def test_build_missing_param_exits_2(capsys):
     assert "'n'" in err and "Traceback" not in err
 
 
+def test_build_pair_bad_params_exit_2(capsys):
+    for params, name in (("p=1", "'q'"), ("p=x,q=1", "'p'"), ("base=sl(x,R)", "'base'")):
+        family = "group_type" if "base" in params else "sl_block"
+        assert run(["build", "--family", family, "--params", params]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+
+def test_verify_catalog_bad_pair_params_fail_per_item():
+    manifest = [
+        {"kind": "pair", "family": "sl_block", "params": {"p": 1}},
+        {"kind": "pair", "family": "sl_block", "params": {"p": [1], "q": 1}},
+        {"kind": "pair", "family": "sl_block"},
+        {"kind": "row", "family": "projective",
+         "pair": {"family": "group_type", "params": {"base": ["sl(2,R)"]}}},
+        {"kind": "graded", "family": "projective"},
+        {"kind": "pair", "family": "sl_block", "params": {"p": 1, "q": 1}},
+    ]
+    result = run_verify_catalog(manifest, seed=0)
+    assert [item["status"] for item in result["items"]] == ["FAIL"] * 5 + ["PASS"]
+    details = [item["checks"][0]["detail"] for item in result["items"][:5]]
+    assert "'q'" in details[0] and "'p'" in details[1] and "mapping" in details[2]
+    assert "'base'" in details[3] and "mapping" in details[4]
+
+
 def test_round_trip_byte_identical(tmp_path):
     out = tmp_path / "g.json"
     run(["build", "--family", "conformal", "--params", "p=1,q=2", "--out", str(out)])

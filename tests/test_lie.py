@@ -20,6 +20,7 @@ from cartanext.lie import (
     make_algebra,
 )
 from cartanext.linalg import Mat
+from conftest import naive_bracket_coords
 
 F = Fraction
 
@@ -385,3 +386,35 @@ def test_largest_invariant_subspace_finds_proper_ideals(so3_basis):
     assert largest_invariant_subspace_dim(gl2, [0, 1]) == 1  # the centre
     assert largest_invariant_subspace_dim(gl2, [1, 2, 3]) == 3  # sl(2)
     assert largest_invariant_subspace_dim(gl2, [1, 2]) == 0
+
+
+def test_bracket_coords_matches_naive_double_loop():
+    import random
+
+    rng = random.Random(29)
+    for family, params in (("projective", {"n": 3}), ("conformal", {"p": 1, "q": 2}),
+                           ("h_projective", {"n": 2})):
+        sc = build_graded(family, params).algebra.constants
+
+        def sparse():
+            v = [F(0)] * sc.dim
+            for i in rng.sample(range(sc.dim), 2):
+                v[i] = F(rng.randint(-3, 3), rng.randint(1, 2))
+            return v
+
+        def dense():
+            return [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(sc.dim)]
+
+        for u, v in ((sparse(), dense()), (dense(), sparse()), (sparse(), sparse()),
+                     (dense(), dense()), ([F(0)] * sc.dim, dense())):
+            assert sc.bracket_coords(u, v) == naive_bracket_coords(sc, u, v)
+
+
+def test_bracket_with_matches_bracket_coords():
+    sc = build_graded("projective", {"n": 3}).algebra.constants
+    w = {0: F(2), 5: F(-1, 3), sc.dim - 1: F(4)}
+    dense_w = [w.get(k, F(0)) for k in range(sc.dim)]
+    for i in range(sc.dim):
+        e_i = [F(1) if k == i else F(0) for k in range(sc.dim)]
+        got = sc.bracket_with(i, w)
+        assert [got.get(k, F(0)) for k in range(sc.dim)] == sc.bracket_coords(e_i, dense_w)

@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from cartanext.errors import InputError
+from cartanext.lie import _eval_poly_at
 from cartanext.linalg import (
     Mat,
     SpanSolver,
     commutator,
     minimal_polynomial,
-    poly_eval_matrix,
     solve_linear,
     sparse_commutator,
+    sparse_product,
     sparse_rows,
     symmetric_signature,
 )
@@ -73,6 +74,40 @@ def test_sparse_commutator_matches_dense():
         assert sparse_commutator(rows, sparse_rows(b), n) == \
             {k: v for k, v in enumerate(dense) if v != 0}
     assert sparse_commutator(sparse_rows(a), sparse_rows(a), n) == {}
+
+
+def test_sparse_product_matches_dense():
+    rng = random.Random(17)
+    for trial in range(40):
+        n = rng.randint(1, 5)
+        a, b = (Mat(n, n, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                           if rng.random() < 0.3 else 0 for _ in range(n * n)])
+                for _ in range(2))
+        assert sparse_product(sparse_rows(a), sparse_rows(b)) == sparse_rows(a @ b)
+    # entries that cancel are dropped, and so are rows left empty
+    a = Mat.from_rows([[1, 1], [0, 0]])
+    b = Mat.from_rows([[1, 2], [-1, -2]])
+    assert sparse_product(sparse_rows(a), sparse_rows(b)) == {}
+
+
+def test_sparse_decompose_is_decompose_without_zeros():
+    rng = random.Random(23)
+    span = SpanSolver(7)
+    vecs = [[Fraction(rng.randint(-2, 2)) for _ in range(7)] for _ in range(5)]
+    for v in vecs:
+        span.insert(v)
+    for trial in range(30):
+        weights = [Fraction(rng.randint(-1, 1)) for _ in vecs]
+        probe = [sum(w * v[i] for w, v in zip(weights, vecs)) for i in range(7)]
+        if rng.random() < 0.3:
+            probe[rng.randrange(7)] += 1  # usually leaves the span
+        dense = span.decompose(probe)
+        coords = span.sparse_decompose(probe)
+        if dense is None:
+            assert coords is None
+            continue
+        assert coords == {k: c for k, c in enumerate(dense) if c != 0}
+        assert list(coords) == sorted(coords)
 
 
 def test_span_solver_accepts_sparse_vectors():
@@ -188,14 +223,14 @@ def test_minpoly_annihilates_and_is_minimal():
             [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         )
         mp = minimal_polynomial(m)
-        assert poly_eval_matrix(mp.coeffs, m).is_zero()
+        assert _eval_poly_at(list(mp.coeffs), m).is_zero()
         # no maximal proper divisor annihilates
         from cartanext import poly as P
 
         for f in mp.factors:
             quotient, rem = P.divmod_exact(list(mp.coeffs), list(f.coeffs))
             assert rem == [Fraction(0)]
-            assert not poly_eval_matrix(quotient, m).is_zero()
+            assert not _eval_poly_at(quotient, m).is_zero()
 
 
 def test_minpoly_repeated_factor_multiplicity():
