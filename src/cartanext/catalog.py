@@ -1101,7 +1101,7 @@ def factor_decomposition(pair: SymmetricPair) -> list:
                 if val != 0:
                     col[m_pos[idx]] = val
             cols.append(col)
-        emb = Mat.from_rows([[cols[c][r] for c in range(len(cols))] for r in range(pair.dim_m)])
+        emb = Mat.from_columns(cols, pair.dim_m)
         factors.append(PairFactor(sub, emb, group_type=len(orbit) == 2))
     pair._factors = factors
     return factors

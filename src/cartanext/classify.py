@@ -96,8 +96,7 @@ def standard_witness(pair: SymmetricPair, target: GradedAlgebra,
     frame_inv = invert(frame)
     rep = isotropy_rep(pair)
     framed = [(frame @ a @ frame_inv).entries for a in rep.action]
-    sol = solve_linear(g0_action_solver(target),
-                       Mat(n * n, len(framed), [col[r] for r in range(n * n) for col in framed]))
+    sol = solve_linear(g0_action_solver(target), Mat.from_columns(framed, n * n))
     if sol is None:
         raise InputError(
             "isotropy action does not land in the grading-preserving block"
@@ -129,7 +128,7 @@ def inclusion_witness(pair: SymmetricPair, target: GradedAlgebra,
         if coords is None:
             raise InputError("pair algebra does not embed into the target span")
         cols.append(coords)
-    alpha = Mat.from_rows([[cols[c][r] for c in range(len(cols))] for r in range(target.dim)])
+    alpha = Mat.from_columns(cols, target.dim)
     return Extension(pair, target, alpha, label)
 
 
@@ -143,7 +142,7 @@ def coordinate_complex_structure(target: GradedAlgebra) -> Mat:
         if coords is None:
             raise InternalCheckError("ambient J does not preserve the target span")
         cols.append(coords)
-    return Mat.from_rows([[cols[c][r] for c in range(len(cols))] for r in range(target.dim)])
+    return Mat.from_columns(cols, target.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,7 @@ def complex_adapted_frame(pair: SymmetricPair, j_pair: Mat) -> Mat:
             raise InternalCheckError("J-adapted basis extraction failed")
         cols.append(e)
         cols.append(je)
-    adapted = Mat.from_rows([[cols[c][r] for c in range(dim_m)] for r in range(dim_m)])
+    adapted = Mat.from_columns(cols, dim_m)
     return invert(adapted)
 
 
@@ -577,7 +576,7 @@ def _row_su_pp_so_complex(pair: SymmetricPair) -> Extension:
         if coords is None:
             raise InternalCheckError("complexified element escapes the su(p,p) span")
         cols.append(coords)
-    alpha = Mat.from_rows([[cols[c][r] for c in range(len(cols))] for r in range(t.dim)])
+    alpha = Mat.from_columns(cols, t.dim)
     return Extension(pair, t, alpha, f"{pair.name}->su_pp")
 
 
@@ -612,7 +611,7 @@ def _mapped_witness(pair: SymmetricPair, target: GradedAlgebra,
         if coords is None:
             raise InternalCheckError("mapped element escapes the target span")
         cols.append(coords)
-    alpha = Mat.from_rows([[cols[c][r] for c in range(len(cols))] for r in range(target.dim)])
+    alpha = Mat.from_columns(cols, target.dim)
     return Extension(pair, target, alpha, label)
 
 

@@ -243,21 +243,32 @@ def _check(name: str, ok: bool, detail: str = "") -> dict:
     return out
 
 
+def _field(spec: dict, name: str, kind: type, what: str):
+    """spec[name], which a manifest item must give as a `kind`."""
+    value = spec.get(name)
+    if not isinstance(value, kind):
+        raise InputError(f"manifest item field {name!r} must be {what}, got {value!r}")
+    return value
+
+
 def _verify_item(item: dict, seed: int) -> dict:
+    if not isinstance(item, dict):
+        raise InputError(f"manifest item must be a mapping, got {item!r}")
     kind = item.get("kind", "graded")
     checks = []
     label = ""
     if kind == "graded":
-        g = build_graded(item["family"], item.get("params"))
+        family = _field(item, "family", str, "a string")
+        g = build_graded(family, item.get("params"))
         label = g.algebra.name
         failures = verify_graded(g)
         checks.append(_check("graded_invariants", not failures, "; ".join(failures)))
-        expected = item.get("expected") or expected_graded_dims(item["family"], item["params"])
+        expected = item.get("expected") or expected_graded_dims(family, item["params"])
         dims_ok = g.dim == expected["dim_g"] and g.dim_gm1 == expected["dim_gm1"]
         checks.append(_check("graded_dims", dims_ok,
                              f"dim={g.dim}, dim_gm1={g.dim_gm1}"))
     elif kind == "pair":
-        p = build_pair(item["family"], item.get("params"))
+        p = build_pair(_field(item, "family", str, "a string"), item.get("params"))
         label = p.name
         failures = verify_pair(p)
         checks.append(_check("pair_invariants", not failures, "; ".join(failures)))
@@ -272,9 +283,11 @@ def _verify_item(item: dict, seed: int) -> dict:
         ok = verdict.verdict == classify.EXISTS and torsion_free(verdict.witness)
         checks.append(_check("projective", ok, verdict.reason))
     elif kind == "row":
-        pair = build_pair(item["pair"]["family"], item["pair"].get("params"))
-        verdict = classify.verify_family_row(item["family"], pair)
-        label = f"{pair.name}->{item['family']}"
+        family = _field(item, "family", str, "a string")
+        spec = _field(item, "pair", dict, "a mapping")
+        pair = build_pair(_field(spec, "family", str, "a string"), spec.get("params"))
+        verdict = classify.verify_family_row(family, pair)
+        label = f"{pair.name}->{family}"
         if verdict.verdict == classify.UNDECIDED:
             checks.append({"name": "row", "claim": CLAIM_TAGS["row"],
                            "status": "UNDECIDED", "detail": verdict.reason})
@@ -283,9 +296,9 @@ def _verify_item(item: dict, seed: int) -> dict:
             checks.append(_check("row", verdict.verdict == classify.EXISTS, verdict.reason))
             checks.append(_check("flat", flat))
     elif kind == "algebra_file":
-        label = item["path"]
+        label = _field(item, "path", str, "a string")
         try:
-            io.algebra_from_json(io.load_json(item["path"]))
+            io.algebra_from_json(io.load_json(label))
             checks.append(_check("closure", True))
         except CartanextError as exc:
             checks.append(_check("closure", False, str(exc)))
@@ -309,7 +322,8 @@ def run_verify_catalog(manifest: list, seed: int) -> dict:
         try:
             result = _verify_item(item, seed)
         except CartanextError as exc:
-            result = {"kind": item.get("kind", "graded"), "label": str(item),
+            kind = item.get("kind", "graded") if isinstance(item, dict) else None
+            result = {"kind": kind, "label": str(item),
                       "item": item,
                       "checks": [{"name": "build", "claim": "construction",
                                   "status": "FAIL", "detail": str(exc)}],
@@ -335,7 +349,8 @@ def manifest_markdown(run: dict) -> str:
     lines = [f"# Catalog verification (seed {run['seed']})", ""]
     by_family: dict = {}
     for item in run["items"]:
-        family = item["item"].get("family", item["kind"])
+        spec = item["item"] if isinstance(item["item"], dict) else {}
+        family = str(spec.get("family", item["kind"]))
         by_family.setdefault(family, []).append(item)
     for family in sorted(by_family):
         lines.append(f"## {family}")

@@ -240,7 +240,7 @@ def _predicate_lagrangean(t: Mat, target: GradedAlgebra) -> Optional[bool]:
         if sol is None:
             return False
         a.append(sol.particular.col(0))
-    amat = Mat.from_rows([[a[c][r] for c in range(n)] for r in range(n)])
+    amat = Mat.from_columns(a, n)
     if not _invertible(amat):
         return False
     for i in range(n):
@@ -335,7 +335,7 @@ def _predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[bool]:
         ]
     else:
         avecs = [a0] + tilde[1:]
-    amat = Mat.from_rows([[avecs[c][r] for c in range(n)] for r in range(n)])
+    amat = Mat.from_columns(avecs, n)
     return _invertible(amat)
 
 

@@ -278,7 +278,7 @@ def target_conjugation(target: GradedAlgebra) -> Mat:
         if coords is None:
             raise InternalCheckError("conjugation does not preserve the target span")
         cols.append(coords)
-    return Mat.from_rows([[cols[c][r] for c in range(len(cols))] for r in range(target.dim)])
+    return Mat.from_columns(cols, target.dim)
 
 
 def is_holomorphic(ext: Extension, j_pair: Mat, j_target: Mat) -> HolomorphyResult:
@@ -419,11 +419,15 @@ def _assert_b2_equivariant(ext: Extension, b2: Mat) -> None:
     """b2 must intertwine the induced actions on g_-1 and g_1."""
     target = ext.target
     sc_g = target.algebra.constants
-    n = target.dim_gm1
+
+    def block(az: dict, idx: list) -> Mat:
+        # ad(az) on span(idx): column c is [az, X_c] = -[X_c, az]
+        cols = [sc_g.bracket_with(c, az) for c in idx]
+        return Mat.from_columns([[-col.get(r, ZERO) for r in idx] for col in cols], len(idx))
+
     for h in ext.pair.h_indices:
-        az = ext.alpha.col(h)
-        ad = sc_g.ad_of_coords(az)
-        a_minus = ad.submatrix(target.minus_one, target.minus_one)
-        a_plus = ad.submatrix(target.plus_one, target.plus_one)
+        az = {i: a for i, a in enumerate(ext.alpha.col(h)) if a}
+        a_minus = block(az, target.minus_one)
+        a_plus = block(az, target.plus_one)
         if b2 @ a_minus != a_plus @ b2:
             raise InternalCheckError("solved b2 is not equivariant")

@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Every scalar in the package is a :class:`fractions.Fraction`; there is no
-floating point anywhere.  Matrices are small (ambient sizes stay well under
-a hundred) and stored densely, so the algorithms below are straightforward
-exact eliminations with sparsity-aware inner loops.  Products and brackets
-of the nearly empty basis matrices of the catalog are formed sparsely
-(`sparse_rows`, `sparse_product`, `sparse_commutator`); `SpanSolver` reduces
-such sparse vectors directly and returns sparse coordinates
-(`sparse_decompose`), of which `decompose` is the dense form.
+floating point anywhere.  `Mat` is a small immutable dense matrix; products
+and brackets of the nearly empty catalog basis matrices are formed sparsely
+(`sparse_rows`, `sparse_product`, `sparse_commutator`).  All row elimination
+runs through one sparse echelon core (`_reduce` against monic rows keyed by
+pivot column, `_echelon`, and back-substitution in `_solutions`), behind
+`SpanSolver`, `solve_linear`, `invert`, `matrix_rank` and
+`kernel_of_sparse_rows`.  Signatures use a separate congruence.
 """
 
 from __future__ import annotations
@@ -57,6 +57,11 @@ class Mat:
                 raise InputError("ragged rows")
             flat.extend(row)
         return Mat(r, c, flat)
+
+    @staticmethod
+    def from_columns(cols: Sequence[Sequence[Scalar]], rows: int) -> "Mat":
+        """The matrix whose columns are `cols`, each of length `rows`."""
+        return Mat(rows, len(cols), [col[r] for r in range(rows) for col in cols])
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Mat":
@@ -254,8 +259,73 @@ def sparse_commutator(a: dict, b: dict, n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Incremental span bookkeeping (sparse)
+# The sparse echelon core: span tracking, solving, rank and kernels
 # ---------------------------------------------------------------------------
+
+
+def _sparse(vec: Vector) -> dict:
+    """A new {index: value} copy of a dense or sparse vector, without zeros."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {i: v for i, v in items if v}
+
+
+def _reduce(v: dict, pivots: dict) -> dict:
+    """Reduce the sparse row v in place against the monic rows `pivots`
+    (pivot column -> row), always eliminating at the smallest index of v;
+    returns the multiples {pivot column: coefficient} subtracted."""
+    combo: dict[int, Fraction] = {}
+    while v:
+        p = min(v)
+        row = pivots.get(p)
+        if row is None:
+            break
+        c = v[p]
+        for k, val in row.items():
+            nv = v.get(k, ZERO) - c * val
+            if nv == 0:
+                v.pop(k, None)
+            else:
+                v[k] = nv
+        combo[p] = c
+    return combo
+
+
+def _store(v: dict, pivots: dict) -> tuple:
+    """Add the reduced nonzero row v to `pivots` as a monic row; returns its
+    pivot column and the inverse of its leading value."""
+    p = min(v)
+    inv = ONE / v[p]
+    pivots[p] = {k: c * inv for k, c in v.items()}
+    return p, inv
+
+
+def _echelon(rows: Iterable[Vector], width: int) -> Optional[dict]:
+    """Monic echelon rows {pivot column: row} spanning `rows`, or None when
+    one of them reduces to the columns from `width` on alone (the right-hand
+    sides of an inconsistent system)."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        v = _sparse(row)
+        _reduce(v, pivots)
+        if v and _store(v, pivots)[0] >= width:
+            return None
+    return pivots
+
+
+def _solutions(pivots: dict, seeds: Iterable[dict], width: int) -> list:
+    """For each seed, the x[0:width] solving the echelon rows that equals the
+    seed off the pivots and 0 at the other free columns.  Pivots are solved
+    in decreasing order, so each row only meets values already fixed."""
+    order = sorted(pivots, reverse=True)
+    out = []
+    for seed in seeds:
+        x = dict(seed)
+        for p in order:
+            s = sum(c * x[k] for k, c in pivots[p].items() if k in x)
+            if s:
+                x[p] = -s
+        out.append([x.get(c, ZERO) for c in range(width)])
+    return out
 
 
 class SpanSolver:
@@ -263,63 +333,36 @@ class SpanSolver:
 
     Vectors are given as dense sequences or as sparse {index: value}
     mappings, and are stored sparsely.  Each inserted vector is reduced
-    against the pivots collected so far; independent residues become new
-    pivot rows.  The solver remembers how each pivot row is expressed in the
-    inserted vectors, so `decompose` returns coordinates with respect to the
-    insertion order.
+    against the pivot rows collected so far; an independent residue becomes
+    a new pivot row.  The solver remembers how each pivot row is expressed in
+    the inserted vectors, so `decompose` returns coordinates with respect to
+    the insertion order.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self._pivots: dict[int, int] = {}  # pivot column -> row index
-        self._rows: list[dict[int, Fraction]] = []
-        self._combos: list[dict[int, Fraction]] = []  # row -> {inserted index: coeff}
+        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot column -> monic row
+        self._combos: dict[int, dict[int, Fraction]] = {}  # pivot -> {inserted index: coeff}
         self.count = 0  # number of inserted vectors (independent ones only)
 
-    @staticmethod
-    def _sparsify(vec: Vector) -> dict:
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        return {i: v for i, v in items if v}
-
-    def _reduce(self, v: dict) -> tuple[dict, dict]:
-        """Reduce v against stored rows; returns (residue, combo over rows)."""
-        combo: dict[int, Fraction] = {}
-        while v:
-            p = min(v)
-            r = self._pivots.get(p)
-            if r is None:
-                break
-            c = v[p]
-            row = self._rows[r]
-            for k, val in row.items():
-                nv = v.get(k, ZERO) - c * val
-                if nv == 0:
-                    v.pop(k, None)
-                else:
-                    v[k] = nv
-            combo[r] = combo.get(r, ZERO) + c
-        return v, combo
+    def _expand(self, combo: dict) -> dict:
+        """sum of c * (pivot row q over the inserted vectors) for q, c in combo"""
+        out: dict[int, Fraction] = {}
+        for q, c in combo.items():
+            for s, coeff in self._combos[q].items():
+                out[s] = out.get(s, ZERO) + c * coeff
+        return out
 
     def insert(self, vec: Vector) -> bool:
         """Insert a vector; returns True if it was independent."""
-        v, combo = self._reduce(self._sparsify(vec))
-        idx = self.count
+        v = _sparse(vec)
+        combo = _reduce(v, self._rows)
         if not v:
             return False
-        p = min(v)
-        inv = ONE / v[p]
-        row = {k: val * inv for k, val in v.items()}
-        expr: dict[int, Fraction] = {idx: inv}
-        for r, c in combo.items():
-            for s, coeff in self._combos[r].items():
-                nv = expr.get(s, ZERO) - inv * c * coeff
-                if nv == 0:
-                    expr.pop(s, None)
-                else:
-                    expr[s] = nv
-        self._pivots[p] = len(self._rows)
-        self._rows.append(row)
-        self._combos.append(expr)
+        p, inv = _store(v, self._rows)
+        expr = {s: -inv * c for s, c in self._expand(combo).items() if c}
+        expr[self.count] = inv
+        self._combos[p] = expr
         self.count += 1
         return True
 
@@ -328,30 +371,24 @@ class SpanSolver:
         return len(self._rows)
 
     def contains(self, vec: Vector) -> bool:
-        v, _ = self._reduce(self._sparsify(vec))
+        v = _sparse(vec)
+        _reduce(v, self._rows)
         return not v
 
     def sparse_decompose(self, vec: Vector) -> Optional[dict]:
         """Nonzero coordinates {inserted index: value} of vec, in increasing
         index order, or None if vec is outside the span."""
-        v, combo = self._reduce(self._sparsify(vec))
+        v = _sparse(vec)
+        combo = _reduce(v, self._rows)
         if v:
             return None
-        out: dict[int, Fraction] = {}
-        for r, c in combo.items():
-            for s, coeff in self._combos[r].items():
-                out[s] = out.get(s, ZERO) + c * coeff
+        out = self._expand(combo)
         return {s: out[s] for s in sorted(out) if out[s]}
 
     def decompose(self, vec: Vector) -> Optional[list]:
         """Coordinates of vec over the inserted vectors, or None if outside."""
         coords = self.sparse_decompose(vec)
         return None if coords is None else [coords.get(s, ZERO) for s in range(self.count)]
-
-
-# ---------------------------------------------------------------------------
-# Dense solving
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -366,69 +403,28 @@ class LinearSolution:
         return len(self.kernel)
 
 
-def _rref(rows: list, width: int) -> tuple[list, list]:
-    """In-place RREF of a list of dense rows; returns (rows, pivot columns)."""
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def matrix_rank(a: Mat) -> int:
-    _, pivots = _rref(a.to_rows(), a.cols)
-    return len(pivots)
+    return len(_echelon(map(a.row, range(a.rows)), a.cols))
 
 
 def solve_linear(a: Mat, b: Mat) -> Optional[LinearSolution]:
     """Solve A x = b exactly.
 
-    Returns a particular solution together with a basis of the kernel of A,
-    or None when the system is inconsistent.  `b` may have several columns;
+    Returns a particular solution (free variables 0) together with a basis
+    of the kernel of A (one vector per free column, in increasing order), or
+    None when the system is inconsistent.  `b` may have several columns;
     each is solved against the same coefficient matrix.
     """
     if a.rows != b.rows:
         raise InputError(f"A has {a.rows} rows but b has {b.rows}")
-    n, m, k = a.rows, a.cols, b.cols
-    aug = [list(a.row(i)) + list(b.row(i)) for i in range(n)]
-    aug, pivots = _rref(aug, m)  # only pivot on the A-part
-    rank = len(pivots)
-    for i in range(rank, n):
-        if any(aug[i][m + t] != 0 for t in range(k)):
-            return None
-    pivot_set = set(pivots)
-    free = [c for c in range(m) if c not in pivot_set]
-    part = [[ZERO] * k for _ in range(m)]
-    for r, c in enumerate(pivots):
-        for t in range(k):
-            part[c][t] = aug[r][m + t]
-    kernel = []
-    for f in free:
-        vec = [ZERO] * m
-        vec[f] = ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -aug[r][f]
-        kernel.append(Mat.column(vec))
-    return LinearSolution(Mat.from_rows(part), tuple(kernel))
+    m = a.cols
+    # column m + t holds b[:, t], so x[m + t] = -1 solves for that column
+    pivots = _echelon((a.row(i) + b.row(i) for i in range(a.rows)), m)
+    if pivots is None:
+        return None
+    part = _solutions(pivots, ({m + t: -ONE} for t in range(b.cols)), m)
+    kernel = _solutions(pivots, ({f: ONE} for f in range(m) if f not in pivots), m)
+    return LinearSolution(Mat.from_columns(part, m), tuple(map(Mat.column, kernel)))
 
 
 def invert(a: Mat) -> Mat:
@@ -443,40 +439,12 @@ def invert(a: Mat) -> Mat:
 def kernel_of_sparse_rows(rows: list, ncols: int) -> list:
     """Kernel basis of a system given as sparse rows {col: coeff}.
 
-    Returns dense coefficient lists.  Used for the large structured systems
-    (commutants, invariant forms) whose constraint rows are very sparse.
+    Returns dense coefficient lists, one per free column in increasing
+    order.  Used for the large structured systems (commutants, invariant
+    forms) whose constraint rows are very sparse.
     """
-    pivots: dict[int, dict] = {}
-    for raw in rows:
-        v = {k: frac(c) for k, c in raw.items() if c != 0}
-        while v:
-            p = min(v)
-            row = pivots.get(p)
-            if row is None:
-                inv = ONE / v[p]
-                pivots[p] = {k: c * inv for k, c in v.items()}
-                break
-            f = v[p]
-            for k, c in row.items():
-                nv = v.get(k, ZERO) - f * c
-                if nv == 0:
-                    v.pop(k, None)
-                else:
-                    v[k] = nv
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    order = sorted(pivots, reverse=True)
-    for f in free:
-        x = [ZERO] * ncols
-        x[f] = ONE
-        for p in order:
-            s = ZERO
-            for c, coeff in pivots[p].items():
-                if c != p and x[c] != 0:
-                    s += coeff * x[c]
-            x[p] = -s
-        basis.append(x)
-    return basis
+    pivots = _echelon(rows, ncols)
+    return _solutions(pivots, ({f: ONE} for f in range(ncols) if f not in pivots), ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +491,7 @@ def symmetric_signature(g: Mat) -> Signature:
         for r in range(n):
             m[r][i], m[r][j] = m[r][j], m[r][i]
 
+    # a congruence repeats every row operation on the columns: no row-only echelon
     for i in range(n):
         if m[i][i] == 0:
             swap_target = next((j for j in range(i + 1, n) if m[j][j] != 0), None)

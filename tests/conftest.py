@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from cartanext.errors import ClosureError, DependentBasisError
-from cartanext.linalg import Mat, SpanSolver, commutator
+from cartanext.errors import ClosureError, DependentBasisError, InputError
+from cartanext.linalg import ONE, ZERO, LinearSolution, Mat, SpanSolver, commutator, frac
 
 
 def rref_rank_oracle(rows):
@@ -30,6 +30,113 @@ def rref_rank_oracle(rows):
         row += 1
         rank += 1
     return rank
+
+
+# -- the dense eliminators the sparse echelon core replaced, kept verbatim ----
+
+
+def _rref(rows: list, width: int) -> tuple[list, list]:
+    """In-place RREF of a list of dense rows; returns (rows, pivot columns)."""
+    pivots = []
+    r = 0
+    for c in range(width):
+        piv = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ONE / rows[r][c]
+        if inv != 1:
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                ri, rr = rows[i], rows[r]
+                rows[i] = [a - f * b for a, b in zip(ri, rr)]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_matrix_rank(a: Mat) -> int:
+    _, pivots = _rref(a.to_rows(), a.cols)
+    return len(pivots)
+
+
+def reference_solve_linear(a: Mat, b: Mat):
+    """Solve A x = b exactly.
+
+    Returns a particular solution together with a basis of the kernel of A,
+    or None when the system is inconsistent.  `b` may have several columns;
+    each is solved against the same coefficient matrix.
+    """
+    if a.rows != b.rows:
+        raise InputError(f"A has {a.rows} rows but b has {b.rows}")
+    n, m, k = a.rows, a.cols, b.cols
+    aug = [list(a.row(i)) + list(b.row(i)) for i in range(n)]
+    aug, pivots = _rref(aug, m)  # only pivot on the A-part
+    rank = len(pivots)
+    for i in range(rank, n):
+        if any(aug[i][m + t] != 0 for t in range(k)):
+            return None
+    pivot_set = set(pivots)
+    free = [c for c in range(m) if c not in pivot_set]
+    part = [[ZERO] * k for _ in range(m)]
+    for r, c in enumerate(pivots):
+        for t in range(k):
+            part[c][t] = aug[r][m + t]
+    kernel = []
+    for f in free:
+        vec = [ZERO] * m
+        vec[f] = ONE
+        for r, c in enumerate(pivots):
+            vec[c] = -aug[r][f]
+        kernel.append(Mat.column(vec))
+    return LinearSolution(Mat.from_rows(part), tuple(kernel))
+
+
+def reference_kernel_of_sparse_rows(rows: list, ncols: int) -> list:
+    """Kernel basis of a system given as sparse rows {col: coeff}.
+
+    Returns dense coefficient lists.  Used for the large structured systems
+    (commutants, invariant forms) whose constraint rows are very sparse.
+    """
+    pivots: dict[int, dict] = {}
+    for raw in rows:
+        v = {k: frac(c) for k, c in raw.items() if c != 0}
+        while v:
+            p = min(v)
+            row = pivots.get(p)
+            if row is None:
+                inv = ONE / v[p]
+                pivots[p] = {k: c * inv for k, c in v.items()}
+                break
+            f = v[p]
+            for k, c in row.items():
+                nv = v.get(k, ZERO) - f * c
+                if nv == 0:
+                    v.pop(k, None)
+                else:
+                    v[k] = nv
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    order = sorted(pivots, reverse=True)
+    for f in free:
+        x = [ZERO] * ncols
+        x[f] = ONE
+        for p in order:
+            s = ZERO
+            for c, coeff in pivots[p].items():
+                if c != p and x[c] != 0:
+                    s += coeff * x[c]
+            x[p] = -s
+        basis.append(x)
+    return basis
 
 
 def char_poly_oracle(mat: Mat):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cartanext import io
 from cartanext.cli import default_manifest, main, run_verify_catalog
 
@@ -65,6 +67,23 @@ def test_verify_catalog_bad_pair_params_fail_per_item():
     details = [item["checks"][0]["detail"] for item in result["items"][:5]]
     assert "'q'" in details[0] and "'p'" in details[1] and "mapping" in details[2]
     assert "'base'" in details[3] and "mapping" in details[4]
+
+
+@pytest.mark.parametrize("item, field", [
+    ({"kind": "pair"}, "'family'"),
+    ({"kind": "row", "family": "projective", "pair": "x"}, "'pair'"),
+    ({"kind": "algebra_file"}, "'path'"),
+    (["graded"], "mapping"),
+])
+def test_verify_catalog_malformed_item_fails_per_item(item, field, tmp_path, capsys):
+    result = run_verify_catalog([item], seed=0)
+    assert result["counts"] == {"pass": 0, "fail": 1, "undecided": 0}
+    assert field in result["items"][0]["checks"][0]["detail"]
+    man = tmp_path / "manifest.json"
+    man.write_text(json.dumps([item]))
+    for fmt in ("json", "md"):
+        assert run(["verify-catalog", "--manifest", str(man), "--format", fmt]) == 1
+        assert field in capsys.readouterr().out
 
 
 def test_round_trip_byte_identical(tmp_path):

@@ -6,9 +6,10 @@ import pytest
 
 from cartanext import catalog, classify
 from cartanext.catalog import build_graded, build_pair
-from cartanext.errors import InputError, StructuralError
+from cartanext.errors import InputError, InternalCheckError, StructuralError
 from cartanext.extension import (
     Extension,
+    _assert_b2_equivariant,
     curvature,
     dstar_projective,
     graded_rescale_operator,
@@ -114,6 +115,20 @@ def test_b2_solution_unique_and_normalizing(projective_witness_sl2):
     assert all(all(x == 0 for x in vec) for vec in dstar_projective(sol.extension))
     assert validate(sol.extension).passed
     assert torsion_free(sol.extension)
+    # every corrupted b2 fails the equivariance check, as it fails on the
+    # blocks of the dense ad(alpha(h))
+    _assert_b2_equivariant(sol.extension, sol.b2)
+    target, alpha = sol.extension.target, sol.extension.alpha
+    ads = [target.algebra.constants.ad_of_coords(alpha.col(h))
+           for h in sol.extension.pair.h_indices]
+    n = target.dim_gm1
+    for k in range(n):
+        for j in range(n):
+            bad = sol.b2 + Mat.unit(n, n, k, j)
+            assert any(bad @ ad.submatrix(target.minus_one, target.minus_one)
+                       != ad.submatrix(target.plus_one, target.plus_one) @ bad for ad in ads)
+            with pytest.raises(InternalCheckError, match="solved b2 is not equivariant"):
+                _assert_b2_equivariant(sol.extension, bad)
 
 
 def test_b2_zero_for_flat_inclusion():

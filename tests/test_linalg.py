@@ -5,12 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from cartanext import lie
+from cartanext.catalog import build_graded, build_pair, default_pair_grid, isotropy_rep
+from cartanext.classify import g0_action_solver
 from cartanext.errors import InputError
+from cartanext.extension import projective_normalization_operator
 from cartanext.lie import _eval_poly_at
 from cartanext.linalg import (
     Mat,
     SpanSolver,
     commutator,
+    kernel_of_sparse_rows,
+    matrix_rank,
     minimal_polynomial,
     solve_linear,
     sparse_commutator,
@@ -18,7 +24,13 @@ from cartanext.linalg import (
     sparse_rows,
     symmetric_signature,
 )
-from conftest import descartes_signature_oracle, rref_rank_oracle
+from conftest import (
+    descartes_signature_oracle,
+    reference_kernel_of_sparse_rows,
+    reference_matrix_rank,
+    reference_solve_linear,
+    rref_rank_oracle,
+)
 
 
 def test_identity_solve():
@@ -127,6 +139,123 @@ def test_span_solver_accepts_sparse_vectors():
 def test_solve_shape_error():
     with pytest.raises(InputError):
         solve_linear(Mat.identity(2), Mat.column([1, 2, 3]))
+
+
+def test_from_columns():
+    cols = [[1, 2, 3], [4, 5, 6]]
+    assert Mat.from_columns(cols, 3) == Mat.from_rows([[1, 4], [2, 5], [3, 6]])
+    assert Mat.from_columns([], 3).shape == (3, 0)
+    assert Mat.from_columns([[], []], 0).shape == (0, 2)
+
+
+def test_solve_with_no_unknowns_keeps_the_shape():
+    sol = solve_linear(Mat(2, 0, []), Mat.zero(2, 3))
+    assert sol.particular.shape == (0, 3) and sol.kernel == ()
+    assert solve_linear(Mat(2, 0, []), Mat.column([0, 1])) is None
+
+
+# -- the sparse echelon core against the dense eliminators it replaced -------
+
+
+def _assert_core_matches_reference(a, b):
+    """solve_linear, matrix_rank and kernel_of_sparse_rows equal the dense
+    references entry for entry, kernel vectors in the same order."""
+    assert matrix_rank(a) == reference_matrix_rank(a)
+    rows = [{c: v for c, v in enumerate(a.row(i)) if v} for i in range(a.rows)]
+    assert kernel_of_sparse_rows(rows, a.cols) == reference_kernel_of_sparse_rows(rows, a.cols)
+    got, want = solve_linear(a, b), reference_solve_linear(a, b)
+    if want is None:
+        assert got is None
+        return False
+    assert got.particular == want.particular
+    assert got.kernel == want.kernel
+    return True
+
+
+def test_core_matches_reference_on_random_systems():
+    rng = random.Random(41)
+    outcomes = []
+    for trial in range(150):
+        n, m, k = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 3)
+        density = rng.choice((0.25, 0.9))
+        entries = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    if rng.random() < density else Fraction(0) for _ in range(m)]
+                   for _ in range(n)]
+        if rng.random() < 0.4:
+            entries[rng.randrange(n)] = [Fraction(0)] * m  # a zero row
+        if rng.random() < 0.4:
+            dead = rng.randrange(m)  # a zero column
+            for row in entries:
+                row[dead] = Fraction(0)
+        a = Mat.from_rows(entries)
+        if rng.random() < 0.6:  # right-hand sides in the column space
+            x = Mat.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(k)]
+                               for _ in range(m)])
+            b = a @ x
+        else:
+            b = Mat.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(k)]
+                               for _ in range(n)])
+        outcomes.append(_assert_core_matches_reference(a, b))
+    assert outcomes.count(True) > 30 and outcomes.count(False) > 10
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_core_matches_reference_on_projective_systems(n):
+    rng = random.Random(n)
+    target = build_graded("projective", {"n": n})
+    g0 = g0_action_solver(target)
+    # consistent: combinations of the g_0 columns; then one arbitrary column
+    consistent = [[g0[r, 0] + 2 * g0[r, 1], g0[r, g0.cols - 1]] for r in range(g0.rows)]
+    assert _assert_core_matches_reference(g0, Mat.from_rows(consistent))
+    arbitrary = Mat.column([Fraction(rng.randint(-2, 2)) for _ in range(g0.rows)])
+    _assert_core_matches_reference(g0, arbitrary)
+    op, _ = projective_normalization_operator(target)
+    rhs = Mat.from_rows([[Fraction(rng.randint(-2, 2)) for _ in range(3)]
+                         for _ in range(op.rows)])
+    assert _assert_core_matches_reference(op, rhs)
+
+
+def test_core_matches_reference_on_commutant_rows(monkeypatch):
+    systems = []
+
+    def record(rows, ncols):
+        systems.append((rows, ncols))
+        return kernel_of_sparse_rows(rows, ncols)
+
+    monkeypatch.setattr(lie, "kernel_of_sparse_rows", record)
+    grid = default_pair_grid()
+    for family, params in grid:
+        lie.commutant_basis(isotropy_rep(build_pair(family, params)))
+    assert len(systems) == len(grid)
+    for rows, ncols in systems:
+        assert kernel_of_sparse_rows(rows, ncols) == reference_kernel_of_sparse_rows(rows, ncols)
+
+
+def test_span_solver_interleaved_against_reference():
+    rng = random.Random(53)
+    length = 6
+    span, inserted = SpanSolver(length), []
+
+    def columns(vecs):
+        return Mat(length, len(vecs), [v[r] for r in range(length) for v in vecs])
+
+    for step in range(80):
+        if inserted and rng.random() < 0.5:  # a combination of what is stored
+            weights = [Fraction(rng.randint(-2, 2)) for _ in inserted]
+            vec = [sum(w * v[r] for w, v in zip(weights, inserted)) for r in range(length)]
+        else:
+            vec = [Fraction(rng.randint(-2, 2)) if rng.random() < 0.4 else Fraction(0)
+                   for _ in range(length)]
+        if rng.random() < 0.5:
+            independent = reference_matrix_rank(columns(inserted + [vec])) > len(inserted)
+            assert span.insert(vec) == independent
+            if independent:
+                inserted.append(vec)
+        else:
+            sol = reference_solve_linear(columns(inserted), Mat.column(vec))
+            assert span.decompose(vec) == (None if sol is None else sol.particular.col(0))
+        assert span.rank == span.count == len(inserted)
+    assert 2 < len(inserted) <= length
 
 
 # -- signatures --------------------------------------------------------------
