@@ -161,12 +161,13 @@ def decide_projective(pair: SymmetricPair) -> ExistenceVerdict:
     report = validate(witness)
     if not report.passed:
         raise InternalCheckError(f"projective witness failed axioms {report.failed_axioms()}")
+    kappa = None
     if n >= 2:
         b2 = solve_projective_b2(witness)
-        witness = b2.extension
+        witness, kappa = b2.extension, b2.kappa
         if not b2.homogeneous_kernel_trivial:
             raise InternalCheckError("projective b2 was not unique")
-    if not torsion_free(witness):
+    if not torsion_free(witness, kappa):
         raise InternalCheckError("projective witness has torsion")
     return ExistenceVerdict(
         pair.name, "projective", EXISTS, "semisimple pair", witness,

@@ -259,11 +259,16 @@ def _verify_item(item: dict, seed: int) -> dict:
     label = ""
     if kind == "graded":
         family = _field(item, "family", str, "a string")
+        expected = item.get("expected")
+        if expected:
+            _field(item, "expected", dict, "a mapping")
+            for name in ("dim_g", "dim_gm1"):
+                _field(expected, name, int, "an integer")
         g = build_graded(family, item.get("params"))
         label = g.algebra.name
         failures = verify_graded(g)
         checks.append(_check("graded_invariants", not failures, "; ".join(failures)))
-        expected = item.get("expected") or expected_graded_dims(family, item["params"])
+        expected = expected or expected_graded_dims(family, item["params"])
         dims_ok = g.dim == expected["dim_g"] and g.dim_gm1 == expected["dim_gm1"]
         checks.append(_check("graded_dims", dims_ok,
                              f"dim={g.dim}, dim_gm1={g.dim_gm1}"))
@@ -300,7 +305,7 @@ def _verify_item(item: dict, seed: int) -> dict:
         try:
             io.algebra_from_json(io.load_json(label))
             checks.append(_check("closure", True))
-        except CartanextError as exc:
+        except (CartanextError, OSError) as exc:  # OSError: missing or unreadable path
             checks.append(_check("closure", False, str(exc)))
     else:
         raise InputError(f"unknown manifest item kind {kind!r}")
@@ -444,7 +449,7 @@ def main(argv=None) -> int:
     except CartanextError as exc:
         sys.stderr.write(f"verification error: {exc}\n")
         return VERIFY_FAIL
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return BAD_INPUT
     except json.JSONDecodeError as exc:

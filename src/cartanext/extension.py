@@ -312,19 +312,20 @@ class B2Solution:
     extension: Extension
     b2: Mat
     homogeneous_kernel_trivial: bool
+    kappa: Curvature  # curvature of `extension`, computed for the final check
 
 
-def dstar_projective(ext: Extension) -> list:
+def dstar_projective(ext: Extension, kappa: Optional[Curvature] = None) -> list:
     """The contraction sum_i [Z_i, kappa(X^i, X_j)] per elementary X_j.
 
     X^i and Z_i run over the matched elementary bases of g_-1 and g_1; the
-    curvature is pulled back through the frame so that the contraction is
-    evaluated on the grading coordinates themselves.
+    curvature (computed unless given) is pulled back through the frame so
+    that the contraction is evaluated on the grading coordinates themselves.
     """
     target = ext.target
     n = target.dim_gm1
     frame_inv = invert(ext.frame())
-    kappa = curvature(ext)
+    kappa = kappa or curvature(ext)
     sc_g = target.algebra.constants
     out = []
     for j in range(n):
@@ -381,7 +382,8 @@ def solve_projective_b2(ext: Extension) -> B2Solution:
 
     Only the projective and h_projective targets carry this normalization;
     the homogeneous system is checked to have trivial kernel and the final
-    contraction is recomputed to be exactly zero.
+    contraction is recomputed to be exactly zero.  The curvature of the
+    normalized extension is returned with it for later checks.
     """
     target = ext.target
     if target.family not in ("projective", "h_projective"):
@@ -408,11 +410,12 @@ def solve_projective_b2(ext: Extension) -> B2Solution:
         [[sol.particular[k * n + j, 0] for j in range(n)] for k in range(n)]
     )
     fixed = base.with_g1_block(b2 @ base.frame())
-    check = dstar_projective(fixed)
+    kappa = curvature(fixed)
+    check = dstar_projective(fixed, kappa)
     if any(any(x != 0 for x in vec) for vec in check):
         raise InternalCheckError("normalized contraction is not zero")
     _assert_b2_equivariant(fixed, b2)
-    return B2Solution(fixed, b2, kernel_trivial)
+    return B2Solution(fixed, b2, kernel_trivial, kappa)
 
 
 def _assert_b2_equivariant(ext: Extension, b2: Mat) -> None:

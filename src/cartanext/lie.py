@@ -22,6 +22,8 @@ from .linalg import (
     Mat,
     MinimalPolynomial,
     SpanSolver,
+    _exact,
+    frac,
     kernel_of_sparse_rows,
     matrix_rank,
     minimal_polynomial,
@@ -34,17 +36,21 @@ GENERIC_RETRIES = 5
 
 
 class StructureConstants:
-    """Sparse structure constants c[i][j] = {k: coefficient}."""
+    """Sparse structure constants c[i][j] = {k: coefficient}.
+
+    Integral coefficients are stored as int, the others as Fraction; readers
+    of `table` and `row` only add, multiply and compare them.
+    """
 
     def __init__(self, dim: int, table: list):
         self.dim = dim
-        self.table = table  # table[i][j] is a dict {k: Fraction}
+        self.table = table  # table[i][j] is a dict {k: int | Fraction}
 
     def row(self, i: int, j: int) -> dict:
         return self.table[i][j]
 
     def get(self, i: int, j: int, k: int) -> Fraction:
-        return self.table[i][j].get(k, ZERO)
+        return frac(self.table[i][j].get(k, 0))
 
     def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list:
         """Coordinates of [u, v] for coordinate vectors u, v."""
@@ -62,12 +68,13 @@ class StructureConstants:
 
     def bracket_with(self, i: int, w: dict) -> dict:
         """Coordinates of [X_i, w] for sparse coordinates w = {index: value},
-        summed over the table rows table[i][m]; zero sums are kept."""
-        out: dict[int, Fraction] = {}
+        summed over the table rows table[i][m]; zero sums are kept.  Like
+        the table rows, the values are int where w and the table give ints."""
+        out: dict = {}
         row_i = self.table[i]
         for m, a in w.items():
             for k, c in row_i[m].items():
-                out[k] = out.get(k, ZERO) + a * c
+                out[k] = out.get(k, 0) + a * c
         return out
 
     def ad_matrix(self, i: int) -> Mat:
@@ -94,7 +101,7 @@ class StructureConstants:
                 fwd = self.table[i][j]
                 bwd = self.table[j][i]
                 keys = set(fwd) | set(bwd)
-                if any(fwd.get(k, ZERO) != -bwd.get(k, ZERO) for k in keys):
+                if any(fwd.get(k, 0) != -bwd.get(k, 0) for k in keys):
                     return False
         return True
 
@@ -114,11 +121,11 @@ class StructureConstants:
                     if not (cij or cjk or cki):
                         continue
                     # [X_i, [X_j, X_k]] + [X_j, [X_k, X_i]] + [X_k, [X_i, X_j]]
-                    acc: dict[int, Fraction] = {}
+                    acc: dict = {}
                     for row, inner in ((row_i, cjk), (row_j, cki), (row_k, cij)):
                         for m, c in inner.items():
                             for t, d in row[m].items():
-                                acc[t] = acc.get(t, ZERO) + c * d
+                                acc[t] = acc.get(t, 0) + c * d
                     if any(acc.values()):
                         bad.append((i, j, k))
                         if len(bad) >= limit:
@@ -209,7 +216,7 @@ def killing_form(algebra: MatrixLieAlgebra) -> Mat:
     entries = [ZERO] * (dim * dim)
     for i in range(dim):
         for j in range(i, dim):
-            s = ZERO
+            s = 0
             for l in range(dim):
                 row = t[i][l]
                 if not row:
@@ -257,10 +264,10 @@ class Representation:
         flat = [{r * n + col: v for r, row in m.items() for col, v in row.items()} for m in sparse]
         for i in range(self.algebra.dim):
             for j in range(i + 1, self.algebra.dim):
-                expect: dict[int, Fraction] = {}
+                expect: dict = {}
                 for k, c in t.row(i, j).items():
                     for key, v in flat[k].items():
-                        expect[key] = expect.get(key, ZERO) + c * v
+                        expect[key] = expect.get(key, 0) + c * v
                 expect = {key: v for key, v in expect.items() if v}
                 if sparse_commutator(sparse[i], sparse[j], n) != expect:
                     return (i, j)
@@ -288,29 +295,32 @@ class CommutantClassification:
         return self.label in ("R", "C", "H")
 
 
+def _by_column(a: Mat) -> tuple:
+    """The nonzero entries of a square matrix in `sparse_rows` form, and per
+    column c the pairs (k, A[k][c]) in increasing k."""
+    rows = sparse_rows(a)
+    cols = [[] for _ in range(a.cols)]
+    for k, row in rows.items():
+        for c, v in row.items():
+            cols[c].append((k, v))
+    return rows, cols
+
+
 def commutant_basis(rep: Representation) -> list:
     """Basis of all matrices commuting exactly with every action matrix."""
     d = rep.carrier_dim
     rows = []
     for a in rep.action:
-        ar = a.to_rows()
-        nz_in_col = [[] for _ in range(d)]
-        nz_in_row = [[] for _ in range(d)]
-        for r in range(d):
-            for s in range(d):
-                if ar[r][s] != 0:
-                    nz_in_row[r].append(s)
-                    nz_in_col[s].append(r)
+        in_row, in_col = _by_column(a)
         # (T A - A T)[r][s] = sum_k T[r][k] A[k][s] - A[r][k] T[k][s]
         for r in range(d):
+            a_r = in_row.get(r, {})
             for s in range(d):
-                row: dict[int, Fraction] = {}
-                for k in nz_in_col[s]:
-                    row[r * d + k] = row.get(r * d + k, ZERO) + ar[k][s]
-                for k in nz_in_row[r]:
+                row = {r * d + k: v for k, v in in_col[s]}
+                for k, v in a_r.items():
                     key = k * d + s
-                    row[key] = row.get(key, ZERO) - ar[r][k]
-                row = {k: v for k, v in row.items() if v != 0}
+                    row[key] = row.get(key, 0) - v
+                row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)
     basis = kernel_of_sparse_rows(rows, d * d)
@@ -318,10 +328,14 @@ def commutant_basis(rep: Representation) -> list:
 
 
 def _generic_element(basis: list, rng: random.Random) -> Mat:
-    out = Mat.zero(basis[0].rows, basis[0].cols)
+    """sum of r * b over the basis, one draw r in 1..12 per element in order"""
+    entries = [0] * len(basis[0].entries)
     for b in basis:
-        out = out + b.scale(rng.randint(1, 12))
-    return out
+        r = rng.randint(1, 12)
+        for idx, v in enumerate(b.entries):
+            if v:
+                entries[idx] += r * v
+    return Mat(basis[0].rows, basis[0].cols, entries)
 
 
 def _best_generic_minpoly(basis: list, rng: random.Random):
@@ -397,25 +411,24 @@ def invariant_bilinear_forms(rep: Representation, symmetry: str = "symmetric") -
 
     def unknown(r, s):
         if r <= s:
-            return index[(r, s)], ONE
-        return index[(s, r)], ONE if sym else -ONE
+            return index[(r, s)], 1
+        return index[(s, r)], 1 if sym else -1
 
     rows = []
     for a in rep.action:
-        ar = a.to_rows()
+        _, in_col = _by_column(a)
         for r in range(d):
             for s in range(r if sym else r + 1, d):
-                row: dict[int, Fraction] = {}
-                for k in range(d):
-                    if ar[k][r] != 0:  # (A^T G)[r][s] = sum_k A[k][r] G[k][s]
-                        if sym or k != s:
-                            idx, sign = unknown(k, s)
-                            row[idx] = row.get(idx, ZERO) + sign * ar[k][r]
-                    if ar[k][s] != 0:  # (G A)[r][s] = sum_k G[r][k] A[k][s]
-                        if sym or r != k:
-                            idx, sign = unknown(r, k)
-                            row[idx] = row.get(idx, ZERO) + sign * ar[k][s]
-                row = {k: v for k, v in row.items() if v != 0}
+                row: dict = {}
+                for k, v in in_col[r]:  # (A^T G)[r][s] = sum_k A[k][r] G[k][s]
+                    if sym or k != s:
+                        idx, sign = unknown(k, s)
+                        row[idx] = row.get(idx, 0) + sign * v
+                for k, v in in_col[s]:  # (G A)[r][s] = sum_k G[r][k] A[k][s]
+                    if sym or r != k:
+                        idx, sign = unknown(r, k)
+                        row[idx] = row.get(idx, 0) + sign * v
+                row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)
     kernel = kernel_of_sparse_rows(rows, len(pairs))
@@ -654,11 +667,12 @@ def largest_invariant_subspace_dim(algebra: MatrixLieAlgebra, indices: Sequence[
     dim = algebra.dim
     sc = algebra.constants
     span = SpanSolver(dim)
-    cols = [{i: ONE} for i in indices if span.insert({i: ONE})]
+    cols = [{i: 1} for i in indices if span.insert({i: 1})]
     while cols:
         k = len(cols)
         annihilator = [
-            {t: v for t, v in enumerate(ell) if v} for ell in kernel_of_sparse_rows(cols, dim)
+            {t: _exact(v) for t, v in enumerate(ell) if v}
+            for ell in kernel_of_sparse_rows(cols, dim)
         ]
         if not annihilator:
             return k  # subspace is everything and trivially invariant
@@ -668,7 +682,7 @@ def largest_invariant_subspace_dim(algebra: MatrixLieAlgebra, indices: Sequence[
             for ell in annihilator:
                 row = {}
                 for c, w in enumerate(images):
-                    s = ZERO
+                    s = 0
                     for t, v in w.items():
                         lv = ell.get(t)
                         if lv is not None:
@@ -683,11 +697,12 @@ def largest_invariant_subspace_dim(algebra: MatrixLieAlgebra, indices: Sequence[
         new_cols = []
         new_span = SpanSolver(dim)
         for y in combos:
-            vec: dict[int, Fraction] = {}
+            vec: dict = {}
             for c, yc in enumerate(y):
                 if yc:
+                    yc = _exact(yc)
                     for t, v in cols[c].items():
-                        vec[t] = vec.get(t, ZERO) + yc * v
+                        vec[t] = vec.get(t, 0) + yc * v
             if new_span.insert(vec):
                 new_cols.append(vec)
         cols = new_cols

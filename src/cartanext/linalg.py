@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Every scalar in the package is a :class:`fractions.Fraction`; there is no
-floating point anywhere.  `Mat` is a small immutable dense matrix; products
-and brackets of the nearly empty catalog basis matrices are formed sparsely
-(`sparse_rows`, `sparse_product`, `sparse_commutator`).  All row elimination
-runs through one sparse echelon core (`_reduce` against monic rows keyed by
-pivot column, `_echelon`, and back-substitution in `_solutions`), behind
-`SpanSolver`, `solve_linear`, `invert`, `matrix_rank` and
-`kernel_of_sparse_rows`.  Signatures use a separate congruence.
+Every public value is a :class:`fractions.Fraction`; there is no floating
+point anywhere.  Inside the sparse forms (`sparse_rows`, `sparse_product`,
+`sparse_commutator`, the rows of the echelon core) an integral entry is kept
+as a plain `int`, which Python adds and multiplies far faster than a
+Fraction; `Mat` entries, `decompose` coordinates, solutions and kernel
+vectors are converted back at the boundary.  `Mat` is a small immutable
+dense matrix; products and brackets of the nearly empty catalog basis
+matrices are formed sparsely.  All row elimination runs through one sparse
+echelon core (`_reduce` against monic rows keyed by pivot column, `_echelon`,
+and back-substitution in `_solutions`), behind `SpanSolver`, `solve_linear`,
+`invert`, `matrix_rank` and `kernel_of_sparse_rows`.  Signatures use a
+separate congruence.
 """
 
 from __future__ import annotations
@@ -216,25 +220,31 @@ def commutator(a: Mat, b: Mat) -> Mat:
     return a @ b - b @ a
 
 
+def _exact(x):
+    """x as an int when it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def sparse_rows(m: Mat) -> dict:
-    """Nonzero entries of a square matrix as rows {r: {c: value}}."""
+    """Nonzero entries of a square matrix as rows {r: {c: value}}, integral
+    values as int."""
     n = m.cols
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict] = {}
     for idx, v in enumerate(m.entries):
         if v:
-            rows.setdefault(idx // n, {})[idx % n] = v
+            rows.setdefault(idx // n, {})[idx % n] = _exact(v)
     return rows
 
 
 def sparse_product(a: dict, b: dict) -> dict:
     """AB for matrices in `sparse_rows` form, in the same form with zero
     entries and empty rows dropped."""
-    out: dict[int, dict[int, Fraction]] = {}
+    out: dict[int, dict] = {}
     for r, row in a.items():
-        acc: dict[int, Fraction] = {}
+        acc: dict = {}
         for t, x in row.items():
             for c, y in b.get(t, {}).items():
-                acc[c] = acc.get(c, ZERO) + x * y
+                acc[c] = acc.get(c, 0) + x * y
         acc = {c: v for c, v in acc.items() if v}
         if acc:
             out[r] = acc
@@ -244,17 +254,17 @@ def sparse_product(a: dict, b: dict) -> dict:
 def sparse_commutator(a: dict, b: dict, n: int) -> dict:
     """AB - BA for n x n matrices in `sparse_rows` form, as {r*n + c: value}
     with zero entries dropped."""
-    out: dict[int, Fraction] = {}
+    out: dict = {}
     for r, row in a.items():
         for t, x in row.items():
             for c, y in b.get(t, {}).items():
                 k = r * n + c
-                out[k] = out.get(k, ZERO) + x * y
+                out[k] = out.get(k, 0) + x * y
     for r, row in b.items():
         for t, y in row.items():
             for c, x in a.get(t, {}).items():
                 k = r * n + c
-                out[k] = out.get(k, ZERO) - y * x
+                out[k] = out.get(k, 0) - y * x
     return {k: v for k, v in out.items() if v}
 
 
@@ -264,16 +274,17 @@ def sparse_commutator(a: dict, b: dict, n: int) -> dict:
 
 
 def _sparse(vec: Vector) -> dict:
-    """A new {index: value} copy of a dense or sparse vector, without zeros."""
+    """A new {index: value} copy of a dense or sparse vector, without zeros
+    and with integral values as int."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    return {i: v for i, v in items if v}
+    return {i: _exact(v) for i, v in items if v}
 
 
 def _reduce(v: dict, pivots: dict) -> dict:
     """Reduce the sparse row v in place against the monic rows `pivots`
     (pivot column -> row), always eliminating at the smallest index of v;
     returns the multiples {pivot column: coefficient} subtracted."""
-    combo: dict[int, Fraction] = {}
+    combo: dict = {}
     while v:
         p = min(v)
         row = pivots.get(p)
@@ -281,7 +292,7 @@ def _reduce(v: dict, pivots: dict) -> dict:
             break
         c = v[p]
         for k, val in row.items():
-            nv = v.get(k, ZERO) - c * val
+            nv = v.get(k, 0) - c * val
             if nv == 0:
                 v.pop(k, None)
             else:
@@ -291,11 +302,19 @@ def _reduce(v: dict, pivots: dict) -> dict:
 
 
 def _store(v: dict, pivots: dict) -> tuple:
-    """Add the reduced nonzero row v to `pivots` as a monic row; returns its
-    pivot column and the inverse of its leading value."""
+    """Add the reduced nonzero row v (which it may keep) to `pivots` as a
+    monic row; returns its pivot column and the inverse of its leading
+    value.  A leading value of +-1 needs no division."""
     p = min(v)
-    inv = ONE / v[p]
-    pivots[p] = {k: c * inv for k, c in v.items()}
+    lead = v[p]
+    if lead == 1:
+        inv, row = 1, v
+    elif lead == -1:
+        inv, row = -1, {k: -c for k, c in v.items()}
+    else:
+        inv = _exact(ONE / lead)
+        row = {k: _exact(c * inv) for k, c in v.items()}
+    pivots[p] = row
     return p, inv
 
 
@@ -324,7 +343,7 @@ def _solutions(pivots: dict, seeds: Iterable[dict], width: int) -> list:
             s = sum(c * x[k] for k, c in pivots[p].items() if k in x)
             if s:
                 x[p] = -s
-        out.append([x.get(c, ZERO) for c in range(width)])
+        out.append([frac(x[c]) if c in x else ZERO for c in range(width)])
     return out
 
 
@@ -341,16 +360,16 @@ class SpanSolver:
 
     def __init__(self, length: int):
         self.length = length
-        self._rows: dict[int, dict[int, Fraction]] = {}  # pivot column -> monic row
-        self._combos: dict[int, dict[int, Fraction]] = {}  # pivot -> {inserted index: coeff}
+        self._rows: dict[int, dict] = {}  # pivot column -> monic row
+        self._combos: dict[int, dict] = {}  # pivot -> {inserted index: coeff}
         self.count = 0  # number of inserted vectors (independent ones only)
 
     def _expand(self, combo: dict) -> dict:
         """sum of c * (pivot row q over the inserted vectors) for q, c in combo"""
-        out: dict[int, Fraction] = {}
+        out: dict = {}
         for q, c in combo.items():
             for s, coeff in self._combos[q].items():
-                out[s] = out.get(s, ZERO) + c * coeff
+                out[s] = out.get(s, 0) + c * coeff
         return out
 
     def insert(self, vec: Vector) -> bool:
@@ -360,7 +379,7 @@ class SpanSolver:
         if not v:
             return False
         p, inv = _store(v, self._rows)
-        expr = {s: -inv * c for s, c in self._expand(combo).items() if c}
+        expr = {s: _exact(-inv * c) for s, c in self._expand(combo).items() if c}
         expr[self.count] = inv
         self._combos[p] = expr
         self.count += 1
@@ -377,18 +396,21 @@ class SpanSolver:
 
     def sparse_decompose(self, vec: Vector) -> Optional[dict]:
         """Nonzero coordinates {inserted index: value} of vec, in increasing
-        index order, or None if vec is outside the span."""
+        index order and with integral values as int, or None if vec is
+        outside the span."""
         v = _sparse(vec)
         combo = _reduce(v, self._rows)
         if v:
             return None
         out = self._expand(combo)
-        return {s: out[s] for s in sorted(out) if out[s]}
+        return {s: _exact(out[s]) for s in sorted(out) if out[s]}
 
     def decompose(self, vec: Vector) -> Optional[list]:
         """Coordinates of vec over the inserted vectors, or None if outside."""
         coords = self.sparse_decompose(vec)
-        return None if coords is None else [coords.get(s, ZERO) for s in range(self.count)]
+        if coords is None:
+            return None
+        return [frac(coords[s]) if s in coords else ZERO for s in range(self.count)]
 
 
 @dataclass(frozen=True)
@@ -422,8 +444,8 @@ def solve_linear(a: Mat, b: Mat) -> Optional[LinearSolution]:
     pivots = _echelon((a.row(i) + b.row(i) for i in range(a.rows)), m)
     if pivots is None:
         return None
-    part = _solutions(pivots, ({m + t: -ONE} for t in range(b.cols)), m)
-    kernel = _solutions(pivots, ({f: ONE} for f in range(m) if f not in pivots), m)
+    part = _solutions(pivots, ({m + t: -1} for t in range(b.cols)), m)
+    kernel = _solutions(pivots, ({f: 1} for f in range(m) if f not in pivots), m)
     return LinearSolution(Mat.from_columns(part, m), tuple(map(Mat.column, kernel)))
 
 
@@ -444,7 +466,7 @@ def kernel_of_sparse_rows(rows: list, ncols: int) -> list:
     forms) whose constraint rows are very sparse.
     """
     pivots = _echelon(rows, ncols)
-    return _solutions(pivots, ({f: ONE} for f in range(ncols) if f not in pivots), ncols)
+    return _solutions(pivots, ({f: 1} for f in range(ncols) if f not in pivots), ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +599,11 @@ class MinimalPolynomial:
 def minimal_polynomial(m: Mat) -> MinimalPolynomial:
     """Lowest-degree monic annihilating polynomial, via Krylov dependence.
 
-    The powers I, M, M^2, ... are flattened and fed to a SpanSolver; the
-    first dependent power yields the minimal polynomial.  The result is
-    factored into rational irreducibles (complete for the degrees arising
-    from commutant classification; see `poly.factor_squarefree`).
+    The powers I, M, M^2, ... are formed as sparse products, flattened and
+    fed to a SpanSolver; the first dependent power yields the minimal
+    polynomial.  The result is factored into rational irreducibles (complete
+    for the degrees arising from commutant classification; see
+    `poly.factor_squarefree`).
     """
     from . import poly
 
@@ -590,18 +613,18 @@ def minimal_polynomial(m: Mat) -> MinimalPolynomial:
     if n == 0:
         return MinimalPolynomial((ONE,), ())
     span = SpanSolver(n * n)
-    powers = [Mat.identity(n)]
-    span.insert(powers[0].entries)
-    current = powers[0]
+    a = sparse_rows(m)
+    current = {i: {i: 1} for i in range(n)}
+    span.insert({i * n + i: 1 for i in range(n)})
     while True:
-        current = current @ m
-        coords = span.decompose(current.entries)
+        current = sparse_product(current, a)
+        flat = {r * n + c: v for r, row in current.items() for c, v in row.items()}
+        coords = span.decompose(flat)
         if coords is not None:
             # current = sum coords[i] * M^i  =>  min poly = t^k - sum coords_i t^i
             coeffs = [-c for c in coords] + [ONE]
             break
-        span.insert(current.entries)
-        powers.append(current)
+        span.insert(flat)
     factors = []
     for base, mult in poly.squarefree_decomposition(coeffs):
         for irr in poly.factor_squarefree(base):

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from cartanext import poly
 from cartanext.errors import ClosureError, DependentBasisError, InputError
-from cartanext.linalg import ONE, ZERO, LinearSolution, Mat, SpanSolver, commutator, frac
+from cartanext.linalg import (ONE, ZERO, LinearSolution, Mat, MinimalPolynomial, PolyFactor,
+                              SpanSolver, commutator, frac)
 
 
 def rref_rank_oracle(rows):
@@ -137,6 +139,75 @@ def reference_kernel_of_sparse_rows(rows: list, ncols: int) -> list:
             x[p] = -s
         basis.append(x)
     return basis
+
+
+# -- commutants and minimal polynomials on Fraction arithmetic, kept verbatim --
+
+
+def reference_commutant_basis(rep) -> list:
+    """Basis of all matrices commuting exactly with every action matrix."""
+    d = rep.carrier_dim
+    rows = []
+    for a in rep.action:
+        ar = a.to_rows()
+        nz_in_col = [[] for _ in range(d)]
+        nz_in_row = [[] for _ in range(d)]
+        for r in range(d):
+            for s in range(d):
+                if ar[r][s] != 0:
+                    nz_in_row[r].append(s)
+                    nz_in_col[s].append(r)
+        # (T A - A T)[r][s] = sum_k T[r][k] A[k][s] - A[r][k] T[k][s]
+        for r in range(d):
+            for s in range(d):
+                row: dict[int, Fraction] = {}
+                for k in nz_in_col[s]:
+                    row[r * d + k] = row.get(r * d + k, ZERO) + ar[k][s]
+                for k in nz_in_row[r]:
+                    key = k * d + s
+                    row[key] = row.get(key, ZERO) - ar[r][k]
+                row = {k: v for k, v in row.items() if v != 0}
+                if row:
+                    rows.append(row)
+    basis = reference_kernel_of_sparse_rows(rows, d * d)
+    return [Mat(d, d, vec) for vec in basis]
+
+
+def reference_minimal_polynomial(m: Mat) -> MinimalPolynomial:
+    """Lowest-degree monic annihilating polynomial, via Krylov dependence.
+
+    The powers I, M, M^2, ... are flattened and fed to a SpanSolver; the
+    first dependent power yields the minimal polynomial.  The result is
+    factored into rational irreducibles (complete for the degrees arising
+    from commutant classification; see `poly.factor_squarefree`).
+    """
+    if not m.is_square():
+        raise InputError("minimal polynomial of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return MinimalPolynomial((ONE,), ())
+    span = SpanSolver(n * n)
+    powers = [Mat.identity(n)]
+    span.insert(powers[0].entries)
+    current = powers[0]
+    while True:
+        current = current @ m
+        coords = span.decompose(current.entries)
+        if coords is not None:
+            # current = sum coords[i] * M^i  =>  min poly = t^k - sum coords_i t^i
+            coeffs = [-c for c in coords] + [ONE]
+            break
+        span.insert(current.entries)
+        powers.append(current)
+    factors = []
+    for base, mult in poly.squarefree_decomposition(coeffs):
+        for irr in poly.factor_squarefree(base):
+            tag = None
+            if len(irr) == 3:
+                disc = irr[1] * irr[1] - 4 * irr[2] * irr[0]
+                tag = disc < 0
+            factors.append(PolyFactor(tuple(irr), mult, tag))
+    return MinimalPolynomial(tuple(coeffs), tuple(factors))
 
 
 def char_poly_oracle(mat: Mat):

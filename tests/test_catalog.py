@@ -149,6 +149,9 @@ def test_structure_constants_match_dense_reference(kind, family, params):
     reference = dense_structure_table(algebra.basis)
     assert [[list(d.items()) for d in row] for row in table] == \
         [[list(d.items()) for d in row] for row in reference]
+    # integral constants are stored as int, the others as Fraction
+    assert all(type(v) is (int if v.denominator == 1 else Fraction)
+               for row in table for d in row for v in d.values())
 
 
 # -- pairs ---------------------------------------------------------------------

@@ -86,6 +86,50 @@ def test_verify_catalog_malformed_item_fails_per_item(item, field, tmp_path, cap
         assert field in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("expected, field", [
+    ("x", "'expected'"),
+    ([8, 2], "'expected'"),
+    ({"dim_gm1": 2}, "'dim_g'"),
+    ({"dim_g": 8}, "'dim_gm1'"),
+    ({"dim_g": "8", "dim_gm1": 2}, "'dim_g'"),
+])
+def test_verify_catalog_bad_expected_fails_per_item(expected, field, tmp_path, capsys):
+    item = {"kind": "graded", "family": "projective", "params": {"n": 2}, "expected": expected}
+    good = {"kind": "graded", "family": "projective", "params": {"n": 2},
+            "expected": {"dim_g": 8, "dim_gm1": 2}}
+    result = run_verify_catalog([item, good], seed=0)
+    assert [i["status"] for i in result["items"]] == ["FAIL", "PASS"]
+    assert field in result["items"][0]["checks"][0]["detail"]
+    man = tmp_path / "manifest.json"
+    man.write_text(json.dumps([item]))
+    assert run(["verify-catalog", "--manifest", str(man)]) == 1
+    captured = capsys.readouterr()
+    assert field in captured.out and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_verify_catalog_unreadable_algebra_file_fails_per_item(where, tmp_path, capsys):
+    path = tmp_path / "absent.json" if where == "missing" else tmp_path
+    item = {"kind": "algebra_file", "path": str(path)}
+    good = {"kind": "graded", "family": "projective", "params": {"n": 2}}
+    result = run_verify_catalog([item, good], seed=0)
+    assert [i["status"] for i in result["items"]] == ["FAIL", "PASS"]
+    check = result["items"][0]["checks"][0]
+    assert check["name"] == "closure" and str(path) in check["detail"]
+    man = tmp_path / "manifest.json"
+    man.write_text(json.dumps([item]))
+    assert run(["verify-catalog", "--manifest", str(man)]) == 1
+    captured = capsys.readouterr()
+    assert str(path) in captured.out and "Traceback" not in captured.err
+
+
+def test_unreadable_input_path_exits_2(tmp_path, capsys):
+    assert run(["verify-catalog", "--manifest", str(tmp_path)]) == 2
+    assert run(["analyze-pair", "--pair", str(tmp_path / "absent.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error") == 2 and "Traceback" not in err
+
+
 def test_round_trip_byte_identical(tmp_path):
     out = tmp_path / "g.json"
     run(["build", "--family", "conformal", "--params", "p=1,q=2", "--out", str(out)])

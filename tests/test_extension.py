@@ -1,13 +1,15 @@
 """Extension engine: axioms, curvature, torsion, holomorphy, normalization."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from cartanext import catalog, classify
+from cartanext import catalog, classify, extension
 from cartanext.catalog import build_graded, build_pair
 from cartanext.errors import InputError, InternalCheckError, StructuralError
 from cartanext.extension import (
+    Curvature,
     Extension,
     _assert_b2_equivariant,
     curvature,
@@ -129,6 +131,61 @@ def test_b2_solution_unique_and_normalizing(projective_witness_sl2):
                        != ad.submatrix(target.plus_one, target.plus_one) @ bad for ad in ads)
             with pytest.raises(InternalCheckError, match="solved b2 is not equivariant"):
                 _assert_b2_equivariant(sol.extension, bad)
+
+
+def _recorded_curvature(monkeypatch, corrupt_call=None):
+    """Patch extension.curvature to record the extensions it is called on;
+    the result of call number `corrupt_call` (from 1) comes back corrupted."""
+    calls = []
+    real = extension.curvature
+
+    def recorded(ext):
+        calls.append(ext)
+        kappa = real(ext)
+        return _corrupted(kappa) if len(calls) == corrupt_call else kappa
+
+    monkeypatch.setattr(extension, "curvature", recorded)
+    return calls
+
+
+def _corrupted(kappa):
+    """kappa with its first g_-1 coordinate raised by 1 on every pair."""
+    t = kappa.ext.target.minus_one[0]
+    return Curvature(kappa.ext, {key: [x + 1 if i == t else x for i, x in enumerate(vec)]
+                                 for key, vec in kappa.values.items()})
+
+
+@pytest.mark.parametrize("base", ["sl(2,R)", "sl(3,R)"])
+def test_decide_projective_computes_each_curvature_once(monkeypatch, base):
+    calls = _recorded_curvature(monkeypatch)
+    verdict = classify.decide_projective(build_pair("group_type", {"base": base}))
+    assert verdict.verdict == classify.EXISTS
+    # the unnormalized extension (right-hand side of the b2 system), then the
+    # normalized one, whose curvature serves the contraction and torsion checks
+    assert len(calls) == 2
+    assert calls[1].alpha == verdict.witness.alpha
+
+
+def test_corrupted_curvature_fails_the_contraction_check(monkeypatch, projective_witness_sl2):
+    _recorded_curvature(monkeypatch, corrupt_call=2)
+    with pytest.raises(InternalCheckError, match="normalized contraction is not zero"):
+        solve_projective_b2(projective_witness_sl2)
+
+
+def test_corrupted_curvature_fails_the_torsion_check(monkeypatch):
+    pair = build_pair("group_type", {"base": "sl(2,R)"})
+    sol = solve_projective_b2(classify.decide_projective(pair).witness)
+    assert torsion_free(sol.extension, sol.kappa)
+    assert not torsion_free(sol.extension, _corrupted(sol.kappa))
+    real = classify.solve_projective_b2
+
+    def corrupted_solution(ext):
+        sol = real(ext)
+        return dataclasses.replace(sol, kappa=_corrupted(sol.kappa))
+
+    monkeypatch.setattr(classify, "solve_projective_b2", corrupted_solution)
+    with pytest.raises(InternalCheckError, match="projective witness has torsion"):
+        classify.decide_projective(pair)
 
 
 def test_b2_zero_for_flat_inclusion():
