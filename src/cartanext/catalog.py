@@ -1021,56 +1021,32 @@ def factor_decomposition(pair: SymmetricPair) -> list:
     """
     if pair._factors is not None:
         return pair._factors
-    import random as _random
-
     from .lie import commutant_basis, split_idempotents
 
     alg = pair.k_algebra
     dim = alg.dim
     adj = alg.adjoint_representation()
     centroid = commutant_basis(adj)
-    rng = _random.Random(20240)
-    projs = split_idempotents(centroid, rng)
+    projs = split_idempotents(centroid)
     if projs is None:
         raise InternalCheckError("centroid idempotent split failed")
-    ideals = []
+    ideals, spans = [], []  # each ideal is the column space of its projector
     for p in projs:
         span = SpanSolver(dim)
-        cols = []
-        for j in range(dim):
-            col = p.col(j)
-            if span.insert(col):
-                cols.append(col)
-        ideals.append(cols)
+        ideals.append([col for col in map(p.col, range(dim)) if span.insert(col)])
+        spans.append(span)
     sigma_sign = [1 if i in pair.h_indices else -1 for i in range(dim)]
 
     def apply_sigma(vec):
         return [v * s for v, s in zip(vec, sigma_sign)]
 
-    spans = []
-    for cols in ideals:
-        sp = SpanSolver(dim)
-        for c in cols:
-            sp.insert(c)
-        spans.append(sp)
-    paired = {}
+    orbits, seen = [], set()
     for i, cols in enumerate(ideals):
-        if i in paired:
-            continue
-        img = apply_sigma(cols[0])
-        for j, sp in enumerate(spans):
-            if sp.contains(img):
-                paired[i] = j
-                paired[j] = i
-                break
-    orbits = []
-    seen = set()
-    for i in range(len(ideals)):
         if i in seen:
             continue
-        j = paired.get(i, i)
-        seen.add(i)
-        seen.add(j)
+        img = apply_sigma(cols[0])
+        j = next((j for j, sp in enumerate(spans) if sp.contains(img)), i)
+        seen.update((i, j))
         orbits.append((i,) if i == j else (i, j))
 
     factors = []

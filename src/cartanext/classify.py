@@ -7,7 +7,6 @@ decidable linear or commutant criteria, and everything else is UNDECIDED.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -197,6 +196,7 @@ def _signature_sum(parts: list) -> tuple:
     return (p, q)
 
 
+# `seed` is unused; perfbench/child.py still passes it.
 def decide_conformal(pair: SymmetricPair, seed: int = 0) -> ConformalReport:
     """Invariant metrics factor-by-factor: one real ray per generic factor,
     a complex line when the factor's Killing form is complex linear."""
@@ -267,36 +267,25 @@ def decide_conformal(pair: SymmetricPair, seed: int = 0) -> ConformalReport:
 # ---------------------------------------------------------------------------
 
 
-def _centroid_complex_structures(pair: SymmetricPair, seed: int = 0):
+def _centroid_complex_structures(pair: SymmetricPair):
     """All coordinate J with J^2 = -1 in the centroid, split by factor.
 
     Returns (status, list of J matrices); status "none" certifies that no
     invariant complex structure exists at all.
     """
-    from .lie import commutant_basis
+    from .lie import _factor_generator, _SpanAlgebra, _square_roots_of_minus_unit, commutant_basis
 
-    adj = pair.k_algebra.adjoint_representation()
-    centroid = commutant_basis(adj)
-    rng = random.Random(seed + 7)
-    projs = split_idempotents(centroid, rng)
+    centroid = commutant_basis(pair.k_algebra.adjoint_representation())
+    projs = split_idempotents(centroid)
     if projs is None:
         return ("undecided", [])
-    alg = _centroid_algebra(centroid)
+    alg = _SpanAlgebra([Mat.identity(centroid[0].rows)] + centroid)
     partial = []
     for p in projs:
-        gen = None
-        probe = SpanSolver(p.rows * p.cols)
-        probe.insert(p.entries)
-        for b in centroid:
-            cand = p @ b
-            if probe.insert(cand.entries):
-                gen = cand
-                break
+        gen = _factor_generator(p, centroid)
         if gen is None:
             # one-dimensional (real) factor: no complex structure on it
             return ("none", [])
-        from .lie import _square_roots_of_minus_unit
-
         sols = _square_roots_of_minus_unit(p, gen, alg)
         if not sols:
             return ("undecided", [])
@@ -308,12 +297,6 @@ def _centroid_complex_structures(pair: SymmetricPair, seed: int = 0):
             j = j + (jp if mask & (1 << i) else -jp)
         out.append(j)
     return ("decided", out)
-
-
-def _centroid_algebra(centroid: list):
-    from .lie import _SpanAlgebra
-
-    return _SpanAlgebra([Mat.identity(centroid[0].rows)] + centroid)
 
 
 def _preserves_span(j: Mat, indices: list, dim: int) -> bool:
@@ -350,12 +333,13 @@ def complex_adapted_frame(pair: SymmetricPair, j_pair: Mat) -> Mat:
     return invert(adapted)
 
 
+# `seed` is unused; perfbench/child.py still passes it.
 def decide_h_projective(pair: SymmetricPair, seed: int = 0) -> ExistenceVerdict:
     """Exists iff the centroid carries a complex structure preserving the
     fixed subalgebra; the two conjugate witnesses come from J and -J."""
     if not is_semisimple(pair.k_algebra):
         return ExistenceVerdict(pair.name, "h_projective", UNDECIDED, "not semisimple")
-    status, js = _centroid_complex_structures(pair, seed)
+    status, js = _centroid_complex_structures(pair)
     if status == "none":
         return ExistenceVerdict(pair.name, "h_projective", NOT_EXISTS,
                                 "a simple factor has real centroid")
@@ -684,16 +668,17 @@ class CentralizerReport:
         return all(l in ("R", "C", "RxR", "CxC") for l in self.factor_labels)
 
 
+# `seed` is unused; perfbench/child.py still passes it.
 def centralizer_report(pair: SymmetricPair, seed: int = 0) -> CentralizerReport:
     """Per-factor commutant labels plus the product-structure check."""
     factors = factor_decomposition(pair)
     labels = []
     dims = []
     for f in factors:
-        cls = commutant(isotropy_rep(f.pair), seed=seed)
+        cls = commutant(isotropy_rep(f.pair))
         labels.append(cls.label)
         dims.append(cls.dim)
-    full = commutant(isotropy_rep(pair), seed=seed)
+    full = commutant(isotropy_rep(pair))
     ok = full.dim == sum(dims)
     if ok:
         for t in full.commutant_basis:

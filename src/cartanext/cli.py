@@ -1,14 +1,15 @@
 """Command-line driver.
 
 Subcommands: build, analyze-pair, check-extension, classify, verify-catalog.
-Exit codes: 0 ok, 1 verification failure, 2 input error.  The environment
-variable CARTAN_EXT_SEED overrides --seed.
+Exit codes: 0 ok, 1 verification failure, 2 input error.  Every result is
+deterministic: --seed (overridden by the environment variable
+CARTAN_EXT_SEED) is accepted and echoed in verify-catalog output, but
+changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -117,7 +118,7 @@ def cmd_analyze_pair(args) -> int:
     pair = io.pair_from_json(data)
     rep = isotropy_rep(pair)
     gram, sig = restricted_killing(pair)
-    report = classify.centralizer_report(pair, seed=args.seed)
+    report = classify.centralizer_report(pair)
     forms = invariant_bilinear_forms(rep, "symmetric")
     out = {
         "schema": "pair_analysis",
@@ -181,9 +182,9 @@ def cmd_classify(args) -> int:
     if family == "projective":
         verdict = classify.decide_projective(pair)
     elif family == "h_projective":
-        verdict = classify.decide_h_projective(pair, seed=args.seed)
+        verdict = classify.decide_h_projective(pair)
     elif family == "conformal":
-        verdict = classify.decide_conformal(pair, seed=args.seed).verdict
+        verdict = classify.decide_conformal(pair).verdict
     else:
         verdict = classify.verify_family_row(family, pair)
     payload = io.verdict_to_json(verdict)
@@ -251,7 +252,7 @@ def _field(spec: dict, name: str, kind: type, what: str):
     return value
 
 
-def _verify_item(item: dict, seed: int) -> dict:
+def _verify_item(item: dict) -> dict:
     if not isinstance(item, dict):
         raise InputError(f"manifest item must be a mapping, got {item!r}")
     kind = item.get("kind", "graded")
@@ -281,12 +282,12 @@ def _verify_item(item: dict, seed: int) -> dict:
         _gram, sig = restricted_killing(p)
         checks.append(_check("killing_restriction", sig.nullity == 0,
                              f"signature={sig.as_tuple()}"))
-        report = classify.centralizer_report(p, seed=seed)
+        report = classify.centralizer_report(p)
         checks.append(_check("centralizer", report.labels_in_contract,
                              ",".join(report.factor_labels)))
         verdict = classify.decide_projective(p)
-        ok = verdict.verdict == classify.EXISTS and torsion_free(verdict.witness)
-        checks.append(_check("projective", ok, verdict.reason))
+        # decide_projective returns EXISTS only for a torsion-free witness
+        checks.append(_check("projective", verdict.verdict == classify.EXISTS, verdict.reason))
     elif kind == "row":
         family = _field(item, "family", str, "a string")
         spec = _field(item, "pair", dict, "a mapping")
@@ -325,7 +326,7 @@ def run_verify_catalog(manifest: list, seed: int) -> dict:
     for index, item in enumerate(manifest):
         started = time.monotonic()
         try:
-            result = _verify_item(item, seed)
+            result = _verify_item(item)
         except CartanextError as exc:
             kind = item.get("kind", "graded") if isinstance(item, dict) else None
             result = {"kind": kind, "label": str(item),
@@ -396,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="output path (stdout when omitted)")
         p.add_argument("--seed", type=int, default=None,
-                       help="seed for generic-element draws (default 0)")
+                       help="echoed in verify-catalog output; results do not depend on it "
+                            "(default 0)")
         p.add_argument("--format", choices=("json", "md"), default="json")
 
     p_build = sub.add_parser("build", help="build a graded algebra or pair and write JSON")
@@ -451,9 +453,6 @@ def main(argv=None) -> int:
         return VERIFY_FAIL
     except OSError as exc:
         sys.stderr.write(f"input error: {exc}\n")
-        return BAD_INPUT
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"input error: invalid JSON ({exc})\n")
         return BAD_INPUT
 
 

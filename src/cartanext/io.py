@@ -27,10 +27,11 @@ def rational_str(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, int):
-        return Fraction(s)
+    if isinstance(s, (str, int)):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError(f"cannot parse rational from {s!r}")
 
 
@@ -55,9 +56,21 @@ def canonical_dumps(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _is_square_rows(rows) -> bool:
+    return (isinstance(rows, list) and len(rows) > 0
+            and all(isinstance(row, list) and len(row) == len(rows) for row in rows))
+
+
 def algebra_from_json(data: dict) -> MatrixLieAlgebra:
-    basis = [mat_from_json(rows) for rows in data["basis"]]
-    alg = make_algebra(basis, data.get("name", ""))
+    if not isinstance(data, dict):
+        raise InputError("algebra file must hold a JSON object")
+    basis = data.get("basis")
+    if not (isinstance(basis, list) and basis and all(_is_square_rows(m) for m in basis)):
+        raise InputError("algebra file 'basis' must be a non-empty list of square "
+                         "matrices, each a list of rows")
+    if not isinstance(data.get("ambient_size"), int):
+        raise InputError("algebra file 'ambient_size' must be an integer")
+    alg = make_algebra([mat_from_json(rows) for rows in basis], data.get("name", ""))
     if alg.ambient_size != data["ambient_size"]:
         raise InputError("ambient size mismatch in algebra file")
     return alg
@@ -167,11 +180,17 @@ def _jsonable(x):
 
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on read
+            raise InputError(f"invalid JSON in {path} ({exc})") from None
 
 
 def load_json_text(text: str) -> dict:
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError
+        raise InputError(f"invalid JSON ({exc})") from None
 
 
 def dump_json(path: str, obj) -> None:

@@ -9,7 +9,6 @@ commutation with an explicit J.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,15 +23,16 @@ from .linalg import (
     SpanSolver,
     _exact,
     frac,
+    is_rational_square,
     kernel_of_sparse_rows,
     matrix_rank,
     minimal_polynomial,
     solve_linear,
     sparse_commutator,
+    sparse_product,
     sparse_rows,
+    symmetric_signature,
 )
-
-GENERIC_RETRIES = 5
 
 
 class StructureConstants:
@@ -283,6 +283,8 @@ class Representation:
 class CommutantClassification:
     commutant_basis: list
     label: str  # one of R | C | RxR | CxC | H | OTHER
+    # Always None now that labels come from the trace form; kept because
+    # perfbench/tracer.py reads it.
     generic_minimal_polynomial: Optional[MinimalPolynomial] = None
 
     @property
@@ -327,69 +329,68 @@ def commutant_basis(rep: Representation) -> list:
     return [Mat(d, d, vec) for vec in basis]
 
 
-def _generic_element(basis: list, rng: random.Random) -> Mat:
-    """sum of r * b over the basis, one draw r in 1..12 per element in order"""
+def _generic_element(basis: list, k: int) -> Mat:
+    """x_k = sum_i k^i b_i, the k-th candidate primitive element of a span.
+
+    perfbench/tracer.py counts calls to this name, so it keeps it.
+    """
     entries = [0] * len(basis[0].entries)
+    weight = 1
     for b in basis:
-        r = rng.randint(1, 12)
         for idx, v in enumerate(b.entries):
             if v:
-                entries[idx] += r * v
+                entries[idx] += weight * v
+        weight *= k
     return Mat(basis[0].rows, basis[0].cols, entries)
 
 
-def _best_generic_minpoly(basis: list, rng: random.Random):
-    best = None
-    best_el = None
-    for _ in range(GENERIC_RETRIES):
-        el = _generic_element(basis, rng)
-        mp = minimal_polynomial(el)
-        if best is None or mp.degree > best.degree:
-            best, best_el = mp, el
-    return best, best_el
+def _trace_form(basis: list) -> Mat:
+    """Gram matrix tr(b_i b_j) of the trace form on a span of square matrices."""
+    sparse = [sparse_rows(b) for b in basis]
+    n = len(basis)
+    entries = [0] * (n * n)
+    for i in range(n):
+        for j in range(i, n):
+            s = 0
+            b_j = sparse[j]
+            for r, row in sparse[i].items():  # sum_{r,c} b_i[r][c] b_j[c][r]
+                for c, v in row.items():
+                    w = b_j.get(c, {}).get(r)
+                    if w is not None:
+                        s += v * w
+            entries[i * n + j] = entries[j * n + i] = s
+    return Mat(n, n, entries)
 
 
 def _commute(a: Mat, b: Mat) -> bool:
     return a @ b == b @ a
 
 
-def commutant(rep: Representation, seed: int = 0) -> CommutantClassification:
+def commutant(rep: Representation) -> CommutantClassification:
     """Commutant of a representation with its real-type classification.
 
-    dim 1 -> R; dim 2 -> C or RxR by the generic element's discriminant;
-    dim 4 -> CxC, H or OTHER via commutativity plus the generic minimal
-    polynomial; anything else -> OTHER.
+    The commutant A contains the identity; the signature of its trace form
+    tr(xy) is that of A tensor R, a degenerate form meaning A is not
+    semisimple.  dim 1 -> R; dim 2 -> RxR for signature (2,0), C for
+    (1,1); dim 4 and commutative -> CxC when A splits into two imaginary
+    quadratic fields: signature (2,2) and two primitive idempotents; dim 4
+    and not commutative -> H for the definite quaternion algebras, the
+    signature (1,3); anything else -> OTHER.
     """
     basis = commutant_basis(rep)
-    rng = random.Random(seed)
     dim = len(basis)
     if dim == 1:
         return CommutantClassification(basis, "R")
+    if dim not in (2, 4):
+        return CommutantClassification(basis, "OTHER")
+    sig = symmetric_signature(_trace_form(basis)).as_tuple()
     if dim == 2:
-        mp, _ = _best_generic_minpoly(basis, rng)
-        if mp.degree == 2:
-            c0, c1, _ = mp.coeffs
-            disc = c1 * c1 - 4 * c0
-            label = "C" if disc < 0 else "RxR"
-        else:
-            label = "OTHER"
-        return CommutantClassification(basis, label, mp)
-    if dim == 4:
-        commutative = all(
-            _commute(basis[i], basis[j]) for i in range(4) for j in range(i + 1, 4)
-        )
-        mp, _ = _best_generic_minpoly(basis, rng)
-        if not commutative:
-            quad = mp.degree == 2 and any(
-                f.degree == 2 and f.complex_type for f in mp.factors
-            )
-            return CommutantClassification(basis, "H" if quad else "OTHER", mp)
-        if mp.degree == 4:
-            quads = [f for f in mp.factors if f.degree == 2 and f.complex_type]
-            if len(quads) == 2 and all(f.multiplicity == 1 for f in mp.factors):
-                return CommutantClassification(basis, "CxC", mp)
-        return CommutantClassification(basis, "OTHER", mp)
-    return CommutantClassification(basis, "OTHER")
+        label = {(2, 0, 0): "RxR", (1, 1, 0): "C"}.get(sig, "OTHER")
+    elif all(_commute(basis[i], basis[j]) for i in range(4) for j in range(i + 1, 4)):
+        label = "CxC" if sig == (2, 2, 0) and len(split_idempotents(basis)) == 2 else "OTHER"
+    else:
+        label = "H" if sig == (1, 3, 0) else "OTHER"
+    return CommutantClassification(basis, label)
 
 
 # ---------------------------------------------------------------------------
@@ -481,42 +482,63 @@ def _canonical_sign(m: Mat) -> Mat:
     return m
 
 
-def split_idempotents(basis: list, rng: random.Random) -> Optional[list]:
-    """Primitive idempotents of a commutative semisimple matrix algebra span.
+def split_idempotents(basis: list) -> Optional[list]:
+    """Primitive idempotents of a commutative matrix algebra, from its basis.
 
-    Returns one projector per irreducible factor of a generic element's
-    minimal polynomial, or None when genericity could not be certified.
+    None when the trace form tr(b_i b_j) is degenerate: the algebra is then
+    not semisimple.  Otherwise the algebra A has n = dim A distinct
+    characters, and x_k = sum_i k^i b_i generates A exactly when they take
+    distinct values on it, that is when its minimal polynomial m has degree
+    n.  Two characters differ on x_k by a nonzero polynomial in k of degree
+    < n, so some k <= 1 + (n-1) n(n-1)/2 qualifies (Eberly & Giesbrecht,
+    J. Symbolic Comput. 2000).  Each irreducible factor f of m gives the
+    projector (u * m/f)(x_k) with u * m/f = 1 mod f.  The projectors are
+    sorted by their first nonzero column, then by their entries compared from
+    the last one, larger first: the result depends only on the algebra.
     """
-    alg = _SpanAlgebra(basis)
-    best_mp, best_el = None, None
-    for _ in range(GENERIC_RETRIES):
-        el = _generic_element(alg.basis, rng)
+    n = len(basis)
+    if symmetric_signature(_trace_form(basis)).nullity:
+        return None
+    for k in range(1, 2 + (n - 1) * n * (n - 1) // 2):
+        el = _generic_element(basis, k)
         mp = minimal_polynomial(el)
-        if best_mp is None or mp.degree > best_mp.degree:
-            best_mp, best_el = mp, el
-    if best_mp is None or best_mp.degree < alg.dim:
-        return None
-    if any(f.multiplicity > 1 for f in best_mp.factors):
-        return None
-    factors = [list(f.coeffs) for f in best_mp.factors]
-    total = list(best_mp.coeffs)
+        if mp.degree == n:
+            break
+    else:
+        raise InternalCheckError("no primitive element x_k within the bound")
+    d, x = el.rows, sparse_rows(el)
+    powers = [{i: {i: 1} for i in range(d)}]  # x_k^0 .. x_k^(n-1), sparse
+    for _ in range(n - 1):
+        powers.append(sparse_product(powers[-1], x))
+    total = list(mp.coeffs)
     projectors = []
-    for f in factors:
+    for f in (list(f.coeffs) for f in mp.factors):
         cof, rem = poly.divmod_exact(total, f)
         assert rem == [poly.ZERO]
-        # find u with u*cof = 1 mod f, then P = (u*cof)(el)
+        # find u with u*cof = 1 mod f, then P = (u*cof)(x_k)
         g, u, _ = _poly_xgcd(cof, f)
         if poly.degree(g) != 0:
-            return None
+            raise InternalCheckError("minimal polynomial factors are not coprime")
         inv_lead = ONE / g[0]
         u = [c * inv_lead for c in u]
-        proj_poly = poly.mul(u, cof)
-        _, proj_poly = poly.divmod_exact(proj_poly, total)
-        p = _eval_poly_at(proj_poly, best_el)
-        if p @ p != p:
-            return None
+        _, proj_poly = poly.divmod_exact(poly.mul(u, cof), total)
+        entries = [0] * (d * d)
+        for c, power in zip(proj_poly, powers):
+            if c:
+                for r, row in power.items():
+                    for col, v in row.items():
+                        entries[r * d + col] += c * v
+        p = Mat(d, d, entries)
+        sparse = sparse_rows(p)
+        if sparse_product(sparse, sparse) != sparse:
+            raise InternalCheckError("split projector is not idempotent")
         projectors.append(p)
-    return projectors
+
+    def key(p: Mat):  # keeps the default grid's factor orders and J signs
+        first = min(idx % p.cols for idx, v in enumerate(p.entries) if v)
+        return first, tuple(-x for x in reversed(p.entries))
+
+    return sorted(projectors, key=key)
 
 
 def _poly_xgcd(a: list, b: list):
@@ -531,21 +553,16 @@ def _poly_xgcd(a: list, b: list):
     return poly.trim(r0), poly.trim(s0), poly.trim(t0)
 
 
-def _eval_poly_at(coeffs: list, m: Mat) -> Mat:
-    out = Mat.zero(m.rows, m.cols)
-    power = Mat.identity(m.rows)
-    for i, c in enumerate(coeffs):
-        if i:
-            power = power @ m
-        if c != 0:
-            out = out + power.scale(c)
-    return out
+def _factor_generator(p: Mat, basis: list) -> Optional[Mat]:
+    """The first p @ b, b in basis, independent of p: with p it spans the
+    factor pA when that is 2-dimensional.  None when pA is spanned by p."""
+    probe = SpanSolver(p.rows * p.cols)
+    probe.insert(p.entries)
+    return next((c for c in (p @ b for b in basis) if probe.insert(c.entries)), None)
 
 
 def _square_roots_of_minus_unit(unit: Mat, gen: Mat, alg: _SpanAlgebra) -> list:
     """Solutions of J^2 = -unit inside the 2-dim algebra span{unit, gen}."""
-    from .linalg import is_rational_square
-
     sq = alg.coords(gen @ gen)
     u_coords = alg.coords(unit)
     g_coords = alg.coords(gen)
@@ -571,6 +588,7 @@ def _square_roots_of_minus_unit(unit: Mat, gen: Mat, alg: _SpanAlgebra) -> list:
     return [j, -j]
 
 
+# `seed` is unused; perfbench/child.py still passes it.
 def invariant_complex_structures(rep: Representation, seed: int = 0) -> ComplexStructureResult:
     """All rational J in the commutant with J^2 = -I, when decidable.
 
@@ -579,18 +597,15 @@ def invariant_complex_structures(rep: Representation, seed: int = 0) -> ComplexS
     type is OTHER, or a J exists over the reals but not over the rationals
     in this basis, the result is reported as undecided rather than "none".
     """
-    cls = commutant(rep, seed=seed)
+    cls = commutant(rep)
     d = rep.carrier_dim
     identity = Mat.identity(d)
-    rng = random.Random(seed + 1)
+    basis = cls.commutant_basis
     if cls.label in ("R", "RxR"):
         return ComplexStructureResult("decided", [], cls.label)
     if cls.label == "C":
-        alg = _SpanAlgebra([identity] + cls.commutant_basis)
-        if alg.dim < 2:
-            return ComplexStructureResult("undecided", [], "C", "degenerate commutant span")
-        gen = alg.basis[1]
-        sols = _square_roots_of_minus_unit(identity, gen, alg)
+        alg = _SpanAlgebra([identity] + basis)
+        sols = _square_roots_of_minus_unit(identity, alg.basis[1], alg)
         if sols:
             j = _canonical_sign(sols[0])
             return ComplexStructureResult("decided", [j, -j], "C")
@@ -598,22 +613,10 @@ def invariant_complex_structures(rep: Representation, seed: int = 0) -> ComplexS
             "undecided", [], "C", "complex structure exists over R but not over Q in this basis"
         )
     if cls.label == "CxC":
-        projs = split_idempotents(cls.commutant_basis, rng)
-        if projs is None or len(projs) != 2:
-            return ComplexStructureResult("undecided", [], "CxC", "idempotent split failed")
+        alg = _SpanAlgebra([identity] + basis)
         partials = []
-        for p in projs:
-            alg = _SpanAlgebra([identity] + cls.commutant_basis)
-            gen = None
-            sub = _SpanAlgebra([p])
-            for b in cls.commutant_basis:
-                cand = p @ b
-                if sub.span.insert(cand.entries):
-                    gen = cand
-                    break
-            if gen is None:
-                return ComplexStructureResult("undecided", [], "CxC", "degenerate factor")
-            sols = _square_roots_of_minus_unit(p, gen, alg)
+        for p in split_idempotents(basis):  # two, each onto a 2-dimensional factor
+            sols = _square_roots_of_minus_unit(p, _factor_generator(p, basis), alg)
             if not sols:
                 return ComplexStructureResult(
                     "undecided", [], "CxC",
@@ -621,32 +624,22 @@ def invariant_complex_structures(rep: Representation, seed: int = 0) -> ComplexS
                 )
             partials.append(sols[0])
         j1, j2 = partials
-        out = [j1 + j2, j1 - j2]
-        out = [_canonical_sign(out[0]), _canonical_sign(out[1])]
+        out = [_canonical_sign(j1 + j2), _canonical_sign(j1 - j2)]
         full = [out[0], -out[0], out[1], -out[1]]
         for j in full:
             if j @ j != -identity:
                 raise InternalCheckError("CxC complex structure failed J^2 = -I")
         return ComplexStructureResult("decided", full, "CxC")
     if cls.label == "H":
-        from .linalg import is_rational_square  # noqa: F811
-
-        candidates = []
-        for b in cls.commutant_basis:
-            candidates.append(b)
-        for i in range(len(cls.commutant_basis)):
-            for j in range(i + 1, len(cls.commutant_basis)):
-                candidates.append(cls.commutant_basis[i] + cls.commutant_basis[j])
-        for cand in candidates:
-            tr = cand.trace()
-            pure = cand - identity.scale(tr / d)
+        pairs = [basis[i] + basis[j] for i in range(4) for j in range(i + 1, 4)]
+        for cand in basis + pairs:
+            pure = cand - identity.scale(cand.trace() / d)
             sq = pure @ pure
             diag = sq[0, 0]
             if sq == identity.scale(diag) and diag < 0:
                 s = is_rational_square(-diag)
-                if s is not None and s != 0:
-                    j = pure.scale(ONE / s)
-                    j = _canonical_sign(j)
+                if s is not None:
+                    j = _canonical_sign(pure.scale(ONE / s))
                     return ComplexStructureResult("decided", [j, -j], "H")
         return ComplexStructureResult("undecided", [], "H", "no rational unit found")
     return ComplexStructureResult("undecided", [], cls.label, "commutant type undecided")

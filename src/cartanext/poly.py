@@ -184,13 +184,19 @@ def rational_roots(p: list) -> list:
     if degree(p) <= 0:
         return roots
     ints, _ = _to_integer(p)
-    a0, an = ints[0], ints[-1]
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if cand not in roots and evaluate(p, cand) == 0:
-                    roots.append(cand)
+    # a/b is a root iff sum_i c_i a^i b^(d-i) = 0; divisors come in increasing
+    # order, so a pair with gcd > 1 repeats a reduced pair already tried
+    for num in _divisors(ints[0]):
+        for den in _divisors(ints[-1]):
+            if math.gcd(num, den) > 1:
+                continue
+            for a in (num, -num):
+                value, power = 0, 1
+                for c in reversed(ints):
+                    value = value * a + c * power
+                    power *= den
+                if value == 0:
+                    roots.append(Fraction(a, den))
     return roots
 
 

@@ -210,6 +210,41 @@ def reference_minimal_polynomial(m: Mat) -> MinimalPolynomial:
     return MinimalPolynomial(tuple(coeffs), tuple(factors))
 
 
+def reference_rational_roots(p: list) -> list:
+    """All rational roots (without multiplicity) of p."""
+    p = poly.trim(list(p))
+    if poly.degree(p) <= 0:
+        return []
+    roots = []
+    while p[0] == 0 and len(p) > 1:
+        if ZERO not in roots:
+            roots.append(ZERO)
+        p = p[1:]
+    if poly.degree(p) <= 0:
+        return roots
+    ints, _ = poly._to_integer(p)
+    a0, an = ints[0], ints[-1]
+    for num in poly._divisors(a0):
+        for den in poly._divisors(an):
+            for sign in (1, -1):
+                cand = Fraction(sign * num, den)
+                if cand not in roots and poly.evaluate(p, cand) == 0:
+                    roots.append(cand)
+    return roots
+
+
+def eval_poly_at(coeffs: list, m: Mat) -> Mat:
+    """p(M) for p in ascending coefficients, by dense powers."""
+    out = Mat.zero(m.rows, m.cols)
+    power = Mat.identity(m.rows)
+    for i, c in enumerate(coeffs):
+        if i:
+            power = power @ m
+        if c != 0:
+            out = out + power.scale(c)
+    return out
+
+
 def char_poly_oracle(mat: Mat):
     """Characteristic polynomial by the Faddeev-LeVerrier recursion."""
     n = mat.rows

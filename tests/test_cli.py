@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cartanext import io
+from cartanext import extension, io
 from cartanext.cli import default_manifest, main, run_verify_catalog
 
 
@@ -121,6 +121,56 @@ def test_verify_catalog_unreadable_algebra_file_fails_per_item(where, tmp_path, 
     assert run(["verify-catalog", "--manifest", str(man)]) == 1
     captured = capsys.readouterr()
     assert str(path) in captured.out and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("content, detail", [
+    ("{not json", "invalid JSON"),
+    ('{"schema": "algebra", "basis": 3}', "'basis'"),
+    ('[[["1"]]]', "JSON object"),
+    ('{"basis": [[["1", "0"]]], "ambient_size": 2}', "'basis'"),
+    ('{"basis": [[["1/0"]]], "ambient_size": 1}', "rational"),
+    ('{"basis": [[["1"]]], "ambient_size": "1"}', "'ambient_size'"),
+])
+def test_verify_catalog_malformed_algebra_file_fails_per_item(content, detail, tmp_path,
+                                                              capsys):
+    path = tmp_path / "algebra.json"
+    path.write_text(content)
+    item = {"kind": "algebra_file", "path": str(path)}
+    good = {"kind": "graded", "family": "projective", "params": {"n": 2}}
+    result = run_verify_catalog([item, good], seed=0)
+    assert [i["status"] for i in result["items"]] == ["FAIL", "PASS"]
+    check = result["items"][0]["checks"][0]
+    assert check["name"] == "closure" and detail in check["detail"]
+    man = tmp_path / "manifest.json"
+    man.write_text(json.dumps([item]))
+    assert run(["verify-catalog", "--manifest", str(man)]) == 1
+    captured = capsys.readouterr()
+    assert detail in captured.out and "Traceback" not in captured.err
+
+
+def test_invalid_json_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run(["verify-catalog", "--manifest", str(bad)]) == 2
+    assert run(["analyze-pair", "--pair", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error: invalid JSON") == 2 and "Traceback" not in err
+
+
+def test_pair_item_computes_two_curvatures(monkeypatch):
+    calls = []
+    real = extension.curvature
+
+    def counted(ext):
+        calls.append(ext)
+        return real(ext)
+
+    monkeypatch.setattr(extension, "curvature", counted)
+    item = {"kind": "pair", "family": "group_type", "params": {"base": "sl(3,R)"}}
+    assert run_verify_catalog([item], seed=0)["overall"] == "PASS"
+    # the b2 right-hand side and the normalized witness, whose curvature
+    # serves the contraction and torsion checks inside decide_projective
+    assert len(calls) == 2
 
 
 def test_unreadable_input_path_exits_2(tmp_path, capsys):
@@ -279,6 +329,16 @@ def test_verify_catalog_deterministic():
     run1.pop("timings_ms")
     run2.pop("timings_ms")
     assert io.canonical_dumps(run1) == io.canonical_dumps(run2)
+
+
+def test_default_grid_does_not_depend_on_the_seed():
+    texts = set()
+    for seed in (0, 7, 20240):
+        run_ = run_verify_catalog(default_manifest(), seed)
+        assert run_.pop("seed") == seed
+        run_.pop("timings_ms")
+        texts.add(io.canonical_dumps(run_))
+    assert len(texts) == 1
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

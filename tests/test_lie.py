@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartanext import bases
+from cartanext import bases, lie
 from cartanext.errors import ClosureError, DependentBasisError, InputError
 from cartanext.catalog import build_graded
 from cartanext.lie import (
@@ -18,8 +18,9 @@ from cartanext.lie import (
     killing_form,
     largest_invariant_subspace_dim,
     make_algebra,
+    split_idempotents,
 )
-from cartanext.linalg import Mat
+from cartanext.linalg import Mat, invert
 from conftest import naive_bracket_coords
 
 F = Fraction
@@ -243,6 +244,67 @@ def test_commutant_two_rotation_blocks_is_CxC():
     assert res.status == "decided" and len(res.structures) == 4
     negs = {tuple((-j).entries) for j in res.structures}
     assert negs == {tuple(j.entries) for j in res.structures}
+
+
+def _block_diag(*blocks):
+    n = sum(b.rows for b in blocks)
+    rows = [[F(0)] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.rows):
+                rows[offset + i][offset + j] = b[i, j]
+        offset += b.rows
+    return Mat.from_rows(rows)
+
+
+def test_commutant_m2r_is_other_not_h(sl2_basis):
+    # sl(2,R) on Q^2 + Q^2, conjugated so that no basis matrix is block
+    # diagonal: the commutant is M_2(R), trace-form signature (3,1)
+    s = Mat.from_rows([[-2, -2, 2, 0], [1, 3, 1, 0], [0, 2, 3, -2], [-2, 2, -2, 3]])
+    s_inv = invert(s)
+    alg = make_algebra(list(sl2_basis), "sl2")
+    rep = Representation(alg, 4, [s @ _block_diag(m, m) @ s_inv for m in sl2_basis])
+    cls = commutant(rep)
+    assert (cls.dim, cls.label) == (4, "OTHER")
+    assert not cls.is_irreducible
+    res = invariant_complex_structures(rep)
+    assert (res.status, res.label) == ("undecided", "OTHER")
+
+
+def test_dual_numbers_are_not_split_and_other(monkeypatch):
+    nil = Mat.from_rows([[0, 1], [0, 0]])
+
+    def no_minimal_polynomial(m):
+        raise AssertionError("a degenerate trace form needs no minimal polynomial")
+
+    monkeypatch.setattr(lie, "minimal_polynomial", no_minimal_polynomial)
+    assert split_idempotents([Mat.identity(2), nil]) is None
+    cls = commutant(Representation(make_algebra([nil], "n"), 2, [nil]))
+    assert (cls.dim, cls.label) == (2, "OTHER")
+
+
+def test_split_idempotents_depends_only_on_the_algebra():
+    # Q x Q(i) x Q(sqrt 2) x Q on Q^6, from a basis mixing the factors
+    one, zero = Mat.identity(2), Mat.zero(2, 2)
+    i2 = Mat.from_rows([[0, -1], [1, 0]])
+    r2 = Mat.from_rows([[0, 2], [1, 0]])
+    e1, e0 = Mat.identity(1), Mat.zero(1, 1)
+    units = [_block_diag(e1, zero, zero, e0), _block_diag(e0, one, zero, e0),
+             _block_diag(e0, i2, zero, e0), _block_diag(e0, zero, one, e0),
+             _block_diag(e0, zero, r2, e0), _block_diag(e0, zero, zero, e1)]
+    mix = [[1, 2, 0, 0, 1, 0], [0, 1, -1, 0, 0, 0], [3, 0, 1, 1, 0, 2],
+           [0, 0, 0, 1, -2, 0], [1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 1]]
+    basis = [sum((u.scale(c) for c, u in zip(row, units)), Mat.zero(6, 6)) for row in mix]
+    projs = split_idempotents(basis)
+    assert len(projs) == 4
+    assert sum(projs, Mat.zero(6, 6)) == Mat.identity(6)
+    for a, p in enumerate(projs):
+        for b, q in enumerate(projs):
+            assert p @ q == (p if a == b else Mat.zero(6, 6))
+    assert [p.trace() for p in projs] == [1, 2, 2, 1]
+    assert split_idempotents(basis[::-1]) == projs
+    assert split_idempotents([b.scale(F((-1) ** k * (k + 1), 2)) for k, b in enumerate(basis)]) == projs
 
 
 def test_commutant_contains_identity(sl2_basis):

@@ -10,7 +10,6 @@ from cartanext.catalog import build_graded, build_pair, default_pair_grid, isotr
 from cartanext.classify import g0_action_solver
 from cartanext.errors import InputError
 from cartanext.extension import projective_normalization_operator
-from cartanext.lie import _eval_poly_at
 from cartanext.linalg import (
     Mat,
     SpanSolver,
@@ -26,6 +25,7 @@ from cartanext.linalg import (
 )
 from conftest import (
     descartes_signature_oracle,
+    eval_poly_at,
     reference_kernel_of_sparse_rows,
     reference_matrix_rank,
     reference_solve_linear,
@@ -352,14 +352,14 @@ def test_minpoly_annihilates_and_is_minimal():
             [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
         )
         mp = minimal_polynomial(m)
-        assert _eval_poly_at(list(mp.coeffs), m).is_zero()
+        assert eval_poly_at(list(mp.coeffs), m).is_zero()
         # no maximal proper divisor annihilates
         from cartanext import poly as P
 
         for f in mp.factors:
             quotient, rem = P.divmod_exact(list(mp.coeffs), list(f.coeffs))
             assert rem == [Fraction(0)]
-            assert not _eval_poly_at(quotient, m).is_zero()
+            assert not eval_poly_at(quotient, m).is_zero()
 
 
 def test_minpoly_repeated_factor_multiplicity():

@@ -1,8 +1,10 @@
 """Polynomial arithmetic and small-degree factorization."""
 
+import random
 from fractions import Fraction
 
 from cartanext import poly
+from conftest import reference_rational_roots
 
 F = Fraction
 
@@ -24,6 +26,24 @@ def test_squarefree_decomposition():
 def test_rational_roots():
     p = poly.mul(poly.mul(_p(-1, 2), _p(3, 1)), _p(1, 0, 1))  # (2t-1)(t+3)(t^2+1)
     assert sorted(poly.rational_roots(p)) == [F(-3), F(1, 2)]
+
+
+def test_divisors_ascend():
+    for n in (1, 12, 36, -360, 97, 2 ** 10):
+        divs = poly._divisors(n)
+        assert divs == sorted(divs) == [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+def test_rational_roots_match_reference():
+    rng = random.Random(31)
+    for _ in range(300):
+        # products of linear factors b t - a and a random cofactor, so that
+        # roots, repeated roots and non-reduced candidates all occur
+        p = _p(rng.choice((1, -1)) * rng.randint(1, 4))
+        for _ in range(rng.randint(0, 3)):
+            p = poly.mul(p, _p(rng.randint(-6, 6), rng.randint(1, 4)))
+        p = poly.mul(p, [F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))] + [F(1)])
+        assert poly.rational_roots(p) == reference_rational_roots(p)
 
 
 def test_quartic_splits_into_quadratics():
