@@ -8,7 +8,7 @@ displays it implements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Optional, Sequence
@@ -18,10 +18,12 @@ from .errors import InputError, InternalCheckError
 from .lie import (
     MatrixLieAlgebra,
     Representation,
+    commutant_basis,
     is_semisimple,
     killing_form,
     largest_invariant_subspace_dim,
     make_algebra,
+    split_idempotents,
 )
 from .linalg import (ONE, ZERO, Mat, Signature, SpanSolver, sparse_commutator, sparse_product,
                      sparse_rows, symmetric_signature)
@@ -496,7 +498,7 @@ def build_graded(family: str, params: dict) -> GradedAlgebra:
     The dimension cap is checked from the parameters, before any basis
     matrix is allocated.
     """
-    if family not in _GRADED_BUILDERS:
+    if not isinstance(family, str) or family not in _GRADED_BUILDERS:
         raise InputError(f"unsupported graded family {family!r}")
     if not isinstance(params, dict):
         raise InputError(f"{family} parameters must be a mapping, got {params!r}")
@@ -515,6 +517,7 @@ def verify_graded(g: GradedAlgebra) -> list:
     if witnesses:
         failures.append(f"Jacobi identity fails at triples {witnesses}")
     grades = [g.grade_of(i) for i in range(g.dim)]
+    allowed_in = {t: set(g.grade_indices(t)) for t in (-1, 0, 1)}
     for i in range(g.dim):
         for j in range(g.dim):
             target = grades[i] + grades[j]
@@ -523,7 +526,7 @@ def verify_graded(g: GradedAlgebra) -> list:
                 if row:
                     failures.append(f"bracket of grades {grades[i]},{grades[j]} at ({i},{j}) is nonzero")
                 continue
-            allowed = set(g.grade_indices(target))
+            allowed = allowed_in[target]
             if any(k not in allowed for k in row):
                 failures.append(f"bracket at ({i},{j}) leaves grade {target}")
     if len(g.minus_one) != len(g.plus_one):
@@ -551,7 +554,8 @@ class SymmetricPair:
     sigma_matrix: Mat  # coordinate action of the involution on the basis
     conjugator: Optional[Mat] = None  # ambient h with sigma = Ad(h), when available
     certificate_ideal: Optional[dict] = None
-    _factors: Optional[list] = None
+    _factors: Optional[list] = field(default=None, repr=False, compare=False)
+    _centroid: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -927,7 +931,7 @@ def build_pair(family: str, params: dict) -> SymmetricPair:
     The parameters and the realified ambient size are checked before any
     basis matrix is allocated.
     """
-    if family not in _PAIR_BUILDERS:
+    if not isinstance(family, str) or family not in _PAIR_BUILDERS:
         raise InputError(f"unsupported pair family {family!r}")
     if not isinstance(params, dict):
         raise InputError(f"{family} parameters must be a mapping, got {params!r}")
@@ -1012,6 +1016,17 @@ class PairFactor:
     group_type: bool  # True when sigma swaps two simple ideals
 
 
+def centroid(pair: SymmetricPair) -> tuple:
+    """The centroid of the pair's algebra (the commutant of its adjoint
+    representation) as (basis, primitive idempotents or None), computed
+    once per pair: `factor_decomposition` and the h-projective decision
+    both read it."""
+    if pair._centroid is None:
+        basis = commutant_basis(pair.k_algebra.adjoint_representation())
+        pair._centroid = (basis, split_idempotents(basis))
+    return pair._centroid
+
+
 def factor_decomposition(pair: SymmetricPair) -> list:
     """Split a semisimple pair into simple symmetric-pair factors.
 
@@ -1021,13 +1036,9 @@ def factor_decomposition(pair: SymmetricPair) -> list:
     """
     if pair._factors is not None:
         return pair._factors
-    from .lie import commutant_basis, split_idempotents
-
     alg = pair.k_algebra
     dim = alg.dim
-    adj = alg.adjoint_representation()
-    centroid = commutant_basis(adj)
-    projs = split_idempotents(centroid)
+    _, projs = centroid(pair)
     if projs is None:
         raise InternalCheckError("centroid idempotent split failed")
     ideals, spans = [], []  # each ideal is the column space of its projector

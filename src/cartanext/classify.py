@@ -16,6 +16,7 @@ from .catalog import (
     GradedAlgebra,
     SymmetricPair,
     build_graded,
+    centroid,
     factor_decomposition,
     isotropy_rep,
     restricted_killing,
@@ -29,7 +30,7 @@ from .extension import (
     torsion_free,
     validate,
 )
-from .lie import commutant, invariant_bilinear_forms, is_semisimple, split_idempotents
+from .lie import commutant, invariant_bilinear_forms, is_semisimple
 from .linalg import ONE, ZERO, Mat, SpanSolver, invert, solve_linear
 
 EXISTS = "EXISTS"
@@ -273,16 +274,15 @@ def _centroid_complex_structures(pair: SymmetricPair):
     Returns (status, list of J matrices); status "none" certifies that no
     invariant complex structure exists at all.
     """
-    from .lie import _factor_generator, _SpanAlgebra, _square_roots_of_minus_unit, commutant_basis
+    from .lie import _factor_generator, _SpanAlgebra, _square_roots_of_minus_unit
 
-    centroid = commutant_basis(pair.k_algebra.adjoint_representation())
-    projs = split_idempotents(centroid)
+    basis, projs = centroid(pair)
     if projs is None:
         return ("undecided", [])
-    alg = _SpanAlgebra([Mat.identity(centroid[0].rows)] + centroid)
+    alg = _SpanAlgebra([Mat.identity(basis[0].rows)] + basis)
     partial = []
     for p in projs:
-        gen = _factor_generator(p, centroid)
+        gen = _factor_generator(p, basis)
         if gen is None:
             # one-dimensional (real) factor: no complex structure on it
             return ("none", [])

@@ -435,15 +435,22 @@ _COMMANDS = {
 }
 
 
+def _seed(flag: Optional[int]) -> int:
+    """CARTAN_EXT_SEED when set, else --seed, else 0."""
+    env_seed = os.environ.get("CARTAN_EXT_SEED")
+    if env_seed is None:
+        return 0 if flag is None else flag
+    try:
+        return int(env_seed)
+    except ValueError:
+        raise InputError(f"CARTAN_EXT_SEED must be an integer, got {env_seed!r}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_seed = os.environ.get("CARTAN_EXT_SEED")
-    if env_seed is not None:
-        args.seed = int(env_seed)
-    elif args.seed is None:
-        args.seed = 0
     try:
+        args.seed = _seed(args.seed)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")

@@ -40,6 +40,8 @@ def mat_to_json(m: Mat) -> list:
 
 
 def mat_from_json(rows: list) -> Mat:
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise InputError(f"a matrix must be a list of rows, got {rows!r}")
     return Mat.from_rows([[parse_rational(x) for x in row] for row in rows])
 
 
@@ -81,6 +83,20 @@ def algebra_from_json(data: dict) -> MatrixLieAlgebra:
 # ---------------------------------------------------------------------------
 
 
+def _require(data, what: str, keys: tuple) -> None:
+    """InputError unless data is a JSON object holding every key."""
+    if not isinstance(data, dict):
+        raise InputError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in data:
+            raise InputError(f"{what} is missing key {key!r}")
+
+
+_FAMILY_KEYS = ("family", "params")
+_GRADED_KEYS = ("ambient_size", "basis", "minus_one", "zero", "plus_one")
+_PAIR_KEYS = ("ambient_size", "basis", "h_indices", "m_indices")
+
+
 def graded_to_json(g: GradedAlgebra) -> dict:
     return {
         "schema": "graded",
@@ -98,9 +114,10 @@ def graded_to_json(g: GradedAlgebra) -> dict:
 
 
 def graded_from_json(data: dict) -> GradedAlgebra:
+    _require(data, "graded file", _FAMILY_KEYS + _GRADED_KEYS)
     g = build_graded(data["family"], data["params"])
     reserialized = graded_to_json(g)
-    for key in ("ambient_size", "basis", "minus_one", "zero", "plus_one"):
+    for key in _GRADED_KEYS:
         if reserialized[key] != data[key]:
             raise InputError(f"graded file disagrees with its family rebuild at {key!r}")
     return g
@@ -123,9 +140,10 @@ def pair_to_json(p: SymmetricPair) -> dict:
 
 
 def pair_from_json(data: dict) -> SymmetricPair:
+    _require(data, "pair file", _FAMILY_KEYS + _PAIR_KEYS)
     p = build_pair(data["family"], data["params"])
     reserialized = pair_to_json(p)
-    for key in ("ambient_size", "basis", "h_indices", "m_indices"):
+    for key in _PAIR_KEYS:
         if reserialized[key] != data[key]:
             raise InputError(f"pair file disagrees with its family rebuild at {key!r}")
     return p
@@ -152,6 +170,9 @@ def extension_to_json(ext: Extension) -> dict:
 
 
 def extension_from_json(data: dict) -> Extension:
+    _require(data, "extension file", ("pair", "target", "alpha"))
+    _require(data["pair"], "extension file 'pair'", _FAMILY_KEYS)
+    _require(data["target"], "extension file 'target'", _FAMILY_KEYS)
     pair = build_pair(data["pair"]["family"], data["pair"]["params"])
     target = build_graded(data["target"]["family"], data["target"]["params"])
     alpha = mat_from_json(data["alpha"])

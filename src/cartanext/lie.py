@@ -159,16 +159,22 @@ class MatrixLieAlgebra:
         return self._span.decompose(m.entries)
 
     def element(self, coords: Sequence[Fraction]) -> Mat:
-        out = Mat.zero(self.ambient_size, self.ambient_size)
+        """The matrix sum_i coords[i] X_i, in one pass over nonzero entries."""
+        entries = [0] * (self.ambient_size * self.ambient_size)
         for c, b in zip(coords, self.basis):
-            if c != 0:
-                out = out + b.scale(c)
-        return out
+            if c:
+                for idx, v in enumerate(b.entries):
+                    if v:
+                        entries[idx] += c * v
+        return Mat(self.ambient_size, self.ambient_size, entries)
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list:
         return self.constants.bracket_coords(u, v)
 
     def adjoint_representation(self) -> "Representation":
+        """ad X_i for each basis element.  The homomorphism check is skipped:
+        the table behind these matrices comes from exact matrix commutators,
+        so ad is a homomorphism by the Jacobi identity of matrices."""
         mats = [self.constants.ad_matrix(i) for i in range(self.dim)]
         return Representation(self, self.dim, mats, check=False)
 
@@ -233,13 +239,61 @@ def killing_form(algebra: MatrixLieAlgebra) -> Mat:
     return gram
 
 
+def generating_indices(algebra: MatrixLieAlgebra) -> list:
+    """Basis indices whose elements generate the algebra, picked greedily.
+
+    Indices are scanned in increasing order.  Index i is skipped when X_i
+    already lies in the subalgebra generated by the picks before it; that
+    subalgebra is the span of the iterated brackets [X_s1, [X_s2, ... X_sk]]
+    of picked s, grown by closing it under ad X_s for every pick, and the
+    scan stops once it is the whole algebra.
+
+    Callers use the result through this fact: for a homomorphism rho, the x
+    whose rho(x) commutes with a fixed T, or is skew for a fixed form B,
+    form a subalgebra (the commutator of two such matrices is again one).
+    So a condition checked on rho(X_s) for every pick s holds on all of
+    rho(g).  A semisimple algebra is generated by two elements (Kuranishi,
+    Nagoya Math. J. 2, 1951); the greedy picks are fewer than dim, if not
+    always two, and an abelian algebra needs every basis element.
+    """
+    dim = algebra.dim
+    sc = algebra.constants
+    span = SpanSolver(dim)
+    found = []  # a basis of the subalgebra generated so far, sparse
+    picked = []
+    for i in range(dim):
+        if span.rank == dim:
+            break
+        if not span.insert({i: 1}):
+            continue
+        # `found` is closed under ad X_s for the earlier picks: apply ad X_i
+        # to it, and every ad X_s to each vector that enters from here on
+        picked.append(i)
+        work = [(v, (i,)) for v in found] + [({i: 1}, tuple(picked))]
+        found.append({i: 1})
+        while work and span.rank < dim:
+            v, gens = work.pop()
+            for s in gens:
+                w = sc.bracket_with(s, v)
+                if span.insert(w):
+                    found.append(w)
+                    work.append((w, tuple(picked)))
+    return picked
+
+
 def is_semisimple(algebra: MatrixLieAlgebra) -> bool:
     """Cartan's criterion: the Killing form is nondegenerate."""
     return matrix_rank(killing_form(algebra)) == algebra.dim
 
 
 class Representation:
-    """A Lie algebra homomorphism into gl(carrier_dim), one matrix per basis element."""
+    """A Lie algebra homomorphism into gl(carrier_dim), one matrix per basis element.
+
+    The homomorphism property is checked on construction, and commutants and
+    invariant forms rely on it (see `generating_indices`).  Only
+    `adjoint_representation` passes check=False, since its matrices come
+    from a table of exact matrix commutators.
+    """
 
     def __init__(self, algebra: MatrixLieAlgebra, carrier_dim: int,
                  action: Sequence[Mat], check: bool = True):
@@ -309,10 +363,21 @@ def _by_column(a: Mat) -> tuple:
 
 
 def commutant_basis(rep: Representation) -> list:
-    """Basis of all matrices commuting exactly with every action matrix."""
+    """Basis of all matrices commuting exactly with every action matrix.
+
+    The constraint rows come only from rho(X_s) for s in
+    `generating_indices(rep.algebra)`.  A T commuting with rho(x) and rho(y)
+    commutes with [rho(x), rho(y)] = rho([x, y]), so commuting with the
+    generators means commuting with every action matrix: both systems have
+    the same kernel, hence the same row space, and the kernel basis (one
+    vector per free column) depends only on the row space.  This needs rho
+    to be a homomorphism, which `Representation` checks, and which the
+    adjoint representation is by construction.
+    """
     d = rep.carrier_dim
     rows = []
-    for a in rep.action:
+    for g in generating_indices(rep.algebra):
+        a = rep.action[g]
         in_row, in_col = _by_column(a)
         # (T A - A T)[r][s] = sum_k T[r][k] A[k][s] - A[r][k] T[k][s]
         for r in range(d):
@@ -402,6 +467,11 @@ def invariant_bilinear_forms(rep: Representation, symmetry: str = "symmetric") -
     """Gram matrices G with A^T G + G A = 0 for every action matrix A.
 
     `symmetry` selects G = G^T ("symmetric") or G = -G^T ("antisymmetric").
+    The constraint rows come only from A = rho(X_s) for s in
+    `generating_indices(rep.algebra)`: if A and B are skew for G then so is
+    [A, B], and rho([x, y]) = [rho(x), rho(y)], so the generators impose
+    the whole system.  The kernel, and with it the returned basis, is the
+    same as from every action matrix (see `commutant_basis`).
     """
     if symmetry not in ("symmetric", "antisymmetric"):
         raise InputError("symmetry must be 'symmetric' or 'antisymmetric'")
@@ -416,8 +486,8 @@ def invariant_bilinear_forms(rep: Representation, symmetry: str = "symmetric") -
         return index[(s, r)], 1 if sym else -1
 
     rows = []
-    for a in rep.action:
-        _, in_col = _by_column(a)
+    for g in generating_indices(rep.algebra):
+        _, in_col = _by_column(rep.action[g])
         for r in range(d):
             for s in range(r if sym else r + 1, d):
                 row: dict = {}

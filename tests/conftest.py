@@ -173,6 +173,41 @@ def reference_commutant_basis(rep) -> list:
     return [Mat(d, d, vec) for vec in basis]
 
 
+def reference_invariant_bilinear_forms(rep, symmetry: str) -> list:
+    """Gram matrices G, symmetric or antisymmetric, with A^T G + G A = 0 for
+    every action matrix A, from the constraints of all of them."""
+    sym = symmetry == "symmetric"
+    d = rep.carrier_dim
+    pairs = [(r, s) for r in range(d) for s in range(r if sym else r + 1, d)]
+    index = {p: i for i, p in enumerate(pairs)}
+
+    def add(row, r, s, v):  # row += v * G[r][s], in the unknowns of `pairs`
+        if r == s and not sym:
+            return
+        key, sign = (index[(r, s)], 1) if r <= s else (index[(s, r)], 1 if sym else -1)
+        row[key] = row.get(key, ZERO) + sign * v
+
+    rows = []
+    for a in rep.action:
+        ar = a.to_rows()
+        nz_in_col = [[(k, ar[k][c]) for k in range(d) if ar[k][c] != 0] for c in range(d)]
+        for r, s in pairs:
+            row: dict[int, Fraction] = {}
+            for k, v in nz_in_col[r]:
+                add(row, k, s, v)  # (A^T G)[r][s] = sum_k A[k][r] G[k][s]
+            for k, v in nz_in_col[s]:
+                add(row, r, k, v)  # (G A)[r][s] = sum_k G[r][k] A[k][s]
+            rows.append(row)
+    out = []
+    for vec in reference_kernel_of_sparse_rows(rows, len(pairs)):
+        entries = [ZERO] * (d * d)
+        for (r, s), i in index.items():
+            entries[r * d + s] = vec[i]
+            entries[s * d + r] = vec[i] if sym else -vec[i]
+        out.append(Mat(d, d, entries))
+    return out
+
+
 def reference_minimal_polynomial(m: Mat) -> MinimalPolynomial:
     """Lowest-degree monic annihilating polynomial, via Krylov dependence.
 

@@ -1,5 +1,6 @@
 """Catalog constructors: graded algebras, symmetric pairs, derived data."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from cartanext.catalog import (
     verify_pair,
 )
 from cartanext.errors import ClosureError, DependentBasisError, InputError
-from cartanext.lie import is_semisimple, make_algebra
+from cartanext.lie import MatrixLieAlgebra, StructureConstants, is_semisimple, make_algebra
 from cartanext.linalg import Mat, commutator
 from conftest import dense_structure_table
 
@@ -65,6 +66,35 @@ def test_graded_families_build_and_verify(family, params):
         assert commutator(e_mat, b) == b.scale(k)
         sign = 1 if k == 0 else -1
         assert g.flip_element @ b @ g.flip_element == b.scale(sign)
+
+
+def test_verify_graded_reports_a_hand_broken_grading_in_order():
+    g = build_graded("projective", {"n": 2})
+    m, z, p = g.minus_one, g.zero, g.plus_one
+    table = [[dict(d) for d in row] for row in g.algebra.constants.table]
+
+    def put(i, j, k):
+        table[i][j][k], table[j][i][k] = F(1), F(-1)
+
+    put(m[0], m[1], z[0])  # grades -1, -1: must vanish
+    put(m[0], z[1], p[0])  # grade -1 with a +1 component
+    put(z[0], z[2], m[1])  # grade 0 with a -1 component
+    put(z[1], p[1], z[3])  # grade +1 with a 0 component
+    alg = g.algebra
+    broken = MatrixLieAlgebra(alg.ambient_size, alg.basis, "broken",
+                              StructureConstants(alg.dim, table), alg._span)
+    assert verify_graded(dataclasses.replace(g, algebra=broken)) == [
+        "Jacobi identity fails at triples [(0, 1, 3), (0, 1, 4), (0, 1, 5)]",
+        "bracket of grades -1,-1 at (0,1) is nonzero",
+        "bracket at (0,3) leaves grade -1",
+        "bracket of grades -1,-1 at (1,0) is nonzero",
+        "bracket at (2,4) leaves grade 0",
+        "bracket at (3,0) leaves grade -1",
+        "bracket at (3,7) leaves grade 1",
+        "bracket at (4,2) leaves grade 0",
+        "bracket at (7,3) leaves grade 1",
+    ]
+    assert verify_graded(g) == []  # the copy left the catalog table alone
 
 
 def test_spinorial_low_rank_rejected():

@@ -6,6 +6,7 @@ import pytest
 
 from cartanext import extension, io
 from cartanext.cli import default_manifest, main, run_verify_catalog
+from cartanext.errors import InputError
 
 
 def run(args):
@@ -155,6 +156,62 @@ def test_invalid_json_input_exits_2(tmp_path, capsys):
     assert run(["analyze-pair", "--pair", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.count("input error: invalid JSON") == 2 and "Traceback" not in err
+
+
+PARTIAL_PAIR = {"family": "group_type", "params": {"base": "sl(2,R)"}}
+
+
+@pytest.mark.parametrize("argv, content, missing", [
+    (["check-extension", "--extension"], {}, "extension file is missing key 'pair'"),
+    (["check-extension", "--extension"], {"pair": PARTIAL_PAIR, "target": {"family": "projective"},
+                                          "alpha": []},
+     "extension file 'target' is missing key 'params'"),
+    (["analyze-pair", "--pair"], PARTIAL_PAIR, "pair file is missing key 'ambient_size'"),
+    (["classify", "--family", "projective", "--pair"], PARTIAL_PAIR,
+     "pair file is missing key 'ambient_size'"),
+    (["analyze-pair", "--pair"], [PARTIAL_PAIR], "pair file must be a JSON object"),
+    (["check-extension", "--extension"], {"pair": PARTIAL_PAIR,
+                                          "target": {"family": "projective", "params": {"n": 3}},
+                                          "alpha": 3},
+     "a matrix must be a list of rows, got 3"),
+    (["analyze-pair", "--pair"], dict(PARTIAL_PAIR, family=["group_type"], ambient_size=4,
+                                      basis=[], h_indices=[], m_indices=[]),
+     "unsupported pair family ['group_type']"),
+])
+def test_incomplete_input_file_exits_2(argv, content, missing, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert run(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {missing}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("loader, content, missing", [
+    (io.extension_from_json, {"target": {}, "alpha": []}, "'pair'"),
+    (io.extension_from_json, {"pair": {"params": {}}, "target": {}, "alpha": []}, "'family'"),
+    (io.pair_from_json, PARTIAL_PAIR, "'ambient_size'"),
+    (io.pair_from_json, {"params": {}}, "'family'"),
+    (io.graded_from_json, {"family": "projective", "params": {"n": 2}}, "'ambient_size'"),
+    (io.graded_from_json, {"family": "projective"}, "'params'"),
+])
+def test_loaders_name_the_missing_key(loader, content, missing):
+    with pytest.raises(InputError, match=f"missing key {missing}"):
+        loader(content)
+
+
+@pytest.mark.parametrize("loader", [io.extension_from_json, io.pair_from_json,
+                                    io.graded_from_json])
+def test_loaders_reject_non_objects(loader):
+    with pytest.raises(InputError, match="must be a JSON object"):
+        loader(["not", "an", "object"])
+
+
+def test_non_integer_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CARTAN_EXT_SEED", "abc")
+    assert run(["verify-catalog", "--manifest", "unused.json"]) == 2
+    err = capsys.readouterr().err
+    assert "input error: CARTAN_EXT_SEED must be an integer, got 'abc'" in err
+    assert "Traceback" not in err
 
 
 def test_pair_item_computes_two_curvatures(monkeypatch):
