@@ -64,18 +64,21 @@ PAIR_FAMILIES = (
 
 @dataclass
 class GradedAlgebra:
-    """A one-graded algebra with explicit grade index sets and flip element."""
+    """A one-graded algebra with explicit grade index sets and flip element.
+
+    Builds are memoized and shared, so the index sets, layouts and grading
+    coordinates are tuples."""
 
     algebra: MatrixLieAlgebra
     family: str
     params: dict
-    grading_element: list  # coordinates of E in the basis
-    minus_one: list
-    zero: list
-    plus_one: list
+    grading_element: tuple  # coordinates of E in the basis
+    minus_one: tuple
+    zero: tuple
+    plus_one: tuple
     flip_element: Mat
-    gm1_layout: list
-    gp1_layout: list
+    gm1_layout: tuple
+    gp1_layout: tuple
     ambient_J: Optional[Mat] = None
 
     @property
@@ -93,7 +96,7 @@ class GradedAlgebra:
             return 0
         return 1
 
-    def grade_indices(self, k: int) -> list:
+    def grade_indices(self, k: int) -> tuple:
         return {-1: self.minus_one, 0: self.zero, 1: self.plus_one}[k]
 
     def component_is_zero(self, coords: Sequence[Fraction], k: int) -> bool:
@@ -135,9 +138,9 @@ def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
     _check_bounds(basis[0].rows, len(basis))
     algebra = make_algebra(basis, name)
     n0, n1 = len(gm1), len(g0)
-    minus_one = list(range(n0))
-    zero = list(range(n0, n0 + n1))
-    plus_one = list(range(n0 + n1, len(basis)))
+    minus_one = tuple(range(n0))
+    zero = tuple(range(n0, n0 + n1))
+    plus_one = tuple(range(n0 + n1, len(basis)))
     e_rows, flip_rows = sparse_rows(e_mat), sparse_rows(flip)
     for idx, b in enumerate(basis):
         k = -1 if idx < n0 else (0 if idx < n0 + n1 else 1)
@@ -155,8 +158,8 @@ def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
     if flip @ flip != Mat.identity(flip.rows):
         raise InternalCheckError(f"{name}: flip element does not square to the identity")
     return GradedAlgebra(
-        algebra, family, dict(params), coords, minus_one, zero, plus_one,
-        flip, gm1_layout, gp1_layout, ambient_j,
+        algebra, family, dict(params), tuple(coords), minus_one, zero, plus_one,
+        flip, tuple(gm1_layout), tuple(gp1_layout), ambient_j,
     )
 
 
@@ -487,6 +490,14 @@ _GRADED_BUILDERS = {
 }
 
 
+# The integer parameters of each graded family; `expected_graded_dims` checks them.
+_GRADED_PARAMS = {
+    "projective": ("n",), "h_projective": ("n",), "conformal": ("p", "q"),
+    "complex_conformal": ("n",), "quaternionic": ("n",), "para_quaternionic": ("n",),
+    "grassmannian": ("p", "q"), "lagrangean": ("n",), "spinorial": ("n",), "su_pp": ("p",),
+}
+
+
 @lru_cache(maxsize=None)
 def _build_graded_cached(family: str, key: tuple) -> GradedAlgebra:
     return _GRADED_BUILDERS[family](dict(key))
@@ -503,7 +514,7 @@ def build_graded(family: str, params: dict) -> GradedAlgebra:
     if not isinstance(params, dict):
         raise InputError(f"{family} parameters must be a mapping, got {params!r}")
     _check_dim(expected_graded_dims(family, params)["dim_g"])
-    key = tuple(sorted(params.items()))
+    key = tuple((name, params[name]) for name in _GRADED_PARAMS[family])
     return _build_graded_cached(family, key)
 
 
@@ -544,18 +555,25 @@ def verify_graded(g: GradedAlgebra) -> list:
 
 @dataclass
 class SymmetricPair:
-    """An algebra with involution, basis adapted to the eigenspace split."""
+    """An algebra with involution, basis adapted to the eigenspace split.
+
+    Builds are memoized and shared, so the index sets are tuples.  The
+    derived data computed once per pair (`isotropy_rep`, `centroid`,
+    `factor_decomposition`) sits in fields outside `__init__`, which
+    `dataclasses.replace` therefore does not carry over."""
 
     k_algebra: MatrixLieAlgebra
     family: str
     params: dict
-    h_indices: list
-    m_indices: list
+    h_indices: tuple
+    m_indices: tuple
     sigma_matrix: Mat  # coordinate action of the involution on the basis
     conjugator: Optional[Mat] = None  # ambient h with sigma = Ad(h), when available
     certificate_ideal: Optional[dict] = None
-    _factors: Optional[list] = field(default=None, repr=False, compare=False)
-    _centroid: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _isotropy: Optional[Representation] = field(default=None, init=False, repr=False,
+                                                compare=False)
+    _centroid: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -586,8 +604,8 @@ def _assemble_pair(name, family, params, h_mats, m_mats, conjugator=None,
     _check_bounds(basis[0].rows, len(basis))
     algebra = make_algebra(basis, name)
     nh = len(h_mats)
-    h_idx = list(range(nh))
-    m_idx = list(range(nh, len(basis)))
+    h_idx = tuple(range(nh))
+    m_idx = tuple(range(nh, len(basis)))
     sc = algebra.constants
     for i in range(algebra.dim):
         gi = 1 if i < nh else -1
@@ -882,6 +900,12 @@ def _pair_so_star(params: dict) -> SymmetricPair:
     )
 
 
+def _pair_direct_sum(params: dict) -> SymmetricPair:
+    """The direct sum of the pairs keyed by params["parts"]."""
+    parts = [_build_pair_cached(family, key) for family, key in params["parts"]]
+    return direct_sum_pairs(parts, params["name"])
+
+
 _PAIR_BUILDERS = {
     "group_type": _pair_group_type,
     "sl_block": _pair_sl_block,
@@ -892,6 +916,7 @@ _PAIR_BUILDERS = {
     "so_complex": _pair_so_complex,
     "sp1_block": _pair_sp1_block,
     "so_star": _pair_so_star,
+    "direct_sum": _pair_direct_sum,
 }
 
 
@@ -925,21 +950,47 @@ _PAIR_SIZES = {
 }
 
 
-def build_pair(family: str, params: dict) -> SymmetricPair:
-    """Construct a catalog symmetric pair; results are memoized.
-
-    The parameters and the realified ambient size are checked before any
-    basis matrix is allocated.
-    """
+def _pair_key(family: str, params: dict, nested: bool = False) -> tuple:
+    """(memo key, realified ambient size) of a pair build, read from its
+    parameters and checked, without building anything.  A direct sum's key
+    holds its parts' keys, and its size is the sum of theirs."""
     if not isinstance(family, str) or family not in _PAIR_BUILDERS:
         raise InputError(f"unsupported pair family {family!r}")
     if not isinstance(params, dict):
         raise InputError(f"{family} parameters must be a mapping, got {params!r}")
-    names, ambient = _PAIR_SIZES[family]
-    values = [params.get(name) if family == "group_type" else _int_param(family, params, name)
-              for name in names]
-    _check_bounds(ambient(*values))
-    return _build_pair_cached(family, tuple(zip(names, values)))
+    if family != "direct_sum":
+        names, ambient = _PAIR_SIZES[family]
+        values = [params.get(name) if family == "group_type" else _int_param(family, params, name)
+                  for name in names]
+        return tuple(zip(names, values)), ambient(*values)
+    if nested:
+        raise InputError("a direct_sum part cannot itself be a direct sum")
+    parts, name = params.get("parts"), params.get("name", "")
+    if not isinstance(parts, list) or not parts:
+        raise InputError(f"direct_sum parameter 'parts' must be a nonempty list, got {parts!r}")
+    if not isinstance(name, str):
+        raise InputError(f"direct_sum parameter 'name' must be a string, got {name!r}")
+    keys, total = [], 0
+    for part in parts:
+        if not isinstance(part, dict) or "family" not in part or "params" not in part:
+            raise InputError(f"direct_sum part must hold 'family' and 'params', got {part!r}")
+        key, ambient = _pair_key(part["family"], part["params"], nested=True)
+        keys.append((part["family"], key))
+        total += ambient
+    return (("name", name), ("parts", tuple(keys))), total
+
+
+def build_pair(family: str, params: dict) -> SymmetricPair:
+    """Construct a catalog symmetric pair; results are memoized.
+
+    The parameters and the realified ambient size are checked before any
+    basis matrix is allocated.  Besides the families of `PAIR_FAMILIES`,
+    "direct_sum" rebuilds the pairs `direct_sum_pairs` makes, from the
+    parameters it records.
+    """
+    key, ambient = _pair_key(family, params)
+    _check_bounds(ambient)
+    return _build_pair_cached(family, key)
 
 
 def verify_pair(pair: SymmetricPair) -> list:
@@ -963,7 +1014,11 @@ def verify_pair(pair: SymmetricPair) -> list:
 
 
 def isotropy_rep(pair: SymmetricPair) -> Representation:
-    """Action of the fixed subalgebra on the (-1)-eigenspace, in its basis."""
+    """Action of the fixed subalgebra on the (-1)-eigenspace, in its basis.
+
+    Built once per pair, homomorphism check included, and kept on it."""
+    if pair._isotropy is not None:
+        return pair._isotropy
     sc = pair.k_algebra.constants
     m_pos = {k: t for t, k in enumerate(pair.m_indices)}
     dim_m = pair.dim_m
@@ -977,7 +1032,8 @@ def isotropy_rep(pair: SymmetricPair) -> Representation:
     if not pair.dim_h:
         raise InputError("isotropy representation needs a nonzero fixed subalgebra")
     sub = make_algebra(pair.h_basis(), pair.name + "#h")
-    return Representation(sub, dim_m, mats, check=True)
+    pair._isotropy = Representation(sub, dim_m, mats, check=True)
+    return pair._isotropy
 
 
 def restricted_killing(pair: SymmetricPair) -> tuple[Mat, Signature]:
@@ -993,18 +1049,29 @@ def restricted_killing(pair: SymmetricPair) -> tuple[Mat, Signature]:
 
 
 def direct_sum_pairs(parts: Sequence[SymmetricPair], name: str = "") -> SymmetricPair:
-    """Block-diagonal direct sum with the summed involution."""
+    """Block-diagonal direct sum with the summed involution.
+
+    The parameters record each part as {"family", "params"}, so that
+    `build_pair("direct_sum", params)` rebuilds the sum.  A part that is a
+    direct sum contributes its own parts: the bases, and the default name,
+    are the same as for the flat sum.
+    """
     if not parts:
         raise InputError("empty direct sum")
     total = sum(p.k_algebra.ambient_size for p in parts)
-    h_mats, m_mats = [], []
+    h_mats, m_mats, specs = [], [], []
     offset = 0
     for p in parts:
         h_mats += [_embed(x, total, offset) for x in p.h_basis()]
         m_mats += [_embed(x, total, offset) for x in p.m_basis()]
         offset += p.k_algebra.ambient_size
+        if p.family == "direct_sum":
+            specs += p.params["parts"]
+        else:
+            specs.append({"family": p.family, "params": dict(p.params)})
+    params = {"parts": specs, **({"name": name} if name else {})}
     label = name or "+".join(p.name for p in parts)
-    return _assemble_pair(label, "direct_sum", {"parts": len(parts)}, h_mats, m_mats)
+    return _assemble_pair(label, "direct_sum", params, h_mats, m_mats)
 
 
 @dataclass
@@ -1022,17 +1089,21 @@ def centroid(pair: SymmetricPair) -> tuple:
     once per pair: `factor_decomposition` and the h-projective decision
     both read it."""
     if pair._centroid is None:
-        basis = commutant_basis(pair.k_algebra.adjoint_representation())
-        pair._centroid = (basis, split_idempotents(basis))
+        basis = tuple(commutant_basis(pair.k_algebra.adjoint_representation()))
+        projs = split_idempotents(basis)
+        pair._centroid = (basis, None if projs is None else tuple(projs))
     return pair._centroid
 
 
-def factor_decomposition(pair: SymmetricPair) -> list:
+def factor_decomposition(pair: SymmetricPair) -> tuple:
     """Split a semisimple pair into simple symmetric-pair factors.
 
     Simple ideals are separated by the primitive idempotents of the centroid
     (the commutant of the adjoint representation); the involution either
     fixes an ideal or swaps two, a swapped orbit giving a group-type factor.
+    Vectors are sparse coordinates {index: value}.  The involution is +1 on
+    the h coordinates and -1 on the m coordinates, so (v + sigma v)/2 is v
+    restricted to h and (v - sigma v)/2 is v restricted to m.
     """
     if pair._factors is not None:
         return pair._factors
@@ -1043,13 +1114,17 @@ def factor_decomposition(pair: SymmetricPair) -> list:
         raise InternalCheckError("centroid idempotent split failed")
     ideals, spans = [], []  # each ideal is the column space of its projector
     for p in projs:
+        columns: dict = {}
+        for r, row in sparse_rows(p).items():
+            for c, v in row.items():
+                columns.setdefault(c, {})[r] = v
         span = SpanSolver(dim)
-        ideals.append([col for col in map(p.col, range(dim)) if span.insert(col)])
+        ideals.append([columns[c] for c in sorted(columns) if span.insert(columns[c])])
         spans.append(span)
-    sigma_sign = [1 if i in pair.h_indices else -1 for i in range(dim)]
+    h_set = frozenset(pair.h_indices)
 
-    def apply_sigma(vec):
-        return [v * s for v, s in zip(vec, sigma_sign)]
+    def apply_sigma(vec: dict) -> dict:
+        return {i: v if i in h_set else -v for i, v in vec.items()}
 
     orbits, seen = [], set()
     for i, cols in enumerate(ideals):
@@ -1060,38 +1135,32 @@ def factor_decomposition(pair: SymmetricPair) -> list:
         seen.update((i, j))
         orbits.append((i,) if i == j else (i, j))
 
+    m_pos = {k: t for t, k in enumerate(pair.m_indices)}
     factors = []
     for orbit in orbits:
-        vectors = []
-        for i in orbit:
-            vectors.extend(ideals[i])
         h_sp, m_sp = SpanSolver(dim), SpanSolver(dim)
         h_vecs, m_vecs = [], []
-        for v in vectors:
-            sv = apply_sigma(v)
-            plus = [(a + b) / 2 for a, b in zip(v, sv)]
-            minus = [(a - b) / 2 for a, b in zip(v, sv)]
-            if any(x != 0 for x in plus) and h_sp.insert(plus):
+        for v in (v for i in orbit for v in ideals[i]):
+            plus = {i: x for i, x in v.items() if i in h_set}
+            minus = {i: x for i, x in v.items() if i not in h_set}
+            if plus and h_sp.insert(plus):
                 h_vecs.append(plus)
-            if any(x != 0 for x in minus) and m_sp.insert(minus):
+            if minus and m_sp.insert(minus):
                 m_vecs.append(minus)
         h_mats = [alg.element(v) for v in h_vecs]
         m_mats = [alg.element(v) for v in m_vecs]
         sub = _assemble_pair(
             f"{pair.name}#f{len(factors)}", pair.family + "_factor", {}, h_mats, m_mats
         )
-        m_pos = {k: t for t, k in enumerate(pair.m_indices)}
-        cols = []
-        for v in m_vecs:
-            col = [ZERO] * pair.dim_m
-            for idx, val in enumerate(v):
-                if val != 0:
-                    col[m_pos[idx]] = val
-            cols.append(col)
-        emb = Mat.from_columns(cols, pair.dim_m)
+        width = len(m_vecs)
+        entries = [ZERO] * (pair.dim_m * width)
+        for col, v in enumerate(m_vecs):
+            for idx, val in v.items():
+                entries[m_pos[idx] * width + col] = val
+        emb = Mat(pair.dim_m, width, entries)
         factors.append(PairFactor(sub, emb, group_type=len(orbit) == 2))
-    pair._factors = factors
-    return factors
+    pair._factors = tuple(factors)
+    return pair._factors
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,7 @@ def _centroid_complex_structures(pair: SymmetricPair):
     basis, projs = centroid(pair)
     if projs is None:
         return ("undecided", [])
-    alg = _SpanAlgebra([Mat.identity(basis[0].rows)] + basis)
+    alg = _SpanAlgebra([Mat.identity(basis[0].rows), *basis])
     partial = []
     for p in projs:
         gen = _factor_generator(p, basis)

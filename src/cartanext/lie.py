@@ -21,6 +21,7 @@ from .linalg import (
     Mat,
     MinimalPolynomial,
     SpanSolver,
+    Vector,
     _exact,
     frac,
     is_rational_square,
@@ -158,12 +159,13 @@ class MatrixLieAlgebra:
             raise InputError("ambient size mismatch")
         return self._span.decompose(m.entries)
 
-    def element(self, coords: Sequence[Fraction]) -> Mat:
-        """The matrix sum_i coords[i] X_i, in one pass over nonzero entries."""
+    def element(self, coords: Vector) -> Mat:
+        """The matrix sum_i coords[i] X_i, for dense coordinates or sparse
+        ones {i: value}, in one pass over nonzero entries."""
         entries = [0] * (self.ambient_size * self.ambient_size)
-        for c, b in zip(coords, self.basis):
+        for i, c in coords.items() if isinstance(coords, dict) else enumerate(coords):
             if c:
-                for idx, v in enumerate(b.entries):
+                for idx, v in enumerate(self.basis[i].entries):
                     if v:
                         entries[idx] += c * v
         return Mat(self.ambient_size, self.ambient_size, entries)
@@ -292,7 +294,8 @@ class Representation:
     The homomorphism property is checked on construction, and commutants and
     invariant forms rely on it (see `generating_indices`).  Only
     `adjoint_representation` passes check=False, since its matrices come
-    from a table of exact matrix commutators.
+    from a table of exact matrix commutators.  The action is a tuple, and
+    `commutant` memoizes its classification on the representation.
     """
 
     def __init__(self, algebra: MatrixLieAlgebra, carrier_dim: int,
@@ -304,7 +307,8 @@ class Representation:
                 raise InputError("action matrix of wrong size")
         self.algebra = algebra
         self.carrier_dim = carrier_dim
-        self.action = list(action)
+        self.action = tuple(action)
+        self._commutant: Optional[CommutantClassification] = None
         if check:
             bad = self._homomorphism_witness()
             if bad is not None:
@@ -333,9 +337,9 @@ class Representation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommutantClassification:
-    commutant_basis: list
+    commutant_basis: tuple
     label: str  # one of R | C | RxR | CxC | H | OTHER
     # Always None now that labels come from the trace form; kept because
     # perfbench/tracer.py reads it.
@@ -441,8 +445,15 @@ def commutant(rep: Representation) -> CommutantClassification:
     quadratic fields: signature (2,2) and two primitive idempotents; dim 4
     and not commutative -> H for the definite quaternion algebras, the
     signature (1,3); anything else -> OTHER.
+
+    The classification is computed once per representation and kept on it.
     """
-    basis = commutant_basis(rep)
+    if rep._commutant is None:
+        rep._commutant = _classify_commutant(tuple(commutant_basis(rep)))
+    return rep._commutant
+
+
+def _classify_commutant(basis: tuple) -> CommutantClassification:
     dim = len(basis)
     if dim == 1:
         return CommutantClassification(basis, "R")
@@ -674,7 +685,7 @@ def invariant_complex_structures(rep: Representation, seed: int = 0) -> ComplexS
     if cls.label in ("R", "RxR"):
         return ComplexStructureResult("decided", [], cls.label)
     if cls.label == "C":
-        alg = _SpanAlgebra([identity] + basis)
+        alg = _SpanAlgebra([identity, *basis])
         sols = _square_roots_of_minus_unit(identity, alg.basis[1], alg)
         if sols:
             j = _canonical_sign(sols[0])
@@ -683,7 +694,7 @@ def invariant_complex_structures(rep: Representation, seed: int = 0) -> ComplexS
             "undecided", [], "C", "complex structure exists over R but not over Q in this basis"
         )
     if cls.label == "CxC":
-        alg = _SpanAlgebra([identity] + basis)
+        alg = _SpanAlgebra([identity, *basis])
         partials = []
         for p in split_idempotents(basis):  # two, each onto a 2-dimensional factor
             sols = _square_roots_of_minus_unit(p, _factor_generator(p, basis), alg)
@@ -702,7 +713,7 @@ def invariant_complex_structures(rep: Representation, seed: int = 0) -> ComplexS
         return ComplexStructureResult("decided", full, "CxC")
     if cls.label == "H":
         pairs = [basis[i] + basis[j] for i in range(4) for j in range(i + 1, 4)]
-        for cand in basis + pairs:
+        for cand in [*basis, *pairs]:
             pure = cand - identity.scale(cand.trace() / d)
             sq = pure @ pure
             diag = sq[0, 0]

@@ -47,7 +47,12 @@ class Mat:
             raise InputError(f"entry count {len(entries)} does not match shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(frac(x) for x in entries)
+        # a Fraction is kept and an int 0 shared without a call; anything
+        # else, a malformed string included, goes through Fraction(x)
+        self.entries = tuple([
+            x if x.__class__ is Fraction else ZERO if x.__class__ is int and not x else Fraction(x)
+            for x in entries
+        ])
 
     # -- constructors ------------------------------------------------------
 
@@ -80,7 +85,7 @@ class Mat:
         n = len(values)
         m = [ZERO] * (n * n)
         for i, v in enumerate(values):
-            m[i * n + i] = frac(v)
+            m[i * n + i] = v
         return Mat(n, n, m)
 
     @staticmethod
@@ -90,7 +95,7 @@ class Mat:
     @staticmethod
     def unit(rows: int, cols: int, i: int, j: int, value: Scalar = 1) -> "Mat":
         m = [ZERO] * (rows * cols)
-        m[i * cols + j] = frac(value)
+        m[i * cols + j] = value
         return Mat(rows, cols, m)
 
     # -- access ------------------------------------------------------------

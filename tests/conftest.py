@@ -410,3 +410,78 @@ def so3_basis():
         return Mat.unit(n, n, i, j) - Mat.unit(n, n, j, i)
 
     return skew(0, 1), skew(0, 2), skew(1, 2)
+
+
+# -- the dense factor split that the sparse one replaced, kept verbatim -------
+# Its memo lines set `_factors` on the pair it is given, so run it on a
+# `dataclasses.replace` copy of a catalog pair.
+
+
+def reference_factor_decomposition(pair) -> list:
+    """Split a semisimple pair into simple symmetric-pair factors.
+
+    Simple ideals are separated by the primitive idempotents of the centroid
+    (the commutant of the adjoint representation); the involution either
+    fixes an ideal or swaps two, a swapped orbit giving a group-type factor.
+    """
+    from cartanext.catalog import PairFactor, _assemble_pair, centroid
+    from cartanext.errors import InternalCheckError
+
+    if pair._factors is not None:
+        return pair._factors
+    alg = pair.k_algebra
+    dim = alg.dim
+    _, projs = centroid(pair)
+    if projs is None:
+        raise InternalCheckError("centroid idempotent split failed")
+    ideals, spans = [], []  # each ideal is the column space of its projector
+    for p in projs:
+        span = SpanSolver(dim)
+        ideals.append([col for col in map(p.col, range(dim)) if span.insert(col)])
+        spans.append(span)
+    sigma_sign = [1 if i in pair.h_indices else -1 for i in range(dim)]
+
+    def apply_sigma(vec):
+        return [v * s for v, s in zip(vec, sigma_sign)]
+
+    orbits, seen = [], set()
+    for i, cols in enumerate(ideals):
+        if i in seen:
+            continue
+        img = apply_sigma(cols[0])
+        j = next((j for j, sp in enumerate(spans) if sp.contains(img)), i)
+        seen.update((i, j))
+        orbits.append((i,) if i == j else (i, j))
+
+    factors = []
+    for orbit in orbits:
+        vectors = []
+        for i in orbit:
+            vectors.extend(ideals[i])
+        h_sp, m_sp = SpanSolver(dim), SpanSolver(dim)
+        h_vecs, m_vecs = [], []
+        for v in vectors:
+            sv = apply_sigma(v)
+            plus = [(a + b) / 2 for a, b in zip(v, sv)]
+            minus = [(a - b) / 2 for a, b in zip(v, sv)]
+            if any(x != 0 for x in plus) and h_sp.insert(plus):
+                h_vecs.append(plus)
+            if any(x != 0 for x in minus) and m_sp.insert(minus):
+                m_vecs.append(minus)
+        h_mats = [alg.element(v) for v in h_vecs]
+        m_mats = [alg.element(v) for v in m_vecs]
+        sub = _assemble_pair(
+            f"{pair.name}#f{len(factors)}", pair.family + "_factor", {}, h_mats, m_mats
+        )
+        m_pos = {k: t for t, k in enumerate(pair.m_indices)}
+        cols = []
+        for v in m_vecs:
+            col = [ZERO] * pair.dim_m
+            for idx, val in enumerate(v):
+                if val != 0:
+                    col[m_pos[idx]] = val
+            cols.append(col)
+        emb = Mat.from_columns(cols, pair.dim_m)
+        factors.append(PairFactor(sub, emb, group_type=len(orbit) == 2))
+    pair._factors = factors
+    return factors

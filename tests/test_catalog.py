@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartanext import catalog
+from cartanext import catalog, lie
 from cartanext.catalog import (
     build_graded,
     build_pair,
@@ -20,7 +20,7 @@ from cartanext.catalog import (
 from cartanext.errors import ClosureError, DependentBasisError, InputError
 from cartanext.lie import MatrixLieAlgebra, StructureConstants, is_semisimple, make_algebra
 from cartanext.linalg import Mat, commutator
-from conftest import dense_structure_table
+from conftest import dense_structure_table, reference_factor_decomposition
 
 F = Fraction
 
@@ -434,3 +434,114 @@ def test_pair_ambient_sizes_match_the_built_pairs():
         assert build_pair(family, params).k_algebra.ambient_size == ambient
         names, size = catalog._PAIR_SIZES[family]
         assert size(*(params[name] for name in names)) == ambient
+
+
+# -- cached objects are read-only; derived data is computed once per pair -------
+
+
+# The 21 pairs of the benchmark's analysis pass: the default grid and three
+# direct sums of group-type pairs.
+SUM_BASES = (("sl(2,R)", "so(3)"), ("so(3)", "so(3)"), ("sl(2,R)", "sl(2,C)"))
+
+
+def _sums() -> list:
+    return [direct_sum_pairs([build_pair("group_type", {"base": b}) for b in parts])
+            for parts in SUM_BASES]
+
+
+def _analyzed_pairs() -> list:
+    return [build_pair(f, p) for f, p in catalog.default_pair_grid()] + _sums()
+
+
+def test_cached_index_sets_cannot_be_changed_by_callers():
+    g = build_graded("projective", {"n": 2})
+    with pytest.raises(AttributeError):
+        g.minus_one.append(99)
+    assert build_graded("projective", {"n": 2}).minus_one == (0, 1)
+    pair = build_pair("group_type", {"base": "sl(2,R)"})
+    for seq in (pair.h_indices, pair.m_indices, isotropy_rep(pair).action,
+                lie.commutant(isotropy_rep(pair)).commutant_basis,
+                catalog.centroid(pair)[0], factor_decomposition(pair)):
+        assert isinstance(seq, tuple)
+
+
+def test_replace_does_not_carry_the_derived_data_over():
+    pair = build_pair("group_type", {"base": "sl(2,R)"})
+    factor_decomposition(pair)
+    isotropy_rep(pair)
+    other = dataclasses.replace(pair, family="x")
+    assert (other._factors, other._centroid, other._isotropy) == (None, None, None)
+    assert pair._factors is not None and pair._isotropy is not None
+    assert isotropy_rep(other) is not isotropy_rep(pair)
+
+
+def test_isotropy_rep_and_commutant_are_computed_once():
+    for pair in _analyzed_pairs():
+        rep = isotropy_rep(pair)
+        assert isotropy_rep(pair) is rep
+        assert lie.commutant(rep) is lie.commutant(rep)
+
+
+def test_sparse_factor_split_matches_the_dense_reference():
+    for pair in _analyzed_pairs():
+        got = factor_decomposition(pair)
+        want = reference_factor_decomposition(dataclasses.replace(pair))
+        assert len(got) == len(want)
+        for f, ref in zip(got, want):
+            assert f.pair.name == ref.pair.name
+            assert f.pair.h_basis() == ref.pair.h_basis()
+            assert f.pair.m_basis() == ref.pair.m_basis()
+            assert f.m_embedding == ref.m_embedding
+            assert f.group_type == ref.group_type
+
+
+# -- direct sums rebuild from their own parameters ------------------------------
+
+
+def test_direct_sums_reload_from_their_json():
+    from cartanext import io
+
+    for pair in _sums():
+        text = io.canonical_dumps(io.pair_to_json(pair))
+        again = io.pair_from_json(io.load_json_text(text))
+        assert io.canonical_dumps(io.pair_to_json(again)) == text
+        assert again is build_pair("direct_sum", pair.params)
+
+
+def test_direct_sum_parameters_flatten_nested_sums_and_keep_a_name():
+    a, b, c = (build_pair("group_type", {"base": t}) for t in ("sl(2,R)", "so(3)", "su(2)"))
+    nested = direct_sum_pairs([direct_sum_pairs([a, b]), c])
+    flat = direct_sum_pairs([a, b, c])
+    assert nested.params == flat.params and nested.name == flat.name
+    assert nested.k_algebra.basis == flat.k_algebra.basis
+    named = direct_sum_pairs([a, b], "ab")
+    assert named.params["name"] == "ab" and build_pair("direct_sum", named.params).name == "ab"
+
+
+@pytest.mark.parametrize("params,match", [
+    ({}, "direct_sum parameter 'parts' must be a nonempty list"),
+    ({"parts": []}, "direct_sum parameter 'parts' must be a nonempty list"),
+    ({"parts": [3]}, "direct_sum part must hold 'family' and 'params'"),
+    ({"parts": [{"family": "group_type"}]}, "direct_sum part must hold 'family' and 'params'"),
+    ({"parts": [{"family": "direct_sum", "params": {"parts": []}}]},
+     "a direct_sum part cannot itself be a direct sum"),
+    ({"parts": [{"family": "nope", "params": {}}]}, "unsupported pair family 'nope'"),
+    ({"parts": [{"family": "sl_block", "params": {"p": 1}}]},
+     "sl_block needs the integer parameter 'q'"),
+    ({"parts": [{"family": "sl_block", "params": {"p": 1, "q": 1}}], "name": 3},
+     "direct_sum parameter 'name' must be a string"),
+])
+def test_malformed_direct_sum_params_are_input_errors(params, match):
+    with pytest.raises(InputError, match=match):
+        build_pair("direct_sum", params)
+
+
+def test_direct_sum_cap_is_checked_from_the_parts(monkeypatch):
+    def never(*args):
+        raise AssertionError("a part was built for a sum over the cap")
+
+    monkeypatch.setattr(catalog, "_build_pair_cached", never)
+    parts = [{"family": "so_complex", "params": {"n": 8}},
+             {"family": "group_type", "params": {"base": "sl(9,R)"}}]
+    with pytest.raises(InputError, match="realified ambient size 34 exceeds the desk-scale cap"):
+        build_pair("direct_sum", {"parts": parts})

@@ -251,3 +251,33 @@ def test_standard_witness_errors(monkeypatch):
     with pytest.raises(InternalCheckError,
                        match="^g_0 action map is not injective; target not effective$"):
         classify.standard_witness(pair, target)
+
+
+def test_one_round_builds_the_isotropy_algebra_and_commutant_once(monkeypatch):
+    import dataclasses
+
+    from cartanext import lie
+
+    # a copy outside the build cache, with no derived data yet
+    pair = dataclasses.replace(build_pair("group_type", {"base": "sl(2,C)"}))
+    h_name = pair.name + "#h"
+    h_builds, commutants = [], []
+    make_algebra, commutant_basis = catalog.make_algebra, lie.commutant_basis
+
+    def counted_make_algebra(basis, name=""):
+        if name == h_name:
+            h_builds.append(name)
+        return make_algebra(basis, name)
+
+    def counted_commutant_basis(rep):
+        if rep.algebra.name == h_name:
+            commutants.append(rep)
+        return commutant_basis(rep)
+
+    monkeypatch.setattr(catalog, "make_algebra", counted_make_algebra)
+    monkeypatch.setattr(lie, "commutant_basis", counted_commutant_basis)
+    classify.centralizer_report(pair)
+    classify.decide_conformal(pair)
+    result = lie.invariant_complex_structures(catalog.isotropy_rep(pair))
+    assert result.status == "decided"
+    assert len(h_builds) == 1 and len(commutants) == 1

@@ -91,3 +91,15 @@ def test_commutants_and_minimal_polynomials_match_references(family, params, mon
         assert mp == reference_minimal_polynomial(m)
         assert _fractions(mp.coeffs)
         assert all(_fractions(f.coeffs) for f in mp.factors)
+
+
+@pytest.mark.parametrize("bad", ["x", ""])
+def test_mat_rejects_malformed_entry_strings(bad):
+    with pytest.raises(ValueError):
+        Mat(1, 2, [1, bad])
+
+
+def test_mat_entries_are_fractions_whatever_their_input_type():
+    m = Mat(1, 5, [0, 1, -2, "3/4", Fraction(5, 6)])
+    assert _fractions(m.entries)
+    assert m.entries == (0, 1, -2, Fraction(3, 4), Fraction(5, 6))

@@ -165,6 +165,6 @@ def test_centroid_is_computed_once_per_pair(monkeypatch):
     classify.decide_h_projective(pair)
     assert len(calls) == 1
     basis, projs = centroid(pair)
-    assert basis == reference_commutant_basis(pair.k_algebra.adjoint_representation())
+    assert list(basis) == reference_commutant_basis(pair.k_algebra.adjoint_representation())
     assert len(projs) == 4 and len(factor_decomposition(pair)) == 2
     assert "_centroid" not in repr(pair) and "_factors" not in repr(pair)
