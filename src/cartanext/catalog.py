@@ -67,7 +67,7 @@ class GradedAlgebra:
     """A one-graded algebra with explicit grade index sets and flip element.
 
     Builds are memoized and shared, so the index sets, layouts and grading
-    coordinates are tuples."""
+    coordinates are tuples and the parameters a FrozenDict."""
 
     algebra: MatrixLieAlgebra
     family: str
@@ -101,6 +101,29 @@ class GradedAlgebra:
 
     def component_is_zero(self, coords: Sequence[Fraction], k: int) -> bool:
         return all(coords[i] == 0 for i in self.grade_indices(k))
+
+
+class FrozenDict(dict):
+    """A dict that refuses changes.  Builds are memoized and shared, so a
+    write to their parameters would reach every later build."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a memoized catalog object is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # copy and pickle rebuild it whole, not by item writes
+        return FrozenDict, (dict(self),)
+
+
+def _frozen(value):
+    """Read-only deep copy of JSON-shaped data: mappings become FrozenDict
+    and lists tuples, which serialize to the same JSON."""
+    if isinstance(value, dict):
+        return FrozenDict((k, _frozen(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
 
 
 def _int_param(family: str, params: dict, name: str) -> int:
@@ -158,7 +181,7 @@ def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
     if flip @ flip != Mat.identity(flip.rows):
         raise InternalCheckError(f"{name}: flip element does not square to the identity")
     return GradedAlgebra(
-        algebra, family, dict(params), tuple(coords), minus_one, zero, plus_one,
+        algebra, family, _frozen(params), tuple(coords), minus_one, zero, plus_one,
         flip, tuple(gm1_layout), tuple(gp1_layout), ambient_j,
     )
 
@@ -557,8 +580,9 @@ def verify_graded(g: GradedAlgebra) -> list:
 class SymmetricPair:
     """An algebra with involution, basis adapted to the eigenspace split.
 
-    Builds are memoized and shared, so the index sets are tuples.  The
-    derived data computed once per pair (`isotropy_rep`, `centroid`,
+    Builds are memoized and shared, so the index sets are tuples and the
+    parameters and ideal certificate FrozenDicts.  The derived data
+    computed once per pair (`isotropy_rep`, `centroid`,
     `factor_decomposition`) sits in fields outside `__init__`, which
     `dataclasses.replace` therefore does not carry over."""
 
@@ -627,8 +651,8 @@ def _assemble_pair(name, family, params, h_mats, m_mats, conjugator=None,
         for i, b in enumerate(basis):
             if not _conjugates_to(left, right, sparse_rows(b), 1 if i < nh else -1):
                 raise InternalCheckError(f"{name}: conjugator action mismatch at {i}")
-    return SymmetricPair(algebra, family, dict(params), h_idx, m_idx, sigma,
-                         conjugator, certificate_ideal)
+    return SymmetricPair(algebra, family, _frozen(params), h_idx, m_idx, sigma,
+                         conjugator, _frozen(certificate_ideal))
 
 
 def _pair_from_involution(name, family, params, k_mats, conjugator,
@@ -966,7 +990,7 @@ def _pair_key(family: str, params: dict, nested: bool = False) -> tuple:
     if nested:
         raise InputError("a direct_sum part cannot itself be a direct sum")
     parts, name = params.get("parts"), params.get("name", "")
-    if not isinstance(parts, list) or not parts:
+    if not isinstance(parts, (list, tuple)) or not parts:
         raise InputError(f"direct_sum parameter 'parts' must be a nonempty list, got {parts!r}")
     if not isinstance(name, str):
         raise InputError(f"direct_sum parameter 'name' must be a string, got {name!r}")
@@ -1068,7 +1092,7 @@ def direct_sum_pairs(parts: Sequence[SymmetricPair], name: str = "") -> Symmetri
         if p.family == "direct_sum":
             specs += p.params["parts"]
         else:
-            specs.append({"family": p.family, "params": dict(p.params)})
+            specs.append({"family": p.family, "params": p.params})
     params = {"parts": specs, **({"name": name} if name else {})}
     label = name or "+".join(p.name for p in parts)
     return _assemble_pair(label, "direct_sum", params, h_mats, m_mats)

@@ -299,16 +299,9 @@ def _centroid_complex_structures(pair: SymmetricPair):
     return ("decided", out)
 
 
-def _preserves_span(j: Mat, indices: list, dim: int) -> bool:
-    span = SpanSolver(dim)
-    for i in indices:
-        e = [ZERO] * dim
-        e[i] = ONE
-        span.insert(e)
-    for i in indices:
-        if not span.contains(j.col(i)):
-            return False
-    return True
+def _preserves_h_and_m(j: Mat, pair: SymmetricPair) -> bool:
+    """Whether J maps h into h and m into m: no entry links an h and an m index."""
+    return all(j[r, c] == 0 and j[c, r] == 0 for r in pair.m_indices for c in pair.h_indices)
 
 
 def complex_adapted_frame(pair: SymmetricPair, j_pair: Mat) -> Mat:
@@ -346,9 +339,7 @@ def decide_h_projective(pair: SymmetricPair, seed: int = 0) -> ExistenceVerdict:
     if status == "undecided":
         return ExistenceVerdict(pair.name, "h_projective", UNDECIDED,
                                 "centroid complex structure not rational in this basis")
-    dim = pair.dim
-    good = [j for j in js if _preserves_span(j, pair.h_indices, dim)
-            and _preserves_span(j, pair.m_indices, dim)]
+    good = [j for j in js if _preserves_h_and_m(j, pair)]
     if not good:
         return ExistenceVerdict(pair.name, "h_projective", NOT_EXISTS,
                                 "no invariant complex structure preserves the subalgebra")
@@ -681,16 +672,14 @@ def centralizer_report(pair: SymmetricPair, seed: int = 0) -> CentralizerReport:
     full = commutant(isotropy_rep(pair))
     ok = full.dim == sum(dims)
     if ok:
-        for t in full.commutant_basis:
-            for f in factors:
-                u = f.m_embedding
+        for f in factors:
+            u = f.m_embedding
+            span = SpanSolver(pair.dim_m)
+            for c in range(u.cols):
+                span.insert(u.col(c))
+            for t in full.commutant_basis:
                 image = t @ u
-                span = SpanSolver(pair.dim_m)
-                for c in range(u.cols):
-                    span.insert(u.col(c))
-                for c in range(image.cols):
-                    if not span.contains(image.col(c)):
-                        ok = False
+                ok = ok and all(span.contains(image.col(c)) for c in range(image.cols))
     if not ok:
         raise InternalCheckError(
             f"{pair.name}: commutant is not the product of factor commutants"

@@ -10,7 +10,7 @@ predicate report "undecided" rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import bases
@@ -44,28 +44,38 @@ def _invertible(t: Mat) -> bool:
     return t.is_square() and matrix_rank(t) == t.rows
 
 
+def _normalizes(t: Mat, algebra: Sequence[Mat]) -> bool:
+    """Whether T is invertible and conjugates span(algebra) onto itself,
+    tested without T^-1 as T A in span{B T : B in algebra} for each A.
+    cT conjugates as T does; integer entries keep the elimination in int."""
+    t = t.scale(lcm(*(x.denominator for x in t.entries)))
+    if not _invertible(t):
+        return False
+    span = SpanSolver(t.rows * t.rows)
+    for b in algebra:
+        span.insert((b @ t).entries)
+    return all(span.contains((t @ a).entries) for a in algebra)
+
+
+def _scales_form(t: Mat, forms: Sequence[Mat]) -> bool:
+    """Whether T^T forms[0] T is nonzero and in span(forms), the real parts of
+    the multiples of one nondegenerate form: all nondegenerate, so T is invertible."""
+    m = t.transpose() @ forms[0] @ t
+    span = SpanSolver(m.rows * m.cols)
+    for form in forms:
+        span.insert(form.entries)
+    return not m.is_zero() and span.contains(m.entries)
+
+
 def _predicate_projective(t: Mat, target: GradedAlgebra) -> Optional[bool]:
     return _invertible(t)
 
 
-def _conformal_gram(target: GradedAlgebra) -> Mat:
-    p, q = target.params["p"], target.params["q"]
-    return Mat.diag([1] * p + [-1] * q)
-
-
 def _predicate_conformal(t: Mat, target: GradedAlgebra) -> Optional[bool]:
-    if not _invertible(t):
-        return False
-    g = _conformal_gram(target)
-    m = t.transpose() @ g @ t
-    lam = None
-    for i in range(g.rows):
-        if g[i, i] != 0:
-            lam = m[i, i] / g[i, i]
-            break
-    if lam is None or lam == 0:
-        return False
-    return m == g.scale(lam)
+    """CO(p, q): T scales the form diag(1,...,1,-1,...,-1).  The normalizer
+    of rho(g_0) agrees on every (p, q) tried but costs 2-4 times as much."""
+    p, q = target.params["p"], target.params["q"]
+    return _scales_form(t, [Mat.diag([1] * p + [-1] * q)])
 
 
 def _gm1_complex_structure(target: GradedAlgebra) -> Mat:
@@ -82,26 +92,19 @@ def _predicate_h_projective(t: Mat, target: GradedAlgebra) -> Optional[bool]:
     return t @ j == j @ t or t @ j == -(j @ t)
 
 
+# Not the normalizer test: on complex_conformal(2), g_0 is abelian and a
+# coordinate permutation outside G_0 normalizes rho(g_0).
 def _predicate_complex_conformal(t: Mat, target: GradedAlgebra) -> Optional[bool]:
-    if not _invertible(t):
-        return False
+    """T is complex linear or antilinear and scales the complex form
+    sum z_r^2, whose real and imaginary parts are G_re and G_im."""
     j = _gm1_complex_structure(target)
     if t @ j != j @ t and t @ j != -(j @ t):
         return False
     n = target.params["n"]
-    g_re = [[ZERO] * (2 * n) for _ in range(2 * n)]
-    g_im = [[ZERO] * (2 * n) for _ in range(2 * n)]
+    g_im = [ZERO] * (4 * n * n)
     for r in range(n):
-        g_re[2 * r][2 * r] = ONE
-        g_re[2 * r + 1][2 * r + 1] = -ONE
-        g_im[2 * r][2 * r + 1] = ONE
-        g_im[2 * r + 1][2 * r] = ONE
-    g_re_m, g_im_m = Mat.from_rows(g_re), Mat.from_rows(g_im)
-    m = t.transpose() @ g_re_m @ t
-    span = SpanSolver(4 * n * n)
-    span.insert(g_re_m.entries)
-    span.insert(g_im_m.entries)
-    return span.contains(m.entries) and not m.is_zero()
+        g_im[(2 * r) * 2 * n + 2 * r + 1] = g_im[(2 * r + 1) * 2 * n + 2 * r] = ONE
+    return _scales_form(t, [Mat.diag([1, -1] * n), Mat(2 * n, 2 * n, g_im)])
 
 
 def _kron_realign(t: Mat, rows: int, cols: int) -> Mat:
@@ -117,6 +120,8 @@ def _kron_realign(t: Mat, rows: int, cols: int) -> Mat:
     return Mat.from_rows(out)
 
 
+# Not the normalizer test: the transpose on grassmannian(2,2) and on
+# para_quaternionic(2) normalizes rho(g_0) but is not in G_0.
 def _predicate_grassmannian(t: Mat, target: GradedAlgebra) -> Optional[bool]:
     if not _invertible(t):
         return False
@@ -128,132 +133,61 @@ def _predicate_grassmannian(t: Mat, target: GradedAlgebra) -> Optional[bool]:
     return matrix_rank(r) == 1
 
 
-def _quaternion_coordinate_maps(n: int) -> list:
-    """Basis maps x -> (u E_rs) x v on coordinates of H^n, flattened."""
+def _right_multiplications(n: int) -> list:
+    """R_v: x -> x v on H^n for the units v, in the builder's (r, comp)
+    coordinates, where comp indexes the coefficients of 1, i, j, k."""
     out = []
-    for r in range(n):
-        for s in range(n):
-            for u in bases.QUATERNION_UNITS:
-                for v in bases.QUATERNION_UNITS:
-                    entries = [ZERO] * (16 * n * n)
-                    for comp in range(4):
-                        x = [0, 0, 0, 0]
-                        x[comp] = 1
-                        prod = bases.quat_mul(bases.quat_mul(u, tuple(x)), v)
-                        for out_comp, val in enumerate(prod):
-                            if val:
-                                row = r * 4 + out_comp
-                                col = s * 4 + comp
-                                entries[row * 4 * n + col] = Fraction(val)
-                    out.append(Mat(4 * n, 4 * n, entries))
+    for v in bases.QUATERNION_UNITS:
+        entries = [ZERO] * (16 * n * n)
+        for comp, unit in enumerate(bases.QUATERNION_UNITS):
+            for out_comp, val in enumerate(bases.quat_mul(unit, v)):
+                for r in range(n):
+                    entries[(4 * r + out_comp) * 4 * n + 4 * r + comp] = val
+        out.append(Mat(4 * n, 4 * n, entries))
     return out
 
 
 def _predicate_quaternionic(t: Mat, target: GradedAlgebra) -> Optional[bool]:
-    if not _invertible(t):
-        return False
-    n = target.params["n"]
-    # reorder coordinates from the builder layout (r, comp) to match
-    maps = _quaternion_coordinate_maps(n)
-    cols = Mat.from_rows(
-        [[maps[c].entries[r] for c in range(len(maps))] for r in range(16 * n * n)]
-    )
-    sol = solve_linear(cols, Mat.column(t.entries))
-    if sol is None:
-        return False
-    coeffs = sol.particular
-    # pure L_A R_b means the coefficient table is a rank-1 pairing of the
-    # left index (r, s, u) against the right unit v
-    big = Mat.from_rows(
-        [
-            [
-                coeffs[((r * n + s) * 4 + u) * 4 + v, 0]
-                for v in range(4)
-            ]
-            for r in range(n)
-            for s in range(n)
-            for u in range(4)
-        ]
-    )
-    return matrix_rank(big) == 1
+    """G_0 acts on H^n as the maps L_A R_q: x -> A x q, A in GL(n, H), q in H*.
+
+    T lies in G_0 iff it normalizes R(H) = {R_v}.  Each L_A R_q commutes
+    with the R_v up to v -> q^-1 v q, so it normalizes R(H).  Conversely
+    T R_v T^-1 = R_phi(v) defines an algebra automorphism phi of H, inner by
+    Skolem-Noether: phi(v) = q^-1 v q.  Then T R_q^-1 commutes with every
+    R_v, so it is H-linear for the right H-module structure of H^n: a left
+    multiplication L_A.  So T = L_A R_q.  R(H) rather than rho(g_0) is used
+    because quaternion conjugation on quaternionic(1) normalizes rho(g_0)
+    and is not in G_0.
+    """
+    return _normalizes(t, _right_multiplications(target.params["n"]))
 
 
-def _image_as_matrix(t: Mat, layout: list, n: int, col: int, antisym: bool) -> Mat:
+def _wedge_image(t: Mat, layout: list, n: int, col: int) -> Mat:
+    """Column col of T, on the (i < j) wedge layout, as an antisymmetric matrix."""
     out = [[ZERO] * n for _ in range(n)]
-    for idx, key in enumerate(layout):
-        i, j = key
-        v = t[idx, col]
-        if antisym:
-            out[i][j] += v
-            out[j][i] -= v
-        else:
-            out[i][j] += v
-            if i != j:
-                out[j][i] += v
+    for idx, (i, j) in enumerate(layout):
+        out[i][j] += t[idx, col]
+        out[j][i] -= t[idx, col]
     return Mat.from_rows(out)
 
 
-def _rank_one_symmetric(m: Mat) -> Optional[tuple]:
-    """Write a symmetric matrix as c * u u^T, or None."""
-    if matrix_rank(m) != 1:
-        return None
-    n = m.rows
-    col = next(j for j in range(n) if any(m[i, j] != 0 for i in range(n)))
-    u = [m[i, col] for i in range(n)]
-    lead = next(x for x in u if x != 0)
-    u = [x / lead for x in u]
-    k = next(i for i in range(n) if u[i] != 0)
-    c = m[k, k] / (u[k] * u[k]) if u[k] != 0 else None
-    if c is None:
-        return None
-    uu = Mat.from_rows([[c * a * b for b in u] for a in u])
-    if uu != m:
-        return None
-    return c, u
-
-
 def _predicate_lagrangean(t: Mat, target: GradedAlgebra) -> Optional[bool]:
-    if not _invertible(t):
-        return False
-    n = target.params["n"]
-    layout = target.gm1_layout
-    pos = {key: idx for idx, key in enumerate(layout)}
+    """G_0 = {c S^2(g)} acting on g_-1 = S^2 R^n, g in GL(n, R), c != 0.
 
-    def image(i, j):
-        return _image_as_matrix(t, layout, n, pos[(min(i, j), max(i, j))], antisym=False)
+    T lies in G_0 iff it normalizes rho(g_0), the image of g_0 = gl(n, R)
+    in gl(g_-1).  Each c S^2(g) conjugates rho(X) to rho(g X g^-1).
+    Conversely T rho(X) T^-1 = rho(psi(X)) defines an automorphism psi of
+    gl(n) fixing the centre, which acts by scalars.  A non-inner
+    automorphism of sl(n) would carry S^2 R^n to S^2 of the dual, not
+    isomorphic for n >= 3; sl(2) has only inner ones, and n = 1 no sl part.
+    So psi = Ad(g), and S^2(g)^-1 T commutes with the irreducible
+    rho(gl(n)): by Schur's lemma it is a nonzero scalar c.
+    """
+    from .classify import g0_action_solver
 
-    first = _rank_one_symmetric(image(0, 0))
-    if first is None:
-        return False
-    lam, a0 = first
-    a = [list(a0)]
-    for i in range(1, n):
-        m = image(0, i).scale(ONE / lam)
-        rows = []
-        rhs = []
-        for r in range(n):
-            for c in range(n):
-                rows.append([(a0[r] if k == c else ZERO) + (a0[c] if k == r else ZERO)
-                             for k in range(n)])
-                rhs.append(m[r, c])
-        sol = solve_linear(Mat.from_rows(rows), Mat.column(rhs))
-        if sol is None:
-            return False
-        a.append(sol.particular.col(0))
-    amat = Mat.from_columns(a, n)
-    if not _invertible(amat):
-        return False
-    for i in range(n):
-        for j in range(i, n):
-            expect = Mat.from_rows(
-                [[lam * (a[i][r] * a[j][c] + a[j][r] * a[i][c]) for c in range(n)]
-                 for r in range(n)]
-            )
-            if i == j:
-                expect = expect.scale(Fraction(1, 2))
-            if expect != image(i, j):
-                return False
-    return True
+    rho = g0_action_solver(target)
+    n = target.dim_gm1
+    return _normalizes(t, [Mat(n, n, rho.col(c)) for c in range(rho.cols)])
 
 
 def _wedge(u: list, v: list) -> Mat:
@@ -261,6 +195,7 @@ def _wedge(u: list, v: list) -> Mat:
     return Mat.from_rows([[u[r] * v[c] - v[r] * u[c] for c in range(n)] for r in range(n)])
 
 
+# Not the normalizer test, which accepts the Hodge star on spinorial(4).
 def _predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[bool]:
     if not _invertible(t):
         return False
@@ -269,7 +204,7 @@ def _predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[bool]:
     pos = {key: idx for idx, key in enumerate(layout)}
 
     def image(i, j):
-        return _image_as_matrix(t, layout, n, pos[(min(i, j), max(i, j))], antisym=True)
+        return _wedge_image(t, layout, n, pos[(min(i, j), max(i, j))])
 
     w01, w02 = image(0, 1), image(0, 2)
     if matrix_rank(w01) != 2 or matrix_rank(w02) != 2:
@@ -353,21 +288,12 @@ _PREDICATES = {
 
 
 def _quotient_action_on_m(ext: Extension, sigma: Mat) -> Optional[Mat]:
+    """The m block of sigma, or None when sigma does not preserve h (an h
+    column has a nonzero m entry)."""
     pair = ext.pair
-    if sigma.shape != (pair.dim, pair.dim):
-        raise InputError("automorphism matrix has wrong shape")
-    h_span = SpanSolver(pair.dim)
-    for i in pair.h_indices:
-        e = [ZERO] * pair.dim
-        e[i] = ONE
-        h_span.insert(e)
-    for i in pair.h_indices:
-        if not h_span.contains(sigma.col(i)):
-            return None
-    rows = []
-    for r in pair.m_indices:
-        rows.append([sigma[r, c] for c in pair.m_indices])
-    return Mat.from_rows(rows)
+    if any(sigma[r, c] != 0 for r in pair.m_indices for c in pair.h_indices):
+        return None
+    return sigma.submatrix(pair.m_indices, pair.m_indices)
 
 
 def _is_automorphism(pair, sigma: Mat) -> bool:
@@ -398,6 +324,8 @@ def frames_equivalent(ext1: Extension, ext2: Extension,
         raise InputError("extensions must share the same pair")
     if ext1.target.family != ext2.target.family or ext1.target.params != ext2.target.params:
         raise InputError("extensions must share the target family and ranks")
+    if any(sigma.shape != (ext1.pair.dim, ext1.pair.dim) for sigma in autos):
+        raise InputError("automorphism matrix has wrong shape")
     predicate = _PREDICATES.get(ext1.target.family)
     if predicate is None:
         return EquivalenceResult(UNDECIDED, detail="no membership predicate for this family")

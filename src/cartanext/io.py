@@ -13,6 +13,7 @@ from fractions import Fraction
 from .catalog import (
     GradedAlgebra,
     SymmetricPair,
+    _check_bounds,
     build_graded,
     build_pair,
 )
@@ -64,18 +65,21 @@ def _is_square_rows(rows) -> bool:
 
 
 def algebra_from_json(data: dict) -> MatrixLieAlgebra:
+    """The algebra an algebra file spans.  Its sizes are checked against the
+    desk-scale caps before any matrix is built."""
     if not isinstance(data, dict):
         raise InputError("algebra file must hold a JSON object")
     basis = data.get("basis")
     if not (isinstance(basis, list) and basis and all(_is_square_rows(m) for m in basis)):
         raise InputError("algebra file 'basis' must be a non-empty list of square "
                          "matrices, each a list of rows")
-    if not isinstance(data.get("ambient_size"), int):
+    ambient = data.get("ambient_size")
+    if not isinstance(ambient, int):
         raise InputError("algebra file 'ambient_size' must be an integer")
-    alg = make_algebra([mat_from_json(rows) for rows in basis], data.get("name", ""))
-    if alg.ambient_size != data["ambient_size"]:
+    _check_bounds(ambient, len(basis))
+    if any(len(rows) != ambient for rows in basis):
         raise InputError("ambient size mismatch in algebra file")
-    return alg
+    return make_algebra([mat_from_json(rows) for rows in basis], data.get("name", ""))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
-from cartanext import poly
+from cartanext import bases, poly
+from cartanext.catalog import GradedAlgebra
+from cartanext.equivalence import _gm1_complex_structure, _invertible
 from cartanext.errors import ClosureError, DependentBasisError, InputError
+from cartanext.extension import Extension
 from cartanext.linalg import (ONE, ZERO, LinearSolution, Mat, MinimalPolynomial, PolyFactor,
-                              SpanSolver, commutator, frac)
+                              SpanSolver, commutator, frac, matrix_rank, solve_linear)
 
 
 def rref_rank_oracle(rows):
@@ -485,3 +489,204 @@ def reference_factor_decomposition(pair) -> list:
         factors.append(PairFactor(sub, emb, group_type=len(orbit) == 2))
     pair._factors = factors
     return factors
+
+
+def with_frame(ext, frame):
+    """The extension ext with its frame m -> g_-1 replaced by `frame`."""
+    rows = ext.alpha.to_rows()
+    for rl, r in enumerate(ext.target.minus_one):
+        for cl, c in enumerate(ext.pair.m_indices):
+            rows[r][c] = frame[rl, cl]
+    return Extension(ext.pair, ext.target, Mat.from_rows(rows), ext.label + "*")
+
+
+# -- the equivalence predicates that the normalizer tests replaced, kept verbatim --
+# `_invertible` and `_gm1_complex_structure` are still the engine's.
+
+
+def _conformal_gram(target: GradedAlgebra) -> Mat:
+    p, q = target.params["p"], target.params["q"]
+    return Mat.diag([1] * p + [-1] * q)
+
+
+def reference_predicate_conformal(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+    if not _invertible(t):
+        return False
+    g = _conformal_gram(target)
+    m = t.transpose() @ g @ t
+    lam = None
+    for i in range(g.rows):
+        if g[i, i] != 0:
+            lam = m[i, i] / g[i, i]
+            break
+    if lam is None or lam == 0:
+        return False
+    return m == g.scale(lam)
+
+
+def reference_predicate_complex_conformal(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+    if not _invertible(t):
+        return False
+    j = _gm1_complex_structure(target)
+    if t @ j != j @ t and t @ j != -(j @ t):
+        return False
+    n = target.params["n"]
+    g_re = [[ZERO] * (2 * n) for _ in range(2 * n)]
+    g_im = [[ZERO] * (2 * n) for _ in range(2 * n)]
+    for r in range(n):
+        g_re[2 * r][2 * r] = ONE
+        g_re[2 * r + 1][2 * r + 1] = -ONE
+        g_im[2 * r][2 * r + 1] = ONE
+        g_im[2 * r + 1][2 * r] = ONE
+    g_re_m, g_im_m = Mat.from_rows(g_re), Mat.from_rows(g_im)
+    m = t.transpose() @ g_re_m @ t
+    span = SpanSolver(4 * n * n)
+    span.insert(g_re_m.entries)
+    span.insert(g_im_m.entries)
+    return span.contains(m.entries) and not m.is_zero()
+
+
+def _quaternion_coordinate_maps(n: int) -> list:
+    """Basis maps x -> (u E_rs) x v on coordinates of H^n, flattened."""
+    out = []
+    for r in range(n):
+        for s in range(n):
+            for u in bases.QUATERNION_UNITS:
+                for v in bases.QUATERNION_UNITS:
+                    entries = [ZERO] * (16 * n * n)
+                    for comp in range(4):
+                        x = [0, 0, 0, 0]
+                        x[comp] = 1
+                        prod = bases.quat_mul(bases.quat_mul(u, tuple(x)), v)
+                        for out_comp, val in enumerate(prod):
+                            if val:
+                                row = r * 4 + out_comp
+                                col = s * 4 + comp
+                                entries[row * 4 * n + col] = Fraction(val)
+                    out.append(Mat(4 * n, 4 * n, entries))
+    return out
+
+
+def reference_predicate_quaternionic(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+    if not _invertible(t):
+        return False
+    n = target.params["n"]
+    # reorder coordinates from the builder layout (r, comp) to match
+    maps = _quaternion_coordinate_maps(n)
+    cols = Mat.from_rows(
+        [[maps[c].entries[r] for c in range(len(maps))] for r in range(16 * n * n)]
+    )
+    sol = solve_linear(cols, Mat.column(t.entries))
+    if sol is None:
+        return False
+    coeffs = sol.particular
+    # pure L_A R_b means the coefficient table is a rank-1 pairing of the
+    # left index (r, s, u) against the right unit v
+    big = Mat.from_rows(
+        [
+            [
+                coeffs[((r * n + s) * 4 + u) * 4 + v, 0]
+                for v in range(4)
+            ]
+            for r in range(n)
+            for s in range(n)
+            for u in range(4)
+        ]
+    )
+    return matrix_rank(big) == 1
+
+
+def _image_as_matrix(t: Mat, layout: list, n: int, col: int, antisym: bool) -> Mat:
+    out = [[ZERO] * n for _ in range(n)]
+    for idx, key in enumerate(layout):
+        i, j = key
+        v = t[idx, col]
+        if antisym:
+            out[i][j] += v
+            out[j][i] -= v
+        else:
+            out[i][j] += v
+            if i != j:
+                out[j][i] += v
+    return Mat.from_rows(out)
+
+
+def _rank_one_symmetric(m: Mat) -> Optional[tuple]:
+    """Write a symmetric matrix as c * u u^T, or None."""
+    if matrix_rank(m) != 1:
+        return None
+    n = m.rows
+    col = next(j for j in range(n) if any(m[i, j] != 0 for i in range(n)))
+    u = [m[i, col] for i in range(n)]
+    lead = next(x for x in u if x != 0)
+    u = [x / lead for x in u]
+    k = next(i for i in range(n) if u[i] != 0)
+    c = m[k, k] / (u[k] * u[k]) if u[k] != 0 else None
+    if c is None:
+        return None
+    uu = Mat.from_rows([[c * a * b for b in u] for a in u])
+    if uu != m:
+        return None
+    return c, u
+
+
+def reference_predicate_lagrangean(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+    if not _invertible(t):
+        return False
+    n = target.params["n"]
+    layout = target.gm1_layout
+    pos = {key: idx for idx, key in enumerate(layout)}
+
+    def image(i, j):
+        return _image_as_matrix(t, layout, n, pos[(min(i, j), max(i, j))], antisym=False)
+
+    first = _rank_one_symmetric(image(0, 0))
+    if first is None:
+        return False
+    lam, a0 = first
+    a = [list(a0)]
+    for i in range(1, n):
+        m = image(0, i).scale(ONE / lam)
+        rows = []
+        rhs = []
+        for r in range(n):
+            for c in range(n):
+                rows.append([(a0[r] if k == c else ZERO) + (a0[c] if k == r else ZERO)
+                             for k in range(n)])
+                rhs.append(m[r, c])
+        sol = solve_linear(Mat.from_rows(rows), Mat.column(rhs))
+        if sol is None:
+            return False
+        a.append(sol.particular.col(0))
+    amat = Mat.from_columns(a, n)
+    if not _invertible(amat):
+        return False
+    for i in range(n):
+        for j in range(i, n):
+            expect = Mat.from_rows(
+                [[lam * (a[i][r] * a[j][c] + a[j][r] * a[i][c]) for c in range(n)]
+                 for r in range(n)]
+            )
+            if i == j:
+                expect = expect.scale(Fraction(1, 2))
+            if expect != image(i, j):
+                return False
+    return True
+
+
+def reference_quotient_action_on_m(ext: Extension, sigma: Mat) -> Optional[Mat]:
+    pair = ext.pair
+    if sigma.shape != (pair.dim, pair.dim):
+        raise InputError("automorphism matrix has wrong shape")
+    h_span = SpanSolver(pair.dim)
+    for i in pair.h_indices:
+        e = [ZERO] * pair.dim
+        e[i] = ONE
+        h_span.insert(e)
+    for i in pair.h_indices:
+        if not h_span.contains(sigma.col(i)):
+            return None
+    rows = []
+    for r in pair.m_indices:
+        rows.append([sigma[r, c] for c in pair.m_indices])
+    return Mat.from_rows(rows)

@@ -545,3 +545,68 @@ def test_direct_sum_cap_is_checked_from_the_parts(monkeypatch):
              {"family": "group_type", "params": {"base": "sl(9,R)"}}]
     with pytest.raises(InputError, match="realified ambient size 34 exceeds the desk-scale cap"):
         build_pair("direct_sum", {"parts": parts})
+
+
+# -- memoized objects are read-only ----------------------------------------------
+
+
+def _refused(change):
+    with pytest.raises(TypeError, match="read-only"):
+        change()
+
+
+def test_pair_params_are_read_only():
+    from cartanext import io
+
+    pair = build_pair("group_type", {"base": "sl(2,R)"})
+    text = io.canonical_dumps(io.pair_to_json(pair))
+    _refused(lambda: pair.params.__setitem__("base", "so(3)"))
+    _refused(lambda: pair.params.update(base="so(3)"))
+    _refused(lambda: pair.params.pop("base"))
+    again = build_pair("group_type", {"base": "sl(2,R)"})
+    assert again is pair and io.canonical_dumps(io.pair_to_json(again)) == text
+    assert '"params":{"base":"sl(2,R)"}' in text
+
+
+def test_graded_params_are_read_only():
+    g = build_graded("projective", {"n": 2})
+    _refused(lambda: g.params.__setitem__("n", 7))
+    _refused(lambda: g.params.clear())
+    assert build_graded("projective", {"n": 2}).params == {"n": 2}
+    assert sorted(g.params.items()) == [("n", 2)] and g.params["n"] == 2
+
+
+def test_certificate_ideal_is_read_only():
+    pair = build_pair("sp_block", {"p": 1, "q": 1})
+    _refused(lambda: pair.certificate_ideal.__setitem__("H", 5))
+    _refused(lambda: pair.certificate_ideal.setdefault("X", 5))
+    assert build_pair("sp_block", {"p": 1, "q": 1}).certificate_ideal == {
+        "type": "split", "H": 0, "E": 1, "F": 2}
+
+
+def test_direct_sum_parts_are_read_only():
+    from cartanext import io
+
+    pair = build_pair("direct_sum", {"parts": [
+        {"family": "group_type", "params": {"base": "sl(2,R)"}},
+        {"family": "group_type", "params": {"base": "so(3)"}}]})
+    text = io.canonical_dumps(io.pair_to_json(pair))
+    with pytest.raises(AttributeError):
+        pair.params["parts"].append({"family": "group_type", "params": {"base": "so(3)"}})
+    _refused(lambda: pair.params["parts"][0]["params"].__setitem__("base", "so(3)"))
+    _refused(lambda: pair.params["parts"][0].__setitem__("family", "sl_block"))
+    assert io.canonical_dumps(io.pair_to_json(pair)) == text
+    assert ('"params":{"parts":[{"family":"group_type","params":{"base":"sl(2,R)"}},'
+            '{"family":"group_type","params":{"base":"so(3)"}}]}') in text
+
+
+def test_read_only_params_copy_and_pickle():
+    import copy
+    import pickle
+
+    pair = build_pair("sp_block", {"p": 1, "q": 1})
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        params, cert = clone(pair.params), clone(pair.certificate_ideal)
+        assert params == pair.params and cert == pair.certificate_ideal
+        _refused(lambda: params.__setitem__("p", 2))
+    assert copy.deepcopy(pair).params == {"p": 1, "q": 1}

@@ -435,3 +435,31 @@ def test_default_manifest_covers_grid():
     assert len(graded) >= 20
     for item in graded:
         assert "expected" in item
+
+
+@pytest.mark.parametrize("data, detail", [
+    ({"ambient_size": 40, "basis": [[["0"] * 40 for _ in range(40)]]},
+     "realified ambient size 40 exceeds the desk-scale cap 32"),
+    ({"ambient_size": 1, "basis": [[["1"]]] * 501},
+     "algebra dimension 501 exceeds the desk-scale cap 500"),
+    ({"ambient_size": 2, "basis": [[["0"] * 3 for _ in range(3)]]},
+     "ambient size mismatch"),
+])
+def test_algebra_file_sizes_are_checked_before_any_matrix(data, detail, tmp_path, capsys,
+                                                          monkeypatch):
+    def never(*args):
+        raise AssertionError("a matrix was built before the size checks")
+
+    monkeypatch.setattr(io, "mat_from_json", never)
+    monkeypatch.setattr(io, "make_algebra", never)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    item = {"kind": "algebra_file", "path": str(path)}
+    result = run_verify_catalog([item], seed=0)
+    assert result["items"][0]["status"] == "FAIL"
+    assert detail in result["items"][0]["checks"][0]["detail"]
+    man = tmp_path / "manifest.json"
+    man.write_text(json.dumps([item]))
+    assert run(["verify-catalog", "--manifest", str(man)]) == 1
+    captured = capsys.readouterr()
+    assert detail in captured.out and "Traceback" not in captured.err

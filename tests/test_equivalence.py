@@ -11,20 +11,16 @@ from cartanext.equivalence import (
     EQUIVALENT,
     NOT_EQUIVALENT,
     UNDECIDED,
+    _is_automorphism,
+    _quotient_action_on_m,
     frames_equivalent,
 )
-from cartanext.extension import Extension, validate
+from cartanext.errors import InputError
+from cartanext.extension import validate
 from cartanext.linalg import Mat, invert, matrix_rank
+from conftest import reference_quotient_action_on_m, with_frame
 
 F = Fraction
-
-
-def with_frame(ext, frame):
-    rows = ext.alpha.to_rows()
-    for rl, r in enumerate(ext.target.minus_one):
-        for cl, c in enumerate(ext.pair.m_indices):
-            rows[r][c] = frame[rl, cl]
-    return Extension(ext.pair, ext.target, Mat.from_rows(rows), ext.label + "*")
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +124,8 @@ def test_automorphism_twist_recovers_equivalence():
     sigma_m = Mat.from_rows(
         [[sigma[r, c] for c in pair.m_indices] for r in pair.m_indices]
     )
+    assert _quotient_action_on_m(ext, sigma) == sigma_m
+    assert reference_quotient_action_on_m(ext, sigma) == sigma_m
     swapped = with_frame(ext, sigma_m @ ext.frame())
     res_plain = frames_equivalent(ext, swapped, autos=())
     assert res_plain.status == NOT_EQUIVALENT
@@ -173,3 +171,31 @@ def test_reflexive_and_symmetric_on_samples():
         fwd = frames_equivalent(e1, e2)
         bwd = frames_equivalent(e2, e1)
         assert fwd.status == bwd.status
+
+
+def test_twist_that_moves_h_is_skipped():
+    # Ad(diag(g, 1)) on so(3)+so(3) is an automorphism that does not preserve
+    # the diagonal h.  Its m block S would make the frame S^-1 equivalent, so
+    # only skipping the twist gives NOT_EQUIVALENT.
+    pair = build_pair("group_type", {"base": "so(3)"})
+    ext = classify.standard_witness(pair, build_graded("conformal", {"p": 0, "q": 3}))
+    amb = pair.k_algebra.ambient_size
+    u = Mat.identity(amb).to_rows()
+    u[0][:3], u[1][:3], u[2][:3] = [0, 0, 1], [1, 0, 0], [0, 1, 0]
+    u = Mat.from_rows(u)
+    cols = [pair.k_algebra.coordinates(u @ b @ invert(u)) for b in pair.k_algebra.basis]
+    sigma = Mat.from_columns(cols, pair.dim)
+    assert _is_automorphism(pair, sigma)
+    assert _quotient_action_on_m(ext, sigma) is None
+    assert reference_quotient_action_on_m(ext, sigma) is None
+    s = sigma.submatrix(pair.m_indices, pair.m_indices)
+    other = with_frame(ext, ext.frame() @ invert(s))
+    res = frames_equivalent(ext, other, autos=(sigma,))
+    assert res.status == NOT_EQUIVALENT and res.sigma_index is None
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 1)])
+def test_wrong_shaped_twist_is_an_input_error(conformal_witness, shape):
+    assert conformal_witness.pair.dim == 3
+    with pytest.raises(InputError, match="wrong shape"):
+        frames_equivalent(conformal_witness, conformal_witness, autos=(Mat.zero(*shape),))
