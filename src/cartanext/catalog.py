@@ -542,14 +542,23 @@ def build_graded(family: str, params: dict) -> GradedAlgebra:
 
 
 def verify_graded(g: GradedAlgebra) -> list:
-    """All type invariants, exactly; returns a list of failure descriptions."""
+    """All type invariants, exactly; returns a list of failure descriptions.
+
+    The Jacobi identity is certified on the generating set g_-1 + g_1, and
+    once every other check has passed, effectivity is one kernel
+    (`StructureConstants.jacobi_certified` and `largest_ideal_dim` hold the
+    proofs).  Where a certificate does not apply, the full scans
+    `jacobi_witnesses` and `largest_invariant_subspace_dim` run instead, so
+    failing tables report the same witnesses and dimensions."""
     failures = []
     sc = g.algebra.constants
-    if not sc.antisymmetry_holds():
+    antisymmetric = sc.antisymmetry_holds()
+    if not antisymmetric:
         failures.append("structure constants are not antisymmetric")
-    witnesses = sc.jacobi_witnesses()
-    if witnesses:
-        failures.append(f"Jacobi identity fails at triples {witnesses}")
+    if not (antisymmetric and sc.jacobi_certified(g.minus_one + g.plus_one)):
+        witnesses = sc.jacobi_witnesses()
+        if witnesses:
+            failures.append(f"Jacobi identity fails at triples {witnesses}")
     grades = [g.grade_of(i) for i in range(g.dim)]
     allowed_in = {t: set(g.grade_indices(t)) for t in (-1, 0, 1)}
     for i in range(g.dim):
@@ -565,7 +574,9 @@ def verify_graded(g: GradedAlgebra) -> list:
                 failures.append(f"bracket at ({i},{j}) leaves grade {target}")
     if len(g.minus_one) != len(g.plus_one):
         failures.append("dim g_-1 != dim g_+1")
-    bad = largest_invariant_subspace_dim(g.algebra, g.zero)
+    bad = None if failures else sc.largest_ideal_dim(g.zero)
+    if bad is None:
+        bad = largest_invariant_subspace_dim(g.algebra, g.zero)
     if bad:
         failures.append(f"g_0 contains a nonzero ideal of dimension {bad}")
     return failures
@@ -1018,15 +1029,26 @@ def build_pair(family: str, params: dict) -> SymmetricPair:
 
 
 def verify_pair(pair: SymmetricPair) -> list:
-    """Pair invariants: eigenspace brackets are checked at construction, so
-    this adds the Jacobi identity and effectivity."""
+    """Pair invariants: antisymmetry, the Jacobi identity and effectivity
+    (no nonzero ideal of k inside h).
+
+    As in `verify_graded`, the Jacobi identity is certified on the
+    generating set m and, once it and antisymmetry hold, effectivity is one
+    kernel.  The kernel needs [h, h] inside h and [h, m] inside m.
+    Construction checks the eigenspace brackets, but a pair made by
+    `dataclasses.replace` skips that, so the certificate reads them off the
+    table itself, and the full search runs where they fail."""
     failures = []
     sc = pair.k_algebra.constants
-    if not sc.antisymmetry_holds():
+    antisymmetric = sc.antisymmetry_holds()
+    if not antisymmetric:
         failures.append("structure constants are not antisymmetric")
-    if sc.jacobi_witnesses(limit=1):
-        failures.append("Jacobi identity fails")
-    bad = largest_invariant_subspace_dim(pair.k_algebra, pair.h_indices)
+    if not (antisymmetric and sc.jacobi_certified(pair.m_indices)):
+        if sc.jacobi_witnesses(limit=1):
+            failures.append("Jacobi identity fails")
+    bad = None if failures else sc.largest_ideal_dim(pair.h_indices)
+    if bad is None:
+        bad = largest_invariant_subspace_dim(pair.k_algebra, pair.h_indices)
     if bad:
         failures.append(f"h contains a nonzero ideal of dimension {bad}")
     return failures

@@ -136,6 +136,105 @@ class StructureConstants:
     def jacobi_holds(self) -> bool:
         return not self.jacobi_witnesses(limit=1)
 
+    def jacobi_certified(self, generators: Sequence[int]) -> bool:
+        """True when the Jacobi identity is certified from the basis indices
+        `generators` (S); False means only that it was not certified: S
+        does not generate, or a Jacobiator with an index in S is nonzero.
+        The table must be antisymmetric; callers check that first.
+
+        Proof.  Antisymmetry makes the Jacobiator
+        J(x, y, z) = [x, [y, z]] + [y, [z, x]] + [z, [x, y]] trilinear and
+        alternating, so J(x, ., .) = 0 exactly when ad x is a derivation.
+        The scan below visits the triples i < j < k, in the order of
+        `jacobi_witnesses`, that have at least one index in S; by
+        alternation J(s, y, z) = 0 then holds for every s in S and all y, z,
+        so S lies in D = {x : ad x is a derivation}.  D is a subalgebra: for
+        x, y in D, ad[x, y] = [ad x, ad y] because ad x is a derivation, and
+        the commutator of two derivations is one.  One `SpanSolver` pass
+        first certifies that S and the brackets [s, t] of s, t in S span the
+        algebra, so S generates it, D is everything and Jacobi holds
+        (Kuranishi, Nagoya Math. J. 2, 1951, checks identities on a
+        generating set the same way).
+        """
+        dim, table = self.dim, self.table
+        gens = sorted(set(generators))
+        span = SpanSolver(dim)
+        for s in gens:
+            span.insert({s: 1})
+        for a, s in enumerate(gens):
+            row_s = table[s]
+            for t in gens[a + 1:]:
+                if span.rank == dim:
+                    break
+                if row_s[t]:
+                    span.insert(row_s[t])
+        if span.rank < dim:
+            return False
+        in_s = [False] * dim
+        for s in gens:
+            in_s[s] = True
+        later_gens = [[s for s in gens if s > j] for j in range(dim)]
+        for i in range(dim):
+            row_i = table[i]
+            for j in range(i + 1, dim):
+                row_j = table[j]
+                cij = row_i[j]
+                for k in range(j + 1, dim) if in_s[i] or in_s[j] else later_gens[j]:
+                    row_k = table[k]
+                    cjk, cki = row_j[k], row_k[i]
+                    if not (cij or cjk or cki):
+                        continue
+                    # [X_i, [X_j, X_k]] + [X_j, [X_k, X_i]] + [X_k, [X_i, X_j]],
+                    # one loop per term: cheaper than `jacobi_witnesses`' tuple
+                    acc: dict = {}
+                    for m, c in cjk.items():
+                        for t, d in row_i[m].items():
+                            acc[t] = acc.get(t, 0) + c * d
+                    for m, c in cki.items():
+                        for t, d in row_j[m].items():
+                            acc[t] = acc.get(t, 0) + c * d
+                    for m, c in cij.items():
+                        for t, d in row_k[m].items():
+                            acc[t] = acc.get(t, 0) + c * d
+                    if any(acc.values()):
+                        return False
+        return True
+
+    def largest_ideal_dim(self, inner: Sequence[int]) -> Optional[int]:
+        """Dimension of the largest ideal inside the span a of the basis
+        elements `inner`, as one kernel; None when the block structure the
+        proof needs does not hold.  With b the span of the other basis
+        elements, that is [a, a] inside a and [a, b] inside b, read off the
+        table here.  The table must be antisymmetric and satisfy the Jacobi
+        identity; callers establish that first.
+
+        Proof (effectivity as the kernel of the action on the complement,
+        Kobayashi & Nagano, J. Math. Mech. 13, 1964).  Let
+        K = {x in a : [x, b] = 0}.  An ideal I inside a has [I, b] inside I
+        and inside [a, b], which lies in b, so [I, b] = 0 and I lies in K.
+        Conversely K is an ideal: for x in K, y in a and z in b, [y, x] lies
+        in a and [[y, x], z] = [y, [x, z]] - [x, [y, z]] = 0 because [y, z]
+        is in b; and [b, K] = 0.  So the largest ideal inside a is K, the
+        solutions of [x, X_s] = 0 for the basis elements X_s of b.  For a
+        symmetric pair (a = h, b = m), [m, m] inside h is not needed.
+        """
+        dim, table = self.dim, self.table
+        in_inner = [False] * dim
+        for a in inner:
+            in_inner[a] = True
+        members = [a for a in range(dim) if in_inner[a]]
+        rows: dict = {}  # (s, k) -> {position of a in members: coefficient of X_k in [X_a, X_s]}
+        for pos, a in enumerate(members):
+            row_a = table[a]
+            for x in range(dim):
+                inside = in_inner[x]
+                for k, c in row_a[x].items():
+                    if in_inner[k] != inside:
+                        return None
+                    if not inside:
+                        rows.setdefault((x, k), {})[pos] = c
+        return len(kernel_of_sparse_rows(list(rows.values()), len(members)))
+
 
 class MatrixLieAlgebra:
     """An ambient matrix realization with a bracket-closed rational basis."""

@@ -8,10 +8,11 @@ from typing import Optional
 import pytest
 
 from cartanext import bases, poly
-from cartanext.catalog import GradedAlgebra
+from cartanext.catalog import GradedAlgebra, SymmetricPair
 from cartanext.equivalence import _gm1_complex_structure, _invertible
 from cartanext.errors import ClosureError, DependentBasisError, InputError
 from cartanext.extension import Extension
+from cartanext.lie import largest_invariant_subspace_dim
 from cartanext.linalg import (ONE, ZERO, LinearSolution, Mat, MinimalPolynomial, PolyFactor,
                               SpanSolver, commutator, frac, matrix_rank, solve_linear)
 
@@ -690,3 +691,52 @@ def reference_quotient_action_on_m(ext: Extension, sigma: Mat) -> Optional[Mat]:
     for r in pair.m_indices:
         rows.append([sigma[r, c] for c in pair.m_indices])
     return Mat.from_rows(rows)
+
+
+# -- the full-scan verifiers the Jacobi and ideal certificates replaced, kept
+# verbatim (only renamed) ----------------------------------------------------
+
+
+def reference_verify_graded(g: GradedAlgebra) -> list:
+    """All type invariants, exactly; returns a list of failure descriptions."""
+    failures = []
+    sc = g.algebra.constants
+    if not sc.antisymmetry_holds():
+        failures.append("structure constants are not antisymmetric")
+    witnesses = sc.jacobi_witnesses()
+    if witnesses:
+        failures.append(f"Jacobi identity fails at triples {witnesses}")
+    grades = [g.grade_of(i) for i in range(g.dim)]
+    allowed_in = {t: set(g.grade_indices(t)) for t in (-1, 0, 1)}
+    for i in range(g.dim):
+        for j in range(g.dim):
+            target = grades[i] + grades[j]
+            row = sc.row(i, j)
+            if abs(target) > 1:
+                if row:
+                    failures.append(f"bracket of grades {grades[i]},{grades[j]} at ({i},{j}) is nonzero")
+                continue
+            allowed = allowed_in[target]
+            if any(k not in allowed for k in row):
+                failures.append(f"bracket at ({i},{j}) leaves grade {target}")
+    if len(g.minus_one) != len(g.plus_one):
+        failures.append("dim g_-1 != dim g_+1")
+    bad = largest_invariant_subspace_dim(g.algebra, g.zero)
+    if bad:
+        failures.append(f"g_0 contains a nonzero ideal of dimension {bad}")
+    return failures
+
+
+def reference_verify_pair(pair: SymmetricPair) -> list:
+    """Pair invariants: eigenspace brackets are checked at construction, so
+    this adds the Jacobi identity and effectivity."""
+    failures = []
+    sc = pair.k_algebra.constants
+    if not sc.antisymmetry_holds():
+        failures.append("structure constants are not antisymmetric")
+    if sc.jacobi_witnesses(limit=1):
+        failures.append("Jacobi identity fails")
+    bad = largest_invariant_subspace_dim(pair.k_algebra, pair.h_indices)
+    if bad:
+        failures.append(f"h contains a nonzero ideal of dimension {bad}")
+    return failures
