@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Optional, Sequence
 
 from . import bases
@@ -562,15 +563,12 @@ def verify_graded(g: GradedAlgebra) -> list:
     grades = [g.grade_of(i) for i in range(g.dim)]
     allowed_in = {t: set(g.grade_indices(t)) for t in (-1, 0, 1)}
     for i in range(g.dim):
-        for j in range(g.dim):
+        row_i = sc.table[i]
+        for j in compress(range(g.dim), row_i):  # the nonzero rows only
             target = grades[i] + grades[j]
-            row = sc.row(i, j)
             if abs(target) > 1:
-                if row:
-                    failures.append(f"bracket of grades {grades[i]},{grades[j]} at ({i},{j}) is nonzero")
-                continue
-            allowed = allowed_in[target]
-            if any(k not in allowed for k in row):
+                failures.append(f"bracket of grades {grades[i]},{grades[j]} at ({i},{j}) is nonzero")
+            elif not row_i[j].keys() <= allowed_in[target]:
                 failures.append(f"bracket at ({i},{j}) leaves grade {target}")
     if len(g.minus_one) != len(g.plus_one):
         failures.append("dim g_-1 != dim g_+1")

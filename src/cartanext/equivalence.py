@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import bases
 from .catalog import GradedAlgebra
 from .errors import InputError
-from .extension import Extension
+from .extension import Extension, _defect, _sparse_cols
 from .linalg import ONE, ZERO, Mat, SpanSolver, invert, matrix_rank, solve_linear
 
 EQUIVALENT = "equivalent"
@@ -297,19 +297,10 @@ def _quotient_action_on_m(ext: Extension, sigma: Mat) -> Optional[Mat]:
 
 
 def _is_automorphism(pair, sigma: Mat) -> bool:
-    sc = pair.k_algebra.constants
-    dim = pair.dim
-    cols = [sigma.col(i) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            expect = [ZERO] * dim
-            for k, c in sc.row(i, j).items():
-                for t in range(dim):
-                    if cols[k][t] != 0:
-                        expect[t] += c * cols[k][t]
-            if sc.bracket_coords(cols[i], cols[j]) != expect:
-                return False
-    return True
+    table = pair.k_algebra.constants.table
+    cols = _sparse_cols(sigma)
+    return not any(any(_defect(table, cols[i], cols[j], table[i][j], cols).values())
+                   for i in range(pair.dim) for j in range(i + 1, pair.dim))
 
 
 def frames_equivalent(ext1: Extension, ext2: Extension,

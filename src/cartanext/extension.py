@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 from .catalog import GradedAlgebra, SymmetricPair
 from .errors import InputError, InternalCheckError, StructuralError
-from .linalg import ONE, ZERO, Mat, invert, solve_linear
+from .linalg import (ONE, ZERO, Mat, _sparse, frac, invert, solve_linear, sparse_product,
+                     sparse_rows)
 
 
 @dataclass
@@ -78,6 +79,31 @@ class ValidationReport:
 WITNESS_CAP = 4
 
 
+def _sparse_cols(a: Mat) -> list:
+    return [_sparse(a.col(c)) for c in range(a.cols)]
+
+
+def _defect(table: list, u: dict, v: dict, combo: dict, cols: list) -> dict:
+    """[u, v] - sum c cols[k] over combo = {k: c}, all sparse, brackets read
+    from the table; zero sums kept.  Zero for u, v, combo = phi X, phi Y,
+    [X, Y] iff phi intertwines the bracket there."""
+    out: dict = {}
+    for i, a in u.items():
+        row_i = table[i]
+        for j, b in v.items():
+            ab = a * b
+            for k, c in row_i[j].items():
+                out[k] = out.get(k, 0) + ab * c
+    for k, c in combo.items():
+        for t, x in cols[k].items():
+            out[t] = out.get(t, 0) - c * x
+    return out
+
+
+def _dense(vec: dict, dim: int) -> list:
+    return [frac(vec[t]) if t in vec else ZERO for t in range(dim)]
+
+
 def validate(ext: Extension) -> ValidationReport:
     """Exact check of the four extension axioms, with failure witnesses."""
     pair, target = ext.pair, ext.target
@@ -86,17 +112,16 @@ def validate(ext: Extension) -> ValidationReport:
             f"no grading-compatible structure possible: dim m = {pair.dim_m} "
             f"but dim g_-1 = {target.dim_gm1}"
         )
+    cols = _sparse_cols(ext.alpha)
     h_in_g0 = AxiomCheck(True)
     for c in pair.h_indices:
-        col = ext.alpha.col(c)
-        if not (target.component_is_zero(col, -1) and target.component_is_zero(col, 1)):
+        if any(target.grade_of(r) for r in cols[c]):
             h_in_g0.ok = False
             if len(h_in_g0.witnesses) < WITNESS_CAP:
                 h_in_g0.witnesses.append(c)
     m_no_g0 = AxiomCheck(True)
     for c in pair.m_indices:
-        col = ext.alpha.col(c)
-        if not target.component_is_zero(col, 0):
+        if not all(target.grade_of(r) for r in cols[c]):
             m_no_g0.ok = False
             if len(m_no_g0.witnesses) < WITNESS_CAP:
                 m_no_g0.witnesses.append(c)
@@ -107,20 +132,11 @@ def validate(ext: Extension) -> ValidationReport:
     if not invertible:
         frame_ok.witnesses.append("frame is singular")
     equivariance = AxiomCheck(True)
-    sc_k = pair.k_algebra.constants
-    sc_g = target.algebra.constants
-    alpha_cols = [ext.alpha.col(c) for c in range(pair.dim)]
+    table_k = pair.k_algebra.constants.table
+    table_g = target.algebra.constants.table
     for x in pair.h_indices:
-        ax = alpha_cols[x]
         for y in range(pair.dim):
-            lhs = [ZERO] * target.dim
-            for k, c in sc_k.row(x, y).items():
-                col = alpha_cols[k]
-                for t in range(target.dim):
-                    if col[t] != 0:
-                        lhs[t] += c * col[t]
-            rhs = sc_g.bracket_coords(ax, alpha_cols[y])
-            if lhs != rhs:
+            if any(_defect(table_g, cols[x], cols[y], table_k[x][y], cols).values()):
                 equivariance.ok = False
                 if len(equivariance.witnesses) < WITNESS_CAP:
                     equivariance.witnesses.append((x, y))
@@ -154,19 +170,10 @@ class Curvature:
         return [-x for x in self.values[(b, a)]]
 
     def evaluate(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list:
-        out = [ZERO] * self.ext.target.dim
-        for a, ua in enumerate(u):
-            if ua == 0:
-                continue
-            for b, vb in enumerate(v):
-                if vb == 0 or a == b:
-                    continue
-                w = self.get(a, b)
-                f = ua * vb
-                for t, x in enumerate(w):
-                    if x != 0:
-                        out[t] += f * x
-        return out
+        u, v = _sparse(u), _sparse(v)
+        pairs = {(min(a, b), max(a, b)) for a in u for b in v if a != b}
+        return _dense(_evaluate({key: _sparse(self.values[key]) for key in pairs}, u, v),
+                      self.ext.target.dim)
 
     def component_zero(self, grade: int) -> bool:
         idx = self.ext.target.grade_indices(grade)
@@ -180,55 +187,52 @@ class Curvature:
 
     def equivariance_witnesses(self, limit: int = 3) -> list:
         """Violations of kappa([Z,X],Y) + kappa(X,[Z,Y]) = [alpha Z, kappa(X,Y)]."""
-        ext = self.ext
-        pair, target = ext.pair, ext.target
-        sc_k = pair.k_algebra.constants
-        sc_g = target.algebra.constants
+        pair = self.ext.pair
+        table_k = pair.k_algebra.constants.table
+        table_g = self.ext.target.algebra.constants.table
         m_pos = {k: t for t, k in enumerate(pair.m_indices)}
+        values = {key: _sparse(vec) for key, vec in self.values.items()}
+        cols = _sparse_cols(self.ext.alpha)
         bad = []
         for z in pair.h_indices:
-            az = ext.alpha.col(z)
+            ad_z = [{m_pos[k]: c for k, c in table_k[z][x].items()} for x in pair.m_indices]
             for a in range(pair.dim_m):
-                xa = pair.m_indices[a]
-                za = sc_k.row(z, xa)
-                u = [ZERO] * pair.dim_m
-                for k, c in za.items():
-                    u[m_pos[k]] = c
                 for b in range(a + 1, pair.dim_m):
-                    xb = pair.m_indices[b]
-                    zb = sc_k.row(z, xb)
-                    v = [ZERO] * pair.dim_m
-                    for k, c in zb.items():
-                        v[m_pos[k]] = c
-                    eb = [ONE if t == b else ZERO for t in range(pair.dim_m)]
-                    ea = [ONE if t == a else ZERO for t in range(pair.dim_m)]
-                    lhs1 = self.evaluate(u, eb)
-                    lhs2 = self.evaluate(ea, v)
-                    lhs = [p + q for p, q in zip(lhs1, lhs2)]
-                    rhs = sc_g.bracket_coords(az, self.get(a, b))
-                    if lhs != rhs:
+                    rhs = _defect(table_g, cols[z], values[(a, b)], {}, cols)
+                    for part in (_evaluate(values, ad_z[a], {b: 1}),
+                                 _evaluate(values, {a: 1}, ad_z[b])):
+                        for t, x in part.items():
+                            rhs[t] = rhs.get(t, 0) - x
+                    if any(rhs.values()):
                         bad.append((z, a, b))
                         if len(bad) >= limit:
                             return bad
         return bad
 
 
+def _evaluate(values: dict, u: dict, v: dict) -> dict:
+    """kappa(u, v) for sparse u, v, from kappa's values as {(a, b): {t: x}}."""
+    out: dict = {}
+    for a, ua in u.items():
+        for b, vb in v.items():
+            if a != b:
+                key, f = ((a, b), ua * vb) if a < b else ((b, a), -ua * vb)
+                for t, x in values[key].items():
+                    out[t] = out.get(t, 0) + f * x
+    return out
+
+
 def curvature(ext: Extension) -> Curvature:
     pair, target = ext.pair, ext.target
-    sc_k = pair.k_algebra.constants
-    sc_g = target.algebra.constants
-    cols = [ext.alpha.col(c) for c in pair.m_indices]
+    table_k = pair.k_algebra.constants.table
+    table_g = target.algebra.constants.table
+    cols = _sparse_cols(ext.alpha)
+    m = pair.m_indices
     values = {}
     for a in range(pair.dim_m):
         for b in range(a + 1, pair.dim_m):
-            bracket = sc_g.bracket_coords(cols[a], cols[b])
-            correction = [ZERO] * target.dim
-            for k, c in sc_k.row(pair.m_indices[a], pair.m_indices[b]).items():
-                col = ext.alpha.col(k)
-                for t in range(target.dim):
-                    if col[t] != 0:
-                        correction[t] += c * col[t]
-            values[(a, b)] = [p - q for p, q in zip(bracket, correction)]
+            defect = _defect(table_g, cols[m[a]], cols[m[b]], table_k[m[a]][m[b]], cols)
+            values[(a, b)] = _dense(defect, target.dim)
     return Curvature(ext, values)
 
 
@@ -324,19 +328,18 @@ def dstar_projective(ext: Extension, kappa: Optional[Curvature] = None) -> list:
     """
     target = ext.target
     n = target.dim_gm1
-    frame_inv = invert(ext.frame())
+    frame_inv = _sparse_cols(invert(ext.frame()))
     kappa = kappa or curvature(ext)
+    values = {key: _sparse(vec) for key, vec in kappa.values.items()}
     sc_g = target.algebra.constants
     out = []
     for j in range(n):
-        uj = frame_inv.col(j)
-        total = [ZERO] * target.dim
+        total: dict = {}
         for i in range(n):
-            kij = kappa.evaluate(frame_inv.col(i), uj)
-            term = sc_g.bracket_with(target.plus_one[i], {m: c for m, c in enumerate(kij) if c})
-            for t, c in term.items():
-                total[t] += c
-        out.append(total)
+            kij = _evaluate(values, frame_inv[i], frame_inv[j])
+            for t, c in sc_g.bracket_with(target.plus_one[i], kij).items():
+                total[t] = total.get(t, 0) + c
+        out.append(_dense(total, target.dim))
     return out
 
 
@@ -422,15 +425,21 @@ def _assert_b2_equivariant(ext: Extension, b2: Mat) -> None:
     """b2 must intertwine the induced actions on g_-1 and g_1."""
     target = ext.target
     sc_g = target.algebra.constants
+    cols = _sparse_cols(ext.alpha)
+    b2 = sparse_rows(b2)
 
-    def block(az: dict, idx: list) -> Mat:
-        # ad(az) on span(idx): column c is [az, X_c] = -[X_c, az]
-        cols = [sc_g.bracket_with(c, az) for c in idx]
-        return Mat.from_columns([[-col.get(r, ZERO) for r in idx] for col in cols], len(idx))
+    def block(az: dict, idx: Sequence[int]) -> dict:
+        # ad(az) on span(idx) as sparse rows: column c is [az, X_c] = -[X_c, az]
+        local = {t: r for r, t in enumerate(idx)}
+        rows: dict = {}
+        for c, x in enumerate(idx):
+            for t, v in sc_g.bracket_with(x, az).items():
+                if v and t in local:
+                    rows.setdefault(local[t], {})[c] = -v
+        return rows
 
     for h in ext.pair.h_indices:
-        az = {i: a for i, a in enumerate(ext.alpha.col(h)) if a}
-        a_minus = block(az, target.minus_one)
-        a_plus = block(az, target.plus_one)
-        if b2 @ a_minus != a_plus @ b2:
+        a_minus = block(cols[h], target.minus_one)
+        a_plus = block(cols[h], target.plus_one)
+        if sparse_product(b2, a_minus) != sparse_product(a_plus, b2):
             raise InternalCheckError("solved b2 is not equivariant")

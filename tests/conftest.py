@@ -3,18 +3,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
 
 from cartanext import bases, poly
 from cartanext.catalog import GradedAlgebra, SymmetricPair
 from cartanext.equivalence import _gm1_complex_structure, _invertible
-from cartanext.errors import ClosureError, DependentBasisError, InputError
-from cartanext.extension import Extension
+from cartanext.errors import (ClosureError, DependentBasisError, InputError, InternalCheckError,
+                              StructuralError)
+from cartanext.extension import (WITNESS_CAP, AxiomCheck, Curvature, Extension,
+                                 ValidationReport)
 from cartanext.lie import largest_invariant_subspace_dim
 from cartanext.linalg import (ONE, ZERO, LinearSolution, Mat, MinimalPolynomial, PolyFactor,
-                              SpanSolver, commutator, frac, matrix_rank, solve_linear)
+                              SpanSolver, commutator, frac, invert, matrix_rank, solve_linear)
 
 
 def rref_rank_oracle(rows):
@@ -740,3 +742,194 @@ def reference_verify_pair(pair: SymmetricPair) -> list:
     if bad:
         failures.append(f"h contains a nonzero ideal of dimension {bad}")
     return failures
+
+
+# -- the dense extension layer the sparse one replaced, and the automorphism
+# scan of equivalence.py, kept verbatim (only renamed; the Curvature methods evaluate and equivariance_witnesses as
+# functions of kappa, calling the reference evaluate, as the reference
+# dstar_projective calls the reference curvature and evaluate) ---------------
+
+
+def reference_validate(ext: Extension) -> ValidationReport:
+    """Exact check of the four extension axioms, with failure witnesses."""
+    pair, target = ext.pair, ext.target
+    if pair.dim_m != target.dim_gm1:
+        raise StructuralError(
+            f"no grading-compatible structure possible: dim m = {pair.dim_m} "
+            f"but dim g_-1 = {target.dim_gm1}"
+        )
+    h_in_g0 = AxiomCheck(True)
+    for c in pair.h_indices:
+        col = ext.alpha.col(c)
+        if not (target.component_is_zero(col, -1) and target.component_is_zero(col, 1)):
+            h_in_g0.ok = False
+            if len(h_in_g0.witnesses) < WITNESS_CAP:
+                h_in_g0.witnesses.append(c)
+    m_no_g0 = AxiomCheck(True)
+    for c in pair.m_indices:
+        col = ext.alpha.col(c)
+        if not target.component_is_zero(col, 0):
+            m_no_g0.ok = False
+            if len(m_no_g0.witnesses) < WITNESS_CAP:
+                m_no_g0.witnesses.append(c)
+    frame = ext.frame()
+    sol = solve_linear(frame, Mat.identity(frame.rows)) if frame.rows == frame.cols else None
+    invertible = sol is not None and not sol.kernel
+    frame_ok = AxiomCheck(bool(invertible))
+    if not invertible:
+        frame_ok.witnesses.append("frame is singular")
+    equivariance = AxiomCheck(True)
+    sc_k = pair.k_algebra.constants
+    sc_g = target.algebra.constants
+    alpha_cols = [ext.alpha.col(c) for c in range(pair.dim)]
+    for x in pair.h_indices:
+        ax = alpha_cols[x]
+        for y in range(pair.dim):
+            lhs = [ZERO] * target.dim
+            for k, c in sc_k.row(x, y).items():
+                col = alpha_cols[k]
+                for t in range(target.dim):
+                    if col[t] != 0:
+                        lhs[t] += c * col[t]
+            rhs = sc_g.bracket_coords(ax, alpha_cols[y])
+            if lhs != rhs:
+                equivariance.ok = False
+                if len(equivariance.witnesses) < WITNESS_CAP:
+                    equivariance.witnesses.append((x, y))
+    return ValidationReport(
+        {
+            "alpha_h_in_g0": h_in_g0,
+            "alpha_m_zero_g0_component": m_no_g0,
+            "frame_invertible": frame_ok,
+            "equivariance": equivariance,
+        }
+    )
+
+
+def reference_evaluate(kappa: Curvature, u: Sequence[Fraction], v: Sequence[Fraction]) -> list:
+    out = [ZERO] * kappa.ext.target.dim
+    for a, ua in enumerate(u):
+        if ua == 0:
+            continue
+        for b, vb in enumerate(v):
+            if vb == 0 or a == b:
+                continue
+            w = kappa.get(a, b)
+            f = ua * vb
+            for t, x in enumerate(w):
+                if x != 0:
+                    out[t] += f * x
+    return out
+
+
+def reference_equivariance_witnesses(kappa: Curvature, limit: int = 3) -> list:
+    """Violations of kappa([Z,X],Y) + kappa(X,[Z,Y]) = [alpha Z, kappa(X,Y)]."""
+    ext = kappa.ext
+    pair, target = ext.pair, ext.target
+    sc_k = pair.k_algebra.constants
+    sc_g = target.algebra.constants
+    m_pos = {k: t for t, k in enumerate(pair.m_indices)}
+    bad = []
+    for z in pair.h_indices:
+        az = ext.alpha.col(z)
+        for a in range(pair.dim_m):
+            xa = pair.m_indices[a]
+            za = sc_k.row(z, xa)
+            u = [ZERO] * pair.dim_m
+            for k, c in za.items():
+                u[m_pos[k]] = c
+            for b in range(a + 1, pair.dim_m):
+                xb = pair.m_indices[b]
+                zb = sc_k.row(z, xb)
+                v = [ZERO] * pair.dim_m
+                for k, c in zb.items():
+                    v[m_pos[k]] = c
+                eb = [ONE if t == b else ZERO for t in range(pair.dim_m)]
+                ea = [ONE if t == a else ZERO for t in range(pair.dim_m)]
+                lhs1 = reference_evaluate(kappa, u, eb)
+                lhs2 = reference_evaluate(kappa, ea, v)
+                lhs = [p + q for p, q in zip(lhs1, lhs2)]
+                rhs = sc_g.bracket_coords(az, kappa.get(a, b))
+                if lhs != rhs:
+                    bad.append((z, a, b))
+                    if len(bad) >= limit:
+                        return bad
+    return bad
+
+
+def reference_curvature(ext: Extension) -> Curvature:
+    pair, target = ext.pair, ext.target
+    sc_k = pair.k_algebra.constants
+    sc_g = target.algebra.constants
+    cols = [ext.alpha.col(c) for c in pair.m_indices]
+    values = {}
+    for a in range(pair.dim_m):
+        for b in range(a + 1, pair.dim_m):
+            bracket = sc_g.bracket_coords(cols[a], cols[b])
+            correction = [ZERO] * target.dim
+            for k, c in sc_k.row(pair.m_indices[a], pair.m_indices[b]).items():
+                col = ext.alpha.col(k)
+                for t in range(target.dim):
+                    if col[t] != 0:
+                        correction[t] += c * col[t]
+            values[(a, b)] = [p - q for p, q in zip(bracket, correction)]
+    return Curvature(ext, values)
+
+
+def reference_dstar_projective(ext: Extension, kappa: Optional[Curvature] = None) -> list:
+    """The contraction sum_i [Z_i, kappa(X^i, X_j)] per elementary X_j.
+
+    X^i and Z_i run over the matched elementary bases of g_-1 and g_1; the
+    curvature (computed unless given) is pulled back through the frame so
+    that the contraction is evaluated on the grading coordinates themselves.
+    """
+    target = ext.target
+    n = target.dim_gm1
+    frame_inv = invert(ext.frame())
+    kappa = kappa or reference_curvature(ext)
+    sc_g = target.algebra.constants
+    out = []
+    for j in range(n):
+        uj = frame_inv.col(j)
+        total = [ZERO] * target.dim
+        for i in range(n):
+            kij = reference_evaluate(kappa, frame_inv.col(i), uj)
+            term = sc_g.bracket_with(target.plus_one[i], {m: c for m, c in enumerate(kij) if c})
+            for t, c in term.items():
+                total[t] += c
+        out.append(total)
+    return out
+
+
+def reference_assert_b2_equivariant(ext: Extension, b2: Mat) -> None:
+    """b2 must intertwine the induced actions on g_-1 and g_1."""
+    target = ext.target
+    sc_g = target.algebra.constants
+
+    def block(az: dict, idx: list) -> Mat:
+        # ad(az) on span(idx): column c is [az, X_c] = -[X_c, az]
+        cols = [sc_g.bracket_with(c, az) for c in idx]
+        return Mat.from_columns([[-col.get(r, ZERO) for r in idx] for col in cols], len(idx))
+
+    for h in ext.pair.h_indices:
+        az = {i: a for i, a in enumerate(ext.alpha.col(h)) if a}
+        a_minus = block(az, target.minus_one)
+        a_plus = block(az, target.plus_one)
+        if b2 @ a_minus != a_plus @ b2:
+            raise InternalCheckError("solved b2 is not equivariant")
+
+
+def reference_is_automorphism(pair, sigma: Mat) -> bool:
+    sc = pair.k_algebra.constants
+    dim = pair.dim
+    cols = [sigma.col(i) for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            expect = [ZERO] * dim
+            for k, c in sc.row(i, j).items():
+                for t in range(dim):
+                    if cols[k][t] != 0:
+                        expect[t] += c * cols[k][t]
+            if sc.bracket_coords(cols[i], cols[j]) != expect:
+                return False
+    return True

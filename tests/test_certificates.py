@@ -89,6 +89,25 @@ def test_graded_sweep_matches_full_scans(monkeypatch):
         "structure constants are not antisymmetric"}
 
 
+def test_brackets_leaving_their_grade_are_reported_in_scan_order():
+    # [X_-1, X_0] gains a g_1 part and [X_1, X_1'] a g_0 part, both antisymmetrically
+    g = build_graded("projective", {"n": 2})
+    (m0, _), (z0, *_), (p0, p1) = g.minus_one, g.zero, g.plus_one
+    table = [[dict(d) for d in row] for row in g.algebra.constants.table]
+    for i, j, k in ((m0, z0, p0), (p0, p1, z0)):
+        table[i][j][k] = table[i][j].get(k, 0) + 1
+        table[j][i][k] = table[j][i].get(k, 0) - 1
+    broken = dataclasses.replace(g, algebra=_with_table(g.algebra, table))
+    got = verify_graded(broken)
+    assert got == reference_verify_graded(broken)
+    assert [f for f in got if f.startswith("bracket")] == [
+        f"bracket at ({m0},{z0}) leaves grade -1",
+        f"bracket at ({z0},{m0}) leaves grade -1",
+        f"bracket of grades 1,1 at ({p0},{p1}) is nonzero",
+        f"bracket of grades 1,1 at ({p1},{p0}) is nonzero",
+    ]
+
+
 def test_no_generating_set_certifies_a_corrupted_table():
     # the catalog's generating sets are contiguous index blocks; these
     # interleave with the rest of the basis

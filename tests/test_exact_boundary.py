@@ -12,6 +12,7 @@ import pytest
 from cartanext import catalog, classify, lie
 from cartanext.catalog import build_graded, build_pair, isotropy_rep
 from cartanext.classify import g0_action_solver
+from cartanext.extension import curvature, dstar_projective, solve_projective_b2
 from cartanext.lie import commutant, commutant_basis, killing_form, split_idempotents
 from cartanext.linalg import Mat, kernel_of_sparse_rows, minimal_polynomial, solve_linear
 from conftest import reference_commutant_basis, reference_minimal_polynomial
@@ -103,3 +104,23 @@ def test_mat_entries_are_fractions_whatever_their_input_type():
     m = Mat(1, 5, [0, 1, -2, "3/4", Fraction(5, 6)])
     assert _fractions(m.entries)
     assert m.entries == (0, 1, -2, Fraction(3, 4), Fraction(5, 6))
+
+
+@pytest.mark.parametrize("family, params", PAIRS)
+def test_extension_layer_outputs_are_fractions(family, params):
+    """Curvature values, get and evaluate, the contractions and b2 are
+    Fractions, also where every input entry is an int."""
+    pair = build_pair(family, params)
+    ext = classify.standard_witness(pair, build_graded("projective", {"n": pair.dim_m}))
+    sol = solve_projective_b2(ext)
+    assert _fractions(sol.b2.entries)
+    n = pair.dim_m
+    ints = [[t + 1 for t in range(n)], [int(t == 0) for t in range(n)], [0] * n]
+    for witness, kappa in ((ext, curvature(ext)), (sol.extension, sol.kappa)):
+        assert all(_fractions(vec) for vec in kappa.values.values())
+        for a in range(n):
+            assert all(_fractions(kappa.get(a, b)) for b in range(n))
+        for u in ints:
+            assert all(_fractions(kappa.evaluate(u, v)) for v in ints)
+        assert all(_fractions(vec) for vec in dstar_projective(witness, kappa))
+        assert all(_fractions(vec) for vec in dstar_projective(witness))

@@ -23,6 +23,7 @@ from cartanext.extension import (
     validate,
 )
 from cartanext.linalg import Mat, matrix_rank
+from conftest import reference_dstar_projective
 
 F = Fraction
 
@@ -153,6 +154,33 @@ def _corrupted(kappa):
     t = kappa.ext.target.minus_one[0]
     return Curvature(kappa.ext, {key: [x + 1 if i == t else x for i, x in enumerate(vec)]
                                  for key, vec in kappa.values.items()})
+
+
+def test_caller_built_curvature_is_read_from_its_own_values(projective_witness_sl2):
+    """A Curvature built from caller-given dense values evaluates and feeds
+    the contraction, torsion and flatness from those values, also after they
+    are changed in place, never from another kappa of the same extension."""
+    ext = projective_witness_sl2
+    real = curvature(ext)
+    n, dim = ext.pair.dim_m, ext.target.dim
+    units = [[int(t == s) for t in range(n)] for s in range(n)]
+    mutated = _corrupted(real)
+    for a in range(n):
+        for b in range(n):
+            assert mutated.evaluate(units[a], units[b]) == mutated.get(a, b)
+    assert mutated.evaluate(units[0], units[1]) != real.evaluate(units[0], units[1])
+    assert dstar_projective(ext, mutated) == reference_dstar_projective(ext, mutated)
+    assert dstar_projective(ext, mutated) != dstar_projective(ext, real)
+    assert torsion_free(ext, real) and not torsion_free(ext, mutated)
+    zero = Curvature(ext, {key: [F(0)] * dim for key in real.values})
+    assert is_flat(ext, zero) and not is_flat(ext, real)
+    assert zero.evaluate(units[0], units[1]) == [0] * dim
+    assert dstar_projective(ext, zero) == [[0] * dim for _ in range(n)]
+    before = dstar_projective(ext, real)
+    real.values[(0, 1)][ext.target.minus_one[0]] += 1
+    assert real.evaluate(units[0], units[1]) == real.values[(0, 1)]
+    assert dstar_projective(ext, real) == reference_dstar_projective(ext, real) != before
+    assert not torsion_free(ext, real)
 
 
 @pytest.mark.parametrize("base", ["sl(2,R)", "sl(3,R)"])
