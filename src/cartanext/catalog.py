@@ -545,18 +545,19 @@ def build_graded(family: str, params: dict) -> GradedAlgebra:
 def verify_graded(g: GradedAlgebra) -> list:
     """All type invariants, exactly; returns a list of failure descriptions.
 
-    The Jacobi identity is certified on the generating set g_-1 + g_1, and
-    once every other check has passed, effectivity is one kernel
-    (`StructureConstants.jacobi_certified` and `largest_ideal_dim` hold the
-    proofs).  Where a certificate does not apply, the full scans
-    `jacobi_witnesses` and `largest_invariant_subspace_dim` run instead, so
-    failing tables report the same witnesses and dimensions."""
+    The Jacobi identity is certified by the basis matrices realizing the
+    structure constants, and once every other check has passed, effectivity
+    is one kernel (`MatrixLieAlgebra.realization_certified` and
+    `largest_ideal_dim` hold the proofs).  Where a certificate does not
+    apply, the full scans `jacobi_witnesses` and
+    `largest_invariant_subspace_dim` run instead, so failing tables report
+    the same witnesses and dimensions."""
     failures = []
     sc = g.algebra.constants
     antisymmetric = sc.antisymmetry_holds()
     if not antisymmetric:
         failures.append("structure constants are not antisymmetric")
-    if not (antisymmetric and sc.jacobi_certified(g.minus_one + g.plus_one)):
+    if not (antisymmetric and g.algebra.realization_certified()):
         witnesses = sc.jacobi_witnesses()
         if witnesses:
             failures.append(f"Jacobi identity fails at triples {witnesses}")
@@ -1030,18 +1031,19 @@ def verify_pair(pair: SymmetricPair) -> list:
     """Pair invariants: antisymmetry, the Jacobi identity and effectivity
     (no nonzero ideal of k inside h).
 
-    As in `verify_graded`, the Jacobi identity is certified on the
-    generating set m and, once it and antisymmetry hold, effectivity is one
-    kernel.  The kernel needs [h, h] inside h and [h, m] inside m.
-    Construction checks the eigenspace brackets, but a pair made by
-    `dataclasses.replace` skips that, so the certificate reads them off the
-    table itself, and the full search runs where they fail."""
+    As in `verify_graded`, the Jacobi identity is certified by the basis
+    matrices realizing the structure constants and, once it and
+    antisymmetry hold, effectivity is one kernel.  The kernel needs [h, h]
+    inside h and [h, m] inside m.  Construction checks the eigenspace
+    brackets, but a pair made by `dataclasses.replace` skips that, so the
+    certificate reads them off the table itself, and the full search runs
+    where they fail."""
     failures = []
     sc = pair.k_algebra.constants
     antisymmetric = sc.antisymmetry_holds()
     if not antisymmetric:
         failures.append("structure constants are not antisymmetric")
-    if not (antisymmetric and sc.jacobi_certified(pair.m_indices)):
+    if not (antisymmetric and pair.k_algebra.realization_certified()):
         if sc.jacobi_witnesses(limit=1):
             failures.append("Jacobi identity fails")
     bad = None if failures else sc.largest_ideal_dim(pair.h_indices)

@@ -101,8 +101,8 @@ class StructureConstants:
             for j in range(i, self.dim):
                 fwd = self.table[i][j]
                 bwd = self.table[j][i]
-                keys = set(fwd) | set(bwd)
-                if any(fwd.get(k, 0) != -bwd.get(k, 0) for k in keys):
+                if (fwd or bwd) and any(fwd.get(k, 0) != -bwd.get(k, 0)
+                                        for k in set(fwd) | set(bwd)):
                     return False
         return True
 
@@ -132,73 +132,6 @@ class StructureConstants:
                         if len(bad) >= limit:
                             return bad
         return bad
-
-    def jacobi_holds(self) -> bool:
-        return not self.jacobi_witnesses(limit=1)
-
-    def jacobi_certified(self, generators: Sequence[int]) -> bool:
-        """True when the Jacobi identity is certified from the basis indices
-        `generators` (S); False means only that it was not certified: S
-        does not generate, or a Jacobiator with an index in S is nonzero.
-        The table must be antisymmetric; callers check that first.
-
-        Proof.  Antisymmetry makes the Jacobiator
-        J(x, y, z) = [x, [y, z]] + [y, [z, x]] + [z, [x, y]] trilinear and
-        alternating, so J(x, ., .) = 0 exactly when ad x is a derivation.
-        The scan below visits the triples i < j < k, in the order of
-        `jacobi_witnesses`, that have at least one index in S; by
-        alternation J(s, y, z) = 0 then holds for every s in S and all y, z,
-        so S lies in D = {x : ad x is a derivation}.  D is a subalgebra: for
-        x, y in D, ad[x, y] = [ad x, ad y] because ad x is a derivation, and
-        the commutator of two derivations is one.  One `SpanSolver` pass
-        first certifies that S and the brackets [s, t] of s, t in S span the
-        algebra, so S generates it, D is everything and Jacobi holds
-        (Kuranishi, Nagoya Math. J. 2, 1951, checks identities on a
-        generating set the same way).
-        """
-        dim, table = self.dim, self.table
-        gens = sorted(set(generators))
-        span = SpanSolver(dim)
-        for s in gens:
-            span.insert({s: 1})
-        for a, s in enumerate(gens):
-            row_s = table[s]
-            for t in gens[a + 1:]:
-                if span.rank == dim:
-                    break
-                if row_s[t]:
-                    span.insert(row_s[t])
-        if span.rank < dim:
-            return False
-        in_s = [False] * dim
-        for s in gens:
-            in_s[s] = True
-        later_gens = [[s for s in gens if s > j] for j in range(dim)]
-        for i in range(dim):
-            row_i = table[i]
-            for j in range(i + 1, dim):
-                row_j = table[j]
-                cij = row_i[j]
-                for k in range(j + 1, dim) if in_s[i] or in_s[j] else later_gens[j]:
-                    row_k = table[k]
-                    cjk, cki = row_j[k], row_k[i]
-                    if not (cij or cjk or cki):
-                        continue
-                    # [X_i, [X_j, X_k]] + [X_j, [X_k, X_i]] + [X_k, [X_i, X_j]],
-                    # one loop per term: cheaper than `jacobi_witnesses`' tuple
-                    acc: dict = {}
-                    for m, c in cjk.items():
-                        for t, d in row_i[m].items():
-                            acc[t] = acc.get(t, 0) + c * d
-                    for m, c in cki.items():
-                        for t, d in row_j[m].items():
-                            acc[t] = acc.get(t, 0) + c * d
-                    for m, c in cij.items():
-                        for t, d in row_k[m].items():
-                            acc[t] = acc.get(t, 0) + c * d
-                    if any(acc.values()):
-                        return False
-        return True
 
     def largest_ideal_dim(self, inner: Sequence[int]) -> Optional[int]:
         """Dimension of the largest ideal inside the span a of the basis
@@ -237,12 +170,14 @@ class StructureConstants:
 
 
 class MatrixLieAlgebra:
-    """An ambient matrix realization with a bracket-closed rational basis."""
+    """An ambient matrix realization with a bracket-closed rational basis.
 
-    def __init__(self, ambient_size: int, basis: list, name: str,
+    Builds are memoized and shared, so the basis is a tuple."""
+
+    def __init__(self, ambient_size: int, basis: Sequence[Mat], name: str,
                  constants: StructureConstants, span: SpanSolver):
         self.ambient_size = ambient_size
-        self.basis = basis
+        self.basis = tuple(basis)
         self.name = name
         self.constants = constants
         self._span = span
@@ -279,6 +214,31 @@ class MatrixLieAlgebra:
         mats = [self.constants.ad_matrix(i) for i in range(self.dim)]
         return Representation(self, self.dim, mats, check=False)
 
+    def realization_certified(self) -> bool:
+        """True when the basis matrices realize the structure constants: they
+        are linearly independent and [X_i, X_j] = sum_k c_ij^k X_k for every
+        i < j.  False means only that this was not shown.  The table must be
+        antisymmetric; callers check that first.
+
+        Proof that the Jacobi identity then holds.  Let phi send the
+        coordinate vector e_i to X_i.  One fresh `SpanSolver` pass, which
+        does not trust the shared `_span`, shows phi injective.  Antisymmetry
+        gives c_ii = 0 and c_ji = -c_ij, so the checked pairs give
+        phi([e_i, e_j]) = [X_i, X_j] for all i, j, and by bilinearity phi
+        carries the table's bracket to the matrix commutator.  So phi sends
+        the Jacobiator J(x, y, z) = [x, [y, z]] + [y, [z, x]] + [z, [x, y]]
+        to the Jacobiator of phi x, phi y, phi z in gl(n), which is 0; phi
+        is injective, so J = 0.  The cost is one sparse commutator per pair
+        whose supports meet (see `_homomorphism_witness`), not a scan of
+        index triples.
+        """
+        n, basis = self.ambient_size, self.basis
+        if self.constants.dim != len(basis):
+            return False
+        span = SpanSolver(n * n)
+        return (all(span.insert(b.entries) for b in basis)
+                and _homomorphism_witness(self.constants, basis, n) is None)
+
     def __repr__(self):
         return f"MatrixLieAlgebra({self.name}, dim={self.dim}, ambient={self.ambient_size})"
 
@@ -297,21 +257,60 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
             raise DependentBasisError(idx)
     dim = len(basis)
     sparse = [sparse_rows(b) for b in basis]
-    table = [[None] * dim for _ in range(dim)]
+    in_rows, in_cols = _support_masks(sparse)
+    table = [[{} for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
-        table[i][i] = {}
-    for i in range(dim):
+        row_mask, col_mask = in_rows[i], in_cols[i]
         for j in range(i + 1, dim):
+            if not (col_mask & in_rows[j] or in_cols[j] & row_mask):
+                continue  # X_i X_j = X_j X_i = 0
             bracket = sparse_commutator(sparse[i], sparse[j], n)
-            fwd = {}
             if bracket:
                 fwd = span.sparse_decompose(bracket)
                 if fwd is None:
                     raise ClosureError(i, j)
-            table[i][j] = fwd
-            table[j][i] = {k: -c for k, c in fwd.items()}
+                table[i][j] = fwd
+                table[j][i] = {k: -c for k, c in fwd.items()}
     constants = StructureConstants(dim, table)
-    return MatrixLieAlgebra(n, list(basis), name, constants, span)
+    return MatrixLieAlgebra(n, basis, name, constants, span)
+
+
+def _support_masks(sparse: list) -> tuple:
+    """Bit masks of the nonzero rows and of the nonzero columns of matrices
+    in `sparse_rows` form.  AB = 0 when the column mask of A and the row mask
+    of B are disjoint."""
+    in_rows, in_cols = [], []
+    for m in sparse:
+        col_mask = 0
+        for row in m.values():
+            for c in row:
+                col_mask |= 1 << c
+        in_rows.append(sum(1 << r for r in m))
+        in_cols.append(col_mask)
+    return in_rows, in_cols
+
+
+def _homomorphism_witness(constants: StructureConstants, action: Sequence[Mat], n: int):
+    """First basis pair (i, j), i < j, with [A_i, A_j] != sum_k c_ij^k A_k
+    for the n x n matrices `action`, or None.  A pair with c_ij empty is
+    skipped when the support masks show A_i A_j = A_j A_i = 0."""
+    sparse = [sparse_rows(a) for a in action]
+    flat = [{r * n + col: v for r, row in m.items() for col, v in row.items()} for m in sparse]
+    in_rows, in_cols = _support_masks(sparse)
+    for i in range(len(action)):
+        row_i, row_mask, col_mask = constants.table[i], in_rows[i], in_cols[i]
+        for j in range(i + 1, len(action)):
+            cij = row_i[j]
+            if not (cij or col_mask & in_rows[j] or in_cols[j] & row_mask):
+                continue
+            expect: dict = {}
+            for k, c in cij.items():
+                for key, v in flat[k].items():
+                    expect[key] = expect.get(key, 0) + c * v
+            expect = {key: v for key, v in expect.items() if v}
+            if sparse_commutator(sparse[i], sparse[j], n) != expect:
+                return (i, j)
+    return None
 
 
 def killing_form(algebra: MatrixLieAlgebra) -> Mat:
@@ -409,26 +408,9 @@ class Representation:
         self.action = tuple(action)
         self._commutant: Optional[CommutantClassification] = None
         if check:
-            bad = self._homomorphism_witness()
+            bad = _homomorphism_witness(algebra.constants, self.action, carrier_dim)
             if bad is not None:
                 raise InputError(f"action is not a homomorphism at basis pair {bad}")
-
-    def _homomorphism_witness(self):
-        """First basis pair (i, j) with [A_i, A_j] != sum_k c_ij^k A_k, or None."""
-        n = self.carrier_dim
-        t = self.algebra.constants
-        sparse = [sparse_rows(a) for a in self.action]
-        flat = [{r * n + col: v for r, row in m.items() for col, v in row.items()} for m in sparse]
-        for i in range(self.algebra.dim):
-            for j in range(i + 1, self.algebra.dim):
-                expect: dict = {}
-                for k, c in t.row(i, j).items():
-                    for key, v in flat[k].items():
-                        expect[key] = expect.get(key, 0) + c * v
-                expect = {key: v for key, v in expect.items() if v}
-                if sparse_commutator(sparse[i], sparse[j], n) != expect:
-                    return (i, j)
-        return None
 
 
 # ---------------------------------------------------------------------------

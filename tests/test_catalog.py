@@ -136,7 +136,7 @@ def test_missing_or_non_integer_param_is_input_error(params, name):
 
 
 def test_structure_constants_match_dense_reference_on_error_paths():
-    basis = build_graded("projective", {"n": 3}).algebra.basis
+    basis = list(build_graded("projective", {"n": 3}).algebra.basis)
 
     def first_error(build, trial):
         try:
@@ -463,6 +463,17 @@ def test_cached_index_sets_cannot_be_changed_by_callers():
                 lie.commutant(isotropy_rep(pair)).commutant_basis,
                 catalog.centroid(pair)[0], factor_decomposition(pair)):
         assert isinstance(seq, tuple)
+
+
+def test_cached_basis_cannot_be_changed_by_callers():
+    algebra = build_graded("projective", {"n": 3}).algebra
+    with pytest.raises(AttributeError):
+        algebra.basis.append(Mat.identity(4))
+    with pytest.raises(TypeError):
+        algebra.basis[0] = Mat.identity(4)
+    again = build_graded("projective", {"n": 3})
+    assert again.algebra is algebra and again.dim == algebra.dim == 15
+    assert verify_graded(again) == []
 
 
 def test_replace_does_not_carry_the_derived_data_over():

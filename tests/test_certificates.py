@@ -2,7 +2,9 @@
 
 Each corrupted table must give exactly the failure list of the full-scan
 verifiers they replaced (`reference_verify_*` in conftest.py), and healthy
-catalog items must be certified without the full scans.
+catalog items must be certified without the full scans.  The Jacobi
+certificate is `MatrixLieAlgebra.realization_certified`; the generating-set
+certificate it replaced is kept as `reference_jacobi_certified`.
 """
 
 import dataclasses
@@ -16,11 +18,12 @@ from cartanext.catalog import build_graded, build_pair, verify_graded, verify_pa
 from cartanext.lie import (
     MatrixLieAlgebra,
     StructureConstants,
+    _homomorphism_witness,
     largest_invariant_subspace_dim,
     make_algebra,
 )
 from cartanext.linalg import Mat
-from conftest import reference_verify_graded, reference_verify_pair
+from conftest import reference_jacobi_certified, reference_verify_graded, reference_verify_pair
 
 F = Fraction
 
@@ -32,6 +35,10 @@ def _refuse(*args, **kwargs):
 def _with_table(alg, table) -> MatrixLieAlgebra:
     return MatrixLieAlgebra(alg.ambient_size, alg.basis, alg.name + "*",
                             StructureConstants(alg.dim, table), alg._span)
+
+
+def _with_basis(alg, basis) -> MatrixLieAlgebra:
+    return MatrixLieAlgebra(alg.ambient_size, basis, alg.name + "*", alg.constants, alg._span)
 
 
 def _corruptions(alg, antisymmetric=True):
@@ -81,10 +88,10 @@ def test_graded_sweep_matches_full_scans(monkeypatch):
     # every one-entry corruption breaks Jacobi, so none may be certified
     assert _sweep(*check, _corruptions(alg)) == {"Jacobi identity fails"}
     # re-bases are Lie algebras: certified, then graded or not
-    assert all(a.constants.jacobi_certified(g.minus_one + g.plus_one) for _, a in _rebasings(alg))
+    assert all(a.realization_certified() for _, a in _rebasings(alg))
     assert _sweep(*check, _rebasings(alg)) == {"", "bracket"}
     # the proof needs antisymmetry: without it the certificate is not consulted
-    monkeypatch.setattr(StructureConstants, "jacobi_certified", _refuse)
+    monkeypatch.setattr(MatrixLieAlgebra, "realization_certified", _refuse)
     assert _sweep(*check, _corruptions(alg, antisymmetric=False)) == {
         "structure constants are not antisymmetric"}
 
@@ -108,15 +115,17 @@ def test_brackets_leaving_their_grade_are_reported_in_scan_order():
     ]
 
 
-def test_no_generating_set_certifies_a_corrupted_table():
-    # the catalog's generating sets are contiguous index blocks; these
-    # interleave with the rest of the basis
-    g = build_graded("projective", {"n": 2})
-    sets = [s for r in (4, 5) for s in itertools.combinations(range(g.dim), r)
-            if g.algebra.constants.jacobi_certified(s)]
-    assert len(sets) > 10
-    for where, alg in _corruptions(g.algebra):
-        assert not any(alg.constants.jacobi_certified(s) for s in sets), where
+@pytest.mark.parametrize("kind", ["graded", "pair"])
+def test_no_corrupted_table_is_certified(kind):
+    alg = (build_graded("projective", {"n": 2}).algebra if kind == "graded"
+           else build_pair("group_type", {"base": "so(3)"}).k_algebra)
+    assert alg.realization_certified()
+    for where, bad in _corruptions(alg):
+        assert not bad.realization_certified(), where
+    # c_ij is read for i < j only, which is why callers check antisymmetry first
+    lower = [bad for (i, j, _, _), bad in _corruptions(alg, antisymmetric=False) if i > j]
+    assert all(bad.realization_certified() for bad in lower)
+    assert not any(bad.constants.antisymmetry_holds() for bad in lower)
 
 
 def test_pair_sweep_matches_full_scans(monkeypatch):
@@ -125,9 +134,9 @@ def test_pair_sweep_matches_full_scans(monkeypatch):
     assert _sweep(*check, _corruptions(alg)) == {"Jacobi identity fails"}
     # every re-basis is certified; mixing h into m, or m into h, breaks the
     # eigenspace split, and the ideal search then runs in full
-    assert all(a.constants.jacobi_certified(p.m_indices) for _, a in _rebasings(alg))
+    assert all(a.realization_certified() for _, a in _rebasings(alg))
     assert _sweep(*check, _rebasings(alg)) == {""}
-    monkeypatch.setattr(StructureConstants, "jacobi_certified", _refuse)
+    monkeypatch.setattr(MatrixLieAlgebra, "realization_certified", _refuse)
     assert _sweep(*check, _corruptions(alg, antisymmetric=False)) == {
         "structure constants are not antisymmetric"}
 
@@ -178,11 +187,8 @@ VERIFY = {"graded": (verify_graded, reference_verify_graded, "algebra", "g_0"),
           "pair": (verify_pair, reference_verify_pair, "k_algebra", "h")}
 
 
-@pytest.mark.parametrize("kind", sorted(VERIFY))
-def test_non_generating_set_takes_the_full_jacobi_scan(kind, monkeypatch):
-    verify, reference, _, block = VERIFY[kind]
-    obj, alg, _, generators, _ = _centred(kind)
-    assert not alg.constants.jacobi_certified(generators)
+def _spy_on_full_scans(monkeypatch) -> list:
+    """The `limit` of every `jacobi_witnesses` call from here on."""
     scans = []
     full_scan = StructureConstants.jacobi_witnesses
 
@@ -191,10 +197,75 @@ def test_non_generating_set_takes_the_full_jacobi_scan(kind, monkeypatch):
         return full_scan(self, limit)
 
     monkeypatch.setattr(StructureConstants, "jacobi_witnesses", spy)
+    return scans
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY))
+def test_non_generating_objects_are_certified_without_the_full_scan(kind, monkeypatch):
+    # the generating-set certificate refused these and ran the full scan
+    verify, reference, _, block = VERIFY[kind]
+    obj, alg, _, generators, _ = _centred(kind)
+    assert not reference_jacobi_certified(alg.constants, generators)
+    assert alg.realization_certified()
+    scans = _spy_on_full_scans(monkeypatch)
     expected = [f"{block} contains a nonzero ideal of dimension 1"]
     assert verify(obj) == expected
-    assert len(scans) == 1
+    assert scans == []
     assert reference(obj) == expected
+
+
+def _swapped(alg):
+    """alg with its table kept and its basis changed after the build: two
+    basis matrices exchanged, or X_a replaced by X_a + X_b."""
+    for a, b in itertools.permutations(range(alg.dim), 2):
+        basis = list(alg.basis)
+        if a < b:
+            basis[a], basis[b] = basis[b], basis[a]
+            yield _with_basis(alg, basis)
+            basis = list(alg.basis)
+        basis[a] = basis[a] + basis[b]
+        yield _with_basis(alg, basis)
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY))
+def test_changed_or_repeated_basis_matrices_leave_jacobi_to_the_full_scan(kind, monkeypatch):
+    verify, _, field, _ = VERIFY[kind]
+    obj = (build_graded("projective", {"n": 2}) if kind == "graded"
+           else build_pair("group_type", {"base": "so(3)"}))
+    alg = getattr(obj, field)
+    repeated = [_with_basis(alg, alg.basis[:a] + alg.basis[a + 1:a + 2] + alg.basis[a + 1:])
+                for a in range(alg.dim - 1)]
+    variants = list(_swapped(alg)) + repeated
+    scans = _spy_on_full_scans(monkeypatch)
+    for changed in variants:
+        assert not changed.realization_certified()
+        # the table itself is untouched, so the full scan clears it
+        assert verify(dataclasses.replace(obj, **{field: changed})) == []
+    assert len(scans) == len(variants)
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY))
+def test_independence_is_needed_beside_the_pair_check(kind):
+    # three copies of one diagonal matrix commute, and a table whose
+    # coefficients each sum to zero passes the pair check on them, yet
+    # [X_0, X_1] = X_0 - X_1, [X_0, X_2] = X_0 - X_2 breaks Jacobi
+    verify, reference, field, _ = VERIFY[kind]
+    d = Mat.diag([1, 2, 3])
+    table = [[{} for _ in range(3)] for _ in range(3)]
+    for j in (1, 2):
+        table[0][j], table[j][0] = {0: F(1), j: F(-1)}, {0: F(-1), j: F(1)}
+    sc = StructureConstants(3, table)
+    assert _homomorphism_witness(sc, [d, d, d], 3) is None
+    alg = MatrixLieAlgebra(3, [d, d, d], "repeated", sc, None)
+    assert not alg.realization_certified()
+    if kind == "graded":
+        obj = dataclasses.replace(build_graded("su_pp", {"p": 1}), algebra=alg)
+    else:
+        obj = dataclasses.replace(build_pair("group_type", {"base": "so(3)"}), k_algebra=alg,
+                                  h_indices=(0,), m_indices=(1, 2))
+    got = verify(obj)
+    assert got == reference(obj)
+    assert got[0].startswith("Jacobi identity fails")
 
 
 @pytest.mark.parametrize("kind", sorted(VERIFY))
@@ -239,5 +310,25 @@ def test_default_grid_is_certified_without_full_scans(monkeypatch):
         assert verify_pair(build_pair(family, params)) == [], (family, params)
 
 
+def test_certificate_agrees_with_the_reference_on_the_default_grid():
+    items = [(g.algebra, g.minus_one + g.plus_one) for g in
+             (build_graded(f, p) for f, p in catalog.default_graded_grid())]
+    items += [(p.k_algebra, p.m_indices) for p in
+              (build_pair(f, q) for f, q in catalog.default_pair_grid())]
+    for alg, generators in items:
+        assert alg.realization_certified(), alg.name
+        assert reference_jacobi_certified(alg.constants, generators), alg.name
+    alg, generators = items[0]
+    for where, bad in _corruptions(alg):
+        assert not (bad.realization_certified()
+                    or reference_jacobi_certified(bad.constants, generators)), where
+
+
 def test_projective_15_verifies():
     assert verify_graded(build_graded("projective", {"n": 15})) == []
+
+
+def test_projective_21_verifies():  # the dimension cap
+    g = build_graded("projective", {"n": 21})
+    assert g.dim == 483
+    assert verify_graded(g) == []
