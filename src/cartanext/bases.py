@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InputError
-from .linalg import ZERO, Mat
+from .linalg import Mat, block_matrix
 
 # ---------------------------------------------------------------------------
 # Realification
@@ -22,17 +22,7 @@ from .linalg import ZERO, Mat
 def realify_complex(re: Mat, im: Mat) -> Mat:
     if re.shape != im.shape or not re.is_square():
         raise InputError("complex parts must be square and equal-sized")
-    m = re.rows
-    out = [ZERO] * (4 * m * m)
-    width = 2 * m
-    for i in range(m):
-        for j in range(m):
-            a, b = re[i, j], im[i, j]
-            out[i * width + j] = a
-            out[i * width + m + j] = -b
-            out[(m + i) * width + j] = b
-            out[(m + i) * width + m + j] = a
-    return Mat(width, width, out)
+    return block_matrix([[re, -im], [im, re]])
 
 
 def complex_unit_matrix(m: int) -> Mat:
@@ -67,33 +57,13 @@ def quat_conj(q: tuple) -> tuple:
 def realify_quaternion(parts: Sequence[Mat]) -> Mat:
     """Realify A + Bi + Cj + Dk to the 4m x 4m left-multiplication blocks."""
     a, b, c, d = parts
-    m = a.rows
-    width = 4 * m
-    out = [ZERO] * (width * width)
-    blocks = [
-        [a, -b, -c, -d],
-        [b, a, -d, c],
-        [c, d, a, -b],
-        [d, -c, b, a],
-    ]
-    for bi in range(4):
-        for bj in range(4):
-            blk = blocks[bi][bj]
-            for i in range(m):
-                row = (bi * m + i) * width + bj * m
-                for j in range(m):
-                    v = blk[i, j]
-                    if v != 0:
-                        out[row + j] = out[row + j] + v
-    return Mat(width, width, out)
+    nb, nc, nd = -b, -c, -d
+    return block_matrix([[a, nb, nc, nd], [b, a, nd, c], [c, d, a, nb], [d, nc, b, a]])
 
 
 def quaternion_elementary(m: int, r: int, s: int, unit: tuple) -> Mat:
     """Realification of unit * E_rs inside gl(m, H)."""
-    parts = []
-    for comp in range(4):
-        parts.append(Mat.unit(m, m, r, s, unit[comp]) if unit[comp] else Mat.zero(m, m))
-    return realify_quaternion(parts)
+    return realify_quaternion([Mat.unit(m, m, r, s, x) for x in unit])
 
 
 def complex_elementary(m: int, r: int, s: int, re: int = 1, im: int = 0) -> Mat:

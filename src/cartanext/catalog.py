@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from . import bases
 from .errors import InputError, InternalCheckError
 from .lie import (
+    FrozenDict,
     MatrixLieAlgebra,
     Representation,
     commutant_basis,
@@ -26,8 +27,7 @@ from .lie import (
     make_algebra,
     split_idempotents,
 )
-from .linalg import (ONE, ZERO, Mat, Signature, SpanSolver, sparse_commutator, sparse_product,
-                     sparse_rows, symmetric_signature)
+from .linalg import ONE, ZERO, Mat, Signature, SpanSolver, commutator, symmetric_signature
 
 MAX_AMBIENT = 32
 MAX_DIM = 500
@@ -104,19 +104,6 @@ class GradedAlgebra:
         return all(coords[i] == 0 for i in self.grade_indices(k))
 
 
-class FrozenDict(dict):
-    """A dict that refuses changes.  Builds are memoized and shared, so a
-    write to their parameters would reach every later build."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a memoized catalog object is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):  # copy and pickle rebuild it whole, not by item writes
-        return FrozenDict, (dict(self),)
-
-
 def _frozen(value):
     """Read-only deep copy of JSON-shaped data: mappings become FrozenDict
     and lists tuples, which serialize to the same JSON."""
@@ -149,11 +136,10 @@ def _check_bounds(ambient: int, dim: int = 0) -> None:
     _check_dim(dim)
 
 
-def _conjugates_to(left: dict, right: dict, b: dict, sign: int) -> bool:
-    """Whether left @ b @ right == sign * b, all in `sparse_rows` form: the
-    conjugation by an involution sends the basis element b to +-itself."""
-    image = sparse_product(sparse_product(left, b), right)
-    return image == {r: {c: sign * v for c, v in row.items()} for r, row in b.items()}
+def _conjugates_to(left: Mat, right: Mat, b: Mat, sign: int) -> bool:
+    """Whether left @ b @ right == sign * b: the conjugation by an
+    involution sends the basis element b to +-itself."""
+    return left @ b @ right == (b if sign == 1 else -b)
 
 
 def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
@@ -165,14 +151,11 @@ def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
     minus_one = tuple(range(n0))
     zero = tuple(range(n0, n0 + n1))
     plus_one = tuple(range(n0 + n1, len(basis)))
-    e_rows, flip_rows = sparse_rows(e_mat), sparse_rows(flip)
     for idx, b in enumerate(basis):
         k = -1 if idx < n0 else (0 if idx < n0 + n1 else 1)
-        b_rows = sparse_rows(b)
-        k_b = {r * b.rows + c: k * v for r, row in b_rows.items() for c, v in row.items() if k}
-        if sparse_commutator(e_rows, b_rows, b.rows) != k_b:
+        if commutator(e_mat, b) != b.scale(k):
             raise InternalCheckError(f"{name}: ad(E) is not {k} on basis element {idx}")
-        if not _conjugates_to(flip_rows, flip_rows, b_rows, 1 if k == 0 else -1):
+        if not _conjugates_to(flip, flip, b, 1 if k == 0 else -1):
             raise InternalCheckError(f"{name}: flip conjugation sign wrong on element {idx}")
     coords = algebra.coordinates(e_mat)
     if coords is None:
@@ -486,11 +469,8 @@ def _embed(x: Mat, size: int, row: int = 0, col: Optional[int] = None) -> Mat:
     """x placed in a size x size zero matrix with its corner at (row, col),
     on the diagonal when col is omitted."""
     col = row if col is None else col
-    entries = [ZERO] * (size * size)
-    for i in range(x.rows):
-        for j in range(x.cols):
-            entries[(row + i) * size + col + j] = x[i, j]
-    return Mat(size, size, entries)
+    return Mat.from_sparse(size, size, {row + i: {col + j: v for j, v in line.items()}
+                                        for i, line in x.sparse.items()})
 
 
 def _g0_su(m: int, n: int, re: Mat, im: Mat) -> Mat:
@@ -657,9 +637,9 @@ def _assemble_pair(name, family, params, h_mats, m_mats, conjugator=None,
         scalar = inv_check[0, 0]
         if inv_check != Mat.identity(conjugator.rows).scale(scalar) or scalar == 0:
             raise InternalCheckError(f"{name}: conjugator squared is not a scalar")
-        left, right = sparse_rows(conjugator), sparse_rows(conjugator.scale(ONE / scalar))
+        right = conjugator.scale(ONE / scalar)
         for i, b in enumerate(basis):
-            if not _conjugates_to(left, right, sparse_rows(b), 1 if i < nh else -1):
+            if not _conjugates_to(conjugator, right, b, 1 if i < nh else -1):
                 raise InternalCheckError(f"{name}: conjugator action mismatch at {i}")
     return SymmetricPair(algebra, family, _frozen(params), h_idx, m_idx, sigma,
                          conjugator, _frozen(certificate_ideal))
@@ -683,9 +663,9 @@ def _pair_from_involution(name, family, params, k_mats, conjugator,
             raise InputError("conjugation does not preserve the algebra span")
         plus = (b + image).scale(Fraction(1, 2))
         minus = (b - image).scale(Fraction(1, 2))
-        if not plus.is_zero() and h_span.insert(plus.entries):
+        if not plus.is_zero() and h_span.insert(plus.flat()):
             h_mats.append(plus)
-        if not minus.is_zero() and m_span.insert(minus.entries):
+        if not minus.is_zero() and m_span.insert(minus.flat()):
             m_mats.append(minus)
     return _assemble_pair(name, family, params, h_mats, m_mats, conjugator,
                           certificate_ideal)
@@ -766,13 +746,12 @@ def _pair_conformal_model(params: dict) -> SymmetricPair:
 
 def _sp_paired_omega(p: int, q: int) -> Mat:
     m = 2 * (p + q)
-    out = Mat.zero(m, m)
-    entries = list(out.entries)
+    data = {}
     for (off, size) in ((0, p), (2 * p, q)):
         for i in range(size):
-            entries[(off + i) * m + off + size + i] = ONE
-            entries[(off + size + i) * m + off + i] = -ONE
-    return Mat(m, m, entries)
+            data[off + i] = {off + size + i: 1}
+            data[off + size + i] = {off + i: -1}
+    return Mat.from_sparse(m, m, data)
 
 
 def _pair_sp_block(params: dict) -> SymmetricPair:
@@ -844,15 +823,24 @@ def _pair_so_complex(params: dict) -> SymmetricPair:
             for i in range(n)
             for j in range(n)
         ]
-    m2 = 2 * n
-    entries = [ZERO] * (m2 * m2)
-    for i in range(n):
-        entries[i * m2 + n + i] = -ONE
-        entries[(n + i) * m2 + i] = ONE
-    j_mat = Mat(m2, m2, entries)
+    j_mat = Mat.from_sparse(2 * n, 2 * n, {r: {(r + n) % (2 * n): -1 if r < n else 1}
+                                            for r in range(2 * n)})
     return _pair_from_involution(
         f"(so({n},{n}),so({n},C))", "so_complex", {"n": n}, k_mats, j_mat
     )
+
+
+def _quaternion_shift(x: Mat, n: int) -> Mat:
+    """A realified quaternionic (n-1) x (n-1) matrix moved to coordinates
+    1..n-1 of H^n."""
+    sub = n - 1
+
+    def at(k: int) -> int:
+        block, i = divmod(k, sub)
+        return block * n + 1 + i
+
+    return Mat.from_sparse(4 * n, 4 * n, {at(r): {at(c): v for c, v in row.items()}
+                                          for r, row in x.sparse.items()})
 
 
 def _pair_sp1_block(params: dict) -> SymmetricPair:
@@ -863,22 +851,7 @@ def _pair_sp1_block(params: dict) -> SymmetricPair:
     n = len(signs)
     h_mats = [bases.quaternion_elementary(n, 0, 0, u) for u in (bases.Q_I, bases.Q_J, bases.Q_K)]
     sub = bases.sp_pq_basis(signs[1:])
-    size = 4 * n
-
-    def shift(x: Mat) -> Mat:
-        # embed a 4(n-1) realified block into coordinates 1..n-1 of H^n
-        sub_n = n - 1
-        entries = [ZERO] * (size * size)
-        for bi in range(4):
-            for bj in range(4):
-                for i in range(sub_n):
-                    for j in range(sub_n):
-                        v = x[bi * sub_n + i, bj * sub_n + j]
-                        if v != 0:
-                            entries[(bi * n + 1 + i) * size + bj * n + 1 + j] = v
-        return Mat(size, size, entries)
-
-    h_mats += [shift(x) for x in sub]
+    h_mats += [_quaternion_shift(x, n) for x in sub]
     m_mats = []
     for s in range(1, n):
         gs = signs[0] * signs[s]
@@ -903,20 +876,7 @@ def _pair_so_star(params: dict) -> SymmetricPair:
     total = n + 1
     h_mats = [bases.quaternion_elementary(total, 0, 0, bases.Q_I)]
     sub = bases.so_star_basis(n)
-    size = 4 * total
-
-    def shift(x: Mat) -> Mat:
-        entries = [ZERO] * (size * size)
-        for bi in range(4):
-            for bj in range(4):
-                for i in range(n):
-                    for j in range(n):
-                        v = x[bi * n + i, bj * n + j]
-                        if v != 0:
-                            entries[(bi * total + 1 + i) * size + bj * total + 1 + j] = v
-        return Mat(size, size, entries)
-
-    h_mats += [shift(x) for x in sub]
+    h_mats += [_quaternion_shift(x, total) for x in sub]
     m_mats = []
     for s in range(1, total):
         for u in bases.QUATERNION_UNITS:
@@ -1070,11 +1030,9 @@ def isotropy_rep(pair: SymmetricPair) -> Representation:
     dim_m = pair.dim_m
     mats = []
     for hi in pair.h_indices:
-        entries = [ZERO] * (dim_m * dim_m)
-        for col, mi in enumerate(pair.m_indices):
-            for k, c in sc.row(hi, mi).items():
-                entries[m_pos[k] * dim_m + col] = c
-        mats.append(Mat(dim_m, dim_m, entries))
+        cols = {col: {m_pos[k]: c for k, c in sc.row(hi, mi).items()}
+                for col, mi in enumerate(pair.m_indices)}
+        mats.append(Mat.from_sparse(dim_m, dim_m, cols).transpose())
     if not pair.dim_h:
         raise InputError("isotropy representation needs a nonzero fixed subalgebra")
     sub = make_algebra(pair.h_basis(), pair.name + "#h")
@@ -1160,10 +1118,7 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
         raise InternalCheckError("centroid idempotent split failed")
     ideals, spans = [], []  # each ideal is the column space of its projector
     for p in projs:
-        columns: dict = {}
-        for r, row in sparse_rows(p).items():
-            for c, v in row.items():
-                columns.setdefault(c, {})[r] = v
+        columns = p.transpose().sparse
         span = SpanSolver(dim)
         ideals.append([columns[c] for c in sorted(columns) if span.insert(columns[c])])
         spans.append(span)
@@ -1198,12 +1153,9 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
         sub = _assemble_pair(
             f"{pair.name}#f{len(factors)}", pair.family + "_factor", {}, h_mats, m_mats
         )
-        width = len(m_vecs)
-        entries = [ZERO] * (pair.dim_m * width)
-        for col, v in enumerate(m_vecs):
-            for idx, val in v.items():
-                entries[m_pos[idx] * width + col] = val
-        emb = Mat(pair.dim_m, width, entries)
+        emb = Mat.from_sparse(len(m_vecs), pair.dim_m, {
+            col: {m_pos[idx]: val for idx, val in v.items()} for col, v in enumerate(m_vecs)
+        }).transpose()
         factors.append(PairFactor(sub, emb, group_type=len(orbit) == 2))
     pair._factors = tuple(factors)
     return pair._factors

@@ -31,7 +31,7 @@ from .extension import (
     validate,
 )
 from .lie import commutant, invariant_bilinear_forms, is_semisimple
-from .linalg import ONE, ZERO, Mat, SpanSolver, invert, solve_linear
+from .linalg import ONE, ZERO, Mat, SpanSolver, block_matrix, invert, solve_linear
 
 EXISTS = "EXISTS"
 NOT_EXISTS = "NOT_EXISTS"
@@ -71,13 +71,13 @@ def g0_action_solver(target: GradedAlgebra) -> Mat:
     table = target.algebra.constants.table
     n, width = target.dim_gm1, len(target.zero)
     local = {m: a for a, m in enumerate(target.minus_one)}
-    entries = [ZERO] * (n * n * width)
+    data: dict = {}
     for c, z in enumerate(target.zero):
         for b, m in enumerate(target.minus_one):
             for t, v in table[z][m].items():
                 if t in local:
-                    entries[(local[t] * n + b) * width + c] = v
-    return Mat(n * n, width, entries)
+                    data.setdefault(local[t] * n + b, {})[c] = v
+    return Mat.from_sparse(n * n, width, data)
 
 
 def standard_witness(pair: SymmetricPair, target: GradedAlgebra,
@@ -95,24 +95,22 @@ def standard_witness(pair: SymmetricPair, target: GradedAlgebra,
     frame = frame or Mat.identity(n)
     frame_inv = invert(frame)
     rep = isotropy_rep(pair)
-    framed = [(frame @ a @ frame_inv).entries for a in rep.action]
-    sol = solve_linear(g0_action_solver(target), Mat.from_columns(framed, n * n))
+    framed = [(frame @ a @ frame_inv).flat() for a in rep.action]
+    rhs = Mat.from_sparse(len(framed), n * n, dict(enumerate(framed))).transpose()
+    sol = solve_linear(g0_action_solver(target), rhs)
     if sol is None:
         raise InputError(
             "isotropy action does not land in the grading-preserving block"
         )
     if sol.kernel:
         raise InternalCheckError("g_0 action map is not injective; target not effective")
-    alpha_rows = [[ZERO] * pair.dim for _ in range(target.dim)]
-    for pos, h_idx in enumerate(pair.h_indices):
-        for local, z in enumerate(target.zero):
-            alpha_rows[z][h_idx] = sol.particular[local, pos]
-    for local, m_idx in enumerate(pair.m_indices):
-        col = frame.col(local)
-        for r, v in enumerate(col):
-            if v != 0:
-                alpha_rows[target.minus_one[r]][m_idx] = v
-    return Extension(pair, target, Mat.from_rows(alpha_rows), label)
+    # alpha: the solved g_0 block on the h columns, the frame on the m columns
+    alpha = {}
+    for blocks, rows, cols in ((sol.particular, target.zero, pair.h_indices),
+                               (frame, target.minus_one, pair.m_indices)):
+        for r, row in blocks.sparse.items():
+            alpha[rows[r]] = {cols[c]: v for c, v in row.items()}
+    return Extension(pair, target, Mat.from_sparse(target.dim, pair.dim, alpha), label)
 
 
 def inclusion_witness(pair: SymmetricPair, target: GradedAlgebra,
@@ -230,8 +228,8 @@ def decide_conformal(pair: SymmetricPair, seed: int = 0) -> ConformalReport:
     gram, _sig = restricted_killing(pair)
     span = SpanSolver(pair.dim_m ** 2)
     for g in forms:
-        span.insert(g.entries)
-    member = span.contains(gram.entries)
+        span.insert(g.flat())
+    member = span.contains(gram.flat())
     menu = set()
     real_positions = [i for i, d in enumerate(factor_dims) if d != 2]
     for mask in range(1 << len(real_positions)):
@@ -301,7 +299,8 @@ def _centroid_complex_structures(pair: SymmetricPair):
 
 def _preserves_h_and_m(j: Mat, pair: SymmetricPair) -> bool:
     """Whether J maps h into h and m into m: no entry links an h and an m index."""
-    return all(j[r, c] == 0 and j[c, r] == 0 for r in pair.m_indices for c in pair.h_indices)
+    h = frozenset(pair.h_indices)
+    return all((r in h) == (c in h) for r, row in j.sparse.items() for c in row)
 
 
 def complex_adapted_frame(pair: SymmetricPair, j_pair: Mat) -> Mat:
@@ -378,7 +377,7 @@ def _span_algebra_closure(mats: list, cap: int = 6) -> list:
     span = SpanSolver(d * d)
     basis = []
     for m in mats:
-        if span.insert(m.entries):
+        if span.insert(m.flat()):
             basis.append(m)
     frontier = list(basis)
     while frontier and len(basis) <= cap:
@@ -386,7 +385,7 @@ def _span_algebra_closure(mats: list, cap: int = 6) -> list:
         for a in basis:
             for b in frontier:
                 for prod in (a @ b, b @ a):
-                    if span.insert(prod.entries):
+                    if span.insert(prod.flat()):
                         new.append(prod)
                         basis.append(prod)
         frontier = new
@@ -506,7 +505,7 @@ def _row_lagrangean_group(pair: SymmetricPair) -> Extension:
         tr = (d @ omega).scale(Fraction(-1, 2))
         bl = (omega @ d).scale(2)
         br = (omega @ s @ omega).scale(-1)
-        return _four_block(tl, tr, bl, br)
+        return block_matrix([[tl, tr], [bl, br]])
 
     return _mapped_witness(pair, t, phi, size, f"{pair.name}->lagrangean")
 
@@ -529,7 +528,7 @@ def _row_spinorial_group(pair: SymmetricPair) -> Extension:
         tr = (d @ signs).scale(Fraction(1, 2))
         bl = (signs @ d).scale(2)
         br = signs @ s @ signs
-        return _four_block(tl, tr, bl, br)
+        return block_matrix([[tl, tr], [bl, br]])
 
     return _mapped_witness(pair, t, phi, n, f"{pair.name}->spinorial")
 
@@ -538,10 +537,10 @@ def _row_su_pp_so_complex(pair: SymmetricPair) -> Extension:
     n = pair.params["n"]
     t = build_graded("su_pp", {"p": n})
     half = Fraction(1, 2)
-    re_w = _four_block(Mat.identity(n), Mat.zero(n, n), Mat.zero(n, n),
-                       Mat.identity(n).scale(half))
-    im_w = _four_block(Mat.zero(n, n), Mat.identity(n).scale(-half),
-                       Mat.identity(n).scale(-1), Mat.zero(n, n))
+    re_w = block_matrix([[Mat.identity(n), Mat.zero(n, n)],
+                         [Mat.zero(n, n), Mat.identity(n).scale(half)]])
+    im_w = block_matrix([[Mat.zero(n, n), Mat.identity(n).scale(-half)],
+                         [Mat.identity(n).scale(-1), Mat.zero(n, n)]])
     w = bases.realify_complex(re_w, im_w)
     w_inv = invert(w)
     cols = []
@@ -557,24 +556,9 @@ def _row_su_pp_so_complex(pair: SymmetricPair) -> Extension:
 
 
 def _split_omega(n: int) -> Mat:
-    entries = [ZERO] * (4 * n * n)
-    for i in range(n):
-        entries[i * 2 * n + n + i] = ONE
-        entries[(n + i) * 2 * n + i] = -ONE
-    return Mat(2 * n, 2 * n, entries)
+    return Mat.from_sparse(2 * n, 2 * n, {r: {(r + n) % (2 * n): 1 if r < n else -1}
+                                          for r in range(2 * n)})
 
-
-def _four_block(tl: Mat, tr: Mat, bl: Mat, br: Mat) -> Mat:
-    n = tl.rows
-    out = [ZERO] * (4 * n * n)
-    width = 2 * n
-    for i in range(n):
-        for j in range(n):
-            out[i * width + j] = tl[i, j]
-            out[i * width + n + j] = tr[i, j]
-            out[(n + i) * width + j] = bl[i, j]
-            out[(n + i) * width + n + j] = br[i, j]
-    return Mat(width, width, out)
 
 
 def _mapped_witness(pair: SymmetricPair, target: GradedAlgebra,

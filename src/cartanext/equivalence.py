@@ -17,7 +17,7 @@ from . import bases
 from .catalog import GradedAlgebra
 from .errors import InputError
 from .extension import Extension, _defect, _sparse_cols
-from .linalg import ONE, ZERO, Mat, SpanSolver, invert, matrix_rank, solve_linear
+from .linalg import ZERO, Mat, SpanSolver, invert, matrix_rank, solve_linear
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -48,13 +48,13 @@ def _normalizes(t: Mat, algebra: Sequence[Mat]) -> bool:
     """Whether T is invertible and conjugates span(algebra) onto itself,
     tested without T^-1 as T A in span{B T : B in algebra} for each A.
     cT conjugates as T does; integer entries keep the elimination in int."""
-    t = t.scale(lcm(*(x.denominator for x in t.entries)))
+    t = t.scale(lcm(*(x.denominator for row in t.sparse.values() for x in row.values())))
     if not _invertible(t):
         return False
     span = SpanSolver(t.rows * t.rows)
     for b in algebra:
-        span.insert((b @ t).entries)
-    return all(span.contains((t @ a).entries) for a in algebra)
+        span.insert((b @ t).flat())
+    return all(span.contains((t @ a).flat()) for a in algebra)
 
 
 def _scales_form(t: Mat, forms: Sequence[Mat]) -> bool:
@@ -63,8 +63,8 @@ def _scales_form(t: Mat, forms: Sequence[Mat]) -> bool:
     m = t.transpose() @ forms[0] @ t
     span = SpanSolver(m.rows * m.cols)
     for form in forms:
-        span.insert(form.entries)
-    return not m.is_zero() and span.contains(m.entries)
+        span.insert(form.flat())
+    return not m.is_zero() and span.contains(m.flat())
 
 
 def _predicate_projective(t: Mat, target: GradedAlgebra) -> Optional[bool]:
@@ -101,23 +101,20 @@ def _predicate_complex_conformal(t: Mat, target: GradedAlgebra) -> Optional[bool
     if t @ j != j @ t and t @ j != -(j @ t):
         return False
     n = target.params["n"]
-    g_im = [ZERO] * (4 * n * n)
-    for r in range(n):
-        g_im[(2 * r) * 2 * n + 2 * r + 1] = g_im[(2 * r + 1) * 2 * n + 2 * r] = ONE
-    return _scales_form(t, [Mat.diag([1, -1] * n), Mat(2 * n, 2 * n, g_im)])
+    g_im = Mat.from_sparse(2 * n, 2 * n, {r: {r ^ 1: 1} for r in range(2 * n)})
+    return _scales_form(t, [Mat.diag([1, -1] * n), g_im])
 
 
 def _kron_realign(t: Mat, rows: int, cols: int) -> Mat:
-    """Rearrange a map on rows x cols matrices so pure products have rank 1."""
-    out = []
-    for r in range(rows):
-        for rp in range(rows):
-            line = []
-            for cp in range(cols):
-                for c in range(cols):
-                    line.append(t[r * cols + c, rp * cols + cp])
-            out.append(line)
-    return Mat.from_rows(out)
+    """Rearrange a map on rows x cols matrices so pure products have rank 1:
+    entry (r cols + c, r' cols + c') moves to (r rows + r', c' cols + c)."""
+    out: dict = {}
+    for i, line in t.sparse.items():
+        r, c = divmod(i, cols)
+        for j, v in line.items():
+            rp, cp = divmod(j, cols)
+            out.setdefault(r * rows + rp, {})[cp * cols + c] = v
+    return Mat.from_sparse(rows * rows, cols * cols, out)
 
 
 # Not the normalizer test: the transpose on grassmannian(2,2) and on
@@ -138,12 +135,12 @@ def _right_multiplications(n: int) -> list:
     coordinates, where comp indexes the coefficients of 1, i, j, k."""
     out = []
     for v in bases.QUATERNION_UNITS:
-        entries = [ZERO] * (16 * n * n)
+        data: dict = {}
         for comp, unit in enumerate(bases.QUATERNION_UNITS):
             for out_comp, val in enumerate(bases.quat_mul(unit, v)):
                 for r in range(n):
-                    entries[(4 * r + out_comp) * 4 * n + 4 * r + comp] = val
-        out.append(Mat(4 * n, 4 * n, entries))
+                    data.setdefault(4 * r + out_comp, {})[4 * r + comp] = val
+        out.append(Mat.from_sparse(4 * n, 4 * n, data))
     return out
 
 
@@ -291,7 +288,8 @@ def _quotient_action_on_m(ext: Extension, sigma: Mat) -> Optional[Mat]:
     """The m block of sigma, or None when sigma does not preserve h (an h
     column has a nonzero m entry)."""
     pair = ext.pair
-    if any(sigma[r, c] != 0 for r in pair.m_indices for c in pair.h_indices):
+    h = frozenset(pair.h_indices)
+    if any(c in h for r in pair.m_indices for c in sigma.sparse.get(r, ())):
         return None
     return sigma.submatrix(pair.m_indices, pair.m_indices)
 

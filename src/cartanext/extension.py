@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 from .catalog import GradedAlgebra, SymmetricPair
 from .errors import InputError, InternalCheckError, StructuralError
-from .linalg import (ONE, ZERO, Mat, _sparse, frac, invert, solve_linear, sparse_product,
-                     sparse_rows)
+from .linalg import ZERO, Mat, _dense, _sparse, invert, solve_linear
 
 
 @dataclass
@@ -48,11 +47,15 @@ class Extension:
 
     def with_g1_block(self, block: Mat) -> "Extension":
         """Copy of the extension with the g_1-part of alpha|m replaced."""
-        rows = self.alpha.to_rows()
-        for r_local, r in enumerate(self.target.plus_one):
-            for c_local, c in enumerate(self.pair.m_indices):
-                rows[r][c] = block[r_local, c_local]
-        return Extension(self.pair, self.target, Mat.from_rows(rows), self.label)
+        plus, m_idx = self.target.plus_one, self.pair.m_indices
+        m_set = frozenset(m_idx)
+        rows = {r: dict(row) for r, row in self.alpha.sparse.items()}
+        for r in plus:
+            rows[r] = {c: v for c, v in rows.get(r, {}).items() if c not in m_set}
+        for r, row in block.sparse.items():
+            rows[plus[r]].update({m_idx[c]: v for c, v in row.items()})
+        alpha = Mat.from_sparse(self.alpha.rows, self.alpha.cols, rows)
+        return Extension(self.pair, self.target, alpha, self.label)
 
     def map_alpha(self, operator: Mat, label: str = "") -> "Extension":
         return Extension(self.pair, self.target, operator @ self.alpha, label or self.label)
@@ -80,7 +83,9 @@ WITNESS_CAP = 4
 
 
 def _sparse_cols(a: Mat) -> list:
-    return [_sparse(a.col(c)) for c in range(a.cols)]
+    """The columns of a matrix as sparse vectors {row: value}."""
+    cols = a.transpose().sparse
+    return [cols.get(c, {}) for c in range(a.cols)]
 
 
 def _defect(table: list, u: dict, v: dict, combo: dict, cols: list) -> dict:
@@ -98,10 +103,6 @@ def _defect(table: list, u: dict, v: dict, combo: dict, cols: list) -> dict:
         for t, x in cols[k].items():
             out[t] = out.get(t, 0) - c * x
     return out
-
-
-def _dense(vec: dict, dim: int) -> list:
-    return [frac(vec[t]) if t in vec else ZERO for t in range(dim)]
 
 
 def validate(ext: Extension) -> ValidationReport:
@@ -246,17 +247,6 @@ def is_flat(ext: Extension, kappa: Optional[Curvature] = None) -> bool:
     return kappa.is_zero()
 
 
-def graded_rescale_operator(target: GradedAlgebra, s: Fraction) -> Mat:
-    """Coordinate operator acting by s^k on grade k (an exact grading dilation)."""
-    if s == 0:
-        raise InputError("rescale factor must be nonzero")
-    diag = [ZERO] * target.dim
-    for i in range(target.dim):
-        k = target.grade_of(i)
-        diag[i] = ONE if k == 0 else (Fraction(s) if k == -1 else ONE / Fraction(s))
-    return Mat.diag(diag)
-
-
 # ---------------------------------------------------------------------------
 # Holomorphy
 # ---------------------------------------------------------------------------
@@ -326,10 +316,14 @@ def dstar_projective(ext: Extension, kappa: Optional[Curvature] = None) -> list:
     curvature (computed unless given) is pulled back through the frame so
     that the contraction is evaluated on the grading coordinates themselves.
     """
+    return [_dense(vec, ext.target.dim) for vec in _dstar(ext, kappa or curvature(ext))]
+
+
+def _dstar(ext: Extension, kappa: Curvature) -> list:
+    """`dstar_projective` as sparse vectors, zero sums kept."""
     target = ext.target
     n = target.dim_gm1
     frame_inv = _sparse_cols(invert(ext.frame()))
-    kappa = kappa or curvature(ext)
     values = {key: _sparse(vec) for key, vec in kappa.values.items()}
     sc_g = target.algebra.constants
     out = []
@@ -339,7 +333,7 @@ def dstar_projective(ext: Extension, kappa: Optional[Curvature] = None) -> list:
             kij = _evaluate(values, frame_inv[i], frame_inv[j])
             for t, c in sc_g.bracket_with(target.plus_one[i], kij).items():
                 total[t] = total.get(t, 0) + c
-        out.append(_dense(total, target.dim))
+        out.append(total)
     return out
 
 
@@ -360,24 +354,27 @@ def projective_normalization_operator(target: GradedAlgebra) -> tuple[Mat, dict]
     u_table = [[sc_g.table[minus[i]][plus[k]] for k in range(n)] for i in range(n)]
     s_table = []
     for k in range(n):
-        acc: dict[int, Fraction] = {}
+        acc: dict = {}
         for i in range(n):
             for t, c in sc_g.bracket_with(plus[i], u_table[i][k]).items():
-                acc[t] = acc.get(t, ZERO) + c
+                acc[t] = acc.get(t, 0) + c
         s_table.append(acc)
     width = n * n
-    entries = [ZERO] * (n * len(plus) * width)
+    data: dict = {}
+
+    def add(t: int, j: int, col: int, c) -> None:
+        if t in local:
+            row = data.setdefault(j * len(plus) + local[t], {})
+            row[col] = row.get(col, 0) + c
+
     for j in range(n):
-        row = j * len(plus)
         for k0 in range(n):
             for t, c in s_table[k0].items():
-                if t in local:
-                    entries[(row + local[t]) * width + k0 * n + j] += c
+                add(t, j, k0 * n + j, c)
             for j0 in range(n):
                 for t, c in sc_g.bracket_with(plus[j0], u_table[j][k0]).items():
-                    if t in local:
-                        entries[(row + local[t]) * width + k0 * n + j0] -= c
-    return Mat(n * len(plus), width, entries), {"equations": width, "unknowns": width}
+                    add(t, j, k0 * n + j0, -c)
+    return Mat.from_sparse(n * len(plus), width, data), {"equations": width, "unknowns": width}
 
 
 def solve_projective_b2(ext: Extension) -> B2Solution:
@@ -395,27 +392,24 @@ def solve_projective_b2(ext: Extension) -> B2Solution:
     if (target.family == "projective" and n < 2) or (target.family == "h_projective" and n < 4):
         raise InputError("projective normalization degenerates at rank 1")
     base = ext.with_g1_block(Mat.zero(len(target.plus_one), ext.pair.dim_m))
-    rhs_full = dstar_projective(base)
-    for j, vec in enumerate(rhs_full):
-        for i in target.minus_one + target.zero:
-            if vec[i] != 0:
-                raise InternalCheckError("contraction has unexpected off-grade components")
+    rhs_full = _dstar(base, curvature(base))
+    for vec in rhs_full:
+        if any(vec.get(i) for i in target.minus_one + target.zero):
+            raise InternalCheckError("contraction has unexpected off-grade components")
     l_op, _ = projective_normalization_operator(target)
-    rhs = []
-    for j in range(n):
-        for t in target.plus_one:
-            rhs.append(-rhs_full[j][t])
+    rhs = [-vec.get(t, 0) for vec in rhs_full for t in target.plus_one]
     sol = solve_linear(l_op, Mat.column(rhs))
     if sol is None:
         raise InternalCheckError("normalization system is inconsistent")
     kernel_trivial = not sol.kernel
-    b2 = Mat.from_rows(
-        [[sol.particular[k * n + j, 0] for j in range(n)] for k in range(n)]
-    )
+    b2_rows: dict = {}
+    for idx, row in sol.particular.sparse.items():  # unknown k * n + j is b2[k, j]
+        k, j = divmod(idx, n)
+        b2_rows.setdefault(k, {})[j] = row[0]
+    b2 = Mat.from_sparse(n, n, b2_rows)
     fixed = base.with_g1_block(b2 @ base.frame())
     kappa = curvature(fixed)
-    check = dstar_projective(fixed, kappa)
-    if any(any(x != 0 for x in vec) for vec in check):
+    if any(any(vec.values()) for vec in _dstar(fixed, kappa)):
         raise InternalCheckError("normalized contraction is not zero")
     _assert_b2_equivariant(fixed, b2)
     return B2Solution(fixed, b2, kernel_trivial, kappa)
@@ -426,20 +420,19 @@ def _assert_b2_equivariant(ext: Extension, b2: Mat) -> None:
     target = ext.target
     sc_g = target.algebra.constants
     cols = _sparse_cols(ext.alpha)
-    b2 = sparse_rows(b2)
 
-    def block(az: dict, idx: Sequence[int]) -> dict:
-        # ad(az) on span(idx) as sparse rows: column c is [az, X_c] = -[X_c, az]
+    def block(az: dict, idx: Sequence[int]) -> Mat:
+        # ad(az) on span(idx): column c is [az, X_c] = -[X_c, az]
         local = {t: r for r, t in enumerate(idx)}
         rows: dict = {}
         for c, x in enumerate(idx):
             for t, v in sc_g.bracket_with(x, az).items():
-                if v and t in local:
+                if t in local:
                     rows.setdefault(local[t], {})[c] = -v
-        return rows
+        return Mat.from_sparse(len(idx), len(idx), rows)
 
     for h in ext.pair.h_indices:
         a_minus = block(cols[h], target.minus_one)
         a_plus = block(cols[h], target.plus_one)
-        if sparse_product(b2, a_minus) != sparse_product(a_plus, b2):
+        if b2 @ a_minus != a_plus @ b2:
             raise InternalCheckError("solved b2 is not equivariant")

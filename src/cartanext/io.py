@@ -37,7 +37,12 @@ def parse_rational(s) -> Fraction:
 
 
 def mat_to_json(m: Mat) -> list:
-    return [[rational_str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    """Rows of "p/q" strings, "0" for every entry absent from the sparse form."""
+    out = []
+    for i in range(m.rows):
+        row = m.sparse.get(i, {})
+        out.append([rational_str(row[j]) if j in row else "0" for j in range(m.cols)])
+    return out
 
 
 def mat_from_json(rows: list) -> Mat:
@@ -216,8 +221,3 @@ def load_json_text(text: str) -> dict:
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError
         raise InputError(f"invalid JSON ({exc})") from None
-
-
-def dump_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(obj))

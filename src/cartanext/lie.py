@@ -18,29 +18,49 @@ from .errors import ClosureError, DependentBasisError, InputError, InternalCheck
 from .linalg import (
     ONE,
     ZERO,
+    _NONE,
     Mat,
     MinimalPolynomial,
     SpanSolver,
     Vector,
     _exact,
+    _sparse,
+    combination,
+    commutator,
     frac,
     is_rational_square,
     kernel_of_sparse_rows,
     matrix_rank,
     minimal_polynomial,
     solve_linear,
-    sparse_commutator,
-    sparse_product,
-    sparse_rows,
     symmetric_signature,
 )
+
+
+class FrozenDict(dict):
+    """A dict that refuses changes.  Builds are memoized and shared, so a
+    write to their parameters or structure constants would reach every
+    later build."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a memoized catalog object is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):  # copy and pickle rebuild it whole, not by item writes
+        return FrozenDict, (dict(self),)
+
+
+# the one empty structure-table cell, shared by every [X_i, X_j] = 0
+_EMPTY_CELL = FrozenDict()
 
 
 class StructureConstants:
     """Sparse structure constants c[i][j] = {k: coefficient}.
 
     Integral coefficients are stored as int, the others as Fraction; readers
-    of `table` and `row` only add, multiply and compare them.
+    of `table` and `row` only add, multiply and compare them.  Every empty
+    cell of a table built by `make_algebra` is one shared read-only mapping.
     """
 
     def __init__(self, dim: int, table: list):
@@ -80,21 +100,18 @@ class StructureConstants:
 
     def ad_matrix(self, i: int) -> Mat:
         """Matrix of ad(X_i) acting on coordinates."""
-        entries = [ZERO] * (self.dim * self.dim)
-        for j in range(self.dim):
-            for k, c in self.table[i][j].items():
-                entries[k * self.dim + j] = c
-        return Mat(self.dim, self.dim, entries)
+        return self.ad_of_coords({i: 1})
 
-    def ad_of_coords(self, u: Sequence[Fraction]) -> Mat:
-        entries = [ZERO] * (self.dim * self.dim)
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
+    def ad_of_coords(self, u: Vector) -> Mat:
+        """Matrix of ad(u) for dense or sparse coordinates u."""
+        data: dict = {}
+        for i, a in _sparse(u).items():
+            row_i = self.table[i]
             for j in range(self.dim):
-                for k, c in self.table[i][j].items():
-                    entries[k * self.dim + j] += a * c
-        return Mat(self.dim, self.dim, entries)
+                for k, c in row_i[j].items():
+                    out = data.setdefault(k, {})
+                    out[j] = out.get(j, 0) + a * c
+        return Mat.from_sparse(self.dim, self.dim, data)
 
     def antisymmetry_holds(self) -> bool:
         for i in range(self.dim):
@@ -191,18 +208,13 @@ class MatrixLieAlgebra:
         """Coordinates of an ambient matrix in the basis, or None."""
         if m.shape != (self.ambient_size, self.ambient_size):
             raise InputError("ambient size mismatch")
-        return self._span.decompose(m.entries)
+        return self._span.decompose(m.flat())
 
     def element(self, coords: Vector) -> Mat:
         """The matrix sum_i coords[i] X_i, for dense coordinates or sparse
-        ones {i: value}, in one pass over nonzero entries."""
-        entries = [0] * (self.ambient_size * self.ambient_size)
-        for i, c in coords.items() if isinstance(coords, dict) else enumerate(coords):
-            if c:
-                for idx, v in enumerate(self.basis[i].entries):
-                    if v:
-                        entries[idx] += c * v
-        return Mat(self.ambient_size, self.ambient_size, entries)
+        ones {i: value}."""
+        n = self.ambient_size
+        return combination(((c, self.basis[i]) for i, c in _sparse(coords).items()), n, n)
 
     def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list:
         return self.constants.bracket_coords(u, v)
@@ -236,7 +248,7 @@ class MatrixLieAlgebra:
         if self.constants.dim != len(basis):
             return False
         span = SpanSolver(n * n)
-        return (all(span.insert(b.entries) for b in basis)
+        return (all(span.insert(b.flat()) for b in basis)
                 and _homomorphism_witness(self.constants, basis, n) is None)
 
     def __repr__(self):
@@ -253,20 +265,19 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
             raise InputError("basis matrices must be square and equally sized")
     span = SpanSolver(n * n)
     for idx, b in enumerate(basis):
-        if not span.insert(b.entries):
+        if not span.insert(b.flat()):
             raise DependentBasisError(idx)
     dim = len(basis)
-    sparse = [sparse_rows(b) for b in basis]
-    in_rows, in_cols = _support_masks(sparse)
-    table = [[{} for _ in range(dim)] for _ in range(dim)]
+    in_rows, in_cols = _support_masks(basis)
+    table = [[_EMPTY_CELL] * dim for _ in range(dim)]
     for i in range(dim):
         row_mask, col_mask = in_rows[i], in_cols[i]
         for j in range(i + 1, dim):
             if not (col_mask & in_rows[j] or in_cols[j] & row_mask):
                 continue  # X_i X_j = X_j X_i = 0
-            bracket = sparse_commutator(sparse[i], sparse[j], n)
-            if bracket:
-                fwd = span.sparse_decompose(bracket)
+            bracket = commutator(basis[i], basis[j])
+            if bracket.sparse:
+                fwd = span.sparse_decompose(bracket.flat())
                 if fwd is None:
                     raise ClosureError(i, j)
                 table[i][j] = fwd
@@ -275,17 +286,17 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
     return MatrixLieAlgebra(n, basis, name, constants, span)
 
 
-def _support_masks(sparse: list) -> tuple:
-    """Bit masks of the nonzero rows and of the nonzero columns of matrices
-    in `sparse_rows` form.  AB = 0 when the column mask of A and the row mask
-    of B are disjoint."""
+def _support_masks(mats: Sequence[Mat]) -> tuple:
+    """Bit masks of the nonzero rows and of the nonzero columns of the
+    matrices.  AB = 0 when the column mask of A and the row mask of B are
+    disjoint."""
     in_rows, in_cols = [], []
-    for m in sparse:
+    for m in mats:
         col_mask = 0
-        for row in m.values():
+        for row in m.sparse.values():
             for c in row:
                 col_mask |= 1 << c
-        in_rows.append(sum(1 << r for r in m))
+        in_rows.append(sum(1 << r for r in m.sparse))
         in_cols.append(col_mask)
     return in_rows, in_cols
 
@@ -294,21 +305,15 @@ def _homomorphism_witness(constants: StructureConstants, action: Sequence[Mat], 
     """First basis pair (i, j), i < j, with [A_i, A_j] != sum_k c_ij^k A_k
     for the n x n matrices `action`, or None.  A pair with c_ij empty is
     skipped when the support masks show A_i A_j = A_j A_i = 0."""
-    sparse = [sparse_rows(a) for a in action]
-    flat = [{r * n + col: v for r, row in m.items() for col, v in row.items()} for m in sparse]
-    in_rows, in_cols = _support_masks(sparse)
+    in_rows, in_cols = _support_masks(action)
     for i in range(len(action)):
         row_i, row_mask, col_mask = constants.table[i], in_rows[i], in_cols[i]
         for j in range(i + 1, len(action)):
             cij = row_i[j]
             if not (cij or col_mask & in_rows[j] or in_cols[j] & row_mask):
                 continue
-            expect: dict = {}
-            for k, c in cij.items():
-                for key, v in flat[k].items():
-                    expect[key] = expect.get(key, 0) + c * v
-            expect = {key: v for key, v in expect.items() if v}
-            if sparse_commutator(sparse[i], sparse[j], n) != expect:
+            expect = combination(((c, action[k]) for k, c in cij.items()), n, n)
+            if commutator(action[i], action[j]) != expect:
                 return (i, j)
     return None
 
@@ -319,7 +324,7 @@ def killing_form(algebra: MatrixLieAlgebra) -> Mat:
         return algebra._killing
     dim = algebra.dim
     t = algebra.constants.table
-    entries = [ZERO] * (dim * dim)
+    data: dict = {}
     for i in range(dim):
         for j in range(i, dim):
             s = 0
@@ -332,9 +337,9 @@ def killing_form(algebra: MatrixLieAlgebra) -> Mat:
                     d = tj[k].get(l)
                     if d is not None:
                         s += c * d
-            entries[i * dim + j] = s
-            entries[j * dim + i] = s
-    gram = Mat(dim, dim, entries)
+            if s:
+                data.setdefault(i, {})[j] = data.setdefault(j, {})[i] = s
+    gram = Mat.from_sparse(dim, dim, data)
     algebra._killing = gram
     return gram
 
@@ -430,21 +435,15 @@ class CommutantClassification:
     def dim(self) -> int:
         return len(self.commutant_basis)
 
-    @property
-    def is_irreducible(self) -> bool:
-        """Schur-style criterion: the commutant is a division algebra."""
-        return self.label in ("R", "C", "H")
 
-
-def _by_column(a: Mat) -> tuple:
-    """The nonzero entries of a square matrix in `sparse_rows` form, and per
-    column c the pairs (k, A[k][c]) in increasing k."""
-    rows = sparse_rows(a)
+def _by_column(a: Mat) -> list:
+    """Per column c of a matrix, the pairs (k, A[k][c]) of its nonzero
+    entries."""
     cols = [[] for _ in range(a.cols)]
-    for k, row in rows.items():
+    for k, row in a.sparse.items():
         for c, v in row.items():
             cols[c].append((k, v))
-    return rows, cols
+    return cols
 
 
 def commutant_basis(rep: Representation) -> list:
@@ -463,7 +462,7 @@ def commutant_basis(rep: Representation) -> list:
     rows = []
     for g in generating_indices(rep.algebra):
         a = rep.action[g]
-        in_row, in_col = _by_column(a)
+        in_row, in_col = a.sparse, _by_column(a)
         # (T A - A T)[r][s] = sum_k T[r][k] A[k][s] - A[r][k] T[k][s]
         for r in range(d):
             a_r = in_row.get(r, {})
@@ -484,19 +483,12 @@ def _generic_element(basis: list, k: int) -> Mat:
 
     perfbench/tracer.py counts calls to this name, so it keeps it.
     """
-    entries = [0] * len(basis[0].entries)
-    weight = 1
-    for b in basis:
-        for idx, v in enumerate(b.entries):
-            if v:
-                entries[idx] += weight * v
-        weight *= k
-    return Mat(basis[0].rows, basis[0].cols, entries)
+    return combination(((k ** i, b) for i, b in enumerate(basis)), basis[0].rows, basis[0].cols)
 
 
 def _trace_form(basis: list) -> Mat:
     """Gram matrix tr(b_i b_j) of the trace form on a span of square matrices."""
-    sparse = [sparse_rows(b) for b in basis]
+    sparse = [b.sparse for b in basis]
     n = len(basis)
     entries = [0] * (n * n)
     for i in range(n):
@@ -505,7 +497,7 @@ def _trace_form(basis: list) -> Mat:
             b_j = sparse[j]
             for r, row in sparse[i].items():  # sum_{r,c} b_i[r][c] b_j[c][r]
                 for c, v in row.items():
-                    w = b_j.get(c, {}).get(r)
+                    w = b_j.get(c, _NONE).get(r)
                     if w is not None:
                         s += v * w
             entries[i * n + j] = entries[j * n + i] = s
@@ -579,7 +571,7 @@ def invariant_bilinear_forms(rep: Representation, symmetry: str = "symmetric") -
 
     rows = []
     for g in generating_indices(rep.algebra):
-        _, in_col = _by_column(rep.action[g])
+        in_col = _by_column(rep.action[g])
         for r in range(d):
             for s in range(r if sym else r + 1, d):
                 row: dict = {}
@@ -597,12 +589,12 @@ def invariant_bilinear_forms(rep: Representation, symmetry: str = "symmetric") -
     kernel = kernel_of_sparse_rows(rows, len(pairs))
     out = []
     for vec in kernel:
-        entries = [ZERO] * (d * d)
+        data: dict = {}
         for (r, s), i in index.items():
-            entries[r * d + s] = vec[i]
-            if r != s:
-                entries[s * d + r] = vec[i] if sym else -vec[i]
-        out.append(Mat(d, d, entries))
+            if vec[i]:
+                data.setdefault(r, {})[s] = vec[i]
+                data.setdefault(s, {})[r] = vec[i] if sym else -vec[i]
+        out.append(Mat.from_sparse(d, d, data))
     return out
 
 
@@ -627,21 +619,20 @@ class _SpanAlgebra:
         self.span = SpanSolver(d * d)
         self.basis = []
         for b in basis:
-            if self.span.insert(b.entries):
+            if self.span.insert(b.flat()):
                 self.basis.append(b)
         self.dim = len(self.basis)
 
     def coords(self, m: Mat) -> Optional[list]:
-        return self.span.decompose(m.entries)
+        return self.span.decompose(m.flat())
 
 
 def _canonical_sign(m: Mat) -> Mat:
-    for x in m.entries:
-        if x > 0:
-            return m
-        if x < 0:
-            return -m
-    return m
+    """m or -m, whichever has a positive first nonzero entry (row-major)."""
+    if not m.sparse:
+        return m
+    row = m.sparse[min(m.sparse)]
+    return m if row[min(row)] > 0 else -m
 
 
 def split_idempotents(basis: list) -> Optional[list]:
@@ -668,10 +659,10 @@ def split_idempotents(basis: list) -> Optional[list]:
             break
     else:
         raise InternalCheckError("no primitive element x_k within the bound")
-    d, x = el.rows, sparse_rows(el)
-    powers = [{i: {i: 1} for i in range(d)}]  # x_k^0 .. x_k^(n-1), sparse
+    d = el.rows
+    powers = [Mat.identity(d)]  # x_k^0 .. x_k^(n-1)
     for _ in range(n - 1):
-        powers.append(sparse_product(powers[-1], x))
+        powers.append(powers[-1] @ el)
     total = list(mp.coeffs)
     projectors = []
     for f in (list(f.coeffs) for f in mp.factors):
@@ -684,21 +675,14 @@ def split_idempotents(basis: list) -> Optional[list]:
         inv_lead = ONE / g[0]
         u = [c * inv_lead for c in u]
         _, proj_poly = poly.divmod_exact(poly.mul(u, cof), total)
-        entries = [0] * (d * d)
-        for c, power in zip(proj_poly, powers):
-            if c:
-                for r, row in power.items():
-                    for col, v in row.items():
-                        entries[r * d + col] += c * v
-        p = Mat(d, d, entries)
-        sparse = sparse_rows(p)
-        if sparse_product(sparse, sparse) != sparse:
+        p = combination(zip(proj_poly, powers), d, d)
+        if p @ p != p:
             raise InternalCheckError("split projector is not idempotent")
         projectors.append(p)
 
     def key(p: Mat):  # keeps the default grid's factor orders and J signs
-        first = min(idx % p.cols for idx, v in enumerate(p.entries) if v)
-        return first, tuple(-x for x in reversed(p.entries))
+        first = min(c for row in p.sparse.values() for c in row)
+        return first, tuple(-x for row in reversed(p.to_rows()) for x in reversed(row))
 
     return sorted(projectors, key=key)
 
@@ -719,8 +703,8 @@ def _factor_generator(p: Mat, basis: list) -> Optional[Mat]:
     """The first p @ b, b in basis, independent of p: with p it spans the
     factor pA when that is 2-dimensional.  None when pA is spanned by p."""
     probe = SpanSolver(p.rows * p.cols)
-    probe.insert(p.entries)
-    return next((c for c in (p @ b for b in basis) if probe.insert(c.entries)), None)
+    probe.insert(p.flat())
+    return next((c for c in (p @ b for b in basis) if probe.insert(c.flat())), None)
 
 
 def _square_roots_of_minus_unit(unit: Mat, gen: Mat, alg: _SpanAlgebra) -> list:

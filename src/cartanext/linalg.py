@@ -1,22 +1,23 @@
 """Exact linear algebra over the rationals.
 
 Every public value is a :class:`fractions.Fraction`; there is no floating
-point anywhere.  Inside the sparse forms (`sparse_rows`, `sparse_product`,
-`sparse_commutator`, the rows of the echelon core) an integral entry is kept
+point anywhere.  `Mat` is an immutable sparse matrix: `Mat.sparse` holds its
+nonzero entries as rows {r: {c: value}}, and an integral value is kept there
 as a plain `int`, which Python adds and multiplies far faster than a
-Fraction; `Mat` entries, `decompose` coordinates, solutions and kernel
-vectors are converted back at the boundary.  `Mat` is a small immutable
-dense matrix; products and brackets of the nearly empty catalog basis
-matrices are formed sparsely.  All row elimination runs through one sparse
-echelon core (`_reduce` against monic rows keyed by pivot column, `_echelon`,
-and back-substitution in `_solutions`), behind `SpanSolver`, `solve_linear`,
-`invert`, `matrix_rank` and `kernel_of_sparse_rows`.  Signatures use a
-separate congruence.
+Fraction.  Every matrix operation works on that form, so the nearly empty
+catalog basis matrices stay sparse from construction on; the dense views
+(`m[r, c]`, `row`, `col`, `to_rows`, `entries`), like `decompose`
+coordinates, solutions and kernel vectors, return Fractions.  All row
+elimination runs through one sparse echelon core (`_reduce` against monic
+rows keyed by pivot column, `_echelon`, and back-substitution in
+`_solutions`), behind `SpanSolver`, `solve_linear`, `invert`, `matrix_rank`
+and `kernel_of_sparse_rows`.  Signatures use a separate congruence.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -24,10 +25,11 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import InputError
 
 Scalar = Union[int, str, Fraction]
-Vector = Union[dict, Iterable[Fraction]]  # dense, or sparse {index: value}
+Vector = Union[Mapping, Iterable[Fraction]]  # sparse {index: value}, or dense
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_NONE: dict = {}  # the missing row of a sparse matrix; never written
 
 
 def frac(x: Scalar) -> Fraction:
@@ -37,81 +39,138 @@ def frac(x: Scalar) -> Fraction:
     return Fraction(x)
 
 
-class Mat:
-    """Immutable dense matrix with Fraction entries, stored row-major."""
+def _exact(x):
+    """x as an int when it is integral, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _entry(x):
+    """A scalar in stored form: an int when integral, else a Fraction.  A
+    "p/q" string, or anything else, goes through Fraction(x), which raises on
+    malformed input."""
+    if x.__class__ is int:
+        return x
+    return _exact(x if x.__class__ is Fraction else Fraction(x))
+
+
+def _clean(acc: dict) -> dict:
+    """Accumulated rows {r: {c: value}} in stored form: zero entries and
+    empty rows dropped, integral values as int.  A row of nonzero ints is
+    kept as it is."""
+    out = {}
+    for r, row in acc.items():
+        for v in row.values():
+            if not v or v.__class__ is not int:
+                row = {c: v if v.__class__ is int else _exact(v) for c, v in row.items() if v}
+                break
+        if row:
+            out[r] = row
+    return out
+
+
+class Mat:
+    """Immutable sparse matrix with rational entries.
+
+    `sparse` maps each nonzero row r to {c: value} over its nonzero entries,
+    integral values as int and the others as Fraction.  Matrices share these
+    dicts with each other, so they must never be changed.  The constructor
+    takes a dense row-major sequence; `from_sparse` takes the rows form.
+    """
+
+    __slots__ = ("rows", "cols", "sparse", "_entries")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Scalar]):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
             raise InputError(f"entry count {len(entries)} does not match shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        # a Fraction is kept and an int 0 shared without a call; anything
-        # else, a malformed string included, goes through Fraction(x)
-        self.entries = tuple([
-            x if x.__class__ is Fraction else ZERO if x.__class__ is int and not x else Fraction(x)
-            for x in entries
-        ])
+        self.sparse = _clean({r: dict(enumerate(map(_entry, entries[r * cols:(r + 1) * cols])))
+                              for r in range(rows)})
 
     # -- constructors ------------------------------------------------------
 
+    @classmethod
+    def _of(cls, rows: int, cols: int, data: dict) -> "Mat":
+        """The matrix whose stored form is `data`, taken as it is."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.sparse = rows, cols, data
+        return m
+
+    @classmethod
+    def from_sparse(cls, rows: int, cols: int, data: Mapping) -> "Mat":
+        """The rows x cols matrix with entries {r: {c: value}}; zeros may be
+        given and are dropped, and values may be any scalar."""
+        return cls._of(rows, cols, _clean({r: {c: _entry(v) for c, v in row.items()}
+                                           for r, row in data.items()}))
+
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Mat":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise InputError("ragged rows")
-            flat.extend(row)
-        return Mat(r, c, flat)
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
+            raise InputError("ragged rows")
+        return Mat(len(rows), c, [x for row in rows for x in row])
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[Scalar]], rows: int) -> "Mat":
         """The matrix whose columns are `cols`, each of length `rows`."""
-        return Mat(rows, len(cols), [col[r] for r in range(rows) for col in cols])
+        return Mat(len(cols), rows, [col[r] for col in cols for r in range(rows)]).transpose()
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, [ZERO] * (rows * cols))
+    @classmethod
+    def zero(cls, rows: int, cols: int) -> "Mat":
+        return cls._of(rows, cols, {})
 
-    @staticmethod
-    def identity(n: int) -> "Mat":
-        return Mat(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+    @classmethod
+    def identity(cls, n: int) -> "Mat":
+        return cls._of(n, n, {i: {i: 1} for i in range(n)})
 
-    @staticmethod
-    def diag(values: Sequence[Scalar]) -> "Mat":
+    @classmethod
+    def diag(cls, values: Sequence[Scalar]) -> "Mat":
         n = len(values)
-        m = [ZERO] * (n * n)
-        for i, v in enumerate(values):
-            m[i * n + i] = v
-        return Mat(n, n, m)
+        return cls.from_sparse(n, n, {i: {i: v} for i, v in enumerate(values)})
 
     @staticmethod
     def column(values: Sequence[Scalar]) -> "Mat":
         return Mat(len(values), 1, list(values))
 
-    @staticmethod
-    def unit(rows: int, cols: int, i: int, j: int, value: Scalar = 1) -> "Mat":
-        m = [ZERO] * (rows * cols)
-        m[i * cols + j] = value
-        return Mat(rows, cols, m)
+    @classmethod
+    def unit(cls, rows: int, cols: int, i: int, j: int, value: Scalar = 1) -> "Mat":
+        if not (0 <= i < rows and 0 <= j < cols):
+            raise IndexError(f"unit position ({i}, {j}) outside shape {rows}x{cols}")
+        return cls.from_sparse(rows, cols, {i: {j: value}})
 
-    # -- access ------------------------------------------------------------
+    # -- dense views -------------------------------------------------------
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index ({i}, {j}) outside shape {self.rows}x{self.cols}")
+        v = self.sparse.get(i, _NONE).get(j)
+        return ZERO if v is None else frac(v)
 
     def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        row = self.sparse.get(i, _NONE)
+        return tuple(frac(row[c]) if c in row else ZERO for c in range(self.cols))
 
     def col(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        get = self.sparse.get
+        return [frac(get(r, _NONE).get(j, ZERO)) for r in range(self.rows)]
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
+
+    @property
+    def entries(self) -> tuple:
+        """All entries, row-major, as Fractions; formed on first use."""
+        try:
+            return self._entries
+        except AttributeError:
+            self._entries = tuple(x for i in range(self.rows) for x in self.row(i))
+            return self._entries
+
+    def flat(self) -> dict:
+        """The nonzero entries as the sparse vector {r * cols + c: value}."""
+        n = self.cols
+        return {r * n + c: v for r, row in self.sparse.items() for c, v in row.items()}
 
     @property
     def shape(self):
@@ -121,14 +180,12 @@ class Mat:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not self.sparse
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self.entries[i * self.cols + j] == self.entries[j * self.cols + i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        data = self.sparse
+        return self.is_square() and all(data.get(c, _NONE).get(r) == v
+                                        for r, row in data.items() for c, v in row.items())
 
     # -- algebra -----------------------------------------------------------
 
@@ -137,83 +194,76 @@ class Mat:
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.sparse == other.sparse
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, frozenset(
+            (r, c, v) for r, row in self.sparse.items() for c, v in row.items())))
 
     def __add__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise InputError("shape mismatch in addition")
-        return Mat(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+        return combination(((1, self), (1, other)), self.rows, self.cols)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.shape != other.shape:
             raise InputError("shape mismatch in subtraction")
-        return Mat(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+        return combination(((1, self), (-1, other)), self.rows, self.cols)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [-a for a in self.entries])
+        return Mat._of(self.rows, self.cols, {r: {c: -v for c, v in row.items()}
+                                              for r, row in self.sparse.items()})
 
     def scale(self, s: Scalar) -> "Mat":
-        s = frac(s)
-        return Mat(self.rows, self.cols, [s * a for a in self.entries])
+        return combination(((_entry(s), self),), self.rows, self.cols)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise InputError("inner dimension mismatch in product")
-        n, k, m = self.rows, self.cols, other.cols
-        out = [ZERO] * (n * m)
-        se, oe = self.entries, other.entries
-        for i in range(n):
-            base = i * k
-            for t in range(k):
-                a = se[base + t]
-                if a == 0:
-                    continue
-                ob = t * m
-                rb = i * m
-                for j in range(m):
-                    b = oe[ob + j]
-                    if b != 0:
-                        out[rb + j] += a * b
-        return Mat(n, m, out)
+        b = other.sparse
+        out = {}
+        for r, row in self.sparse.items():
+            acc: dict = {}
+            for t, x in row.items():
+                for c, y in b.get(t, _NONE).items():
+                    acc[c] = acc.get(c, 0) + x * y
+            out[r] = acc
+        return Mat._of(self.rows, other.cols, _clean(out))
 
     def transpose(self) -> "Mat":
-        return Mat(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        out: dict = {}
+        for r, row in self.sparse.items():
+            for c, v in row.items():
+                out.setdefault(c, {})[r] = v
+        return Mat._of(self.cols, self.rows, out)
 
     def trace(self) -> Fraction:
         if not self.is_square():
             raise InputError("trace of a non-square matrix")
-        return sum((self.entries[i * self.cols + i] for i in range(self.rows)), ZERO)
+        return frac(sum(row.get(r, 0) for r, row in self.sparse.items()))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        return Mat(
-            len(row_idx),
-            len(col_idx),
-            [self.entries[i * self.cols + j] for i in row_idx for j in col_idx],
-        )
+        where: dict = {}
+        for new, c in enumerate(col_idx):
+            where.setdefault(c, []).append(new)
+        out = {}
+        for new, r in enumerate(row_idx):
+            row = self.sparse.get(r)
+            if row:
+                picked = {n: v for c, v in row.items() for n in where.get(c, ())}
+                if picked:
+                    out[new] = picked
+        return Mat._of(len(row_idx), len(col_idx), out)
 
     def apply(self, vec: Sequence[Fraction]) -> list:
         """Matrix-vector product on a plain coefficient list."""
         if len(vec) != self.cols:
             raise InputError("vector length mismatch")
-        out = []
-        e = self.entries
-        for i in range(self.rows):
-            base = i * self.cols
-            s = ZERO
-            for j, v in enumerate(vec):
-                if v != 0:
-                    a = e[base + j]
-                    if a != 0:
-                        s += a * v
-            out.append(s)
+        v = {j: x for j, x in enumerate(vec) if x}
+        out = [ZERO] * self.rows
+        for r, row in self.sparse.items():
+            out[r] = frac(sum(a * v[j] for j, a in row.items() if j in v))
         return out
 
     def __repr__(self):
@@ -221,56 +271,51 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
+def combination(terms: Iterable[tuple], rows: int, cols: int) -> Mat:
+    """sum c * M over the pairs (c, M) of `terms`, all rows x cols."""
+    acc: dict = {}
+    for c, m in terms:
+        if c:
+            for r, row in m.sparse.items():
+                out = acc.get(r)
+                if out is None:
+                    out = acc[r] = {}
+                for k, v in row.items():
+                    out[k] = out.get(k, 0) + c * v
+    return Mat._of(rows, cols, _clean(acc))
+
+
 def commutator(a: Mat, b: Mat) -> Mat:
-    return a @ b - b @ a
+    """AB - BA for square matrices of one size, in one pass over the nonzero
+    entries."""
+    if a.shape != b.shape or not a.is_square():
+        raise InputError("commutator needs square matrices of one size")
+    acc: dict = {}
+    for left, right, sign in ((a.sparse, b.sparse, 1), (b.sparse, a.sparse, -1)):
+        for r, row in left.items():
+            out = None
+            for t, x in row.items():
+                other = right.get(t)
+                if other:
+                    if out is None:
+                        out = acc.setdefault(r, {})
+                    x = x if sign == 1 else -x
+                    for c, y in other.items():
+                        out[c] = out.get(c, 0) + x * y
+    return Mat._of(a.rows, a.cols, _clean(acc))
 
 
-def _exact(x):
-    """x as an int when it is integral, else unchanged."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def sparse_rows(m: Mat) -> dict:
-    """Nonzero entries of a square matrix as rows {r: {c: value}}, integral
-    values as int."""
-    n = m.cols
-    rows: dict[int, dict] = {}
-    for idx, v in enumerate(m.entries):
-        if v:
-            rows.setdefault(idx // n, {})[idx % n] = _exact(v)
-    return rows
-
-
-def sparse_product(a: dict, b: dict) -> dict:
-    """AB for matrices in `sparse_rows` form, in the same form with zero
-    entries and empty rows dropped."""
-    out: dict[int, dict] = {}
-    for r, row in a.items():
-        acc: dict = {}
-        for t, x in row.items():
-            for c, y in b.get(t, {}).items():
-                acc[c] = acc.get(c, 0) + x * y
-        acc = {c: v for c, v in acc.items() if v}
-        if acc:
-            out[r] = acc
-    return out
-
-
-def sparse_commutator(a: dict, b: dict, n: int) -> dict:
-    """AB - BA for n x n matrices in `sparse_rows` form, as {r*n + c: value}
-    with zero entries dropped."""
-    out: dict = {}
-    for r, row in a.items():
-        for t, x in row.items():
-            for c, y in b.get(t, {}).items():
-                k = r * n + c
-                out[k] = out.get(k, 0) + x * y
-    for r, row in b.items():
-        for t, y in row.items():
-            for c, x in a.get(t, {}).items():
-                k = r * n + c
-                out[k] = out.get(k, 0) - y * x
-    return {k: v for k, v in out.items() if v}
+def block_matrix(grid: Sequence[Sequence[Mat]]) -> Mat:
+    """The matrix made of the blocks grid[i][j], all of one shape."""
+    h, w = grid[0][0].shape
+    data: dict = {}
+    for bi, line in enumerate(grid):
+        for bj, block in enumerate(line):
+            for r, row in block.sparse.items():
+                out = data.setdefault(bi * h + r, {})
+                for c, v in row.items():
+                    out[bj * w + c] = v
+    return Mat._of(len(grid) * h, len(grid[0]) * w, data)
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +324,10 @@ def sparse_commutator(a: dict, b: dict, n: int) -> dict:
 
 
 def _sparse(vec: Vector) -> dict:
-    """A new {index: value} copy of a dense or sparse vector, without zeros
-    and with integral values as int."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    """A new {index: value} copy of a vector, without zeros and with
+    integral values as int.  Any Mapping is read as sparse {index: value};
+    anything else as a dense sequence."""
+    items = vec.items() if isinstance(vec, dict) or isinstance(vec, Mapping) else enumerate(vec)
     return {i: _exact(v) for i, v in items if v}
 
 
@@ -338,8 +384,9 @@ def _echelon(rows: Iterable[Vector], width: int) -> Optional[dict]:
 
 def _solutions(pivots: dict, seeds: Iterable[dict], width: int) -> list:
     """For each seed, the x[0:width] solving the echelon rows that equals the
-    seed off the pivots and 0 at the other free columns.  Pivots are solved
-    in decreasing order, so each row only meets values already fixed."""
+    seed off the pivots and 0 at the other free columns, as a sparse vector
+    with integral values as int.  Pivots are solved in decreasing order, so
+    each row only meets values already fixed."""
     order = sorted(pivots, reverse=True)
     out = []
     for seed in seeds:
@@ -347,16 +394,20 @@ def _solutions(pivots: dict, seeds: Iterable[dict], width: int) -> list:
         for p in order:
             s = sum(c * x[k] for k, c in pivots[p].items() if k in x)
             if s:
-                x[p] = -s
-        out.append([frac(x[c]) if c in x else ZERO for c in range(width)])
+                x[p] = -_exact(s)
+        out.append({c: v for c, v in x.items() if c < width})
     return out
+
+
+def _dense(vec: dict, width: int) -> list:
+    return [frac(vec[c]) if c in vec else ZERO for c in range(width)]
 
 
 class SpanSolver:
     """Incremental row-space tracker with exact membership decomposition.
 
-    Vectors are given as dense sequences or as sparse {index: value}
-    mappings, and are stored sparsely.  Each inserted vector is reduced
+    Vectors are given as sparse {index: value} mappings (any `Mapping`) or
+    as dense sequences, and are stored sparsely.  Each inserted vector is reduced
     against the pivot rows collected so far; an independent residue becomes
     a new pivot row.  The solver remembers how each pivot row is expressed in
     the inserted vectors, so `decompose` returns coordinates with respect to
@@ -425,13 +476,9 @@ class LinearSolution:
     particular: Mat  # shape (n, rhs columns)
     kernel: tuple  # tuple of Mat column vectors (n, 1)
 
-    @property
-    def kernel_dim(self) -> int:
-        return len(self.kernel)
-
 
 def matrix_rank(a: Mat) -> int:
-    return len(_echelon(map(a.row, range(a.rows)), a.cols))
+    return len(_echelon(a.sparse.values(), a.cols))
 
 
 def solve_linear(a: Mat, b: Mat) -> Optional[LinearSolution]:
@@ -446,12 +493,15 @@ def solve_linear(a: Mat, b: Mat) -> Optional[LinearSolution]:
         raise InputError(f"A has {a.rows} rows but b has {b.rows}")
     m = a.cols
     # column m + t holds b[:, t], so x[m + t] = -1 solves for that column
-    pivots = _echelon((a.row(i) + b.row(i) for i in range(a.rows)), m)
+    rows = ({**a.sparse.get(i, _NONE), **{m + t: v for t, v in b.sparse.get(i, _NONE).items()}}
+            for i in range(a.rows))
+    pivots = _echelon(rows, m)
     if pivots is None:
         return None
     part = _solutions(pivots, ({m + t: -1} for t in range(b.cols)), m)
     kernel = _solutions(pivots, ({f: 1} for f in range(m) if f not in pivots), m)
-    return LinearSolution(Mat.from_columns(part, m), tuple(map(Mat.column, kernel)))
+    return LinearSolution(Mat._of(b.cols, m, {t: x for t, x in enumerate(part) if x}).transpose(),
+                          tuple(Mat._of(1, m, {0: x}).transpose() for x in kernel))
 
 
 def invert(a: Mat) -> Mat:
@@ -471,7 +521,8 @@ def kernel_of_sparse_rows(rows: list, ncols: int) -> list:
     forms) whose constraint rows are very sparse.
     """
     pivots = _echelon(rows, ncols)
-    return _solutions(pivots, ({f: 1} for f in range(ncols) if f not in pivots), ncols)
+    seeds = ({f: 1} for f in range(ncols) if f not in pivots)
+    return [_dense(x, ncols) for x in _solutions(pivots, seeds, ncols)]
 
 
 # ---------------------------------------------------------------------------
@@ -618,12 +669,11 @@ def minimal_polynomial(m: Mat) -> MinimalPolynomial:
     if n == 0:
         return MinimalPolynomial((ONE,), ())
     span = SpanSolver(n * n)
-    a = sparse_rows(m)
-    current = {i: {i: 1} for i in range(n)}
-    span.insert({i * n + i: 1 for i in range(n)})
+    current = Mat.identity(n)
+    span.insert(current.flat())
     while True:
-        current = sparse_product(current, a)
-        flat = {r * n + c: v for r, row in current.items() for c, v in row.items()}
+        current = current @ m
+        flat = current.flat()
         coords = span.decompose(flat)
         if coords is not None:
             # current = sum coords[i] * M^i  =>  min poly = t^k - sum coords_i t^i

@@ -1003,3 +1003,205 @@ def reference_is_automorphism(pair, sigma: Mat) -> bool:
             if sc.bracket_coords(cols[i], cols[j]) != expect:
                 return False
     return True
+
+
+# -- the dense Mat that the sparse, int-first one replaced, and its
+# commutator, kept verbatim (only renamed) ------------------------------------
+
+
+class ReferenceMat:
+    """Immutable dense matrix with Fraction entries, stored row-major."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[Scalar]):
+        if rows < 0 or cols < 0 or len(entries) != rows * cols:
+            raise InputError(f"entry count {len(entries)} does not match shape {rows}x{cols}")
+        self.rows = rows
+        self.cols = cols
+        # a Fraction is kept and an int 0 shared without a call; anything
+        # else, a malformed string included, goes through Fraction(x)
+        self.entries = tuple([
+            x if x.__class__ is Fraction else ZERO if x.__class__ is int and not x else Fraction(x)
+            for x in entries
+        ])
+
+    # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_rows(rows: Sequence[Sequence[Scalar]]) -> "ReferenceMat":
+        r = len(rows)
+        c = len(rows[0]) if r else 0
+        flat = []
+        for row in rows:
+            if len(row) != c:
+                raise InputError("ragged rows")
+            flat.extend(row)
+        return ReferenceMat(r, c, flat)
+
+    @staticmethod
+    def from_columns(cols: Sequence[Sequence[Scalar]], rows: int) -> "ReferenceMat":
+        """The matrix whose columns are `cols`, each of length `rows`."""
+        return ReferenceMat(rows, len(cols), [col[r] for r in range(rows) for col in cols])
+
+    @staticmethod
+    def zero(rows: int, cols: int) -> "ReferenceMat":
+        return ReferenceMat(rows, cols, [ZERO] * (rows * cols))
+
+    @staticmethod
+    def identity(n: int) -> "ReferenceMat":
+        return ReferenceMat(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
+
+    @staticmethod
+    def diag(values: Sequence[Scalar]) -> "ReferenceMat":
+        n = len(values)
+        m = [ZERO] * (n * n)
+        for i, v in enumerate(values):
+            m[i * n + i] = v
+        return ReferenceMat(n, n, m)
+
+    @staticmethod
+    def column(values: Sequence[Scalar]) -> "ReferenceMat":
+        return ReferenceMat(len(values), 1, list(values))
+
+    @staticmethod
+    def unit(rows: int, cols: int, i: int, j: int, value: Scalar = 1) -> "ReferenceMat":
+        m = [ZERO] * (rows * cols)
+        m[i * cols + j] = value
+        return ReferenceMat(rows, cols, m)
+
+    # -- access ------------------------------------------------------------
+
+    def __getitem__(self, ij) -> Fraction:
+        i, j = ij
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> tuple:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def col(self, j: int) -> list:
+        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+
+    def to_rows(self) -> list:
+        return [list(self.row(i)) for i in range(self.rows)]
+
+    @property
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def is_zero(self) -> bool:
+        return all(x == 0 for x in self.entries)
+
+    def is_symmetric(self) -> bool:
+        return self.is_square() and all(
+            self.entries[i * self.cols + j] == self.entries[j * self.cols + i]
+            for i in range(self.rows)
+            for j in range(i + 1, self.cols)
+        )
+
+    # -- algebra -----------------------------------------------------------
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, ReferenceMat)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __add__(self, other: "ReferenceMat") -> "ReferenceMat":
+        if self.shape != other.shape:
+            raise InputError("shape mismatch in addition")
+        return ReferenceMat(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
+
+    def __sub__(self, other: "ReferenceMat") -> "ReferenceMat":
+        if self.shape != other.shape:
+            raise InputError("shape mismatch in subtraction")
+        return ReferenceMat(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
+
+    def __neg__(self) -> "ReferenceMat":
+        return ReferenceMat(self.rows, self.cols, [-a for a in self.entries])
+
+    def scale(self, s: Scalar) -> "ReferenceMat":
+        s = frac(s)
+        return ReferenceMat(self.rows, self.cols, [s * a for a in self.entries])
+
+    def __matmul__(self, other: "ReferenceMat") -> "ReferenceMat":
+        if self.cols != other.rows:
+            raise InputError("inner dimension mismatch in product")
+        n, k, m = self.rows, self.cols, other.cols
+        out = [ZERO] * (n * m)
+        se, oe = self.entries, other.entries
+        for i in range(n):
+            base = i * k
+            for t in range(k):
+                a = se[base + t]
+                if a == 0:
+                    continue
+                ob = t * m
+                rb = i * m
+                for j in range(m):
+                    b = oe[ob + j]
+                    if b != 0:
+                        out[rb + j] += a * b
+        return ReferenceMat(n, m, out)
+
+    def transpose(self) -> "ReferenceMat":
+        return ReferenceMat(
+            self.cols,
+            self.rows,
+            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
+        )
+
+    def trace(self) -> Fraction:
+        if not self.is_square():
+            raise InputError("trace of a non-square matrix")
+        return sum((self.entries[i * self.cols + i] for i in range(self.rows)), ZERO)
+
+    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ReferenceMat":
+        return ReferenceMat(
+            len(row_idx),
+            len(col_idx),
+            [self.entries[i * self.cols + j] for i in row_idx for j in col_idx],
+        )
+
+    def apply(self, vec: Sequence[Fraction]) -> list:
+        """Matrix-vector product on a plain coefficient list."""
+        if len(vec) != self.cols:
+            raise InputError("vector length mismatch")
+        out = []
+        e = self.entries
+        for i in range(self.rows):
+            base = i * self.cols
+            s = ZERO
+            for j, v in enumerate(vec):
+                if v != 0:
+                    a = e[base + j]
+                    if a != 0:
+                        s += a * v
+            out.append(s)
+        return out
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
+        return f"Mat({self.rows}x{self.cols}: {body})"
+
+
+def reference_commutator(a: ReferenceMat, b: ReferenceMat) -> ReferenceMat:
+    return a @ b - b @ a
+
+
+def stored_form_holds(m: Mat) -> bool:
+    """The sparse Mat invariant: no zero entries, no empty rows, integral
+    values as int, every position inside the shape."""
+    return all(
+        row and 0 <= r < m.rows and all(
+            v and 0 <= c < m.cols and (v.__class__ is int or v.denominator != 1)
+            for c, v in row.items())
+        for r, row in m.sparse.items())

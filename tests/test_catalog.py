@@ -566,6 +566,26 @@ def _refused(change):
         change()
 
 
+def test_empty_table_cells_are_one_shared_read_only_mapping():
+    from cartanext import io
+
+    g = catalog.build_graded("projective", {"n": 3})
+    table = g.algebra.constants.table
+    text = io.canonical_dumps(io.graded_to_json(g))
+    empty = [(i, j) for i in range(g.dim) for j in range(g.dim) if not table[i][j]]
+    assert empty and all(table[i][j] is table[0][0] for i, j in empty)
+    i, j = empty[-1]
+    _refused(lambda: table[i][j].__setitem__(0, 7))
+    _refused(lambda: table[i][j].update({0: 7}))
+    _refused(lambda: table[i][j].setdefault(0, 7))
+    assert dict(table[i][j]) == {} and not table[i][j]
+    again = catalog.build_graded("projective", {"n": 3})
+    assert again is g and catalog.verify_graded(again) == []
+    assert io.canonical_dumps(io.graded_to_json(again)) == text
+    fresh = make_algebra(list(g.algebra.basis), "copy")
+    assert fresh.constants.table == table
+
+
 def test_pair_params_are_read_only():
     from cartanext import io
 

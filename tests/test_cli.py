@@ -295,7 +295,7 @@ def test_check_extension_report(tmp_path):
     target = build_graded("grassmannian", {"p": 2, "q": 2})
     ext = classify.inclusion_witness(pair, target)
     path = tmp_path / "ext.json"
-    io.dump_json(str(path), io.extension_to_json(ext))
+    path.write_text(io.canonical_dumps(io.extension_to_json(ext)), encoding="utf-8")
     out = tmp_path / "report.json"
     assert run(["check-extension", "--extension", str(path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())

@@ -14,7 +14,6 @@ from cartanext.extension import (
     _assert_b2_equivariant,
     curvature,
     dstar_projective,
-    graded_rescale_operator,
     is_flat,
     is_holomorphic,
     projective_normalization_operator,
@@ -102,8 +101,10 @@ def test_curvature_antisymmetry_and_equivariance(projective_witness_sl2):
 
 
 def test_graded_rescale_commutes_with_curvature(projective_witness_sl2):
+    # the grading dilation acting by s^-k on grade k is an automorphism
     ext = projective_witness_sl2
-    op = graded_rescale_operator(ext.target, F(3, 2))
+    s = F(3, 2)
+    op = Mat.diag([s ** -ext.target.grade_of(i) for i in range(ext.target.dim)])
     rescaled = ext.map_alpha(op)
     k0 = curvature(ext)
     k1 = curvature(rescaled)

@@ -178,7 +178,6 @@ def test_commutant_adjoint_sl2_is_R(sl2_basis):
     alg = make_algebra(list(sl2_basis), "sl2")
     cls = commutant(alg.adjoint_representation())
     assert (cls.dim, cls.label) == (1, "R")
-    assert cls.is_irreducible
 
 
 def test_commutant_rotation_is_C():
@@ -207,7 +206,6 @@ def test_commutant_sum_of_inequivalent_is_RxR(sl2_basis):
     action = [block(m, adj.action[i]) for i, m in enumerate([e, h, f])]
     cls = commutant(Representation(alg, 5, action))
     assert (cls.dim, cls.label) == (2, "RxR")
-    assert not cls.is_irreducible
 
 
 def test_commutant_quaternionic_is_H():
@@ -267,7 +265,6 @@ def test_commutant_m2r_is_other_not_h(sl2_basis):
     rep = Representation(alg, 4, [s @ _block_diag(m, m) @ s_inv for m in sl2_basis])
     cls = commutant(rep)
     assert (cls.dim, cls.label) == (4, "OTHER")
-    assert not cls.is_irreducible
     res = invariant_complex_structures(rep)
     assert (res.status, res.label) == ("undecided", "OTHER")
 

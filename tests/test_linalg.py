@@ -18,12 +18,12 @@ from cartanext.linalg import (
     matrix_rank,
     minimal_polynomial,
     solve_linear,
-    sparse_commutator,
-    sparse_product,
-    sparse_rows,
     symmetric_signature,
 )
 from conftest import (
+    ReferenceMat,
+    reference_commutator,
+    stored_form_holds,
     descartes_signature_oracle,
     eval_poly_at,
     reference_kernel_of_sparse_rows,
@@ -36,13 +36,13 @@ from conftest import (
 def test_identity_solve():
     sol = solve_linear(Mat.identity(3), Mat.column([1, 2, 3]))
     assert sol.particular.col(0) == [1, 2, 3]
-    assert sol.kernel_dim == 0
+    assert sol.kernel == ()
 
 
 def test_zero_system_full_kernel():
     sol = solve_linear(Mat.zero(2, 2), Mat.zero(2, 1))
     assert sol.particular.is_zero()
-    assert sol.kernel_dim == 2
+    assert len(sol.kernel) == 2
 
 
 def test_inconsistent_system():
@@ -74,32 +74,30 @@ def test_sparse_commutator_matches_dense():
         n = rng.randint(1, 5)
 
         def sparse_random():
-            return Mat(n, n, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                              if rng.random() < 0.3 else 0 for _ in range(n * n)])
+            return [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                    if rng.random() < 0.3 else 0 for _ in range(n * n)]
 
         a, b = sparse_random(), sparse_random()
-        rows = sparse_rows(a)
-        assert all(v != 0 for row in rows.values() for v in row.values())
-        assert all(a[r, c] == v for r, row in rows.items() for c, v in row.items())
-        assert sum(len(row) for row in rows.values()) == sum(1 for x in a.entries if x != 0)
-        dense = commutator(a, b).entries
-        assert sparse_commutator(rows, sparse_rows(b), n) == \
-            {k: v for k, v in enumerate(dense) if v != 0}
-    assert sparse_commutator(sparse_rows(a), sparse_rows(a), n) == {}
+        got = commutator(Mat(n, n, a), Mat(n, n, b))
+        assert got.entries == reference_commutator(ReferenceMat(n, n, a),
+                                                   ReferenceMat(n, n, b)).entries
+        assert stored_form_holds(got)
+    assert commutator(Mat(n, n, a), Mat(n, n, a)).sparse == {}
 
 
 def test_sparse_product_matches_dense():
     rng = random.Random(17)
     for trial in range(40):
         n = rng.randint(1, 5)
-        a, b = (Mat(n, n, [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                           if rng.random() < 0.3 else 0 for _ in range(n * n)])
-                for _ in range(2))
-        assert sparse_product(sparse_rows(a), sparse_rows(b)) == sparse_rows(a @ b)
+        a, b = ([Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                 if rng.random() < 0.3 else 0 for _ in range(n * n)] for _ in range(2))
+        got = Mat(n, n, a) @ Mat(n, n, b)
+        assert got.entries == (ReferenceMat(n, n, a) @ ReferenceMat(n, n, b)).entries
+        assert stored_form_holds(got)
     # entries that cancel are dropped, and so are rows left empty
     a = Mat.from_rows([[1, 1], [0, 0]])
     b = Mat.from_rows([[1, 2], [-1, -2]])
-    assert sparse_product(sparse_rows(a), sparse_rows(b)) == {}
+    assert (a @ b).sparse == {}
 
 
 def test_sparse_decompose_is_decompose_without_zeros():
@@ -367,3 +365,21 @@ def test_minpoly_repeated_factor_multiplicity():
     mp = minimal_polynomial(m)
     assert mp.coeffs == (Fraction(1), Fraction(-2), Fraction(1))
     assert [(f.degree, f.multiplicity) for f in mp.factors] == [(1, 2)]
+
+
+def test_any_mapping_is_read_as_a_sparse_vector():
+    """A Mapping that is not a dict (a read-only proxy here) is a sparse
+    {index: value} vector, not a dense sequence of its keys."""
+    from types import MappingProxyType
+
+    from cartanext.linalg import _sparse
+
+    assert _sparse(MappingProxyType({3: 1, 5: Fraction(4, 2), 6: 0})) == {3: 1, 5: 2}
+    assert _sparse([0, Fraction(3, 3), 0, Fraction(1, 2)]) == {1: 1, 3: Fraction(1, 2)}
+    span = SpanSolver(8)
+    vec = {3: 1, 5: 2}
+    assert span.insert(MappingProxyType(vec))
+    assert span.contains(MappingProxyType(vec)) and span.contains(vec)
+    assert span.sparse_decompose(MappingProxyType({3: 2, 5: 4})) == {0: 2}
+    assert not span.insert(MappingProxyType({3: -1, 5: -2}))
+    assert span.decompose(MappingProxyType({0: 1})) is None
