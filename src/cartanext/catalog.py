@@ -15,7 +15,7 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from . import bases
-from .errors import InputError, InternalCheckError
+from .errors import DependentBasisError, InputError, InternalCheckError
 from .lie import (
     FrozenDict,
     MatrixLieAlgebra,
@@ -528,8 +528,10 @@ def verify_graded(g: GradedAlgebra) -> list:
     The Jacobi identity is certified by the basis matrices realizing the
     structure constants, and once every other check has passed, effectivity
     is one kernel (`MatrixLieAlgebra.realization_certified` and
-    `largest_ideal_dim` hold the proofs).  Where a certificate does not
-    apply, the full scans `jacobi_witnesses` and
+    `largest_ideal_dim` hold the proofs).  For an algebra built by
+    `make_algebra` the realization was established during that build and
+    is read here; any other algebra is checked here.  Where a certificate
+    does not apply, the full scans `jacobi_witnesses` and
     `largest_invariant_subspace_dim` run instead, so failing tables report
     the same witnesses and dimensions."""
     failures = []
@@ -647,19 +649,24 @@ def _assemble_pair(name, family, params, h_mats, m_mats, conjugator=None,
 
 def _pair_from_involution(name, family, params, k_mats, conjugator,
                           certificate_ideal=None) -> SymmetricPair:
-    """Build a pair from a basis and an ambient conjugation involution."""
-    probe = make_algebra(k_mats, name + "#probe")
+    """Build a pair from a basis and an ambient conjugation involution.
+    The basis must be independent; `_assemble_pair` checks closure."""
+    size = conjugator.rows ** 2
+    k_span = SpanSolver(size)
+    for idx, b in enumerate(k_mats):
+        if not k_span.insert(b.flat()):
+            raise DependentBasisError(idx)
     sq = conjugator @ conjugator
     scalar = sq[0, 0]
     if sq != Mat.identity(conjugator.rows).scale(scalar) or scalar == 0:
         raise InputError("conjugator must square to a nonzero scalar")
     inv = conjugator.scale(ONE / scalar)
-    h_span = SpanSolver(probe.ambient_size ** 2)
-    m_span = SpanSolver(probe.ambient_size ** 2)
+    h_span = SpanSolver(size)
+    m_span = SpanSolver(size)
     h_mats, m_mats = [], []
     for b in k_mats:
         image = conjugator @ b @ inv
-        if probe.coordinates(image) is None:
+        if not k_span.contains(image.flat()):
             raise InputError("conjugation does not preserve the algebra span")
         plus = (b + image).scale(Fraction(1, 2))
         minus = (b - image).scale(Fraction(1, 2))
@@ -992,12 +999,13 @@ def verify_pair(pair: SymmetricPair) -> list:
     (no nonzero ideal of k inside h).
 
     As in `verify_graded`, the Jacobi identity is certified by the basis
-    matrices realizing the structure constants and, once it and
-    antisymmetry hold, effectivity is one kernel.  The kernel needs [h, h]
-    inside h and [h, m] inside m.  Construction checks the eigenspace
-    brackets, but a pair made by `dataclasses.replace` skips that, so the
-    certificate reads them off the table itself, and the full search runs
-    where they fail."""
+    matrices realizing the structure constants (established by
+    `make_algebra` during the build, or checked here for an algebra made
+    any other way) and, once it and antisymmetry hold, effectivity is one
+    kernel.  The kernel needs [h, h] inside h and [h, m] inside m.
+    Construction checks the eigenspace brackets, but a pair made by
+    `dataclasses.replace` skips that, so the certificate reads them off the
+    table itself, and the full search runs where they fail."""
     failures = []
     sc = pair.k_algebra.constants
     antisymmetric = sc.antisymmetry_holds()

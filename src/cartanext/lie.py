@@ -40,7 +40,9 @@ from .linalg import (
 class FrozenDict(dict):
     """A dict that refuses changes.  Builds are memoized and shared, so a
     write to their parameters or structure constants would reach every
-    later build."""
+    later build.  No instance attributes, so a cell costs what a dict does."""
+
+    __slots__ = ()
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("a memoized catalog object is read-only")
@@ -59,13 +61,14 @@ class StructureConstants:
     """Sparse structure constants c[i][j] = {k: coefficient}.
 
     Integral coefficients are stored as int, the others as Fraction; readers
-    of `table` and `row` only add, multiply and compare them.  Every empty
-    cell of a table built by `make_algebra` is one shared read-only mapping.
+    of `table` and `row` only add, multiply and compare them.  A table built
+    by `make_algebra` is frozen: its rows are tuples, every cell is a
+    read-only `FrozenDict`, and every empty cell is one shared mapping.
     """
 
-    def __init__(self, dim: int, table: list):
+    def __init__(self, dim: int, table: Sequence):
         self.dim = dim
-        self.table = table  # table[i][j] is a dict {k: int | Fraction}
+        self.table = table  # table[i][j] is a mapping {k: int | Fraction}
 
     def row(self, i: int, j: int) -> dict:
         return self.table[i][j]
@@ -199,6 +202,8 @@ class MatrixLieAlgebra:
         self.constants = constants
         self._span = span
         self._killing: Optional[Mat] = None
+        # (table, basis) that `make_algebra` certified while building them
+        self._certified: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
@@ -240,13 +245,31 @@ class MatrixLieAlgebra:
         carries the table's bracket to the matrix commutator.  So phi sends
         the Jacobiator J(x, y, z) = [x, [y, z]] + [y, [z, x]] + [z, [x, y]]
         to the Jacobiator of phi x, phi y, phi z in gl(n), which is 0; phi
-        is injective, so J = 0.  The cost is one sparse commutator per pair
-        whose supports meet (see `_homomorphism_witness`), not a scan of
-        index triples.
+        is injective, so J = 0.
+
+        Where the check is made.  `make_algebra` makes it while it builds
+        the table (see there) and records the table object and the basis
+        tuple it checked.  When `constants.table` and `basis` are still
+        those very objects, the answer is True without a second pass, and
+        it is the same answer: the basis is a tuple of `Mat`s, which are
+        immutable (matrices share their entry dicts, so the engine already
+        relies on nothing changing them), and the table is a tuple of
+        tuples of read-only `FrozenDict` cells, so neither can differ from
+        what was checked.  Like the entry dicts of a `Mat`, the cells rest
+        on that contract: `dict.__setitem__` called on a cell directly
+        still writes it, and nothing may do so.  A table or basis put in
+        place afterwards, by the constructor, by `dataclasses.replace` of
+        the owning object or by assignment, fails the identity test and
+        gets the full check: one span pass and one sparse commutator per
+        pair whose supports meet (see `_homomorphism_witness`), not a scan
+        of index triples.
         """
         n, basis = self.ambient_size, self.basis
         if self.constants.dim != len(basis):
             return False
+        done = self._certified
+        if done is not None and done[0] is self.constants.table and done[1] is basis:
+            return True
         span = SpanSolver(n * n)
         return (all(span.insert(b.flat()) for b in basis)
                 and _homomorphism_witness(self.constants, basis, n) is None)
@@ -256,9 +279,26 @@ class MatrixLieAlgebra:
 
 
 def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
-    """Build an algebra from square matrices, verifying independence and closure."""
+    """Build an algebra from square matrices, verifying independence and
+    closure, and certify that the basis realizes the table it builds.
+
+    A fresh `SpanSolver` shows the basis independent.  Each pair i < j then
+    falls in one of three cases, and in each [X_i, X_j] = sum_k c_ij^k X_k
+    is established, which is `realization_certified`'s check:
+    - the support masks show X_i X_j = X_j X_i = 0: the cell is empty;
+    - the bracket has exactly the support of a basis matrix X_k and equals
+      c X_k entry by entry: the cell is {k: c}, and by independence these
+      are its only coordinates;
+    - otherwise the bracket is decomposed by elimination (`ClosureError`
+      when it lies outside the span), and the decomposition is tested by
+      forming sum_k c_ij^k X_k and comparing it with the bracket.
+    The cell of (j, i) is the negated cell of (i, j).  The table is frozen
+    (tuple rows, `FrozenDict` cells), and if every test held, the table and
+    the basis tuple are recorded as certified on the algebra.
+    """
     if not basis:
         raise InputError("empty basis")
+    basis = tuple(basis)
     n = basis[0].rows
     for b in basis:
         if not b.is_square() or b.rows != n:
@@ -269,6 +309,11 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
             raise DependentBasisError(idx)
     dim = len(basis)
     in_rows, in_cols = _support_masks(basis)
+    by_support: dict = {}  # support of X_k -> the indices k with that support
+    for k, b in enumerate(basis):
+        by_support.setdefault(_support(b, n), []).append(k)
+    negated = [(-b).sparse for b in basis]
+    certified = True
     table = [[_EMPTY_CELL] * dim for _ in range(dim)]
     for i in range(dim):
         row_mask, col_mask = in_rows[i], in_cols[i]
@@ -276,14 +321,54 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
             if not (col_mask & in_rows[j] or in_cols[j] & row_mask):
                 continue  # X_i X_j = X_j X_i = 0
             bracket = commutator(basis[i], basis[j])
-            if bracket.sparse:
+            if not bracket.sparse:
+                continue
+            fwd = _one_term(bracket, by_support.get(_support(bracket, n), ()), basis, negated)
+            if fwd is None:
                 fwd = span.sparse_decompose(bracket.flat())
                 if fwd is None:
                     raise ClosureError(i, j)
-                table[i][j] = fwd
-                table[j][i] = {k: -c for k, c in fwd.items()}
-    constants = StructureConstants(dim, table)
-    return MatrixLieAlgebra(n, basis, name, constants, span)
+                if certified and combination(((c, basis[k]) for k, c in fwd.items()),
+                                             n, n) != bracket:
+                    certified = False
+            table[i][j] = FrozenDict(fwd)
+            table[j][i] = FrozenDict({k: -c for k, c in fwd.items()})
+    for i in range(dim):  # row by row, so that only one row is held twice
+        table[i] = tuple(table[i])
+    table = tuple(table)
+    algebra = MatrixLieAlgebra(n, basis, name, StructureConstants(dim, table), span)
+    if certified:
+        algebra._certified = (table, basis)
+    return algebra
+
+
+def _support(m: Mat, n: int) -> frozenset:
+    """The flat positions r * n + c of the nonzero entries of m."""
+    return frozenset(r * n + c for r, row in m.sparse.items() for c in row)
+
+
+def _one_term(bracket: Mat, candidates, basis: Sequence[Mat], negated: list) -> Optional[dict]:
+    """{k: c} when bracket = c X_k, checked entry by entry, for the first
+    such k among `candidates` (indices whose X_k has the bracket's support),
+    else None.  negated[k] holds the entries of -X_k, so the common c = 1
+    and c = -1 are one dict comparison each."""
+    entries = bracket.sparse
+    for k in candidates:
+        x = basis[k].sparse
+        if entries == x:
+            return {k: 1}
+        if entries == negated[k]:
+            return {k: -1}
+        r = next(iter(x))
+        col, w = next(iter(x[r].items()))
+        v = entries[r][col]
+        if v.__class__ is int and w.__class__ is int and not v % w:
+            c = v // w
+        else:
+            c = _exact(Fraction(v) / w)
+        if all(entries[s][t] == c * u for s, row in x.items() for t, u in row.items()):
+            return {k: c}
+    return None
 
 
 def _support_masks(mats: Sequence[Mat]) -> tuple:

@@ -586,6 +586,57 @@ def test_empty_table_cells_are_one_shared_read_only_mapping():
     assert fresh.constants.table == table
 
 
+def test_cached_table_cannot_be_changed_by_callers():
+    from cartanext import io
+
+    g = build_graded("projective", {"n": 2})
+    table = g.algebra.constants.table
+    text = io.canonical_dumps(io.graded_to_json(g))
+    i, j = next((i, j) for i in range(g.dim) for j in range(g.dim) if table[i][j])
+    cell = dict(table[i][j])
+    k = next(k for k in range(g.dim) if k not in cell)
+
+    def write_cell():
+        table[i][j][k] = 7
+
+    def assign_cell():
+        table[i][j] = {k: 7}
+
+    def append_to_row():
+        table[i].append({k: 7})
+
+    def assign_row():
+        table[i] = ()
+
+    for change, error in ((write_cell, TypeError), (assign_cell, TypeError),
+                          (append_to_row, AttributeError), (assign_row, TypeError)):
+        with pytest.raises(error):
+            change()
+        again = build_graded("projective", {"n": 2})
+        assert again is g and again.algebra.constants.table is table
+        assert table[i][j] == cell and len(table[i]) == g.dim
+        assert io.canonical_dumps(io.graded_to_json(again)) == text
+        assert verify_graded(again) == []
+
+
+def test_involution_pair_builds_one_algebra(monkeypatch):
+    # the involution's span test needs no structure constants of its own
+    built = []
+    real = catalog.make_algebra
+    monkeypatch.setattr(catalog, "make_algebra",
+                        lambda basis, name="": built.append(name) or real(basis, name))
+    pair = catalog._PAIR_BUILDERS["so_complex"]({"n": 2})
+    assert built == [pair.name] and verify_pair(pair) == []
+    basis, j = list(pair.k_algebra.basis), pair.conjugator
+    with pytest.raises(DependentBasisError) as err:
+        catalog._pair_from_involution("x", "so_complex", {"n": 2}, basis + basis[:1], j)
+    assert err.value.index == len(basis)
+    mixed = [pair.k_algebra.basis[pair.h_indices[0]] + pair.k_algebra.basis[pair.m_indices[0]]]
+    with pytest.raises(InputError, match="conjugation does not preserve the algebra span"):
+        catalog._pair_from_involution("x", "so_complex", {"n": 2}, mixed, j)
+    assert built == [pair.name]
+
+
 def test_pair_params_are_read_only():
     from cartanext import io
 

@@ -7,13 +7,14 @@ certificate is `MatrixLieAlgebra.realization_certified`; the generating-set
 certificate it replaced is kept as `reference_jacobi_certified`.
 """
 
+import copy
 import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from cartanext import catalog
+from cartanext import catalog, lie
 from cartanext.catalog import build_graded, build_pair, verify_graded, verify_pair
 from cartanext.lie import (
     MatrixLieAlgebra,
@@ -332,3 +333,80 @@ def test_projective_21_verifies():  # the dimension cap
     g = build_graded("projective", {"n": 21})
     assert g.dim == 483
     assert verify_graded(g) == []
+
+
+# -- the certificate `make_algebra` records while it builds the table ----------
+
+
+def _healthy(kind):
+    return (build_graded("projective", {"n": 2}) if kind == "graded"
+            else build_pair("group_type", {"base": "so(3)"}))
+
+
+def _witness_calls(monkeypatch) -> list:
+    """The number of action matrices of every `_homomorphism_witness` call
+    from here on."""
+    calls = []
+    witness = lie._homomorphism_witness
+
+    def spy(constants, action, n):
+        calls.append(len(action))
+        return witness(constants, action, n)
+
+    monkeypatch.setattr(lie, "_homomorphism_witness", spy)
+    return calls
+
+
+def test_cached_builds_are_certified_without_a_commutator(monkeypatch):
+    algebras = [build_graded(f, p).algebra for f, p in catalog.default_graded_grid()]
+    algebras.append(build_graded("projective", {"n": 15}).algebra)
+    algebras += [build_pair(f, q).k_algebra for f, q in catalog.default_pair_grid()]
+    monkeypatch.setattr(lie, "commutator", _refuse)
+    monkeypatch.setattr(lie, "_homomorphism_witness", _refuse)
+    for alg in algebras:
+        assert alg.realization_certified(), alg.name
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY))
+def test_copies_made_after_the_build_repeat_the_check(kind, monkeypatch):
+    verify, _, field, _ = VERIFY[kind]
+    obj = _healthy(kind)
+    alg = getattr(obj, field)
+    table = alg.constants.table
+    moved_basis, moved_table = copy.copy(alg), copy.copy(alg)
+    moved_basis.basis = tuple(list(alg.basis))  # equal, but another tuple
+    moved_table.constants = StructureConstants(alg.dim, tuple(list(table)))
+    copies = [_with_table(alg, table), _with_basis(alg, alg.basis), moved_basis, moved_table]
+    calls = _witness_calls(monkeypatch)
+    assert alg.realization_certified() and calls == []
+    for n, changed in enumerate(copies, 1):
+        assert changed.realization_certified()
+        assert verify(dataclasses.replace(obj, **{field: changed})) == []
+        assert calls == [alg.dim] * 2 * n
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY))
+def test_a_failed_build_check_records_no_certificate(kind, monkeypatch):
+    # X_a + X_b for two elements of g_0 (or h) keeps the split, but makes
+    # brackets with two terms, which go through elimination and the test
+    verify, reference, field, _ = VERIFY[kind]
+    obj = _healthy(kind)
+    a, b = obj.zero[:2] if kind == "graded" else obj.h_indices[:2]
+    basis = list(getattr(obj, field).basis)
+    basis[a] = basis[a] + basis[b]
+    formed = []
+
+    def disagree(terms, rows, cols):
+        formed.append(rows)
+        return Mat.zero(rows, cols)
+
+    monkeypatch.setattr(lie, "combination", disagree)
+    alg = make_algebra(basis, "rebased")
+    monkeypatch.undo()
+    assert formed
+    calls = _witness_calls(monkeypatch)
+    changed = dataclasses.replace(obj, **{field: alg})
+    got = verify(changed)
+    assert calls == [alg.dim]  # the full check ran, and passed
+    assert got == reference(changed) == []
+    assert alg.realization_certified() and len(calls) == 2
