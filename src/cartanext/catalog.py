@@ -79,7 +79,6 @@ class GradedAlgebra:
     plus_one: tuple
     flip_element: Mat
     gm1_layout: tuple
-    gp1_layout: tuple
     ambient_J: Optional[Mat] = None
 
     @property
@@ -99,9 +98,6 @@ class GradedAlgebra:
 
     def grade_indices(self, k: int) -> tuple:
         return {-1: self.minus_one, 0: self.zero, 1: self.plus_one}[k]
-
-    def component_is_zero(self, coords: Sequence[Fraction], k: int) -> bool:
-        return all(coords[i] == 0 for i in self.grade_indices(k))
 
 
 def _frozen(value):
@@ -143,7 +139,7 @@ def _conjugates_to(left: Mat, right: Mat, b: Mat, sign: int) -> bool:
 
 
 def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
-                     gm1_layout, gp1_layout, ambient_j=None) -> GradedAlgebra:
+                     gm1_layout, ambient_j=None) -> GradedAlgebra:
     basis = list(gm1) + list(g0) + list(gp1)
     _check_bounds(basis[0].rows, len(basis))
     algebra = make_algebra(basis, name)
@@ -166,7 +162,7 @@ def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
         raise InternalCheckError(f"{name}: flip element does not square to the identity")
     return GradedAlgebra(
         algebra, family, _frozen(params), tuple(coords), minus_one, zero, plus_one,
-        flip, tuple(gm1_layout), tuple(gp1_layout), ambient_j,
+        flip, tuple(gm1_layout), ambient_j,
     )
 
 
@@ -204,7 +200,7 @@ def _build_projective(params: dict) -> GradedAlgebra:
     gm1, g0, gp1, e, flip, layout = _sl_split_parts(1, n)
     return _assemble_graded(
         f"sl({n + 1},R)-projective", "projective", {"n": n},
-        gm1, g0, gp1, e, flip, layout, layout,
+        gm1, g0, gp1, e, flip, layout,
     )
 
 
@@ -215,7 +211,7 @@ def _build_grassmannian(params: dict) -> GradedAlgebra:
     gm1, g0, gp1, e, flip, layout = _sl_split_parts(p, q)
     return _assemble_graded(
         f"sl({p + q},R)-grassmannian({p},{q})", "grassmannian", {"p": p, "q": q},
-        gm1, g0, gp1, e, flip, layout, layout,
+        gm1, g0, gp1, e, flip, layout,
     )
 
 
@@ -226,7 +222,7 @@ def _build_para_quaternionic(params: dict) -> GradedAlgebra:
     gm1, g0, gp1, e, flip, layout = _sl_split_parts(2, n)
     return _assemble_graded(
         f"sl({n + 2},R)-para-quaternionic", "para_quaternionic", {"n": n},
-        gm1, g0, gp1, e, flip, layout, layout,
+        gm1, g0, gp1, e, flip, layout,
     )
 
 
@@ -257,7 +253,7 @@ def _build_h_projective(params: dict) -> GradedAlgebra:
     flip = bases.realify_complex(Mat.diag([-1] + [1] * n), zero)
     return _assemble_graded(
         f"sl({m},C)-h-projective", "h_projective", {"n": n},
-        gm1, g0, gp1, e_mat, flip, layout, layout,
+        gm1, g0, gp1, e_mat, flip, layout,
         ambient_j=bases.complex_unit_matrix(m),
     )
 
@@ -290,7 +286,7 @@ def _build_conformal(params: dict) -> GradedAlgebra:
     gm1, g0, gp1, e, flip, layout = _conformal_parts(signs)
     return _assemble_graded(
         f"so({p + 1},{q + 1})-conformal", "conformal", {"p": p, "q": q},
-        gm1, g0, gp1, e, flip, layout, layout,
+        gm1, g0, gp1, e, flip, layout,
     )
 
 
@@ -319,7 +315,7 @@ def _build_complex_conformal(params: dict) -> GradedAlgebra:
     flip = bases.realify_complex(flip_real, zero)
     return _assemble_graded(
         f"so({m},C)-conformal", "complex_conformal", {"n": n},
-        gm1, g0, gp1, e_mat, flip, layout, layout,
+        gm1, g0, gp1, e_mat, flip, layout,
         ambient_j=bases.complex_unit_matrix(m),
     )
 
@@ -354,7 +350,7 @@ def _build_quaternionic(params: dict) -> GradedAlgebra:
     flip = bases.realify_quaternion([Mat.diag([-1] + [1] * n)] + [Mat.zero(m, m)] * 3)
     return _assemble_graded(
         f"sl({m},H)-quaternionic", "quaternionic", {"n": n},
-        gm1, g0, gp1, e_mat, flip, layout, layout,
+        gm1, g0, gp1, e_mat, flip, layout,
     )
 
 
@@ -389,7 +385,7 @@ def _build_lagrangean(params: dict) -> GradedAlgebra:
     flip = Mat.diag([-1] * n + [1] * n)
     return _assemble_graded(
         f"sp({m},R)-lagrangean", "lagrangean", {"n": n},
-        gm1, g0, gp1, e_mat, flip, layout, layout,
+        gm1, g0, gp1, e_mat, flip, layout,
     )
 
 
@@ -410,7 +406,7 @@ def _build_spinorial(params: dict) -> GradedAlgebra:
     flip = Mat.diag([-1] * n + [1] * n)
     return _assemble_graded(
         f"so({n},{n})-spinorial", "spinorial", {"n": n},
-        gm1, g0, gp1, e_mat, flip, layout, layout,
+        gm1, g0, gp1, e_mat, flip, layout,
     )
 
 
@@ -460,7 +456,7 @@ def _build_su_pp(params: dict) -> GradedAlgebra:
     flip = bases.realify_complex(Mat.diag([-1] * n + [1] * n), zero_m)
     return _assemble_graded(
         f"su({p},{p})", "su_pp", {"p": p},
-        gm1, g0, gp1, e_mat, flip, layout, layout,
+        gm1, g0, gp1, e_mat, flip, layout,
         ambient_j=bases.complex_unit_matrix(m),
     )
 
@@ -1053,11 +1049,10 @@ def restricted_killing(pair: SymmetricPair) -> tuple[Mat, Signature]:
     if not is_semisimple(pair.k_algebra):
         raise InputError("restricted Killing form needs a semisimple algebra")
     gram = killing_form(pair.k_algebra).submatrix(pair.m_indices, pair.m_indices)
-    from .linalg import matrix_rank
-
-    if matrix_rank(gram) != pair.dim_m:
+    sig = symmetric_signature(gram)
+    if sig.nullity:
         raise InternalCheckError("restricted Killing form is degenerate; catalog bug")
-    return gram, symmetric_signature(gram)
+    return gram, sig
 
 
 def direct_sum_pairs(parts: Sequence[SymmetricPair], name: str = "") -> SymmetricPair:

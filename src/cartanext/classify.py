@@ -30,7 +30,7 @@ from .extension import (
     torsion_free,
     validate,
 )
-from .lie import commutant, invariant_bilinear_forms, is_semisimple
+from .lie import commutant, factor_complex_structure, invariant_bilinear_forms, is_semisimple
 from .linalg import ONE, ZERO, Mat, SpanSolver, block_matrix, invert, solve_linear
 
 EXISTS = "EXISTS"
@@ -118,15 +118,13 @@ def inclusion_witness(pair: SymmetricPair, target: GradedAlgebra,
     """Extension given by an ambient (possibly conjugated) subalgebra inclusion."""
     if pair.k_algebra.ambient_size != target.algebra.ambient_size:
         raise InputError("ambient sizes differ; inclusion witness impossible")
-    cols = []
-    inv = invert(conjugator) if conjugator is not None else None
-    for b in pair.k_algebra.basis:
-        image = inv @ b @ conjugator if conjugator is not None else b
-        coords = target.algebra.coordinates(image)
-        if coords is None:
-            raise InputError("pair algebra does not embed into the target span")
-        cols.append(coords)
-    alpha = Mat.from_columns(cols, target.dim)
+    images = pair.k_algebra.basis
+    if conjugator is not None:
+        inv = invert(conjugator)
+        images = (inv @ b @ conjugator for b in images)
+    alpha = target.algebra.coordinate_matrix(images)
+    if alpha is None:
+        raise InputError("pair algebra does not embed into the target span")
     return Extension(pair, target, alpha, label)
 
 
@@ -134,13 +132,10 @@ def coordinate_complex_structure(target: GradedAlgebra) -> Mat:
     """Multiplication by i as a coordinate operator on a realified target."""
     if target.ambient_J is None:
         raise InputError("target has no ambient complex structure")
-    cols = []
-    for b in target.algebra.basis:
-        coords = target.algebra.coordinates(target.ambient_J @ b)
-        if coords is None:
-            raise InternalCheckError("ambient J does not preserve the target span")
-        cols.append(coords)
-    return Mat.from_columns(cols, target.dim)
+    j = target.algebra.coordinate_matrix(target.ambient_J @ b for b in target.algebra.basis)
+    if j is None:
+        raise InternalCheckError("ambient J does not preserve the target span")
+    return j
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +267,15 @@ def _centroid_complex_structures(pair: SymmetricPair):
     Returns (status, list of J matrices); status "none" certifies that no
     invariant complex structure exists at all.
     """
-    from .lie import _factor_generator, _SpanAlgebra, _square_roots_of_minus_unit
-
     basis, projs = centroid(pair)
     if projs is None:
         return ("undecided", [])
-    alg = _SpanAlgebra([Mat.identity(basis[0].rows), *basis])
     partial = []
     for p in projs:
-        gen = _factor_generator(p, basis)
-        if gen is None:
-            # one-dimensional (real) factor: no complex structure on it
-            return ("none", [])
-        sols = _square_roots_of_minus_unit(p, gen, alg)
-        if not sols:
-            return ("undecided", [])
-        partial.append(sols[0])
+        status, j = factor_complex_structure(p, basis)
+        if j is None:  # "none" (a real factor) or "undecided"
+            return (status, [])
+        partial.append(j)
     out = []
     for mask in range(1 << len(partial)):
         j = Mat.zero(partial[0].rows, partial[0].cols)
@@ -543,15 +531,11 @@ def _row_su_pp_so_complex(pair: SymmetricPair) -> Extension:
                          [Mat.identity(n).scale(-1), Mat.zero(n, n)]])
     w = bases.realify_complex(re_w, im_w)
     w_inv = invert(w)
-    cols = []
     zero = Mat.zero(2 * n, 2 * n)
-    for b in pair.k_algebra.basis:
-        image = w_inv @ bases.realify_complex(b, zero) @ w
-        coords = t.algebra.coordinates(image)
-        if coords is None:
-            raise InternalCheckError("complexified element escapes the su(p,p) span")
-        cols.append(coords)
-    alpha = Mat.from_columns(cols, t.dim)
+    alpha = t.algebra.coordinate_matrix(w_inv @ bases.realify_complex(b, zero) @ w
+                                        for b in pair.k_algebra.basis)
+    if alpha is None:
+        raise InternalCheckError("complexified element escapes the su(p,p) span")
     return Extension(pair, t, alpha, f"{pair.name}->su_pp")
 
 
@@ -563,15 +547,11 @@ def _split_omega(n: int) -> Mat:
 
 def _mapped_witness(pair: SymmetricPair, target: GradedAlgebra,
                     phi: Callable[[Mat, Mat], Mat], half: int, label: str) -> Extension:
-    cols = []
-    for mat in pair.k_algebra.basis:
-        a = mat.submatrix(range(half), range(half))
-        b = mat.submatrix(range(half, 2 * half), range(half, 2 * half))
-        coords = target.algebra.coordinates(phi(a, b))
-        if coords is None:
-            raise InternalCheckError("mapped element escapes the target span")
-        cols.append(coords)
-    alpha = Mat.from_columns(cols, target.dim)
+    low, high = range(half), range(half, 2 * half)
+    alpha = target.algebra.coordinate_matrix(phi(m.submatrix(low, low), m.submatrix(high, high))
+                                             for m in pair.k_algebra.basis)
+    if alpha is None:
+        raise InternalCheckError("mapped element escapes the target span")
     return Extension(pair, target, alpha, label)
 
 

@@ -186,30 +186,6 @@ class Curvature:
     def nonzero_entries(self) -> int:
         return sum(1 for vec in self.values.values() for x in vec if x != 0)
 
-    def equivariance_witnesses(self, limit: int = 3) -> list:
-        """Violations of kappa([Z,X],Y) + kappa(X,[Z,Y]) = [alpha Z, kappa(X,Y)]."""
-        pair = self.ext.pair
-        table_k = pair.k_algebra.constants.table
-        table_g = self.ext.target.algebra.constants.table
-        m_pos = {k: t for t, k in enumerate(pair.m_indices)}
-        values = {key: _sparse(vec) for key, vec in self.values.items()}
-        cols = _sparse_cols(self.ext.alpha)
-        bad = []
-        for z in pair.h_indices:
-            ad_z = [{m_pos[k]: c for k, c in table_k[z][x].items()} for x in pair.m_indices]
-            for a in range(pair.dim_m):
-                for b in range(a + 1, pair.dim_m):
-                    rhs = _defect(table_g, cols[z], values[(a, b)], {}, cols)
-                    for part in (_evaluate(values, ad_z[a], {b: 1}),
-                                 _evaluate(values, {a: 1}, ad_z[b])):
-                        for t, x in part.items():
-                            rhs[t] = rhs.get(t, 0) - x
-                    if any(rhs.values()):
-                        bad.append((z, a, b))
-                        if len(bad) >= limit:
-                            return bad
-        return bad
-
 
 def _evaluate(values: dict, u: dict, v: dict) -> dict:
     """kappa(u, v) for sparse u, v, from kappa's values as {(a, b): {t: x}}."""
@@ -265,14 +241,10 @@ def target_conjugation(target: GradedAlgebra) -> Mat:
     amb = target.algebra.ambient_size
     half = amb // 2
     s = Mat.diag([1] * half + [-1] * half)
-    cols = []
-    for b in target.algebra.basis:
-        image = s @ b @ s
-        coords = target.algebra.coordinates(image)
-        if coords is None:
-            raise InternalCheckError("conjugation does not preserve the target span")
-        cols.append(coords)
-    return Mat.from_columns(cols, target.dim)
+    conj = target.algebra.coordinate_matrix(s @ b @ s for b in target.algebra.basis)
+    if conj is None:
+        raise InternalCheckError("conjugation does not preserve the target span")
+    return conj
 
 
 def is_holomorphic(ext: Extension, j_pair: Mat, j_target: Mat) -> HolomorphyResult:

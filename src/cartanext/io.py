@@ -17,7 +17,7 @@ from .catalog import (
     build_graded,
     build_pair,
 )
-from .errors import InputError
+from .errors import CartanextError, InputError
 from .extension import Extension
 from .lie import MatrixLieAlgebra, make_algebra
 from .linalg import Mat
@@ -166,7 +166,7 @@ def pair_from_json(data: dict) -> SymmetricPair:
 def extension_to_json(ext: Extension) -> dict:
     try:
         b2 = mat_to_json(ext.b2_matrix())
-    except Exception:
+    except CartanextError:  # a singular or non-square frame
         b2 = None
     return {
         "schema": "extension",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import poly
 from .errors import ClosureError, DependentBasisError, InputError, InternalCheckError
@@ -32,7 +32,6 @@ from .linalg import (
     kernel_of_sparse_rows,
     matrix_rank,
     minimal_polynomial,
-    solve_linear,
     symmetric_signature,
 )
 
@@ -215,14 +214,29 @@ class MatrixLieAlgebra:
             raise InputError("ambient size mismatch")
         return self._span.decompose(m.flat())
 
+    def coordinate_matrix(self, mats: Iterable[Mat]) -> Optional[Mat]:
+        """The dim x len(mats) matrix whose column c holds the coordinates of
+        mats[c] in the basis, or None as soon as one lies outside the span.
+        The matrices are read one at a time, so an iterator is fine."""
+        n = self.ambient_size
+        data: dict = {}
+        count = 0
+        for c, m in enumerate(mats):
+            if m.shape != (n, n):
+                raise InputError("ambient size mismatch")
+            coords = self._span.sparse_decompose(m.flat())
+            if coords is None:
+                return None
+            for k, v in coords.items():
+                data.setdefault(k, {})[c] = v
+            count = c + 1
+        return Mat._of(self.dim, count, data)
+
     def element(self, coords: Vector) -> Mat:
         """The matrix sum_i coords[i] X_i, for dense coordinates or sparse
         ones {i: value}."""
         n = self.ambient_size
         return combination(((c, self.basis[i]) for i, c in _sparse(coords).items()), n, n)
-
-    def bracket(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list:
-        return self.constants.bracket_coords(u, v)
 
     def adjoint_representation(self) -> "Representation":
         """ad X_i for each basis element.  The homomorphism check is skipped:
@@ -696,22 +710,6 @@ class ComplexStructureResult:
     note: str = ""
 
 
-class _SpanAlgebra:
-    """A small associative matrix algebra spanned by given matrices."""
-
-    def __init__(self, basis: list):
-        d = basis[0].rows
-        self.span = SpanSolver(d * d)
-        self.basis = []
-        for b in basis:
-            if self.span.insert(b.flat()):
-                self.basis.append(b)
-        self.dim = len(self.basis)
-
-    def coords(self, m: Mat) -> Optional[list]:
-        return self.span.decompose(m.flat())
-
-
 def _canonical_sign(m: Mat) -> Mat:
     """m or -m, whichever has a positive first nonzero entry (row-major)."""
     if not m.sparse:
@@ -784,39 +782,34 @@ def _poly_xgcd(a: list, b: list):
     return poly.trim(r0), poly.trim(s0), poly.trim(t0)
 
 
-def _factor_generator(p: Mat, basis: list) -> Optional[Mat]:
-    """The first p @ b, b in basis, independent of p: with p it spans the
-    factor pA when that is 2-dimensional.  None when pA is spanned by p."""
-    probe = SpanSolver(p.rows * p.cols)
-    probe.insert(p.flat())
-    return next((c for c in (p @ b for b in basis) if probe.insert(c.flat())), None)
+def factor_complex_structure(p: Mat, basis: Sequence[Mat]) -> tuple:
+    """The complex structure of the factor pA of a commutative matrix algebra
+    A with basis `basis`, for a primitive idempotent p of A.
 
+    Returns ("decided", J) with J = a p + b g and J^2 = -p; ("none", None)
+    when pA is spanned by p, a real factor with no complex structure; and
+    ("undecided", None) when no such J was found over the rationals.
 
-def _square_roots_of_minus_unit(unit: Mat, gen: Mat, alg: _SpanAlgebra) -> list:
-    """Solutions of J^2 = -unit inside the 2-dim algebra span{unit, gen}."""
-    sq = alg.coords(gen @ gen)
-    u_coords = alg.coords(unit)
-    g_coords = alg.coords(gen)
-    if sq is None or u_coords is None or g_coords is None:
-        return []
-    # express gen^2 = p*unit + q*gen inside the 2-dim subalgebra
-    sol = solve_linear(
-        Mat.from_rows([[u, g] for u, g in zip(u_coords, g_coords)]),
-        Mat.column(sq),
-    )
-    if sol is None:
-        return []
-    p, q = sol.particular[0, 0], sol.particular[1, 0]
-    disc = q * q + 4 * p
-    if disc >= 0:
-        return []
-    b2 = Fraction(-4, 1) / disc
-    b = is_rational_square(b2)
+    g is the first p b, b in `basis`, independent of p.  When g^2 lies in
+    span{p, g}, g^2 = s p + t g, and J = a p + b g squares to
+    (a^2 + b^2 s) p + (2ab + b^2 t) g; that is -p exactly when a = -b t / 2
+    and b^2 (t^2 + 4 s) = -4.  So a rational J needs t^2 + 4 s < 0 and
+    -4 / (t^2 + 4 s) a rational square, and b is its positive root.
+    """
+    span = SpanSolver(p.rows * p.cols)
+    span.insert(p.flat())
+    g = next((c for c in (p @ b for b in basis) if span.insert(c.flat())), None)
+    if g is None:
+        return "none", None
+    st = span.sparse_decompose((g @ g).flat())  # {0: s, 1: t} without zeros
+    if st is None:
+        return "undecided", None
+    s, t = frac(st.get(0, 0)), frac(st.get(1, 0))
+    disc = t * t + 4 * s
+    b = is_rational_square(Fraction(-4, 1) / disc) if disc < 0 else None
     if b is None:
-        return []
-    a = -q * b / 2
-    j = unit.scale(a) + gen.scale(b)
-    return [j, -j]
+        return "undecided", None
+    return "decided", p.scale(-t * b / 2) + g.scale(b)
 
 
 # `seed` is unused; perfbench/child.py still passes it.
@@ -834,26 +827,18 @@ def invariant_complex_structures(rep: Representation, seed: int = 0) -> ComplexS
     basis = cls.commutant_basis
     if cls.label in ("R", "RxR"):
         return ComplexStructureResult("decided", [], cls.label)
-    if cls.label == "C":
-        alg = _SpanAlgebra([identity, *basis])
-        sols = _square_roots_of_minus_unit(identity, alg.basis[1], alg)
-        if sols:
-            j = _canonical_sign(sols[0])
+    if cls.label in ("C", "CxC"):
+        # C is one 2-dimensional factor, with projector I; CxC is two
+        projectors = [identity] if cls.label == "C" else split_idempotents(basis)
+        partials = [factor_complex_structure(p, basis)[1] for p in projectors]
+        if None in partials:
+            return ComplexStructureResult(
+                "undecided", [], cls.label,
+                "complex structure exists over R but not over Q in this basis",
+            )
+        if cls.label == "C":
+            j = _canonical_sign(partials[0])
             return ComplexStructureResult("decided", [j, -j], "C")
-        return ComplexStructureResult(
-            "undecided", [], "C", "complex structure exists over R but not over Q in this basis"
-        )
-    if cls.label == "CxC":
-        alg = _SpanAlgebra([identity, *basis])
-        partials = []
-        for p in split_idempotents(basis):  # two, each onto a 2-dimensional factor
-            sols = _square_roots_of_minus_unit(p, _factor_generator(p, basis), alg)
-            if not sols:
-                return ComplexStructureResult(
-                    "undecided", [], "CxC",
-                    "complex structure exists over R but not over Q in this basis",
-                )
-            partials.append(sols[0])
         j1, j2 = partials
         out = [_canonical_sign(j1 + j2), _canonical_sign(j1 - j2)]
         full = [out[0], -out[0], out[1], -out[1]]

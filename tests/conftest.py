@@ -8,15 +8,17 @@ from typing import Optional, Sequence
 import pytest
 
 from cartanext import bases, poly
-from cartanext.catalog import GradedAlgebra, SymmetricPair
+from cartanext.catalog import GradedAlgebra, SymmetricPair, build_graded, centroid
 from cartanext.equivalence import _gm1_complex_structure, _invertible
 from cartanext.errors import (ClosureError, DependentBasisError, InputError, InternalCheckError,
                               StructuralError)
 from cartanext.extension import (WITNESS_CAP, AxiomCheck, Curvature, Extension,
                                  ValidationReport)
-from cartanext.lie import largest_invariant_subspace_dim
+from cartanext.lie import (ComplexStructureResult, Representation, _canonical_sign, commutant,
+                           largest_invariant_subspace_dim, split_idempotents)
 from cartanext.linalg import (ONE, ZERO, LinearSolution, Mat, MinimalPolynomial, PolyFactor,
-                              SpanSolver, commutator, frac, invert, matrix_rank, solve_linear)
+                              SpanSolver, block_matrix, commutator, frac, invert,
+                              is_rational_square, matrix_rank, solve_linear)
 
 
 def rref_rank_oracle(rows):
@@ -817,7 +819,13 @@ def reference_jacobi_certified(self, generators: Sequence[int]) -> bool:
 # -- the dense extension layer the sparse one replaced, and the automorphism
 # scan of equivalence.py, kept verbatim (only renamed; the Curvature methods evaluate and equivariance_witnesses as
 # functions of kappa, calling the reference evaluate, as the reference
-# dstar_projective calls the reference curvature and evaluate) ---------------
+# dstar_projective calls the reference curvature and evaluate; the engine's
+# GradedAlgebra.component_is_zero, since deleted, is the helper below) --------
+
+
+def _component_is_zero(target: GradedAlgebra, coords: Sequence[Fraction], k: int) -> bool:
+    # the deleted GradedAlgebra.component_is_zero
+    return all(coords[i] == 0 for i in target.grade_indices(k))
 
 
 def reference_validate(ext: Extension) -> ValidationReport:
@@ -831,14 +839,14 @@ def reference_validate(ext: Extension) -> ValidationReport:
     h_in_g0 = AxiomCheck(True)
     for c in pair.h_indices:
         col = ext.alpha.col(c)
-        if not (target.component_is_zero(col, -1) and target.component_is_zero(col, 1)):
+        if not (_component_is_zero(target, col, -1) and _component_is_zero(target, col, 1)):
             h_in_g0.ok = False
             if len(h_in_g0.witnesses) < WITNESS_CAP:
                 h_in_g0.witnesses.append(c)
     m_no_g0 = AxiomCheck(True)
     for c in pair.m_indices:
         col = ext.alpha.col(c)
-        if not target.component_is_zero(col, 0):
+        if not _component_is_zero(target, col, 0):
             m_no_g0.ok = False
             if len(m_no_g0.witnesses) < WITNESS_CAP:
                 m_no_g0.witnesses.append(c)
@@ -1205,3 +1213,229 @@ def stored_form_holds(m: Mat) -> bool:
             v and 0 <= c < m.cols and (v.__class__ is int or v.denominator != 1)
             for c, v in row.items())
         for r, row in m.sparse.items())
+
+
+# -- the two per-factor complex-structure builders and the five coordinate
+# loops that `lie.factor_complex_structure` and
+# `MatrixLieAlgebra.coordinate_matrix` replaced, kept verbatim (only renamed,
+# engine names imported from their modules) ----------------------------------
+
+
+class _SpanAlgebra:
+    """A small associative matrix algebra spanned by given matrices."""
+
+    def __init__(self, basis: list):
+        d = basis[0].rows
+        self.span = SpanSolver(d * d)
+        self.basis = []
+        for b in basis:
+            if self.span.insert(b.flat()):
+                self.basis.append(b)
+        self.dim = len(self.basis)
+
+    def coords(self, m: Mat) -> Optional[list]:
+        return self.span.decompose(m.flat())
+
+
+def _factor_generator(p: Mat, basis: list) -> Optional[Mat]:
+    """The first p @ b, b in basis, independent of p: with p it spans the
+    factor pA when that is 2-dimensional.  None when pA is spanned by p."""
+    probe = SpanSolver(p.rows * p.cols)
+    probe.insert(p.flat())
+    return next((c for c in (p @ b for b in basis) if probe.insert(c.flat())), None)
+
+
+def _square_roots_of_minus_unit(unit: Mat, gen: Mat, alg: _SpanAlgebra) -> list:
+    """Solutions of J^2 = -unit inside the 2-dim algebra span{unit, gen}."""
+    sq = alg.coords(gen @ gen)
+    u_coords = alg.coords(unit)
+    g_coords = alg.coords(gen)
+    if sq is None or u_coords is None or g_coords is None:
+        return []
+    # express gen^2 = p*unit + q*gen inside the 2-dim subalgebra
+    sol = solve_linear(
+        Mat.from_rows([[u, g] for u, g in zip(u_coords, g_coords)]),
+        Mat.column(sq),
+    )
+    if sol is None:
+        return []
+    p, q = sol.particular[0, 0], sol.particular[1, 0]
+    disc = q * q + 4 * p
+    if disc >= 0:
+        return []
+    b2 = Fraction(-4, 1) / disc
+    b = is_rational_square(b2)
+    if b is None:
+        return []
+    a = -q * b / 2
+    j = unit.scale(a) + gen.scale(b)
+    return [j, -j]
+
+
+def reference_invariant_complex_structures(rep: Representation,
+                                           seed: int = 0) -> ComplexStructureResult:
+    """All rational J in the commutant with J^2 = -I, when decidable.
+
+    Labels R and RxR admit none; C and CxC yield the +-J generators per
+    complex factor; H returns one representative pair.  When the commutant
+    type is OTHER, or a J exists over the reals but not over the rationals
+    in this basis, the result is reported as undecided rather than "none".
+    """
+    cls = commutant(rep)
+    d = rep.carrier_dim
+    identity = Mat.identity(d)
+    basis = cls.commutant_basis
+    if cls.label in ("R", "RxR"):
+        return ComplexStructureResult("decided", [], cls.label)
+    if cls.label == "C":
+        alg = _SpanAlgebra([identity, *basis])
+        sols = _square_roots_of_minus_unit(identity, alg.basis[1], alg)
+        if sols:
+            j = _canonical_sign(sols[0])
+            return ComplexStructureResult("decided", [j, -j], "C")
+        return ComplexStructureResult(
+            "undecided", [], "C", "complex structure exists over R but not over Q in this basis"
+        )
+    if cls.label == "CxC":
+        alg = _SpanAlgebra([identity, *basis])
+        partials = []
+        for p in split_idempotents(basis):  # two, each onto a 2-dimensional factor
+            sols = _square_roots_of_minus_unit(p, _factor_generator(p, basis), alg)
+            if not sols:
+                return ComplexStructureResult(
+                    "undecided", [], "CxC",
+                    "complex structure exists over R but not over Q in this basis",
+                )
+            partials.append(sols[0])
+        j1, j2 = partials
+        out = [_canonical_sign(j1 + j2), _canonical_sign(j1 - j2)]
+        full = [out[0], -out[0], out[1], -out[1]]
+        for j in full:
+            if j @ j != -identity:
+                raise InternalCheckError("CxC complex structure failed J^2 = -I")
+        return ComplexStructureResult("decided", full, "CxC")
+    if cls.label == "H":
+        pairs = [basis[i] + basis[j] for i in range(4) for j in range(i + 1, 4)]
+        for cand in [*basis, *pairs]:
+            pure = cand - identity.scale(cand.trace() / d)
+            sq = pure @ pure
+            diag = sq[0, 0]
+            if sq == identity.scale(diag) and diag < 0:
+                s = is_rational_square(-diag)
+                if s is not None:
+                    j = _canonical_sign(pure.scale(ONE / s))
+                    return ComplexStructureResult("decided", [j, -j], "H")
+        return ComplexStructureResult("undecided", [], "H", "no rational unit found")
+    return ComplexStructureResult("undecided", [], cls.label, "commutant type undecided")
+
+
+def reference_centroid_complex_structures(pair: SymmetricPair):
+    """All coordinate J with J^2 = -1 in the centroid, split by factor.
+
+    Returns (status, list of J matrices); status "none" certifies that no
+    invariant complex structure exists at all.
+    """
+    basis, projs = centroid(pair)
+    if projs is None:
+        return ("undecided", [])
+    alg = _SpanAlgebra([Mat.identity(basis[0].rows), *basis])
+    partial = []
+    for p in projs:
+        gen = _factor_generator(p, basis)
+        if gen is None:
+            # one-dimensional (real) factor: no complex structure on it
+            return ("none", [])
+        sols = _square_roots_of_minus_unit(p, gen, alg)
+        if not sols:
+            return ("undecided", [])
+        partial.append(sols[0])
+    out = []
+    for mask in range(1 << len(partial)):
+        j = Mat.zero(partial[0].rows, partial[0].cols)
+        for i, jp in enumerate(partial):
+            j = j + (jp if mask & (1 << i) else -jp)
+        out.append(j)
+    return ("decided", out)
+
+
+def reference_inclusion_witness(pair: SymmetricPair, target: GradedAlgebra,
+                                conjugator: Optional[Mat] = None, label: str = "") -> Extension:
+    """Extension given by an ambient (possibly conjugated) subalgebra inclusion."""
+    if pair.k_algebra.ambient_size != target.algebra.ambient_size:
+        raise InputError("ambient sizes differ; inclusion witness impossible")
+    cols = []
+    inv = invert(conjugator) if conjugator is not None else None
+    for b in pair.k_algebra.basis:
+        image = inv @ b @ conjugator if conjugator is not None else b
+        coords = target.algebra.coordinates(image)
+        if coords is None:
+            raise InputError("pair algebra does not embed into the target span")
+        cols.append(coords)
+    alpha = Mat.from_columns(cols, target.dim)
+    return Extension(pair, target, alpha, label)
+
+
+def reference_coordinate_complex_structure(target: GradedAlgebra) -> Mat:
+    """Multiplication by i as a coordinate operator on a realified target."""
+    if target.ambient_J is None:
+        raise InputError("target has no ambient complex structure")
+    cols = []
+    for b in target.algebra.basis:
+        coords = target.algebra.coordinates(target.ambient_J @ b)
+        if coords is None:
+            raise InternalCheckError("ambient J does not preserve the target span")
+        cols.append(coords)
+    return Mat.from_columns(cols, target.dim)
+
+
+def reference_row_su_pp_so_complex(pair: SymmetricPair) -> Extension:
+    n = pair.params["n"]
+    t = build_graded("su_pp", {"p": n})
+    half = Fraction(1, 2)
+    re_w = block_matrix([[Mat.identity(n), Mat.zero(n, n)],
+                         [Mat.zero(n, n), Mat.identity(n).scale(half)]])
+    im_w = block_matrix([[Mat.zero(n, n), Mat.identity(n).scale(-half)],
+                         [Mat.identity(n).scale(-1), Mat.zero(n, n)]])
+    w = bases.realify_complex(re_w, im_w)
+    w_inv = invert(w)
+    cols = []
+    zero = Mat.zero(2 * n, 2 * n)
+    for b in pair.k_algebra.basis:
+        image = w_inv @ bases.realify_complex(b, zero) @ w
+        coords = t.algebra.coordinates(image)
+        if coords is None:
+            raise InternalCheckError("complexified element escapes the su(p,p) span")
+        cols.append(coords)
+    alpha = Mat.from_columns(cols, t.dim)
+    return Extension(pair, t, alpha, f"{pair.name}->su_pp")
+
+
+def reference_mapped_witness(pair: SymmetricPair, target: GradedAlgebra,
+                             phi, half: int, label: str) -> Extension:
+    cols = []
+    for mat in pair.k_algebra.basis:
+        a = mat.submatrix(range(half), range(half))
+        b = mat.submatrix(range(half, 2 * half), range(half, 2 * half))
+        coords = target.algebra.coordinates(phi(a, b))
+        if coords is None:
+            raise InternalCheckError("mapped element escapes the target span")
+        cols.append(coords)
+    alpha = Mat.from_columns(cols, target.dim)
+    return Extension(pair, target, alpha, label)
+
+
+def reference_target_conjugation(target: GradedAlgebra) -> Mat:
+    """Coordinate matrix of entrywise conjugation on a realified target."""
+    if target.ambient_J is None:
+        raise InputError("target carries no ambient complex structure")
+    amb = target.algebra.ambient_size
+    half = amb // 2
+    s = Mat.diag([1] * half + [-1] * half)
+    cols = []
+    for b in target.algebra.basis:
+        image = s @ b @ s
+        coords = target.algebra.coordinates(image)
+        if coords is None:
+            raise InternalCheckError("conjugation does not preserve the target span")
+        cols.append(coords)
+    return Mat.from_columns(cols, target.dim)

@@ -245,6 +245,21 @@ def test_restricted_killing_group_types():
     assert restricted_killing(build_pair("group_type", {"base": "sl(2,R)"}))[1].as_tuple() == (2, 1, 0)
 
 
+def test_restricted_killing_refuses_a_degenerate_restriction(monkeypatch):
+    from cartanext.errors import InternalCheckError
+
+    p = build_pair("group_type", {"base": "sl(2,R)"})
+    killing = catalog.killing_form(p.k_algebra)
+    h = list(p.h_indices)
+    # keep the h block only: the restriction to m is then zero
+    monkeypatch.setattr(catalog, "killing_form",
+                        lambda algebra: Mat.from_sparse(killing.rows, killing.cols, {
+                            r: {c: killing[r, c] for c in h} for r in h}))
+    with pytest.raises(InternalCheckError,
+                       match=r"^restricted Killing form is degenerate; catalog bug$"):
+        restricted_killing(p)
+
+
 def test_group_type_isotropy_matches_adjoint():
     from cartanext.bases import sl_basis
 
@@ -325,7 +340,7 @@ def test_graded_assembly_rejects_wrong_grading_element():
     with pytest.raises(InternalCheckError,
                        match=r"^sl3: ad\(E\) is not -1 on basis element 1$"):
         catalog._assemble_graded("sl3", "projective", {"n": 2}, gm1, g0, gp1, wrong, flip,
-                                 layout, layout)
+                                 layout)
 
 
 def test_graded_assembly_rejects_wrong_flip_sign():
@@ -336,7 +351,7 @@ def test_graded_assembly_rejects_wrong_flip_sign():
     with pytest.raises(InternalCheckError,
                        match="^sl3: flip conjugation sign wrong on element 1$"):
         catalog._assemble_graded("sl3", "projective", {"n": 2}, gm1, g0, gp1, e, wrong,
-                                 layout, layout)
+                                 layout)
 
 
 def test_pair_assembly_rejects_wrong_conjugator():

@@ -310,6 +310,34 @@ def test_check_extension_report(tmp_path):
     assert report["b2_unique"] is None
 
 
+def _inclusion_extension():
+    from cartanext import classify
+    from cartanext.catalog import build_graded, build_pair
+
+    pair = build_pair("so_block", {"a": 1, "b": 1, "c": 1, "d": 1})
+    return classify.inclusion_witness(pair, build_graded("grassmannian", {"p": 2, "q": 2}))
+
+
+def test_extension_json_writes_null_b2_for_a_singular_frame():
+    ext = _inclusion_extension()
+    assert io.extension_to_json(ext)["b2"] is not None
+    singular = extension.Extension(ext.pair, ext.target,
+                                   ext.alpha.submatrix(range(ext.alpha.rows), [0] * ext.alpha.cols))
+    with pytest.raises(InputError, match="singular"):
+        singular.b2_matrix()
+    assert io.extension_to_json(singular)["b2"] is None
+
+
+def test_extension_json_lets_a_bug_in_b2_propagate(monkeypatch):
+    # only package errors (a singular or non-square frame) mean "no b2"
+    def broken(self):
+        raise TypeError("a bug, not a singular frame")
+
+    monkeypatch.setattr(extension.Extension, "b2_matrix", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        io.extension_to_json(_inclusion_extension())
+
+
 def test_analyze_pair(tmp_path):
     pair_path = tmp_path / "pair.json"
     run(["build", "--family", "group_type", "--params", "base=sl(2,R)",

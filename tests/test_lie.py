@@ -97,8 +97,8 @@ def test_killing_invariance_identity(sl2_basis, so3_basis):
                 ex = [F(1) if t == x else F(0) for t in range(dim)]
                 for y in range(dim):
                     ey = [F(1) if t == y else F(0) for t in range(dim)]
-                    zx = alg.bracket(ez, ex)
-                    zy = alg.bracket(ez, ey)
+                    zx = alg.constants.bracket_coords(ez, ex)
+                    zy = alg.constants.bracket_coords(ez, ey)
                     assert b(zx, ey) + b(ex, zy) == 0
 
 
