@@ -27,7 +27,7 @@ from .lie import (
     make_algebra,
     split_idempotents,
 )
-from .linalg import ONE, ZERO, Mat, Signature, SpanSolver, commutator, symmetric_signature
+from .linalg import ONE, Mat, Signature, SpanSolver, commutator, symmetric_signature
 
 MAX_AMBIENT = 32
 MAX_DIM = 500
@@ -111,13 +111,16 @@ def _frozen(value):
 
 
 def _int_param(family: str, params: dict, name: str) -> int:
-    """The integer parameter `name`; InputError naming it when it is missing
-    or not an integer (strings, floats and booleans included)."""
+    """The integer parameter `name`; InputError naming it when it is missing,
+    not an integer (strings, floats and booleans included) or negative: no
+    family takes a negative count."""
     if name not in params:
         raise InputError(f"{family} needs the integer parameter {name!r}")
     value = params[name]
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{family} parameter {name!r} must be an integer, got {value!r}")
+    if value < 0:
+        raise InputError(f"{family} parameter {name!r} must not be negative, got {value}")
     return value
 
 
@@ -153,15 +156,15 @@ def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
             raise InternalCheckError(f"{name}: ad(E) is not {k} on basis element {idx}")
         if not _conjugates_to(flip, flip, b, 1 if k == 0 else -1):
             raise InternalCheckError(f"{name}: flip conjugation sign wrong on element {idx}")
-    coords = algebra.coordinates(e_mat)
+    coords = algebra.coordinate_matrix([e_mat])
     if coords is None:
         raise InternalCheckError(f"{name}: grading element not in the span")
-    if any(coords[i] != 0 for i in minus_one + plus_one):
+    if any(i in coords.sparse for i in minus_one + plus_one):
         raise InternalCheckError(f"{name}: grading element has nonzero off-grade part")
     if flip @ flip != Mat.identity(flip.rows):
         raise InternalCheckError(f"{name}: flip element does not square to the identity")
     return GradedAlgebra(
-        algebra, family, _frozen(params), tuple(coords), minus_one, zero, plus_one,
+        algebra, family, _frozen(params), tuple(coords.col(0)), minus_one, zero, plus_one,
         flip, tuple(gm1_layout), ambient_j,
     )
 
@@ -686,9 +689,7 @@ def _pair_group_type(params: dict) -> SymmetricPair:
     size = 2 * m
     h_mats = [_embed(x, size) + _embed(x, size, m) for x in base]
     m_mats = [_embed(x, size) - _embed(x, size, m) for x in base]
-    swap = Mat.from_rows(
-        [[ONE if j == i + m or j == i - m else ZERO for j in range(size)] for i in range(size)]
-    )
+    swap = Mat.from_sparse(size, size, {i: {(i + m) % size: 1} for i in range(size)})
     return _assemble_pair(
         f"group({norm})", "group_type", {"base": norm}, h_mats, m_mats, swap
     )
@@ -929,20 +930,16 @@ def _group_ambient(token) -> int:
         raise InputError(f"group_type parameter 'base': {exc}") from None
 
 
-def _nonneg(*counts: int) -> int:
-    return sum(max(c, 0) for c in counts)
-
-
 # Parameters of each pair family and the realified ambient size they give.
 _PAIR_SIZES = {
     "group_type": (("base",), _group_ambient),
     "sl_block": (("p", "q"), lambda p, q: p + q),
-    "so_block": (("a", "b", "c", "d"), _nonneg),
-    "conformal_model": (("k", "l"), lambda k, l: _nonneg(k, l) + 2),
+    "so_block": (("a", "b", "c", "d"), lambda *counts: sum(counts)),
+    "conformal_model": (("k", "l"), lambda k, l: k + l + 2),
     "sp_block": (("p", "q"), lambda p, q: 2 * (p + q)),
-    "su_block": (("a", "b", "c", "d"), lambda *counts: 2 * _nonneg(*counts)),
+    "su_block": (("a", "b", "c", "d"), lambda *counts: 2 * sum(counts)),
     "so_complex": (("n",), lambda n: 2 * n),
-    "sp1_block": (("p", "q"), lambda p, q: 4 * _nonneg(1 + p, q)),
+    "sp1_block": (("p", "q"), lambda p, q: 4 * (1 + p + q)),
     "so_star": (("n",), lambda n: 4 * (n + 1)),
 }
 

@@ -31,7 +31,7 @@ from .extension import (
     validate,
 )
 from .lie import commutant, factor_complex_structure, invariant_bilinear_forms, is_semisimple
-from .linalg import ONE, ZERO, Mat, SpanSolver, block_matrix, invert, solve_linear
+from .linalg import Mat, SpanSolver, block_matrix, invert, solve_linear
 
 EXISTS = "EXISTS"
 NOT_EXISTS = "NOT_EXISTS"
@@ -295,22 +295,20 @@ def complex_adapted_frame(pair: SymmetricPair, j_pair: Mat) -> Mat:
     """Frame m -> g_-1 sending a J-adapted basis to the elementary complex
     coordinate pairs of a realified target."""
     dim_m = pair.dim_m
-    j_m = j_pair.submatrix(pair.m_indices, pair.m_indices)
+    j_cols = j_pair.submatrix(pair.m_indices, pair.m_indices).transpose().sparse
     span = SpanSolver(dim_m)
     cols = []
     for c in range(dim_m):
-        e = [ZERO] * dim_m
-        e[c] = ONE
+        e = {c: 1}
         if span.contains(e):
             continue
-        je = j_m.col(c)
+        je = j_cols.get(c, {})
         span.insert(e)
         if not span.insert(je):
             raise InternalCheckError("J-adapted basis extraction failed")
         cols.append(e)
         cols.append(je)
-    adapted = Mat.from_columns(cols, dim_m)
-    return invert(adapted)
+    return invert(Mat.from_sparse(len(cols), dim_m, dict(enumerate(cols))).transpose())
 
 
 # `seed` is unused; perfbench/child.py still passes it.
@@ -457,11 +455,8 @@ def _row_para_quaternionic_conformal(pair: SymmetricPair) -> Extension:
     n = k + l
     t = build_graded("para_quaternionic", {"n": n})
     amb = n + 2
-    perm = [ZERO] * (amb * amb)
     order = [0, amb - 1] + [1 + i for i in range(n)]
-    for new, old in enumerate(order):
-        perm[old * amb + new] = ONE
-    u = Mat(amb, amb, perm)
+    u = Mat.from_sparse(amb, amb, {old: {new: 1} for new, old in enumerate(order)})
     return inclusion_witness(pair, t, conjugator=u, label=f"{pair.name}->para_quaternionic")
 
 
@@ -639,11 +634,10 @@ def centralizer_report(pair: SymmetricPair, seed: int = 0) -> CentralizerReport:
         for f in factors:
             u = f.m_embedding
             span = SpanSolver(pair.dim_m)
-            for c in range(u.cols):
-                span.insert(u.col(c))
+            for col in u.transpose().sparse.values():
+                span.insert(col)
             for t in full.commutant_basis:
-                image = t @ u
-                ok = ok and all(span.contains(image.col(c)) for c in range(image.cols))
+                ok = ok and all(map(span.contains, (t @ u).transpose().sparse.values()))
     if not ok:
         raise InternalCheckError(
             f"{pair.name}: commutant is not the product of factor commutants"

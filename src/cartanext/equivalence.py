@@ -17,7 +17,7 @@ from . import bases
 from .catalog import GradedAlgebra
 from .errors import InputError
 from .extension import Extension, _defect, _sparse_cols
-from .linalg import ZERO, Mat, SpanSolver, invert, matrix_rank, solve_linear
+from .linalg import ONE, Mat, SpanSolver, invert, matrix_rank, solve_linear
 
 EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent"
@@ -159,13 +159,14 @@ def _predicate_quaternionic(t: Mat, target: GradedAlgebra) -> Optional[bool]:
     return _normalizes(t, _right_multiplications(target.params["n"]))
 
 
-def _wedge_image(t: Mat, layout: list, n: int, col: int) -> Mat:
-    """Column col of T, on the (i < j) wedge layout, as an antisymmetric matrix."""
-    out = [[ZERO] * n for _ in range(n)]
-    for idx, (i, j) in enumerate(layout):
-        out[i][j] += t[idx, col]
-        out[j][i] -= t[idx, col]
-    return Mat.from_rows(out)
+def _wedge_image(col: dict, layout: list, n: int) -> Mat:
+    """A column of T, sparse on the (i < j) wedge layout, as an antisymmetric matrix."""
+    data: dict = {}
+    for idx, v in col.items():
+        i, j = layout[idx]
+        data.setdefault(i, {})[j] = v
+        data.setdefault(j, {})[i] = -v
+    return Mat.from_sparse(n, n, data)
 
 
 def _predicate_lagrangean(t: Mat, target: GradedAlgebra) -> Optional[bool]:
@@ -184,12 +185,19 @@ def _predicate_lagrangean(t: Mat, target: GradedAlgebra) -> Optional[bool]:
 
     rho = g0_action_solver(target)
     n = target.dim_gm1
-    return _normalizes(t, [Mat(n, n, rho.col(c)) for c in range(rho.cols)])
+    return _normalizes(t, [Mat.from_flat(n, n, col) for col in _sparse_cols(rho)])
 
 
-def _wedge(u: list, v: list) -> Mat:
-    n = len(u)
-    return Mat.from_rows([[u[r] * v[c] - v[r] * u[c] for c in range(n)] for r in range(n)])
+def _wedge(u: dict, v: dict, n: int) -> Mat:
+    """u v^T - v u^T for sparse vectors u and v."""
+    data: dict = {}
+    for r, a in u.items():
+        for c, b in v.items():
+            row = data.setdefault(r, {})
+            row[c] = row.get(c, 0) + a * b
+            row = data.setdefault(c, {})
+            row[r] = row.get(r, 0) - a * b
+    return Mat.from_sparse(n, n, data)
 
 
 # Not the normalizer test, which accepts the Hodge star on spinorial(4).
@@ -199,76 +207,69 @@ def _predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[bool]:
     n = target.params["n"]
     layout = target.gm1_layout
     pos = {key: idx for idx, key in enumerate(layout)}
+    t_cols = _sparse_cols(t)
 
     def image(i, j):
-        return _wedge_image(t, layout, n, pos[(min(i, j), max(i, j))])
+        return _wedge_image(t_cols[pos[(min(i, j), max(i, j))]], layout, n)
 
     w01, w02 = image(0, 1), image(0, 2)
     if matrix_rank(w01) != 2 or matrix_rank(w02) != 2:
         return False
     # direction of a0: intersection of the two column spaces
-    rows = []
-    for r in range(n):
-        rows.append([w01[r, c] for c in range(n)] + [-w02[r, c] for c in range(n)])
-    inter = solve_linear(Mat.from_rows(rows), Mat.zero(n, 1))
+    rows = {r: {**w01.sparse.get(r, {}), **{n + c: -v for c, v in w02.sparse.get(r, {}).items()}}
+            for r in range(n)}
+    inter = solve_linear(Mat.from_sparse(n, 2 * n, rows), Mat.zero(n, 1))
     a0 = None
     for k in inter.kernel:
-        cand = w01.apply([k[i, 0] for i in range(n)])
-        if any(x != 0 for x in cand):
-            a0 = cand
+        cand = w01 @ k.submatrix(range(n), (0,))
+        if not cand.is_zero():
+            a0 = _sparse_cols(cand)[0]
             break
     if a0 is None:
         return False
 
-    def solve_pair(m):
-        rows, rhs = [], []
-        for r in range(n):
-            for c in range(n):
-                rows.append([(a0[r] if k == c else ZERO) - (a0[c] if k == r else ZERO)
-                             for k in range(n)])
-                rhs.append(m[r, c])
-        sol = solve_linear(Mat.from_rows(rows), Mat.column(rhs))
-        return None if sol is None else sol.particular.col(0)
-
-    tilde = [None]
+    # tilde_i solves a0 x^T - x a0^T = image(0, i), one right-hand column per i
+    rows = {}
+    for r in range(n):
+        for c in range(n):
+            row = rows[r * n + c] = {}
+            if r in a0:
+                row[c] = a0[r]
+            if c in a0:
+                row[r] = row.get(r, 0) - a0[c]
+    rhs: dict = {}
     for i in range(1, n):
-        ai = solve_pair(image(0, i))
-        if ai is None:
-            return False
-        tilde.append(ai)
-    # solve mu, s_i from the remaining pairs
-    unknown = n  # mu, s_1..s_{n-1}
-    rows, rhs = [], []
+        for k, v in image(0, i).flat().items():
+            rhs.setdefault(k, {})[i - 1] = v
+    sol = solve_linear(Mat.from_sparse(n * n, n, rows), Mat.from_sparse(n * n, n - 1, rhs))
+    if sol is None:
+        return False
+    tilde = [None] + _sparse_cols(sol.particular)
+    # solve mu, s_1..s_{n-1} from the remaining pairs; n >= 3, as (0, 2) is in the layout
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    rows, rhs = {}, {}
+    for block, (i, j) in enumerate(pairs):
+        at = block * n * n
+        for unknown, w in ((0, _wedge(tilde[i], tilde[j], n)), (j, _wedge(a0, tilde[i], n)),
+                           (i, _wedge(tilde[j], a0, n))):
+            for k, v in w.flat().items():
+                rows.setdefault(at + k, {})[unknown] = v
+        for k, v in image(i, j).flat().items():
+            rhs[at + k] = {0: v}
+    height = len(pairs) * n * n
+    sol = solve_linear(Mat.from_sparse(height, n, rows), Mat.from_sparse(height, 1, rhs))
+    if sol is None:
+        return False
+    x = _sparse_cols(sol.particular)[0]
+    if 0 not in x:
+        return False
+    inv = ONE / x[0]
+    # the vectors a_i = tilde_i - (s_i / mu) a0, as the rows of a matrix
+    avecs = {0: a0}
     for i in range(1, n):
-        for j in range(i + 1, n):
-            wij = image(i, j)
-            base = _wedge(tilde[i], tilde[j])
-            wi0 = _wedge(tilde[i], a0)
-            wj0 = _wedge(tilde[j], a0)
-            for r in range(n):
-                for c in range(n):
-                    row = [ZERO] * unknown
-                    row[0] = base[r, c]
-                    row[j] = -wi0[r, c]
-                    row[i] = wj0[r, c]
-                    rows.append(row)
-                    rhs.append(wij[r, c])
-    if rows:
-        sol = solve_linear(Mat.from_rows(rows), Mat.column(rhs))
-        if sol is None:
-            return False
-        mu = sol.particular[0, 0]
-        if mu == 0:
-            return False
-        s = [sol.particular[i, 0] for i in range(1, n)]
-        avecs = [a0] + [
-            [(tilde[i][r] - (s[i - 1] / mu) * a0[r]) for r in range(n)]
-            for i in range(1, n)
-        ]
-    else:
-        avecs = [a0] + tilde[1:]
-    amat = Mat.from_columns(avecs, n)
-    return _invertible(amat)
+        f = x.get(i, 0) * inv
+        avecs[i] = {r: tilde[i].get(r, 0) - f * a0.get(r, 0) for r in tilde[i].keys() | a0.keys()}
+    return _invertible(Mat.from_sparse(n, n, avecs))
 
 
 _PREDICATES = {

@@ -208,12 +208,6 @@ class MatrixLieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, m: Mat) -> Optional[list]:
-        """Coordinates of an ambient matrix in the basis, or None."""
-        if m.shape != (self.ambient_size, self.ambient_size):
-            raise InputError("ambient size mismatch")
-        return self._span.decompose(m.flat())
-
     def coordinate_matrix(self, mats: Iterable[Mat]) -> Optional[Mat]:
         """The dim x len(mats) matrix whose column c holds the coordinates of
         mats[c] in the basis, or None as soon as one lies outside the span.
@@ -573,8 +567,7 @@ def commutant_basis(rep: Representation) -> list:
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)
-    basis = kernel_of_sparse_rows(rows, d * d)
-    return [Mat(d, d, vec) for vec in basis]
+    return [Mat.from_flat(d, d, vec) for vec in kernel_of_sparse_rows(rows, d * d)]
 
 
 def _generic_element(basis: list, k: int) -> Mat:
@@ -589,7 +582,7 @@ def _trace_form(basis: list) -> Mat:
     """Gram matrix tr(b_i b_j) of the trace form on a span of square matrices."""
     sparse = [b.sparse for b in basis]
     n = len(basis)
-    entries = [0] * (n * n)
+    data: dict = {}
     for i in range(n):
         for j in range(i, n):
             s = 0
@@ -599,8 +592,9 @@ def _trace_form(basis: list) -> Mat:
                     w = b_j.get(c, _NONE).get(r)
                     if w is not None:
                         s += v * w
-            entries[i * n + j] = entries[j * n + i] = s
-    return Mat(n, n, entries)
+            if s:
+                data.setdefault(i, {})[j] = data.setdefault(j, {})[i] = s
+    return Mat.from_sparse(n, n, data)
 
 
 def _commute(a: Mat, b: Mat) -> bool:
@@ -685,14 +679,13 @@ def invariant_bilinear_forms(rep: Representation, symmetry: str = "symmetric") -
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     rows.append(row)
-    kernel = kernel_of_sparse_rows(rows, len(pairs))
     out = []
-    for vec in kernel:
+    for vec in kernel_of_sparse_rows(rows, len(pairs)):
         data: dict = {}
-        for (r, s), i in index.items():
-            if vec[i]:
-                data.setdefault(r, {})[s] = vec[i]
-                data.setdefault(s, {})[r] = vec[i] if sym else -vec[i]
+        for i, v in vec.items():
+            r, s = pairs[i]
+            data.setdefault(r, {})[s] = v
+            data.setdefault(s, {})[r] = v if sym else -v
         out.append(Mat.from_sparse(d, d, data))
     return out
 
@@ -879,10 +872,7 @@ def largest_invariant_subspace_dim(algebra: MatrixLieAlgebra, indices: Sequence[
     cols = [{i: 1} for i in indices if span.insert({i: 1})]
     while cols:
         k = len(cols)
-        annihilator = [
-            {t: _exact(v) for t, v in enumerate(ell) if v}
-            for ell in kernel_of_sparse_rows(cols, dim)
-        ]
+        annihilator = kernel_of_sparse_rows(cols, dim)
         if not annihilator:
             return k  # subspace is everything and trivially invariant
         rows = []
@@ -907,11 +897,9 @@ def largest_invariant_subspace_dim(algebra: MatrixLieAlgebra, indices: Sequence[
         new_span = SpanSolver(dim)
         for y in combos:
             vec: dict = {}
-            for c, yc in enumerate(y):
-                if yc:
-                    yc = _exact(yc)
-                    for t, v in cols[c].items():
-                        vec[t] = vec.get(t, 0) + yc * v
+            for c, yc in y.items():
+                for t, v in cols[c].items():
+                    vec[t] = vec.get(t, 0) + yc * v
             if new_span.insert(vec):
                 new_cols.append(vec)
         cols = new_cols

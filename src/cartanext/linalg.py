@@ -1,17 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Every public value is a :class:`fractions.Fraction`; there is no floating
-point anywhere.  `Mat` is an immutable sparse matrix: `Mat.sparse` holds its
-nonzero entries as rows {r: {c: value}}, and an integral value is kept there
-as a plain `int`, which Python adds and multiplies far faster than a
-Fraction.  Every matrix operation works on that form, so the nearly empty
-catalog basis matrices stay sparse from construction on; the dense views
-(`m[r, c]`, `row`, `col`, `to_rows`, `entries`), like `decompose`
-coordinates, solutions and kernel vectors, return Fractions.  All row
-elimination runs through one sparse echelon core (`_reduce` against monic
-rows keyed by pivot column, `_echelon`, and back-substitution in
-`_solutions`), behind `SpanSolver`, `solve_linear`, `invert`, `matrix_rank`
-and `kernel_of_sparse_rows`.  Signatures use a separate congruence.
+There is no floating point anywhere.  `Mat` is an immutable sparse matrix:
+`Mat.sparse` holds its nonzero entries as rows {r: {c: value}}, and an
+integral value is kept there as a plain `int`, which Python adds and
+multiplies far faster than a Fraction.  Every matrix operation works on that
+form, so the nearly empty catalog basis matrices stay sparse from
+construction on.  Vectors passed between engine routines have the same
+form, {index: value} over the nonzero entries: `flat` and `from_flat`,
+`sparse_decompose` coordinates and the kernel vectors of
+`kernel_of_sparse_rows`.  The dense views (`m[r, c]`, `row`, `col`,
+`to_rows`, `entries`), and the methods that take or return dense coordinate
+lists, give Fractions; they are for public results and callers outside the
+engine.  All row elimination runs through one sparse echelon core (`_reduce`
+against monic rows keyed by pivot column, `_echelon`, and back-substitution
+in `_solutions`), behind `SpanSolver`, `solve_linear`, `invert`,
+`matrix_rank` and `kernel_of_sparse_rows`; `symmetric_signature` runs a
+congruence on the same sparse rows.
 """
 
 from __future__ import annotations
@@ -102,6 +106,16 @@ class Mat:
         given and are dropped, and values may be any scalar."""
         return cls._of(rows, cols, _clean({r: {c: _entry(v) for c, v in row.items()}
                                            for r, row in data.items()}))
+
+    @classmethod
+    def from_flat(cls, rows: int, cols: int, vec: Mapping) -> "Mat":
+        """The rows x cols matrix whose entry (r, c) is vec[r * cols + c]:
+        the inverse of `flat`."""
+        data: dict = {}
+        for k, v in vec.items():
+            r, c = divmod(k, cols)
+            data.setdefault(r, {})[c] = v
+        return cls.from_sparse(rows, cols, data)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[Scalar]]) -> "Mat":
@@ -400,6 +414,7 @@ def _solutions(pivots: dict, seeds: Iterable[dict], width: int) -> list:
 
 
 def _dense(vec: dict, width: int) -> list:
+    """The sparse vector as a dense list of Fractions, for public results."""
     return [frac(vec[c]) if c in vec else ZERO for c in range(width)]
 
 
@@ -516,13 +531,14 @@ def invert(a: Mat) -> Mat:
 def kernel_of_sparse_rows(rows: list, ncols: int) -> list:
     """Kernel basis of a system given as sparse rows {col: coeff}.
 
-    Returns dense coefficient lists, one per free column in increasing
-    order.  Used for the large structured systems (commutants, invariant
-    forms) whose constraint rows are very sparse.
+    Returns one vector per free column, in increasing order of that column:
+    the solution that is 1 there and 0 at the other free columns, as a
+    sparse {col: value} over its nonzero entries, integral values as int.
+    Used for the large structured systems (commutants, invariant forms)
+    whose constraint rows are very sparse.
     """
     pivots = _echelon(rows, ncols)
-    seeds = ({f: 1} for f in range(ncols) if f not in pivots)
-    return [_dense(x, ncols) for x in _solutions(pivots, seeds, ncols)]
+    return _solutions(pivots, ({f: 1} for f in range(ncols) if f not in pivots), ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -547,65 +563,51 @@ class Signature:
 def symmetric_signature(g: Mat) -> Signature:
     """Signature of a symmetric matrix by exact congruence diagonalization.
 
-    Pivots on a nonzero diagonal entry when available; otherwise a congruence
-    adding row and column j to i creates one.  Sylvester's law makes the
-    resulting sign counts basis-independent.
+    Works on a copy of the sparse rows.  Each step pivots on a nonzero
+    diagonal entry g_ii; when every diagonal entry is zero, it first replaces
+    e_i by e_i + e_j for a nonzero g_ij, whose square is 2 g_ij.  Row and
+    column i then leave through the Schur complement over the pivot row's
+    support.  Sylvester's law makes the resulting sign counts
+    basis-independent.
     """
     if not g.is_square():
         raise InputError("signature of a non-square matrix")
     if not g.is_symmetric():
         raise InputError("signature requires a symmetric matrix")
-    n = g.rows
-    m = g.to_rows()
-
-    def add_row_col(i, j):  # row_i += row_j, col_i += col_j
-        for c in range(n):
-            m[i][c] += m[j][c]
-        for r in range(n):
-            m[r][i] += m[r][j]
-
-    def swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        for r in range(n):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-
-    # a congruence repeats every row operation on the columns: no row-only echelon
-    for i in range(n):
-        if m[i][i] == 0:
-            swap_target = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
-            if swap_target is not None:
-                swap(i, swap_target)
-            else:
-                off = next(
-                    (
-                        (r, c)
-                        for r in range(i, n)
-                        for c in range(r + 1, n)
-                        if m[r][c] != 0
-                    ),
-                    None,
-                )
-                if off is None:
-                    break  # trailing block is zero
-                r, c = off
-                if r != i:
-                    swap(i, r)
-                    if c == i:
-                        c = r
-                add_row_col(i, c)
-        p = m[i][i]
-        if p == 0:
-            continue
-        for r in range(i + 1, n):
-            if m[r][i] != 0:
-                f = m[r][i] / p
-                for c in range(n):
-                    m[r][c] -= f * m[i][c]
-                for rr in range(n):
-                    m[rr][r] -= f * m[rr][i]
-    pos = sum(1 for i in range(n) if m[i][i] > 0)
-    neg = sum(1 for i in range(n) if m[i][i] < 0)
-    return Signature(pos, neg, n - pos - neg)
+    m = {r: dict(row) for r, row in g.sparse.items()}  # nonzero entries only
+    pos = neg = 0
+    while m:
+        i = next((r for r, row in m.items() if r in row), None)
+        if i is None:  # zero diagonal: e_i -> e_i + e_j
+            i = next(iter(m))
+            j = next(iter(m[i]))
+            pivot = dict(m[i])
+            for c, v in m[j].items():
+                pivot[c] = pivot.get(c, 0) + v
+            pivot[i] = 2 * m[i][j]
+            pivot = {c: v for c, v in pivot.items() if v}
+        else:
+            pivot = m[i]
+        for r in m.pop(i):
+            if r != i:
+                m[r].pop(i, None)
+        p = pivot.pop(i)
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        inv = _exact(ONE / p)
+        for r, a in pivot.items():
+            row = m[r]
+            f = a * inv
+            for c, b in pivot.items():
+                v = row.get(c, 0) - f * b
+                if v:
+                    row[c] = _exact(v)
+                else:
+                    row.pop(c, None)
+        m = {r: row for r, row in m.items() if row}
+    return Signature(pos, neg, g.rows - pos - neg)
 
 
 def is_rational_square(x: Fraction) -> Optional[Fraction]:
@@ -674,10 +676,10 @@ def minimal_polynomial(m: Mat) -> MinimalPolynomial:
     while True:
         current = current @ m
         flat = current.flat()
-        coords = span.decompose(flat)
+        coords = span.sparse_decompose(flat)
         if coords is not None:
             # current = sum coords[i] * M^i  =>  min poly = t^k - sum coords_i t^i
-            coeffs = [-c for c in coords] + [ONE]
+            coeffs = [-frac(coords.get(i, 0)) for i in range(span.count)] + [ONE]
             break
         span.insert(flat)
     factors = []

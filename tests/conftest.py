@@ -17,7 +17,7 @@ from cartanext.extension import (WITNESS_CAP, AxiomCheck, Curvature, Extension,
 from cartanext.lie import (ComplexStructureResult, Representation, _canonical_sign, commutant,
                            largest_invariant_subspace_dim, split_idempotents)
 from cartanext.linalg import (ONE, ZERO, LinearSolution, Mat, MinimalPolynomial, PolyFactor,
-                              SpanSolver, block_matrix, commutator, frac, invert,
+                              Signature, SpanSolver, block_matrix, commutator, frac, invert,
                               is_rational_square, matrix_rank, solve_linear)
 
 
@@ -1367,7 +1367,7 @@ def reference_inclusion_witness(pair: SymmetricPair, target: GradedAlgebra,
     inv = invert(conjugator) if conjugator is not None else None
     for b in pair.k_algebra.basis:
         image = inv @ b @ conjugator if conjugator is not None else b
-        coords = target.algebra.coordinates(image)
+        coords = reference_coordinates(target.algebra, image)
         if coords is None:
             raise InputError("pair algebra does not embed into the target span")
         cols.append(coords)
@@ -1381,7 +1381,7 @@ def reference_coordinate_complex_structure(target: GradedAlgebra) -> Mat:
         raise InputError("target has no ambient complex structure")
     cols = []
     for b in target.algebra.basis:
-        coords = target.algebra.coordinates(target.ambient_J @ b)
+        coords = reference_coordinates(target.algebra, target.ambient_J @ b)
         if coords is None:
             raise InternalCheckError("ambient J does not preserve the target span")
         cols.append(coords)
@@ -1402,7 +1402,7 @@ def reference_row_su_pp_so_complex(pair: SymmetricPair) -> Extension:
     zero = Mat.zero(2 * n, 2 * n)
     for b in pair.k_algebra.basis:
         image = w_inv @ bases.realify_complex(b, zero) @ w
-        coords = t.algebra.coordinates(image)
+        coords = reference_coordinates(t.algebra, image)
         if coords is None:
             raise InternalCheckError("complexified element escapes the su(p,p) span")
         cols.append(coords)
@@ -1416,7 +1416,7 @@ def reference_mapped_witness(pair: SymmetricPair, target: GradedAlgebra,
     for mat in pair.k_algebra.basis:
         a = mat.submatrix(range(half), range(half))
         b = mat.submatrix(range(half, 2 * half), range(half, 2 * half))
-        coords = target.algebra.coordinates(phi(a, b))
+        coords = reference_coordinates(target.algebra, phi(a, b))
         if coords is None:
             raise InternalCheckError("mapped element escapes the target span")
         cols.append(coords)
@@ -1434,8 +1434,178 @@ def reference_target_conjugation(target: GradedAlgebra) -> Mat:
     cols = []
     for b in target.algebra.basis:
         image = s @ b @ s
-        coords = target.algebra.coordinates(image)
+        coords = reference_coordinates(target.algebra, image)
         if coords is None:
             raise InternalCheckError("conjugation does not preserve the target span")
         cols.append(coords)
     return Mat.from_columns(cols, target.dim)
+
+
+# -- the dense views the engine no longer calls, kept verbatim ---------------
+
+
+def reference_coordinates(algebra, m: Mat) -> Optional[list]:
+    """Coordinates of an ambient matrix in the basis, or None: the body of
+    the deleted `MatrixLieAlgebra.coordinates`, on the dense
+    `SpanSolver.decompose`."""
+    if m.shape != (algebra.ambient_size, algebra.ambient_size):
+        raise InputError("ambient size mismatch")
+    return algebra._span.decompose(m.flat())
+
+
+# the dense congruence that the sparse one replaced
+def reference_symmetric_signature(g: Mat) -> Signature:
+    """Signature of a symmetric matrix by exact congruence diagonalization.
+
+    Pivots on a nonzero diagonal entry when available; otherwise a congruence
+    adding row and column j to i creates one.  Sylvester's law makes the
+    resulting sign counts basis-independent.
+    """
+    if not g.is_square():
+        raise InputError("signature of a non-square matrix")
+    if not g.is_symmetric():
+        raise InputError("signature requires a symmetric matrix")
+    n = g.rows
+    m = g.to_rows()
+
+    def add_row_col(i, j):  # row_i += row_j, col_i += col_j
+        for c in range(n):
+            m[i][c] += m[j][c]
+        for r in range(n):
+            m[r][i] += m[r][j]
+
+    def swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        for r in range(n):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+
+    # a congruence repeats every row operation on the columns: no row-only echelon
+    for i in range(n):
+        if m[i][i] == 0:
+            swap_target = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
+            if swap_target is not None:
+                swap(i, swap_target)
+            else:
+                off = next(
+                    (
+                        (r, c)
+                        for r in range(i, n)
+                        for c in range(r + 1, n)
+                        if m[r][c] != 0
+                    ),
+                    None,
+                )
+                if off is None:
+                    break  # trailing block is zero
+                r, c = off
+                if r != i:
+                    swap(i, r)
+                    if c == i:
+                        c = r
+                add_row_col(i, c)
+        p = m[i][i]
+        if p == 0:
+            continue
+        for r in range(i + 1, n):
+            if m[r][i] != 0:
+                f = m[r][i] / p
+                for c in range(n):
+                    m[r][c] -= f * m[i][c]
+                for rr in range(n):
+                    m[rr][r] -= f * m[rr][i]
+    pos = sum(1 for i in range(n) if m[i][i] > 0)
+    neg = sum(1 for i in range(n) if m[i][i] < 0)
+    return Signature(pos, neg, n - pos - neg)
+
+
+# the spinorial predicate on dense vectors, before its systems were built sparse
+def _reference_wedge_image(t: Mat, layout: list, n: int, col: int) -> Mat:
+    """Column col of T, on the (i < j) wedge layout, as an antisymmetric matrix."""
+    out = [[ZERO] * n for _ in range(n)]
+    for idx, (i, j) in enumerate(layout):
+        out[i][j] += t[idx, col]
+        out[j][i] -= t[idx, col]
+    return Mat.from_rows(out)
+
+
+def _reference_wedge(u: list, v: list) -> Mat:
+    n = len(u)
+    return Mat.from_rows([[u[r] * v[c] - v[r] * u[c] for c in range(n)] for r in range(n)])
+
+
+def reference_predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+    if not _invertible(t):
+        return False
+    n = target.params["n"]
+    layout = target.gm1_layout
+    pos = {key: idx for idx, key in enumerate(layout)}
+
+    def image(i, j):
+        return _reference_wedge_image(t, layout, n, pos[(min(i, j), max(i, j))])
+
+    w01, w02 = image(0, 1), image(0, 2)
+    if matrix_rank(w01) != 2 or matrix_rank(w02) != 2:
+        return False
+    # direction of a0: intersection of the two column spaces
+    rows = []
+    for r in range(n):
+        rows.append([w01[r, c] for c in range(n)] + [-w02[r, c] for c in range(n)])
+    inter = solve_linear(Mat.from_rows(rows), Mat.zero(n, 1))
+    a0 = None
+    for k in inter.kernel:
+        cand = w01.apply([k[i, 0] for i in range(n)])
+        if any(x != 0 for x in cand):
+            a0 = cand
+            break
+    if a0 is None:
+        return False
+
+    def solve_pair(m):
+        rows, rhs = [], []
+        for r in range(n):
+            for c in range(n):
+                rows.append([(a0[r] if k == c else ZERO) - (a0[c] if k == r else ZERO)
+                             for k in range(n)])
+                rhs.append(m[r, c])
+        sol = solve_linear(Mat.from_rows(rows), Mat.column(rhs))
+        return None if sol is None else sol.particular.col(0)
+
+    tilde = [None]
+    for i in range(1, n):
+        ai = solve_pair(image(0, i))
+        if ai is None:
+            return False
+        tilde.append(ai)
+    # solve mu, s_i from the remaining pairs
+    unknown = n  # mu, s_1..s_{n-1}
+    rows, rhs = [], []
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            wij = image(i, j)
+            base = _reference_wedge(tilde[i], tilde[j])
+            wi0 = _reference_wedge(tilde[i], a0)
+            wj0 = _reference_wedge(tilde[j], a0)
+            for r in range(n):
+                for c in range(n):
+                    row = [ZERO] * unknown
+                    row[0] = base[r, c]
+                    row[j] = -wi0[r, c]
+                    row[i] = wj0[r, c]
+                    rows.append(row)
+                    rhs.append(wij[r, c])
+    if rows:
+        sol = solve_linear(Mat.from_rows(rows), Mat.column(rhs))
+        if sol is None:
+            return False
+        mu = sol.particular[0, 0]
+        if mu == 0:
+            return False
+        s = [sol.particular[i, 0] for i in range(1, n)]
+        avecs = [a0] + [
+            [(tilde[i][r] - (s[i - 1] / mu) * a0[r]) for r in range(n)]
+            for i in range(1, n)
+        ]
+    else:
+        avecs = [a0] + tilde[1:]
+    amat = Mat.from_columns(avecs, n)
+    return _invertible(amat)

@@ -399,6 +399,31 @@ def test_malformed_pair_params_are_input_errors(family, params, match):
         build_pair(family, params)
 
 
+# A negative count used to build a smaller algebra under the family's name
+# (conformal p=-1, q=2 gave "so(0,3)-conformal" with dim 6, not 3), or to pass
+# the size cap on the formulas it broke (conformal p=-200, q=230 counted
+# dim 496 and allocated about 26k basis matrices before a later refusal).
+@pytest.mark.parametrize("build, family, params, name", [
+    (build_graded, "conformal", {"p": -1, "q": 2}, "p"),
+    (build_graded, "conformal", {"p": -200, "q": 230}, "p"),
+    (build_graded, "projective", {"n": -2}, "n"),
+    (build_pair, "so_block", {"a": -1, "b": 2, "c": 1, "d": 1}, "a"),
+    (build_pair, "conformal_model", {"k": -1, "l": 2}, "k"),
+    (build_pair, "sl_block", {"p": -1, "q": 3}, "p"),
+    (build_pair, "sp1_block", {"p": 1, "q": -1}, "q"),
+])
+def test_negative_family_params_are_refused_before_building(build, family, params, name,
+                                                            monkeypatch):
+    def never(*args):
+        raise AssertionError("a catalog object was built for a negative parameter")
+
+    monkeypatch.setattr(catalog, "_build_graded_cached", never)
+    monkeypatch.setattr(catalog, "_build_pair_cached", never)
+    message = f"^{family} parameter '{name}' must not be negative, got {params[name]}$"
+    with pytest.raises(InputError, match=message):
+        build(family, params)
+
+
 @pytest.mark.parametrize("family,params,ambient", [
     ("group_type", {"base": "sl(17,R)"}, 34),
     ("group_type", {"base": "sl(9,C)"}, 36),

@@ -17,6 +17,7 @@ from cartanext.errors import InputError, InternalCheckError
 from cartanext.linalg import Mat
 from conftest import (
     reference_coordinate_complex_structure,
+    reference_coordinates,
     reference_inclusion_witness,
     reference_mapped_witness,
     reference_row_su_pp_so_complex,
@@ -37,7 +38,7 @@ def _reference_matrix(algebra, mats):
     """The parent's loop: dense coordinates of each image, then from_columns."""
     cols = []
     for m in mats:
-        coords = algebra.coordinates(m)
+        coords = reference_coordinates(algebra, m)
         if coords is None:
             return None
         cols.append(coords)

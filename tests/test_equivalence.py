@@ -113,14 +113,8 @@ def test_automorphism_twist_recovers_equivalence():
     for new, old in enumerate([2, 3, 0, 1]):
         perm[new * amb + old] = F(1)
     u = Mat(amb, amb, perm)
-    cols = []
-    for b in pair.k_algebra.basis:
-        coords = pair.k_algebra.coordinates(u @ b @ invert(u))
-        assert coords is not None
-        cols.append(coords)
-    sigma = Mat.from_rows(
-        [[cols[c][r] for c in range(pair.dim)] for r in range(pair.dim)]
-    )
+    sigma = pair.k_algebra.coordinate_matrix(u @ b @ invert(u) for b in pair.k_algebra.basis)
+    assert sigma is not None
     sigma_m = Mat.from_rows(
         [[sigma[r, c] for c in pair.m_indices] for r in pair.m_indices]
     )
@@ -183,8 +177,7 @@ def test_twist_that_moves_h_is_skipped():
     u = Mat.identity(amb).to_rows()
     u[0][:3], u[1][:3], u[2][:3] = [0, 0, 1], [1, 0, 0], [0, 1, 0]
     u = Mat.from_rows(u)
-    cols = [pair.k_algebra.coordinates(u @ b @ invert(u)) for b in pair.k_algebra.basis]
-    sigma = Mat.from_columns(cols, pair.dim)
+    sigma = pair.k_algebra.coordinate_matrix(u @ b @ invert(u) for b in pair.k_algebra.basis)
     assert _is_automorphism(pair, sigma)
     assert _quotient_action_on_m(ext, sigma) is None
     assert reference_quotient_action_on_m(ext, sigma) is None

@@ -1,5 +1,6 @@
 """Integral values run as int inside the sparse core and the structure-constant
-table; every value the engine hands out is a Fraction.
+table; every value the engine hands out is a Fraction.  Sparse vectors passed
+between engine routines, such as kernel vectors, keep integral values as int.
 
 An int escaping through a public output would change results and bytes:
 `int / int` is a float, and `repr(3)` is not `repr(Fraction(3))`.
@@ -13,7 +14,8 @@ from cartanext import catalog, classify, lie
 from cartanext.catalog import build_graded, build_pair, isotropy_rep
 from cartanext.classify import g0_action_solver
 from cartanext.extension import curvature, dstar_projective, solve_projective_b2
-from cartanext.lie import commutant, commutant_basis, killing_form, split_idempotents
+from cartanext.lie import (commutant, commutant_basis, invariant_bilinear_forms, killing_form,
+                           split_idempotents)
 from cartanext.linalg import Mat, kernel_of_sparse_rows, minimal_polynomial, solve_linear
 from conftest import reference_commutant_basis, reference_minimal_polynomial
 
@@ -22,6 +24,13 @@ PAIRS = catalog.default_pair_grid()
 
 def _fractions(values) -> bool:
     return all(type(x) is Fraction for x in values)
+
+
+def _stored(vec: dict, width: int) -> bool:
+    """The sparse vector contract: keys below the width, no zero values, and
+    integral values stored as int."""
+    return all(0 <= k < width and v and type(v) is (int if v.denominator == 1 else Fraction)
+               for k, v in vec.items())
 
 
 @pytest.mark.parametrize("family, params", catalog.default_graded_grid())
@@ -36,9 +45,8 @@ def test_target_outputs_are_fractions(family, params):
     sol = solve_linear(doubled, solver)
     assert doubled @ sol.particular == solver and len(sol.kernel) == solver.cols
     assert _fractions(sol.particular.entries) and all(_fractions(v.entries) for v in sol.kernel)
-    for i, b in enumerate(algebra.basis):
-        coords = algebra.coordinates(b)
-        assert coords == [int(t == i) for t in range(dim)] and _fractions(coords)
+    coords = algebra.coordinate_matrix(algebra.basis)
+    assert coords == Mat.identity(dim) and _fractions(coords.entries)
     units = [[Fraction(int(t == i)) for t in range(dim)] for i in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -46,7 +54,11 @@ def test_target_outputs_are_fractions(family, params):
     # table rows, with their int entries, as the rows of a system
     rows = [sc.row(target.minus_one[0], j) for j in range(dim)]
     kernel = kernel_of_sparse_rows([r for r in rows if r], dim)
-    assert kernel and all(len(v) == dim and _fractions(v) for v in kernel)
+    assert kernel and all(_stored(v, dim) for v in kernel)
+    # the public outputs built from kernels
+    adjoint = algebra.adjoint_representation()
+    assert all(_fractions(b.entries) for b in commutant_basis(adjoint))
+    assert all(_fractions(g.entries) for g in invariant_bilinear_forms(adjoint))
 
 
 @pytest.mark.parametrize("family, params", PAIRS)

@@ -192,3 +192,14 @@ def test_oversize_params_are_refused_by_the_cap_alone(monkeypatch, tmp_path, cap
         run = cli.run_verify_catalog([{"kind": kind, "family": family, "params": params}], 0)
         detail = run["items"][0]["checks"][0]["detail"]
         assert run["overall"] == "FAIL" and "exceeds the desk-scale cap" in detail, detail
+
+
+@pytest.mark.parametrize("family, params", [("conformal", "p=-200,q=230"),
+                                            ("so_block", "a=-1,b=2,c=1,d=1")])
+def test_negative_params_are_input_errors(family, params, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("a catalog object was built for a negative parameter")
+
+    monkeypatch.setattr(catalog, "_build_graded_cached", never)
+    monkeypatch.setattr(catalog, "_build_pair_cached", never)
+    assert _run(["build", "--family", family, "--params", params], capsys) == 2

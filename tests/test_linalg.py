@@ -29,6 +29,7 @@ from conftest import (
     reference_kernel_of_sparse_rows,
     reference_matrix_rank,
     reference_solve_linear,
+    reference_symmetric_signature,
     rref_rank_oracle,
 )
 
@@ -155,12 +156,24 @@ def test_solve_with_no_unknowns_keeps_the_shape():
 # -- the sparse echelon core against the dense eliminators it replaced -------
 
 
+def _assert_kernel_matches_reference(rows, ncols):
+    """kernel_of_sparse_rows equals the dense reference entry for entry,
+    vectors in the same order, and keeps the sparse contract: keys below
+    ncols, no zero values, integral values stored as int."""
+    kernel = kernel_of_sparse_rows(rows, ncols)
+    assert [[v.get(c, 0) for c in range(ncols)] for v in kernel] == \
+        reference_kernel_of_sparse_rows(rows, ncols)
+    for vec in kernel:
+        assert all(0 <= c < ncols and v and type(v) is (int if v.denominator == 1 else Fraction)
+                   for c, v in vec.items())
+
+
 def _assert_core_matches_reference(a, b):
     """solve_linear, matrix_rank and kernel_of_sparse_rows equal the dense
     references entry for entry, kernel vectors in the same order."""
     assert matrix_rank(a) == reference_matrix_rank(a)
-    rows = [{c: v for c, v in enumerate(a.row(i)) if v} for i in range(a.rows)]
-    assert kernel_of_sparse_rows(rows, a.cols) == reference_kernel_of_sparse_rows(rows, a.cols)
+    _assert_kernel_matches_reference(
+        [{c: v for c, v in enumerate(a.row(i)) if v} for i in range(a.rows)], a.cols)
     got, want = solve_linear(a, b), reference_solve_linear(a, b)
     if want is None:
         assert got is None
@@ -226,7 +239,20 @@ def test_core_matches_reference_on_commutant_rows(monkeypatch):
         lie.commutant_basis(isotropy_rep(build_pair(family, params)))
     assert len(systems) == len(grid)
     for rows, ncols in systems:
-        assert kernel_of_sparse_rows(rows, ncols) == reference_kernel_of_sparse_rows(rows, ncols)
+        _assert_kernel_matches_reference(rows, ncols)
+
+
+def test_from_flat_inverts_flat():
+    rng = random.Random(5)
+    for _ in range(60):
+        rows, cols = rng.randint(0, 4), rng.randint(1, 4)
+        m = Mat(rows, cols, [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) if rng.random() < 0.5
+                             else 0 for _ in range(rows * cols)])
+        back = Mat.from_flat(rows, cols, m.flat())
+        assert back == m and back.shape == m.shape and stored_form_holds(back)
+    # given values are taken in any scalar form, zeros dropped
+    assert Mat.from_flat(2, 2, {1: Fraction(4, 2), 2: "1/3", 3: 0}).sparse == \
+        {0: {1: 2}, 1: {0: Fraction(1, 3)}}
 
 
 def test_span_solver_interleaved_against_reference():
@@ -299,6 +325,7 @@ def test_signature_congruence_invariance():
         Mat.diag([3, -5, 0, 2]),
         Mat.from_rows([[0, 1, 0], [1, 0, 2], [0, 2, -1]]),
         Mat.from_rows([[2, 1], [1, 2]]),
+        Mat.from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),  # a zero diagonal
     ]
     for g in targets:
         expected = symmetric_signature(g).as_tuple()
@@ -313,6 +340,28 @@ def test_signature_congruence_invariance():
                 continue
             found += 1
             assert symmetric_signature(s.transpose() @ g @ s).as_tuple() == expected
+
+
+def _random_symmetric(rng, n, zero_diagonal):
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r if not zero_diagonal else r + 1, n):
+            if rng.random() < 0.6:
+                rows[r][c] = rows[c][r] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    return Mat.from_rows(rows)
+
+
+def test_sparse_signature_matches_dense_congruence():
+    """The congruence on sparse rows against the dense one it replaced, on
+    seeded random symmetric matrices, a third of them with a zero diagonal."""
+    rng = random.Random(7)
+    seen = set()
+    for trial in range(900):
+        g = _random_symmetric(rng, rng.randint(0, 7), trial % 3 == 0)
+        got = symmetric_signature(g).as_tuple()
+        assert got == reference_symmetric_signature(g).as_tuple()
+        seen.add(got)
+    assert len(seen) > 40
 
 
 def test_signature_rejects_nonsymmetric():

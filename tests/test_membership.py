@@ -1,8 +1,9 @@
 """G_0-membership predicates of `equivalence` against the ones they replaced.
 
-The Lagrangean and quaternionic predicates are normalizer tests, and the
-conformal pair shares one form test; the verbatim predicates in `conftest.py`
-decide the same candidates.  The candidates are G_0 elements (Ad of ambient
+The Lagrangean and quaternionic predicates are normalizer tests, the
+conformal pair shares one form test, and the spinorial predicate builds its
+systems sparsely; the verbatim predicates in `conftest.py` decide the same
+candidates.  The candidates are G_0 elements (Ad of ambient
 group elements, or maps built in g_-1 coordinates), one-entry perturbations
 of them, random invertible maps and signed permutations.  Each family with a
 bespoke predicate kept has a map that normalizes rho(g_0) and lies outside
@@ -23,7 +24,8 @@ from cartanext.equivalence import (_PREDICATES, EQUIVALENT, NOT_EQUIVALENT, _nor
                                    frames_equivalent)
 from cartanext.linalg import Mat, invert, matrix_rank
 from conftest import (reference_predicate_complex_conformal, reference_predicate_conformal,
-                      reference_predicate_lagrangean, reference_predicate_quaternionic, with_frame)
+                      reference_predicate_lagrangean, reference_predicate_quaternionic,
+                      reference_predicate_spinorial, with_frame)
 
 F = Fraction
 
@@ -32,6 +34,7 @@ REFERENCES = {
     "quaternionic": reference_predicate_quaternionic,
     "conformal": reference_predicate_conformal,
     "complex_conformal": reference_predicate_complex_conformal,
+    "spinorial": reference_predicate_spinorial,
 }
 
 
@@ -70,16 +73,15 @@ def _block_diag(*blocks):
 def ad_on_gm1(target, g):
     """X -> g X g^-1 on g_-1, in its coordinates, for an ambient g in G_0."""
     ginv = invert(g)
-    cols = []
-    for i in target.minus_one:
-        coords = target.algebra.coordinates(g @ target.algebra.basis[i] @ ginv)
-        assert coords is not None and all(coords[k] == 0 for k in target.zero + target.plus_one)
-        cols.append([coords[k] for k in target.minus_one])
-    return Mat.from_columns(cols, target.dim_gm1)
+    basis = target.algebra.basis
+    coords = target.algebra.coordinate_matrix(g @ basis[i] @ ginv for i in target.minus_one)
+    assert coords is not None and set(coords.sparse) <= set(target.minus_one)
+    return coords.submatrix(target.minus_one, range(coords.cols))
 
 
 def _lagrangean_element(rng, target):
-    """diag(A, c A^-T), which scales the symplectic form by c."""
+    """diag(A, c A^-T), which scales the symplectic form by c (and, on
+    spinorial targets, the split orthogonal form)."""
     n = target.params["n"]
     a = _random_invertible(rng, n)
     c = rng.choice((1, -1, 2, F(-1, 3)))
@@ -163,12 +165,14 @@ ELEMENTS = {
     "quaternionic": _quaternionic_element,
     "conformal": _conformal_element,
     "complex_conformal": _complex_conformal_element,
+    "spinorial": _lagrangean_element,
 }
 
 SWEEP = ([("lagrangean", {"n": n}) for n in range(1, 5)]
          + [("quaternionic", {"n": n}) for n in range(1, 4)]
          + [(f, p) for f, p in default_graded_grid() if f == "conformal"]
-         + [("complex_conformal", {"n": n}) for n in range(1, 4)])
+         + [("complex_conformal", {"n": n}) for n in range(1, 4)]
+         + [("spinorial", {"n": n}) for n in (3, 4)])
 
 
 def _candidates(rng, family, target, count):
@@ -201,7 +205,9 @@ def test_predicate_agrees_with_reference(family, params):
         accepted += want
         rejected += not want
     assert accepted >= 10
-    if target.dim_gm1 > 1:  # on a line, G_0 is every invertible map
+    # on a line, and on spinorial(3), where Lambda^2 R^3 is the dual of R^3,
+    # G_0 is every invertible map
+    if target.dim_gm1 > 1 and (family, params) != ("spinorial", {"n": 3}):
         assert rejected >= 10
 
 
