@@ -721,13 +721,22 @@ def split_idempotents(basis: list) -> Optional[list]:
     n.  Two characters differ on x_k by a nonzero polynomial in k of degree
     < n, so some k <= 1 + (n-1) n(n-1)/2 qualifies (Eberly & Giesbrecht,
     J. Symbolic Comput. 2000).  Each irreducible factor f of m gives the
-    projector (u * m/f)(x_k) with u * m/f = 1 mod f.  The projectors are
-    sorted by their first nonzero column, then by their entries compared from
-    the last one, larger first: the result depends only on the algebra.
+    projector (u * m/f)(x_k) with u * m/f = 1 mod f.  A one-element basis b
+    needs none of this: b b = lam b, and its unit b / lam is its one
+    nonzero idempotent.  The projectors are sorted by `idempotent_order`: the
+    result depends only on the algebra.
     """
     n = len(basis)
-    if symmetric_signature(_trace_form(basis)).nullity:
+    gram = _trace_form(basis)
+    if symmetric_signature(gram).nullity:
         return None
+    if n == 1:  # lam = tr(b b) / tr(b), as tr(b b) = lam tr(b) is nonzero
+        b = basis[0]
+        trace = b.trace()
+        p = b.scale(trace / gram[0, 0]) if trace else None
+        if p is None or p @ p != p:
+            raise InternalCheckError("split projector is not idempotent")
+        return [p]
     for k in range(1, 2 + (n - 1) * n * (n - 1) // 2):
         el = _generic_element(basis, k)
         mp = minimal_polynomial(el)
@@ -755,12 +764,15 @@ def split_idempotents(basis: list) -> Optional[list]:
         if p @ p != p:
             raise InternalCheckError("split projector is not idempotent")
         projectors.append(p)
+    return sorted(projectors, key=idempotent_order)
 
-    def key(p: Mat):  # keeps the default grid's factor orders and J signs
-        first = min(c for row in p.sparse.values() for c in row)
-        return first, tuple(-x for row in reversed(p.to_rows()) for x in reversed(row))
 
-    return sorted(projectors, key=key)
+def idempotent_order(p: Mat) -> tuple:
+    """Sort key of primitive idempotents: the first nonzero column, then the
+    entries compared from the last one, larger first.  It keeps the default
+    grid's factor orders and J signs."""
+    first = min(c for row in p.sparse.values() for c in row)
+    return first, tuple(-x for row in reversed(p.to_rows()) for x in reversed(row))
 
 
 def _poly_xgcd(a: list, b: list):

@@ -14,8 +14,8 @@ lists, give Fractions; they are for public results and callers outside the
 engine.  All row elimination runs through one sparse echelon core (`_reduce`
 against monic rows keyed by pivot column, `_echelon`, and back-substitution
 in `_solutions`), behind `SpanSolver`, `solve_linear`, `invert`,
-`matrix_rank` and `kernel_of_sparse_rows`; `symmetric_signature` runs a
-congruence on the same sparse rows.
+`matrix_rank`, `kernel_of_sparse_rows` and `reduced_span_basis`;
+`symmetric_signature` runs a congruence on the same sparse rows.
 """
 
 from __future__ import annotations
@@ -539,6 +539,37 @@ def kernel_of_sparse_rows(rows: list, ncols: int) -> list:
     """
     pivots = _echelon(rows, ncols)
     return _solutions(pivots, ({f: 1} for f in range(ncols) if f not in pivots), ncols)
+
+
+def reduced_span_basis(vectors: Iterable[Vector]) -> list:
+    """The basis of span(vectors) in the form `kernel_of_sparse_rows` gives
+    a kernel: reduced echelon form, each vector 1 at its largest column (its
+    pivot) and 0 at the other pivots, in increasing order of pivot, as
+    sparse vectors with integral values as int.
+
+    The free columns of a system are exactly the columns at which some
+    kernel vector ends, and the kernel vector of free column f is the one
+    that is 1 at f and 0 at the other free columns.  So this basis depends
+    only on the span, and a kernel put together from pieces comes out as
+    `kernel_of_sparse_rows` returns it whole."""
+    pivots: dict[int, dict] = {}  # keys are negated columns, so rows lead at their largest
+    for vec in vectors:
+        v = {-c: x for c, x in _sparse(vec).items()}
+        _reduce(v, pivots)
+        if v:
+            _store(v, pivots)
+    for p in sorted(pivots, reverse=True):  # the rows with larger keys are reduced already
+        row = pivots[p]
+        for q in [k for k in row if k != p and k in pivots]:
+            c = row.pop(q)
+            for k, val in pivots[q].items():
+                if k != q:
+                    nv = row.get(k, 0) - c * val
+                    if nv:
+                        row[k] = nv
+                    else:
+                        row.pop(k, None)
+    return [{-k: _exact(x) for k, x in pivots[p].items()} for p in sorted(pivots, reverse=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -496,6 +496,63 @@ def reference_factor_decomposition(pair) -> list:
     return factors
 
 
+# -- the whole-algebra centroid and the idempotent split, kept verbatim ---------
+
+
+def reference_split_idempotents(basis: list) -> Optional[list]:
+    """Primitive idempotents of a commutative matrix algebra, from its basis,
+    through a primitive element x_k = sum_i k^i b_i for every basis size."""
+    from cartanext.lie import _generic_element, _poly_xgcd, _trace_form
+    from cartanext.linalg import combination, minimal_polynomial, symmetric_signature
+
+    n = len(basis)
+    if symmetric_signature(_trace_form(basis)).nullity:
+        return None
+    for k in range(1, 2 + (n - 1) * n * (n - 1) // 2):
+        el = _generic_element(basis, k)
+        mp = minimal_polynomial(el)
+        if mp.degree == n:
+            break
+    else:
+        raise InternalCheckError("no primitive element x_k within the bound")
+    d = el.rows
+    powers = [Mat.identity(d)]  # x_k^0 .. x_k^(n-1)
+    for _ in range(n - 1):
+        powers.append(powers[-1] @ el)
+    total = list(mp.coeffs)
+    projectors = []
+    for f in (list(f.coeffs) for f in mp.factors):
+        cof, rem = poly.divmod_exact(total, f)
+        assert rem == [poly.ZERO]
+        g, u, _ = _poly_xgcd(cof, f)
+        if poly.degree(g) != 0:
+            raise InternalCheckError("minimal polynomial factors are not coprime")
+        inv_lead = ONE / g[0]
+        u = [c * inv_lead for c in u]
+        _, proj_poly = poly.divmod_exact(poly.mul(u, cof), total)
+        p = combination(zip(proj_poly, powers), d, d)
+        if p @ p != p:
+            raise InternalCheckError("split projector is not idempotent")
+        projectors.append(p)
+
+    def key(p: Mat):
+        first = min(c for row in p.sparse.values() for c in row)
+        return first, tuple(-x for row in reversed(p.to_rows()) for x in reversed(row))
+
+    return sorted(projectors, key=key)
+
+
+def reference_centroid(pair: SymmetricPair) -> tuple:
+    """(basis, primitive idempotents or None) of the centroid of the pair's
+    algebra, solved on the whole algebra, without reading or setting the
+    pair's memo."""
+    from cartanext.lie import commutant_basis
+
+    basis = tuple(commutant_basis(pair.k_algebra.adjoint_representation()))
+    projs = reference_split_idempotents(basis)
+    return basis, None if projs is None else tuple(projs)
+
+
 def with_frame(ext, frame):
     """The extension ext with its frame m -> g_-1 replaced by `frame`."""
     rows = ext.alpha.to_rows()

@@ -424,6 +424,17 @@ def test_negative_family_params_are_refused_before_building(build, family, param
         build(family, params)
 
 
+def test_conformal_model_needs_a_tangent_direction(monkeypatch):
+    # k = l = 0 used to reach the graded builder and end in its message,
+    # "conformal needs p + q >= 1"
+    def never(*args):
+        raise AssertionError("a conformal target was built for k = l = 0")
+
+    monkeypatch.setattr(catalog, "build_graded", never)
+    with pytest.raises(InputError, match=r"^conformal_model needs k \+ l >= 1$"):
+        build_pair("conformal_model", {"k": 0, "l": 0})
+
+
 @pytest.mark.parametrize("family,params,ambient", [
     ("group_type", {"base": "sl(17,R)"}, 34),
     ("group_type", {"base": "sl(9,C)"}, 36),
@@ -524,6 +535,8 @@ def test_replace_does_not_carry_the_derived_data_over():
     assert (other._factors, other._centroid, other._isotropy) == (None, None, None)
     assert pair._factors is not None and pair._isotropy is not None
     assert isotropy_rep(other) is not isotropy_rep(pair)
+    total = _sums()[0]
+    assert total._parts is not None and dataclasses.replace(total)._parts is None
 
 
 def test_isotropy_rep_and_commutant_are_computed_once():

@@ -97,6 +97,8 @@ def test_commutants_and_minimal_polynomials_match_references(family, params, mon
         basis = commutant_basis(rep)
         assert basis == reference_commutant_basis(rep)
         split_idempotents(basis)
+        if len(basis) == 1:  # split without a primitive element: check the basis itself
+            drawn += basis
     commutant(iso)
     assert drawn
     for m in drawn:

@@ -203,3 +203,9 @@ def test_negative_params_are_input_errors(family, params, monkeypatch, capsys):
     monkeypatch.setattr(catalog, "_build_graded_cached", never)
     monkeypatch.setattr(catalog, "_build_pair_cached", never)
     assert _run(["build", "--family", family, "--params", params], capsys) == 2
+
+
+def test_conformal_model_without_tangent_directions_is_an_input_error(capsys):
+    assert cli.main(["build", "--family", "conformal_model", "--params", "k=0,l=0"]) == 2
+    err = capsys.readouterr().err
+    assert "conformal_model needs k + l >= 1" in err and "Traceback" not in err

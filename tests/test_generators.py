@@ -6,6 +6,7 @@ only from the action matrices of a generating set.  Both must return exactly
 what the full-basis systems of `conftest.py` return.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -150,7 +151,8 @@ def test_generating_sets_are_smaller_than_the_basis():
 
 
 def test_centroid_is_computed_once_per_pair(monkeypatch):
-    pair = direct_sum_pairs([build_pair("group_type", {"base": b}) for b in ("sl(2,R)", "so(3)")])
+    total = direct_sum_pairs([build_pair("group_type", {"base": b}) for b in ("sl(2,R)", "so(3)")])
+    pair = dataclasses.replace(total)  # no parts: the centroid is solved on the whole algebra
     calls = []
     real = lie.commutant_basis
 
@@ -164,6 +166,9 @@ def test_centroid_is_computed_once_per_pair(monkeypatch):
     factor_decomposition(pair)
     classify.decide_h_projective(pair)
     assert len(calls) == 1
+    factor_decomposition(total)  # the sum itself reads its parts' centroids
+    classify.decide_h_projective(total)
+    assert len(calls) == 1 and centroid(total) == centroid(pair)
     basis, projs = centroid(pair)
     assert list(basis) == reference_commutant_basis(pair.k_algebra.adjoint_representation())
     assert len(projs) == 4 and len(factor_decomposition(pair)) == 2

@@ -1,0 +1,212 @@
+"""The centroid of a direct sum, assembled from its parts' centroids.
+
+`catalog.centroid` reads a semisimple sum's centroid basis and primitive
+idempotents from its parts instead of solving the commutant of the whole
+adjoint representation.  Each result is checked against
+`conftest.reference_centroid`, the whole-algebra solve.  Sums with several
+complex factors, whose whole-algebra split ran into `FactorizationLimit` or
+ran for minutes, are decided here within a second each.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from cartanext import catalog, classify
+from cartanext.catalog import SymmetricPair, _assemble_pair, build_pair, direct_sum_pairs
+from cartanext.errors import InternalCheckError
+from cartanext.lie import commutant, commutant_basis, make_algebra, split_idempotents
+from cartanext.linalg import Mat, kernel_of_sparse_rows, reduced_span_basis
+
+from conftest import reference_centroid, reference_split_idempotents
+
+
+def _group(base: str):
+    return build_pair("group_type", {"base": base})
+
+
+def _sum(*bases):
+    return direct_sum_pairs([_group(b) for b in bases])
+
+
+# -- the basis form of kernel_of_sparse_rows ------------------------------------
+
+
+def _random_rows(rng, count: int, width: int, columns=None) -> list:
+    columns = list(range(width)) if columns is None else columns
+    rows = []
+    for _ in range(count):
+        picks = rng.sample(columns, rng.randint(1, min(4, len(columns))))
+        rows.append({c: rng.choice((-3, -2, -1, 1, 2, 5)) for c in picks})
+    return rows
+
+
+def test_reduced_span_basis_of_a_mixed_kernel_is_the_kernel_basis():
+    rng = random.Random(1701)
+    for case in range(60):
+        width = rng.randint(1, 12)
+        rows = _random_rows(rng, rng.randint(0, width), width)
+        kernel = kernel_of_sparse_rows(rows, width)
+        mixed = []
+        for _ in range(len(kernel) + 2):  # random combinations, dependent ones included
+            vec: dict = {}
+            for v in kernel:
+                c = rng.randint(-2, 2)
+                for k, x in v.items():
+                    vec[k] = vec.get(k, 0) + c * x
+            mixed.append(vec)
+        mixed += kernel[::-1]
+        rng.shuffle(mixed)
+        assert reduced_span_basis(mixed) == kernel, case
+
+
+def test_reduced_span_basis_assembles_a_block_kernel():
+    """A system whose rows each touch one of two interleaved column sets has
+    the union of the two kernels as its kernel; put together from the two
+    pieces, it comes out as the whole solve returns it."""
+    rng = random.Random(1702)
+    for case in range(40):
+        width = rng.randint(2, 14)
+        cols = list(range(width))
+        rng.shuffle(cols)
+        left, right = sorted(cols[:width // 2]), sorted(cols[width // 2:])
+        rows_l = _random_rows(rng, rng.randint(0, len(left)), width, left)
+        rows_r = _random_rows(rng, rng.randint(0, len(right)), width, right)
+        whole = kernel_of_sparse_rows(rows_l + rows_r, width)
+        pieces = ([v for v in kernel_of_sparse_rows(rows_l, width) if set(v) <= set(left)]
+                  + [v for v in kernel_of_sparse_rows(rows_r, width) if set(v) <= set(right)])
+        assert reduced_span_basis(pieces) == whole, case
+
+
+def test_reduced_span_basis_is_reduced_at_the_largest_columns_and_int_first():
+    basis = reduced_span_basis([{0: 2, 3: 4}, {1: 1, 3: 6}])
+    assert basis == [{0: -3, 1: 1}, {0: Fraction(1, 2), 3: 1}]
+    assert [type(x) for v in basis for x in v.values()] == [int, int, Fraction, int]
+    assert reduced_span_basis([]) == [] and reduced_span_basis([{}, {2: 0}]) == []
+
+
+# -- sums read their centroid from their parts ----------------------------------
+
+
+def _listed_in_reverse(pair: SymmetricPair) -> SymmetricPair:
+    """The pair with its basis listed m first, each eigenspace in reverse:
+    its index map into a sum is not monotone, so the order of its embedded
+    idempotents is the sort's doing."""
+    h, m = pair.h_basis()[::-1], pair.m_basis()[::-1]
+    dh, dm = len(h), len(m)
+    return SymmetricPair(make_algebra(m + h, pair.name), pair.family, pair.params,
+                         tuple(range(dm, dm + dh))[::-1], tuple(range(dm))[::-1],
+                         Mat.diag([-1] * dm + [1] * dh))
+
+
+def _sums() -> list:
+    sp1, so4 = build_pair("sp1_block", {"p": 1, "q": 1}), build_pair(
+        "so_block", {"a": 1, "b": 1, "c": 1, "d": 1})
+    return [
+        ("sl(2,R)+so(3)", _sum("sl(2,R)", "so(3)")),
+        ("so(3)+so(3)", _sum("so(3)", "so(3)")),
+        ("sl(2,R)+sl(2,C)", _sum("sl(2,R)", "sl(2,C)")),
+        ("nested", direct_sum_pairs([_sum("sl(2,R)", "so(3)"), _group("sl(2,C)")])),
+        ("sp1_block+so_block", direct_sum_pairs([sp1, so4])),
+        ("sum of copies", direct_sum_pairs([dataclasses.replace(_group("so(3)")),
+                                            dataclasses.replace(sp1)])),
+        ("part listed in reverse", direct_sum_pairs([_listed_in_reverse(so4), _group("so(3)")])),
+    ]
+
+
+@pytest.mark.parametrize("name,pair", _sums(), ids=[name for name, _ in _sums()])
+def test_sum_centroid_matches_the_whole_algebra_solve(name, pair):
+    assert pair._parts is not None
+    basis, projs = catalog.centroid(pair)
+    assert (basis, projs) == reference_centroid(pair)
+    assert isinstance(basis, tuple) and isinstance(projs, tuple)
+    copy = dataclasses.replace(pair)  # no parts: the whole-algebra path
+    assert copy._parts is None and catalog.centroid(copy) == (basis, projs)
+
+
+def test_sum_centroid_solves_no_commutant_of_its_own(monkeypatch):
+    parts = [_group("sl(2,R)"), _group("sl(2,C)"), _group("so(3)")]
+    for p in parts:
+        catalog.centroid(p)
+    pair = direct_sum_pairs(parts)
+    want = reference_centroid(pair)
+
+    def never(rep):
+        raise AssertionError("the sum's centroid solved a commutant")
+
+    monkeypatch.setattr(catalog, "commutant_basis", never)
+    assert catalog.centroid(pair) == want
+
+
+def test_sum_with_a_part_that_is_not_semisimple_solves_the_whole_algebra(monkeypatch):
+    """The centroid of an abelian algebra is all of gl: two 1-dimensional
+    abelian parts have a centroid of dimension 4, not the 2 of their parts."""
+    line = _assemble_pair("line", "line", {}, [], [Mat.diag([1, -1])])
+    pair = direct_sum_pairs([line, line])
+    monkeypatch.setattr(catalog, "split_idempotents", lambda basis: None)
+    basis, projs = catalog.centroid(pair)
+    assert len(basis) == 4 and projs is None
+    assert list(basis) == commutant_basis(pair.k_algebra.adjoint_representation())
+
+
+# -- sums of complex factors reach a verdict -------------------------------------
+
+
+@pytest.mark.parametrize("bases,h_projective,labels", [
+    (("sl(2,C)", "sl(2,C)"), "EXISTS", ["C", "C"]),
+    (("sl(2,C)", "sl(2,C)", "sl(2,R)"), "NOT_EXISTS", ["C", "C", "R"]),
+    (("sl(2,C)", "sl(2,C)", "sl(2,C)"), "EXISTS", ["C", "C", "C"]),
+], ids=["C4", "C4xR2", "C6"])
+def test_sums_of_complex_factors_get_a_verdict_within_a_second(bases, h_projective, labels):
+    # copies of the parts carry no memo, so every centroid is computed here
+    pair = direct_sum_pairs([dataclasses.replace(_group(b)) for b in bases])
+    for call, check in (
+        (classify.centralizer_report, lambda r: r.factor_labels == labels
+         and r.product_structure_verified),
+        (classify.decide_h_projective, lambda v: v.verdict == h_projective),
+        (classify.decide_conformal, lambda r: r.verdict.verdict == "EXISTS"),
+    ):
+        start = time.process_time()
+        result = call(pair)
+        spent = time.process_time() - start
+        assert check(result), (call.__name__, result)
+        assert spent < 1.0, (call.__name__, spent)
+
+
+# -- the one-element split --------------------------------------------------------
+
+
+def test_one_element_split_matches_the_primitive_element_split():
+    seen = 0
+    for family, params in catalog.default_pair_grid():
+        pair = dataclasses.replace(build_pair(family, params))
+        for basis in (reference_centroid(pair)[0],
+                      commutant(catalog.isotropy_rep(pair)).commutant_basis):
+            if len(basis) == 1:
+                seen += 1
+                assert split_idempotents(list(basis)) == reference_split_idempotents(list(basis))
+    assert seen >= 8
+
+
+def test_one_element_split_returns_the_unit_of_the_line():
+    """b = 2 E_00 spans an algebra whose unit E_00 is not the identity; the
+    primitive element split needs b to have a degree-1 minimal polynomial,
+    which it has not, and finds no primitive element."""
+    b = Mat.from_rows([[2, 0], [0, 0]])
+    assert split_idempotents([b]) == [Mat.from_rows([[1, 0], [0, 0]])]
+    assert split_idempotents([Mat.from_rows([[0, 1], [0, 0]])]) is None  # b b = 0
+    with pytest.raises(InternalCheckError, match="no primitive element"):
+        reference_split_idempotents([b])
+
+
+@pytest.mark.parametrize("rows", [[[1, 1], [1, 0]], [[0, 1], [1, 0]]])
+def test_one_element_split_refuses_a_span_that_is_not_an_algebra(rows):
+    # b b is not a multiple of b: tr(b) = 1 gives a candidate that is not
+    # idempotent, tr(b) = 0 gives none
+    with pytest.raises(InternalCheckError, match="not idempotent"):
+        split_idempotents([Mat.from_rows(rows)])
