@@ -23,8 +23,12 @@ from .linalg import (
     MinimalPolynomial,
     SpanSolver,
     Vector,
+    _clean,
     _exact,
+    _reduce,
+    _solutions,
     _sparse,
+    _store,
     combination,
     commutator,
     frac,
@@ -32,6 +36,7 @@ from .linalg import (
     kernel_of_sparse_rows,
     matrix_rank,
     minimal_polynomial,
+    reduced_span_basis,
     symmetric_signature,
 )
 
@@ -201,6 +206,7 @@ class MatrixLieAlgebra:
         self.constants = constants
         self._span = span
         self._killing: Optional[Mat] = None
+        self._semisimple: Optional[bool] = None  # the verdict of `is_semisimple`
         # (table, basis) that `make_algebra` certified while building them
         self._certified: Optional[tuple] = None
 
@@ -480,18 +486,25 @@ def generating_indices(algebra: MatrixLieAlgebra) -> list:
 
 
 def is_semisimple(algebra: MatrixLieAlgebra) -> bool:
-    """Cartan's criterion: the Killing form is nondegenerate."""
-    return matrix_rank(killing_form(algebra)) == algebra.dim
+    """Cartan's criterion: the Killing form is nondegenerate.  The verdict
+    is kept on the algebra, beside the Killing form it is read from."""
+    if algebra._semisimple is None:
+        algebra._semisimple = matrix_rank(killing_form(algebra)) == algebra.dim
+    return algebra._semisimple
 
 
 class Representation:
     """A Lie algebra homomorphism into gl(carrier_dim), one matrix per basis element.
 
     The homomorphism property is checked on construction, and commutants and
-    invariant forms rely on it (see `generating_indices`).  Only
-    `adjoint_representation` passes check=False, since its matrices come
-    from a table of exact matrix commutators.  The action is a tuple, and
-    `commutant` memoizes its classification on the representation.
+    invariant forms rely on it (see `generating_indices`): a T that commutes
+    with rho(x) and rho(y) commutes with [rho(x), rho(y)], which is
+    rho([x, y]) only for a homomorphism, so it is what lets
+    `commutant_basis` spin up under the generators' matrices alone and
+    check its early stop on them.  Only `adjoint_representation` passes
+    check=False, since its matrices come from a table of exact matrix
+    commutators.  The action is a tuple, and `commutant` memoizes its
+    classification on the representation.
     """
 
     def __init__(self, algebra: MatrixLieAlgebra, carrier_dim: int,
@@ -539,35 +552,163 @@ def _by_column(a: Mat) -> list:
     return cols
 
 
-def commutant_basis(rep: Representation) -> list:
-    """Basis of all matrices commuting exactly with every action matrix.
+def _apply(cols: list, x: dict) -> dict:
+    """A x for a sparse vector x, with A given by its columns (`_by_column`)."""
+    out: dict = {}
+    for c, xc in x.items():
+        for k, v in cols[c]:
+            out[k] = out.get(k, 0) + v * xc
+    return {k: _exact(v) for k, v in out.items() if v}
 
-    The constraint rows come only from rho(X_s) for s in
-    `generating_indices(rep.algebra)`.  A T commuting with rho(x) and rho(y)
-    commutes with [rho(x), rho(y)] = rho([x, y]), so commuting with the
-    generators means commuting with every action matrix: both systems have
-    the same kernel, hence the same row space, and the kernel basis (one
-    vector per free column) depends only on the row space.  This needs rho
-    to be a homomorphism, which `Representation` checks, and which the
-    adjoint representation is by construction.
+
+def _add_rows(acc: dict, m: Mat, c, offset: int) -> None:
+    """acc[t] += c * (row t of m, its columns shifted by offset), for every t."""
+    for t, row in m.sparse.items():
+        out = acc.get(t)
+        if out is None:
+            out = acc[t] = {}
+        for col, v in row.items():
+            key = offset + col
+            out[key] = out.get(key, 0) + c * v
+
+
+def commutant_basis(rep: Representation) -> list:
+    """Basis of all matrices commuting exactly with every action matrix,
+    found by spin-up: the standard-basis method of Parker's MeatAxe (1984;
+    Holt & Rees, J. Austral. Math. Soc. 1994).
+
+    Generators.  A T commuting with rho(x) and rho(y) commutes with
+    [rho(x), rho(y)] = rho([x, y]), so T commutes with every action matrix
+    once it commutes with A_s = rho(X_s) for the picks s of
+    `generating_indices(rep.algebra)`.  This needs rho to be a homomorphism,
+    which `Representation` checks, and which the adjoint representation is
+    by construction.
+
+    Spin-up.  The unit vectors z of V = Q^d are taken in increasing order,
+    each skipped when it lies in the span found so far.  From each such
+    root z_i, vectors are found by applying every A_s to every w_j in turn
+    and keeping A_s w_j, with the word (j, s), when it is independent.  The
+    vectors w_b found are a basis of V, and every edge (j, s) that gave no
+    new vector is a relation A_s w_j = sum_k c_k w_k.
+
+    Unknowns.  Write u = (u_1, ..., u_r) in Q^(r d) for the values T z_i.
+    Let M_b u = u_i when w_b is the root z_i and M_b = A_s M_j when w_b has
+    the word (j, s), and let T_u be the matrix with T_u w_b = M_b u.  Then
+    T_u z_i = u_i, so u -> T_u is injective; T_u A_s w_j = A_s T_u w_j
+    holds on every edge of a word; and it holds on the relation (j, s)
+    exactly when sum_k c_k M_k u - A_s M_j u = 0, which is d rows in the
+    r d unknowns.  A T in the commutant is T_u for u = (T z_i), so the
+    commutant is the image of the kernel K of all the relation rows.
+
+    Early stop.  The rows enter the echelon core one relation at a time.
+    When a relation adds no pivot at a rank not tried before, the kernel K'
+    of the rows so far is taken.  K lies in K', being cut out by more rows.
+    If T_u commutes with every A_s for each u of a basis of K', the image
+    of K' lies in the commutant, which is the image of K, so the two images
+    are equal and the remaining rows are not needed.  Otherwise elimination
+    goes on, and after the last relation K itself is used.
+
+    Output.  The T_u are put in the form of `reduced_span_basis`, which
+    depends only on their span: it is the kernel basis that
+    `kernel_of_sparse_rows` returns for the d^2 system T A_s - A_s T = 0.
     """
     d = rep.carrier_dim
-    rows = []
-    for g in generating_indices(rep.algebra):
-        a = rep.action[g]
-        in_row, in_col = a.sparse, _by_column(a)
-        # (T A - A T)[r][s] = sum_k T[r][k] A[k][s] - A[r][k] T[k][s]
-        for r in range(d):
-            a_r = in_row.get(r, {})
-            for s in range(d):
-                row = {r * d + k: v for k, v in in_col[s]}
-                for k, v in a_r.items():
-                    key = k * d + s
-                    row[key] = row.get(key, 0) - v
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-    return [Mat.from_flat(d, d, vec) for vec in kernel_of_sparse_rows(rows, d * d)]
+    gens = [rep.action[g] for g in generating_indices(rep.algebra)]
+    cols = [_by_column(a) for a in gens]
+    span, w, words = _spin_up(cols, d)
+    n = d * sum(1 for _, j, _ in words if j is None)  # the unknowns u
+    spun = {(j, s) for _, j, s in words}
+    relations = [(j, s) for j in range(d) for s in range(len(gens)) if (j, s) not in spun]
+    word_mats: list = []  # M_b as a d x d matrix, made when a relation first needs it
+    unit = Mat.identity(d)
+
+    def word_matrix(b: int) -> Mat:
+        while len(word_mats) <= b:
+            _, j, s = words[len(word_mats)]
+            word_mats.append(unit if j is None else gens[s] @ word_mats[j])
+        return word_mats[b]
+
+    inverse: dict = {}  # row b: {c: coordinate of e_c at w_b}
+
+    def image(u: dict) -> Mat:
+        """T_u: its column c is the sum over b of (coordinate of e_c at w_b) M_b u."""
+        if not inverse:
+            for c in range(d):
+                for b, x in span.sparse_decompose({c: 1}).items():
+                    inverse.setdefault(b, {})[c] = x
+        blocks: dict = {}
+        for c, x in u.items():
+            blocks.setdefault(c // d, {})[c % d] = x
+        values: list = []  # T_u w_b
+        acc: dict = {}
+        for b, (i, j, s) in enumerate(words):
+            v = blocks.get(i, _NONE) if j is None else _apply(cols[s], values[j])
+            values.append(v)
+            row_b = inverse.get(b, _NONE)
+            for t, x in v.items():
+                out = acc.get(t)
+                if out is None:
+                    out = acc[t] = {}
+                for c, y in row_b.items():
+                    out[c] = out.get(c, 0) + x * y
+        return Mat._of(d, d, _clean(acc))
+
+    pivots: dict = {}
+    tried = -1
+    found = None
+    for count, (j, s) in enumerate(relations, 1):
+        rows: dict = {}
+        for k, c in span.sparse_decompose(_apply(cols[s], w[j])).items():
+            _add_rows(rows, word_matrix(k), c, words[k][0] * d)
+        _add_rows(rows, gens[s] @ word_matrix(j), -1, words[j][0] * d)
+        rank = len(pivots)
+        for row in rows.values():
+            v = _sparse(row)
+            _reduce(v, pivots)
+            if v:
+                _store(v, pivots)
+        if len(pivots) > rank or rank == tried or count == len(relations):
+            continue
+        tried = rank
+        found = []
+        for f in range(n):
+            if f not in pivots:
+                found.append(image(_solutions(pivots, ({f: 1},), n)[0]))
+                if any(commutator(found[-1], a).sparse for a in gens):
+                    found = None
+                    break
+        if found is not None:
+            break
+    if found is None:
+        found = [image(u) for u in _solutions(
+            pivots, ({f: 1} for f in range(n) if f not in pivots), n)]
+    return [Mat.from_flat(d, d, v) for v in reduced_span_basis(t.flat() for t in found)]
+
+
+def _spin_up(cols: list, d: int) -> tuple:
+    """The spun basis of `commutant_basis`: a `SpanSolver` whose inserted
+    vectors are w_0, w_1, ... in order, those vectors, and per w_b the
+    triple (its root i, j, s), with j = s = None when w_b is a root."""
+    span = SpanSolver(d)
+    w: list = []
+    words: list = []
+    j = roots = 0
+    for z in range(d):
+        if span.rank == d:
+            break
+        if not span.insert({z: 1}):
+            continue
+        w.append({z: 1})
+        words.append((roots, None, None))
+        roots += 1
+        while j < len(w) and span.rank < d:
+            for s, col in enumerate(cols):
+                x = _apply(col, w[j])
+                if span.insert(x):
+                    w.append(x)
+                    words.append((words[j][0], j, s))
+            j += 1
+    return span, w, words
 
 
 def _generic_element(basis: list, k: int) -> Mat:

@@ -156,6 +156,14 @@ def reference_kernel_of_sparse_rows(rows: list, ncols: int) -> list:
 def reference_commutant_basis(rep) -> list:
     """Basis of all matrices commuting exactly with every action matrix."""
     d = rep.carrier_dim
+    basis = reference_kernel_of_sparse_rows(reference_commutant_rows(rep), d * d)
+    return [Mat(d, d, vec) for vec in basis]
+
+
+def reference_commutant_rows(rep) -> list:
+    """The d^2 rows of T A - A T = 0 over every action matrix A, in the
+    unknowns T[r][k] at r * d + k."""
+    d = rep.carrier_dim
     rows = []
     for a in rep.action:
         ar = a.to_rows()
@@ -178,8 +186,7 @@ def reference_commutant_basis(rep) -> list:
                 row = {k: v for k, v in row.items() if v != 0}
                 if row:
                     rows.append(row)
-    basis = reference_kernel_of_sparse_rows(rows, d * d)
-    return [Mat(d, d, vec) for vec in basis]
+    return rows
 
 
 def reference_invariant_bilinear_forms(rep, symmetry: str) -> list:

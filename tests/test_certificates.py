@@ -410,3 +410,15 @@ def test_a_failed_build_check_records_no_certificate(kind, monkeypatch):
     assert calls == [alg.dim]  # the full check ran, and passed
     assert got == reference(changed) == []
     assert alg.realization_certified() and len(calls) == 2
+
+
+def test_the_semisimplicity_verdict_is_kept_on_its_algebra(sl2_basis, monkeypatch):
+    alg = make_algebra(sl2_basis, "sl2")
+    ranks = []
+    real = lie.matrix_rank
+    monkeypatch.setattr(lie, "matrix_rank", lambda m: ranks.append(m.rows) or real(m))
+    assert lie.is_semisimple(alg) and lie.is_semisimple(alg) and ranks == [3]
+    # a copy with another table, here with every bracket zero, decides for itself
+    abelian = _with_table(alg, [[{} for _ in range(3)] for _ in range(3)])
+    assert not lie.is_semisimple(abelian) and ranks == [3, 3]
+    assert lie.is_semisimple(alg) and not lie.is_semisimple(abelian) and ranks == [3, 3]

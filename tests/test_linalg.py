@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from cartanext import lie
 from cartanext.catalog import build_graded, build_pair, default_pair_grid, isotropy_rep
 from cartanext.classify import g0_action_solver
 from cartanext.errors import InputError
@@ -26,6 +25,7 @@ from conftest import (
     stored_form_holds,
     descartes_signature_oracle,
     eval_poly_at,
+    reference_commutant_rows,
     reference_kernel_of_sparse_rows,
     reference_matrix_rank,
     reference_solve_linear,
@@ -226,20 +226,12 @@ def test_core_matches_reference_on_projective_systems(n):
     assert _assert_core_matches_reference(op, rhs)
 
 
-def test_core_matches_reference_on_commutant_rows(monkeypatch):
-    systems = []
-
-    def record(rows, ncols):
-        systems.append((rows, ncols))
-        return kernel_of_sparse_rows(rows, ncols)
-
-    monkeypatch.setattr(lie, "kernel_of_sparse_rows", record)
-    grid = default_pair_grid()
-    for family, params in grid:
-        lie.commutant_basis(isotropy_rep(build_pair(family, params)))
-    assert len(systems) == len(grid)
-    for rows, ncols in systems:
-        _assert_kernel_matches_reference(rows, ncols)
+def test_core_matches_reference_on_commutant_rows():
+    # the d^2 commutant systems of the grid's isotropy representations; the
+    # engine's commutant solves in fewer unknowns (`lie.commutant_basis`)
+    for family, params in default_pair_grid():
+        rep = isotropy_rep(build_pair(family, params))
+        _assert_kernel_matches_reference(reference_commutant_rows(rep), rep.carrier_dim ** 2)
 
 
 def test_from_flat_inverts_flat():
