@@ -21,15 +21,13 @@ from .lie import (
     MatrixLieAlgebra,
     Representation,
     commutant_basis,
-    idempotent_order,
     is_semisimple,
     killing_form,
     largest_invariant_subspace_dim,
     make_algebra,
     split_idempotents,
 )
-from .linalg import (ONE, Mat, Signature, SpanSolver, commutator, reduced_span_basis,
-                     symmetric_signature)
+from .linalg import ONE, Mat, Signature, SpanSolver, commutator, symmetric_signature
 
 MAX_AMBIENT = 32
 MAX_DIM = 500
@@ -576,9 +574,8 @@ class SymmetricPair:
     Builds are memoized and shared, so the index sets are tuples and the
     parameters and ideal certificate FrozenDicts.  The derived data
     computed once per pair (`isotropy_rep`, `centroid`,
-    `factor_decomposition`), and the parts `direct_sum_pairs` records, sit
-    in fields outside `__init__`, which `dataclasses.replace` therefore
-    does not carry over."""
+    `factor_decomposition`) sit in fields outside `__init__`, which
+    `dataclasses.replace` therefore does not carry over."""
 
     k_algebra: MatrixLieAlgebra
     family: str
@@ -592,7 +589,6 @@ class SymmetricPair:
                                                 compare=False)
     _centroid: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _parts: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -1065,32 +1061,22 @@ def direct_sum_pairs(parts: Sequence[SymmetricPair], name: str = "") -> Symmetri
     `build_pair("direct_sum", params)` rebuilds the sum.  A part that is a
     direct sum contributes its own parts: the bases, and the default name,
     are the same as for the flat sum.
-
-    The sum keeps each part with the map {part basis index: sum basis
-    index} in `_parts`, from which `centroid` assembles the sum's centroid.
     """
     if not parts:
         raise InputError("empty direct sum")
     total = sum(p.k_algebra.ambient_size for p in parts)
-    h_mats, m_mats, specs, placed = [], [], [], []
-    offset, h_at, m_at = 0, 0, sum(p.dim_h for p in parts)
+    h_mats, m_mats, specs, offset = [], [], [], 0
     for p in parts:
         h_mats += [_embed(x, total, offset) for x in p.h_basis()]
         m_mats += [_embed(x, total, offset) for x in p.m_basis()]
         offset += p.k_algebra.ambient_size
-        placed.append((p, dict(zip(p.h_indices + p.m_indices,
-                                   [*range(h_at, h_at + p.dim_h), *range(m_at, m_at + p.dim_m)]))))
-        h_at, m_at = h_at + p.dim_h, m_at + p.dim_m
         if p.family == "direct_sum":
             specs += p.params["parts"]
         else:
             specs.append({"family": p.family, "params": p.params})
     params = {"parts": specs, **({"name": name} if name else {})}
     label = name or "+".join(p.name for p in parts)
-    pair = _assemble_pair(label, "direct_sum", params, h_mats, m_mats)
-    if all(sorted(index) == list(range(p.dim)) for p, index in placed):
-        pair._parts = tuple(placed)  # each part's whole basis sits in the sum
-    return pair
+    return _assemble_pair(label, "direct_sum", params, h_mats, m_mats)
 
 
 @dataclass
@@ -1103,36 +1089,15 @@ class PairFactor:
 
 
 def centroid(pair: SymmetricPair) -> tuple:
-    """The centroid of the pair's algebra (the commutant of its adjoint
-    representation) as (basis, primitive idempotents or None), computed
+    """The centroid of the pair's algebra, the commutant of its adjoint
+    representation, as (basis, primitive idempotents or None), computed
     once per pair: `factor_decomposition` and the h-projective decision
-    both read it.
-
-    A direct sum of semisimple parts (`_parts`, set by `direct_sum_pairs`)
-    has the centroid of its parts, block-diagonal.  For T in the centroid,
-    x in one part and y in another, [x, Ty] = T[x, y] = 0, and a semisimple
-    part is its own derived algebra, so T maps each part into itself.  The
-    basis is put in the form `commutant_basis` returns, and the primitive
-    idempotents are unique, so both come out as the whole-algebra solve
-    gives them, which stays the path for every other pair."""
-    if pair._centroid is not None:
-        return pair._centroid
-    if pair._parts is not None and all(is_semisimple(p.k_algebra) for p, _ in pair._parts):
-        d = pair.dim
-
-        def place(m: Mat, index: dict) -> Mat:
-            return Mat.from_sparse(d, d, {index[r]: {index[c]: v for c, v in row.items()}
-                                          for r, row in m.sparse.items()})
-
-        parts = [(centroid(p), index) for p, index in pair._parts]
-        basis = tuple(Mat.from_flat(d, d, v) for v in reduced_span_basis(
-            place(b, index).flat() for (part_basis, _), index in parts for b in part_basis))
-        projs = sorted((place(e, index) for (_, part_projs), index in parts for e in part_projs),
-                       key=idempotent_order)
-    else:
+    both read it.  `split_idempotents` refines it block by block into
+    fields, for a direct sum as for every other pair."""
+    if pair._centroid is None:
         basis = tuple(commutant_basis(pair.k_algebra.adjoint_representation()))
         projs = split_idempotents(basis)
-    pair._centroid = (basis, None if projs is None else tuple(projs))
+        pair._centroid = (basis, None if projs is None else tuple(projs))
     return pair._centroid
 
 

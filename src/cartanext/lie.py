@@ -9,6 +9,7 @@ commutation with an explicit J.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -206,6 +207,7 @@ class MatrixLieAlgebra:
         self.constants = constants
         self._span = span
         self._killing: Optional[Mat] = None
+        self._generators: Optional[tuple] = None  # the picks of `generating_indices`
         self._semisimple: Optional[bool] = None  # the verdict of `is_semisimple`
         # (table, basis) that `make_algebra` certified while building them
         self._certified: Optional[tuple] = None
@@ -459,7 +461,11 @@ def generating_indices(algebra: MatrixLieAlgebra) -> list:
     rho(g).  A semisimple algebra is generated by two elements (Kuranishi,
     Nagoya Math. J. 2, 1951); the greedy picks are fewer than dim, if not
     always two, and an abelian algebra needs every basis element.
+
+    The picks are kept on the algebra; each call returns a new list of them.
     """
+    if algebra._generators is not None:
+        return list(algebra._generators)
     dim = algebra.dim
     sc = algebra.constants
     span = SpanSolver(dim)
@@ -482,6 +488,7 @@ def generating_indices(algebra: MatrixLieAlgebra) -> list:
                 if span.insert(w):
                     found.append(w)
                     work.append((w, tuple(picked)))
+    algebra._generators = tuple(picked)
     return picked
 
 
@@ -738,10 +745,6 @@ def _trace_form(basis: list) -> Mat:
     return Mat.from_sparse(n, n, data)
 
 
-def _commute(a: Mat, b: Mat) -> bool:
-    return a @ b == b @ a
-
-
 def commutant(rep: Representation) -> CommutantClassification:
     """Commutant of a representation with its real-type classification.
 
@@ -769,7 +772,8 @@ def _classify_commutant(basis: tuple) -> CommutantClassification:
     sig = symmetric_signature(_trace_form(basis)).as_tuple()
     if dim == 2:
         label = {(2, 0, 0): "RxR", (1, 1, 0): "C"}.get(sig, "OTHER")
-    elif all(_commute(basis[i], basis[j]) for i in range(4) for j in range(i + 1, 4)):
+    elif all(basis[i] @ basis[j] == basis[j] @ basis[i]
+             for i in range(4) for j in range(i + 1, 4)):
         label = "CxC" if sig == (2, 2, 0) and len(split_idempotents(basis)) == 2 else "OTHER"
     else:
         label = "H" if sig == (1, 3, 0) else "OTHER"
@@ -856,16 +860,25 @@ def split_idempotents(basis: list) -> Optional[list]:
     """Primitive idempotents of a commutative matrix algebra, from its basis.
 
     None when the trace form tr(b_i b_j) is degenerate: the algebra is then
-    not semisimple.  Otherwise the algebra A has n = dim A distinct
-    characters, and x_k = sum_i k^i b_i generates A exactly when they take
-    distinct values on it, that is when its minimal polynomial m has degree
-    n.  Two characters differ on x_k by a nonzero polynomial in k of degree
-    < n, so some k <= 1 + (n-1) n(n-1)/2 qualifies (Eberly & Giesbrecht,
-    J. Symbolic Comput. 2000).  Each irreducible factor f of m gives the
-    projector (u * m/f)(x_k) with u * m/f = 1 mod f.  A one-element basis b
-    needs none of this: b b = lam b, and its unit b / lam is its one
-    nonzero idempotent.  The projectors are sorted by `idempotent_order`: the
-    result depends only on the algebra.
+    not semisimple.  A one-element basis b spans a line, b b = lam b, whose
+    unit b / lam is its one nonzero idempotent.
+
+    A larger algebra A, of dimension n and holding I, is split by refining
+    blocks (e, t): orthogonal idempotents e of A summing to I, each tagged
+    with the degree t of a field inside eA, from (I, 1) on.  A candidate x,
+    the basis elements and then x_k = sum_i k^i b_i for k = 1, 2, ..., cuts
+    each e into the nonzero e P_f, tagged max(t, deg f), for the irreducible
+    factors f of the minimal polynomial m of e x and the Bezout projectors
+    P_f = (u m/f)(e x), u m/f = 1 mod f.  Both are field degrees: e P_f x
+    generates a copy of Q[t]/(f), and e P_f embeds the field of degree t.
+    A field inside eA has dimension at most dim eA, and the dim eA sum to
+    n, so once the tags sum to n every eA is a field and every e primitive.
+    The x_k get there: x_k generates A when the n characters of A differ on
+    it, and two characters differ on x_k by a nonzero polynomial in k of
+    degree < n, so some k <= 1 + (n-1) n(n-1)/2 qualifies (Eberly &
+    Giesbrecht, J. Symbolic Comput. 2000); then each e P_f A is spanned by
+    the powers of e P_f x, of dimension at most deg f.  The projectors are
+    sorted by `idempotent_order`: the result depends only on the algebra.
     """
     n = len(basis)
     gram = _trace_form(basis)
@@ -878,34 +891,52 @@ def split_idempotents(basis: list) -> Optional[list]:
         if p is None or p @ p != p:
             raise InternalCheckError("split projector is not idempotent")
         return [p]
-    for k in range(1, 2 + (n - 1) * n * (n - 1) // 2):
-        el = _generic_element(basis, k)
-        mp = minimal_polynomial(el)
-        if mp.degree == n:
-            break
-    else:
-        raise InternalCheckError("no primitive element x_k within the bound")
-    d = el.rows
-    powers = [Mat.identity(d)]  # x_k^0 .. x_k^(n-1)
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ el)
+    identity = Mat.identity(basis[0].rows)
+    blocks = [(identity, 1)]
+    draws = (_generic_element(basis, k) for k in range(1, 2 + (n - 1) * n * (n - 1) // 2))
+    for x in itertools.chain(basis, draws):
+        refined = []
+        for e, tag in blocks:
+            y = x if e is identity else e @ x
+            r = min(e.sparse)
+            c = min(e.sparse[r])
+            if y == e.scale(frac(y[r, c]) / e[r, c]):  # e x = c e cuts e into itself
+                refined.append((e, tag))
+                continue
+            for degree, p in _bezout_projectors(y):
+                block = p if e is identity else e @ p
+                if block.sparse:
+                    if block @ block != block:
+                        raise InternalCheckError("split projector is not idempotent")
+                    refined.append((block, max(tag, degree)))
+        blocks = refined
+        if sum(tag for _, tag in blocks) == n:
+            return sorted((e for e, _ in blocks), key=idempotent_order)
+    raise InternalCheckError("no split into fields within the bound")
+
+
+def _bezout_projectors(y: Mat) -> list:
+    """(deg f, P_f) for each irreducible factor f of the minimal polynomial
+    m of y, with P_f = (u m/f)(y) and u m/f = 1 mod f.  The P_f sum to I, so
+    the last one is I minus the others, and a lone factor has P_f = I."""
+    mp = minimal_polynomial(y)
     total = list(mp.coeffs)
-    projectors = []
-    for f in (list(f.coeffs) for f in mp.factors):
+    d = y.rows
+    powers = [Mat.identity(d)]  # y^0 .. y^(deg m - 1), when there is a cut
+    for _ in range(mp.degree - 1 if len(mp.factors) > 1 else 0):
+        powers.append(powers[-1] @ y)
+    out = []
+    for factor in mp.factors[:-1]:
+        f = list(factor.coeffs)
         cof, rem = poly.divmod_exact(total, f)
         assert rem == [poly.ZERO]
-        # find u with u*cof = 1 mod f, then P = (u*cof)(x_k)
         g, u, _ = _poly_xgcd(cof, f)
         if poly.degree(g) != 0:
             raise InternalCheckError("minimal polynomial factors are not coprime")
-        inv_lead = ONE / g[0]
-        u = [c * inv_lead for c in u]
-        _, proj_poly = poly.divmod_exact(poly.mul(u, cof), total)
-        p = combination(zip(proj_poly, powers), d, d)
-        if p @ p != p:
-            raise InternalCheckError("split projector is not idempotent")
-        projectors.append(p)
-    return sorted(projectors, key=idempotent_order)
+        _, proj_poly = poly.divmod_exact(poly.mul([c / g[0] for c in u], cof), total)
+        out.append((factor.degree, combination(zip(proj_poly, powers), d, d)))
+    rest = combination([(1, powers[0])] + [(-1, p) for _, p in out], d, d)
+    return out + [(mp.factors[-1].degree, rest)]
 
 
 def idempotent_order(p: Mat) -> tuple:

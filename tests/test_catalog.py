@@ -535,8 +535,6 @@ def test_replace_does_not_carry_the_derived_data_over():
     assert (other._factors, other._centroid, other._isotropy) == (None, None, None)
     assert pair._factors is not None and pair._isotropy is not None
     assert isotropy_rep(other) is not isotropy_rep(pair)
-    total = _sums()[0]
-    assert total._parts is not None and dataclasses.replace(total)._parts is None
 
 
 def test_isotropy_rep_and_commutant_are_computed_once():

@@ -142,6 +142,21 @@ def test_abelian_algebra_needs_every_basis_element():
     assert generating_indices(_abelian().algebra) == [0, 1, 2]
 
 
+def test_generating_indices_are_kept_on_the_algebra(monkeypatch):
+    alg = build_pair("group_type", {"base": "sl(3,R)"}).k_algebra
+    picks = generating_indices(alg)
+    assert alg._generators == tuple(picks)
+
+    def no_span(length):
+        raise AssertionError("the picks were searched again")
+
+    monkeypatch.setattr(lie, "SpanSolver", no_span)
+    picks[0] = -1  # each call returns a new list, so this reaches no later caller
+    picks.append(99)
+    assert generating_indices(alg) == list(alg._generators) and -1 not in alg._generators
+    assert generating_indices(alg) is not generating_indices(alg)
+
+
 def test_generating_sets_are_smaller_than_the_basis():
     for pair in PAIRS:
         # in sl(2,R) = span(-h, e, f), -h and e generate only a Borel subalgebra
@@ -152,7 +167,7 @@ def test_generating_sets_are_smaller_than_the_basis():
 
 def test_centroid_is_computed_once_per_pair(monkeypatch):
     total = direct_sum_pairs([build_pair("group_type", {"base": b}) for b in ("sl(2,R)", "so(3)")])
-    pair = dataclasses.replace(total)  # no parts: the centroid is solved on the whole algebra
+    pair = dataclasses.replace(total)  # the same algebra, without the memo
     calls = []
     real = lie.commutant_basis
 
@@ -166,9 +181,9 @@ def test_centroid_is_computed_once_per_pair(monkeypatch):
     factor_decomposition(pair)
     classify.decide_h_projective(pair)
     assert len(calls) == 1
-    factor_decomposition(total)  # the sum itself reads its parts' centroids
+    factor_decomposition(total)  # the sum solves its own, once
     classify.decide_h_projective(total)
-    assert len(calls) == 1 and centroid(total) == centroid(pair)
+    assert len(calls) == 2 and centroid(total) == centroid(pair)
     basis, projs = centroid(pair)
     assert list(basis) == reference_commutant_basis(pair.k_algebra.adjoint_representation())
     assert len(projs) == 4 and len(factor_decomposition(pair)) == 2

@@ -1,11 +1,12 @@
-"""The centroid of a direct sum, assembled from its parts' centroids.
+"""The centroid of a direct sum, and the split of a centroid into fields.
 
-`catalog.centroid` reads a semisimple sum's centroid basis and primitive
-idempotents from its parts instead of solving the commutant of the whole
-adjoint representation.  Each result is checked against
-`conftest.reference_centroid`, the whole-algebra solve.  Sums with several
-complex factors, whose whole-algebra split ran into `FactorizationLimit` or
-ran for minutes, are decided here within a second each.
+`catalog.centroid` solves a sum's centroid on the whole algebra, as for every
+other pair, and `split_idempotents` splits it by refinement, block by block.
+Each result is checked against `conftest.reference_centroid`, the split
+through one primitive element of the whole centroid.  Sums with several
+complex factors, and their `dataclasses.replace` copies, whose primitive
+element split ran into `FactorizationLimit` or ran for minutes, are split
+here within a second each and checked against their parts' centroids.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartanext import catalog, classify
+from cartanext import catalog, classify, lie
 from cartanext.catalog import SymmetricPair, _assemble_pair, build_pair, direct_sum_pairs
 from cartanext.errors import InternalCheckError
 from cartanext.lie import commutant, commutant_basis, make_algebra, split_idempotents
@@ -90,13 +91,12 @@ def test_reduced_span_basis_is_reduced_at_the_largest_columns_and_int_first():
     assert reduced_span_basis([]) == [] and reduced_span_basis([{}, {2: 0}]) == []
 
 
-# -- sums read their centroid from their parts ----------------------------------
+# -- sums solve their own centroid ----------------------------------------------
 
 
 def _listed_in_reverse(pair: SymmetricPair) -> SymmetricPair:
-    """The pair with its basis listed m first, each eigenspace in reverse:
-    its index map into a sum is not monotone, so the order of its embedded
-    idempotents is the sort's doing."""
+    """The pair with its basis listed m first, each eigenspace in reverse, so
+    that the sum's basis does not list this part's coordinates in order."""
     h, m = pair.h_basis()[::-1], pair.m_basis()[::-1]
     dh, dm = len(h), len(m)
     return SymmetricPair(make_algebra(m + h, pair.name), pair.family, pair.params,
@@ -121,26 +121,10 @@ def _sums() -> list:
 
 @pytest.mark.parametrize("name,pair", _sums(), ids=[name for name, _ in _sums()])
 def test_sum_centroid_matches_the_whole_algebra_solve(name, pair):
-    assert pair._parts is not None
     basis, projs = catalog.centroid(pair)
     assert (basis, projs) == reference_centroid(pair)
     assert isinstance(basis, tuple) and isinstance(projs, tuple)
-    copy = dataclasses.replace(pair)  # no parts: the whole-algebra path
-    assert copy._parts is None and catalog.centroid(copy) == (basis, projs)
-
-
-def test_sum_centroid_solves_no_commutant_of_its_own(monkeypatch):
-    parts = [_group("sl(2,R)"), _group("sl(2,C)"), _group("so(3)")]
-    for p in parts:
-        catalog.centroid(p)
-    pair = direct_sum_pairs(parts)
-    want = reference_centroid(pair)
-
-    def never(rep):
-        raise AssertionError("the sum's centroid solved a commutant")
-
-    monkeypatch.setattr(catalog, "commutant_basis", never)
-    assert catalog.centroid(pair) == want
+    assert catalog.centroid(dataclasses.replace(pair)) == (basis, projs)
 
 
 def test_sum_with_a_part_that_is_not_semisimple_solves_the_whole_algebra(monkeypatch):
@@ -163,8 +147,8 @@ def test_sum_with_a_part_that_is_not_semisimple_solves_the_whole_algebra(monkeyp
     (("sl(2,C)", "sl(2,C)", "sl(2,C)"), "EXISTS", ["C", "C", "C"]),
 ], ids=["C4", "C4xR2", "C6"])
 def test_sums_of_complex_factors_get_a_verdict_within_a_second(bases, h_projective, labels):
-    # copies of the parts carry no memo, so every centroid is computed here
-    pair = direct_sum_pairs([dataclasses.replace(_group(b)) for b in bases])
+    # a copy carries no memo, so its centroid is computed here
+    pair = dataclasses.replace(direct_sum_pairs([_group(b) for b in bases]))
     for call, check in (
         (classify.centralizer_report, lambda r: r.factor_labels == labels
          and r.product_structure_verified),
@@ -178,18 +162,89 @@ def test_sums_of_complex_factors_get_a_verdict_within_a_second(bases, h_projecti
         assert spent < 1.0, (call.__name__, spent)
 
 
+def _placed_part_projectors(parts, d: int) -> set:
+    """The parts' primitive idempotents (from the primitive element split of
+    each part) placed in a d x d sum: the sum lists every part's h
+    coordinates, in part order, and then every part's m coordinates."""
+    out = set()
+    h_at, m_at = 0, sum(p.dim_h for p in parts)
+    for p in parts:
+        index = dict(zip(p.h_indices + p.m_indices,
+                         [*range(h_at, h_at + p.dim_h), *range(m_at, m_at + p.dim_m)]))
+        out |= {Mat.from_sparse(d, d, {index[r]: {index[c]: v for c, v in row.items()}
+                                       for r, row in e.sparse.items()})
+                for e in reference_centroid(p)[1]}
+        h_at, m_at = h_at + p.dim_h, m_at + p.dim_m
+    return out
+
+
+@pytest.mark.parametrize("bases", [("sl(2,C)", "sl(2,C)"), ("sl(2,C)", "sl(2,C)", "sl(2,R)"),
+                                   ("sl(2,C)", "sl(2,C)", "sl(2,C)")], ids=["C4", "C4xR2", "C6"])
+def test_copy_of_a_sum_of_complex_factors_splits_within_a_second(bases):
+    """A `replace` copy shares the sum's algebra but not its memo.  The
+    primitive element of the whole C^4 has a degree-8 minimal polynomial,
+    whose factoring ran into `FactorizationLimit`."""
+    parts = [_group(b) for b in bases]
+    total = direct_sum_pairs(parts)
+    copy = dataclasses.replace(total)
+    start = time.process_time()
+    basis, projs = catalog.centroid(copy)
+    spent = time.process_time() - start
+    assert spent < 1.0, spent
+    assert catalog.centroid(total) == (basis, projs)
+    assert len(projs) == 2 * len(bases) and set(projs) == _placed_part_projectors(parts, total.dim)
+
+
+def test_split_draws_when_no_basis_element_generates_a_block(monkeypatch):
+    """Q(sqrt 2, sqrt 3) x Q on Q^5, from the basis {1, sqrt 2, sqrt 3, sqrt 6}
+    of the field and the unit of Q: each basis element has degree 1 or 2 on
+    the field block, so the refinement ends with tags 2 and 1, and the draw
+    x_1 = 1 + sqrt 2 + sqrt 3 + sqrt 6 + 1, of degree 4 there, finishes it."""
+    def block(rows):
+        return Mat.from_sparse(5, 5, {r: {c: v} for r, c, v in rows})
+
+    one = block([(0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)])
+    r2 = block([(1, 0, 1), (0, 1, 2), (3, 2, 1), (2, 3, 2)])  # e0 -> e1 -> 2 e0, e2 -> e3 -> 2 e2
+    r3 = block([(2, 0, 1), (3, 1, 1), (0, 2, 3), (1, 3, 3)])  # e0 -> e2 -> 3 e0, e1 -> e3 -> 3 e1
+    basis = [one, r2, r3, r2 @ r3, block([(4, 4, 1)])]
+    draws = []
+    real = lie._generic_element
+    monkeypatch.setattr(lie, "_generic_element", lambda b, k: draws.append(k) or real(b, k))
+    projs = split_idempotents(basis)
+    assert draws == [1]
+    assert [p.trace() for p in projs] == [4, 1]
+    assert projs == reference_split_idempotents(basis)
+
+
+def _commutant_bases() -> list:
+    """The adjoint and isotropy commutant bases of the default grid and of
+    the direct sums that the analyze benchmark reads."""
+    pairs = [dataclasses.replace(build_pair(f, p)) for f, p in catalog.default_pair_grid()]
+    pairs += [_sum(*bases) for bases in (("sl(2,R)", "so(3)"), ("so(3)", "so(3)"),
+                                          ("sl(2,R)", "sl(2,C)"))]
+    return [list(basis) for pair in pairs
+            for basis in (reference_centroid(pair)[0],
+                          commutant(catalog.isotropy_rep(pair)).commutant_basis)]
+
+
+def test_refinement_split_matches_the_primitive_element_split():
+    seen = 0
+    for basis in _commutant_bases():
+        if len(basis) > 1:
+            seen += 1
+            assert split_idempotents(basis) == reference_split_idempotents(basis)
+    assert seen >= 26
+
+
 # -- the one-element split --------------------------------------------------------
 
 
 def test_one_element_split_matches_the_primitive_element_split():
     seen = 0
-    for family, params in catalog.default_pair_grid():
-        pair = dataclasses.replace(build_pair(family, params))
-        for basis in (reference_centroid(pair)[0],
-                      commutant(catalog.isotropy_rep(pair)).commutant_basis):
-            if len(basis) == 1:
-                seen += 1
-                assert split_idempotents(list(basis)) == reference_split_idempotents(list(basis))
+    for basis in _commutant_bases():
+        if len(basis) == 1:
+            seen += 1
+            assert split_idempotents(basis) == reference_split_idempotents(basis)
     assert seen >= 8
 
 
