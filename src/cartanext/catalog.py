@@ -574,8 +574,11 @@ class SymmetricPair:
     Builds are memoized and shared, so the index sets are tuples and the
     parameters and ideal certificate FrozenDicts.  The derived data
     computed once per pair (`isotropy_rep`, `centroid`,
-    `factor_decomposition`) sit in fields outside `__init__`, which
-    `dataclasses.replace` therefore does not carry over."""
+    `factor_decomposition`) sit outside `__init__`, which
+    `dataclasses.replace` therefore does not carry over.  The factors are a
+    plain class attribute, not a field: a simple pair is its own factor, and
+    a field holding the pair itself would send `dataclasses.asdict` into an
+    endless recursion."""
 
     k_algebra: MatrixLieAlgebra
     family: str
@@ -588,7 +591,7 @@ class SymmetricPair:
     _isotropy: Optional[Representation] = field(default=None, init=False, repr=False,
                                                 compare=False)
     _centroid: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _factors: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _factors = None  # tuple of PairFactor once `factor_decomposition` ran
 
     @property
     def name(self) -> str:
@@ -1107,9 +1110,11 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
     Simple ideals are separated by the primitive idempotents of the centroid
     (the commutant of the adjoint representation); the involution either
     fixes an ideal or swaps two, a swapped orbit giving a group-type factor.
-    Vectors are sparse coordinates {index: value}.  The involution is +1 on
-    the h coordinates and -1 on the m coordinates, so (v + sigma v)/2 is v
-    restricted to h and (v - sigma v)/2 is v restricted to m.
+    A pair with one orbit is simple and is its own factor, embedded by the
+    identity.  Vectors are sparse coordinates {index: value}.  The
+    involution is +1 on the h coordinates and -1 on the m coordinates, so
+    (v + sigma v)/2 is v restricted to h and (v - sigma v)/2 is v restricted
+    to m.
     """
     if pair._factors is not None:
         return pair._factors
@@ -1137,6 +1142,10 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
         j = next((j for j, sp in enumerate(spans) if sp.contains(img)), i)
         seen.update((i, j))
         orbits.append((i,) if i == j else (i, j))
+    if len(orbits) == 1:  # a simple pair: the one orbit spans the algebra
+        pair._factors = (PairFactor(pair, Mat.identity(pair.dim_m),
+                                    group_type=len(orbits[0]) == 2),)
+        return pair._factors
 
     m_pos = {k: t for t, k in enumerate(pair.m_indices)}
     factors = []

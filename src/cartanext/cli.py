@@ -9,11 +9,10 @@ changes nothing.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import catalog, classify, io
 from .catalog import (
@@ -30,6 +29,9 @@ from .catalog import (
 from .errors import CartanextError, InputError
 from .extension import curvature, is_flat, solve_projective_b2, torsion_free, validate
 from .lie import commutant, invariant_bilinear_forms, is_semisimple
+
+if TYPE_CHECKING:
+    import argparse
 
 OK, VERIFY_FAIL, BAD_INPUT = 0, 1, 2
 
@@ -388,6 +390,10 @@ def cmd_verify_catalog(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here: a process that imports this module to reach the engine
+    # never builds a parser
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cartanext",
         description="Exact verification of invariant structures on symmetric pairs",

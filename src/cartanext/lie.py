@@ -942,9 +942,25 @@ def _bezout_projectors(y: Mat) -> list:
 def idempotent_order(p: Mat) -> tuple:
     """Sort key of primitive idempotents: the first nonzero column, then the
     entries compared from the last one, larger first.  It keeps the default
-    grid's factor orders and J signs."""
+    grid's factor orders and J signs.
+
+    Only the nonzero entries are read, last first.  Two matrices of one
+    shape first differ, read from the end, at some (r, c).  If both hold a
+    nonzero there, the larger sorts first; if only one does, the other holds
+    0 there, so a positive entry sorts first and a negative one last.  The
+    items below keep that order: a positive entry (0, -r, -c, -v) sorts
+    before a negative one (2, r, c, -v) and before every item of an earlier
+    position, a negative one after them, and (1,) marks the zeros left
+    after the last nonzero entry."""
     first = min(c for row in p.sparse.values() for c in row)
-    return first, tuple(-x for row in reversed(p.to_rows()) for x in reversed(row))
+    items = []
+    for r in sorted(p.sparse, reverse=True):
+        row = p.sparse[r]
+        for c in sorted(row, reverse=True):
+            v = row[c]
+            items.append((0, -r, -c, -v) if v > 0 else (2, r, c, -v))
+    items.append((1,))
+    return first, tuple(items)
 
 
 def _poly_xgcd(a: list, b: list):

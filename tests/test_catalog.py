@@ -544,17 +544,40 @@ def test_isotropy_rep_and_commutant_are_computed_once():
         assert lie.commutant(rep) is lie.commutant(rep)
 
 
+def _factor_invariants(pair) -> tuple:
+    """What the analyses read of a factor: dimensions, commutant, the number
+    of invariant symmetric forms and the restricted-Killing signature."""
+    rep = isotropy_rep(pair)
+    cls = lie.commutant(rep)
+    sig = restricted_killing(pair)[1]
+    return (pair.dim_h, pair.dim_m, cls.label, cls.dim,
+            len(lie.invariant_bilinear_forms(rep, "symmetric")), (sig.positive, sig.negative))
+
+
 def test_sparse_factor_split_matches_the_dense_reference():
+    """A pair with several orbits splits exactly as the dense reference
+    does.  A pair with one orbit is its own factor: the reference's rebuilt
+    copy must carry the same invariants."""
+    simple = 0
     for pair in _analyzed_pairs():
         got = factor_decomposition(pair)
         want = reference_factor_decomposition(dataclasses.replace(pair))
         assert len(got) == len(want)
+        if len(want) == 1:
+            simple += 1
+            (f,), (ref,) = got, want
+            assert f.pair is pair
+            assert f.m_embedding == Mat.identity(pair.dim_m)
+            assert f.group_type == ref.group_type
+            assert _factor_invariants(ref.pair) == _factor_invariants(pair)
+            continue
         for f, ref in zip(got, want):
             assert f.pair.name == ref.pair.name
             assert f.pair.h_basis() == ref.pair.h_basis()
             assert f.pair.m_basis() == ref.pair.m_basis()
             assert f.m_embedding == ref.m_embedding
             assert f.group_type == ref.group_type
+    assert simple == 15  # of the 21 pairs; the other 6 have two orbits
 
 
 # -- direct sums rebuild from their own parameters ------------------------------

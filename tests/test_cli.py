@@ -1,9 +1,13 @@
 """Command-line driver: exit codes, round-trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cartanext
 from cartanext import extension, io
 from cartanext.cli import default_manifest, main, run_verify_catalog
 from cartanext.errors import InputError
@@ -491,3 +495,14 @@ def test_algebra_file_sizes_are_checked_before_any_matrix(data, detail, tmp_path
     assert run(["verify-catalog", "--manifest", str(man)]) == 1
     captured = capsys.readouterr()
     assert detail in captured.out and "Traceback" not in captured.err
+
+
+def test_importing_the_cli_leaves_argparse_unloaded():
+    """Only `build_parser` needs argparse: a process that imports the module
+    to call the engine does not load it."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cartanext.__file__))}
+    code = "import sys, cartanext.cli; sys.exit('argparse' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    shown = subprocess.run([sys.executable, "-m", "cartanext.cli", "--help"], env=env,
+                           capture_output=True, text=True)
+    assert shown.returncode == 0 and "analyze-pair" in shown.stdout

@@ -1,4 +1,5 @@
-"""The centroid of a direct sum, and the split of a centroid into fields.
+"""The centroid of a direct sum, the split of a centroid into fields, and
+the order of the primitive idempotents it returns.
 
 `catalog.centroid` solves a sum's centroid on the whole algebra, as for every
 other pair, and `split_idempotents` splits it by refinement, block by block.
@@ -265,3 +266,49 @@ def test_one_element_split_refuses_a_span_that_is_not_an_algebra(rows):
     # idempotent, tr(b) = 0 gives none
     with pytest.raises(InternalCheckError, match="not idempotent"):
         split_idempotents([Mat.from_rows(rows)])
+
+
+# -- the order of primitive idempotents ----------------------------------------
+
+
+def _dense_idempotent_order(p: Mat) -> tuple:
+    """The dense key that `lie.idempotent_order` replaced, kept verbatim."""
+    first = min(c for row in p.sparse.values() for c in row)
+    return first, tuple(-x for row in reversed(p.to_rows()) for x in reversed(row))
+
+
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+def _assert_orders_agree(mats: list) -> None:
+    for p in mats:
+        for q in mats:
+            dense = _sign(_dense_idempotent_order(p), _dense_idempotent_order(q))
+            assert _sign(lie.idempotent_order(p), lie.idempotent_order(q)) == dense, (p, q)
+
+
+def test_sparse_idempotent_order_matches_the_dense_key_on_every_centroid():
+    pairs = [build_pair(f, p) for f, p in catalog.default_pair_grid()]
+    pairs += [_sum("sl(2,R)", "so(3)"), _sum("so(3)", "so(3)"), _sum("sl(2,R)", "sl(2,C)"),
+              _sum("sl(2,C)", "sl(2,C)"), _sum("sl(2,C)", "sl(2,C)", "sl(2,C)")]
+    seen = 0
+    for pair in pairs:
+        projs = list(catalog.centroid(pair)[1])
+        _assert_orders_agree(projs)
+        seen += len(projs)
+    assert seen == 50
+
+
+def test_sparse_idempotent_order_matches_the_dense_key_on_signed_entries():
+    """Negative entries, and matrices whose nonzero entries end at different
+    places, are where a plain key of the nonzero entries orders wrongly."""
+    rng = random.Random(1703)
+    mats = [Mat.from_rows([[rng.choice((-2, -1, 0, 0, 0, 1, Fraction(1, 2))) for _ in range(3)]
+                           for _ in range(3)]) for _ in range(150)]
+    mats = [m for m in mats if m.sparse]
+    mats += [Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[1, 0], [0, -1]]),
+             Mat.from_rows([[1, 0], [0, 1]]), Mat.from_rows([[1, -1], [0, 0]]),
+             Mat.from_rows([[1, 0], [-1, 0]])]
+    _assert_orders_agree([m for m in mats if m.rows == 3])
+    _assert_orders_agree([m for m in mats if m.rows == 2])
