@@ -930,7 +930,7 @@ def _bezout_projectors(y: Mat) -> list:
         f = list(factor.coeffs)
         cof, rem = poly.divmod_exact(total, f)
         assert rem == [poly.ZERO]
-        g, u, _ = _poly_xgcd(cof, f)
+        g, u, _ = poly.xgcd(cof, f)
         if poly.degree(g) != 0:
             raise InternalCheckError("minimal polynomial factors are not coprime")
         _, proj_poly = poly.divmod_exact(poly.mul([c / g[0] for c in u], cof), total)
@@ -961,18 +961,6 @@ def idempotent_order(p: Mat) -> tuple:
             items.append((0, -r, -c, -v) if v > 0 else (2, r, c, -v))
     items.append((1,))
     return first, tuple(items)
-
-
-def _poly_xgcd(a: list, b: list):
-    r0, r1 = list(a), list(b)
-    s0, s1 = [ONE], [poly.ZERO]
-    t0, t1 = [poly.ZERO], [ONE]
-    while poly.trim(r1) != [poly.ZERO]:
-        q, r = poly.divmod_exact(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly.add(s0, poly.neg(poly.mul(q, s1)))
-        t0, t1 = t1, poly.add(t0, poly.neg(poly.mul(q, t1)))
-    return poly.trim(r0), poly.trim(s0), poly.trim(t0)
 
 
 def factor_complex_structure(p: Mat, basis: Sequence[Mat]) -> tuple:

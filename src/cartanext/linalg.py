@@ -690,9 +690,8 @@ def minimal_polynomial(m: Mat) -> MinimalPolynomial:
 
     The powers I, M, M^2, ... are formed as sparse products, flattened and
     fed to a SpanSolver; the first dependent power yields the minimal
-    polynomial.  The result is factored into rational irreducibles (complete
-    for the degrees arising from commutant classification; see
-    `poly.factor_squarefree`).
+    polynomial.  The result is factored into rational irreducibles by
+    `poly.factor_squarefree`, which is complete in every degree.
     """
     from . import poly
 

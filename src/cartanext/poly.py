@@ -1,9 +1,14 @@
-"""Polynomial arithmetic over the rationals, plus small-degree factorization.
+"""Polynomial arithmetic over the rationals, and factorization over Q.
 
-Polynomials are lists of Fractions in ascending degree order.  The
-factorization routine is complete for degree <= 4 (rational roots, quadratic
-discriminants, quartic resolvent) and falls back to Kronecker interpolation
-for higher degrees, which is all the desk-scale engine ever needs.
+Polynomials are lists of Fractions in ascending degree order.
+`factor_squarefree` is complete in every degree: it factors by
+Zassenhaus's method (J. Number Theory 1, 1969), splitting modulo a small
+prime by Berlekamp's algorithm (Bell Syst. Tech. J. 46, 1967), lifting by
+Hensel's lemma above Mignotte's coefficient bound (Math. Comp. 28, 1974) and
+recombining the lifted factors by exact division.  It draws nothing at
+random.  Its helpers work on lists of ints in ascending degree order: those
+prefixed `_z` over Z, those prefixed `_p` modulo the `m` or `p` they are
+given, returning lists without trailing zeros (so [] is zero).
 """
 
 from __future__ import annotations
@@ -11,16 +16,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional
 
-from .errors import CartanextError, InputError
-from .linalg import ONE, ZERO, is_rational_square
-
-_KRONECKER_DIVISOR_CAP = 4000
-
-
-class FactorizationLimit(CartanextError):
-    """Raised when a polynomial is too large for the desk-scale factorizer."""
+from .errors import InputError
+from .linalg import ONE, ZERO
 
 
 def trim(p: list) -> list:
@@ -100,23 +98,17 @@ def derivative(p: list) -> list:
     return trim([p[i] * i for i in range(1, len(p))])
 
 
-def evaluate(p: list, x: Fraction) -> Fraction:
-    out = ZERO
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
-def compose_linear(p: list, a: Fraction, b: Fraction) -> list:
-    """p(a*t + b), exact."""
-    out = [ZERO]
-    lin = [b, a]
-    power = [ONE]
-    for c in p:
-        if c != 0:
-            out = add(out, [c * x for x in power])
-        power = mul(power, lin)
-    return trim(out)
+def xgcd(a: list, b: list) -> tuple:
+    """(g, s, t) with s a + t b = g, a greatest common divisor (not made monic)."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [ONE], [ZERO]
+    t0, t1 = [ZERO], [ONE]
+    while trim(r1) != [ZERO]:
+        q, r = divmod_exact(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, add(s0, neg(mul(q, s1)))
+        t0, t1 = t1, add(t0, neg(mul(q, t1)))
+    return trim(r0), trim(s0), trim(t0)
 
 
 def squarefree_decomposition(p: list) -> list:
@@ -141,195 +133,207 @@ def squarefree_decomposition(p: list) -> list:
     return out
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    if n == 0:
-        return []
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-        if len(small) + len(large) > _KRONECKER_DIVISOR_CAP:
-            raise FactorizationLimit(f"too many divisors of {n} for desk-scale factorization")
-    return small + large[::-1]
-
-
-def _to_integer(p: list) -> tuple[list, Fraction]:
-    """Scale a rational polynomial to primitive integer coefficients."""
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    g = g or 1
-    return [v // g for v in ints], Fraction(den, g)
-
-
-def rational_roots(p: list) -> list:
-    """All rational roots (without multiplicity) of p."""
-    p = trim(list(p))
-    if degree(p) <= 0:
-        return []
-    roots = []
-    while p[0] == 0 and len(p) > 1:
-        if ZERO not in roots:
-            roots.append(ZERO)
-        p = p[1:]
-    if degree(p) <= 0:
-        return roots
-    ints, _ = _to_integer(p)
-    # a/b is a root iff sum_i c_i a^i b^(d-i) = 0; divisors come in increasing
-    # order, so a pair with gcd > 1 repeats a reduced pair already tried
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            if math.gcd(num, den) > 1:
-                continue
-            for a in (num, -num):
-                value, power = 0, 1
-                for c in reversed(ints):
-                    value = value * a + c * power
-                    power *= den
-                if value == 0:
-                    roots.append(Fraction(a, den))
-    return roots
-
-
-def _factor_quartic(p: list) -> Optional[tuple[list, list]]:
-    """Split a monic quartic without rational roots into two monic quadratics."""
-    a, b, c, d = p[3], p[2], p[1], p[0]
-    # depress: t = y - a/4
-    shift = -a / 4
-    q_ = compose_linear(p, ONE, shift)  # y^4 + P y^2 + Q y + R
-    P, Q, R = q_[2], q_[1], q_[0]
-
-    def undo(f):  # substitute y = t + a/4
-        return monic(compose_linear(f, ONE, a / 4))
-
-    if Q == 0:
-        disc = P * P - 4 * R
-        root = is_rational_square(disc)
-        if root is not None:
-            z1 = (-P + root) / 2
-            z2 = (-P - root) / 2
-            return undo([-z1, ZERO, ONE]), undo([-z2, ZERO, ONE])
-        sr = is_rational_square(R)
-        if sr is not None:
-            for beta in (sr, -sr):
-                alpha2 = 2 * beta - P
-                alpha = is_rational_square(alpha2)
-                if alpha is not None and alpha != 0:
-                    return undo([beta, alpha, ONE]), undo([beta, -alpha, ONE])
-        return None
-    # resolvent cubic in z = alpha^2
-    cubic = [-Q * Q, P * P - 4 * R, 2 * P, ONE]
-    for z in rational_roots(cubic):
-        if z <= 0:
-            continue
-        alpha = is_rational_square(z)
-        if alpha is None:
-            continue
-        beta = (P + z - Q / alpha) / 2
-        gamma = (P + z + Q / alpha) / 2
-        f1 = [beta, alpha, ONE]
-        f2 = [gamma, -alpha, ONE]
-        if mul(f1, f2) == trim(q_):
-            return undo(f1), undo(f2)
-    return None
-
-
-def _kronecker_factor(p: list) -> Optional[tuple[list, list]]:
-    """Find a nontrivial factor by Kronecker interpolation, degree >= 5."""
-    ints, _ = _to_integer(p)
-    n = degree(p)
-    for k in range(2, n // 2 + 1):
-        points = []
-        x = 0
-        while len(points) < k + 1:
-            val = evaluate([Fraction(c) for c in ints], Fraction(x))
-            if val != 0:
-                points.append((Fraction(x), int(val)))
-            x = -x + (1 if x <= 0 else 0)  # 0, 1, -1, 2, -2, ...
-        divisor_lists = []
-        for _, val in points:
-            divs = _divisors(val)
-            divisor_lists.append([d for d in divs] + [-d for d in divs])
-        total = 1
-        for lst in divisor_lists:
-            total *= len(lst)
-            if total > 200000:
-                raise FactorizationLimit("Kronecker search space too large at desk scale")
-        xs = [pt[0] for pt in points]
-        for combo in itertools.product(*divisor_lists):
-            cand = _lagrange(xs, [Fraction(v) for v in combo])
-            if cand is None or degree(cand) != k or cand[-1] == 0:
-                continue
-            cand = monic(cand)
-            quot, rem = divmod_exact(p, cand)
-            if rem == [ZERO]:
-                return cand, monic(quot)
-    return None
-
-
-def _lagrange(xs: list, ys: list) -> Optional[list]:
-    out = [ZERO]
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        num = [yi]
-        den = ONE
-        for j, xj in enumerate(xs):
-            if i == j:
-                continue
-            num = mul(num, [-xj, ONE])
-            den *= xi - xj
-        out = add(out, [c / den for c in num])
-    return trim(out)
-
-
 def factor_squarefree(p: list) -> list:
-    """Factor a monic squarefree polynomial into monic rational irreducibles.
+    """Factor a monic squarefree polynomial into monic rational irreducibles,
+    sorted by degree, then by the strings of their coefficients.
 
-    Complete for degree <= 4; higher degrees use rational-root splitting and
-    a capped Kronecker search.
+    With D the least common denominator of p's coefficients, x -> y / D
+    turns p into g(y) = D^n p(y / D), monic over Z; a monic factor h of g of
+    degree m gives the factor D^-m h(D x) of p.
     """
     p = monic(trim(list(p)))
-    out = []
-    stack = [p]
-    while stack:
-        f = stack.pop()
-        d = degree(f)
-        if d <= 0:
-            continue
-        if d == 1:
-            out.append(f)
-            continue
-        roots = rational_roots(f)
-        if roots:
-            for r in roots:
-                f, rem = divmod_exact(f, [-r, ONE])
-                assert rem == [ZERO]
-                out.append([-r, ONE])
-            if degree(f) > 0:
-                stack.append(f)
-            continue
-        if d == 2 or d == 3:
-            out.append(f)  # no rational root => irreducible at this degree
-            continue
-        if d == 4:
-            split = _factor_quartic(f)
-            if split is None:
-                out.append(f)
-            else:
-                stack.extend(split)
-            continue
-        split = _kronecker_factor(f)
-        if split is None:
-            out.append(f)
-        else:
-            stack.extend(split)
+    n = degree(p)
+    if n <= 0:
+        return []
+    den = math.lcm(*(c.denominator for c in p))
+    g = [int(c * den ** (n - i)) for i, c in enumerate(p)]
+    out = [[Fraction(c, den ** (len(h) - 1 - i)) for i, c in enumerate(h)]
+           for h in _zassenhaus(g)]
     out.sort(key=lambda q: (len(q), [str(c) for c in q]))
     return out
+
+
+def _zassenhaus(f: list) -> list:
+    """The monic irreducible factors over Z of a monic squarefree f in Z[y].
+
+    p is the smallest odd prime that keeps f squarefree mod p; there is one,
+    since only the finitely many primes dividing the discriminant fail.  A
+    monic factor of f has coefficients below B = 2^n ||f||_2 in absolute
+    value (Mignotte), so once the factors mod p are lifted to p^k > 2 B, a
+    product of lifted factors reduced into (-p^k/2, p^k/2] is a true factor
+    exactly when it divides f.  Subsets are tried by size, smallest first,
+    so each factor found is irreducible, and the loop stops when the factors
+    left cannot split into two subsets of the current size.
+    """
+    n = len(f) - 1
+    df = [i * c for i, c in enumerate(f)][1:]
+    p = 3
+    while _pgcd(_pmod(f, p), _pmod(df, p), p) != [1]:
+        p += 2
+        while any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            p += 2
+    factors = _berlekamp(_pmod(f, p), p)
+    if len(factors) == 1:
+        return [f]
+    bound = 2 ** (n + 1) * (math.isqrt(sum(c * c for c in f)) + 1)
+    k, mod = 1, p
+    while mod <= bound:
+        k, mod = k + 1, mod * p
+    lifted = [_hensel(f, u, _pdivmod(f, u, p)[0], p, k) for u in factors]
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in itertools.combinations(range(len(lifted)), size):
+            h = [1]
+            for i in subset:
+                h = _pmod(_zmul(h, lifted[i]), mod)
+            h = [c - mod if 2 * c > mod else c for c in h]
+            quotient = _zdiv(f, h)
+            if quotient is not None:
+                out.append(h)
+                f = quotient
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [f]
+
+
+def _berlekamp(f: list, p: int) -> list:
+    """The monic irreducible factors of a monic squarefree f over F_p.
+
+    v(x)^p = v(x) mod f holds for the v with sum_i v_i (x^(ip) - x^i) = 0
+    mod f, a space whose dimension is the number of irreducible factors.
+    Every v in it satisfies f = prod over s in F_p of gcd(f, v - s), and a
+    basis of it separates every two factors, so replacing each factor h
+    found so far by its gcds with v - s, for each basis vector v in turn,
+    ends with the irreducible factors; no random draw is needed.
+    """
+    n = len(f) - 1
+    xp = _pdivmod([0] * p + [1], f, p)[1]
+    rows, power = [], [1]
+    for i in range(n):
+        row = power + [0] * (n - len(power))
+        row[i] -= 1
+        rows.append(row)
+        power = _pdivmod(_zmul(power, xp), f, p)[1]
+    basis = _pkernel([list(col) for col in zip(*rows)], p)
+    factors = [f]
+    for v in basis:
+        if len(factors) == len(basis):
+            break
+        factors = [g for h in factors for s in range(p)
+                   for g in [_pgcd(h, _pmod([v[0] - s] + v[1:], p), p)] if len(g) > 1]
+    return factors
+
+
+def _hensel(f: list, g: list, h: list, p: int, k: int) -> list:
+    """The monic factor of f mod p^k that is g mod p, for monic g and h with
+    f = g h mod p and gcd(g, h) = 1 mod p, by linear Hensel lifting.
+
+    From f = g h mod m, with e = (f - g h) / m, a = t e mod g and
+    b = s e + q h, where t e = q g + a and s g + t h = 1 mod p,
+    (g + m a)(h + m b) = f mod m p, and g + m a stays monic.
+    """
+    s, t = _pxgcd(g, h, p)
+    m = p
+    for _ in range(k - 1):
+        e = _pmod([c // m for c in _zadd(f, _zmul(g, h), -1)], p)
+        q, a = _pdivmod(_zmul(t, e), g, p)
+        b = _pmod(_zadd(_zmul(s, e), _zmul(q, h)), p)
+        g, h = _zadd(g, a, m), _zadd(h, b, m)
+        m *= p
+    return g
+
+
+def _pkernel(rows: list, p: int) -> list:
+    """A basis of the vectors x with rows x = 0 mod p, by row reduction."""
+    rows = [list(r) for r in rows]
+    width = len(rows[0])
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        at = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if at is None:
+            continue
+        rows[r], rows[at] = rows[at], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] % p:
+                rows[i] = [(x - row[c] * y) % p for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(width) if c not in pivots):
+        x = [0] * width
+        x[free] = 1
+        for r, c in enumerate(pivots):
+            x[c] = -rows[r][free] % p
+        basis.append(_pmod(x, p))
+    return basis
+
+
+def _zmul(a: list, b: list) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _zadd(a: list, b: list, c: int = 1) -> list:
+    """a + c b."""
+    return [(a[i] if i < len(a) else 0) + c * (b[i] if i < len(b) else 0)
+            for i in range(max(len(a), len(b)))]
+
+
+def _zdiv(f: list, g: list) -> list | None:
+    """f / g over Z for a monic g, or None when g does not divide f."""
+    r = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for i in reversed(range(len(q))):
+        q[i] = c = r[i + len(g) - 1]
+        for j, y in enumerate(g):
+            r[i + j] -= c * y
+    return None if any(r) else q
+
+
+def _pmod(a: list, m: int) -> list:
+    a = [c % m for c in a]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _pdivmod(a: list, b: list, m: int) -> tuple:
+    """Quotient and remainder of a by b mod m, for b with a unit lead."""
+    r = _pmod(a, m)
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        q[shift] = c = r[-1] * inv % m
+        for i, y in enumerate(b):
+            r[shift + i] = (r[shift + i] - c * y) % m
+        r = _pmod(r, m)
+    return q, r
+
+
+def _pgcd(a: list, b: list, p: int) -> list:
+    """The monic gcd over F_p of a and b, not both zero."""
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _pxgcd(a: list, b: list, p: int) -> tuple:
+    """(s, t) with s a + t b = 1 over F_p, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _pmod(_zadd(s0, _zmul(q, s1), -1), p)
+        t0, t1 = t1, _pmod(_zadd(t0, _zmul(q, t1), -1), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -229,8 +231,8 @@ def reference_minimal_polynomial(m: Mat) -> MinimalPolynomial:
 
     The powers I, M, M^2, ... are flattened and fed to a SpanSolver; the
     first dependent power yields the minimal polynomial.  The result is
-    factored into rational irreducibles (complete for the degrees arising
-    from commutant classification; see `poly.factor_squarefree`).
+    factored into rational irreducibles by `poly.factor_squarefree`, which
+    is complete in every degree.
     """
     if not m.is_square():
         raise InputError("minimal polynomial of a non-square matrix")
@@ -261,6 +263,71 @@ def reference_minimal_polynomial(m: Mat) -> MinimalPolynomial:
     return MinimalPolynomial(tuple(coeffs), tuple(factors))
 
 
+# -- the trial-division factorer, kept verbatim ------------------------------
+#
+# Rational roots from the divisors of the end coefficients, then a quartic
+# resolvent, then a Kronecker search capped at 200,000 divisor combinations.
+# Its roots come from `reference_rational_roots`, which lists them in the
+# order of the factorer's own copy.  It stalls or raises
+# ReferenceFactorizationLimit on large coefficients, so it pins
+# `poly.factor_squarefree` on small inputs only.
+
+_REFERENCE_DIVISOR_CAP = 4000
+
+
+class ReferenceFactorizationLimit(Exception):
+    """Raised when a polynomial is too large for the trial-division factorer."""
+
+
+def _reference_evaluate(p: list, x: Fraction) -> Fraction:
+    out = ZERO
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def _reference_compose_linear(p: list, a: Fraction, b: Fraction) -> list:
+    """p(a*t + b), exact."""
+    out = [ZERO]
+    lin = [b, a]
+    power = [ONE]
+    for c in p:
+        if c != 0:
+            out = poly.add(out, [c * x for x in power])
+        power = poly.mul(power, lin)
+    return poly.trim(out)
+
+
+def _reference_divisors(n: int) -> list:
+    n = abs(n)
+    if n == 0:
+        return []
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+        if len(small) + len(large) > _REFERENCE_DIVISOR_CAP:
+            raise ReferenceFactorizationLimit(f"too many divisors of {n} for desk-scale factorization")
+    return small + large[::-1]
+
+
+def _reference_to_integer(p: list) -> tuple[list, Fraction]:
+    """Scale a rational polynomial to primitive integer coefficients."""
+    den = 1
+    for c in p:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    ints = [int(c * den) for c in p]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, abs(v))
+    g = g or 1
+    return [v // g for v in ints], Fraction(den, g)
+
+
 def reference_rational_roots(p: list) -> list:
     """All rational roots (without multiplicity) of p."""
     p = poly.trim(list(p))
@@ -273,15 +340,150 @@ def reference_rational_roots(p: list) -> list:
         p = p[1:]
     if poly.degree(p) <= 0:
         return roots
-    ints, _ = poly._to_integer(p)
+    ints, _ = _reference_to_integer(p)
     a0, an = ints[0], ints[-1]
-    for num in poly._divisors(a0):
-        for den in poly._divisors(an):
+    for num in _reference_divisors(a0):
+        for den in _reference_divisors(an):
             for sign in (1, -1):
                 cand = Fraction(sign * num, den)
-                if cand not in roots and poly.evaluate(p, cand) == 0:
+                if cand not in roots and _reference_evaluate(p, cand) == 0:
                     roots.append(cand)
     return roots
+
+
+def _reference_factor_quartic(p: list) -> Optional[tuple[list, list]]:
+    """Split a monic quartic without rational roots into two monic quadratics."""
+    a, b, c, d = p[3], p[2], p[1], p[0]
+    # depress: t = y - a/4
+    shift = -a / 4
+    q_ = _reference_compose_linear(p, ONE, shift)  # y^4 + P y^2 + Q y + R
+    P, Q, R = q_[2], q_[1], q_[0]
+
+    def undo(f):  # substitute y = t + a/4
+        return poly.monic(_reference_compose_linear(f, ONE, a / 4))
+
+    if Q == 0:
+        disc = P * P - 4 * R
+        root = is_rational_square(disc)
+        if root is not None:
+            z1 = (-P + root) / 2
+            z2 = (-P - root) / 2
+            return undo([-z1, ZERO, ONE]), undo([-z2, ZERO, ONE])
+        sr = is_rational_square(R)
+        if sr is not None:
+            for beta in (sr, -sr):
+                alpha2 = 2 * beta - P
+                alpha = is_rational_square(alpha2)
+                if alpha is not None and alpha != 0:
+                    return undo([beta, alpha, ONE]), undo([beta, -alpha, ONE])
+        return None
+    # resolvent cubic in z = alpha^2
+    cubic = [-Q * Q, P * P - 4 * R, 2 * P, ONE]
+    for z in reference_rational_roots(cubic):
+        if z <= 0:
+            continue
+        alpha = is_rational_square(z)
+        if alpha is None:
+            continue
+        beta = (P + z - Q / alpha) / 2
+        gamma = (P + z + Q / alpha) / 2
+        f1 = [beta, alpha, ONE]
+        f2 = [gamma, -alpha, ONE]
+        if poly.mul(f1, f2) == poly.trim(q_):
+            return undo(f1), undo(f2)
+    return None
+
+
+def _reference_kronecker_factor(p: list) -> Optional[tuple[list, list]]:
+    """Find a nontrivial factor by Kronecker interpolation, degree >= 5."""
+    ints, _ = _reference_to_integer(p)
+    n = poly.degree(p)
+    for k in range(2, n // 2 + 1):
+        points = []
+        x = 0
+        while len(points) < k + 1:
+            val = _reference_evaluate([Fraction(c) for c in ints], Fraction(x))
+            if val != 0:
+                points.append((Fraction(x), int(val)))
+            x = -x + (1 if x <= 0 else 0)  # 0, 1, -1, 2, -2, ...
+        divisor_lists = []
+        for _, val in points:
+            divs = _reference_divisors(val)
+            divisor_lists.append([d for d in divs] + [-d for d in divs])
+        total = 1
+        for lst in divisor_lists:
+            total *= len(lst)
+            if total > 200000:
+                raise ReferenceFactorizationLimit("Kronecker search space too large at desk scale")
+        xs = [pt[0] for pt in points]
+        for combo in itertools.product(*divisor_lists):
+            cand = _reference_lagrange(xs, [Fraction(v) for v in combo])
+            if cand is None or poly.degree(cand) != k or cand[-1] == 0:
+                continue
+            cand = poly.monic(cand)
+            quot, rem = poly.divmod_exact(p, cand)
+            if rem == [ZERO]:
+                return cand, poly.monic(quot)
+    return None
+
+
+def _reference_lagrange(xs: list, ys: list) -> Optional[list]:
+    out = [ZERO]
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        num = [yi]
+        den = ONE
+        for j, xj in enumerate(xs):
+            if i == j:
+                continue
+            num = poly.mul(num, [-xj, ONE])
+            den *= xi - xj
+        out = poly.add(out, [c / den for c in num])
+    return poly.trim(out)
+
+
+def reference_factor_squarefree(p: list) -> list:
+    """Factor a monic squarefree polynomial into monic rational irreducibles.
+
+    Complete for degree <= 4; higher degrees use rational-root splitting and
+    a capped Kronecker search.
+    """
+    p = poly.monic(poly.trim(list(p)))
+    out = []
+    stack = [p]
+    while stack:
+        f = stack.pop()
+        d = poly.degree(f)
+        if d <= 0:
+            continue
+        if d == 1:
+            out.append(f)
+            continue
+        roots = reference_rational_roots(f)
+        if roots:
+            for r in roots:
+                f, rem = poly.divmod_exact(f, [-r, ONE])
+                assert rem == [ZERO]
+                out.append([-r, ONE])
+            if poly.degree(f) > 0:
+                stack.append(f)
+            continue
+        if d == 2 or d == 3:
+            out.append(f)  # no rational root => irreducible at this degree
+            continue
+        if d == 4:
+            split = _reference_factor_quartic(f)
+            if split is None:
+                out.append(f)
+            else:
+                stack.extend(split)
+            continue
+        split = _reference_kronecker_factor(f)
+        if split is None:
+            out.append(f)
+        else:
+            stack.extend(split)
+    out.sort(key=lambda q: (len(q), [str(c) for c in q]))
+    return out
 
 
 def eval_poly_at(coeffs: list, m: Mat) -> Mat:
@@ -509,7 +711,7 @@ def reference_factor_decomposition(pair) -> list:
 def reference_split_idempotents(basis: list) -> Optional[list]:
     """Primitive idempotents of a commutative matrix algebra, from its basis,
     through a primitive element x_k = sum_i k^i b_i for every basis size."""
-    from cartanext.lie import _generic_element, _poly_xgcd, _trace_form
+    from cartanext.lie import _generic_element, _trace_form
     from cartanext.linalg import combination, minimal_polynomial, symmetric_signature
 
     n = len(basis)
@@ -531,7 +733,7 @@ def reference_split_idempotents(basis: list) -> Optional[list]:
     for f in (list(f.coeffs) for f in mp.factors):
         cof, rem = poly.divmod_exact(total, f)
         assert rem == [poly.ZERO]
-        g, u, _ = _poly_xgcd(cof, f)
+        g, u, _ = poly.xgcd(cof, f)
         if poly.degree(g) != 0:
             raise InternalCheckError("minimal polynomial factors are not coprime")
         inv_lead = ONE / g[0]

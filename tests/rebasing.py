@@ -21,7 +21,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cartanext.lie import MatrixLieAlgebra, Representation, StructureConstants
+from cartanext.catalog import SymmetricPair
+from cartanext.lie import FrozenDict, MatrixLieAlgebra, Representation, StructureConstants
 from cartanext.linalg import Mat, SpanSolver, combination, invert, matrix_rank
 
 ENTRIES = (-1, 0, 1, 2, Fraction(1, 2))
@@ -90,3 +91,13 @@ def rebased(pair, seed: int) -> RebasedPair:
     # checks that on one pair, as it checks the realization
     action = [x.submatrix(m, m) for x in new_ads[:nh]]
     return RebasedPair(algebra, nh, Representation(h_alg, dim - nh, action, check=False))
+
+
+def symmetric_pair(new: RebasedPair) -> SymmetricPair:
+    """The rebased pair as a `SymmetricPair` of family "rebased": h is
+    spanned by the first `dim_h` basis elements and m by the rest, so the
+    involution is +1 on h and -1 on m."""
+    nh, dim = new.dim_h, new.algebra.dim
+    sigma = Mat.diag([1] * nh + [-1] * (dim - nh))
+    return SymmetricPair(new.algebra, "rebased", FrozenDict(), tuple(range(nh)),
+                         tuple(range(nh, dim)), sigma)

@@ -1,13 +1,17 @@
-"""Commutants of the default pairs in a rebased basis (see `rebasing.py`).
+"""Commutants and centroids of the default pairs in a rebased basis (see
+`rebasing.py`).
 
 For seeds 1 and 2 and every default pair, the adjoint and isotropy
 commutants of the rebased pair must have the catalog pair's dimensions,
 commute with every action matrix, and give the isotropy commutant the
-catalog's label, each within 5 s of CPU time.  A commutant solved in d^2
-unknowns took 10.4 s on the rebased group(sl(3,R)) adjoint and about two
-minutes on the rebased sp(2,1) adjoint; spin-up takes under half a second
-on each.  The rebased centroid's idempotent split is not checked: its
-rational roots can run past any such bound (ROADMAP item 2).
+catalog's label, and the rebased pair's centroid must have the catalog
+centroid's dimension and number of primitive idempotents, each within 5 s
+of CPU time.  A commutant solved in d^2 unknowns took 10.4 s on the rebased
+group(sl(3,R)) adjoint and about two minutes on the rebased sp(2,1)
+adjoint; spin-up takes under half a second on each.  The centroid of the
+rebased group(sl(2,C)) with seed 2 has an even quartic minimal polynomial
+whose constant term has a 69-bit numerator; a factorer that lists divisors
+by trial division did not split it within a minute.
 """
 
 import time
@@ -17,7 +21,7 @@ import pytest
 from cartanext import catalog
 from cartanext.catalog import build_pair, isotropy_rep
 from cartanext.lie import _homomorphism_witness, commutant, commutant_basis
-from rebasing import rebased
+from rebasing import rebased, symmetric_pair
 
 CPU_BOUND_S = 5.0
 GRID = catalog.default_pair_grid()
@@ -44,6 +48,9 @@ def test_rebased_commutants_match_the_catalog(family, params, seed):
     want = commutant(isotropy_rep(pair))
     assert (cls.dim, cls.label) == (want.dim, want.label)
     assert all(t @ a == a @ t for t in cls.commutant_basis for a in new.isotropy.action)
+    basis, projs = _timed(lambda: catalog.centroid(symmetric_pair(new)))
+    want_basis, want_projs = catalog.centroid(pair)
+    assert (len(basis), len(projs)) == (len(want_basis), len(want_projs))
 
 
 def test_the_rebased_pair_is_the_catalog_pair_in_another_basis():

@@ -1,10 +1,11 @@
-"""Polynomial arithmetic and small-degree factorization."""
+"""Polynomial arithmetic and factorization over Q."""
 
 import random
+import time
 from fractions import Fraction
 
 from cartanext import poly
-from conftest import reference_rational_roots
+from conftest import reference_factor_squarefree
 
 F = Fraction
 
@@ -23,27 +24,51 @@ def test_squarefree_decomposition():
     ]
 
 
-def test_rational_roots():
+def test_roots_and_an_irreducible_quadratic_split_off():
     p = poly.mul(poly.mul(_p(-1, 2), _p(3, 1)), _p(1, 0, 1))  # (2t-1)(t+3)(t^2+1)
-    assert sorted(poly.rational_roots(p)) == [F(-3), F(1, 2)]
+    assert poly.factor_squarefree(p) == [_p(F(-1, 2), 1), _p(3, 1), _p(1, 0, 1)]
 
 
-def test_divisors_ascend():
-    for n in (1, 12, 36, -360, 97, 2 ** 10):
-        divs = poly._divisors(n)
-        assert divs == sorted(divs) == [d for d in range(1, abs(n) + 1) if n % d == 0]
+def test_factors_match_the_trial_division_reference():
+    """Seed 0: squarefree products of 1-4 monic factors of degree 1-2 with
+    coefficients in [-5, 5], on which the trial-division factorer finishes."""
+    rng = random.Random(0)
+    for _ in range(200):
+        while True:
+            p = _p(1)
+            for _ in range(rng.randint(1, 4)):
+                p = poly.mul(p, [F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 2))] + [F(1)])
+            if poly.degree(poly.gcd(p, poly.derivative(p))) == 0:
+                break
+        assert poly.factor_squarefree(p) == reference_factor_squarefree(p), p
 
 
-def test_rational_roots_match_reference():
-    rng = random.Random(31)
-    for _ in range(300):
-        # products of linear factors b t - a and a random cofactor, so that
-        # roots, repeated roots and non-reduced candidates all occur
-        p = _p(rng.choice((1, -1)) * rng.randint(1, 4))
-        for _ in range(rng.randint(0, 3)):
-            p = poly.mul(p, _p(rng.randint(-6, 6), rng.randint(1, 4)))
-        p = poly.mul(p, [F(rng.randint(-5, 5)) for _ in range(rng.randint(1, 4))] + [F(1)])
-        assert poly.rational_roots(p) == reference_rational_roots(p)
+def _cpu_factor(p):
+    start = time.process_time()
+    factors = poly.factor_squarefree(p)
+    spent = time.process_time() - start
+    assert spent < 5.0, f"{spent:.2f} s CPU"
+    return factors
+
+
+def test_even_quartic_with_large_coefficients_splits():
+    """The minimal polynomial that stalled the centroid split of a rebased
+    group(sl(2,C)): its constant term has a 69-bit numerator over a 58-bit
+    denominator, far past what a divisor loop can list."""
+    p = [F(313241225583703691044, 223089289331777521), F(0), F(966957360, 472323289), F(0), F(1)]
+    factors = _cpu_factor(p)
+    assert [len(f) for f in factors] == [3, 3] and poly.mul(*factors) == p
+    assert factors[0][1] == -factors[1][1] != 0
+
+
+def test_degree_ten_product_splits():
+    """Its values at 0, 1, -1, ... have more divisor combinations than an
+    interpolation search over them can try."""
+    parts = [_p(-8, 7, 1), _p(6, -1, 1), _p(8, 4, 9, 1), _p(6, -3, 1, 1)]
+    p = _p(1)
+    for f in parts:
+        p = poly.mul(p, f)
+    assert _cpu_factor(p) == [_p(-1, 1), _p(8, 1), _p(6, -1, 1), _p(6, -3, 1, 1), _p(8, 4, 9, 1)]
 
 
 def test_quartic_splits_into_quadratics():

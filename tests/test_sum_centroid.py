@@ -5,9 +5,10 @@ the order of the primitive idempotents it returns.
 other pair, and `split_idempotents` splits it by refinement, block by block.
 Each result is checked against `conftest.reference_centroid`, the split
 through one primitive element of the whole centroid.  Sums with several
-complex factors, and their `dataclasses.replace` copies, whose primitive
-element split ran into `FactorizationLimit` or ran for minutes, are split
-here within a second each and checked against their parts' centroids.
+complex factors, and their `dataclasses.replace` copies, are split here
+within a second each and checked against their parts' centroids: a
+primitive element of such a centroid has a minimal polynomial of degree 8
+to 12, while the refinement only factors cubics.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def _placed_part_projectors(parts, d: int) -> set:
 @pytest.mark.parametrize("bases", [("sl(2,C)", "sl(2,C)"), ("sl(2,C)", "sl(2,C)", "sl(2,R)"),
                                    ("sl(2,C)", "sl(2,C)", "sl(2,C)")], ids=["C4", "C4xR2", "C6"])
 def test_copy_of_a_sum_of_complex_factors_splits_within_a_second(bases):
-    """A `replace` copy shares the sum's algebra but not its memo.  The
-    primitive element of the whole C^4 has a degree-8 minimal polynomial,
-    whose factoring ran into `FactorizationLimit`."""
+    """A `replace` copy shares the sum's algebra but not its memo, so its
+    centroid is solved and split anew, without a primitive element of the
+    whole C^4, whose minimal polynomial has degree 8."""
     parts = [_group(b) for b in bases]
     total = direct_sum_pairs(parts)
     copy = dataclasses.replace(total)
