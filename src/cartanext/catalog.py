@@ -8,7 +8,7 @@ displays it implements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress
@@ -17,10 +17,12 @@ from typing import Optional, Sequence
 from . import bases
 from .errors import DependentBasisError, InputError, InternalCheckError
 from .lie import (
+    DerivedData,
     FrozenDict,
     MatrixLieAlgebra,
     Representation,
     commutant_basis,
+    derived,
     is_semisimple,
     killing_form,
     largest_invariant_subspace_dim,
@@ -568,17 +570,16 @@ def verify_graded(g: GradedAlgebra) -> list:
 
 
 @dataclass
-class SymmetricPair:
+class SymmetricPair(DerivedData):
     """An algebra with involution, basis adapted to the eigenspace split.
 
     Builds are memoized and shared, so the index sets are tuples and the
-    parameters and ideal certificate FrozenDicts.  The derived data
-    computed once per pair (`isotropy_rep`, `centroid`,
-    `factor_decomposition`) sit outside `__init__`, which
-    `dataclasses.replace` therefore does not carry over.  The factors are a
-    plain class attribute, not a field: a simple pair is its own factor, and
-    a field holding the pair itself would send `dataclasses.asdict` into an
-    endless recursion."""
+    parameters and ideal certificate FrozenDicts.  `==` compares the fields,
+    the algebra by its content.  The data derived once per pair
+    (`isotropy_rep`, `centroid`, `factor_decomposition`) is kept in the
+    `_derived` dict (see `lie.DerivedData`), not in a field:
+    `dataclasses.replace` does not carry it over, and `asdict` does not
+    recurse into a simple pair's factors, which hold the pair itself."""
 
     k_algebra: MatrixLieAlgebra
     family: str
@@ -588,10 +589,6 @@ class SymmetricPair:
     sigma_matrix: Mat  # coordinate action of the involution on the basis
     conjugator: Optional[Mat] = None  # ambient h with sigma = Ad(h), when available
     certificate_ideal: Optional[dict] = None
-    _isotropy: Optional[Representation] = field(default=None, init=False, repr=False,
-                                                compare=False)
-    _centroid: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _factors = None  # tuple of PairFactor once `factor_decomposition` ran
 
     @property
     def name(self) -> str:
@@ -1025,12 +1022,11 @@ def verify_pair(pair: SymmetricPair) -> list:
 # ---------------------------------------------------------------------------
 
 
+@derived
 def isotropy_rep(pair: SymmetricPair) -> Representation:
     """Action of the fixed subalgebra on the (-1)-eigenspace, in its basis.
 
     Built once per pair, homomorphism check included, and kept on it."""
-    if pair._isotropy is not None:
-        return pair._isotropy
     sc = pair.k_algebra.constants
     m_pos = {k: t for t, k in enumerate(pair.m_indices)}
     dim_m = pair.dim_m
@@ -1042,8 +1038,7 @@ def isotropy_rep(pair: SymmetricPair) -> Representation:
     if not pair.dim_h:
         raise InputError("isotropy representation needs a nonzero fixed subalgebra")
     sub = make_algebra(pair.h_basis(), pair.name + "#h")
-    pair._isotropy = Representation(sub, dim_m, mats, check=True)
-    return pair._isotropy
+    return Representation(sub, dim_m, mats, check=True)
 
 
 def restricted_killing(pair: SymmetricPair) -> tuple[Mat, Signature]:
@@ -1091,19 +1086,19 @@ class PairFactor:
     group_type: bool  # True when sigma swaps two simple ideals
 
 
+@derived
 def centroid(pair: SymmetricPair) -> tuple:
     """The centroid of the pair's algebra, the commutant of its adjoint
     representation, as (basis, primitive idempotents or None), computed
     once per pair: `factor_decomposition` and the h-projective decision
     both read it.  `split_idempotents` refines it block by block into
     fields, for a direct sum as for every other pair."""
-    if pair._centroid is None:
-        basis = tuple(commutant_basis(pair.k_algebra.adjoint_representation()))
-        projs = split_idempotents(basis)
-        pair._centroid = (basis, None if projs is None else tuple(projs))
-    return pair._centroid
+    basis = tuple(commutant_basis(pair.k_algebra.adjoint_representation()))
+    projs = split_idempotents(basis)
+    return basis, None if projs is None else tuple(projs)
 
 
+@derived
 def factor_decomposition(pair: SymmetricPair) -> tuple:
     """Split a semisimple pair into simple symmetric-pair factors.
 
@@ -1116,8 +1111,6 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
     (v + sigma v)/2 is v restricted to h and (v - sigma v)/2 is v restricted
     to m.
     """
-    if pair._factors is not None:
-        return pair._factors
     alg = pair.k_algebra
     dim = alg.dim
     _, projs = centroid(pair)
@@ -1143,9 +1136,7 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
         seen.update((i, j))
         orbits.append((i,) if i == j else (i, j))
     if len(orbits) == 1:  # a simple pair: the one orbit spans the algebra
-        pair._factors = (PairFactor(pair, Mat.identity(pair.dim_m),
-                                    group_type=len(orbits[0]) == 2),)
-        return pair._factors
+        return (PairFactor(pair, Mat.identity(pair.dim_m), group_type=len(orbits[0]) == 2),)
 
     m_pos = {k: t for t, k in enumerate(pair.m_indices)}
     factors = []
@@ -1168,8 +1159,7 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
             col: {m_pos[idx]: val for idx, val in v.items()} for col, v in enumerate(m_vecs)
         }).transpose()
         factors.append(PairFactor(sub, emb, group_type=len(orbit) == 2))
-    pair._factors = tuple(factors)
-    return pair._factors
+    return tuple(factors)
 
 
 # ---------------------------------------------------------------------------

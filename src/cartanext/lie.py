@@ -9,6 +9,7 @@ commutation with an explicit J.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,6 +57,37 @@ class FrozenDict(dict):
 
     def __reduce__(self):  # copy and pickle rebuild it whole, not by item writes
         return FrozenDict, (dict(self),)
+
+
+def derived(compute):
+    """Keep `compute(obj)` in `obj._derived`, the one dict of data derived
+    from an object (see `DerivedData`), under the function's name."""
+    key = compute.__name__
+
+    @functools.wraps(compute)
+    def memoized(obj):
+        if key not in obj._derived:
+            obj._derived[key] = compute(obj)
+        return obj._derived[key]
+
+    return memoized
+
+
+class DerivedData:
+    """Base of the classes whose objects keep derived data (see `derived`).
+
+    `_derived` is created on first use.  It is not a dataclass field, so
+    `==`, `repr`, `dataclasses.replace` and `dataclasses.asdict` ignore it,
+    and an object made by `replace` computes its own.  A copy, shallow or
+    deep, or an unpickled object starts from a copy of the dict, so what is
+    computed on it never reaches the original."""
+
+    @functools.cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def __getstate__(self):
+        return {**self.__dict__, "_derived": dict(self._derived)}
 
 
 # the one empty structure-table cell, shared by every [X_i, X_j] = 0
@@ -194,10 +226,12 @@ class StructureConstants:
         return len(kernel_of_sparse_rows(list(rows.values()), len(members)))
 
 
-class MatrixLieAlgebra:
+class MatrixLieAlgebra(DerivedData):
     """An ambient matrix realization with a bracket-closed rational basis.
 
-    Builds are memoized and shared, so the basis is a tuple."""
+    Builds are memoized and shared, so the basis is a tuple.  Two algebras
+    are equal when their names, ambient sizes, bases and tables are; the
+    derived data (see `derived`) and the span solver are not compared."""
 
     def __init__(self, ambient_size: int, basis: Sequence[Mat], name: str,
                  constants: StructureConstants, span: SpanSolver):
@@ -206,11 +240,6 @@ class MatrixLieAlgebra:
         self.name = name
         self.constants = constants
         self._span = span
-        self._killing: Optional[Mat] = None
-        self._generators: Optional[tuple] = None  # the picks of `generating_indices`
-        self._semisimple: Optional[bool] = None  # the verdict of `is_semisimple`
-        # (table, basis) that `make_algebra` certified while building them
-        self._certified: Optional[tuple] = None
 
     @property
     def dim(self) -> int:
@@ -265,9 +294,10 @@ class MatrixLieAlgebra:
 
         Where the check is made.  `make_algebra` makes it while it builds
         the table (see there) and records the table object and the basis
-        tuple it checked.  When `constants.table` and `basis` are still
-        those very objects, the answer is True without a second pass, and
-        it is the same answer: the basis is a tuple of `Mat`s, which are
+        tuple it checked in the algebra's `_derived` dict, under this
+        method's name (see `DerivedData`).  When `constants.table` and
+        `basis` are still those very objects, the answer is True without a
+        second pass, and it is the same answer: the basis is a tuple of `Mat`s, which are
         immutable (matrices share their entry dicts, so the engine already
         relies on nothing changing them), and the table is a tuple of
         tuples of read-only `FrozenDict` cells, so neither can differ from
@@ -283,12 +313,20 @@ class MatrixLieAlgebra:
         n, basis = self.ambient_size, self.basis
         if self.constants.dim != len(basis):
             return False
-        done = self._certified
+        done = self._derived.get("realization_certified")
         if done is not None and done[0] is self.constants.table and done[1] is basis:
             return True
         span = SpanSolver(n * n)
         return (all(span.insert(b.flat()) for b in basis)
                 and _homomorphism_witness(self.constants, basis, n) is None)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, MatrixLieAlgebra) and (
+            (self.name, self.ambient_size, self.basis, self.constants.table)
+            == (other.name, other.ambient_size, other.basis, other.constants.table)))
+
+    def __hash__(self):
+        return hash((self.name, self.ambient_size, self.dim))
 
     def __repr__(self):
         return f"MatrixLieAlgebra({self.name}, dim={self.dim}, ambient={self.ambient_size})"
@@ -354,7 +392,7 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
     table = tuple(table)
     algebra = MatrixLieAlgebra(n, basis, name, StructureConstants(dim, table), span)
     if certified:
-        algebra._certified = (table, basis)
+        algebra._derived["realization_certified"] = (table, basis)
     return algebra
 
 
@@ -419,10 +457,9 @@ def _homomorphism_witness(constants: StructureConstants, action: Sequence[Mat], 
     return None
 
 
+@derived
 def killing_form(algebra: MatrixLieAlgebra) -> Mat:
     """Gram matrix B(X_i, X_j) = trace(ad X_i ad X_j) from structure constants."""
-    if algebra._killing is not None:
-        return algebra._killing
     dim = algebra.dim
     t = algebra.constants.table
     data: dict = {}
@@ -440,9 +477,7 @@ def killing_form(algebra: MatrixLieAlgebra) -> Mat:
                         s += c * d
             if s:
                 data.setdefault(i, {})[j] = data.setdefault(j, {})[i] = s
-    gram = Mat.from_sparse(dim, dim, data)
-    algebra._killing = gram
-    return gram
+    return Mat.from_sparse(dim, dim, data)
 
 
 def generating_indices(algebra: MatrixLieAlgebra) -> list:
@@ -462,10 +497,15 @@ def generating_indices(algebra: MatrixLieAlgebra) -> list:
     Nagoya Math. J. 2, 1951); the greedy picks are fewer than dim, if not
     always two, and an abelian algebra needs every basis element.
 
-    The picks are kept on the algebra; each call returns a new list of them.
+    The picks are kept on the algebra (see `derived`); each call returns a
+    new list of them.
     """
-    if algebra._generators is not None:
-        return list(algebra._generators)
+    return list(_generator_picks(algebra))
+
+
+@derived
+def _generator_picks(algebra: MatrixLieAlgebra) -> tuple:
+    """The picks of `generating_indices`, as a tuple."""
     dim = algebra.dim
     sc = algebra.constants
     span = SpanSolver(dim)
@@ -488,19 +528,17 @@ def generating_indices(algebra: MatrixLieAlgebra) -> list:
                 if span.insert(w):
                     found.append(w)
                     work.append((w, tuple(picked)))
-    algebra._generators = tuple(picked)
-    return picked
+    return tuple(picked)
 
 
+@derived
 def is_semisimple(algebra: MatrixLieAlgebra) -> bool:
     """Cartan's criterion: the Killing form is nondegenerate.  The verdict
     is kept on the algebra, beside the Killing form it is read from."""
-    if algebra._semisimple is None:
-        algebra._semisimple = matrix_rank(killing_form(algebra)) == algebra.dim
-    return algebra._semisimple
+    return matrix_rank(killing_form(algebra)) == algebra.dim
 
 
-class Representation:
+class Representation(DerivedData):
     """A Lie algebra homomorphism into gl(carrier_dim), one matrix per basis element.
 
     The homomorphism property is checked on construction, and commutants and
@@ -510,8 +548,8 @@ class Representation:
     `commutant_basis` spin up under the generators' matrices alone and
     check its early stop on them.  Only `adjoint_representation` passes
     check=False, since its matrices come from a table of exact matrix
-    commutators.  The action is a tuple, and `commutant` memoizes its
-    classification on the representation.
+    commutators.  The action is a tuple, and `commutant` keeps its
+    classification on the representation (see `derived`).
     """
 
     def __init__(self, algebra: MatrixLieAlgebra, carrier_dim: int,
@@ -524,7 +562,6 @@ class Representation:
         self.algebra = algebra
         self.carrier_dim = carrier_dim
         self.action = tuple(action)
-        self._commutant: Optional[CommutantClassification] = None
         if check:
             bad = _homomorphism_witness(algebra.constants, self.action, carrier_dim)
             if bad is not None:
@@ -745,6 +782,7 @@ def _trace_form(basis: list) -> Mat:
     return Mat.from_sparse(n, n, data)
 
 
+@derived
 def commutant(rep: Representation) -> CommutantClassification:
     """Commutant of a representation with its real-type classification.
 
@@ -758,9 +796,7 @@ def commutant(rep: Representation) -> CommutantClassification:
 
     The classification is computed once per representation and kept on it.
     """
-    if rep._commutant is None:
-        rep._commutant = _classify_commutant(tuple(commutant_basis(rep)))
-    return rep._commutant
+    return _classify_commutant(tuple(commutant_basis(rep)))
 
 
 def _classify_commutant(basis: tuple) -> CommutantClassification:

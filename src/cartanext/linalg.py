@@ -81,7 +81,7 @@ class Mat:
     takes a dense row-major sequence; `from_sparse` takes the rows form.
     """
 
-    __slots__ = ("rows", "cols", "sparse", "_entries")
+    __slots__ = ("rows", "cols", "sparse")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Scalar]):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
@@ -174,12 +174,8 @@ class Mat:
 
     @property
     def entries(self) -> tuple:
-        """All entries, row-major, as Fractions; formed on first use."""
-        try:
-            return self._entries
-        except AttributeError:
-            self._entries = tuple(x for i in range(self.rows) for x in self.row(i))
-            return self._entries
+        """All entries, row-major, as Fractions; formed on each use."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def flat(self) -> dict:
         """The nonzero entries as the sparse vector {r * cols + c: value}."""

@@ -631,8 +631,8 @@ def so3_basis():
 
 
 # -- the dense factor split that the sparse one replaced, kept verbatim -------
-# Its memo lines set `_factors` on the pair it is given, so run it on a
-# `dataclasses.replace` copy of a catalog pair.
+# but for its memo lines: it rebuilds the factors on each call and keeps
+# nothing on the pair it is given.
 
 
 def reference_factor_decomposition(pair) -> list:
@@ -645,8 +645,6 @@ def reference_factor_decomposition(pair) -> list:
     from cartanext.catalog import PairFactor, _assemble_pair, centroid
     from cartanext.errors import InternalCheckError
 
-    if pair._factors is not None:
-        return pair._factors
     alg = pair.k_algebra
     dim = alg.dim
     _, projs = centroid(pair)
@@ -701,7 +699,6 @@ def reference_factor_decomposition(pair) -> list:
             cols.append(col)
         emb = Mat.from_columns(cols, pair.dim_m)
         factors.append(PairFactor(sub, emb, group_type=len(orbit) == 2))
-    pair._factors = factors
     return factors
 
 
@@ -843,10 +840,8 @@ def reference_predicate_quaternionic(t: Mat, target: GradedAlgebra) -> Optional[
         return False
     n = target.params["n"]
     # reorder coordinates from the builder layout (r, comp) to match
-    maps = _quaternion_coordinate_maps(n)
-    cols = Mat.from_rows(
-        [[maps[c].entries[r] for c in range(len(maps))] for r in range(16 * n * n)]
-    )
+    maps = [m.entries for m in _quaternion_coordinate_maps(n)]  # formed once per map
+    cols = Mat.from_rows([[entries[r] for entries in maps] for r in range(16 * n * n)])
     sol = solve_linear(cols, Mat.column(t.entries))
     if sol is None:
         return False

@@ -1,5 +1,6 @@
 """Catalog constructors: graded algebras, symmetric pairs, derived data."""
 
+import copy
 import dataclasses
 from fractions import Fraction
 
@@ -532,9 +533,23 @@ def test_replace_does_not_carry_the_derived_data_over():
     factor_decomposition(pair)
     isotropy_rep(pair)
     other = dataclasses.replace(pair, family="x")
-    assert (other._factors, other._centroid, other._isotropy) == (None, None, None)
-    assert pair._factors is not None and pair._isotropy is not None
+    kept = {"factor_decomposition", "centroid", "isotropy_rep"}
+    assert not kept & set(other._derived)
+    assert {"factor_decomposition", "isotropy_rep"} <= set(pair._derived)
     assert isotropy_rep(other) is not isotropy_rep(pair)
+
+
+def test_a_copy_keeps_what_it_computes_to_itself():
+    # copy.copy gives the copy its own derived-data dict: a value computed on
+    # the copy, here after a new table was put in place, never reaches the
+    # original
+    pair = dataclasses.replace(build_pair("group_type", {"base": "sl(2,R)"}))
+    rep = isotropy_rep(copy.copy(pair))
+    assert "isotropy_rep" not in pair._derived and isotropy_rep(pair) is not rep
+    original = make_algebra(pair.k_algebra.basis, "sl(2,R)+sl(2,R)")
+    abelian = copy.copy(original)
+    abelian.constants = StructureConstants(6, [[{} for _ in range(6)] for _ in range(6)])
+    assert not is_semisimple(abelian) and is_semisimple(original)
 
 
 def test_isotropy_rep_and_commutant_are_computed_once():

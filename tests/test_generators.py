@@ -145,7 +145,7 @@ def test_abelian_algebra_needs_every_basis_element():
 def test_generating_indices_are_kept_on_the_algebra(monkeypatch):
     alg = build_pair("group_type", {"base": "sl(3,R)"}).k_algebra
     picks = generating_indices(alg)
-    assert alg._generators == tuple(picks)
+    assert alg._derived["_generator_picks"] == tuple(picks)
 
     def no_span(length):
         raise AssertionError("the picks were searched again")
@@ -153,7 +153,8 @@ def test_generating_indices_are_kept_on_the_algebra(monkeypatch):
     monkeypatch.setattr(lie, "SpanSolver", no_span)
     picks[0] = -1  # each call returns a new list, so this reaches no later caller
     picks.append(99)
-    assert generating_indices(alg) == list(alg._generators) and -1 not in alg._generators
+    kept = alg._derived["_generator_picks"]
+    assert generating_indices(alg) == list(kept) and -1 not in kept
     assert generating_indices(alg) is not generating_indices(alg)
 
 
@@ -187,4 +188,4 @@ def test_centroid_is_computed_once_per_pair(monkeypatch):
     basis, projs = centroid(pair)
     assert list(basis) == reference_commutant_basis(pair.k_algebra.adjoint_representation())
     assert len(projs) == 4 and len(factor_decomposition(pair)) == 2
-    assert "_centroid" not in repr(pair) and "_factors" not in repr(pair)
+    assert "_derived" not in repr(pair) and "PairFactor" not in repr(pair)

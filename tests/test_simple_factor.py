@@ -6,7 +6,8 @@ factors of a pair with several orbits.  The analyses that read the factors
 are compared here, field by field, against the same analyses run with
 `conftest.reference_factor_decomposition`, which rebuilds every factor as a
 new pair.  The pair's dataclass behaviour does not change once its factors
-are memoized, although a simple pair's memo refers to the pair itself.
+are memoized, although a simple pair's memo refers to the pair itself, and
+pairs compare by content.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def _sums() -> list:
 
 
 def _reference(pair) -> list:
-    # on a copy: the reference memoizes its factors on the pair it is given
+    # on a copy, so that the reference solves the centroid anew rather than
+    # read the one the engine kept on the pair
     return reference_factor_decomposition(dataclasses.replace(pair))
 
 
@@ -94,16 +96,24 @@ def test_analyze_pair_json_matches_the_rebuilt_factors(monkeypatch, tmp_path):
 def test_factored_pair_keeps_its_dataclass_behaviour(make):
     pair = dataclasses.replace(make())  # a copy with no memo yet
     catalog.centroid(pair)
-    # asdict and deepcopy copy the algebra, which compares by identity:
-    # compare their reprs
-    before = (repr(pair), repr(dataclasses.asdict(pair)))
+    before = (repr(pair), dataclasses.asdict(pair))
     factors = factor_decomposition(pair)
-    assert (repr(pair), repr(dataclasses.asdict(pair))) == before
-    assert "_factors" not in before[0] + before[1]
+    assert (repr(pair), dataclasses.asdict(pair)) == before
+    assert "_derived" not in repr(before)
     assert dataclasses.replace(pair) == pair != dataclasses.replace(pair, family="x")
-    assert dataclasses.replace(pair)._factors is None
+    assert "factor_decomposition" not in dataclasses.replace(pair)._derived
     twin = copy.deepcopy(pair)
-    assert repr(twin) == repr(pair) and twin.k_algebra is not pair.k_algebra
+    assert twin == pair and repr(twin) == repr(pair) and twin.k_algebra is not pair.k_algebra
     assert [f.group_type for f in factor_decomposition(twin)] == [f.group_type for f in factors]
     if len(factors) == 1:
-        assert twin._factors[0].pair is twin
+        assert twin._derived["factor_decomposition"][0].pair is twin
+    # two equal sums are equal, and so are their algebras and the algebras' hashes
+    parts = [_group("sl(2,R)"), _group("so(3)")]
+    one, other = direct_sum_pairs(parts), direct_sum_pairs(parts)
+    assert one.k_algebra is not other.k_algebra
+    assert one == other and hash(one.k_algebra) == hash(other.k_algebra)
+    # the equality still reads every field, and the algebra's name
+    renamed = copy.deepcopy(pair.k_algebra)
+    renamed.name += "'"
+    assert renamed != pair.k_algebra
+    assert dataclasses.replace(pair, k_algebra=renamed) != pair
