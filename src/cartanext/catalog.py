@@ -28,6 +28,7 @@ from .lie import (
     largest_invariant_subspace_dim,
     make_algebra,
     split_idempotents,
+    subalgebra,
 )
 from .linalg import ONE, Mat, Signature, SpanSolver, commutator, symmetric_signature
 
@@ -1024,21 +1025,28 @@ def verify_pair(pair: SymmetricPair) -> list:
 
 @derived
 def isotropy_rep(pair: SymmetricPair) -> Representation:
-    """Action of the fixed subalgebra on the (-1)-eigenspace, in its basis.
+    """Action of the fixed subalgebra on the (-1)-eigenspace, in its basis,
+    built once per pair and kept on it.
 
-    Built once per pair, homomorphism check included, and kept on it."""
-    sc = pair.k_algebra.constants
-    m_pos = {k: t for t, k in enumerate(pair.m_indices)}
-    dim_m = pair.dim_m
-    mats = []
-    for hi in pair.h_indices:
-        cols = {col: {m_pos[k]: c for k, c in sc.row(hi, mi).items()}
-                for col, mi in enumerate(pair.m_indices)}
-        mats.append(Mat.from_sparse(dim_m, dim_m, cols).transpose())
+    Everything is read off the pair's table.  A key-set test over the cells
+    of the h rows checks [h, h] inside h and [h, m] inside m (`InputError`
+    otherwise), and h's table is the parent's on the unit vectors of h
+    (`subalgebra`).  When the parent's realization certificate is recorded,
+    so is h's, and the homomorphism check is skipped: the parent's table
+    then satisfies the Jacobi identity, so ad restricted to the invariant m
+    is a homomorphism.  Otherwise `Representation` checks it."""
     if not pair.dim_h:
         raise InputError("isotropy representation needs a nonzero fixed subalgebra")
-    sub = make_algebra(pair.h_basis(), pair.name + "#h")
-    return Representation(sub, dim_m, mats, check=True)
+    sc = pair.k_algebra.constants
+    h_set, m_set = frozenset(pair.h_indices), frozenset(pair.m_indices)
+    mats = []
+    for hi in pair.h_indices:
+        if any(not cell.keys() <= (h_set if x in h_set else m_set)
+               for x, cell in enumerate(sc.table[hi])):
+            raise InputError(f"{pair.name}: [h, h] or [h, m] leaves its eigenspace at {hi}")
+        mats.append(sc.ad_matrix(hi).submatrix(pair.m_indices, pair.m_indices))
+    sub = subalgebra(pair.k_algebra, [{i: 1} for i in pair.h_indices], pair.name + "#h")
+    return Representation(sub, pair.dim_m, mats, check=not sub._recorded())
 
 
 def restricted_killing(pair: SymmetricPair) -> tuple[Mat, Signature]:
@@ -1109,7 +1117,10 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
     identity.  Vectors are sparse coordinates {index: value}.  The
     involution is +1 on the h coordinates and -1 on the m coordinates, so
     (v + sigma v)/2 is v restricted to h and (v - sigma v)/2 is v restricted
-    to m.
+    to m.  Each factor of several is read off the parent's table by
+    `subalgebra` on its h vectors, then its m vectors, so its eigenspace
+    split is the supports' split; no ambient commutator is taken, and the
+    parent's recorded certificate, if any, carries over.
     """
     alg = pair.k_algebra
     dim = alg.dim
@@ -1150,11 +1161,11 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
                 h_vecs.append(plus)
             if minus and m_sp.insert(minus):
                 m_vecs.append(minus)
-        h_mats = [alg.element(v) for v in h_vecs]
-        m_mats = [alg.element(v) for v in m_vecs]
-        sub = _assemble_pair(
-            f"{pair.name}#f{len(factors)}", pair.family + "_factor", {}, h_mats, m_mats
-        )
+        nh, k = len(h_vecs), len(h_vecs) + len(m_vecs)
+        sub = SymmetricPair(
+            subalgebra(alg, h_vecs + m_vecs, f"{pair.name}#f{len(factors)}"),
+            pair.family + "_factor", FrozenDict(), tuple(range(nh)), tuple(range(nh, k)),
+            Mat.diag([1] * nh + [-1] * (k - nh)))
         emb = Mat.from_sparse(len(m_vecs), pair.dim_m, {
             col: {m_pos[idx]: val for idx, val in v.items()} for col, v in enumerate(m_vecs)
         }).transpose()

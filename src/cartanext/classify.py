@@ -200,16 +200,17 @@ def decide_conformal(pair: SymmetricPair, seed: int = 0) -> ConformalReport:
     factors = factor_decomposition(pair)
     rep = isotropy_rep(pair)
     forms = invariant_bilinear_forms(rep, "symmetric")
+    gram, whole = restricted_killing(pair)
     factor_dims = []
     factor_signatures = []
     circle = 0
-    for f in factors:
-        frep = isotropy_rep(f.pair)
-        ffor = invariant_bilinear_forms(frep, "symmetric")
+    for f in factors:  # a simple pair is its own factor: its forms and signature are the pair's
+        ffor = forms if f.pair is pair else invariant_bilinear_forms(
+            isotropy_rep(f.pair), "symmetric")
         factor_dims.append(len(ffor))
         if len(ffor) == 2:
             circle += 1
-        gram, sig = restricted_killing(f.pair)
+        sig = whole if f.pair is pair else restricted_killing(f.pair)[1]
         factor_signatures.append((sig.positive, sig.negative))
     cross_zero = True
     for i in range(len(factors)):
@@ -220,7 +221,6 @@ def decide_conformal(pair: SymmetricPair, seed: int = 0) -> ConformalReport:
             for g in forms:
                 if not (ui.transpose() @ g @ uj).is_zero():
                     cross_zero = False
-    gram, _sig = restricted_killing(pair)
     span = SpanSolver(pair.dim_m ** 2)
     for g in forms:
         span.insert(g.flat())

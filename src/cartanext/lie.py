@@ -241,6 +241,12 @@ class MatrixLieAlgebra(DerivedData):
         self.constants = constants
         self._span = span
 
+    def __setattr__(self, name, value):
+        # a new table or basis makes every derived value stale
+        if name in ("constants", "basis"):
+            self.__dict__.pop("_derived", None)
+        super().__setattr__(name, value)
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -295,7 +301,8 @@ class MatrixLieAlgebra(DerivedData):
         Where the check is made.  `make_algebra` makes it while it builds
         the table (see there) and records the table object and the basis
         tuple it checked in the algebra's `_derived` dict, under this
-        method's name (see `DerivedData`).  When `constants.table` and
+        method's name (see `DerivedData`); `subalgebra` records the table
+        it reads off a recorded parent.  When `constants.table` and
         `basis` are still those very objects, the answer is True without a
         second pass, and it is the same answer: the basis is a tuple of `Mat`s, which are
         immutable (matrices share their entry dicts, so the engine already
@@ -304,21 +311,26 @@ class MatrixLieAlgebra(DerivedData):
         what was checked.  Like the entry dicts of a `Mat`, the cells rest
         on that contract: `dict.__setitem__` called on a cell directly
         still writes it, and nothing may do so.  A table or basis put in
-        place afterwards, by the constructor, by `dataclasses.replace` of
-        the owning object or by assignment, fails the identity test and
-        gets the full check: one span pass and one sparse commutator per
-        pair whose supports meet (see `_homomorphism_witness`), not a scan
-        of index triples.
+        place afterwards, by the constructor or by `dataclasses.replace` of
+        the owning object, fails the identity test, and assigning one drops
+        the whole `_derived` dict; either way it gets the full check: one
+        span pass and one sparse commutator per pair whose supports meet
+        (see `_homomorphism_witness`), not a scan of index triples.
         """
         n, basis = self.ambient_size, self.basis
         if self.constants.dim != len(basis):
             return False
-        done = self._derived.get("realization_certified")
-        if done is not None and done[0] is self.constants.table and done[1] is basis:
+        if self._recorded():
             return True
         span = SpanSolver(n * n)
         return (all(span.insert(b.flat()) for b in basis)
                 and _homomorphism_witness(self.constants, basis, n) is None)
+
+    def _recorded(self) -> bool:
+        """Whether the table and basis are the very objects recorded as
+        certified under "realization_certified" (see there)."""
+        done = self._derived.get("realization_certified")
+        return done is not None and done[0] is self.constants.table and done[1] is self.basis
 
     def __eq__(self, other):
         return self is other or (isinstance(other, MatrixLieAlgebra) and (
@@ -396,6 +408,46 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
     return algebra
 
 
+def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> MatrixLieAlgebra:
+    """The subalgebra spanned by the elements with sparse coordinates `vecs`
+    in the algebra's basis, its table read off the algebra's table.
+
+    Each bracket [v_a, v_b], a < b, is summed through `bracket_with` and
+    decomposed over the vectors: `DependentBasisError` when they are
+    dependent, `ClosureError` when a bracket leaves their span.  A unit
+    vector e_i takes the basis matrix X_i itself, any other v `element(v)`.
+
+    When the algebra's realization certificate is recorded (see
+    `realization_certified`), the subalgebra's is recorded too.  Proof:
+    phi: e_i -> X_i is an injective Lie homomorphism, so the Y_a = phi(v_a)
+    are independent and [Y_a, Y_b] = phi([v_a, v_b]) = sum_c c_ab^c Y_c.
+    """
+    span = SpanSolver(algebra.dim)
+    for a, v in enumerate(vecs):
+        if not span.insert(v):
+            raise DependentBasisError(a)
+    dim = len(vecs)
+    table = [[_EMPTY_CELL] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a + 1, dim):
+            cell = span.sparse_decompose(_combine(
+                (x, algebra.constants.bracket_with(i, vecs[b])) for i, x in vecs[a].items()))
+            if cell is None:
+                raise ClosureError(a, b)
+            if cell:
+                table[a][b] = FrozenDict(cell)
+                table[b][a] = FrozenDict({k: -c for k, c in cell.items()})
+    basis = tuple(algebra.basis[min(v)] if v == {min(v): 1} else algebra.element(v) for v in vecs)
+    ambient = SpanSolver(algebra.ambient_size ** 2)
+    for b in basis:
+        ambient.insert(b.flat())
+    sub = MatrixLieAlgebra(algebra.ambient_size, basis, name,
+                           StructureConstants(dim, tuple(map(tuple, table))), ambient)
+    if algebra._recorded():
+        sub._derived["realization_certified"] = (sub.constants.table, sub.basis)
+    return sub
+
+
 def _support(m: Mat, n: int) -> frozenset:
     """The flat positions r * n + c of the nonzero entries of m."""
     return frozenset(r * n + c for r, row in m.sparse.items() for c in row)
@@ -438,6 +490,16 @@ def _support_masks(mats: Sequence[Mat]) -> tuple:
         in_rows.append(sum(1 << r for r in m.sparse))
         in_cols.append(col_mask)
     return in_rows, in_cols
+
+
+def _combine(terms) -> dict:
+    """sum c x over the pairs (c, x) of sparse vectors, without zeros and
+    with integral values as int."""
+    out: dict = {}
+    for c, x in terms:
+        for k, v in x.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: _exact(v) for k, v in out.items() if v}
 
 
 def _homomorphism_witness(constants: StructureConstants, action: Sequence[Mat], n: int):
@@ -546,10 +608,12 @@ class Representation(DerivedData):
     with rho(x) and rho(y) commutes with [rho(x), rho(y)], which is
     rho([x, y]) only for a homomorphism, so it is what lets
     `commutant_basis` spin up under the generators' matrices alone and
-    check its early stop on them.  Only `adjoint_representation` passes
-    check=False, since its matrices come from a table of exact matrix
-    commutators.  The action is a tuple, and `commutant` keeps its
-    classification on the representation (see `derived`).
+    check its early stop on them.  Two callers pass check=False:
+    `adjoint_representation`, since its matrices come from a table of exact
+    matrix commutators, and `catalog.isotropy_rep` when the parent's
+    realization certificate is recorded (see there).  The action is a
+    tuple, and `commutant` keeps its classification on the representation
+    (see `derived`).
     """
 
     def __init__(self, algebra: MatrixLieAlgebra, carrier_dim: int,
@@ -755,12 +819,13 @@ def _spin_up(cols: list, d: int) -> tuple:
     return span, w, words
 
 
-def _generic_element(basis: list, k: int) -> Mat:
-    """x_k = sum_i k^i b_i, the k-th candidate primitive element of a span.
+def _generic_element(n: int, k: int) -> dict:
+    """x_k = sum_i k^i b_i, the k-th candidate primitive element of an
+    n-dimensional span, in coordinates over the b_i.
 
     perfbench/tracer.py counts calls to this name, so it keeps it.
     """
-    return combination(((k ** i, b) for i, b in enumerate(basis)), basis[0].rows, basis[0].cols)
+    return {i: k ** i for i in range(n)}
 
 
 def _trace_form(basis: list) -> Mat:
@@ -899,27 +964,34 @@ def split_idempotents(basis: list) -> Optional[list]:
     not semisimple.  A one-element basis b spans a line, b b = lam b, whose
     unit b / lam is its one nonzero idempotent.
 
-    A larger algebra A, of dimension n and holding I, is split by refining
-    blocks (e, t): orthogonal idempotents e of A summing to I, each tagged
-    with the degree t of a field inside eA, from (I, 1) on.  A candidate x,
-    the basis elements and then x_k = sum_i k^i b_i for k = 1, 2, ..., cuts
-    each e into the nonzero e P_f, tagged max(t, deg f), for the irreducible
-    factors f of the minimal polynomial m of e x and the Bezout projectors
-    P_f = (u m/f)(e x), u m/f = 1 mod f.  Both are field degrees: e P_f x
-    generates a copy of Q[t]/(f), and e P_f embeds the field of degree t.
-    A field inside eA has dimension at most dim eA, and the dim eA sum to
-    n, so once the tags sum to n every eA is a field and every e primitive.
-    The x_k get there: x_k generates A when the n characters of A differ on
-    it, and two characters differ on x_k by a nonzero polynomial in k of
-    degree < n, so some k <= 1 + (n-1) n(n-1)/2 qualifies (Eberly &
-    Giesbrecht, J. Symbolic Comput. 2000); then each e P_f A is spanned by
-    the powers of e P_f x, of dimension at most deg f.  The projectors are
-    sorted by `idempotent_order`: the result depends only on the algebra.
+    A larger algebra A, of dimension n and holding I, is split in its own
+    coordinates: n(n+1)/2 products give the table b_i b_j = sum_k c_ij^k b_k
+    (`InternalCheckError` when a product or I leaves the span), and every
+    element below is a coordinate vector over the b_i, multiplied through
+    that table.  A is split by refining blocks (e, t): orthogonal
+    idempotents e of A summing to I, each tagged with the degree t of a
+    field inside eA, from (I, 1) on.  A candidate x, the basis elements and
+    then x_k = sum_i k^i b_i for k = 1, 2, ..., cuts each e into the nonzero
+    e P_f, tagged max(t, deg f), for the irreducible factors f of the
+    minimal polynomial m of e x and the Bezout projectors P_f = (u m/f)(e x),
+    u m/f = 1 mod f.  m is that of the multiplication by e x on A, which is
+    that of e x, A being unital.  Both are field degrees: e P_f x generates
+    a copy of Q[t]/(f), and e P_f embeds the field of degree t.  A field
+    inside eA has dimension at most dim eA, and the dim eA sum to n, so once
+    the tags sum to n every eA is a field and every e primitive.  The x_k
+    get there: x_k generates A when the n characters of A differ on it, and
+    two characters differ on x_k by a nonzero polynomial in k of degree < n,
+    so some k <= 1 + (n-1) n(n-1)/2 qualifies (Eberly & Giesbrecht, J.
+    Symbolic Comput. 2000); then each e P_f A is spanned by the powers of
+    e P_f x, of dimension at most deg f.  Each block is mapped back to a
+    matrix by one combination of the basis, and the projectors are sorted
+    by `idempotent_order`: the result depends only on the algebra.
     """
     n = len(basis)
     gram = _trace_form(basis)
     if symmetric_signature(gram).nullity:
         return None
+    d = basis[0].rows
     if n == 1:  # lam = tr(b b) / tr(b), as tr(b b) = lam tr(b) is nonzero
         b = basis[0]
         trace = b.trace()
@@ -927,52 +999,51 @@ def split_idempotents(basis: list) -> Optional[list]:
         if p is None or p @ p != p:
             raise InternalCheckError("split projector is not idempotent")
         return [p]
-    identity = Mat.identity(basis[0].rows)
-    blocks = [(identity, 1)]
-    draws = (_generic_element(basis, k) for k in range(1, 2 + (n - 1) * n * (n - 1) // 2))
-    for x in itertools.chain(basis, draws):
+    span = SpanSolver(d * d)
+    for b in basis:
+        span.insert(b.flat())
+    table = {(i, j): span.sparse_decompose((basis[i] @ basis[j]).flat())
+             for i in range(n) for j in range(i, n)}  # b_i b_j = b_j b_i, for i <= j
+    one = span.sparse_decompose(Mat.identity(d).flat())
+    if one is None or None in table.values():
+        raise InternalCheckError("the span is not a unital algebra")
+
+    def mul(x: dict, y: dict) -> dict:
+        return _combine((a * b, table[min(i, j), max(i, j)])
+                        for i, a in x.items() for j, b in y.items())
+
+    blocks = [(one, 1)]
+    draws = (_generic_element(n, k) for k in range(1, 2 + (n - 1) * n * (n - 1) // 2))
+    for x in itertools.chain(({i: 1} for i in range(n)), draws):
         refined = []
         for e, tag in blocks:
-            y = x if e is identity else e @ x
-            r = min(e.sparse)
-            c = min(e.sparse[r])
-            if y == e.scale(frac(y[r, c]) / e[r, c]):  # e x = c e cuts e into itself
-                refined.append((e, tag))
+            y = mul(e, x)
+            if _combine([(frac(y.get(min(e), 0)) / e[min(e)], e)]) == y:
+                refined.append((e, tag))  # e x = c e cuts e into itself
                 continue
-            for degree, p in _bezout_projectors(y):
-                block = p if e is identity else e @ p
-                if block.sparse:
-                    if block @ block != block:
-                        raise InternalCheckError("split projector is not idempotent")
-                    refined.append((block, max(tag, degree)))
+            # row j holds y b_j: the transpose of multiplication by y, same minimal polynomial
+            mp = minimal_polynomial(Mat.from_sparse(n, n, {j: mul(y, {j: 1}) for j in range(n)}))
+            powers = [one]  # y^0 .. y^(deg m - 1), when there is a cut
+            for _ in range(mp.degree - 1 if len(mp.factors) > 1 else 0):
+                powers.append(mul(powers[-1], y))
+            cut = []  # (deg f, e P_f); the last e P_f is e minus the others
+            for factor in mp.factors[:-1]:
+                cof, rem = poly.divmod_exact(mp.coeffs, factor.coeffs)
+                assert rem == [poly.ZERO]
+                g, u, _ = poly.xgcd(cof, factor.coeffs)
+                if poly.degree(g) != 0:
+                    raise InternalCheckError("minimal polynomial factors are not coprime")
+                _, proj = poly.divmod_exact(poly.mul([c / g[0] for c in u], cof), mp.coeffs)
+                cut.append((factor.degree, mul(e, _combine(zip(proj, powers)))))
+            cut.append((mp.factors[-1].degree, _combine([(1, e)] + [(-1, p) for _, p in cut])))
+            if any(mul(p, p) != p for _, p in cut):
+                raise InternalCheckError("split projector is not idempotent")
+            refined += [(p, max(tag, degree)) for degree, p in cut if p]
         blocks = refined
         if sum(tag for _, tag in blocks) == n:
-            return sorted((e for e, _ in blocks), key=idempotent_order)
+            return sorted((combination(((c, basis[i]) for i, c in e.items()), d, d)
+                           for e, _ in blocks), key=idempotent_order)
     raise InternalCheckError("no split into fields within the bound")
-
-
-def _bezout_projectors(y: Mat) -> list:
-    """(deg f, P_f) for each irreducible factor f of the minimal polynomial
-    m of y, with P_f = (u m/f)(y) and u m/f = 1 mod f.  The P_f sum to I, so
-    the last one is I minus the others, and a lone factor has P_f = I."""
-    mp = minimal_polynomial(y)
-    total = list(mp.coeffs)
-    d = y.rows
-    powers = [Mat.identity(d)]  # y^0 .. y^(deg m - 1), when there is a cut
-    for _ in range(mp.degree - 1 if len(mp.factors) > 1 else 0):
-        powers.append(powers[-1] @ y)
-    out = []
-    for factor in mp.factors[:-1]:
-        f = list(factor.coeffs)
-        cof, rem = poly.divmod_exact(total, f)
-        assert rem == [poly.ZERO]
-        g, u, _ = poly.xgcd(cof, f)
-        if poly.degree(g) != 0:
-            raise InternalCheckError("minimal polynomial factors are not coprime")
-        _, proj_poly = poly.divmod_exact(poly.mul([c / g[0] for c in u], cof), total)
-        out.append((factor.degree, combination(zip(proj_poly, powers), d, d)))
-    rest = combination([(1, powers[0])] + [(-1, p) for _, p in out], d, d)
-    return out + [(mp.factors[-1].degree, rest)]
 
 
 def idempotent_order(p: Mat) -> tuple:

@@ -630,6 +630,29 @@ def so3_basis():
     return skew(0, 1), skew(0, 2), skew(1, 2)
 
 
+# -- the isotropy representation built from ambient matrices, kept verbatim ---
+# but for its memo: h's table comes from `make_algebra` on h's basis
+# matrices, and the homomorphism is checked again.
+
+
+def reference_isotropy_rep(pair) -> Representation:
+    """Action of the fixed subalgebra on the (-1)-eigenspace, in its basis."""
+    from cartanext.lie import make_algebra
+
+    sc = pair.k_algebra.constants
+    m_pos = {k: t for t, k in enumerate(pair.m_indices)}
+    dim_m = pair.dim_m
+    mats = []
+    for hi in pair.h_indices:
+        cols = {col: {m_pos[k]: c for k, c in sc.row(hi, mi).items()}
+                for col, mi in enumerate(pair.m_indices)}
+        mats.append(Mat.from_sparse(dim_m, dim_m, cols).transpose())
+    if not pair.dim_h:
+        raise InputError("isotropy representation needs a nonzero fixed subalgebra")
+    sub = make_algebra(pair.h_basis(), pair.name + "#h")
+    return Representation(sub, dim_m, mats, check=True)
+
+
 # -- the dense factor split that the sparse one replaced, kept verbatim -------
 # but for its memo lines: it rebuilds the factors on each call and keeps
 # nothing on the pair it is given.
@@ -708,14 +731,14 @@ def reference_factor_decomposition(pair) -> list:
 def reference_split_idempotents(basis: list) -> Optional[list]:
     """Primitive idempotents of a commutative matrix algebra, from its basis,
     through a primitive element x_k = sum_i k^i b_i for every basis size."""
-    from cartanext.lie import _generic_element, _trace_form
+    from cartanext.lie import _trace_form
     from cartanext.linalg import combination, minimal_polynomial, symmetric_signature
 
     n = len(basis)
     if symmetric_signature(_trace_form(basis)).nullity:
         return None
     for k in range(1, 2 + (n - 1) * n * (n - 1) // 2):
-        el = _generic_element(basis, k)
+        el = combination(((k ** i, b) for i, b in enumerate(basis)), basis[0].rows, basis[0].cols)
         mp = minimal_polynomial(el)
         if mp.degree == n:
             break

@@ -262,19 +262,23 @@ def test_one_round_builds_the_isotropy_algebra_and_commutant_once(monkeypatch):
     pair = dataclasses.replace(build_pair("group_type", {"base": "sl(2,C)"}))
     h_name = pair.name + "#h"
     h_builds, commutants = [], []
-    make_algebra, commutant_basis = catalog.make_algebra, lie.commutant_basis
+    subalgebra, commutant_basis = catalog.subalgebra, lie.commutant_basis
 
-    def counted_make_algebra(basis, name=""):
+    def counted_subalgebra(algebra, vecs, name):
         if name == h_name:
             h_builds.append(name)
-        return make_algebra(basis, name)
+        return subalgebra(algebra, vecs, name)
 
     def counted_commutant_basis(rep):
         if rep.algebra.name == h_name:
             commutants.append(rep)
         return commutant_basis(rep)
 
-    monkeypatch.setattr(catalog, "make_algebra", counted_make_algebra)
+    def no_ambient_build(basis, name=""):
+        raise AssertionError(f"{name} rebuilt from its matrices")
+
+    monkeypatch.setattr(catalog, "subalgebra", counted_subalgebra)
+    monkeypatch.setattr(catalog, "make_algebra", no_ambient_build)
     monkeypatch.setattr(lie, "commutant_basis", counted_commutant_basis)
     classify.centralizer_report(pair)
     classify.decide_conformal(pair)

@@ -34,6 +34,21 @@ def test_make_algebra_sl2(sl2_basis):
     assert not alg.constants.jacobi_witnesses(limit=1)
 
 
+def test_assigning_a_table_or_basis_drops_the_derived_data(sl2_basis):
+    # an all-zero table put in place after the build: the Killing form and
+    # the semisimplicity verdict must be those of the new table
+    alg = make_algebra(list(sl2_basis), "sl2")
+    assert is_semisimple(alg) and killing_form(alg).sparse and alg.realization_certified()
+    alg.constants = StructureConstants(3, [[{} for _ in range(3)] for _ in range(3)])
+    assert not is_semisimple(alg)
+    assert not killing_form(alg).sparse
+    assert not alg.realization_certified()
+    alg = make_algebra(list(sl2_basis), "sl2")
+    assert lie.generating_indices(alg) and "_generator_picks" in alg._derived
+    alg.basis = tuple(reversed(alg.basis))
+    assert alg._derived == {} and not alg.realization_certified()
+
+
 def test_make_algebra_single_nilpotent(sl2_basis):
     e, _, _ = sl2_basis
     alg = make_algebra([e], "line")
