@@ -30,7 +30,7 @@ from .lie import (
     split_idempotents,
     subalgebra,
 )
-from .linalg import ONE, Mat, Signature, SpanSolver, commutator, symmetric_signature
+from .linalg import ONE, Mat, Signature, SpanSolver, _flat_bracket, symmetric_signature
 
 MAX_AMBIENT = 32
 MAX_DIM = 500
@@ -155,7 +155,7 @@ def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
     plus_one = tuple(range(n0 + n1, len(basis)))
     for idx, b in enumerate(basis):
         k = -1 if idx < n0 else (0 if idx < n0 + n1 else 1)
-        if commutator(e_mat, b) != b.scale(k):
+        if _flat_bracket(e_mat, b) != ({p: k * v for p, v in b.flat().items()} if k else {}):
             raise InternalCheckError(f"{name}: ad(E) is not {k} on basis element {idx}")
         if not _conjugates_to(flip, flip, b, 1 if k == 0 else -1):
             raise InternalCheckError(f"{name}: flip conjugation sign wrong on element {idx}")

@@ -27,12 +27,12 @@ from .linalg import (
     Vector,
     _clean,
     _exact,
+    _flat_bracket,
     _reduce,
     _solutions,
     _sparse,
     _store,
     combination,
-    commutator,
     frac,
     is_rational_square,
     kernel_of_sparse_rows,
@@ -231,15 +231,18 @@ class MatrixLieAlgebra(DerivedData):
 
     Builds are memoized and shared, so the basis is a tuple.  Two algebras
     are equal when their names, ambient sizes, bases and tables are; the
-    derived data (see `derived`) and the span solver are not compared."""
+    derived data (see `derived`) is not compared.  `span`, when given, must
+    be a `SpanSolver` of the flattened basis matrices inserted in order; it
+    is kept as the derived `_ambient_span`."""
 
     def __init__(self, ambient_size: int, basis: Sequence[Mat], name: str,
-                 constants: StructureConstants, span: SpanSolver):
+                 constants: StructureConstants, span: Optional[SpanSolver] = None):
         self.ambient_size = ambient_size
         self.basis = tuple(basis)
         self.name = name
         self.constants = constants
-        self._span = span
+        if span is not None:
+            self._derived["_ambient_span"] = span
 
     def __setattr__(self, name, value):
         # a new table or basis makes every derived value stale
@@ -254,14 +257,18 @@ class MatrixLieAlgebra(DerivedData):
     def coordinate_matrix(self, mats: Iterable[Mat]) -> Optional[Mat]:
         """The dim x len(mats) matrix whose column c holds the coordinates of
         mats[c] in the basis, or None as soon as one lies outside the span.
-        The matrices are read one at a time, so an iterator is fine."""
+        The matrices are read one at a time, so an iterator is fine.  They
+        are decomposed in `_ambient_span`, made on the first call (or put in
+        by `make_algebra`) and dropped with the rest of the derived data
+        when a basis is assigned."""
         n = self.ambient_size
+        span = _ambient_span(self)
         data: dict = {}
         count = 0
         for c, m in enumerate(mats):
             if m.shape != (n, n):
                 raise InputError("ambient size mismatch")
-            coords = self._span.sparse_decompose(m.flat())
+            coords = span.sparse_decompose(m.flat())
             if coords is None:
                 return None
             for k, v in coords.items():
@@ -290,9 +297,9 @@ class MatrixLieAlgebra(DerivedData):
 
         Proof that the Jacobi identity then holds.  Let phi send the
         coordinate vector e_i to X_i.  One fresh `SpanSolver` pass, which
-        does not trust the shared `_span`, shows phi injective.  Antisymmetry
-        gives c_ii = 0 and c_ji = -c_ij, so the checked pairs give
-        phi([e_i, e_j]) = [X_i, X_j] for all i, j, and by bilinearity phi
+        does not trust the derived `_ambient_span`, shows phi injective.
+        Antisymmetry gives c_ii = 0 and c_ji = -c_ij, so the checked pairs
+        give phi([e_i, e_j]) = [X_i, X_j] for all i, j, and by bilinearity phi
         carries the table's bracket to the matrix commutator.  So phi sends
         the Jacobiator J(x, y, z) = [x, [y, z]] + [y, [z, x]] + [z, [x, y]]
         to the Jacobiator of phi x, phi y, phi z in gl(n), which is 0; phi
@@ -314,17 +321,20 @@ class MatrixLieAlgebra(DerivedData):
         place afterwards, by the constructor or by `dataclasses.replace` of
         the owning object, fails the identity test, and assigning one drops
         the whole `_derived` dict; either way it gets the full check: one
-        span pass and one sparse commutator per pair whose supports meet
-        (see `_homomorphism_witness`), not a scan of index triples.
+        span pass and one `linalg._flat_bracket` per pair whose supports
+        meet (see `_homomorphism_witness`), not a scan of index triples.  A
+        basis matrix that is not ambient_size square gives False.
         """
         n, basis = self.ambient_size, self.basis
         if self.constants.dim != len(basis):
             return False
         if self._recorded():
             return True
+        if any(b.shape != (n, n) for b in basis):
+            return False
         span = SpanSolver(n * n)
         return (all(span.insert(b.flat()) for b in basis)
-                and _homomorphism_witness(self.constants, basis, n) is None)
+                and _homomorphism_witness(self.constants, basis) is None)
 
     def _recorded(self) -> bool:
         """Whether the table and basis are the very objects recorded as
@@ -348,19 +358,22 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
     """Build an algebra from square matrices, verifying independence and
     closure, and certify that the basis realizes the table it builds.
 
-    A fresh `SpanSolver` shows the basis independent.  Each pair i < j then
-    falls in one of three cases, and in each [X_i, X_j] = sum_k c_ij^k X_k
-    is established, which is `realization_certified`'s check:
+    A fresh `SpanSolver` shows the flattened basis X_k (`Mat.flat`)
+    independent.  Each pair i < j then falls in one of three cases, and in
+    each [X_i, X_j] = sum_k c_ij^k X_k is established, which is
+    `realization_certified`'s check:
     - the support masks show X_i X_j = X_j X_i = 0: the cell is empty;
-    - the bracket has exactly the support of a basis matrix X_k and equals
-      c X_k entry by entry: the cell is {k: c}, and by independence these
-      are its only coordinates;
-    - otherwise the bracket is decomposed by elimination (`ClosureError`
-      when it lies outside the span), and the decomposition is tested by
-      forming sum_k c_ij^k X_k and comparing it with the bracket.
+    - otherwise the bracket is taken as a flat vector (`_flat_bracket`).
+      When it has exactly the support of some X_k and equals c X_k (a dict
+      comparison with X_k or -X_k, else entry by entry), the cell is
+      {k: c}, and by independence these are its only coordinates;
+    - any other bracket is decomposed by elimination (`ClosureError` when
+      it lies outside the span), and the decomposition is tested by
+      forming sum_k c_ij^k X_k as a flat vector and comparing.
     The cell of (j, i) is the negated cell of (i, j).  The table is frozen
     (tuple rows, `FrozenDict` cells), and if every test held, the table and
-    the basis tuple are recorded as certified on the algebra.
+    the basis tuple are recorded as certified on the algebra.  The span
+    becomes the algebra's `_ambient_span` (see `coordinate_matrix`).
     """
     if not basis:
         raise InputError("empty basis")
@@ -369,33 +382,43 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
     for b in basis:
         if not b.is_square() or b.rows != n:
             raise InputError("basis matrices must be square and equally sized")
+    flats = [b.flat() for b in basis]
     span = SpanSolver(n * n)
-    for idx, b in enumerate(basis):
-        if not span.insert(b.flat()):
+    for idx, flat in enumerate(flats):
+        if not span.insert(flat):
             raise DependentBasisError(idx)
     dim = len(basis)
     in_rows, in_cols = _support_masks(basis)
     by_support: dict = {}  # support of X_k -> the indices k with that support
-    for k, b in enumerate(basis):
-        by_support.setdefault(_support(b, n), []).append(k)
-    negated = [(-b).sparse for b in basis]
+    for k, flat in enumerate(flats):
+        by_support.setdefault(frozenset(flat), []).append(k)
+    negated = [{p: -v for p, v in flat.items()} for flat in flats]
     certified = True
     table = [[_EMPTY_CELL] * dim for _ in range(dim)]
     for i in range(dim):
-        row_mask, col_mask = in_rows[i], in_cols[i]
+        x_i, row_mask, col_mask = basis[i], in_rows[i], in_cols[i]
         for j in range(i + 1, dim):
             if not (col_mask & in_rows[j] or in_cols[j] & row_mask):
                 continue  # X_i X_j = X_j X_i = 0
-            bracket = commutator(basis[i], basis[j])
-            if not bracket.sparse:
+            bracket = _flat_bracket(x_i, basis[j])
+            if not bracket:
                 continue
-            fwd = _one_term(bracket, by_support.get(_support(bracket, n), ()), basis, negated)
-            if fwd is None:
-                fwd = span.sparse_decompose(bracket.flat())
+            for k in by_support.get(frozenset(bracket), ()):
+                x = flats[k]
+                c = 1 if bracket == x else -1 if bracket == negated[k] else None
+                if c is None:
+                    p, w = next(iter(x.items()))
+                    v = bracket[p]
+                    c = v // w if not v % w else Fraction(v) / w  # an int when integral
+                    if any(bracket[q] != c * u for q, u in x.items()):
+                        continue
+                fwd = {k: c}
+                break
+            else:
+                fwd = span.sparse_decompose(bracket)
                 if fwd is None:
                     raise ClosureError(i, j)
-                if certified and combination(((c, basis[k]) for k, c in fwd.items()),
-                                             n, n) != bracket:
+                if certified and _combine((c, flats[k]) for k, c in fwd.items()) != bracket:
                     certified = False
             table[i][j] = FrozenDict(fwd)
             table[j][i] = FrozenDict({k: -c for k, c in fwd.items()})
@@ -438,58 +461,19 @@ def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> Ma
                 table[a][b] = FrozenDict(cell)
                 table[b][a] = FrozenDict({k: -c for k, c in cell.items()})
     basis = tuple(algebra.basis[min(v)] if v == {min(v): 1} else algebra.element(v) for v in vecs)
-    ambient = SpanSolver(algebra.ambient_size ** 2)
-    for b in basis:
-        ambient.insert(b.flat())
     sub = MatrixLieAlgebra(algebra.ambient_size, basis, name,
-                           StructureConstants(dim, tuple(map(tuple, table))), ambient)
+                           StructureConstants(dim, tuple(map(tuple, table))))
     if algebra._recorded():
         sub._derived["realization_certified"] = (sub.constants.table, sub.basis)
     return sub
-
-
-def _support(m: Mat, n: int) -> frozenset:
-    """The flat positions r * n + c of the nonzero entries of m."""
-    return frozenset(r * n + c for r, row in m.sparse.items() for c in row)
-
-
-def _one_term(bracket: Mat, candidates, basis: Sequence[Mat], negated: list) -> Optional[dict]:
-    """{k: c} when bracket = c X_k, checked entry by entry, for the first
-    such k among `candidates` (indices whose X_k has the bracket's support),
-    else None.  negated[k] holds the entries of -X_k, so the common c = 1
-    and c = -1 are one dict comparison each."""
-    entries = bracket.sparse
-    for k in candidates:
-        x = basis[k].sparse
-        if entries == x:
-            return {k: 1}
-        if entries == negated[k]:
-            return {k: -1}
-        r = next(iter(x))
-        col, w = next(iter(x[r].items()))
-        v = entries[r][col]
-        if v.__class__ is int and w.__class__ is int and not v % w:
-            c = v // w
-        else:
-            c = _exact(Fraction(v) / w)
-        if all(entries[s][t] == c * u for s, row in x.items() for t, u in row.items()):
-            return {k: c}
-    return None
 
 
 def _support_masks(mats: Sequence[Mat]) -> tuple:
     """Bit masks of the nonzero rows and of the nonzero columns of the
     matrices.  AB = 0 when the column mask of A and the row mask of B are
     disjoint."""
-    in_rows, in_cols = [], []
-    for m in mats:
-        col_mask = 0
-        for row in m.sparse.values():
-            for c in row:
-                col_mask |= 1 << c
-        in_rows.append(sum(1 << r for r in m.sparse))
-        in_cols.append(col_mask)
-    return in_rows, in_cols
+    return ([sum(1 << r for r in m.sparse) for m in mats],
+            [sum(1 << c for c in {c for row in m.sparse.values() for c in row}) for m in mats])
 
 
 def _combine(terms) -> dict:
@@ -502,21 +486,34 @@ def _combine(terms) -> dict:
     return {k: _exact(v) for k, v in out.items() if v}
 
 
-def _homomorphism_witness(constants: StructureConstants, action: Sequence[Mat], n: int):
+def _homomorphism_witness(constants: StructureConstants, action: Sequence[Mat]):
     """First basis pair (i, j), i < j, with [A_i, A_j] != sum_k c_ij^k A_k
-    for the n x n matrices `action`, or None.  A pair with c_ij empty is
-    skipped when the support masks show A_i A_j = A_j A_i = 0."""
+    for the square matrices `action`, all of one size, or None, both sides
+    compared as flat vectors.  A pair with c_ij empty is skipped when the
+    support masks show A_i A_j = A_j A_i = 0."""
     in_rows, in_cols = _support_masks(action)
+    flats = [a.flat() for a in action]
     for i in range(len(action)):
         row_i, row_mask, col_mask = constants.table[i], in_rows[i], in_cols[i]
         for j in range(i + 1, len(action)):
             cij = row_i[j]
             if not (cij or col_mask & in_rows[j] or in_cols[j] & row_mask):
                 continue
-            expect = combination(((c, action[k]) for k, c in cij.items()), n, n)
-            if commutator(action[i], action[j]) != expect:
+            if _flat_bracket(action[i], action[j]) != _combine(
+                    (c, flats[k]) for k, c in cij.items()):
                 return (i, j)
     return None
+
+
+@derived
+def _ambient_span(algebra: MatrixLieAlgebra) -> SpanSolver:
+    """A `SpanSolver` of the flattened basis matrices, inserted in order;
+    `DependentBasisError` when they are dependent."""
+    span = SpanSolver(algebra.ambient_size ** 2)
+    for idx, b in enumerate(algebra.basis):
+        if not span.insert(b.flat()):
+            raise DependentBasisError(idx)
+    return span
 
 
 @derived
@@ -627,7 +624,7 @@ class Representation(DerivedData):
         self.carrier_dim = carrier_dim
         self.action = tuple(action)
         if check:
-            bad = _homomorphism_witness(algebra.constants, self.action, carrier_dim)
+            bad = _homomorphism_witness(algebra.constants, self.action)
             if bad is not None:
                 raise InputError(f"action is not a homomorphism at basis pair {bad}")
 
@@ -782,7 +779,7 @@ def commutant_basis(rep: Representation) -> list:
         for f in range(n):
             if f not in pivots:
                 found.append(image(_solutions(pivots, ({f: 1},), n)[0]))
-                if any(commutator(found[-1], a).sparse for a in gens):
+                if any(_flat_bracket(found[-1], a) for a in gens):
                     found = None
                     break
         if found is not None:

@@ -8,14 +8,16 @@ form, so the nearly empty catalog basis matrices stay sparse from
 construction on.  Vectors passed between engine routines have the same
 form, {index: value} over the nonzero entries: `flat` and `from_flat`,
 `sparse_decompose` coordinates and the kernel vectors of
-`kernel_of_sparse_rows`.  The dense views (`m[r, c]`, `row`, `col`,
-`to_rows`, `entries`), and the methods that take or return dense coordinate
-lists, give Fractions; they are for public results and callers outside the
-engine.  All row elimination runs through one sparse echelon core (`_reduce`
-against monic rows keyed by pivot column, `_echelon`, and back-substitution
-in `_solutions`), behind `SpanSolver`, `solve_linear`, `invert`,
-`matrix_rank`, `kernel_of_sparse_rows` and `reduced_span_basis`;
-`symmetric_signature` runs a congruence on the same sparse rows.
+`kernel_of_sparse_rows`; the engine's one bracket loop, `_flat_bracket`,
+gives AB - BA in that form, and `commutator` wraps it.  The dense views
+(`m[r, c]`, `row`, `col`, `to_rows`, `entries`), and the methods that take
+or return dense coordinate lists, give Fractions; they are for public
+results and callers outside the engine.  All row elimination runs through
+one sparse echelon core (`_reduce` against monic rows keyed by pivot column,
+`_echelon`, and back-substitution in `_solutions`), behind `SpanSolver`,
+`solve_linear`, `invert`, `matrix_rank`, `kernel_of_sparse_rows` and
+`reduced_span_basis`; `symmetric_signature` runs a congruence on the same
+sparse rows.
 """
 
 from __future__ import annotations
@@ -295,24 +297,36 @@ def combination(terms: Iterable[tuple], rows: int, cols: int) -> Mat:
     return Mat._of(rows, cols, _clean(acc))
 
 
-def commutator(a: Mat, b: Mat) -> Mat:
-    """AB - BA for square matrices of one size, in one pass over the nonzero
-    entries."""
-    if a.shape != b.shape or not a.is_square():
-        raise InputError("commutator needs square matrices of one size")
+def _flat_bracket(a: Mat, b: Mat) -> dict:
+    """AB - BA for n x n matrices as the sparse vector {r * n + c: value}
+    that `flat` gives: zeros dropped, integral values as int.  One pass over
+    the products AB and BA into one dict, with no intermediate matrix; the
+    engine's brackets of matrices all come through here."""
+    n = a.cols
     acc: dict = {}
+    get = acc.get
     for left, right, sign in ((a.sparse, b.sparse, 1), (b.sparse, a.sparse, -1)):
         for r, row in left.items():
-            out = None
+            base = r * n
             for t, x in row.items():
                 other = right.get(t)
                 if other:
-                    if out is None:
-                        out = acc.setdefault(r, {})
-                    x = x if sign == 1 else -x
+                    if sign < 0:
+                        x = -x
                     for c, y in other.items():
-                        out[c] = out.get(c, 0) + x * y
-    return Mat._of(a.rows, a.cols, _clean(acc))
+                        k = base + c
+                        acc[k] = get(k, 0) + x * y
+    for v in acc.values():  # nonzero ints throughout are stored form already
+        if not v or v.__class__ is not int:
+            return {k: v if v.__class__ is int else _exact(v) for k, v in acc.items() if v}
+    return acc
+
+
+def commutator(a: Mat, b: Mat) -> Mat:
+    """AB - BA for square matrices of one size."""
+    if a.shape != b.shape or not a.is_square():
+        raise InputError("commutator needs square matrices of one size")
+    return Mat.from_flat(a.rows, a.cols, _flat_bracket(a, b))
 
 
 def block_matrix(grid: Sequence[Sequence[Mat]]) -> Mat:

@@ -16,11 +16,14 @@ from cartanext.errors import (ClosureError, DependentBasisError, InputError, Int
                               StructuralError)
 from cartanext.extension import (WITNESS_CAP, AxiomCheck, Curvature, Extension,
                                  ValidationReport)
-from cartanext.lie import (ComplexStructureResult, Representation, _canonical_sign, commutant,
-                           largest_invariant_subspace_dim, split_idempotents)
+from cartanext.lie import (_EMPTY_CELL, ComplexStructureResult, FrozenDict, MatrixLieAlgebra,
+                           Representation, StructureConstants, _ambient_span, _canonical_sign,
+                           _support_masks, commutant, largest_invariant_subspace_dim,
+                           split_idempotents)
 from cartanext.linalg import (ONE, ZERO, LinearSolution, Mat, MinimalPolynomial, PolyFactor,
-                              Signature, SpanSolver, block_matrix, commutator, frac, invert,
-                              is_rational_square, matrix_rank, solve_linear)
+                              Signature, SpanSolver, _clean, _exact, block_matrix, combination,
+                              commutator, frac, invert, is_rational_square, matrix_rank,
+                              solve_linear)
 
 
 def rref_rank_oracle(rows):
@@ -1489,6 +1492,111 @@ def reference_commutator(a: ReferenceMat, b: ReferenceMat) -> ReferenceMat:
     return a @ b - b @ a
 
 
+# -- the structure-constant build that `linalg._flat_bracket` replaced, kept
+# verbatim (only renamed): brackets as `Mat`s from the sparse commutator, one-term
+# cells found on the bracket's rows, others re-formed by `combination` ---------
+
+
+def reference_sparse_commutator(a: Mat, b: Mat) -> Mat:
+    """AB - BA for square matrices of one size, in one pass over the nonzero
+    entries."""
+    if a.shape != b.shape or not a.is_square():
+        raise InputError("commutator needs square matrices of one size")
+    acc: dict = {}
+    for left, right, sign in ((a.sparse, b.sparse, 1), (b.sparse, a.sparse, -1)):
+        for r, row in left.items():
+            out = None
+            for t, x in row.items():
+                other = right.get(t)
+                if other:
+                    if out is None:
+                        out = acc.setdefault(r, {})
+                    x = x if sign == 1 else -x
+                    for c, y in other.items():
+                        out[c] = out.get(c, 0) + x * y
+    return Mat._of(a.rows, a.cols, _clean(acc))
+
+
+def reference_make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
+    """Build an algebra from square matrices, verifying independence and
+    closure, and certify that the basis realizes the table it builds."""
+    if not basis:
+        raise InputError("empty basis")
+    basis = tuple(basis)
+    n = basis[0].rows
+    for b in basis:
+        if not b.is_square() or b.rows != n:
+            raise InputError("basis matrices must be square and equally sized")
+    span = SpanSolver(n * n)
+    for idx, b in enumerate(basis):
+        if not span.insert(b.flat()):
+            raise DependentBasisError(idx)
+    dim = len(basis)
+    in_rows, in_cols = _support_masks(basis)
+    by_support: dict = {}  # support of X_k -> the indices k with that support
+    for k, b in enumerate(basis):
+        by_support.setdefault(_reference_support(b, n), []).append(k)
+    negated = [(-b).sparse for b in basis]
+    certified = True
+    table = [[_EMPTY_CELL] * dim for _ in range(dim)]
+    for i in range(dim):
+        row_mask, col_mask = in_rows[i], in_cols[i]
+        for j in range(i + 1, dim):
+            if not (col_mask & in_rows[j] or in_cols[j] & row_mask):
+                continue  # X_i X_j = X_j X_i = 0
+            bracket = reference_sparse_commutator(basis[i], basis[j])
+            if not bracket.sparse:
+                continue
+            fwd = _reference_one_term(bracket, by_support.get(_reference_support(bracket, n), ()),
+                                      basis, negated)
+            if fwd is None:
+                fwd = span.sparse_decompose(bracket.flat())
+                if fwd is None:
+                    raise ClosureError(i, j)
+                if certified and combination(((c, basis[k]) for k, c in fwd.items()),
+                                             n, n) != bracket:
+                    certified = False
+            table[i][j] = FrozenDict(fwd)
+            table[j][i] = FrozenDict({k: -c for k, c in fwd.items()})
+    for i in range(dim):  # row by row, so that only one row is held twice
+        table[i] = tuple(table[i])
+    table = tuple(table)
+    algebra = MatrixLieAlgebra(n, basis, name, StructureConstants(dim, table), span)
+    if certified:
+        algebra._derived["realization_certified"] = (table, basis)
+    return algebra
+
+
+def _reference_support(m: Mat, n: int) -> frozenset:
+    """The flat positions r * n + c of the nonzero entries of m."""
+    return frozenset(r * n + c for r, row in m.sparse.items() for c in row)
+
+
+def _reference_one_term(bracket: Mat, candidates, basis: Sequence[Mat],
+                        negated: list) -> Optional[dict]:
+    """{k: c} when bracket = c X_k, checked entry by entry, for the first
+    such k among `candidates` (indices whose X_k has the bracket's support),
+    else None.  negated[k] holds the entries of -X_k, so the common c = 1
+    and c = -1 are one dict comparison each."""
+    entries = bracket.sparse
+    for k in candidates:
+        x = basis[k].sparse
+        if entries == x:
+            return {k: 1}
+        if entries == negated[k]:
+            return {k: -1}
+        r = next(iter(x))
+        col, w = next(iter(x[r].items()))
+        v = entries[r][col]
+        if v.__class__ is int and w.__class__ is int and not v % w:
+            c = v // w
+        else:
+            c = _exact(Fraction(v) / w)
+        if all(entries[s][t] == c * u for s, row in x.items() for t, u in row.items()):
+            return {k: c}
+    return None
+
+
 def stored_form_holds(m: Mat) -> bool:
     """The sparse Mat invariant: no zero entries, no empty rows, integral
     values as int, every position inside the shape."""
@@ -1734,7 +1842,7 @@ def reference_coordinates(algebra, m: Mat) -> Optional[list]:
     `SpanSolver.decompose`."""
     if m.shape != (algebra.ambient_size, algebra.ambient_size):
         raise InputError("ambient size mismatch")
-    return algebra._span.decompose(m.flat())
+    return _ambient_span(algebra).decompose(m.flat())
 
 
 # the dense congruence that the sparse one replaced

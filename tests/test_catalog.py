@@ -83,7 +83,7 @@ def test_verify_graded_reports_a_hand_broken_grading_in_order():
     put(z[1], p[1], z[3])  # grade +1 with a 0 component
     alg = g.algebra
     broken = MatrixLieAlgebra(alg.ambient_size, alg.basis, "broken",
-                              StructureConstants(alg.dim, table), alg._span)
+                              StructureConstants(alg.dim, table))
     assert verify_graded(dataclasses.replace(g, algebra=broken)) == [
         "Jacobi identity fails at triples [(0, 1, 3), (0, 1, 4), (0, 1, 5)]",
         "bracket of grades -1,-1 at (0,1) is nonzero",

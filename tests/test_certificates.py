@@ -35,11 +35,11 @@ def _refuse(*args, **kwargs):
 
 def _with_table(alg, table) -> MatrixLieAlgebra:
     return MatrixLieAlgebra(alg.ambient_size, alg.basis, alg.name + "*",
-                            StructureConstants(alg.dim, table), alg._span)
+                            StructureConstants(alg.dim, table))
 
 
 def _with_basis(alg, basis) -> MatrixLieAlgebra:
-    return MatrixLieAlgebra(alg.ambient_size, basis, alg.name + "*", alg.constants, alg._span)
+    return MatrixLieAlgebra(alg.ambient_size, basis, alg.name + "*", alg.constants)
 
 
 def _corruptions(alg, antisymmetric=True):
@@ -245,6 +245,16 @@ def test_changed_or_repeated_basis_matrices_leave_jacobi_to_the_full_scan(kind, 
     assert len(scans) == len(variants)
 
 
+def test_basis_matrices_of_another_size_are_not_certified(sl2_basis):
+    # the flat brackets are keyed by the ambient size, so the full check
+    # needs every basis matrix ambient_size square
+    sl2 = make_algebra(sl2_basis, "sl2")
+    assert MatrixLieAlgebra(2, sl2.basis, "sl2", sl2.constants).realization_certified()
+    assert not MatrixLieAlgebra(3, sl2.basis, "sl2", sl2.constants).realization_certified()
+    mixed = sl2.basis[:2] + (Mat.unit(3, 3, 1, 0),)
+    assert not MatrixLieAlgebra(2, mixed, "mixed", sl2.constants).realization_certified()
+
+
 @pytest.mark.parametrize("kind", sorted(VERIFY))
 def test_independence_is_needed_beside_the_pair_check(kind):
     # three copies of one diagonal matrix commute, and a table whose
@@ -256,7 +266,7 @@ def test_independence_is_needed_beside_the_pair_check(kind):
     for j in (1, 2):
         table[0][j], table[j][0] = {0: F(1), j: F(-1)}, {0: F(-1), j: F(1)}
     sc = StructureConstants(3, table)
-    assert _homomorphism_witness(sc, [d, d, d], 3) is None
+    assert _homomorphism_witness(sc, [d, d, d]) is None
     alg = MatrixLieAlgebra(3, [d, d, d], "repeated", sc, None)
     assert not alg.realization_certified()
     if kind == "graded":
@@ -349,9 +359,9 @@ def _witness_calls(monkeypatch) -> list:
     calls = []
     witness = lie._homomorphism_witness
 
-    def spy(constants, action, n):
+    def spy(constants, action):
         calls.append(len(action))
-        return witness(constants, action, n)
+        return witness(constants, action)
 
     monkeypatch.setattr(lie, "_homomorphism_witness", spy)
     return calls
@@ -361,7 +371,7 @@ def test_cached_builds_are_certified_without_a_commutator(monkeypatch):
     algebras = [build_graded(f, p).algebra for f, p in catalog.default_graded_grid()]
     algebras.append(build_graded("projective", {"n": 15}).algebra)
     algebras += [build_pair(f, q).k_algebra for f, q in catalog.default_pair_grid()]
-    monkeypatch.setattr(lie, "commutator", _refuse)
+    monkeypatch.setattr(lie, "_flat_bracket", _refuse)
     monkeypatch.setattr(lie, "_homomorphism_witness", _refuse)
     for alg in algebras:
         assert alg.realization_certified(), alg.name
@@ -396,11 +406,11 @@ def test_a_failed_build_check_records_no_certificate(kind, monkeypatch):
     basis[a] = basis[a] + basis[b]
     formed = []
 
-    def disagree(terms, rows, cols):
-        formed.append(rows)
-        return Mat.zero(rows, cols)
+    def disagree(terms):  # each re-formed sum_k c_ij^k X_k reads as zero
+        formed.append(list(terms))
+        return {}
 
-    monkeypatch.setattr(lie, "combination", disagree)
+    monkeypatch.setattr(lie, "_combine", disagree)
     alg = make_algebra(basis, "rebased")
     monkeypatch.undo()
     assert formed

@@ -77,7 +77,7 @@ def test_the_rebased_pair_is_the_catalog_pair_in_another_basis():
     pair = rebased(build_pair("so_block", {"a": 2, "b": 1, "c": 1, "d": 1}), 1)
     assert pair.algebra.realization_certified()  # independent, and realizes its table
     rep = pair.isotropy
-    assert _homomorphism_witness(rep.algebra.constants, rep.action, rep.carrier_dim) is None
+    assert _homomorphism_witness(rep.algebra.constants, rep.action) is None
     assert rep.algebra.realization_certified()
     nh = pair.dim_h
     for a, row in enumerate(pair.algebra.constants.table):

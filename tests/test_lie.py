@@ -49,6 +49,27 @@ def test_assigning_a_table_or_basis_drops_the_derived_data(sl2_basis):
     assert alg._derived == {} and not alg.realization_certified()
 
 
+def test_coordinates_follow_an_assigned_basis():
+    # the span that coordinate_matrix decomposes in is derived data, so it
+    # goes with the basis it was built from
+    alg = make_algebra(build_graded("projective", {"n": 1}).algebra.basis)
+    x0 = alg.basis[0]
+    assert alg.coordinate_matrix([x0]).col(0) == [1, 0, 0]
+    alg.basis = tuple(b.scale(2) for b in alg.basis)
+    coords = alg.coordinate_matrix([x0])
+    assert coords.col(0) == [F(1, 2), 0, 0]
+    assert alg.element(coords.col(0)) == x0
+
+
+def test_subalgebras_build_their_span_on_first_use():
+    alg = make_algebra(build_graded("projective", {"n": 2}).algebra.basis)
+    assert "_ambient_span" in alg._derived  # the build's own span
+    sub = lie.subalgebra(alg, [{0: 1}, {0: 1, 1: 1}], "b")
+    assert "_ambient_span" not in sub._derived
+    assert sub.coordinate_matrix(sub.basis) == Mat.identity(2)
+    assert "_ambient_span" in sub._derived
+
+
 def test_make_algebra_single_nilpotent(sl2_basis):
     e, _, _ = sl2_basis
     alg = make_algebra([e], "line")

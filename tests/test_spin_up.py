@@ -92,11 +92,11 @@ def test_a_failed_check_lets_elimination_go_on(monkeypatch):
     # diag(3): each unit vector is a root of its own, and the first relation
     # that adds no pivot leaves T e_1 and T e_2 free, so the kernel so far
     # holds matrices that do not commute with the action
-    checks = _recording(monkeypatch, "commutator")
+    checks = _recording(monkeypatch, "_flat_bracket")
     rep = dict(CASES)["diag(3)"]
     assert commutant_basis(rep) == reference_commutant_basis(rep) == [
         Mat.unit(3, 3, i, i) for i in range(3)]
-    assert any(out.sparse for _, out in checks)
+    assert any(out for _, out in checks)
 
 
 def test_an_early_stop_is_checked_and_kept(monkeypatch):
@@ -104,13 +104,13 @@ def test_an_early_stop_is_checked_and_kept(monkeypatch):
     # commutes with every generator, and the rows after it are not built
     pair = build_pair("sp1_block", {"p": 1, "q": 1})
     rep = pair.k_algebra.adjoint_representation()
-    checks = _recording(monkeypatch, "commutator")
+    checks = _recording(monkeypatch, "_flat_bracket")
     spins = _recording(monkeypatch, "_spin_up")
     rows = _recording(monkeypatch, "_add_rows")
     assert commutant_basis(rep) == reference_commutant_basis(rep) == [Mat.identity(21)]
     (_, (_, _, words)), = spins
     gens = len(lie.generating_indices(pair.k_algebra))
     relations = 21 * gens - (len(words) - 1)
-    assert checks and not any(out.sparse for _, out in checks)
+    assert checks and not any(out for _, out in checks)
     assert len(checks) == gens  # one kernel vector, checked against each generator
     assert len(rows) < relations  # each relation fed calls _add_rows at least once

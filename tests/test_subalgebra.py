@@ -38,7 +38,7 @@ def _uncertified(pair):
     """A copy of the pair whose algebra has the same table and basis but no
     recorded certificate."""
     alg = pair.k_algebra
-    bare = MatrixLieAlgebra(alg.ambient_size, alg.basis, alg.name, alg.constants, alg._span)
+    bare = MatrixLieAlgebra(alg.ambient_size, alg.basis, alg.name, alg.constants)
     return dataclasses.replace(pair, k_algebra=bare)
 
 
@@ -72,9 +72,9 @@ def test_derived_algebras_are_certified_without_a_commutator(monkeypatch):
         catalog.centroid(pair)  # its spin-up takes commutators; not under test here
 
     def refuse(*args):
-        raise AssertionError("an ambient commutator was taken")
+        raise AssertionError("an ambient bracket was taken")
 
-    monkeypatch.setattr(lie, "commutator", refuse)
+    monkeypatch.setattr(lie, "_flat_bracket", refuse)
     monkeypatch.setattr(lie, "_homomorphism_witness", refuse)
     for pair in copies:
         algebras = [isotropy_rep(pair).algebra]
@@ -88,9 +88,9 @@ def test_an_uncertified_parent_gets_the_homomorphism_check(monkeypatch):
     calls = []
     real = lie._homomorphism_witness
 
-    def counted(constants, action, n):
+    def counted(constants, action):
         calls.append(len(action))
-        return real(constants, action, n)
+        return real(constants, action)
 
     monkeypatch.setattr(lie, "_homomorphism_witness", counted)
     pair = build_pair("sp1_block", {"p": 1, "q": 1})
