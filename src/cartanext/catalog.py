@@ -8,6 +8,7 @@ displays it implements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -30,7 +31,7 @@ from .lie import (
     split_idempotents,
     subalgebra,
 )
-from .linalg import ONE, Mat, Signature, SpanSolver, _flat_bracket, symmetric_signature
+from .linalg import ONE, Mat, Signature, SpanSolver, _BracketIndex, symmetric_signature
 
 MAX_AMBIENT = 32
 MAX_DIM = 500
@@ -84,6 +85,11 @@ class GradedAlgebra:
     gm1_layout: tuple
     ambient_J: Optional[Mat] = None
 
+    def __post_init__(self):
+        # `grade_of` reads a grade off the position of an index
+        _check_index_sets(self.algebra.dim, (self.minus_one, self.zero, self.plus_one),
+                          "minus_one + zero + plus_one", in_order=True)
+
     @property
     def dim(self) -> int:
         return self.algebra.dim
@@ -101,6 +107,18 @@ class GradedAlgebra:
 
     def grade_indices(self, k: int) -> tuple:
         return {-1: self.minus_one, 0: self.zero, 1: self.plus_one}[k]
+
+
+def _check_index_sets(dim: int, sets: tuple, what: str, in_order: bool) -> None:
+    """InputError unless the index tuples `sets` together hold each int of
+    range(dim) exactly once, listed in increasing order when `in_order`.  A
+    `dataclasses.replace` copy comes through here too."""
+    listed = ([i for s in sets for i in s] if all(isinstance(s, (tuple, list)) for s in sets)
+              else [None])
+    if (any(type(i) is not int for i in listed)
+            or (listed if in_order else sorted(listed)) != list(range(dim))):
+        order = " in order" if in_order else ""
+        raise InputError(f"{what} must list each index of range({dim}) exactly once{order}")
 
 
 def _frozen(value):
@@ -153,9 +171,13 @@ def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
     minus_one = tuple(range(n0))
     zero = tuple(range(n0, n0 + n1))
     plus_one = tuple(range(n0 + n1, len(basis)))
+    # [dE, X] = dk X for d the common denominator of E's entries, so the
+    # brackets, all in one pass of the kernel, are taken in ints
+    d = math.lcm(*(v.denominator for row in e_mat.sparse.values() for v in row.values()))
+    ad_e = _BracketIndex(basis, e_mat.rows).brackets(e_mat.scale(d))
     for idx, b in enumerate(basis):
         k = -1 if idx < n0 else (0 if idx < n0 + n1 else 1)
-        if _flat_bracket(e_mat, b) != ({p: k * v for p, v in b.flat().items()} if k else {}):
+        if ad_e.get(idx, {}) != ({p: d * k * v for p, v in b.flat().items()} if k else {}):
             raise InternalCheckError(f"{name}: ad(E) is not {k} on basis element {idx}")
         if not _conjugates_to(flip, flip, b, 1 if k == 0 else -1):
             raise InternalCheckError(f"{name}: flip conjugation sign wrong on element {idx}")
@@ -590,6 +612,10 @@ class SymmetricPair(DerivedData):
     sigma_matrix: Mat  # coordinate action of the involution on the basis
     conjugator: Optional[Mat] = None  # ambient h with sigma = Ad(h), when available
     certificate_ideal: Optional[dict] = None
+
+    def __post_init__(self):
+        _check_index_sets(self.k_algebra.dim, (self.h_indices, self.m_indices),
+                          "h_indices + m_indices", in_order=False)
 
     @property
     def name(self) -> str:

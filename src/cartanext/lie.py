@@ -25,9 +25,10 @@ from .linalg import (
     MinimalPolynomial,
     SpanSolver,
     Vector,
+    _BracketIndex,
     _clean,
     _exact,
-    _flat_bracket,
+    _minimal_polynomial,
     _reduce,
     _solutions,
     _sparse,
@@ -37,7 +38,6 @@ from .linalg import (
     is_rational_square,
     kernel_of_sparse_rows,
     matrix_rank,
-    minimal_polynomial,
     reduced_span_basis,
     symmetric_signature,
 )
@@ -207,23 +207,39 @@ class StructureConstants:
         is in b; and [b, K] = 0.  So the largest ideal inside a is K, the
         solutions of [x, X_s] = 0 for the basis elements X_s of b.  For a
         symmetric pair (a = h, b = m), [m, m] inside h is not needed.
+
+        The dimension of K is dim a less the rank of these rows.  They enter
+        the echelon core one X_s at a time, and the answer is 0 as soon as
+        their rank reaches dim a: K lies in the solutions of any subset of
+        the rows, which are then 0 alone.  The block test reads every cell
+        of the rows of a first, so None does not depend on where that stop
+        falls.
         """
         dim, table = self.dim, self.table
         in_inner = [False] * dim
         for a in inner:
             in_inner[a] = True
         members = [a for a in range(dim) if in_inner[a]]
-        rows: dict = {}  # (s, k) -> {position of a in members: coefficient of X_k in [X_a, X_s]}
+        rows: dict = {}  # s -> {k: {position of a in members: coefficient of X_k in [X_a, X_s]}}
         for pos, a in enumerate(members):
             row_a = table[a]
-            for x in range(dim):
+            for x in itertools.compress(range(dim), row_a):  # the nonzero cells only
                 inside = in_inner[x]
                 for k, c in row_a[x].items():
                     if in_inner[k] != inside:
                         return None
                     if not inside:
-                        rows.setdefault((x, k), {})[pos] = c
-        return len(kernel_of_sparse_rows(list(rows.values()), len(members)))
+                        rows.setdefault(x, {}).setdefault(k, {})[pos] = c
+        pivots: dict = {}
+        for s in sorted(rows):
+            for row in rows[s].values():
+                v = _sparse(row)
+                _reduce(v, pivots)
+                if v:
+                    _store(v, pivots)
+            if len(pivots) == len(members):
+                return 0
+        return len(members) - len(pivots)
 
 
 class MatrixLieAlgebra(DerivedData):
@@ -321,9 +337,9 @@ class MatrixLieAlgebra(DerivedData):
         place afterwards, by the constructor or by `dataclasses.replace` of
         the owning object, fails the identity test, and assigning one drops
         the whole `_derived` dict; either way it gets the full check: one
-        span pass and one `linalg._flat_bracket` per pair whose supports
-        meet (see `_homomorphism_witness`), not a scan of index triples.  A
-        basis matrix that is not ambient_size square gives False.
+        span pass and one sweep of the bracket kernel over the basis (see
+        `_homomorphism_witness`), not a scan of index triples.  A basis
+        matrix that is not ambient_size square gives False.
         """
         n, basis = self.ambient_size, self.basis
         if self.constants.dim != len(basis):
@@ -359,13 +375,17 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
     closure, and certify that the basis realizes the table it builds.
 
     A fresh `SpanSolver` shows the flattened basis X_k (`Mat.flat`)
-    independent.  Each pair i < j then falls in one of three cases, and in
-    each [X_i, X_j] = sum_k c_ij^k X_k is established, which is
-    `realization_certified`'s check:
-    - the support masks show X_i X_j = X_j X_i = 0: the cell is empty;
-    - otherwise the bracket is taken as a flat vector (`_flat_bracket`).
-      When it has exactly the support of some X_k and equals c X_k (a dict
-      comparison with X_k or -X_k, else entry by entry), the cell is
+    independent.  The brackets come from one sweep of the bracket kernel
+    (`linalg._BracketIndex`): the basis is indexed once, X_i leaves the
+    index before it is bracketed, so X_i meets the X_j with j > i in one
+    pass over its entries, and the pairs are taken in increasing j, which
+    keeps `ClosureError` at the first failing pair.  Each pair i < j then
+    falls in one of three cases, and in each [X_i, X_j] = sum_k c_ij^k X_k
+    is established, which is `realization_certified`'s check:
+    - the kernel gives no bracket (the supports never meet, or the terms
+      cancel): the cell is empty;
+    - the bracket has exactly the support of some X_k and equals c X_k (a
+      dict comparison with X_k or -X_k, else entry by entry): the cell is
       {k: c}, and by independence these are its only coordinates;
     - any other bracket is decomposed by elimination (`ClosureError` when
       it lies outside the span), and the decomposition is tested by
@@ -388,21 +408,18 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
         if not span.insert(flat):
             raise DependentBasisError(idx)
     dim = len(basis)
-    in_rows, in_cols = _support_masks(basis)
     by_support: dict = {}  # support of X_k -> the indices k with that support
     for k, flat in enumerate(flats):
         by_support.setdefault(frozenset(flat), []).append(k)
     negated = [{p: -v for p, v in flat.items()} for flat in flats]
     certified = True
     table = [[_EMPTY_CELL] * dim for _ in range(dim)]
+    index = _BracketIndex(basis, n)
     for i in range(dim):
-        x_i, row_mask, col_mask = basis[i], in_rows[i], in_cols[i]
-        for j in range(i + 1, dim):
-            if not (col_mask & in_rows[j] or in_cols[j] & row_mask):
-                continue  # X_i X_j = X_j X_i = 0
-            bracket = _flat_bracket(x_i, basis[j])
-            if not bracket:
-                continue
+        index.drop_first()  # the index holds X_j for j > i
+        brackets = index.brackets(basis[i])
+        for j in sorted(brackets):
+            bracket = brackets[j]
             for k in by_support.get(frozenset(bracket), ()):
                 x = flats[k]
                 c = 1 if bracket == x else -1 if bracket == negated[k] else None
@@ -468,14 +485,6 @@ def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> Ma
     return sub
 
 
-def _support_masks(mats: Sequence[Mat]) -> tuple:
-    """Bit masks of the nonzero rows and of the nonzero columns of the
-    matrices.  AB = 0 when the column mask of A and the row mask of B are
-    disjoint."""
-    return ([sum(1 << r for r in m.sparse) for m in mats],
-            [sum(1 << c for c in {c for row in m.sparse.values() for c in row}) for m in mats])
-
-
 def _combine(terms) -> dict:
     """sum c x over the pairs (c, x) of sparse vectors, without zeros and
     with integral values as int."""
@@ -489,18 +498,19 @@ def _combine(terms) -> dict:
 def _homomorphism_witness(constants: StructureConstants, action: Sequence[Mat]):
     """First basis pair (i, j), i < j, with [A_i, A_j] != sum_k c_ij^k A_k
     for the square matrices `action`, all of one size, or None, both sides
-    compared as flat vectors.  A pair with c_ij empty is skipped when the
-    support masks show A_i A_j = A_j A_i = 0."""
-    in_rows, in_cols = _support_masks(action)
+    compared as flat vectors.  The brackets come from one sweep of
+    `_BracketIndex`, as in `make_algebra`; a pair whose bracket and cell are
+    both zero is not visited."""
     flats = [a.flat() for a in action]
-    for i in range(len(action)):
-        row_i, row_mask, col_mask = constants.table[i], in_rows[i], in_cols[i]
-        for j in range(i + 1, len(action)):
-            cij = row_i[j]
-            if not (cij or col_mask & in_rows[j] or in_cols[j] & row_mask):
-                continue
-            if _flat_bracket(action[i], action[j]) != _combine(
-                    (c, flats[k]) for k, c in cij.items()):
+    count = len(action)
+    index = _BracketIndex(action, action[0].rows if count else 0)
+    for i in range(count):
+        index.drop_first()
+        row_i = constants.table[i]
+        brackets = index.brackets(action[i])
+        cells = itertools.compress(range(i + 1, count), row_i[i + 1:])  # the nonzero c_ij
+        for j in sorted(brackets.keys() | set(cells)):
+            if brackets.get(j, _NONE) != _combine((c, flats[k]) for k, c in row_i[j].items()):
                 return (i, j)
     return None
 
@@ -761,6 +771,7 @@ def commutant_basis(rep: Representation) -> list:
     pivots: dict = {}
     tried = -1
     found = None
+    gens_index = _BracketIndex(gens, d)
     for count, (j, s) in enumerate(relations, 1):
         rows: dict = {}
         for k, c in span.sparse_decompose(_apply(cols[s], w[j])).items():
@@ -779,7 +790,7 @@ def commutant_basis(rep: Representation) -> list:
         for f in range(n):
             if f not in pivots:
                 found.append(image(_solutions(pivots, ({f: 1},), n)[0]))
-                if any(_flat_bracket(found[-1], a) for a in gens):
+                if gens_index.brackets(found[-1]):
                     found = None
                     break
         if found is not None:
@@ -870,8 +881,7 @@ def _classify_commutant(basis: tuple) -> CommutantClassification:
     sig = symmetric_signature(_trace_form(basis)).as_tuple()
     if dim == 2:
         label = {(2, 0, 0): "RxR", (1, 1, 0): "C"}.get(sig, "OTHER")
-    elif all(basis[i] @ basis[j] == basis[j] @ basis[i]
-             for i in range(4) for j in range(i + 1, 4)):
+    elif not any(map(_BracketIndex(basis, basis[0].rows).brackets, basis)):  # commutative
         label = "CxC" if sig == (2, 2, 0) and len(split_idempotents(basis)) == 2 else "OTHER"
     else:
         label = "H" if sig == (1, 3, 0) else "OTHER"
@@ -972,13 +982,15 @@ def split_idempotents(basis: list) -> Optional[list]:
     e P_f, tagged max(t, deg f), for the irreducible factors f of the
     minimal polynomial m of e x and the Bezout projectors P_f = (u m/f)(e x),
     u m/f = 1 mod f.  m is that of the multiplication by e x on A, which is
-    that of e x, A being unital.  Both are field degrees: e P_f x generates
-    a copy of Q[t]/(f), and e P_f embeds the field of degree t.  A field
-    inside eA has dimension at most dim eA, and the dim eA sum to n, so once
-    the tags sum to n every eA is a field and every e primitive.  The x_k
-    get there: x_k generates A when the n characters of A differ on it, and
-    two characters differ on x_k by a nonzero polynomial in k of degree < n,
-    so some k <= 1 + (n-1) n(n-1)/2 qualifies (Eberly & Giesbrecht, J.
+    that of e x, A being unital; it is squarefree, A being semisimple, so
+    it is factored without a squarefree decomposition.  Both tags are field
+    degrees: e P_f x generates a copy of Q[t]/(f), and e P_f embeds the
+    field of degree t.  A field inside eA has dimension at most dim eA, and
+    the dim eA sum to n, so once the tags sum to n every eA is a field and
+    every e primitive.  The x_k get there: x_k generates A when the n
+    characters of A differ on it, and two characters differ on x_k by a
+    nonzero polynomial in k of degree < n, so some k <= 1 + (n-1) n(n-1)/2
+    qualifies (Eberly & Giesbrecht, J.
     Symbolic Comput. 2000); then each e P_f A is spanned by the powers of
     e P_f x, of dimension at most deg f.  Each block is mapped back to a
     matrix by one combination of the basis, and the projectors are sorted
@@ -1019,7 +1031,8 @@ def split_idempotents(basis: list) -> Optional[list]:
                 refined.append((e, tag))  # e x = c e cuts e into itself
                 continue
             # row j holds y b_j: the transpose of multiplication by y, same minimal polynomial
-            mp = minimal_polynomial(Mat.from_sparse(n, n, {j: mul(y, {j: 1}) for j in range(n)}))
+            mp = _minimal_polynomial(Mat.from_sparse(n, n, {j: mul(y, {j: 1}) for j in range(n)}),
+                                     squarefree=True)
             powers = [one]  # y^0 .. y^(deg m - 1), when there is a cut
             for _ in range(mp.degree - 1 if len(mp.factors) > 1 else 0):
                 powers.append(mul(powers[-1], y))

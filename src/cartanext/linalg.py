@@ -8,9 +8,10 @@ form, so the nearly empty catalog basis matrices stay sparse from
 construction on.  Vectors passed between engine routines have the same
 form, {index: value} over the nonzero entries: `flat` and `from_flat`,
 `sparse_decompose` coordinates and the kernel vectors of
-`kernel_of_sparse_rows`; the engine's one bracket loop, `_flat_bracket`,
-gives AB - BA in that form, and `commutator` wraps it.  The dense views
-(`m[r, c]`, `row`, `col`, `to_rows`, `entries`), and the methods that take
+`kernel_of_sparse_rows`.  The engine's one bracket loop, `_BracketIndex`,
+gives the brackets AM_j - M_jA of a matrix A with a whole indexed list in
+that form, from one pass over A's entries, and `commutator` wraps it.  The
+dense views (`m[r, c]`, `row`, `col`, `to_rows`, `entries`), and the methods that take
 or return dense coordinate lists, give Fractions; they are for public
 results and callers outside the engine.  All row elimination runs through
 one sparse echelon core (`_reduce` against monic rows keyed by pivot column,
@@ -23,6 +24,7 @@ sparse rows.
 from __future__ import annotations
 
 import math
+from collections import defaultdict, deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -297,36 +299,82 @@ def combination(terms: Iterable[tuple], rows: int, cols: int) -> Mat:
     return Mat._of(rows, cols, _clean(acc))
 
 
-def _flat_bracket(a: Mat, b: Mat) -> dict:
-    """AB - BA for n x n matrices as the sparse vector {r * n + c: value}
-    that `flat` gives: zeros dropped, integral values as int.  One pass over
-    the products AB and BA into one dict, with no intermediate matrix; the
-    engine's brackets of matrices all come through here."""
-    n = a.cols
-    acc: dict = {}
-    get = acc.get
-    for left, right, sign in ((a.sparse, b.sparse, 1), (b.sparse, a.sparse, -1)):
-        for r, row in left.items():
+class _BracketIndex:
+    """The n x n matrices M_0, M_1, ... of a list, indexed once by the rows
+    and by the columns of their nonzero entries, to bracket a matrix A with
+    all of them in one pass over A's entries (Gustavson's row-wise sparse
+    product, ACM Trans. Math. Softw. 4, 1978).  An entry A[r][t] meets only
+    the entries of row t (for A M_j) and of column r (for M_j A), so a pair
+    whose supports never meet is never visited.  This is the engine's one
+    bracket loop.
+
+    An entry M_j[t][c] = y is kept in row t as (j n^2 + c, y), and an entry
+    M_j[r][t] = y in column t as (j n^2 + r n, y): adding the position that
+    A's entry gives makes the key j n^2 + (flat position).  The entries of
+    each row and column are kept in increasing j, so `drop_first` removes
+    the matrix of least index still held from the front of each."""
+
+    __slots__ = ("n", "by_row", "by_col", "first", "mats")
+
+    def __init__(self, mats: Sequence[Mat], n: int):
+        self.n, self.mats, self.first = n, mats, 0
+        self.by_row, self.by_col = by_row, by_col = defaultdict(deque), defaultdict(deque)
+        for j, m in enumerate(mats):
+            base = j * n * n
+            for r, row in m.sparse.items():
+                for c, y in row.items():
+                    by_row[r].append((base + c, y))
+                    by_col[c].append((base + r * n, y))
+
+    def drop_first(self) -> None:
+        """Stop holding the matrix of least index still held."""
+        by_row, by_col = self.by_row, self.by_col
+        for r, row in self.mats[self.first].sparse.items():
+            line = by_row[r]
+            for c in row:
+                line.popleft()
+                by_col[c].popleft()
+        self.first += 1
+
+    def brackets(self, a: Mat) -> dict:
+        """{j: AM_j - M_jA} over the matrices held, each bracket the sparse
+        vector {r * n + c: value} that `Mat.flat` gives (zeros dropped,
+        integral values as int) and each j present only when its bracket is
+        nonzero."""
+        n = self.n
+        by_row, by_col = self.by_row, self.by_col
+        acc: dict = {}
+        get = acc.get
+        for r, row in a.sparse.items():
             base = r * n
+            col = by_col.get(r)  # M_j[q][r] = y: (M_j A)[q][t] += y A[r][t]
             for t, x in row.items():
-                other = right.get(t)
-                if other:
-                    if sign < 0:
-                        x = -x
-                    for c, y in other.items():
-                        k = base + c
-                        acc[k] = get(k, 0) + x * y
-    for v in acc.values():  # nonzero ints throughout are stored form already
-        if not v or v.__class__ is not int:
-            return {k: v if v.__class__ is int else _exact(v) for k, v in acc.items() if v}
-    return acc
+                line = by_row.get(t)  # M_j[t][c] = y: (A M_j)[r][c] += A[r][t] y
+                if line:
+                    for key, y in line:
+                        key += base
+                        acc[key] = get(key, 0) + x * y
+                if col:
+                    for key, y in col:
+                        key += t
+                        acc[key] = get(key, 0) - y * x
+        nn = n * n
+        out: dict = {}
+        for key, v in acc.items():
+            if v:
+                j = key // nn
+                vec = out.get(j)
+                if vec is None:
+                    vec = out[j] = {}
+                vec[key - j * nn] = v if v.__class__ is int else _exact(v)
+        return out
 
 
 def commutator(a: Mat, b: Mat) -> Mat:
     """AB - BA for square matrices of one size."""
     if a.shape != b.shape or not a.is_square():
         raise InputError("commutator needs square matrices of one size")
-    return Mat.from_flat(a.rows, a.cols, _flat_bracket(a, b))
+    return Mat.from_flat(a.rows, a.cols, _BracketIndex((b,), a.rows).brackets(a).get(0, {}))
 
 
 def block_matrix(grid: Sequence[Sequence[Mat]]) -> Mat:
@@ -700,9 +748,18 @@ def minimal_polynomial(m: Mat) -> MinimalPolynomial:
 
     The powers I, M, M^2, ... are formed as sparse products, flattened and
     fed to a SpanSolver; the first dependent power yields the minimal
-    polynomial.  The result is factored into rational irreducibles by
-    `poly.factor_squarefree`, which is complete in every degree.
+    polynomial.  Its squarefree parts (Yun) are factored into rational
+    irreducibles by `poly.factor_squarefree`, which is complete in every
+    degree.
     """
+    return _minimal_polynomial(m, squarefree=False)
+
+
+def _minimal_polynomial(m: Mat, squarefree: bool) -> MinimalPolynomial:
+    """`minimal_polynomial(m)`.  With `squarefree`, the caller knows the
+    polynomial to be squarefree, as that of every element of a semisimple
+    commutative algebra is, and it is factored as its own squarefree part,
+    without Yun's decomposition."""
     from . import poly
 
     if not m.is_square():
@@ -723,7 +780,7 @@ def minimal_polynomial(m: Mat) -> MinimalPolynomial:
             break
         span.insert(flat)
     factors = []
-    for base, mult in poly.squarefree_decomposition(coeffs):
+    for base, mult in [(coeffs, 1)] if squarefree else poly.squarefree_decomposition(coeffs):
         for irr in poly.factor_squarefree(base):
             tag = None
             if len(irr) == 3:

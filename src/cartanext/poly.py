@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import ONE, ZERO
+from .linalg import ONE, ZERO, is_rational_square
 
 
 def trim(p: list) -> list:
@@ -145,12 +145,28 @@ def factor_squarefree(p: list) -> list:
     n = degree(p)
     if n <= 0:
         return []
-    den = math.lcm(*(c.denominator for c in p))
-    g = [int(c * den ** (n - i)) for i, c in enumerate(p)]
-    out = [[Fraction(c, den ** (len(h) - 1 - i)) for i, c in enumerate(h)]
-           for h in _zassenhaus(g)]
+    if n <= 2:
+        out = _factor_small([Fraction(c) for c in p])
+    else:
+        den = math.lcm(*(c.denominator for c in p))
+        g = [int(c * den ** (n - i)) for i, c in enumerate(p)]
+        out = [[Fraction(c, den ** (len(h) - 1 - i)) for i, c in enumerate(h)]
+               for h in _zassenhaus(g)]
     out.sort(key=lambda q: (len(q), [str(c) for c in q]))
     return out
+
+
+def _factor_small(p: list) -> list:
+    """The monic irreducible factors of a monic p of degree 1 or 2, in
+    closed form: t^2 + b t + c splits exactly when b^2 - 4 c is the square
+    of a rational s, into t + (b - s) / 2 and t + (b + s) / 2."""
+    if len(p) == 2:
+        return [p]
+    c, b = p[0], p[1]
+    s = is_rational_square(b * b - 4 * c)
+    if s is None:
+        return [p]
+    return [[(b - s) / 2, ONE], [(b + s) / 2, ONE]]
 
 
 def _zassenhaus(f: list) -> list:

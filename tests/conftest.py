@@ -18,12 +18,12 @@ from cartanext.extension import (WITNESS_CAP, AxiomCheck, Curvature, Extension,
                                  ValidationReport)
 from cartanext.lie import (_EMPTY_CELL, ComplexStructureResult, FrozenDict, MatrixLieAlgebra,
                            Representation, StructureConstants, _ambient_span, _canonical_sign,
-                           _support_masks, commutant, largest_invariant_subspace_dim,
+                           commutant, largest_invariant_subspace_dim,
                            split_idempotents)
 from cartanext.linalg import (ONE, ZERO, LinearSolution, Mat, MinimalPolynomial, PolyFactor,
                               Signature, SpanSolver, _clean, _exact, block_matrix, combination,
-                              commutator, frac, invert, is_rational_square, matrix_rank,
-                              solve_linear)
+                              commutator, frac, invert, is_rational_square,
+                              kernel_of_sparse_rows, matrix_rank, solve_linear)
 
 
 def rref_rank_oracle(rows):
@@ -1038,6 +1038,27 @@ def reference_verify_pair(pair: SymmetricPair) -> list:
 # jacobi_certified` as a function of the table) --------------------------------
 
 
+def reference_largest_ideal_dim(self: StructureConstants, inner: Sequence[int]) -> Optional[int]:
+    """`StructureConstants.largest_ideal_dim` before its early stop: every
+    row of every complement element, then one full kernel."""
+    dim, table = self.dim, self.table
+    in_inner = [False] * dim
+    for a in inner:
+        in_inner[a] = True
+    members = [a for a in range(dim) if in_inner[a]]
+    rows: dict = {}  # (s, k) -> {position of a in members: coefficient of X_k in [X_a, X_s]}
+    for pos, a in enumerate(members):
+        row_a = table[a]
+        for x in range(dim):
+            inside = in_inner[x]
+            for k, c in row_a[x].items():
+                if in_inner[k] != inside:
+                    return None
+                if not inside:
+                    rows.setdefault((x, k), {})[pos] = c
+    return len(kernel_of_sparse_rows(list(rows.values()), len(members)))
+
+
 def reference_jacobi_certified(self, generators: Sequence[int]) -> bool:
     """True when the Jacobi identity is certified from the basis indices
     `generators` (S); False means only that it was not certified: S
@@ -1492,9 +1513,10 @@ def reference_commutator(a: ReferenceMat, b: ReferenceMat) -> ReferenceMat:
     return a @ b - b @ a
 
 
-# -- the structure-constant build that `linalg._flat_bracket` replaced, kept
+# -- the structure-constant build that the flat bracket kernels replaced, kept
 # verbatim (only renamed): brackets as `Mat`s from the sparse commutator, one-term
-# cells found on the bracket's rows, others re-formed by `combination` ---------
+# cells found on the bracket's rows, others re-formed by `combination`, and pairs
+# skipped by the support bit masks of `_support_masks`, kept here with it -------
 
 
 def reference_sparse_commutator(a: Mat, b: Mat) -> Mat:
@@ -1565,6 +1587,14 @@ def reference_make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlg
     if certified:
         algebra._derived["realization_certified"] = (table, basis)
     return algebra
+
+
+def _support_masks(mats: Sequence[Mat]) -> tuple:
+    """Bit masks of the nonzero rows and of the nonzero columns of the
+    matrices.  AB = 0 when the column mask of A and the row mask of B are
+    disjoint."""
+    return ([sum(1 << r for r in m.sparse) for m in mats],
+            [sum(1 << c for c in {c for row in m.sparse.values() for c in row}) for m in mats])
 
 
 def _reference_support(m: Mat, n: int) -> frozenset:

@@ -517,6 +517,42 @@ def test_cached_index_sets_cannot_be_changed_by_callers():
         assert isinstance(seq, tuple)
 
 
+@pytest.mark.parametrize("change", [
+    {"h_indices": (0, 1, 2, 99)},  # made verify_pair and isotropy_rep raise IndexError
+    {"h_indices": (-1,), "m_indices": (0, 1, 2, 3, 4)},  # -1 wrapped to 5: verify_pair passed
+    {"h_indices": (0, 1), "m_indices": (3, 4, 5)},  # index 2 in neither
+    {"h_indices": (0, 1, 2, 3), "m_indices": (3, 4, 5)},  # index 3 in both
+    {"h_indices": (0, 1, True), "m_indices": (3, 4, 5)},
+    {"h_indices": 3},
+])
+def test_malformed_pair_index_sets_are_refused(change):
+    pair = build_pair("group_type", {"base": "sl(2,R)"})
+    with pytest.raises(InputError, match="must list each index of range"):
+        dataclasses.replace(pair, **change)
+
+
+@pytest.mark.parametrize("change", [
+    lambda g: {"zero": g.zero + (99,)},  # made verify_graded raise TypeError
+    lambda g: {"zero": g.zero[::-1]},  # grade_of reads grades off the positions
+    lambda g: {"minus_one": g.plus_one, "plus_one": g.minus_one},
+    lambda g: {"zero": g.zero[1:]},
+    lambda g: {"zero": g.zero[:-1] + (float(g.zero[-1]),)},  # equal to an int, but no index
+])
+def test_malformed_graded_index_sets_are_refused(change):
+    g = build_graded("projective", {"n": 2})
+    with pytest.raises(InputError, match="must list each index of range"):
+        dataclasses.replace(g, **change(g))
+
+
+def test_well_formed_index_sets_are_kept():
+    pair = build_pair("group_type", {"base": "sl(2,R)"})
+    swapped = dataclasses.replace(pair, h_indices=pair.m_indices, m_indices=pair.h_indices)
+    shuffled = dataclasses.replace(pair, h_indices=(2, 0, 1), m_indices=(5, 3, 4))
+    assert verify_pair(swapped) == verify_pair(shuffled) == verify_pair(pair) == []
+    g = build_graded("projective", {"n": 2})
+    assert dataclasses.replace(g) == g and verify_graded(dataclasses.replace(g)) == []
+
+
 def test_cached_basis_cannot_be_changed_by_callers():
     algebra = build_graded("projective", {"n": 3}).algebra
     with pytest.raises(AttributeError):

@@ -24,7 +24,8 @@ from cartanext.lie import (
     make_algebra,
 )
 from cartanext.linalg import Mat
-from conftest import reference_jacobi_certified, reference_verify_graded, reference_verify_pair
+from conftest import (reference_jacobi_certified, reference_largest_ideal_dim,
+                      reference_verify_graded, reference_verify_pair)
 
 F = Fraction
 
@@ -371,7 +372,7 @@ def test_cached_builds_are_certified_without_a_commutator(monkeypatch):
     algebras = [build_graded(f, p).algebra for f, p in catalog.default_graded_grid()]
     algebras.append(build_graded("projective", {"n": 15}).algebra)
     algebras += [build_pair(f, q).k_algebra for f, q in catalog.default_pair_grid()]
-    monkeypatch.setattr(lie, "_flat_bracket", _refuse)
+    monkeypatch.setattr(lie, "_BracketIndex", _refuse)
     monkeypatch.setattr(lie, "_homomorphism_witness", _refuse)
     for alg in algebras:
         assert alg.realization_certified(), alg.name
@@ -432,3 +433,42 @@ def test_the_semisimplicity_verdict_is_kept_on_its_algebra(sl2_basis, monkeypatc
     abelian = _with_table(alg, [[{} for _ in range(3)] for _ in range(3)])
     assert not lie.is_semisimple(abelian) and ranks == [3, 3]
     assert lie.is_semisimple(alg) and not lie.is_semisimple(abelian) and ranks == [3, 3]
+
+
+def _inner_blocks() -> list:
+    """(name, table, inner block) of every default graded target and pair."""
+    out = [(f"{f}{p}", build_graded(f, p).algebra.constants, build_graded(f, p).zero)
+           for f, p in catalog.default_graded_grid()]
+    out += [(f"{f}{q}", build_pair(f, q).k_algebra.constants, build_pair(f, q).h_indices)
+            for f, q in catalog.default_pair_grid()]
+    return out
+
+
+def test_ideal_kernel_matches_the_full_elimination(monkeypatch):
+    reduced = []
+    real = lie._reduce
+    monkeypatch.setattr(lie, "_reduce", lambda v, pivots: reduced.append(1) or real(v, pivots))
+    stopped = 0
+    for name, sc, inner in _inner_blocks():
+        del reduced[:]
+        assert sc.largest_ideal_dim(inner) == reference_largest_ideal_dim(sc, inner) == 0, name
+        rows = {(x, k) for a in inner for x in range(sc.dim) if x not in inner
+                for k in sc.table[a][x]}
+        assert len(reduced) <= len(rows), name
+        stopped += len(reduced) < len(rows)  # the rank reached dim a before the last row
+        # a repeated index adds nothing, and h and m exchanged breaks the blocks
+        twice = tuple(inner) + tuple(inner[:2])
+        assert sc.largest_ideal_dim(twice) == reference_largest_ideal_dim(sc, twice) == 0, name
+        outer = [i for i in range(sc.dim) if i not in inner]
+        assert sc.largest_ideal_dim(outer) == reference_largest_ideal_dim(sc, outer), name
+    assert stopped
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY))
+def test_a_nonzero_ideal_kernel_takes_every_row(kind):
+    # the added centre spans an ideal, so the rank never reaches dim a
+    _, alg, inner, _, centre = _centred(kind)
+    sc = alg.constants
+    assert sc.largest_ideal_dim(inner) == reference_largest_ideal_dim(sc, inner) == 1
+    twice = tuple(inner) + (centre, centre)
+    assert sc.largest_ideal_dim(twice) == reference_largest_ideal_dim(sc, twice) == 1

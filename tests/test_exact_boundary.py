@@ -84,13 +84,14 @@ def test_pair_outputs_are_fractions(family, params, monkeypatch):
 def test_commutants_and_minimal_polynomials_match_references(family, params, monkeypatch):
     pair = build_pair(family, params)
     drawn = []
-    real = lie.minimal_polynomial
+    real = lie._minimal_polynomial
 
-    def recorded(m):
+    def recorded(m, squarefree):
+        assert squarefree  # split_idempotents factors without Yun's decomposition
         drawn.append(m)
-        return real(m)
+        return real(m, squarefree)
 
-    monkeypatch.setattr(lie, "minimal_polynomial", recorded)
+    monkeypatch.setattr(lie, "_minimal_polynomial", recorded)
     iso = isotropy_rep(pair)
     # the isotropy commutant, and the centroid as factor_decomposition splits it
     for rep in (iso, pair.k_algebra.adjoint_representation()):
@@ -103,7 +104,7 @@ def test_commutants_and_minimal_polynomials_match_references(family, params, mon
     assert drawn
     for m in drawn:
         mp = minimal_polynomial(m)
-        assert mp == reference_minimal_polynomial(m)
+        assert mp == real(m, squarefree=True) == reference_minimal_polynomial(m)
         assert _fractions(mp.coeffs)
         assert all(_fractions(f.coeffs) for f in mp.factors)
 

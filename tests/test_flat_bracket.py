@@ -1,8 +1,9 @@
-"""The flat bracket kernel and the structure-constant build on top of it.
+"""The batched bracket kernel and the structure-constant build on top of it.
 
-`linalg._flat_bracket` gives AB - BA as the flat sparse vector of
-`Mat.flat`, and `make_algebra` builds and certifies its table from those
-vectors.  The build it replaced, on `Mat` commutators, is kept in
+`linalg._BracketIndex` indexes a list of matrices M_j by the rows and the
+columns of their entries and gives every AM_j - M_jA as the flat sparse
+vector of `Mat.flat`, and `make_algebra` builds and certifies its table from
+one sweep of it.  The build it replaced, on `Mat` commutators, is kept in
 conftest.py as `reference_make_algebra`; every table, cell value type,
 certificate record and error index must equal its own, over the default
 families, projective n = 21 and a seeded sweep of small bases.
@@ -16,9 +17,9 @@ import pytest
 from cartanext import bases, catalog
 from cartanext.catalog import build_graded, build_pair
 from cartanext.errors import ClosureError, DependentBasisError
-from cartanext.lie import _EMPTY_CELL, _support_masks, make_algebra
-from cartanext.linalg import Mat, _flat_bracket, combination, commutator, invert, matrix_rank
-from conftest import reference_make_algebra, reference_sparse_commutator
+from cartanext.lie import _EMPTY_CELL, make_algebra
+from cartanext.linalg import Mat, _BracketIndex, combination, commutator, invert, matrix_rank
+from conftest import _support_masks, reference_make_algebra, reference_sparse_commutator
 
 F = Fraction
 ENTRIES = (0, 0, 0, 1, -1, 2, F(1, 2), F(-3, 4))
@@ -33,18 +34,55 @@ def _random_mat(rng: random.Random, n: int) -> Mat:
     return Mat(n, n, [rng.choice(ENTRIES) for _ in range(n * n)])
 
 
-def test_kernel_matches_the_commutator():
+def _seeded_pairs() -> list:
+    """The 400 seeded pairs (a, b): b random, a itself, a polynomial in a or
+    the identity, so that many brackets cancel."""
     rng = random.Random(0)
-    cancelled = 0
+    pairs = []
     for _ in range(400):
         n = rng.randint(1, 6)
         a = _random_mat(rng, n)
-        b = rng.choice([_random_mat(rng, n), a, a @ a + a.scale(F(1, 3)), Mat.identity(n)])
-        got = _flat_bracket(a, b)
-        assert got == commutator(a, b).flat() == reference_sparse_commutator(a, b).flat()
-        assert _stored(got)
+        pairs.append((a, rng.choice([_random_mat(rng, n), a, a @ a + a.scale(F(1, 3)),
+                                     Mat.identity(n)])))
+    return pairs
+
+
+def _reference_brackets(a: Mat, mats) -> dict:
+    return {j: v for j, m in enumerate(mats) if (v := reference_sparse_commutator(a, m).flat())}
+
+
+def test_kernel_matches_the_commutator():
+    pairs = _seeded_pairs()
+    cancelled = 0
+    for a, b in pairs:
+        got = _BracketIndex([b], a.rows).brackets(a)
+        assert got == _reference_brackets(a, [b])
+        assert commutator(a, b) == reference_sparse_commutator(a, b)
+        assert all(_stored(v) for v in got.values())
         cancelled += not got and not (a @ b).is_zero()
     assert cancelled  # brackets whose products cancel to zero were met
+    # one index of every b of a size brackets the first a's of that size with all of them
+    for n in range(1, 7):
+        mats = [b for a, b in pairs if a.rows == n]
+        index = _BracketIndex(mats, n)
+        for a in [a for a, _ in pairs if a.rows == n][:5]:
+            got = index.brackets(a)
+            assert got == _reference_brackets(a, mats)
+            assert all(_stored(v) for v in got.values())
+
+
+def test_dropping_the_first_matrix_keeps_the_rest():
+    pairs = _seeded_pairs()
+    for n in range(1, 7):
+        mats = [b for a, b in pairs if a.rows == n][:12]
+        a = next(a for a, _ in pairs if a.rows == n)
+        index = _BracketIndex(mats, n)
+        for first in range(len(mats)):
+            want = {j: v for j, v in _reference_brackets(a, mats).items() if j >= first}
+            assert index.brackets(a) == want
+            index.drop_first()
+        assert index.brackets(a) == {}
+        assert not any(index.by_row.values()) and not any(index.by_col.values())
 
 
 def test_commutator_keeps_its_shape_check_and_stored_form():
@@ -161,7 +199,7 @@ def test_seeded_sweep_matches_the_reference_build():
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 meet = in_cols[i] & in_rows[j] or in_cols[j] & in_rows[i]
-                cancelled += bool(meet) and not _flat_bracket(basis[i], basis[j])
+                cancelled += bool(meet) and commutator(basis[i], basis[j]).is_zero()
                 several += len(alg.constants.table[i][j]) > 1
     assert {"built", "closure", "dependent"} <= set(outcomes)
     assert fractions and cancelled and several

@@ -1,5 +1,6 @@
 """Polynomial arithmetic and factorization over Q."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -113,3 +114,44 @@ def test_divmod_exact_roundtrip():
     b = _p(-1, 1)
     q, r = poly.divmod_exact(a, b)
     assert poly.add(poly.mul(q, b), r) == poly.trim(a)
+
+
+def _factor_types(factors):
+    return [[type(c) for c in f] for f in factors]
+
+
+def test_quadratics_and_linears_are_factored_in_closed_form(monkeypatch):
+    # irrational roots (t^2 - 2, t^2 + t + 1), rational ones (t^2 - 1,
+    # t^2 - 5t + 6) and fractional ones ((t - 1/2)(t + 2/3), (t - 3/4)(t - 5/7));
+    # degrees 1 and 2 never reach the Zassenhaus factorer
+    quadratics = [_p(-2, 0, 1), _p(1, 1, 1), _p(-1, 0, 1), _p(6, -5, 1),
+                  poly.mul(_p(F(-1, 2), 1), _p(F(2, 3), 1)),
+                  poly.mul(_p(F(-3, 4), 1), _p(F(-5, 7), 1)), _p(F(1, 9), F(2, 3), 2),
+                  _p(F(-7, 3), 1), _p(0, 1)]
+    want = {tuple(p): reference_factor_squarefree(p) for p in quadratics}
+
+    def refuse(f):
+        raise AssertionError("a polynomial of degree <= 2 reached _zassenhaus")
+
+    monkeypatch.setattr(poly, "_zassenhaus", refuse)
+    split = 0
+    for p in quadratics:
+        got = poly.factor_squarefree(p)
+        assert got == want[tuple(p)], p
+        assert _factor_types(got) == _factor_types(want[tuple(p)])
+        split += len(got) == 2
+    assert split == 4
+
+
+def test_closed_form_agrees_with_zassenhaus_on_seeded_quadratics():
+    rng = random.Random(1)
+    for _ in range(200):
+        b, c = (F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(2))
+        p = [c, b, F(1)]
+        if poly.degree(poly.gcd(p, poly.derivative(p))) != 0:
+            continue
+        den = math.lcm(*(x.denominator for x in p))
+        g = [int(x * den ** (2 - i)) for i, x in enumerate(p)]
+        lifted = sorted(([F(x, den ** (len(h) - 1 - i)) for i, x in enumerate(h)]
+                         for h in poly._zassenhaus(g)), key=lambda q: (len(q), [str(x) for x in q]))
+        assert poly.factor_squarefree(p) == lifted == reference_factor_squarefree(p), p

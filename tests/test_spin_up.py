@@ -74,6 +74,24 @@ def _recording(monkeypatch, name):
     return calls
 
 
+def _recording_brackets(monkeypatch):
+    """Replace lie._BracketIndex by a subclass that keeps, for each
+    `brackets` call, the number of matrices held, the argument and the
+    result."""
+    calls = []
+
+    class Recording(lie._BracketIndex):
+        __slots__ = ()
+
+        def brackets(self, a):
+            out = super().brackets(a)
+            calls.append((len(self.mats) - self.first, a, out))
+            return out
+
+    monkeypatch.setattr(lie, "_BracketIndex", Recording)
+    return calls
+
+
 def test_two_roots_give_two_blocks_of_unknowns(monkeypatch):
     # V + V of sl(2): the spin-up of e_0 stays in the first copy, so e_2 is a
     # second root, and T is fixed by T e_0 and T e_2: the commutant is M_2(R)
@@ -92,11 +110,11 @@ def test_a_failed_check_lets_elimination_go_on(monkeypatch):
     # diag(3): each unit vector is a root of its own, and the first relation
     # that adds no pivot leaves T e_1 and T e_2 free, so the kernel so far
     # holds matrices that do not commute with the action
-    checks = _recording(monkeypatch, "_flat_bracket")
+    checks = _recording_brackets(monkeypatch)
     rep = dict(CASES)["diag(3)"]
     assert commutant_basis(rep) == reference_commutant_basis(rep) == [
         Mat.unit(3, 3, i, i) for i in range(3)]
-    assert any(out for _, out in checks)
+    assert any(out for _, _, out in checks)
 
 
 def test_an_early_stop_is_checked_and_kept(monkeypatch):
@@ -104,13 +122,14 @@ def test_an_early_stop_is_checked_and_kept(monkeypatch):
     # commutes with every generator, and the rows after it are not built
     pair = build_pair("sp1_block", {"p": 1, "q": 1})
     rep = pair.k_algebra.adjoint_representation()
-    checks = _recording(monkeypatch, "_flat_bracket")
+    checks = _recording_brackets(monkeypatch)
     spins = _recording(monkeypatch, "_spin_up")
     rows = _recording(monkeypatch, "_add_rows")
     assert commutant_basis(rep) == reference_commutant_basis(rep) == [Mat.identity(21)]
     (_, (_, _, words)), = spins
     gens = len(lie.generating_indices(pair.k_algebra))
     relations = 21 * gens - (len(words) - 1)
-    assert checks and not any(out for _, out in checks)
-    assert len(checks) == gens  # one kernel vector, checked against each generator
+    assert checks and not any(out for _, _, out in checks)
+    # one kernel vector, checked in one call against an index of every generator
+    assert [(held, a) for held, a, _ in checks] == [(gens, Mat.identity(21))]
     assert len(rows) < relations  # each relation fed calls _add_rows at least once

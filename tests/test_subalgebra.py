@@ -74,7 +74,7 @@ def test_derived_algebras_are_certified_without_a_commutator(monkeypatch):
     def refuse(*args):
         raise AssertionError("an ambient bracket was taken")
 
-    monkeypatch.setattr(lie, "_flat_bracket", refuse)
+    monkeypatch.setattr(lie, "_BracketIndex", refuse)
     monkeypatch.setattr(lie, "_homomorphism_witness", refuse)
     for pair in copies:
         algebras = [isotropy_rep(pair).algebra]
