@@ -8,7 +8,6 @@ displays it implements.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -31,7 +30,7 @@ from .lie import (
     split_idempotents,
     subalgebra,
 )
-from .linalg import ONE, Mat, Signature, SpanSolver, _BracketIndex, symmetric_signature
+from .linalg import ONE, Mat, Signature, SpanSolver, symmetric_signature
 
 MAX_AMBIENT = 32
 MAX_DIM = 500
@@ -162,6 +161,13 @@ def _conjugates_to(left: Mat, right: Mat, b: Mat, sign: int) -> bool:
     return left @ b @ right == (b if sign == 1 else -b)
 
 
+def _diagonal(name: str, what: str, m: Mat) -> list:
+    """The diagonal of m, which must be diagonal."""
+    if any(row.keys() != {r} for r, row in m.sparse.items()):
+        raise InternalCheckError(f"{name}: {what} element is not diagonal")
+    return [m.sparse[i][i] if i in m.sparse else 0 for i in range(m.rows)]
+
+
 def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
                      gm1_layout, ambient_j=None) -> GradedAlgebra:
     basis = list(gm1) + list(g0) + list(gp1)
@@ -171,22 +177,23 @@ def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
     minus_one = tuple(range(n0))
     zero = tuple(range(n0, n0 + n1))
     plus_one = tuple(range(n0 + n1, len(basis)))
-    # [dE, X] = dk X for d the common denominator of E's entries, so the
-    # brackets, all in one pass of the kernel, are taken in ints
-    d = math.lcm(*(v.denominator for row in e_mat.sparse.values() for v in row.values()))
-    ad_e = _BracketIndex(basis, e_mat.rows).brackets(e_mat.scale(d))
+    # for diagonal E and flip, [E, X] = kX and flip X flip = +-X hold entry
+    # by entry: e_r - e_c = k and f_r f_c = +-1 at each nonzero X[r][c]
+    e, f = _diagonal(name, "grading", e_mat), _diagonal(name, "flip", flip)
     for idx, b in enumerate(basis):
         k = -1 if idx < n0 else (0 if idx < n0 + n1 else 1)
-        if ad_e.get(idx, {}) != ({p: d * k * v for p, v in b.flat().items()} if k else {}):
+        entries = [(r, c) for r, row in b.sparse.items() for c in row]
+        if any(e[r] - e[c] != k for r, c in entries):
             raise InternalCheckError(f"{name}: ad(E) is not {k} on basis element {idx}")
-        if not _conjugates_to(flip, flip, b, 1 if k == 0 else -1):
+        sign = 1 if k == 0 else -1
+        if any(f[r] * f[c] != sign for r, c in entries):
             raise InternalCheckError(f"{name}: flip conjugation sign wrong on element {idx}")
     coords = algebra.coordinate_matrix([e_mat])
     if coords is None:
         raise InternalCheckError(f"{name}: grading element not in the span")
     if any(i in coords.sparse for i in minus_one + plus_one):
         raise InternalCheckError(f"{name}: grading element has nonzero off-grade part")
-    if flip @ flip != Mat.identity(flip.rows):
+    if any(x * x != 1 for x in f):
         raise InternalCheckError(f"{name}: flip element does not square to the identity")
     return GradedAlgebra(
         algebra, family, _frozen(params), tuple(coords.col(0)), minus_one, zero, plus_one,

@@ -3,11 +3,21 @@
 Rationals serialize as "p/q" strings ("p" when the denominator is one);
 objects serialize with sorted keys and fixed separators so that
 build -> dump -> parse -> dump round-trips byte-identically.
+
+A rational is read by one strict grammar: a JSON integer, or a string of
+at most 4,300 characters of the form `[+-]?D+`, `[+-]?D+/D+` (a nonzero
+denominator) or `[+-]?D+.D+`, with D an ASCII digit.  Each form is
+converted with `int()`, so reading it costs time linear in its length.
+Anything else is an `InputError` naming the string: exponents, whitespace,
+underscores, a signed denominator, non-ASCII digits, ".5" and "5.".
+4,300 is CPython's default digit limit for `int()`, applied here on every
+Python version.  A matrix is read and written by its nonzero entries.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .catalog import (
@@ -27,28 +37,53 @@ def rational_str(x: Fraction) -> str:
     return str(x)
 
 
+_MAX_SCALAR_CHARS = 4300
+# sign and digits; then "/" and digits of which one is nonzero, or "." and digits
+_SCALAR = re.compile(r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*)|\.([0-9]+))?")
+
+
+def _scalar(s):
+    """The rational that `s` spells in the module's grammar, an int for the
+    integer forms and a Fraction for the others; InputError naming `s` for
+    anything else."""
+    if isinstance(s, int):  # a JSON integer
+        return int(s)
+    match = (_SCALAR.fullmatch(s) if isinstance(s, str) and len(s) <= _MAX_SCALAR_CHARS
+             else None)
+    if match is None:
+        raise InputError(f"cannot parse rational from {s!r}")
+    num, den, decimals = match.groups()
+    if den:
+        return Fraction(int(num), int(den))
+    if decimals:
+        return Fraction(int(num + decimals), 10 ** len(decimals))
+    return int(num)
+
+
 def parse_rational(s) -> Fraction:
-    if isinstance(s, (str, int)):
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise InputError(f"cannot parse rational from {s!r}")
+    return Fraction(_scalar(s))
 
 
 def mat_to_json(m: Mat) -> list:
     """Rows of "p/q" strings, "0" for every entry absent from the sparse form."""
-    out = []
-    for i in range(m.rows):
-        row = m.sparse.get(i, {})
-        out.append([rational_str(row[j]) if j in row else "0" for j in range(m.cols)])
+    out = [["0"] * m.cols for _ in range(m.rows)]
+    for r, row in m.sparse.items():
+        line = out[r]
+        for c, v in row.items():
+            line[c] = rational_str(v)
     return out
 
 
 def mat_from_json(rows: list) -> Mat:
+    """The matrix of a list of rows of scalars; "0" entries are skipped."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise InputError(f"a matrix must be a list of rows, got {rows!r}")
-    return Mat.from_rows([[parse_rational(x) for x in row] for row in rows])
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise InputError("ragged rows")
+    return Mat.from_sparse(len(rows), cols, {
+        r: {c: _scalar(x) for c, x in enumerate(row) if x != "0"}
+        for r, row in enumerate(rows)})
 
 
 def vector_to_json(v) -> list:
@@ -212,12 +247,14 @@ def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on read
+        # JSONDecodeError, UnicodeDecodeError on read, or RecursionError on
+        # arrays and objects nested deeper than the interpreter's limit
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"invalid JSON in {path} ({exc})") from None
 
 
 def load_json_text(text: str) -> dict:
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # as in load_json
         raise InputError(f"invalid JSON ({exc})") from None

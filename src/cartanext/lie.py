@@ -154,12 +154,19 @@ class StructureConstants:
         return Mat.from_sparse(self.dim, self.dim, data)
 
     def antisymmetry_holds(self) -> bool:
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                fwd = self.table[i][j]
-                bwd = self.table[j][i]
-                if (fwd or bwd) and any(fwd.get(k, 0) != -bwd.get(k, 0)
-                                        for k in set(fwd) | set(bwd)):
+        """Whether c[j][i] = -c[i][j] for all i, j.  Only nonempty cells are
+        visited, and a pair (i, j) is compared from row min(i, j) unless that
+        cell is empty."""
+        table, cols = self.table, range(self.dim)
+        for i in cols:
+            row = table[i]
+            for j in itertools.compress(cols, row):
+                bwd = table[j][i]
+                if j < i and bwd:
+                    continue  # compared from row j
+                fwd = row[j]
+                if (any(bwd.get(k, 0) != -v for k, v in fwd.items())
+                        or any(v and k not in fwd for k, v in bwd.items())):
                     return False
         return True
 

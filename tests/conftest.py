@@ -2031,3 +2031,83 @@ def reference_predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[boo
         avecs = [a0] + tilde[1:]
     amat = Mat.from_columns(avecs, n)
     return _invertible(amat)
+
+
+# -- the dense JSON matrix reader and writer that `io.mat_from_json` and
+# `io.mat_to_json` replaced, and the antisymmetry scan of every cell that
+# `StructureConstants.antisymmetry_holds` replaced, kept verbatim (only
+# renamed; the writer's `rational_str(x)` was `str(x)`) -----------------------
+
+
+def reference_parse_rational(s) -> Fraction:
+    if isinstance(s, (str, int)):
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"cannot parse rational from {s!r}")
+
+
+def reference_mat_to_json(m: Mat) -> list:
+    """Rows of "p/q" strings, "0" for every entry absent from the sparse form."""
+    out = []
+    for i in range(m.rows):
+        row = m.sparse.get(i, {})
+        out.append([str(row[j]) if j in row else "0" for j in range(m.cols)])
+    return out
+
+
+def reference_mat_from_json(rows: list) -> Mat:
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise InputError(f"a matrix must be a list of rows, got {rows!r}")
+    return Mat.from_rows([[reference_parse_rational(x) for x in row] for row in rows])
+
+
+def reference_antisymmetry_holds(self: StructureConstants) -> bool:
+    for i in range(self.dim):
+        for j in range(i, self.dim):
+            fwd = self.table[i][j]
+            bwd = self.table[j][i]
+            if (fwd or bwd) and any(fwd.get(k, 0) != -bwd.get(k, 0)
+                                    for k in set(fwd) | set(bwd)):
+                return False
+    return True
+
+
+def reference_assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
+                              gm1_layout, ambient_j=None) -> GradedAlgebra:
+    """`catalog._assemble_graded` as it was, checking ad(E) through the
+    bracket kernel and the flip by matrix products, kept verbatim (only
+    renamed, engine names imported from their modules)."""
+    from cartanext.catalog import _check_bounds, _conjugates_to, _frozen
+    from cartanext.lie import make_algebra
+    from cartanext.linalg import _BracketIndex
+
+    basis = list(gm1) + list(g0) + list(gp1)
+    _check_bounds(basis[0].rows, len(basis))
+    algebra = make_algebra(basis, name)
+    n0, n1 = len(gm1), len(g0)
+    minus_one = tuple(range(n0))
+    zero = tuple(range(n0, n0 + n1))
+    plus_one = tuple(range(n0 + n1, len(basis)))
+    # [dE, X] = dk X for d the common denominator of E's entries, so the
+    # brackets, all in one pass of the kernel, are taken in ints
+    d = math.lcm(*(v.denominator for row in e_mat.sparse.values() for v in row.values()))
+    ad_e = _BracketIndex(basis, e_mat.rows).brackets(e_mat.scale(d))
+    for idx, b in enumerate(basis):
+        k = -1 if idx < n0 else (0 if idx < n0 + n1 else 1)
+        if ad_e.get(idx, {}) != ({p: d * k * v for p, v in b.flat().items()} if k else {}):
+            raise InternalCheckError(f"{name}: ad(E) is not {k} on basis element {idx}")
+        if not _conjugates_to(flip, flip, b, 1 if k == 0 else -1):
+            raise InternalCheckError(f"{name}: flip conjugation sign wrong on element {idx}")
+    coords = algebra.coordinate_matrix([e_mat])
+    if coords is None:
+        raise InternalCheckError(f"{name}: grading element not in the span")
+    if any(i in coords.sparse for i in minus_one + plus_one):
+        raise InternalCheckError(f"{name}: grading element has nonzero off-grade part")
+    if flip @ flip != Mat.identity(flip.rows):
+        raise InternalCheckError(f"{name}: flip element does not square to the identity")
+    return GradedAlgebra(
+        algebra, family, _frozen(params), tuple(coords.col(0)), minus_one, zero, plus_one,
+        flip, tuple(gm1_layout), ambient_j,
+    )

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,8 @@ from cartanext.catalog import (
 from cartanext.errors import ClosureError, DependentBasisError, InputError
 from cartanext.lie import MatrixLieAlgebra, StructureConstants, is_semisimple, make_algebra
 from cartanext.linalg import Mat, commutator
-from conftest import dense_structure_table, reference_factor_decomposition
+from conftest import (dense_structure_table, reference_assemble_graded,
+                      reference_factor_decomposition)
 
 F = Fraction
 
@@ -353,6 +355,62 @@ def test_graded_assembly_rejects_wrong_flip_sign():
                        match="^sl3: flip conjugation sign wrong on element 1$"):
         catalog._assemble_graded("sl3", "projective", {"n": 2}, gm1, g0, gp1, e, wrong,
                                  layout)
+
+
+def _outcome(assemble, *args):
+    from cartanext.errors import InternalCheckError
+
+    try:
+        return assemble(*args)
+    except InternalCheckError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p, q", [(1, 3), (2, 2), (3, 1)])
+def test_graded_checks_by_entry_match_the_product_checks(p, q):
+    # seeded diagonal E and flips, most of them wrong somewhere: the same
+    # algebra, or the same message with the same first failing element
+    rng = random.Random(f"{p}-{q}")
+    gm1, g0, gp1, e, flip, layout = catalog._sl_split_parts(p, q)
+    n = p + q
+    outcomes = set()
+    for _ in range(40):
+        shift = rng.choice([0, 0, 0, 1])  # a multiple of the identity leaves sl(n)
+        e_diag = [e[i, i] + shift + (rng.choice([1, Fraction(1, 2)]) if rng.random() < 0.1 else 0)
+                  for i in range(n)]
+        f_diag = [flip[i, i] * (rng.choice([-1, 2, 0]) if rng.random() < 0.15 else 1)
+                  for i in range(n)]
+        args = ("blk", "grassmannian", {"p": p, "q": q}, gm1, g0, gp1, Mat.diag(e_diag),
+                Mat.diag(f_diag), layout)
+        got = _outcome(catalog._assemble_graded, *args)
+        assert got == _outcome(reference_assemble_graded, *args), (e_diag, f_diag)
+        outcomes.add(got if isinstance(got, str) else "built")
+    assert "built" in outcomes and "blk: grading element not in the span" in outcomes, outcomes
+    assert len(outcomes) > 4, outcomes
+
+
+@pytest.mark.parametrize("which", ["grading", "flip"])
+def test_graded_build_refuses_a_non_diagonal_element(which, monkeypatch):
+    # a sentinel projective builder whose E or flip gains an off-diagonal
+    # entry; the entry-by-entry checks hold only for diagonal ones
+    from cartanext.errors import InternalCheckError
+
+    def sentinel(params):
+        gm1, g0, gp1, e, flip, layout = catalog._sl_split_parts(1, params["n"])
+        off = Mat.unit(e.rows, e.rows, 0, 1)
+        if which == "grading":
+            e = e + off
+        else:
+            flip = flip + off
+        return catalog._assemble_graded("sentinel", "projective", params, gm1, g0, gp1, e,
+                                        flip, layout)
+
+    monkeypatch.setitem(catalog._GRADED_BUILDERS, "projective", sentinel)
+    monkeypatch.setattr(catalog, "_build_graded_cached",  # past the memo of real builds
+                        lambda family, key: catalog._GRADED_BUILDERS[family](dict(key)))
+    with pytest.raises(InternalCheckError,
+                       match=f"^sentinel: {which} element is not diagonal$"):
+        build_graded("projective", {"n": 2})
 
 
 def test_pair_assembly_rejects_wrong_conjugator():

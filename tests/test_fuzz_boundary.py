@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import time
 
 import pytest
 
@@ -209,3 +210,38 @@ def test_conformal_model_without_tangent_directions_is_an_input_error(capsys):
     assert cli.main(["build", "--family", "conformal_model", "--params", "k=0,l=0"]) == 2
     err = capsys.readouterr().err
     assert "conformal_model needs k + l >= 1" in err and "Traceback" not in err
+
+
+def _algebra_item(run) -> str:
+    """The detail of the one check of a one-item run, which must have failed."""
+    assert run["overall"] == "FAIL" and run["items"][0]["status"] == "FAIL", run
+    return run["items"][0]["checks"][0]["detail"]
+
+
+def test_deeply_nested_arrays_are_input_errors(tmp_path, capsys):
+    # 200,000 nested arrays, 400 KB: the JSON decoder runs out of recursion
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert _run(["check-extension", "--extension", str(path)], capsys) == 2
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"kind": "algebra_file", "path": str(path)}]))
+    assert _run(["verify-catalog", "--manifest", str(manifest)], capsys) == 1
+    detail = _algebra_item(cli.run_verify_catalog([{"kind": "algebra_file",
+                                                    "path": str(path)}], 0))
+    assert detail.startswith(f"invalid JSON in {path}"), detail
+
+
+def test_an_exponent_entry_is_a_quick_per_item_fail(tmp_path, capsys):
+    # a 70-byte algebra file whose one entry Fraction(str) expands to a
+    # 200-million-digit integer, which took more than a minute
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps({"schema": "algebra", "ambient_size": 1,
+                                "basis": [[["1e200000000"]]]}))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps([{"kind": "algebra_file", "path": str(path)}]))
+    start = time.process_time()
+    assert _run(["verify-catalog", "--manifest", str(manifest)], capsys) == 1
+    detail = _algebra_item(cli.run_verify_catalog([{"kind": "algebra_file",
+                                                    "path": str(path)}], 0))
+    assert time.process_time() - start < 1.0
+    assert detail == "cannot parse rational from '1e200000000'", detail

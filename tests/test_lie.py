@@ -1,5 +1,6 @@
 """Lie core: brackets, Killing forms, commutants, invariant tensors."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from cartanext.lie import (
     split_idempotents,
 )
 from cartanext.linalg import Mat, invert
-from conftest import naive_bracket_coords
+from conftest import naive_bracket_coords, reference_antisymmetry_holds
 
 F = Fraction
 
@@ -32,6 +33,28 @@ def test_make_algebra_sl2(sl2_basis):
     assert alg.dim == 3
     assert alg.constants.antisymmetry_holds()
     assert not alg.constants.jacobi_witnesses(limit=1)
+
+
+def test_antisymmetry_scan_of_nonempty_cells_matches_the_full_scan():
+    # seeded tables: catalog tables with up to two cells changed, emptied,
+    # given an explicit zero, or filled where it was empty, on either side
+    rng = random.Random(156)
+    edits = [lambda cell: {}, lambda cell: {**cell, 0: 0}, lambda cell: {rng.randrange(3): 1},
+             lambda cell: {k: -v for k, v in cell.items()}, lambda cell: {**cell, 1: F(1, 2)}]
+    verdicts = []
+    for family, params in (("projective", {"n": 2}), ("quaternionic", {"n": 1}),
+                           ("conformal", {"p": 1, "q": 2})):
+        table = build_graded(family, params).algebra.constants.table
+        dim = len(table)
+        for case in range(60):
+            rows = [list(row) for row in table]
+            for _ in range(case % 3):
+                i, j = rng.randrange(dim), rng.randrange(dim)
+                rows[i][j] = rng.choice(edits)(dict(rows[i][j]))
+            sc = StructureConstants(dim, rows)
+            verdicts.append(sc.antisymmetry_holds())
+            assert verdicts[-1] == reference_antisymmetry_holds(sc), (family, case)
+    assert True in verdicts and False in verdicts
 
 
 def test_assigning_a_table_or_basis_drops_the_derived_data(sl2_basis):

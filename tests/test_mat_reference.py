@@ -14,7 +14,8 @@ import pytest
 
 from cartanext.errors import InputError
 from cartanext.linalg import Mat, commutator
-from conftest import ReferenceMat, reference_commutator, stored_form_holds
+from conftest import (ReferenceMat, reference_commutator, reference_mat_from_json,
+                      reference_mat_to_json, stored_form_holds)
 
 F = Fraction
 
@@ -197,6 +198,21 @@ def test_out_of_range_positions_raise_as_before():
         assert _raised(call) is IndexError
 
 
+def _json_scalar(rng, value: Fraction):
+    """`value` in one of the forms the JSON reader accepts."""
+    form = rng.randrange(4)
+    if form == 0 and value.denominator == 1:
+        return int(value)  # a JSON integer
+    if form == 1:  # "p/q", not in lowest terms, with an optional "+"
+        k = rng.randint(1, 3)
+        sign = "+" if value >= 0 and rng.random() < 0.3 else ""
+        return f"{sign}{value.numerator * k}/{value.denominator * k}"
+    if form == 2 and 10 % value.denominator == 0:  # a plain decimal, one place
+        units, tenths = divmod(int(abs(value) * 10), 10)
+        return f"{'-' if value < 0 else ''}{units}.{tenths}"
+    return str(value)
+
+
 @pytest.mark.parametrize("seed", [12, 13])
 def test_json_rows_are_the_dense_view_as_strings(seed):
     from cartanext import io
@@ -204,5 +220,11 @@ def test_json_rows_are_the_dense_view_as_strings(seed):
     for rng, rows, cols, density in _cases(seed, count=30):
         m, ref = _pair(rng, rows, cols, density)
         assert io.mat_to_json(m) == [[str(x) for x in row] for row in ref.to_rows()]
+        assert io.mat_to_json(m) == reference_mat_to_json(m)
         if rows:  # a matrix without rows has no column count in JSON
             assert io.mat_from_json(io.mat_to_json(m)) == m
+            # the same entries in every accepted form, zeros as "0", 0 and "0/4"
+            text = [[_json_scalar(rng, x) if x else rng.choice(["0", 0, "0/4", "-0", "0.0"])
+                     for x in row] for row in ref.to_rows()]
+            got = io.mat_from_json(text)
+            assert got == reference_mat_from_json(text) == m and stored_form_holds(got)
