@@ -30,7 +30,7 @@ from .lie import (
     split_idempotents,
     subalgebra,
 )
-from .linalg import ONE, Mat, Signature, SpanSolver, symmetric_signature
+from .linalg import ONE, Mat, Signature, SpanSolver, _clean, symmetric_signature
 
 MAX_AMBIENT = 32
 MAX_DIM = 500
@@ -1063,21 +1063,24 @@ def isotropy_rep(pair: SymmetricPair) -> Representation:
 
     Everything is read off the pair's table.  A key-set test over the cells
     of the h rows checks [h, h] inside h and [h, m] inside m (`InputError`
-    otherwise), and h's table is the parent's on the unit vectors of h
-    (`subalgebra`).  When the parent's realization certificate is recorded,
-    so is h's, and the homomorphism check is skipped: the parent's table
+    otherwise); the action of X_h on m is built from the cells [X_h, X_m]
+    alone, column by column; and h's table is the parent's on the unit
+    vectors of h (`subalgebra`).  When the parent's realization certificate
+    is recorded, so is h's, and the homomorphism check is skipped: the parent's table
     then satisfies the Jacobi identity, so ad restricted to the invariant m
     is a homomorphism.  Otherwise `Representation` checks it."""
     if not pair.dim_h:
         raise InputError("isotropy representation needs a nonzero fixed subalgebra")
-    sc = pair.k_algebra.constants
-    h_set, m_set = frozenset(pair.h_indices), frozenset(pair.m_indices)
+    table = pair.k_algebra.constants.table
+    h_set, m_pos = frozenset(pair.h_indices), {k: t for t, k in enumerate(pair.m_indices)}
     mats = []
     for hi in pair.h_indices:
-        if any(not cell.keys() <= (h_set if x in h_set else m_set)
-               for x, cell in enumerate(sc.table[hi])):
+        if any(not cell.keys() <= (h_set if x in h_set else m_pos.keys())
+               for x, cell in enumerate(table[hi])):
             raise InputError(f"{pair.name}: [h, h] or [h, m] leaves its eigenspace at {hi}")
-        mats.append(sc.ad_matrix(hi).submatrix(pair.m_indices, pair.m_indices))
+        cells = {t: {m_pos[k]: c for k, c in table[hi][x].items()}  # ad X_hi on m, by columns
+                 for t, x in enumerate(pair.m_indices)}
+        mats.append(Mat._of(pair.dim_m, pair.dim_m, _clean(cells)).transpose())
     sub = subalgebra(pair.k_algebra, [{i: 1} for i in pair.h_indices], pair.name + "#h")
     return Representation(sub, pair.dim_m, mats, check=not sub._recorded())
 
@@ -1132,8 +1135,11 @@ def centroid(pair: SymmetricPair) -> tuple:
     """The centroid of the pair's algebra, the commutant of its adjoint
     representation, as (basis, primitive idempotents or None), computed
     once per pair: `factor_decomposition` and the h-projective decision
-    both read it.  `split_idempotents` refines it block by block into
-    fields, for a direct sum as for every other pair."""
+    both read it.  `commutant_basis` returns the basis in reduced echelon
+    form, and `split_idempotents` reads coordinates at its pivots and
+    refines it block by block into fields, for a direct sum as for every
+    other pair.  For a simple algebra the spin-up stops as soon as one
+    candidate is left, the identity's, with the centroid Q I."""
     basis = tuple(commutant_basis(pair.k_algebra.adjoint_representation()))
     projs = split_idempotents(basis)
     return basis, None if projs is None else tuple(projs)
@@ -1146,11 +1152,14 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
     Simple ideals are separated by the primitive idempotents of the centroid
     (the commutant of the adjoint representation); the involution either
     fixes an ideal or swaps two, a swapped orbit giving a group-type factor.
-    A pair with one orbit is simple and is its own factor, embedded by the
-    identity.  Vectors are sparse coordinates {index: value}.  The
-    involution is +1 on the h coordinates and -1 on the m coordinates, so
-    (v + sigma v)/2 is v restricted to h and (v - sigma v)/2 is v restricted
-    to m.  Each factor of several is read off the parent's table by
+    The orbits are read off the projectors: sigma maps the ideal of P to
+    the ideal of sigma P sigma, which is again one of the projectors.  A
+    pair with one orbit is simple and is its own factor, embedded by the
+    identity, and no ideal is spanned.  Vectors are sparse coordinates
+    {index: value}.  The involution is +1 on the h coordinates and -1 on the
+    m coordinates, so (v + sigma v)/2 is v restricted to h and
+    (v - sigma v)/2 is v restricted to m.  Each factor of several is read
+    off the parent's table by
     `subalgebra` on its h vectors, then its m vectors, so its eigenspace
     split is the supports' split; no ambient commutator is taken, and the
     parent's recorded certificate, if any, carries over.
@@ -1160,28 +1169,27 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
     _, projs = centroid(pair)
     if projs is None:
         raise InternalCheckError("centroid idempotent split failed")
-    ideals, spans = [], []  # each ideal is the column space of its projector
-    for p in projs:
-        columns = p.transpose().sparse
-        span = SpanSolver(dim)
-        ideals.append([columns[c] for c in sorted(columns) if span.insert(columns[c])])
-        spans.append(span)
     h_set = frozenset(pair.h_indices)
-
-    def apply_sigma(vec: dict) -> dict:
-        return {i: v if i in h_set else -v for i, v in vec.items()}
-
+    # sigma permutes the simple ideals, so sigma P sigma is the projector of
+    # sigma's image of P's ideal: P with entry (r, c) negated when one of r
+    # and c is an h index and the other is not
     orbits, seen = [], set()
-    for i, cols in enumerate(ideals):
+    for i, p in enumerate(projs):
         if i in seen:
             continue
-        img = apply_sigma(cols[0])
-        j = next((j for j, sp in enumerate(spans) if sp.contains(img)), i)
+        img = Mat._of(dim, dim, {r: {c: v if (r in h_set) == (c in h_set) else -v
+                                     for c, v in row.items()} for r, row in p.sparse.items()})
+        j = next((j for j, q in enumerate(projs) if q == img), i)
         seen.update((i, j))
         orbits.append((i,) if i == j else (i, j))
     if len(orbits) == 1:  # a simple pair: the one orbit spans the algebra
         return (PairFactor(pair, Mat.identity(pair.dim_m), group_type=len(orbits[0]) == 2),)
 
+    ideals = []  # each ideal is the column space of its projector
+    for p in projs:
+        columns = p.transpose().sparse
+        span = SpanSolver(dim)
+        ideals.append([columns[c] for c in sorted(columns) if span.insert(columns[c])])
     m_pos = {k: t for t, k in enumerate(pair.m_indices)}
     factors = []
     for orbit in orbits:

@@ -622,15 +622,10 @@ class CentralizerReport:
 def centralizer_report(pair: SymmetricPair, seed: int = 0) -> CentralizerReport:
     """Per-factor commutant labels plus the product-structure check."""
     factors = factor_decomposition(pair)
-    labels = []
-    dims = []
-    for f in factors:
-        cls = commutant(isotropy_rep(f.pair))
-        labels.append(cls.label)
-        dims.append(cls.dim)
+    classes = [commutant(isotropy_rep(f.pair)) for f in factors]
     full = commutant(isotropy_rep(pair))
-    ok = full.dim == sum(dims)
-    if ok:
+    ok = full.dim == sum(cls.dim for cls in classes)
+    if ok and factors[0].pair is not pair:  # a pair that is its own factor holds trivially
         for f in factors:
             u = f.m_embedding
             span = SpanSolver(pair.dim_m)
@@ -639,7 +634,5 @@ def centralizer_report(pair: SymmetricPair, seed: int = 0) -> CentralizerReport:
             for t in full.commutant_basis:
                 ok = ok and all(map(span.contains, (t @ u).transpose().sparse.values()))
     if not ok:
-        raise InternalCheckError(
-            f"{pair.name}: commutant is not the product of factor commutants"
-        )
-    return CentralizerReport(pair.name, labels, full.dim, ok)
+        raise InternalCheckError(f"{pair.name}: commutant is not the product of factor commutants")
+    return CentralizerReport(pair.name, [cls.label for cls in classes], full.dim, ok)

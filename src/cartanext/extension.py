@@ -42,8 +42,15 @@ class Extension:
         return self.alpha.submatrix(self.target.plus_one, self.pair.m_indices)
 
     def b2_matrix(self) -> Mat:
-        """The induced map g_-1 -> g_1 (zero for purely frame-shaped alpha)."""
-        return self.g1_block() @ invert(self.frame())
+        """The induced map g_-1 -> g_1 (zero for purely frame-shaped alpha):
+        the B with B F = G for the frame F and the g_1 block G, from one
+        solve of F^T B^T = G^T.  `InputError` when F is singular or not
+        square."""
+        frame = self.frame()
+        sol = frame.is_square() and solve_linear(frame.transpose(), self.g1_block().transpose())
+        if not sol or sol.kernel:
+            raise InputError("the frame is singular or not square")
+        return sol.particular.transpose()
 
     def with_g1_block(self, block: Mat) -> "Extension":
         """Copy of the extension with the g_1-part of alpha|m replaced."""

@@ -137,8 +137,22 @@ def _require(data, what: str, keys: tuple) -> None:
 
 
 _FAMILY_KEYS = ("family", "params")
-_GRADED_KEYS = ("ambient_size", "basis", "minus_one", "zero", "plus_one")
-_PAIR_KEYS = ("ambient_size", "basis", "h_indices", "m_indices")
+# The keys of a graded or pair file that its reader compares with the family
+# rebuild, in the order compared, each with how the rebuild is written there;
+# the reader writes them one at a time, up to the first that disagrees.
+_GRADED_CHECKED = {
+    "ambient_size": lambda g: g.algebra.ambient_size,
+    "basis": lambda g: [mat_to_json(b) for b in g.algebra.basis],
+    "minus_one": lambda g: list(g.minus_one),
+    "zero": lambda g: list(g.zero),
+    "plus_one": lambda g: list(g.plus_one),
+}
+_PAIR_CHECKED = {
+    "ambient_size": lambda p: p.k_algebra.ambient_size,
+    "basis": lambda p: [mat_to_json(b) for b in p.k_algebra.basis],
+    "h_indices": lambda p: list(p.h_indices),
+    "m_indices": lambda p: list(p.m_indices),
+}
 
 
 def graded_to_json(g: GradedAlgebra) -> dict:
@@ -147,22 +161,17 @@ def graded_to_json(g: GradedAlgebra) -> dict:
         "family": g.family,
         "params": dict(sorted(g.params.items())),
         "name": g.algebra.name,
-        "ambient_size": g.algebra.ambient_size,
-        "basis": [mat_to_json(b) for b in g.algebra.basis],
+        **{key: write(g) for key, write in _GRADED_CHECKED.items()},
         "grading_element": vector_to_json(g.grading_element),
-        "minus_one": list(g.minus_one),
-        "zero": list(g.zero),
-        "plus_one": list(g.plus_one),
         "flip_element": mat_to_json(g.flip_element),
     }
 
 
 def graded_from_json(data: dict) -> GradedAlgebra:
-    _require(data, "graded file", _FAMILY_KEYS + _GRADED_KEYS)
+    _require(data, "graded file", _FAMILY_KEYS + tuple(_GRADED_CHECKED))
     g = build_graded(data["family"], data["params"])
-    reserialized = graded_to_json(g)
-    for key in _GRADED_KEYS:
-        if reserialized[key] != data[key]:
+    for key, write in _GRADED_CHECKED.items():
+        if write(g) != data[key]:
             raise InputError(f"graded file disagrees with its family rebuild at {key!r}")
     return g
 
@@ -173,10 +182,7 @@ def pair_to_json(p: SymmetricPair) -> dict:
         "family": p.family,
         "params": dict(sorted(p.params.items())),
         "name": p.name,
-        "ambient_size": p.k_algebra.ambient_size,
-        "basis": [mat_to_json(b) for b in p.k_algebra.basis],
-        "h_indices": list(p.h_indices),
-        "m_indices": list(p.m_indices),
+        **{key: write(p) for key, write in _PAIR_CHECKED.items()},
         "sigma": mat_to_json(p.sigma_matrix),
         "conjugator": mat_to_json(p.conjugator) if p.conjugator is not None else None,
         "certificate_ideal": p.certificate_ideal,
@@ -184,11 +190,10 @@ def pair_to_json(p: SymmetricPair) -> dict:
 
 
 def pair_from_json(data: dict) -> SymmetricPair:
-    _require(data, "pair file", _FAMILY_KEYS + _PAIR_KEYS)
+    _require(data, "pair file", _FAMILY_KEYS + tuple(_PAIR_CHECKED))
     p = build_pair(data["family"], data["params"])
-    reserialized = pair_to_json(p)
-    for key in _PAIR_KEYS:
-        if reserialized[key] != data[key]:
+    for key, write in _PAIR_CHECKED.items():
+        if write(p) != data[key]:
             raise InputError(f"pair file disagrees with its family rebuild at {key!r}")
     return p
 

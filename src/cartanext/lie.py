@@ -13,7 +13,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import poly
 from .errors import ClosureError, DependentBasisError, InputError, InternalCheckError
@@ -28,7 +28,7 @@ from .linalg import (
     _BracketIndex,
     _clean,
     _exact,
-    _minimal_polynomial,
+    _echelon,
     _reduce,
     _solutions,
     _sparse,
@@ -143,15 +143,15 @@ class StructureConstants:
         return self.ad_of_coords({i: 1})
 
     def ad_of_coords(self, u: Vector) -> Mat:
-        """Matrix of ad(u) for dense or sparse coordinates u."""
+        """Matrix of ad(u) for dense or sparse coordinates u: column j is
+        sum_i u_i times the cell of [X_i, X_j]."""
         data: dict = {}
         for i, a in _sparse(u).items():
-            row_i = self.table[i]
-            for j in range(self.dim):
-                for k, c in row_i[j].items():
+            for j, cell in enumerate(self.table[i]):
+                for k, c in cell.items():
                     out = data.setdefault(k, {})
                     out[j] = out.get(j, 0) + a * c
-        return Mat.from_sparse(self.dim, self.dim, data)
+        return Mat._of(self.dim, self.dim, _clean(data))
 
     def antisymmetry_holds(self) -> bool:
         """Whether c[j][i] = -c[i][j] for all i, j.  Only nonempty cells are
@@ -461,8 +461,11 @@ def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> Ma
 
     Each bracket [v_a, v_b], a < b, is summed through `bracket_with` and
     decomposed over the vectors: `DependentBasisError` when they are
-    dependent, `ClosureError` when a bracket leaves their span.  A unit
-    vector e_i takes the basis matrix X_i itself, any other v `element(v)`.
+    dependent, `ClosureError` when a bracket leaves their span.  When every
+    vector is a unit vector e_i, as for the isotropy algebra h, the cell of
+    a pair is the parent's cell renumbered, and a bracket leaves the span
+    exactly when that cell has an index outside them.  A unit vector e_i
+    takes the basis matrix X_i itself, any other v `element(v)`.
 
     When the algebra's realization certificate is recorded (see
     `realization_certified`), the subalgebra's is recorded too.  Proof:
@@ -474,11 +477,17 @@ def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> Ma
         if not span.insert(v):
             raise DependentBasisError(a)
     dim = len(vecs)
+    units = {min(v): a for a, v in enumerate(vecs) if v == {min(v): 1}}
     table = [[_EMPTY_CELL] * dim for _ in range(dim)]
     for a in range(dim):
         for b in range(a + 1, dim):
-            cell = span.sparse_decompose(_combine(
-                (x, algebra.constants.bracket_with(i, vecs[b])) for i, x in vecs[a].items()))
+            if len(units) == dim:  # unit vectors: the parent's cell, renumbered
+                parent = algebra.constants.table[min(vecs[a])][min(vecs[b])]
+                cell = (dict(sorted((units[k], c) for k, c in parent.items()))
+                        if parent.keys() <= units.keys() else None)
+            else:
+                cell = span.sparse_decompose(_combine(
+                    (x, algebra.constants.bracket_with(i, vecs[b])) for i, x in vecs[a].items()))
             if cell is None:
                 raise ClosureError(a, b)
             if cell:
@@ -680,18 +689,7 @@ def _apply(cols: list, x: dict) -> dict:
     for c, xc in x.items():
         for k, v in cols[c]:
             out[k] = out.get(k, 0) + v * xc
-    return {k: _exact(v) for k, v in out.items() if v}
-
-
-def _add_rows(acc: dict, m: Mat, c, offset: int) -> None:
-    """acc[t] += c * (row t of m, its columns shifted by offset), for every t."""
-    for t, row in m.sparse.items():
-        out = acc.get(t)
-        if out is None:
-            out = acc[t] = {}
-        for col, v in row.items():
-            key = offset + col
-            out[key] = out.get(key, 0) + c * v
+    return {k: v if v.__class__ is int else _exact(v) for k, v in out.items() if v}
 
 
 def commutant_basis(rep: Representation) -> list:
@@ -718,17 +716,31 @@ def commutant_basis(rep: Representation) -> list:
     the word (j, s), and let T_u be the matrix with T_u w_b = M_b u.  Then
     T_u z_i = u_i, so u -> T_u is injective; T_u A_s w_j = A_s T_u w_j
     holds on every edge of a word; and it holds on the relation (j, s)
-    exactly when sum_k c_k M_k u - A_s M_j u = 0, which is d rows in the
-    r d unknowns.  A T in the commutant is T_u for u = (T z_i), so the
-    commutant is the image of the kernel K of all the relation rows.
+    exactly when sum_k c_k M_k u - A_s M_j u = 0.  A T in the commutant is
+    T_u for u = (T z_i), so the commutant is the image of the solutions of
+    all relations.  The u of T = I, (z_1, ..., z_r), is one of them.
 
-    Early stop.  The rows enter the echelon core one relation at a time.
-    When a relation adds no pivot at a rank not tried before, the kernel K'
-    of the rows so far is taken.  K lies in K', being cut out by more rows.
-    If T_u commutes with every A_s for each u of a basis of K', the image
-    of K' lies in the commutant, which is the image of K, so the two images
-    are equal and the remaining rows are not needed.  Otherwise elimination
-    goes on, and after the last relation K itself is used.
+    Candidates.  The relations are taken one at a time, in the candidates
+    u_1 .. u_m: from the r d unit vectors on, a basis of the solutions of
+    the relations before the last cut.  V_b = M_b (u_1 .. u_m) is formed
+    from V_j when a relation first needs word b, and a relation's residual
+    sum_k c_k V_k - A_s V_j gives d rows in the m candidates, which enter
+    an echelon.  Before a word is formed, once those rows number at least
+    half the candidates, the candidates are cut down to their solutions,
+    and the words so far are formed again on them.  So the first relations,
+    which leave few solutions, are the only ones whose words have r d
+    columns, and the products M_b themselves, whose rationals grow in a
+    basis that is not the catalog's, are never formed.  Once one solution
+    is left, it is the u of I, and the commutant is Q I.
+
+    Early stop.  When a relation adds no row at a number of solutions not
+    tried before, T_u is formed for a basis of the solutions, one of them
+    replaced by I: one that the u of I holds with a nonzero coefficient,
+    so that the span is the same.  Those T_u contain the commutant, the
+    image of a subspace of the solutions.  If each commutes with every A_s,
+    they lie in the commutant, so they span it and the remaining relations
+    are not needed.  Otherwise the relations go on, and after the last one
+    the solutions are exact.
 
     Output.  The T_u are put in the form of `reduced_span_basis`, which
     depends only on their span: it is the kernel basis that
@@ -738,19 +750,36 @@ def commutant_basis(rep: Representation) -> list:
     gens = [rep.action[g] for g in generating_indices(rep.algebra)]
     cols = [_by_column(a) for a in gens]
     span, w, words = _spin_up(cols, d)
-    n = d * sum(1 for _, j, _ in words if j is None)  # the unknowns u
     spun = {(j, s) for _, j, s in words}
     relations = [(j, s) for j in range(d) for s in range(len(gens)) if (j, s) not in spun]
-    word_mats: list = []  # M_b as a d x d matrix, made when a relation first needs it
+    roots = [(i, min(w[b])) for b, (i, j, _) in enumerate(words) if j is None]
+    cands = [{f: 1} for f in range(d * len(roots))]
+    ident = {i * d + z: 1 for i, z in roots}  # the u of I, over the candidates
     unit = Mat.identity(d)
+    values: list = []  # V_b, formed in order of b
+    pivots: dict = {}  # echelon rows, over the candidates, of the relations since the last cut
+    inverse: dict = {}  # row b of W^-1, for W the matrix of the w_b: {c: coordinate of e_c at w_b}
 
-    def word_matrix(b: int) -> Mat:
-        while len(word_mats) <= b:
-            _, j, s = words[len(word_mats)]
-            word_mats.append(unit if j is None else gens[s] @ word_mats[j])
-        return word_mats[b]
+    def solutions() -> tuple:
+        """The free columns of `pivots` and, formed as they are read, a basis
+        of its solutions, one per free column f: u = sum_g y_g u_g for the y
+        that solves the rows and is 1 at f and 0 at the other free columns."""
+        free, m, old = [f for f in range(len(cands)) if f not in pivots], len(cands), cands
+        return free, (_combine((x, old[g]) for g, x in _solutions(pivots, ({f: 1},), m)[0].items())
+                      for f in free)
 
-    inverse: dict = {}  # row b: {c: coordinate of e_c at w_b}
+    def value(b: int) -> Mat:
+        nonlocal cands, values, pivots, ident
+        if b >= len(values) and 2 * len(pivots) >= len(cands):  # cut them down to the solutions
+            free, us = solutions()
+            cands, ident = list(us), {g: ident[f] for g, f in enumerate(free) if f in ident}
+            values, pivots = [], {}
+        while len(values) <= b:  # at a root z_i, row t of V_b holds entry i d + t of each u_f
+            i, j, s = words[len(values)]
+            values.append(gens[s] @ values[j] if j is not None else Mat._of(len(cands), d, {
+                f: {c % d: x for c, x in u.items() if c // d == i} for f, u in enumerate(cands)
+            }).transpose())
+        return values[b]
 
     def image(u: dict) -> Mat:
         """T_u: its column c is the sum over b of (coordinate of e_c at w_b) M_b u."""
@@ -758,14 +787,12 @@ def commutant_basis(rep: Representation) -> list:
             for c in range(d):
                 for b, x in span.sparse_decompose({c: 1}).items():
                     inverse.setdefault(b, {})[c] = x
-        blocks: dict = {}
-        for c, x in u.items():
-            blocks.setdefault(c // d, {})[c % d] = x
-        values: list = []  # T_u w_b
+        vals: list = []  # T_u w_b
         acc: dict = {}
         for b, (i, j, s) in enumerate(words):
-            v = blocks.get(i, _NONE) if j is None else _apply(cols[s], values[j])
-            values.append(v)
+            v = (_apply(cols[s], vals[j]) if j is not None
+                 else {c % d: x for c, x in u.items() if c // d == i})
+            vals.append(v)
             row_b = inverse.get(b, _NONE)
             for t, x in v.items():
                 out = acc.get(t)
@@ -775,61 +802,63 @@ def commutant_basis(rep: Representation) -> list:
                     out[c] = out.get(c, 0) + x * y
         return Mat._of(d, d, _clean(acc))
 
-    pivots: dict = {}
-    tried = -1
-    found = None
-    gens_index = _BracketIndex(gens, d)
+    def images() -> Iterator[Mat]:
+        """I, then T_u for the basis of solutions without the one it replaces."""
+        free, us = solutions()
+        skip = next((g for g, f in enumerate(free) if f in ident), None)  # None when d = 0
+        yield unit
+        yield from (image(u) for g, u in enumerate(us) if g != skip)
+
+    tried, gens_index = -1, None
     for count, (j, s) in enumerate(relations, 1):
-        rows: dict = {}
-        for k, c in span.sparse_decompose(_apply(cols[s], w[j])).items():
-            _add_rows(rows, word_matrix(k), c, words[k][0] * d)
-        _add_rows(rows, gens[s] @ word_matrix(j), -1, words[j][0] * d)
+        coeffs = span.sparse_decompose(_apply(cols[s], w[j]))
+        value(max(j, max(coeffs, default=0)))
+        residual = combination([(c, values[k]) for k, c in coeffs.items()]
+                               + [(-1, gens[s] @ values[j])], d, len(cands))
         rank = len(pivots)
-        for row in rows.values():
-            v = _sparse(row)
-            _reduce(v, pivots)
-            if v:
-                _store(v, pivots)
-        if len(pivots) > rank or rank == tried or count == len(relations):
+        _echelon(residual.sparse.values(), len(cands), pivots)
+        free = len(cands) - len(pivots)
+        if free == 1:
+            return [unit]
+        if len(pivots) > rank or free == tried or count == len(relations):
             continue
-        tried = rank
-        found = []
-        for f in range(n):
-            if f not in pivots:
-                found.append(image(_solutions(pivots, ({f: 1},), n)[0]))
-                if gens_index.brackets(found[-1]):
-                    found = None
-                    break
-        if found is not None:
+        tried, gens_index = free, gens_index or _BracketIndex(gens, d)
+        found = list(itertools.takewhile(lambda t: t is unit or not gens_index.brackets(t),
+                                         images()))
+        if len(found) == free:
             break
-    if found is None:
-        found = [image(u) for u in _solutions(
-            pivots, ({f: 1} for f in range(n) if f not in pivots), n)]
+    else:
+        found = list(images())
     return [Mat.from_flat(d, d, v) for v in reduced_span_basis(t.flat() for t in found)]
 
 
 def _spin_up(cols: list, d: int) -> tuple:
     """The spun basis of `commutant_basis`: a `SpanSolver` whose inserted
     vectors are w_0, w_1, ... in order, those vectors, and per w_b the
-    triple (its root i, j, s), with j = s = None when w_b is a root."""
+    triple (its root i, j, s), with j = s = None when w_b is a root.  A
+    vector whose support lies in that of the one-entry vectors found so far
+    is in their span, and is not given to the solver: in the catalog's
+    bases, where the action matrices move unit vectors to multiples of unit
+    vectors, that is most of them."""
     span = SpanSolver(d)
-    w: list = []
-    words: list = []
+    w, words, units = [], [], set()  # units: the k of the one-entry vectors c e_k found so far
     j = roots = 0
     for z in range(d):
         if span.rank == d:
             break
-        if not span.insert({z: 1}):
+        if z in units or not span.insert({z: 1}):
             continue
         w.append({z: 1})
         words.append((roots, None, None))
+        units.add(z)
         roots += 1
         while j < len(w) and span.rank < d:
             for s, col in enumerate(cols):
                 x = _apply(col, w[j])
-                if span.insert(x):
+                if not units.issuperset(x) and span.insert(x):
                     w.append(x)
                     words.append((words[j][0], j, s))
+                    units.update(x if len(x) == 1 else ())
             j += 1
     return span, w, words
 
@@ -841,25 +870,6 @@ def _generic_element(n: int, k: int) -> dict:
     perfbench/tracer.py counts calls to this name, so it keeps it.
     """
     return {i: k ** i for i in range(n)}
-
-
-def _trace_form(basis: list) -> Mat:
-    """Gram matrix tr(b_i b_j) of the trace form on a span of square matrices."""
-    sparse = [b.sparse for b in basis]
-    n = len(basis)
-    data: dict = {}
-    for i in range(n):
-        for j in range(i, n):
-            s = 0
-            b_j = sparse[j]
-            for r, row in sparse[i].items():  # sum_{r,c} b_i[r][c] b_j[c][r]
-                for c, v in row.items():
-                    w = b_j.get(c, _NONE).get(r)
-                    if w is not None:
-                        s += v * w
-            if s:
-                data.setdefault(i, {})[j] = data.setdefault(j, {})[i] = s
-    return Mat.from_sparse(n, n, data)
 
 
 @derived
@@ -885,7 +895,10 @@ def _classify_commutant(basis: tuple) -> CommutantClassification:
         return CommutantClassification(basis, "R")
     if dim not in (2, 4):
         return CommutantClassification(basis, "OTHER")
-    sig = symmetric_signature(_trace_form(basis)).as_tuple()
+    gram = {i: {j: sum(x * b.sparse.get(c, _NONE).get(r, 0) for r, row in a.sparse.items()
+                       for c, x in row.items()) for j, b in enumerate(basis)}  # tr(b_i b_j)
+            for i, a in enumerate(basis)}
+    sig = symmetric_signature(Mat.from_sparse(dim, dim, gram)).as_tuple()
     if dim == 2:
         label = {(2, 0, 0): "RxR", (1, 1, 0): "C"}.get(sig, "OTHER")
     elif not any(map(_BracketIndex(basis, basis[0].rows).brackets, basis)):  # commutative
@@ -975,90 +988,117 @@ def split_idempotents(basis: list) -> Optional[list]:
     """Primitive idempotents of a commutative matrix algebra, from its basis.
 
     None when the trace form tr(b_i b_j) is degenerate: the algebra is then
-    not semisimple.  A one-element basis b spans a line, b b = lam b, whose
-    unit b / lam is its one nonzero idempotent.
+    not semisimple, or the basis is dependent.  The algebra is worked in
+    the basis E_1 .. E_n of `reduced_span_basis`, which is the form that
+    `commutant_basis` returns, so that a commutant basis is its own: E_i
+    is 1 at its pivot p_i and every other E_j is 0 there, so the
+    coordinates of an element x of the span are its entries x[p_i], read
+    without elimination.  The n(n+1)/2 products E_i E_j are formed once,
+    and each gives both its trace, for the trace form (whose nullity does
+    not depend on the basis), and its coordinates, for the table
+    E_i E_j = sum_k c_ij^k E_k (`InternalCheckError` when a product or I is
+    not the combination of E that its pivot entries give: the span is then
+    not a unital algebra).  A one-element basis b spans a line, b b = lam
+    b, whose unit b / lam is its one nonzero idempotent.
 
-    A larger algebra A, of dimension n and holding I, is split in its own
-    coordinates: n(n+1)/2 products give the table b_i b_j = sum_k c_ij^k b_k
-    (`InternalCheckError` when a product or I leaves the span), and every
-    element below is a coordinate vector over the b_i, multiplied through
-    that table.  A is split by refining blocks (e, t): orthogonal
+    A larger algebra A, of dimension n and holding I, is split in these
+    coordinates, every element below being a coordinate vector multiplied
+    through the table.  A is split by refining blocks (e, t): orthogonal
     idempotents e of A summing to I, each tagged with the degree t of a
     field inside eA, from (I, 1) on.  A candidate x, the basis elements and
     then x_k = sum_i k^i b_i for k = 1, 2, ..., cuts each e into the nonzero
     e P_f, tagged max(t, deg f), for the irreducible factors f of the
     minimal polynomial m of e x and the Bezout projectors P_f = (u m/f)(e x),
-    u m/f = 1 mod f.  m is that of the multiplication by e x on A, which is
-    that of e x, A being unital; it is squarefree, A being semisimple, so
-    it is factored without a squarefree decomposition.  Both tags are field
+    u m/f = 1 mod f; for a linear f = t - a, u is the constant 1 / (m/f)(a).
+    m is found by Krylov dependence on the coordinate vectors of the powers
+    of e x, which the projectors then combine (A is unital, so m is that of
+    the multiplication by e x); it is squarefree, A being semisimple, so it
+    is factored without a squarefree decomposition.  Both tags are field
     degrees: e P_f x generates a copy of Q[t]/(f), and e P_f embeds the
     field of degree t.  A field inside eA has dimension at most dim eA, and
     the dim eA sum to n, so once the tags sum to n every eA is a field and
     every e primitive.  The x_k get there: x_k generates A when the n
     characters of A differ on it, and two characters differ on x_k by a
     nonzero polynomial in k of degree < n, so some k <= 1 + (n-1) n(n-1)/2
-    qualifies (Eberly & Giesbrecht, J.
-    Symbolic Comput. 2000); then each e P_f A is spanned by the powers of
-    e P_f x, of dimension at most deg f.  Each block is mapped back to a
-    matrix by one combination of the basis, and the projectors are sorted
-    by `idempotent_order`: the result depends only on the algebra.
+    qualifies (Eberly & Giesbrecht, J. Symbolic Comput. 2000); then each
+    e P_f A is spanned by the powers of e P_f x, of dimension at most
+    deg f.  The candidates are the given basis elements, in their order,
+    and combinations of them, so the blocks do not depend on the form E.
+    Each primitive idempotent is formed as a matrix once, from its
+    coordinates, and the projectors are sorted by `idempotent_order`: the
+    result depends only on the algebra.
     """
     n = len(basis)
-    gram = _trace_form(basis)
-    if symmetric_signature(gram).nullity:
-        return None
-    d = basis[0].rows
     if n == 1:  # lam = tr(b b) / tr(b), as tr(b b) = lam tr(b) is nonzero
         b = basis[0]
-        trace = b.trace()
-        p = b.scale(trace / gram[0, 0]) if trace else None
-        if p is None or p @ p != p:
+        gram = (b @ b).trace()
+        if not gram:
+            return None
+        p = b.scale(b.trace() / gram)
+        if not p.sparse or p @ p != p:
             raise InternalCheckError("split projector is not idempotent")
         return [p]
-    span = SpanSolver(d * d)
-    for b in basis:
-        span.insert(b.flat())
-    table = {(i, j): span.sparse_decompose((basis[i] @ basis[j]).flat())
-             for i in range(n) for j in range(i, n)}  # b_i b_j = b_j b_i, for i <= j
-    one = span.sparse_decompose(Mat.identity(d).flat())
-    if one is None or None in table.values():
-        raise InternalCheckError("the span is not a unital algebra")
+    d = basis[0].rows
+    given = [b.flat() for b in basis]
+    flats = reduced_span_basis(given)
+    if len(flats) < n:
+        return None
+    mats = basis if flats == given else [Mat.from_flat(d, d, f) for f in flats]
+    pivots = [max(f) for f in flats]
+
+    def coords(flat: dict) -> dict:
+        x = {i: flat[p] for i, p in enumerate(pivots) if p in flat}
+        if _combine((c, flats[k]) for k, c in x.items()) != flat:
+            raise InternalCheckError("the span is not a unital algebra")
+        return x
+
+    products = {(i, j): mats[i] @ mats[j] for i in range(n) for j in range(i, n)}
+    gram = {i: {j: products[min(i, j), max(i, j)].trace() for j in range(n)} for i in range(n)}
+    if symmetric_signature(Mat.from_sparse(n, n, gram)).nullity:
+        return None
+    table = {key: coords(prod.flat()) for key, prod in products.items()}  # E_i E_j, i <= j
+    one = coords({r * d + r: 1 for r in range(d)})
 
     def mul(x: dict, y: dict) -> dict:
         return _combine((a * b, table[min(i, j), max(i, j)])
                         for i, a in x.items() for j, b in y.items())
 
+    given = [coords(f) for f in given]
     blocks = [(one, 1)]
-    draws = (_generic_element(n, k) for k in range(1, 2 + (n - 1) * n * (n - 1) // 2))
-    for x in itertools.chain(({i: 1} for i in range(n)), draws):
+    draws = (_combine((c, given[i]) for i, c in _generic_element(n, k).items())
+             for k in range(1, 2 + (n - 1) * n * (n - 1) // 2))
+    for x in itertools.chain(given, draws):
         refined = []
         for e, tag in blocks:
-            y = mul(e, x)
+            y = x if e is one else mul(e, x)
             if _combine([(frac(y.get(min(e), 0)) / e[min(e)], e)]) == y:
                 refined.append((e, tag))  # e x = c e cuts e into itself
                 continue
-            # row j holds y b_j: the transpose of multiplication by y, same minimal polynomial
-            mp = _minimal_polynomial(Mat.from_sparse(n, n, {j: mul(y, {j: 1}) for j in range(n)}),
-                                     squarefree=True)
-            powers = [one]  # y^0 .. y^(deg m - 1), when there is a cut
-            for _ in range(mp.degree - 1 if len(mp.factors) > 1 else 0):
-                powers.append(mul(powers[-1], y))
+            powers, krylov = [one], SpanSolver(n)  # y^0 .. y^(deg m - 1)
+            while krylov.insert(powers[-1]):
+                powers.append(y if powers[-1] is one else mul(powers[-1], y))
+            top = krylov.sparse_decompose(powers.pop())  # y^(deg m) over the lower powers
+            m = [-frac(top.get(i, 0)) for i in range(len(powers))] + [ONE]
+            factors = poly.factor_squarefree(m)
             cut = []  # (deg f, e P_f); the last e P_f is e minus the others
-            for factor in mp.factors[:-1]:
-                cof, rem = poly.divmod_exact(mp.coeffs, factor.coeffs)
-                assert rem == [poly.ZERO]
-                g, u, _ = poly.xgcd(cof, factor.coeffs)
-                if poly.degree(g) != 0:
+            for f in factors[:-1]:
+                cof, rem = poly.divmod_exact(m, f)
+                if len(f) == 2:  # u = 1 / cof(a) at the root a of f
+                    g, u = [functools.reduce(lambda acc, c: acc * -f[0] + c, cof[::-1])], [ONE]
+                else:
+                    g, u, _ = poly.xgcd(cof, f)
+                if rem != [poly.ZERO] or poly.degree(g) != 0:
                     raise InternalCheckError("minimal polynomial factors are not coprime")
-                _, proj = poly.divmod_exact(poly.mul([c / g[0] for c in u], cof), mp.coeffs)
-                cut.append((factor.degree, mul(e, _combine(zip(proj, powers)))))
-            cut.append((mp.factors[-1].degree, _combine([(1, e)] + [(-1, p) for _, p in cut])))
+                proj = poly.divmod_exact(poly.mul([c / g[0] for c in u], cof), m)[1]
+                part = _combine(zip(proj, powers))
+                cut.append((len(f) - 1, part if e is one else mul(e, part)))
+            cut.append((len(factors[-1]) - 1, _combine([(1, e)] + [(-1, p) for _, p in cut])))
             if any(mul(p, p) != p for _, p in cut):
                 raise InternalCheckError("split projector is not idempotent")
             refined += [(p, max(tag, degree)) for degree, p in cut if p]
         blocks = refined
         if sum(tag for _, tag in blocks) == n:
-            return sorted((combination(((c, basis[i]) for i, c in e.items()), d, d)
+            return sorted((combination(((c, mats[i]) for i, c in e.items()), d, d)
                            for e, _ in blocks), key=idempotent_order)
     raise InternalCheckError("no split into fields within the bound")
 

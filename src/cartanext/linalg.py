@@ -23,6 +23,7 @@ sparse rows.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict, deque
 from collections.abc import Mapping
@@ -49,7 +50,7 @@ def frac(x: Scalar) -> Fraction:
 
 def _exact(x):
     """x as an int when it is integral, else unchanged."""
-    return x.numerator if x.denominator == 1 else x
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
 
 
 def _entry(x):
@@ -127,11 +128,6 @@ class Mat:
         if any(len(row) != c for row in rows):
             raise InputError("ragged rows")
         return Mat(len(rows), c, [x for row in rows for x in row])
-
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence[Scalar]], rows: int) -> "Mat":
-        """The matrix whose columns are `cols`, each of length `rows`."""
-        return Mat(len(cols), rows, [col[r] for col in cols for r in range(rows)]).transpose()
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
@@ -270,33 +266,32 @@ class Mat:
                     out[new] = picked
         return Mat._of(len(row_idx), len(col_idx), out)
 
-    def apply(self, vec: Sequence[Fraction]) -> list:
-        """Matrix-vector product on a plain coefficient list."""
-        if len(vec) != self.cols:
-            raise InputError("vector length mismatch")
-        v = {j: x for j, x in enumerate(vec) if x}
-        out = [ZERO] * self.rows
-        for r, row in self.sparse.items():
-            out[r] = frac(sum(a * v[j] for j, a in row.items() if j in v))
-        return out
-
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
 def combination(terms: Iterable[tuple], rows: int, cols: int) -> Mat:
-    """sum c * M over the pairs (c, M) of `terms`, all rows x cols."""
+    """sum c * M over the pairs (c, M) of `terms`, all rows x cols.  The
+    coefficients are brought to their least common denominator D first, so
+    that integral matrices are summed in ints and each entry is divided by
+    D once."""
+    terms = [(c, m) for c, m in terms if c]
+    den = math.lcm(*(c.denominator for c, _ in terms if c.__class__ is Fraction))
     acc: dict = {}
     for c, m in terms:
-        if c:
-            for r, row in m.sparse.items():
-                out = acc.get(r)
-                if out is None:
-                    out = acc[r] = {}
-                for k, v in row.items():
-                    out[k] = out.get(k, 0) + c * v
-    return Mat._of(rows, cols, _clean(acc))
+        c = int(c * den)
+        for r, row in m.sparse.items():
+            out = acc.get(r)
+            if out is None:
+                out = acc[r] = {}
+            for k, v in row.items():
+                out[k] = out.get(k, 0) + c * v
+    if den == 1:
+        return Mat._of(rows, cols, _clean(acc))
+    quotient = functools.cache(lambda v: _exact(Fraction(v, den)))  # the entries take few values
+    return Mat._of(rows, cols, {r: q for r, row in acc.items()
+                                if (q := {k: quotient(v) for k, v in row.items() if v})})
 
 
 class _BracketIndex:
@@ -399,8 +394,8 @@ def _sparse(vec: Vector) -> dict:
     """A new {index: value} copy of a vector, without zeros and with
     integral values as int.  Any Mapping is read as sparse {index: value};
     anything else as a dense sequence."""
-    items = vec.items() if isinstance(vec, dict) or isinstance(vec, Mapping) else enumerate(vec)
-    return {i: _exact(v) for i, v in items if v}
+    items = vec.items() if vec.__class__ is dict or isinstance(vec, Mapping) else enumerate(vec)
+    return {i: v if v.__class__ is int else _exact(v) for i, v in items if v}
 
 
 def _reduce(v: dict, pivots: dict) -> dict:
@@ -441,11 +436,12 @@ def _store(v: dict, pivots: dict) -> tuple:
     return p, inv
 
 
-def _echelon(rows: Iterable[Vector], width: int) -> Optional[dict]:
+def _echelon(rows: Iterable[Vector], width: int, pivots: Optional[dict] = None) -> Optional[dict]:
     """Monic echelon rows {pivot column: row} spanning `rows`, or None when
     one of them reduces to the columns from `width` on alone (the right-hand
-    sides of an inconsistent system)."""
-    pivots: dict[int, dict] = {}
+    sides of an inconsistent system).  Given `pivots`, the rows are added to
+    them in place."""
+    pivots = {} if pivots is None else pivots
     for row in rows:
         v = _sparse(row)
         _reduce(v, pivots)
@@ -752,14 +748,6 @@ def minimal_polynomial(m: Mat) -> MinimalPolynomial:
     irreducibles by `poly.factor_squarefree`, which is complete in every
     degree.
     """
-    return _minimal_polynomial(m, squarefree=False)
-
-
-def _minimal_polynomial(m: Mat, squarefree: bool) -> MinimalPolynomial:
-    """`minimal_polynomial(m)`.  With `squarefree`, the caller knows the
-    polynomial to be squarefree, as that of every element of a semisimple
-    commutative algebra is, and it is factored as its own squarefree part,
-    without Yun's decomposition."""
     from . import poly
 
     if not m.is_square():
@@ -780,7 +768,7 @@ def _minimal_polynomial(m: Mat, squarefree: bool) -> MinimalPolynomial:
             break
         span.insert(flat)
     factors = []
-    for base, mult in [(coeffs, 1)] if squarefree else poly.squarefree_decomposition(coeffs):
+    for base, mult in poly.squarefree_decomposition(coeffs):
         for irr in poly.factor_squarefree(base):
             tag = None
             if len(irr) == 3:

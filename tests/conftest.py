@@ -26,6 +26,25 @@ from cartanext.linalg import (ONE, ZERO, LinearSolution, Mat, MinimalPolynomial,
                               kernel_of_sparse_rows, matrix_rank, solve_linear)
 
 
+# -- dense views that only tests use, moved here from Mat ------------------------
+
+
+def from_columns(cols: Sequence[Sequence], rows: int) -> Mat:
+    """The matrix whose columns are `cols`, each of length `rows`."""
+    return Mat(len(cols), rows, [col[r] for col in cols for r in range(rows)]).transpose()
+
+
+def apply(m: Mat, vec: Sequence[Fraction]) -> list:
+    """m times a plain coefficient list, as a list of Fractions."""
+    if len(vec) != m.cols:
+        raise InputError("vector length mismatch")
+    v = {j: x for j, x in enumerate(vec) if x}
+    out = [ZERO] * m.rows
+    for r, row in m.sparse.items():
+        out[r] = Fraction(sum(a * v[j] for j, a in row.items() if j in v))
+    return out
+
+
 def rref_rank_oracle(rows):
     """Plain row-echelon rank over Fraction lists, independent of the library."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -723,7 +742,7 @@ def reference_factor_decomposition(pair) -> list:
                 if val != 0:
                     col[m_pos[idx]] = val
             cols.append(col)
-        emb = Mat.from_columns(cols, pair.dim_m)
+        emb = from_columns(cols, pair.dim_m)
         factors.append(PairFactor(sub, emb, group_type=len(orbit) == 2))
     return factors
 
@@ -731,10 +750,29 @@ def reference_factor_decomposition(pair) -> list:
 # -- the whole-algebra centroid and the idempotent split, kept verbatim ---------
 
 
+def _trace_form(basis: list) -> Mat:
+    """Gram matrix tr(b_i b_j) of the trace form on a span of square matrices,
+    kept verbatim: the engine now reads the traces off the products it forms."""
+    sparse = [b.sparse for b in basis]
+    n = len(basis)
+    data: dict = {}
+    for i in range(n):
+        for j in range(i, n):
+            s = 0
+            b_j = sparse[j]
+            for r, row in sparse[i].items():  # sum_{r,c} b_i[r][c] b_j[c][r]
+                for c, v in row.items():
+                    w = b_j.get(c, _NONE).get(r)
+                    if w is not None:
+                        s += v * w
+            if s:
+                data.setdefault(i, {})[j] = data.setdefault(j, {})[i] = s
+    return Mat.from_sparse(n, n, data)
+
+
 def reference_split_idempotents(basis: list) -> Optional[list]:
     """Primitive idempotents of a commutative matrix algebra, from its basis,
     through a primitive element x_k = sum_i k^i b_i for every basis size."""
-    from cartanext.lie import _trace_form
     from cartanext.linalg import combination, minimal_polynomial, symmetric_signature
 
     n = len(basis)
@@ -950,7 +988,7 @@ def reference_predicate_lagrangean(t: Mat, target: GradedAlgebra) -> Optional[bo
         if sol is None:
             return False
         a.append(sol.particular.col(0))
-    amat = Mat.from_columns(a, n)
+    amat = from_columns(a, n)
     if not _invertible(amat):
         return False
     for i in range(n):
@@ -1295,7 +1333,7 @@ def reference_assert_b2_equivariant(ext: Extension, b2: Mat) -> None:
     def block(az: dict, idx: list) -> Mat:
         # ad(az) on span(idx): column c is [az, X_c] = -[X_c, az]
         cols = [sc_g.bracket_with(c, az) for c in idx]
-        return Mat.from_columns([[-col.get(r, ZERO) for r in idx] for col in cols], len(idx))
+        return from_columns([[-col.get(r, ZERO) for r in idx] for col in cols], len(idx))
 
     for h in ext.pair.h_indices:
         az = {i: a for i, a in enumerate(ext.alpha.col(h)) if a}
@@ -1793,7 +1831,7 @@ def reference_inclusion_witness(pair: SymmetricPair, target: GradedAlgebra,
         if coords is None:
             raise InputError("pair algebra does not embed into the target span")
         cols.append(coords)
-    alpha = Mat.from_columns(cols, target.dim)
+    alpha = from_columns(cols, target.dim)
     return Extension(pair, target, alpha, label)
 
 
@@ -1807,7 +1845,7 @@ def reference_coordinate_complex_structure(target: GradedAlgebra) -> Mat:
         if coords is None:
             raise InternalCheckError("ambient J does not preserve the target span")
         cols.append(coords)
-    return Mat.from_columns(cols, target.dim)
+    return from_columns(cols, target.dim)
 
 
 def reference_row_su_pp_so_complex(pair: SymmetricPair) -> Extension:
@@ -1828,7 +1866,7 @@ def reference_row_su_pp_so_complex(pair: SymmetricPair) -> Extension:
         if coords is None:
             raise InternalCheckError("complexified element escapes the su(p,p) span")
         cols.append(coords)
-    alpha = Mat.from_columns(cols, t.dim)
+    alpha = from_columns(cols, t.dim)
     return Extension(pair, t, alpha, f"{pair.name}->su_pp")
 
 
@@ -1842,7 +1880,7 @@ def reference_mapped_witness(pair: SymmetricPair, target: GradedAlgebra,
         if coords is None:
             raise InternalCheckError("mapped element escapes the target span")
         cols.append(coords)
-    alpha = Mat.from_columns(cols, target.dim)
+    alpha = from_columns(cols, target.dim)
     return Extension(pair, target, alpha, label)
 
 
@@ -1860,7 +1898,7 @@ def reference_target_conjugation(target: GradedAlgebra) -> Mat:
         if coords is None:
             raise InternalCheckError("conjugation does not preserve the target span")
         cols.append(coords)
-    return Mat.from_columns(cols, target.dim)
+    return from_columns(cols, target.dim)
 
 
 # -- the dense views the engine no longer calls, kept verbatim ---------------
@@ -1975,7 +2013,7 @@ def reference_predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[boo
     inter = solve_linear(Mat.from_rows(rows), Mat.zero(n, 1))
     a0 = None
     for k in inter.kernel:
-        cand = w01.apply([k[i, 0] for i in range(n)])
+        cand = apply(w01, [k[i, 0] for i in range(n)])
         if any(x != 0 for x in cand):
             a0 = cand
             break
@@ -2029,7 +2067,7 @@ def reference_predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[boo
         ]
     else:
         avecs = [a0] + tilde[1:]
-    amat = Mat.from_columns(avecs, n)
+    amat = from_columns(avecs, n)
     return _invertible(amat)
 
 
@@ -2111,3 +2149,251 @@ def reference_assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
         algebra, family, _frozen(params), tuple(coords.col(0)), minus_one, zero, plus_one,
         flip, tuple(gm1_layout), ambient_j,
     )
+
+
+# -- the word-matrix spin-up, the span-decomposing split and the commutant
+# classification that reads it, kept verbatim (the split and the spin-up
+# now read coordinates at pivots and cut the unknowns relation by relation),
+# but for the split's minimal polynomial: the squarefree shortcut of
+# `_minimal_polynomial` is gone, and on a squarefree polynomial, which the
+# split's always is, `minimal_polynomial` gives the same factors --
+
+
+from cartanext.lie import (CommutantClassification, _apply, _by_column,  # noqa: E402
+                           _combine, _generic_element, _spin_up, generating_indices,
+                           idempotent_order)
+from cartanext.linalg import (_NONE, _BracketIndex, _reduce, minimal_polynomial,  # noqa: E402
+                              _solutions, _sparse, _store, reduced_span_basis,
+                              symmetric_signature)
+
+
+def _reference_add_rows(acc: dict, m: Mat, c, offset: int) -> None:
+    """acc[t] += c * (row t of m, its columns shifted by offset), for every t."""
+    for t, row in m.sparse.items():
+        out = acc.get(t)
+        if out is None:
+            out = acc[t] = {}
+        for col, v in row.items():
+            key = offset + col
+            out[key] = out.get(key, 0) + c * v
+
+
+def reference_word_matrix_commutant_basis(rep) -> list:
+    """Basis of all matrices commuting exactly with every action matrix,
+    found by spin-up: the standard-basis method of Parker's MeatAxe (1984;
+    Holt & Rees, J. Austral. Math. Soc. 1994).
+
+    Generators.  A T commuting with rho(x) and rho(y) commutes with
+    [rho(x), rho(y)] = rho([x, y]), so T commutes with every action matrix
+    once it commutes with A_s = rho(X_s) for the picks s of
+    `generating_indices(rep.algebra)`.  This needs rho to be a homomorphism,
+    which `Representation` checks, and which the adjoint representation is
+    by construction.
+
+    Spin-up.  The unit vectors z of V = Q^d are taken in increasing order,
+    each skipped when it lies in the span found so far.  From each such
+    root z_i, vectors are found by applying every A_s to every w_j in turn
+    and keeping A_s w_j, with the word (j, s), when it is independent.  The
+    vectors w_b found are a basis of V, and every edge (j, s) that gave no
+    new vector is a relation A_s w_j = sum_k c_k w_k.
+
+    Unknowns.  Write u = (u_1, ..., u_r) in Q^(r d) for the values T z_i.
+    Let M_b u = u_i when w_b is the root z_i and M_b = A_s M_j when w_b has
+    the word (j, s), and let T_u be the matrix with T_u w_b = M_b u.  Then
+    T_u z_i = u_i, so u -> T_u is injective; T_u A_s w_j = A_s T_u w_j
+    holds on every edge of a word; and it holds on the relation (j, s)
+    exactly when sum_k c_k M_k u - A_s M_j u = 0, which is d rows in the
+    r d unknowns.  A T in the commutant is T_u for u = (T z_i), so the
+    commutant is the image of the kernel K of all the relation rows.
+
+    Early stop.  The rows enter the echelon core one relation at a time.
+    When a relation adds no pivot at a rank not tried before, the kernel K'
+    of the rows so far is taken.  K lies in K', being cut out by more rows.
+    If T_u commutes with every A_s for each u of a basis of K', the image
+    of K' lies in the commutant, which is the image of K, so the two images
+    are equal and the remaining rows are not needed.  Otherwise elimination
+    goes on, and after the last relation K itself is used.
+
+    Output.  The T_u are put in the form of `reduced_span_basis`, which
+    depends only on their span: it is the kernel basis that
+    `kernel_of_sparse_rows` returns for the d^2 system T A_s - A_s T = 0.
+    """
+    d = rep.carrier_dim
+    gens = [rep.action[g] for g in generating_indices(rep.algebra)]
+    cols = [_by_column(a) for a in gens]
+    span, w, words = _spin_up(cols, d)
+    n = d * sum(1 for _, j, _ in words if j is None)  # the unknowns u
+    spun = {(j, s) for _, j, s in words}
+    relations = [(j, s) for j in range(d) for s in range(len(gens)) if (j, s) not in spun]
+    word_mats: list = []  # M_b as a d x d matrix, made when a relation first needs it
+    unit = Mat.identity(d)
+
+    def word_matrix(b: int) -> Mat:
+        while len(word_mats) <= b:
+            _, j, s = words[len(word_mats)]
+            word_mats.append(unit if j is None else gens[s] @ word_mats[j])
+        return word_mats[b]
+
+    inverse: dict = {}  # row b: {c: coordinate of e_c at w_b}
+
+    def image(u: dict) -> Mat:
+        """T_u: its column c is the sum over b of (coordinate of e_c at w_b) M_b u."""
+        if not inverse:
+            for c in range(d):
+                for b, x in span.sparse_decompose({c: 1}).items():
+                    inverse.setdefault(b, {})[c] = x
+        blocks: dict = {}
+        for c, x in u.items():
+            blocks.setdefault(c // d, {})[c % d] = x
+        values: list = []  # T_u w_b
+        acc: dict = {}
+        for b, (i, j, s) in enumerate(words):
+            v = blocks.get(i, _NONE) if j is None else _apply(cols[s], values[j])
+            values.append(v)
+            row_b = inverse.get(b, _NONE)
+            for t, x in v.items():
+                out = acc.get(t)
+                if out is None:
+                    out = acc[t] = {}
+                for c, y in row_b.items():
+                    out[c] = out.get(c, 0) + x * y
+        return Mat._of(d, d, _clean(acc))
+
+    pivots: dict = {}
+    tried = -1
+    found = None
+    gens_index = _BracketIndex(gens, d)
+    for count, (j, s) in enumerate(relations, 1):
+        rows: dict = {}
+        for k, c in span.sparse_decompose(_apply(cols[s], w[j])).items():
+            _reference_add_rows(rows, word_matrix(k), c, words[k][0] * d)
+        _reference_add_rows(rows, gens[s] @ word_matrix(j), -1, words[j][0] * d)
+        rank = len(pivots)
+        for row in rows.values():
+            v = _sparse(row)
+            _reduce(v, pivots)
+            if v:
+                _store(v, pivots)
+        if len(pivots) > rank or rank == tried or count == len(relations):
+            continue
+        tried = rank
+        found = []
+        for f in range(n):
+            if f not in pivots:
+                found.append(image(_solutions(pivots, ({f: 1},), n)[0]))
+                if gens_index.brackets(found[-1]):
+                    found = None
+                    break
+        if found is not None:
+            break
+    if found is None:
+        found = [image(u) for u in _solutions(
+            pivots, ({f: 1} for f in range(n) if f not in pivots), n)]
+    return [Mat.from_flat(d, d, v) for v in reduced_span_basis(t.flat() for t in found)]
+
+
+def reference_span_split_idempotents(basis: list) -> Optional[list]:
+    """Primitive idempotents of a commutative matrix algebra, from its basis.
+
+    None when the trace form tr(b_i b_j) is degenerate: the algebra is then
+    not semisimple.  A one-element basis b spans a line, b b = lam b, whose
+    unit b / lam is its one nonzero idempotent.
+
+    A larger algebra A, of dimension n and holding I, is split in its own
+    coordinates: n(n+1)/2 products give the table b_i b_j = sum_k c_ij^k b_k
+    (`InternalCheckError` when a product or I leaves the span), and every
+    element below is a coordinate vector over the b_i, multiplied through
+    that table.  A is split by refining blocks (e, t): orthogonal
+    idempotents e of A summing to I, each tagged with the degree t of a
+    field inside eA, from (I, 1) on.  A candidate x, the basis elements and
+    then x_k = sum_i k^i b_i for k = 1, 2, ..., cuts each e into the nonzero
+    e P_f, tagged max(t, deg f), for the irreducible factors f of the
+    minimal polynomial m of e x and the Bezout projectors P_f = (u m/f)(e x),
+    u m/f = 1 mod f.  m is that of the multiplication by e x on A, which is
+    that of e x, A being unital; it is squarefree, A being semisimple, so
+    it is factored without a squarefree decomposition.  Both tags are field
+    degrees: e P_f x generates a copy of Q[t]/(f), and e P_f embeds the
+    field of degree t.  A field inside eA has dimension at most dim eA, and
+    the dim eA sum to n, so once the tags sum to n every eA is a field and
+    every e primitive.  The x_k get there: x_k generates A when the n
+    characters of A differ on it, and two characters differ on x_k by a
+    nonzero polynomial in k of degree < n, so some k <= 1 + (n-1) n(n-1)/2
+    qualifies (Eberly & Giesbrecht, J.
+    Symbolic Comput. 2000); then each e P_f A is spanned by the powers of
+    e P_f x, of dimension at most deg f.  Each block is mapped back to a
+    matrix by one combination of the basis, and the projectors are sorted
+    by `idempotent_order`: the result depends only on the algebra.
+    """
+    n = len(basis)
+    gram = _trace_form(basis)
+    if symmetric_signature(gram).nullity:
+        return None
+    d = basis[0].rows
+    if n == 1:  # lam = tr(b b) / tr(b), as tr(b b) = lam tr(b) is nonzero
+        b = basis[0]
+        trace = b.trace()
+        p = b.scale(trace / gram[0, 0]) if trace else None
+        if p is None or p @ p != p:
+            raise InternalCheckError("split projector is not idempotent")
+        return [p]
+    span = SpanSolver(d * d)
+    for b in basis:
+        span.insert(b.flat())
+    table = {(i, j): span.sparse_decompose((basis[i] @ basis[j]).flat())
+             for i in range(n) for j in range(i, n)}  # b_i b_j = b_j b_i, for i <= j
+    one = span.sparse_decompose(Mat.identity(d).flat())
+    if one is None or None in table.values():
+        raise InternalCheckError("the span is not a unital algebra")
+
+    def mul(x: dict, y: dict) -> dict:
+        return _combine((a * b, table[min(i, j), max(i, j)])
+                        for i, a in x.items() for j, b in y.items())
+
+    blocks = [(one, 1)]
+    draws = (_generic_element(n, k) for k in range(1, 2 + (n - 1) * n * (n - 1) // 2))
+    for x in itertools.chain(({i: 1} for i in range(n)), draws):
+        refined = []
+        for e, tag in blocks:
+            y = mul(e, x)
+            if _combine([(frac(y.get(min(e), 0)) / e[min(e)], e)]) == y:
+                refined.append((e, tag))  # e x = c e cuts e into itself
+                continue
+            # row j holds y b_j: the transpose of multiplication by y, same minimal polynomial
+            mp = minimal_polynomial(Mat.from_sparse(n, n, {j: mul(y, {j: 1}) for j in range(n)}))
+            powers = [one]  # y^0 .. y^(deg m - 1), when there is a cut
+            for _ in range(mp.degree - 1 if len(mp.factors) > 1 else 0):
+                powers.append(mul(powers[-1], y))
+            cut = []  # (deg f, e P_f); the last e P_f is e minus the others
+            for factor in mp.factors[:-1]:
+                cof, rem = poly.divmod_exact(mp.coeffs, factor.coeffs)
+                assert rem == [poly.ZERO]
+                g, u, _ = poly.xgcd(cof, factor.coeffs)
+                if poly.degree(g) != 0:
+                    raise InternalCheckError("minimal polynomial factors are not coprime")
+                _, proj = poly.divmod_exact(poly.mul([c / g[0] for c in u], cof), mp.coeffs)
+                cut.append((factor.degree, mul(e, _combine(zip(proj, powers)))))
+            cut.append((mp.factors[-1].degree, _combine([(1, e)] + [(-1, p) for _, p in cut])))
+            if any(mul(p, p) != p for _, p in cut):
+                raise InternalCheckError("split projector is not idempotent")
+            refined += [(p, max(tag, degree)) for degree, p in cut if p]
+        blocks = refined
+        if sum(tag for _, tag in blocks) == n:
+            return sorted((combination(((c, basis[i]) for i, c in e.items()), d, d)
+                           for e, _ in blocks), key=idempotent_order)
+    raise InternalCheckError("no split into fields within the bound")
+
+
+def reference_span_classify_commutant(basis: tuple) -> CommutantClassification:
+    dim = len(basis)
+    if dim == 1:
+        return CommutantClassification(basis, "R")
+    if dim not in (2, 4):
+        return CommutantClassification(basis, "OTHER")
+    sig = symmetric_signature(_trace_form(basis)).as_tuple()
+    if dim == 2:
+        label = {(2, 0, 0): "RxR", (1, 1, 0): "C"}.get(sig, "OTHER")
+    elif not any(map(_BracketIndex(basis, basis[0].rows).brackets, basis)):  # commutative
+        label = "CxC" if sig == (2, 2, 0) and len(reference_span_split_idempotents(basis)) == 2 else "OTHER"
+    else:
+        label = "H" if sig == (1, 3, 0) else "OTHER"
+    return CommutantClassification(basis, label)

@@ -22,7 +22,7 @@ from cartanext.catalog import (
 from cartanext.errors import ClosureError, DependentBasisError, InputError
 from cartanext.lie import MatrixLieAlgebra, StructureConstants, is_semisimple, make_algebra
 from cartanext.linalg import Mat, commutator
-from conftest import (dense_structure_table, reference_assemble_graded,
+from conftest import (apply, dense_structure_table, reference_assemble_graded,
                       reference_factor_decomposition)
 
 F = Fraction
@@ -219,7 +219,7 @@ def test_pair_grid_invariants(family, params):
     for i in range(p.dim):
         si = s.col(i)
         for j in range(i + 1, p.dim):
-            left = s.apply(sc.bracket_coords(
+            left = apply(s, sc.bracket_coords(
                 [F(1) if t == i else F(0) for t in range(p.dim)],
                 [F(1) if t == j else F(0) for t in range(p.dim)],
             ))

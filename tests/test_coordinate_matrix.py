@@ -16,6 +16,7 @@ from cartanext.catalog import build_graded, build_pair
 from cartanext.errors import InputError, InternalCheckError
 from cartanext.linalg import Mat
 from conftest import (
+    from_columns,
     reference_coordinate_complex_structure,
     reference_coordinates,
     reference_inclusion_witness,
@@ -42,7 +43,7 @@ def _reference_matrix(algebra, mats):
         if coords is None:
             return None
         cols.append(coords)
-    return Mat.from_columns(cols, algebra.dim)
+    return from_columns(cols, algebra.dim)
 
 
 def _outcome(call, *args):

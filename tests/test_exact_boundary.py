@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from cartanext import catalog, classify, lie
+from cartanext import catalog, classify, poly
 from cartanext.catalog import build_graded, build_pair, isotropy_rep
 from cartanext.classify import g0_action_solver
 from cartanext.extension import curvature, dstar_projective, solve_projective_b2
@@ -83,30 +83,34 @@ def test_pair_outputs_are_fractions(family, params, monkeypatch):
 @pytest.mark.parametrize("family, params", PAIRS)
 def test_commutants_and_minimal_polynomials_match_references(family, params, monkeypatch):
     pair = build_pair(family, params)
-    drawn = []
-    real = lie._minimal_polynomial
+    factored = []
+    real = poly.factor_squarefree
 
-    def recorded(m, squarefree):
-        assert squarefree  # split_idempotents factors without Yun's decomposition
-        drawn.append(m)
-        return real(m, squarefree)
+    def recorded(p):
+        factored.append(list(p))
+        return real(p)
 
-    monkeypatch.setattr(lie, "_minimal_polynomial", recorded)
+    monkeypatch.setattr(poly, "factor_squarefree", recorded)
     iso = isotropy_rep(pair)
     # the isotropy commutant, and the centroid as factor_decomposition splits it
+    elements = []
     for rep in (iso, pair.k_algebra.adjoint_representation()):
         basis = commutant_basis(rep)
         assert basis == reference_commutant_basis(rep)
         split_idempotents(basis)
-        if len(basis) == 1:  # split without a primitive element: check the basis itself
-            drawn += basis
+        elements += basis
     commutant(iso)
-    assert drawn
-    for m in drawn:
+    for m in elements:
         mp = minimal_polynomial(m)
-        assert mp == real(m, squarefree=True) == reference_minimal_polynomial(m)
+        assert mp == reference_minimal_polynomial(m)
         assert _fractions(mp.coeffs)
         assert all(_fractions(f.coeffs) for f in mp.factors)
+    # split_idempotents factors the minimal polynomials of algebra elements,
+    # which are squarefree, without Yun's decomposition
+    assert factored
+    for p in factored:
+        assert _fractions(p) and p[-1] == 1
+        assert poly.degree(poly.gcd(p, poly.derivative(p))) == 0
 
 
 @pytest.mark.parametrize("bad", ["x", ""])

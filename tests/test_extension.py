@@ -22,7 +22,7 @@ from cartanext.extension import (
     validate,
 )
 from cartanext.linalg import Mat, matrix_rank
-from conftest import reference_dstar_projective, reference_equivariance_witnesses
+from conftest import apply, reference_dstar_projective, reference_equivariance_witnesses
 
 F = Fraction
 
@@ -109,7 +109,7 @@ def test_graded_rescale_commutes_with_curvature(projective_witness_sl2):
     k0 = curvature(ext)
     k1 = curvature(rescaled)
     for key, vec in k0.values.items():
-        assert k1.values[key] == op.apply(vec)
+        assert k1.values[key] == apply(op, vec)
 
 
 def test_b2_solution_unique_and_normalizing(projective_witness_sl2):

@@ -331,10 +331,10 @@ def test_commutant_m2r_is_other_not_h(sl2_basis):
 def test_dual_numbers_are_not_split_and_other(monkeypatch):
     nil = Mat.from_rows([[0, 1], [0, 0]])
 
-    def no_minimal_polynomial(m, squarefree):
+    def no_factoring(p):
         raise AssertionError("a degenerate trace form needs no minimal polynomial")
 
-    monkeypatch.setattr(lie, "_minimal_polynomial", no_minimal_polynomial)
+    monkeypatch.setattr(lie.poly, "factor_squarefree", no_factoring)
     assert split_idempotents([Mat.identity(2), nil]) is None
     cls = commutant(Representation(make_algebra([nil], "n"), 2, [nil]))
     assert (cls.dim, cls.label) == (2, "OTHER")

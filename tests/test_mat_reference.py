@@ -14,8 +14,8 @@ import pytest
 
 from cartanext.errors import InputError
 from cartanext.linalg import Mat, commutator
-from conftest import (ReferenceMat, reference_commutator, reference_mat_from_json,
-                      reference_mat_to_json, stored_form_holds)
+from conftest import (ReferenceMat, apply, from_columns, reference_commutator,
+                      reference_mat_from_json, reference_mat_to_json, stored_form_holds)
 
 F = Fraction
 
@@ -91,7 +91,7 @@ def test_arithmetic_matches_reference(seed):
         assert _same(a.submatrix(range(rows), range(cols)), ra)
         vec = [_scalar(rng) for _ in range(cols)]
         vec = [F(x) for x in vec]
-        got = a.apply(vec)
+        got = apply(a, vec)
         assert got == ra.apply(vec) and all(type(x) is Fraction for x in got)
 
 
@@ -132,7 +132,7 @@ def test_constructors_match_reference():
         grid = [[_scalar(rng) for _ in range(cols)] for _ in range(rows)]
         assert _same(Mat.from_rows(grid), ReferenceMat.from_rows(grid))
         columns = [[_scalar(rng) for _ in range(rows)] for _ in range(cols)]
-        assert _same(Mat.from_columns(columns, rows), ReferenceMat.from_columns(columns, rows))
+        assert _same(from_columns(columns, rows), ReferenceMat.from_columns(columns, rows))
         values = [_scalar(rng) for _ in range(rows)]
         assert _same(Mat.diag(values), ReferenceMat.diag(values))
         assert _same(Mat.column(values), ReferenceMat.column(values))
@@ -171,7 +171,7 @@ def test_shape_errors_raise_as_before():
     b, rb = Mat.zero(3, 2), ReferenceMat.zero(3, 2)
     for call, ref in ((lambda: a + b, lambda: ra + rb), (lambda: a - b, lambda: ra - rb),
                       (lambda: a @ a, lambda: ra @ ra), (lambda: a.trace(), lambda: ra.trace()),
-                      (lambda: a.apply([1, 2]), lambda: ra.apply([1, 2])),
+                      (lambda: apply(a, [1, 2]), lambda: ra.apply([1, 2])),
                       (lambda: Mat(2, 2, [1, 2, 3]), lambda: ReferenceMat(2, 2, [1, 2, 3])),
                       (lambda: Mat.from_rows([[1], [1, 2]]),
                        lambda: ReferenceMat.from_rows([[1], [1, 2]]))):

@@ -6,6 +6,7 @@ compared, entry for entry, with `conftest.reference_commutant_basis`, which
 solves the whole d^2 system over every action matrix:
 - several roots, whose unknowns sit in separate blocks;
 - a stall whose commutation check fails, so that elimination goes on;
+- a stall whose check holds, and one candidate left, which is the identity's;
 - a last relation that still adds a pivot, so that every row is used;
 - carrier dimensions 0 and 1;
 - the hand-built representations of every commutant type;
@@ -96,13 +97,13 @@ def test_two_roots_give_two_blocks_of_unknowns(monkeypatch):
     # V + V of sl(2): the spin-up of e_0 stays in the first copy, so e_2 is a
     # second root, and T is fixed by T e_0 and T e_2: the commutant is M_2(R)
     spins = _recording(monkeypatch, "_spin_up")
-    rows = _recording(monkeypatch, "_add_rows")
+    solves = _recording(monkeypatch, "_solutions")
     rep = dict(CASES)["V+V"]
     basis = commutant_basis(rep)
     (_, (_, w, words)), = spins
     assert [(b, i) for b, (i, j, _) in enumerate(words) if j is None] == [(0, 0), (2, 1)]
     assert w[2] == {2: 1}
-    assert {args[3] for args, _ in rows} == {0, 4}  # the offsets of the two blocks
+    assert solves[0][0][2] == 8  # the first candidates: two blocks of d = 4 unknowns
     assert len(basis) == 4 and commutant(rep).label == "OTHER"
 
 
@@ -118,18 +119,34 @@ def test_a_failed_check_lets_elimination_go_on(monkeypatch):
 
 
 def test_an_early_stop_is_checked_and_kept(monkeypatch):
-    # the sp(2,1) adjoint stops at its first stall: the one kernel vector
-    # commutes with every generator, and the rows after it are not built
+    # the group(sl(2,R)) adjoint stops at its first stall: two solutions are
+    # left, one of them stands in for the identity, and the T of the other
+    # commutes with every generator, so the rows after them are not built
+    pair = build_pair("group_type", {"base": "sl(2,R)"})
+    rep = pair.k_algebra.adjoint_representation()
+    checks = _recording_brackets(monkeypatch)
+    spins = _recording(monkeypatch, "_spin_up")
+    rows = _recording(monkeypatch, "combination")
+    assert commutant_basis(rep) == reference_commutant_basis(rep)
+    (_, (_, _, words)), = spins
+    gens = len(lie.generating_indices(pair.k_algebra))
+    relations = 6 * gens - (len(words) - 1)
+    # one T, checked in one call against an index of every generator
+    assert [(held, bool(out)) for held, _, out in checks] == [(gens, False)]
+    assert len(rows) < relations  # each relation fed sums its rows once
+
+
+def test_one_candidate_left_is_the_identity(monkeypatch):
+    # the sp(2,1) adjoint: the u of T = I solves every relation, so once the
+    # relations leave one candidate the commutant is Q I, without forming T
+    # or checking it, and the rows after it are not built
     pair = build_pair("sp1_block", {"p": 1, "q": 1})
     rep = pair.k_algebra.adjoint_representation()
     checks = _recording_brackets(monkeypatch)
     spins = _recording(monkeypatch, "_spin_up")
-    rows = _recording(monkeypatch, "_add_rows")
+    rows = _recording(monkeypatch, "combination")
     assert commutant_basis(rep) == reference_commutant_basis(rep) == [Mat.identity(21)]
     (_, (_, _, words)), = spins
-    gens = len(lie.generating_indices(pair.k_algebra))
-    relations = 21 * gens - (len(words) - 1)
-    assert checks and not any(out for _, _, out in checks)
-    # one kernel vector, checked in one call against an index of every generator
-    assert [(held, a) for held, a, _ in checks] == [(gens, Mat.identity(21))]
-    assert len(rows) < relations  # each relation fed calls _add_rows at least once
+    relations = 21 * len(lie.generating_indices(pair.k_algebra)) - (len(words) - 1)
+    assert not checks
+    assert len(rows) < relations
