@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -461,7 +462,10 @@ def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> Ma
 
     Each bracket [v_a, v_b], a < b, is summed through `bracket_with` and
     decomposed over the vectors: `DependentBasisError` when they are
-    dependent, `ClosureError` when a bracket leaves their span.  When every
+    dependent, `ClosureError` when a bracket leaves their span.  Both are
+    done on the integral multiples s_a v_a, s_a the common denominator of
+    v_a's entries, so that they run in ints, and [s_a v_a, s_b v_b] =
+    sum_c d_c s_c v_c gives c_ab^c = d_c s_c / (s_a s_b).  When every
     vector is a unit vector e_i, as for the isotropy algebra h, the cell of
     a pair is the parent's cell renumbered, and a bracket leaves the span
     exactly when that cell has an index outside them.  A unit vector e_i
@@ -472,8 +476,10 @@ def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> Ma
     phi: e_i -> X_i is an injective Lie homomorphism, so the Y_a = phi(v_a)
     are independent and [Y_a, Y_b] = phi([v_a, v_b]) = sum_c c_ab^c Y_c.
     """
+    scales = [math.lcm(*(x.denominator for x in v.values())) for v in vecs]
+    ints = [{k: _exact(x * s) for k, x in v.items()} for v, s in zip(vecs, scales)]  # s_a v_a
     span = SpanSolver(algebra.dim)
-    for a, v in enumerate(vecs):
+    for a, v in enumerate(ints):
         if not span.insert(v):
             raise DependentBasisError(a)
     dim = len(vecs)
@@ -487,7 +493,9 @@ def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> Ma
                         if parent.keys() <= units.keys() else None)
             else:
                 cell = span.sparse_decompose(_combine(
-                    (x, algebra.constants.bracket_with(i, vecs[b])) for i, x in vecs[a].items()))
+                    (x, algebra.constants.bracket_with(i, ints[b])) for i, x in ints[a].items()))
+                cell = cell and {c: _exact(Fraction(x * scales[c], scales[a] * scales[b]))
+                                 for c, x in cell.items()}
             if cell is None:
                 raise ClosureError(a, b)
             if cell:
@@ -782,25 +790,16 @@ def commutant_basis(rep: Representation) -> list:
         return values[b]
 
     def image(u: dict) -> Mat:
-        """T_u: its column c is the sum over b of (coordinate of e_c at w_b) M_b u."""
+        """T_u = V W^-1, for V the matrix of the T_u w_b = M_b u and W that of the w_b."""
         if not inverse:
             for c in range(d):
                 for b, x in span.sparse_decompose({c: 1}).items():
                     inverse.setdefault(b, {})[c] = x
-        vals: list = []  # T_u w_b
-        acc: dict = {}
-        for b, (i, j, s) in enumerate(words):
-            v = (_apply(cols[s], vals[j]) if j is not None
-                 else {c % d: x for c, x in u.items() if c // d == i})
-            vals.append(v)
-            row_b = inverse.get(b, _NONE)
-            for t, x in v.items():
-                out = acc.get(t)
-                if out is None:
-                    out = acc[t] = {}
-                for c, y in row_b.items():
-                    out[c] = out.get(c, 0) + x * y
-        return Mat._of(d, d, _clean(acc))
+        vals: list = []
+        for i, j, s in words:
+            vals.append(_apply(cols[s], vals[j]) if j is not None
+                        else {c % d: x for c, x in u.items() if c // d == i})
+        return Mat._of(d, d, dict(enumerate(vals))).transpose() @ Mat._of(d, d, inverse)
 
     def images() -> Iterator[Mat]:
         """I, then T_u for the basis of solutions without the one it replaces."""
@@ -842,16 +841,15 @@ def _spin_up(cols: list, d: int) -> tuple:
     vectors, that is most of them."""
     span = SpanSolver(d)
     w, words, units = [], [], set()  # units: the k of the one-entry vectors c e_k found so far
-    j = roots = 0
+    j = 0
     for z in range(d):
         if span.rank == d:
             break
         if z in units or not span.insert({z: 1}):
             continue
         w.append({z: 1})
-        words.append((roots, None, None))
+        words.append((words[-1][0] + 1 if words else 0, None, None))  # the next root's index
         units.add(z)
-        roots += 1
         while j < len(w) and span.rank < d:
             for s, col in enumerate(cols):
                 x = _apply(col, w[j])
