@@ -812,10 +812,14 @@ def commutant_basis(rep: Representation) -> list:
     for count, (j, s) in enumerate(relations, 1):
         coeffs = span.sparse_decompose(_apply(cols[s], w[j]))
         value(max(j, max(coeffs, default=0)))
-        residual = combination([(c, values[k]) for k, c in coeffs.items()]
-                               + [(-1, gens[s] @ values[j])], d, len(cands))
+        residual: dict = {}  # row t: sum_k c_k V_k - A_s V_j, over the candidates
+        for c, v in [(c, values[k]) for k, c in coeffs.items()] + [(-1, gens[s] @ values[j])]:
+            for t, row in v.sparse.items():
+                out = residual.setdefault(t, {})
+                for f, x in row.items():
+                    out[f] = out.get(f, 0) + c * x
         rank = len(pivots)
-        _echelon(residual.sparse.values(), len(cands), pivots)
+        _echelon(residual.values(), len(cands), pivots)
         free = len(cands) - len(pivots)
         if free == 1:
             return [unit]
