@@ -1100,9 +1100,21 @@ def split_idempotents(basis: list) -> Optional[list]:
             refined += [(p, max(tag, degree)) for degree, p in cut if p]
         blocks = refined
         if sum(tag for _, tag in blocks) == n:
-            return sorted((combination(((c, mats[i]) for i, c in e.items()), d, d)
-                           for e, _ in blocks), key=idempotent_order)
+            return sorted((_matrix_of(e, flats, d) for e, _ in blocks), key=idempotent_order)
     raise InternalCheckError("no split into fields within the bound")
+
+
+def _matrix_of(x: dict, flats: list, d: int) -> Mat:
+    """The d x d matrix sum_i x_i E_i for flat E_i, summed in ints over the
+    least common denominator D of the x_i and divided by D once per distinct
+    entry: a projector's entries take few values."""
+    den = math.lcm(*(c.denominator for c in x.values()))
+    acc = _combine((int(c * den), flats[i]) for i, c in x.items())
+    quotient = {v: _exact(Fraction(v, den)) for v in set(acc.values())}
+    rows: dict = {}
+    for k, v in acc.items():
+        rows.setdefault(k // d, {})[k % d] = quotient[v]
+    return Mat._of(d, d, rows)
 
 
 def idempotent_order(p: Mat) -> tuple:

@@ -23,7 +23,6 @@ sparse rows.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import defaultdict, deque
 from collections.abc import Mapping
@@ -272,26 +271,17 @@ class Mat:
 
 
 def combination(terms: Iterable[tuple], rows: int, cols: int) -> Mat:
-    """sum c * M over the pairs (c, M) of `terms`, all rows x cols.  The
-    coefficients are brought to their least common denominator D first, so
-    that integral matrices are summed in ints and each entry is divided by
-    D once."""
-    terms = [(c, m) for c, m in terms if c]
-    den = math.lcm(*(c.denominator for c, _ in terms if c.__class__ is Fraction))
+    """sum c * M over the pairs (c, M) of `terms`, all rows x cols."""
     acc: dict = {}
     for c, m in terms:
-        c = int(c * den)
-        for r, row in m.sparse.items():
-            out = acc.get(r)
-            if out is None:
-                out = acc[r] = {}
-            for k, v in row.items():
-                out[k] = out.get(k, 0) + c * v
-    if den == 1:
-        return Mat._of(rows, cols, _clean(acc))
-    quotient = functools.cache(lambda v: _exact(Fraction(v, den)))  # the entries take few values
-    return Mat._of(rows, cols, {r: q for r, row in acc.items()
-                                if (q := {k: quotient(v) for k, v in row.items() if v})})
+        if c:
+            for r, row in m.sparse.items():
+                out = acc.get(r)
+                if out is None:
+                    out = acc[r] = {}
+                for k, v in row.items():
+                    out[k] = out.get(k, 0) + c * v
+    return Mat._of(rows, cols, _clean(acc))
 
 
 class _BracketIndex:

@@ -75,6 +75,23 @@ def _recording(monkeypatch, name):
     return calls
 
 
+def _recording_echelon(monkeypatch):
+    """Wrap lie._echelon, which `commutant_basis` calls once for each
+    relation it feeds, keeping per call the number of candidates and the
+    number of echelon rows before and after it."""
+    calls = []
+    real = lie._echelon
+
+    def wrapper(rows, width, pivots):
+        before = len(pivots)
+        out = real(rows, width, pivots)
+        calls.append((width, before, len(pivots)))
+        return out
+
+    monkeypatch.setattr(lie, "_echelon", wrapper)
+    return calls
+
+
 def _recording_brackets(monkeypatch):
     """Replace lie._BracketIndex by a subclass that keeps, for each
     `brackets` call, the number of matrices held, the argument and the
@@ -121,32 +138,35 @@ def test_a_failed_check_lets_elimination_go_on(monkeypatch):
 def test_an_early_stop_is_checked_and_kept(monkeypatch):
     # the group(sl(2,R)) adjoint stops at its first stall: two solutions are
     # left, one of them stands in for the identity, and the T of the other
-    # commutes with every generator, so the rows after them are not built
+    # commutes with every generator, so the relations after it are not fed
     pair = build_pair("group_type", {"base": "sl(2,R)"})
     rep = pair.k_algebra.adjoint_representation()
     checks = _recording_brackets(monkeypatch)
     spins = _recording(monkeypatch, "_spin_up")
-    rows = _recording(monkeypatch, "combination")
+    fed = _recording_echelon(monkeypatch)
     assert commutant_basis(rep) == reference_commutant_basis(rep)
     (_, (_, _, words)), = spins
     gens = len(lie.generating_indices(pair.k_algebra))
     relations = 6 * gens - (len(words) - 1)
     # one T, checked in one call against an index of every generator
     assert [(held, bool(out)) for held, _, out in checks] == [(gens, False)]
-    assert len(rows) < relations  # each relation fed sums its rows once
+    assert len(fed) < relations  # the relations after the stop are not fed
 
 
 def test_one_candidate_left_is_the_identity(monkeypatch):
     # the sp(2,1) adjoint: the u of T = I solves every relation, so once the
     # relations leave one candidate the commutant is Q I, without forming T
-    # or checking it, and the rows after it are not built
+    # or checking it, and the relations after it are not fed
     pair = build_pair("sp1_block", {"p": 1, "q": 1})
     rep = pair.k_algebra.adjoint_representation()
     checks = _recording_brackets(monkeypatch)
     spins = _recording(monkeypatch, "_spin_up")
-    rows = _recording(monkeypatch, "combination")
+    fed = _recording_echelon(monkeypatch)
     assert commutant_basis(rep) == reference_commutant_basis(rep) == [Mat.identity(21)]
     (_, (_, _, words)), = spins
     relations = 21 * len(lie.generating_indices(pair.k_algebra)) - (len(words) - 1)
     assert not checks
-    assert len(rows) < relations
+    assert len(fed) < relations
+    # the last relation fed is the one that left a single candidate
+    (width, before, after) = fed[-1]
+    assert before < after == width - 1
