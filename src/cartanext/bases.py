@@ -9,6 +9,7 @@ quaternionic matrix algebra.
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 from .errors import InputError
@@ -225,17 +226,23 @@ def _signs(a: list) -> list:
     return [1] * a[0] + [-1] * (a[1] if len(a) > 1 else 0)
 
 
-# (head, field) -> (realified ambient size, basis), both from the integer arguments
+# (head, field) -> (most integer arguments, realified ambient size, basis),
+# the size and the basis both from the integer arguments
 _TOKENS = {
-    ("sl", "R"): (lambda a: a[0], lambda a: sl_basis(a[0])),
-    ("sl", "C"): (lambda a: 2 * a[0], lambda a: sl_complex_basis(a[0])),
-    ("so", "C"): (lambda a: 2 * a[0], lambda a: so_complex_basis(a[0])),
-    ("so", ""): (lambda a: sum(max(x, 0) for x in a[:2]), lambda a: so_diag_basis(_signs(a))),
-    ("sp", "R"): (lambda a: a[0], lambda a: sp_split_basis(_half(a[0], "sp(2n,R)"))),
-    ("sp", "C"): (lambda a: 2 * a[0], lambda a: sp_complex_basis(_half(a[0], "sp(2n,C)"))),
-    ("su", ""): (lambda a: 2 * sum(max(x, 0) for x in a[:2]), lambda a: su_basis(_signs(a))),
-    ("so*", ""): (lambda a: 2 * a[0], lambda a: so_star_basis(_half(a[0], "so*(2n)"))),
+    ("sl", "R"): (1, lambda a: a[0], lambda a: sl_basis(a[0])),
+    ("sl", "C"): (1, lambda a: 2 * a[0], lambda a: sl_complex_basis(a[0])),
+    ("so", "C"): (1, lambda a: 2 * a[0], lambda a: so_complex_basis(a[0])),
+    ("so", ""): (2, sum, lambda a: so_diag_basis(_signs(a))),
+    ("sp", "R"): (1, lambda a: a[0], lambda a: sp_split_basis(_half(a[0], "sp(2n,R)"))),
+    ("sp", "C"): (1, lambda a: 2 * a[0], lambda a: sp_complex_basis(_half(a[0], "sp(2n,C)"))),
+    ("su", ""): (2, lambda a: 2 * sum(a), lambda a: su_basis(_signs(a))),
+    ("so*", ""): (1, lambda a: 2 * a[0], lambda a: so_star_basis(_half(a[0], "so*(2n)"))),
 }
+
+# head(count[,count][,field]) with counts in canonical decimal: no sign, no
+# leading zero, so each algebra has one token and one memo entry
+_NUMBER = "(0|[1-9][0-9]*)"
+_GRAMMAR = re.compile(rf"([^(]*)\({_NUMBER}(?:,{_NUMBER})?(?:,([RC]))?\)")
 
 
 def _read_token(token: str) -> tuple:
@@ -243,16 +250,15 @@ def _read_token(token: str) -> tuple:
     if not isinstance(token, str):
         raise InputError(f"algebra token must be a string, got {token!r}")
     tok = token.replace(" ", "")
-    head, _, rest = tok.partition("(")
-    args = rest.rstrip(")").split(",")
-    field = args.pop() if args[-1] in ("R", "C") else ""
-    try:
-        ints = [int(a) for a in args]
-    except ValueError:
-        raise InputError(f"cannot parse algebra token {token!r}") from None
-    if (head, field) not in _TOKENS or not ints:
+    match = _GRAMMAR.fullmatch(tok)
+    if match is None:
+        raise InputError(f"cannot parse algebra token {token!r}")
+    head, first, second, field = match.groups()
+    ints = [int(first)] + ([int(second)] if second else [])
+    arity, size, build = _TOKENS.get((head, field or ""), (0, None, None))
+    if len(ints) > arity:
         raise InputError(f"unsupported algebra token {token!r}")
-    return (*_TOKENS[head, field], ints, tok)
+    return size, build, ints, tok
 
 
 def algebra_token_size(token: str) -> int:

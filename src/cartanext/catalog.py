@@ -1133,16 +1133,23 @@ class PairFactor:
 @derived
 def centroid(pair: SymmetricPair) -> tuple:
     """The centroid of the pair's algebra, the commutant of its adjoint
-    representation, as (basis, primitive idempotents or None), computed
-    once per pair: `factor_decomposition` and the h-projective decision
-    both read it.  `commutant_basis` returns the basis in reduced echelon
+    representation, as (basis, primitive idempotents), computed once per
+    pair: `factor_decomposition` and the h-projective decision both read
+    it.  `commutant_basis` returns the basis in reduced echelon
     form, and `split_idempotents` reads coordinates at its pivots and
     refines it block by block into fields, for a direct sum as for every
     other pair.  For a simple algebra the spin-up stops as soon as one
-    candidate is left, the identity's, with the centroid Q I."""
+    candidate is left, the identity's, with the centroid Q I.
+
+    The centroid of a semisimple algebra is a product of fields F_i, and its
+    trace form on k is sum_i dim_{F_i} k_i Tr_{F_i/Q}, nondegenerate, so the
+    split succeeds; `InternalCheckError` when it fails, as it may for an
+    algebra that is not semisimple."""
     basis = tuple(commutant_basis(pair.k_algebra.adjoint_representation()))
     projs = split_idempotents(basis)
-    return basis, None if projs is None else tuple(projs)
+    if projs is None:
+        raise InternalCheckError("centroid idempotent split failed")
+    return basis, tuple(projs)
 
 
 @derived
@@ -1167,8 +1174,6 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
     alg = pair.k_algebra
     dim = alg.dim
     _, projs = centroid(pair)
-    if projs is None:
-        raise InternalCheckError("centroid idempotent split failed")
     h_set = frozenset(pair.h_indices)
     # sigma permutes the simple ideals, so sigma P sigma is the projector of
     # sigma's image of P's ideal: P with entry (r, c) negated when one of r

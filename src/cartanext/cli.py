@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from . import catalog, classify, io
 from .catalog import (
@@ -29,9 +29,6 @@ from .catalog import (
 from .errors import CartanextError, InputError
 from .extension import curvature, is_flat, solve_projective_b2, torsion_free, validate
 from .lie import commutant, invariant_bilinear_forms, is_semisimple
-
-if TYPE_CHECKING:
-    import argparse
 
 OK, VERIFY_FAIL, BAD_INPUT = 0, 1, 2
 
@@ -97,22 +94,17 @@ def _emit(data, out: Optional[str], as_json: bool = True) -> None:
 def cmd_build(args) -> int:
     params = _parse_params(args.params)
     if args.family in GRADED_FAMILIES:
-        g = build_graded(args.family, params)
-        failures = verify_graded(g)
-        if failures:
-            sys.stderr.write("invariant failures: " + "; ".join(failures) + "\n")
-            return VERIFY_FAIL
-        _emit(io.graded_to_json(g), args.out)
-        return OK
-    if args.family in PAIR_FAMILIES:
-        p = build_pair(args.family, params)
-        failures = verify_pair(p)
-        if failures:
-            sys.stderr.write("invariant failures: " + "; ".join(failures) + "\n")
-            return VERIFY_FAIL
-        _emit(io.pair_to_json(p), args.out)
-        return OK
-    raise InputError(f"unknown family {args.family!r}")
+        built, verify, to_json = build_graded(args.family, params), verify_graded, io.graded_to_json
+    elif args.family in PAIR_FAMILIES:
+        built, verify, to_json = build_pair(args.family, params), verify_pair, io.pair_to_json
+    else:
+        raise InputError(f"unknown family {args.family!r}")
+    failures = verify(built)
+    if failures:
+        sys.stderr.write("invariant failures: " + "; ".join(failures) + "\n")
+        return VERIFY_FAIL
+    _emit(to_json(built), args.out)
+    return OK
 
 
 def cmd_analyze_pair(args) -> int:
@@ -389,9 +381,9 @@ def cmd_verify_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # imported here: a process that imports this module to reach the engine
-    # never builds a parser
+def build_parser():
+    """The argparse parser, imported here: a process that imports this
+    module to reach the engine never builds a parser."""
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -30,10 +30,6 @@ class EquivalenceResult:
     sigma_index: Optional[int] = None  # index into the supplied automorphisms
     detail: str = ""
 
-    @property
-    def decided(self) -> bool:
-        return self.status != UNDECIDED
-
 
 # ---------------------------------------------------------------------------
 # Family predicates: is T in the grading-preserving group of the target?
@@ -67,11 +63,11 @@ def _scales_form(t: Mat, forms: Sequence[Mat]) -> bool:
     return not m.is_zero() and span.contains(m.flat())
 
 
-def _predicate_projective(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+def _predicate_projective(t: Mat, target: GradedAlgebra) -> bool:
     return _invertible(t)
 
 
-def _predicate_conformal(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+def _predicate_conformal(t: Mat, target: GradedAlgebra) -> bool:
     """CO(p, q): T scales the form diag(1,...,1,-1,...,-1).  The normalizer
     of rho(g_0) agrees on every (p, q) tried but costs 2-4 times as much."""
     p, q = target.params["p"], target.params["q"]
@@ -85,16 +81,16 @@ def _gm1_complex_structure(target: GradedAlgebra) -> Mat:
     return j_full.submatrix(target.minus_one, target.minus_one)
 
 
-def _predicate_h_projective(t: Mat, target: GradedAlgebra) -> Optional[bool]:
-    if not _invertible(t):
-        return False
+def _predicate_h_projective(t: Mat, target: GradedAlgebra) -> bool:
+    """GL(n, C): T is invertible and complex linear, TJ = JT.  An antilinear
+    T, TJ = -JT, carries J to -J: the other of the two conjugate classes."""
     j = _gm1_complex_structure(target)
-    return t @ j == j @ t or t @ j == -(j @ t)
+    return t @ j == j @ t and _invertible(t)
 
 
 # Not the normalizer test: on complex_conformal(2), g_0 is abelian and a
 # coordinate permutation outside G_0 normalizes rho(g_0).
-def _predicate_complex_conformal(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+def _predicate_complex_conformal(t: Mat, target: GradedAlgebra) -> bool:
     """T is complex linear or antilinear and scales the complex form
     sum z_r^2, whose real and imaginary parts are G_re and G_im."""
     j = _gm1_complex_structure(target)
@@ -119,7 +115,7 @@ def _kron_realign(t: Mat, rows: int, cols: int) -> Mat:
 
 # Not the normalizer test: the transpose on grassmannian(2,2) and on
 # para_quaternionic(2) normalizes rho(g_0) but is not in G_0.
-def _predicate_grassmannian(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+def _predicate_grassmannian(t: Mat, target: GradedAlgebra) -> bool:
     if not _invertible(t):
         return False
     if target.family == "para_quaternionic":
@@ -144,7 +140,7 @@ def _right_multiplications(n: int) -> list:
     return out
 
 
-def _predicate_quaternionic(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+def _predicate_quaternionic(t: Mat, target: GradedAlgebra) -> bool:
     """G_0 acts on H^n as the maps L_A R_q: x -> A x q, A in GL(n, H), q in H*.
 
     T lies in G_0 iff it normalizes R(H) = {R_v}.  Each L_A R_q commutes
@@ -169,7 +165,7 @@ def _wedge_image(col: dict, layout: list, n: int) -> Mat:
     return Mat.from_sparse(n, n, data)
 
 
-def _predicate_lagrangean(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+def _predicate_lagrangean(t: Mat, target: GradedAlgebra) -> bool:
     """G_0 = {c S^2(g)} acting on g_-1 = S^2 R^n, g in GL(n, R), c != 0.
 
     T lies in G_0 iff it normalizes rho(g_0), the image of g_0 = gl(n, R)
@@ -201,7 +197,7 @@ def _wedge(u: dict, v: dict, n: int) -> Mat:
 
 
 # Not the normalizer test, which accepts the Hodge star on spinorial(4).
-def _predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[bool]:
+def _predicate_spinorial(t: Mat, target: GradedAlgebra) -> bool:
     if not _invertible(t):
         return False
     n = target.params["n"]
@@ -260,9 +256,10 @@ def _predicate_spinorial(t: Mat, target: GradedAlgebra) -> Optional[bool]:
     sol = solve_linear(Mat.from_sparse(height, n, rows), Mat.from_sparse(height, 1, rhs))
     if sol is None:
         return False
+    # mu = x[0] is nonzero: with mu = 0 every image(i, j) would lie in
+    # {a0 ^ y}, of dimension n - 1 < n(n - 1)/2 for n >= 3, and T would be
+    # singular, which the check at the top rules out
     x = _sparse_cols(sol.particular)[0]
-    if 0 not in x:
-        return False
     inv = ONE / x[0]
     # the vectors a_i = tilde_i - (s_i / mu) a0, as the rows of a matrix
     avecs = {0: a0}
@@ -331,10 +328,6 @@ def frames_equivalent(ext1: Extension, ext2: Extension,
             sig_m = _quotient_action_on_m(ext1, sigma)
             if sig_m is None:
                 continue
-        t = frame2 @ sig_m @ frame1_inv
-        verdict = predicate(t, ext1.target)
-        if verdict is None:
-            return EquivalenceResult(UNDECIDED, detail="membership test undecided")
-        if verdict:
+        if predicate(frame2 @ sig_m @ frame1_inv, ext1.target):
             return EquivalenceResult(EQUIVALENT, sigma_index=None if idx == 0 else idx - 1)
     return EquivalenceResult(NOT_EQUIVALENT)

@@ -237,15 +237,9 @@ def verdict_to_json(v) -> dict:
         "reason": v.reason,
         "witness_ref": v.witness.label if v.witness is not None else None,
         "witness_data": v.witness_data,
-        "equivalence": {k: _jsonable(val) for k, val in v.equivalence.items()},
+        "equivalence": dict(v.equivalence),
         "certificates": v.certificates,
     }
-
-
-def _jsonable(x):
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(t) for t in x]
-    return x
 
 
 def load_json(path: str) -> dict:

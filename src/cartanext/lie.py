@@ -111,9 +111,6 @@ class StructureConstants:
     def row(self, i: int, j: int) -> dict:
         return self.table[i][j]
 
-    def get(self, i: int, j: int, k: int) -> Fraction:
-        return frac(self.table[i][j].get(k, 0))
-
     def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list:
         """Coordinates of [u, v] for coordinate vectors u, v."""
         out = [ZERO] * self.dim

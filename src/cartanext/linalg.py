@@ -627,10 +627,6 @@ class Signature:
     negative: int
     nullity: int
 
-    @property
-    def dimension(self) -> int:
-        return self.positive + self.negative + self.nullity
-
     def as_tuple(self) -> tuple:
         return (self.positive, self.negative, self.nullity)
 

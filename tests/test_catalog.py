@@ -3,11 +3,12 @@
 import copy
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from cartanext import catalog, lie
+from cartanext import bases, catalog, classify, lie
 from cartanext.catalog import (
     build_graded,
     build_pair,
@@ -452,10 +453,58 @@ def test_pair_assembly_rejects_wrong_conjugator():
     ("group_type", {"base": "e8(1)"},
      r"group_type parameter 'base': unsupported algebra token 'e8\(1\)'"),
     ("group_type", {"base": "so(1)"}, r"group_type parameter 'base': 'so\(1\)' is the zero algebra"),
+] + [
+    # each of these used to build a pair: a negative count built
+    # group(so(3)) or group(su(3)) under the raw name, an extra argument was
+    # dropped, and a signed or zero-padded count gave sl(2,R) a second name
+    ("group_type", {"base": token}, f"algebra token '{re.escape(token)}'$")
+    for token in ("so(3,-1)", "so(-1,3)", "su(3,-1)", "sl(2,3,R)", "so(2,1,7)", "sp(4,1,R)",
+                  "sl(02,R)", "sl(+2,R)", "sl(2,R))", "so*(4,1)", "so(3,1,C)")
 ])
 def test_malformed_pair_params_are_input_errors(family, params, match):
     with pytest.raises(InputError, match=match):
         build_pair(family, params)
+
+
+@pytest.mark.parametrize("token, size, dim", [
+    ("sl(2,R)", 2, 3), ("sl(3,R)", 3, 8), ("so(3)", 3, 3), ("so(2,1)", 3, 3),
+    ("sl(2,C)", 4, 6), ("su(2)", 4, 3), ("sp(2,R)", 2, 3), ("so(3,C)", 6, 6),
+    ("sp(4,C)", 8, 20), ("so*(4)", 8, 6), ("su(2,1)", 6, 8), ("so(10)", 10, 45),
+])
+def test_well_formed_tokens_keep_their_names(token, size, dim):
+    basis, name = bases.parse_simple_algebra(token)
+    assert (bases.algebra_token_size(token), len(basis), name) == (size, dim, token)
+
+
+# The lower bound of each family and token, one below it.
+@pytest.mark.parametrize("build, match", [
+    (lambda: build_graded("grassmannian", {"p": 1, "q": 2}), "grassmannian needs p, q >= 2"),
+    (lambda: build_graded("conformal", {"p": 0, "q": 0}), "conformal needs p"),
+    (lambda: build_graded("lagrangean", {"n": 0}), "lagrangean rank n must be >= 1"),
+    (lambda: build_pair("so_block", {"a": 1, "b": 1, "c": 0, "d": 0}),
+     "so_block needs total size >= 3"),
+    (lambda: build_pair("su_block", {"a": 1, "b": 0, "c": 0, "d": 0}),
+     "su_block needs total size >= 2"),
+    (lambda: build_pair("sp1_block", {"p": 0, "q": 1}), "sp1_block needs p >= 1"),
+    (lambda: build_pair("group_type", {"base": "sl(1,R)"}), r"sl\(n\) needs n >= 2"),
+    (lambda: build_pair("group_type", {"base": "sl(1,C)"}), r"sl\(n, C\) needs n >= 2"),
+    (lambda: bases.so_diag_basis([1, 2]), "signs must be"),
+    (lambda: build_pair("group_type", {"base": "sp(0,R)"}), "sp needs n >= 1"),
+    (lambda: build_pair("group_type", {"base": "su(1)"}), "su needs size >= 2"),
+    (lambda: build_pair("group_type", {"base": "so*(0)"}), r"so\* needs n >= 1"),
+    (lambda: bases.sp_pq_basis([]), r"sp\(p, q\) needs size >= 1"),
+    (lambda: build_pair("group_type", {"base": "so(1,C)"}), r"so\(n, C\) needs n >= 2"),
+    (lambda: build_pair("group_type", {"base": "sp(3,R)"}), r"sp\(2n,R\) needs an even size"),
+])
+def test_below_each_lower_bound_is_an_input_error(build, match):
+    with pytest.raises(InputError, match=match):
+        build()
+
+
+def test_so_complex_3_builds_from_the_spinorial_target():
+    pair = build_pair("so_complex", {"n": 3})
+    assert verify_pair(pair) == []
+    assert classify.centralizer_report(pair).factor_labels == ["R"]
 
 
 # A negative count used to build a smaller algebra under the family's name

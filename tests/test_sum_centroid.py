@@ -131,12 +131,17 @@ def test_sum_centroid_matches_the_whole_algebra_solve(name, pair):
 
 def test_sum_with_a_part_that_is_not_semisimple_solves_the_whole_algebra(monkeypatch):
     """The centroid of an abelian algebra is all of gl: two 1-dimensional
-    abelian parts have a centroid of dimension 4, not the 2 of their parts."""
+    abelian parts have a centroid of dimension 4, not the 2 of their parts.
+    The split of a centroid that is not a product of fields fails, and the
+    centroid says so."""
     line = _assemble_pair("line", "line", {}, [], [Mat.diag([1, -1])])
     pair = direct_sum_pairs([line, line])
-    monkeypatch.setattr(catalog, "split_idempotents", lambda basis: None)
-    basis, projs = catalog.centroid(pair)
-    assert len(basis) == 4 and projs is None
+    split = []
+    monkeypatch.setattr(catalog, "split_idempotents", lambda basis: split.append(basis))
+    with pytest.raises(InternalCheckError, match="centroid idempotent split failed"):
+        catalog.centroid(pair)
+    [basis] = split
+    assert len(basis) == 4
     assert list(basis) == commutant_basis(pair.k_algebra.adjoint_representation())
 
 
