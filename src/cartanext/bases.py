@@ -135,6 +135,12 @@ def sp_split_basis(n: int) -> list:
     return out
 
 
+def symplectic_form(n: int) -> Mat:
+    """The form [[0, I], [-I, 0]] of size 2n that `sp_split_basis` preserves."""
+    return Mat.from_sparse(2 * n, 2 * n, {r: {(r + n) % (2 * n): 1 if r < n else -1}
+                                          for r in range(2 * n)})
+
+
 def su_basis(signs: Sequence[int]) -> list:
     """Realified su(p, q) for the diagonal Hermitian form given by signs."""
     n = len(signs)

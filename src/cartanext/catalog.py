@@ -3,7 +3,13 @@
 Every object is built from explicit elementary-matrix patterns at
 user-chosen small ranks (realified ambient size capped at 32), so each
 construction is deterministic, exact and auditable against the block
-displays it implements.
+displays it implements.  The block pairs (`sl_block`, `so_block`,
+`su_block`, `sp1_block`, `so_star`) and the h-projective and Lagrangean
+targets take their bases from `cartanext.bases`, and `conformal_model`
+takes the conformal target's; `_split` sorts such a basis into classes,
+keeping its order, entry by entry: a matrix nonzero at (r, c) falls in
+the class f_r f_c of a diagonal involution f (+1 in h, -1 in m), or
+e_r - e_c of a diagonal grading element e.
 """
 
 from __future__ import annotations
@@ -34,31 +40,6 @@ from .linalg import ONE, Mat, Signature, SpanSolver, _clean, symmetric_signature
 
 MAX_AMBIENT = 32
 MAX_DIM = 500
-
-GRADED_FAMILIES = (
-    "projective",
-    "h_projective",
-    "conformal",
-    "complex_conformal",
-    "quaternionic",
-    "para_quaternionic",
-    "grassmannian",
-    "lagrangean",
-    "spinorial",
-    "su_pp",
-)
-
-PAIR_FAMILIES = (
-    "group_type",
-    "sl_block",
-    "so_block",
-    "conformal_model",
-    "sp_block",
-    "su_block",
-    "so_complex",
-    "sp1_block",
-    "so_star",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +149,27 @@ def _diagonal(name: str, what: str, m: Mat) -> list:
     return [m.sparse[i][i] if i in m.sparse else 0 for i in range(m.rows)]
 
 
+def _split(name: str, basis: Sequence[Mat], diagonal: Mat, grading: bool = False) -> list:
+    """`basis` sorted into classes, each kept in the given order, by the
+    rule `_assemble_graded` checks: entry by entry, d_r d_c at each nonzero
+    (r, c) for a diagonal involution d, the classes +1 (h) then -1 (m), or,
+    with `grading`, d_r - d_c for a diagonal grading element d, the classes
+    -1, 0 then 1.  InternalCheckError when a matrix gets no class or two."""
+    d = _diagonal(name, "splitting", diagonal)
+    # the rule on the few distinct values of d, so that no entry pays a Fraction operation
+    values = list(dict.fromkeys(d))
+    at = [values.index(x) for x in d]
+    rule = [[x - y if grading else x * y for y in values] for x in values]
+    classes = {k: [] for k in ((-1, 0, 1) if grading else (1, -1))}
+    for idx, b in enumerate(basis):
+        found = {rule[at[r]][at[c]] for r, row in b.sparse.items() for c in row}
+        k = found.pop() if len(found) == 1 else None
+        if k not in classes:
+            raise InternalCheckError(f"{name}: basis element {idx} does not get one class")
+        classes[k].append(b)
+    return list(classes.values())
+
+
 def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
                      gm1_layout, ambient_j=None) -> GradedAlgebra:
     basis = list(gm1) + list(g0) + list(gp1)
@@ -267,28 +269,13 @@ def _build_h_projective(params: dict) -> GradedAlgebra:
         raise InputError("h_projective rank n must be >= 1")
     m = n + 1
     zero = Mat.zero(m, m)
-    gm1, gp1, layout = [], [], []
-    for r in range(n):
-        for comp in range(2):
-            gm1.append(bases.complex_elementary(m, 1 + r, 0, 1 - comp, comp))
-            gp1.append(bases.complex_elementary(m, 0, 1 + r, 1 - comp, comp))
-            layout.append((r, comp))
-    g0 = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                g0.append(bases.complex_elementary(m, 1 + i, 1 + j, 1, 0))
-                g0.append(bases.complex_elementary(m, 1 + i, 1 + j, 0, 1))
-    for i in range(n):
-        diag = Mat.unit(m, m, 1 + i, 1 + i) - Mat.unit(m, m, 0, 0)
-        g0.append(bases.realify_complex(diag, zero))
-        g0.append(bases.realify_complex(zero, diag))
-    e_c = Mat.diag([Fraction(n, m)] + [Fraction(-1, m)] * n)
-    e_mat = bases.realify_complex(e_c, zero)
+    name = f"sl({m},C)-h-projective"
+    e_mat = bases.realify_complex(Mat.diag([Fraction(n, m)] + [Fraction(-1, m)] * n), zero)
+    gm1, g0, gp1 = _split(name, bases.sl_complex_basis(m), e_mat, grading=True)
     flip = bases.realify_complex(Mat.diag([-1] + [1] * n), zero)
     return _assemble_graded(
-        f"sl({m},C)-h-projective", "h_projective", {"n": n},
-        gm1, g0, gp1, e_mat, flip, layout,
+        name, "h_projective", {"n": n}, gm1, g0, gp1, e_mat, flip,
+        [(r, comp) for r in range(n) for comp in range(2)],
         ambient_j=bases.complex_unit_matrix(m),
     )
 
@@ -389,10 +376,6 @@ def _build_quaternionic(params: dict) -> GradedAlgebra:
     )
 
 
-def _sym_pairs(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def _alt_pairs(n: int) -> list:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
@@ -401,26 +384,12 @@ def _build_lagrangean(params: dict) -> GradedAlgebra:
     n = int(params["n"])
     if n < 1:
         raise InputError("lagrangean rank n must be >= 1")
-    m = 2 * n
-    layout = _sym_pairs(n)
-    gm1, gp1 = [], []
-    for (i, j) in layout:
-        if i == j:
-            gm1.append(Mat.unit(m, m, n + i, i))
-            gp1.append(Mat.unit(m, m, i, n + i))
-        else:
-            gm1.append(Mat.unit(m, m, n + i, j) + Mat.unit(m, m, n + j, i))
-            gp1.append(Mat.unit(m, m, i, n + j) + Mat.unit(m, m, j, n + i))
-    g0 = [
-        Mat.unit(m, m, i, j) - Mat.unit(m, m, n + j, n + i)
-        for i in range(n)
-        for j in range(n)
-    ]
+    name = f"sp({2 * n},R)-lagrangean"
     e_mat = Mat.diag([Fraction(1, 2)] * n + [Fraction(-1, 2)] * n)
-    flip = Mat.diag([-1] * n + [1] * n)
+    gm1, g0, gp1 = _split(name, bases.sp_split_basis(n), e_mat, grading=True)
     return _assemble_graded(
-        f"sp({m},R)-lagrangean", "lagrangean", {"n": n},
-        gm1, g0, gp1, e_mat, flip, layout,
+        name, "lagrangean", {"n": n}, gm1, g0, gp1, e_mat, Mat.diag([-1] * n + [1] * n),
+        [(i, j) for i in range(n) for j in range(i, n)],
     )
 
 
@@ -523,6 +492,8 @@ _GRADED_BUILDERS = {
     "spinorial": _build_spinorial,
     "su_pp": _build_su_pp,
 }
+
+GRADED_FAMILIES = tuple(_GRADED_BUILDERS)
 
 
 # The integer parameters of each graded family; `expected_graded_dims` checks them.
@@ -734,64 +705,32 @@ def _pair_sl_block(params: dict) -> SymmetricPair:
     n = p + q
     if n < 2:
         raise InputError("sl_block needs p + q >= 2")
-    h_mats, m_mats = [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            same = (i < p) == (j < p)
-            (h_mats if same else m_mats).append(Mat.unit(n, n, i, j))
-    for i in range(1, n):
-        h_mats.append(Mat.unit(n, n, i, i) - Mat.unit(n, n, 0, 0))
+    name = f"(sl({n},R),s(gl({p})+gl({q})))"
     conj = Mat.diag([-1] * p + [1] * q)
-    return _assemble_pair(
-        f"(sl({n},R),s(gl({p})+gl({q})))", "sl_block", {"p": p, "q": q},
-        h_mats, m_mats, conj,
-    )
+    return _assemble_pair(name, "sl_block", {"p": p, "q": q},
+                          *_split(name, bases.sl_basis(n), conj), conj)
 
 
 def _pair_so_block(params: dict) -> SymmetricPair:
     a, b, c, d = (int(params[k]) for k in ("a", "b", "c", "d"))
     signs = [1] * a + [-1] * c + [1] * b + [-1] * d
-    n = len(signs)
-    if n < 3:
+    if len(signs) < 3:
         raise InputError("so_block needs total size >= 3")
-    split = a + c
-    h_mats, m_mats = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat = Mat.unit(n, n, i, j) - Mat.unit(n, n, j, i, signs[i] * signs[j])
-            same = (i < split) == (j < split)
-            (h_mats if same else m_mats).append(mat)
-    conj = Mat.diag([-1] * split + [1] * (n - split))
-    return _assemble_pair(
-        f"(so({a + b},{c + d}),so({a},{c})+so({b},{d}))", "so_block",
-        {"a": a, "b": b, "c": c, "d": d}, h_mats, m_mats, conj,
-    )
+    name = f"(so({a + b},{c + d}),so({a},{c})+so({b},{d}))"
+    conj = Mat.diag([-1] * (a + c) + [1] * (b + d))
+    return _assemble_pair(name, "so_block", {"a": a, "b": b, "c": c, "d": d},
+                          *_split(name, bases.so_diag_basis(signs), conj), conj)
 
 
 def _pair_conformal_model(params: dict) -> SymmetricPair:
     k, l = int(params["k"]), int(params["l"])
     if k + l < 1:
         raise InputError("conformal_model needs k + l >= 1")
+    name = f"(so({k + 1},{l + 1}),so(1,1)+so({k},{l}))"
     graded = build_graded("conformal", {"p": k, "q": l})
-    alg = graded.algebra
-    h_mats = [alg.basis[i] for i in graded.zero]
-    m_mats = [alg.basis[i] for i in graded.minus_one + graded.plus_one]
-    return _assemble_pair(
-        f"(so({k + 1},{l + 1}),so(1,1)+so({k},{l}))", "conformal_model",
-        {"k": k, "l": l}, h_mats, m_mats, graded.flip_element,
-    )
-
-
-def _sp_paired_omega(p: int, q: int) -> Mat:
-    m = 2 * (p + q)
-    data = {}
-    for (off, size) in ((0, p), (2 * p, q)):
-        for i in range(size):
-            data[off + i] = {off + size + i: 1}
-            data[off + size + i] = {off + i: -1}
-    return Mat.from_sparse(m, m, data)
+    flip = graded.flip_element
+    return _assemble_pair(name, "conformal_model", {"k": k, "l": l},
+                          *_split(name, graded.algebra.basis, flip), flip)
 
 
 def _pair_sp_block(params: dict) -> SymmetricPair:
@@ -801,8 +740,7 @@ def _pair_sp_block(params: dict) -> SymmetricPair:
     m = 2 * (p + q)
     h_mats = [_embed(x, m) for x in bases.sp_split_basis(p)]
     h_mats += [_embed(x, m, 2 * p) for x in bases.sp_split_basis(q)]
-    omega1 = _sp_paired_omega(p, 0).submatrix(range(2 * p), range(2 * p))
-    omega2 = _sp_paired_omega(q, 0).submatrix(range(2 * q), range(2 * q))
+    omega1, omega2 = bases.symplectic_form(p), bases.symplectic_form(q)
     m_mats = []
     for i in range(2 * p):
         for j in range(2 * q):
@@ -825,24 +763,10 @@ def _pair_su_block(params: dict) -> SymmetricPair:
     n = len(signs)
     if n < 2:
         raise InputError("su_block needs total size >= 2")
-    split = a + c
-    zero = Mat.zero(n, n)
-    h_mats, m_mats = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            gij = signs[i] * signs[j]
-            re = bases.realify_complex(Mat.unit(n, n, i, j) - Mat.unit(n, n, j, i, gij), zero)
-            im = bases.realify_complex(zero, Mat.unit(n, n, i, j) + Mat.unit(n, n, j, i, gij))
-            same = (i < split) == (j < split)
-            (h_mats if same else m_mats).extend([re, im])
-    for i in range(n - 1):
-        diag = Mat.unit(n, n, i, i) - Mat.unit(n, n, i + 1, i + 1)
-        h_mats.append(bases.realify_complex(zero, diag))
-    conj = bases.realify_complex(Mat.diag([-1] * split + [1] * (n - split)), zero)
-    return _assemble_pair(
-        f"(su({a + b},{c + d}),su({a},{c})+su({b},{d})+so(2))", "su_block",
-        {"a": a, "b": b, "c": c, "d": d}, h_mats, m_mats, conj,
-    )
+    name = f"(su({a + b},{c + d}),su({a},{c})+su({b},{d})+so(2))"
+    conj = bases.realify_complex(Mat.diag([-1] * (a + c) + [1] * (b + d)), Mat.zero(n, n))
+    return _assemble_pair(name, "su_block", {"a": a, "b": b, "c": c, "d": d},
+                          *_split(name, bases.su_basis(signs), conj), conj)
 
 
 def _pair_so_complex(params: dict) -> SymmetricPair:
@@ -863,50 +787,21 @@ def _pair_so_complex(params: dict) -> SymmetricPair:
             for i in range(n)
             for j in range(n)
         ]
-    j_mat = Mat.from_sparse(2 * n, 2 * n, {r: {(r + n) % (2 * n): -1 if r < n else 1}
-                                            for r in range(2 * n)})
     return _pair_from_involution(
-        f"(so({n},{n}),so({n},C))", "so_complex", {"n": n}, k_mats, j_mat
+        f"(so({n},{n}),so({n},C))", "so_complex", {"n": n}, k_mats, -bases.symplectic_form(n)
     )
-
-
-def _quaternion_shift(x: Mat, n: int) -> Mat:
-    """A realified quaternionic (n-1) x (n-1) matrix moved to coordinates
-    1..n-1 of H^n."""
-    sub = n - 1
-
-    def at(k: int) -> int:
-        block, i = divmod(k, sub)
-        return block * n + 1 + i
-
-    return Mat.from_sparse(4 * n, 4 * n, {at(r): {at(c): v for c, v in row.items()}
-                                          for r, row in x.sparse.items()})
 
 
 def _pair_sp1_block(params: dict) -> SymmetricPair:
     p, q = int(params["p"]), int(params["q"])
     if p < 1 or q < 0:
         raise InputError("sp1_block needs p >= 1")
-    signs = [1] * (1 + p) + [-1] * q
-    n = len(signs)
-    h_mats = [bases.quaternion_elementary(n, 0, 0, u) for u in (bases.Q_I, bases.Q_J, bases.Q_K)]
-    sub = bases.sp_pq_basis(signs[1:])
-    h_mats += [_quaternion_shift(x, n) for x in sub]
-    m_mats = []
-    for s in range(1, n):
-        gs = signs[0] * signs[s]
-        for u in bases.QUATERNION_UNITS:
-            partner = tuple(-gs * x for x in bases.quat_conj(u))
-            m_mats.append(
-                bases.quaternion_elementary(n, 0, s, u)
-                + bases.quaternion_elementary(n, s, 0, partner)
-            )
+    n = 1 + p + q
+    name = f"(sp({1 + p},{q}),sp(1)+sp({p},{q}))"
     conj = bases.realify_quaternion([Mat.diag([-1] + [1] * (n - 1))] + [Mat.zero(n, n)] * 3)
-    cert = {"type": "quaternion", "I": 0, "J": 1, "K": 2}
-    return _assemble_pair(
-        f"(sp({1 + p},{q}),sp(1)+sp({p},{q}))", "sp1_block", {"p": p, "q": q},
-        h_mats, m_mats, conj, certificate_ideal=cert,
-    )
+    return _assemble_pair(name, "sp1_block", {"p": p, "q": q},
+                          *_split(name, bases.sp_pq_basis([1] * (1 + p) + [-1] * q), conj), conj,
+                          certificate_ideal={"type": "quaternion", "I": 0, "J": 1, "K": 2})
 
 
 def _pair_so_star(params: dict) -> SymmetricPair:
@@ -914,24 +809,10 @@ def _pair_so_star(params: dict) -> SymmetricPair:
     if n < 1:
         raise InputError("so_star needs n >= 1")
     total = n + 1
-    h_mats = [bases.quaternion_elementary(total, 0, 0, bases.Q_I)]
-    sub = bases.so_star_basis(n)
-    h_mats += [_quaternion_shift(x, total) for x in sub]
-    m_mats = []
-    for s in range(1, total):
-        for u in bases.QUATERNION_UNITS:
-            partner = bases.quat_conj(
-                bases.quat_mul(bases.quat_mul(bases.Q_I, u), bases.Q_I)
-            )
-            m_mats.append(
-                bases.quaternion_elementary(total, 0, s, u)
-                + bases.quaternion_elementary(total, s, 0, partner)
-            )
+    name = f"(so*({2 * total}),so*(2)+so*({2 * n}))"
     conj = bases.realify_quaternion([Mat.diag([-1] + [1] * n)] + [Mat.zero(total, total)] * 3)
-    return _assemble_pair(
-        f"(so*({2 * total}),so*(2)+so*({2 * n}))", "so_star", {"n": n},
-        h_mats, m_mats, conj,
-    )
+    return _assemble_pair(name, "so_star", {"n": n},
+                          *_split(name, bases.so_star_basis(total), conj), conj)
 
 
 def _pair_direct_sum(params: dict) -> SymmetricPair:
@@ -953,22 +834,26 @@ _PAIR_BUILDERS = {
     "direct_sum": _pair_direct_sum,
 }
 
+PAIR_FAMILIES = tuple(f for f in _PAIR_BUILDERS if f != "direct_sum")
+
 
 @lru_cache(maxsize=None)
 def _build_pair_cached(family: str, key: tuple) -> SymmetricPair:
     return _PAIR_BUILDERS[family](dict(key))
 
 
-def _group_ambient(token) -> int:
+def _group_base(token) -> str:
+    """The base token as `bases` normalizes it, so that the memo keys each
+    algebra once however its token is spaced."""
     try:
-        return 2 * bases.algebra_token_size(token)
+        return bases._read_token(token)[3]
     except InputError as exc:
         raise InputError(f"group_type parameter 'base': {exc}") from None
 
 
 # Parameters of each pair family and the realified ambient size they give.
 _PAIR_SIZES = {
-    "group_type": (("base",), _group_ambient),
+    "group_type": (("base",), lambda base: 2 * bases.algebra_token_size(base)),
     "sl_block": (("p", "q"), lambda p, q: p + q),
     "so_block": (("a", "b", "c", "d"), lambda *counts: sum(counts)),
     "conformal_model": (("k", "l"), lambda k, l: k + l + 2),
@@ -990,8 +875,8 @@ def _pair_key(family: str, params: dict, nested: bool = False) -> tuple:
         raise InputError(f"{family} parameters must be a mapping, got {params!r}")
     if family != "direct_sum":
         names, ambient = _PAIR_SIZES[family]
-        values = [params.get(name) if family == "group_type" else _int_param(family, params, name)
-                  for name in names]
+        values = ([_group_base(params.get("base"))] if family == "group_type"
+                  else [_int_param(family, params, name) for name in names])
         return tuple(zip(names, values)), ambient(*values)
     if nested:
         raise InputError("a direct_sum part cannot itself be a direct sum")
@@ -1154,7 +1039,8 @@ def centroid(pair: SymmetricPair) -> tuple:
 
 @derived
 def factor_decomposition(pair: SymmetricPair) -> tuple:
-    """Split a semisimple pair into simple symmetric-pair factors.
+    """Split a semisimple pair into simple symmetric-pair factors;
+    `InputError` for a pair that is not semisimple.
 
     Simple ideals are separated by the primitive idempotents of the centroid
     (the commutant of the adjoint representation); the involution either
@@ -1172,6 +1058,8 @@ def factor_decomposition(pair: SymmetricPair) -> tuple:
     parent's recorded certificate, if any, carries over.
     """
     alg = pair.k_algebra
+    if not is_semisimple(alg):
+        raise InputError("factor decomposition needs a semisimple algebra")
     dim = alg.dim
     _, projs = centroid(pair)
     h_set = frozenset(pair.h_indices)

@@ -465,21 +465,8 @@ def _row_lagrangean_group(pair: SymmetricPair) -> Extension:
     if not base.startswith("sp("):
         raise InputError("Lagrangean rows need a symplectic group-type pair")
     size = int(base.split("(")[1].split(",")[0])
-    nb = size // 2
-    t = build_graded("lagrangean", {"n": size})
-    omega = _split_omega(nb)
-    amb = 2 * size
-
-    def phi(a: Mat, b: Mat) -> Mat:
-        s = (a + b).scale(Fraction(1, 2))
-        d = (a - b).scale(Fraction(1, 2))
-        tl = s
-        tr = (d @ omega).scale(Fraction(-1, 2))
-        bl = (omega @ d).scale(2)
-        br = (omega @ s @ omega).scale(-1)
-        return block_matrix([[tl, tr], [bl, br]])
-
-    return _mapped_witness(pair, t, phi, size, f"{pair.name}->lagrangean")
+    return _group_row(pair, build_graded("lagrangean", {"n": size}),
+                      bases.symplectic_form(size // 2))
 
 
 def _row_spinorial_group(pair: SymmetricPair) -> Extension:
@@ -489,20 +476,23 @@ def _row_spinorial_group(pair: SymmetricPair) -> Extension:
     args = base.split("(")[1].rstrip(")").split(",")
     p = int(args[0])
     q = int(args[1]) if len(args) > 1 else 0
-    n = p + q
-    t = build_graded("spinorial", {"n": n})
-    signs = Mat.diag([1] * p + [-1] * q)
+    return _group_row(pair, build_graded("spinorial", {"n": p + q}),
+                      Mat.diag([1] * p + [-1] * q))
+
+
+def _group_row(pair: SymmetricPair, target: GradedAlgebra, form: Mat) -> Extension:
+    """The row witness of a group-type pair: its element (a, b) maps to
+    [[s, d F^-1 / 2], [2 F d, F^-1 s F]] with s = (a + b)/2, d = (a - b)/2
+    and F the `form`, which squares to +-I (the split symplectic form, or a
+    diagonal +-1 form)."""
+    half = Fraction(1, 2)
+    f_inv = form.scale((form @ form)[0, 0])
 
     def phi(a: Mat, b: Mat) -> Mat:
-        s = (a + b).scale(Fraction(1, 2))
-        d = (a - b).scale(Fraction(1, 2))
-        tl = s
-        tr = (d @ signs).scale(Fraction(1, 2))
-        bl = (signs @ d).scale(2)
-        br = signs @ s @ signs
-        return block_matrix([[tl, tr], [bl, br]])
+        s, d = (a + b).scale(half), (a - b).scale(half)
+        return block_matrix([[s, (d @ f_inv).scale(half)], [(form @ d).scale(2), f_inv @ s @ form]])
 
-    return _mapped_witness(pair, t, phi, n, f"{pair.name}->spinorial")
+    return _mapped_witness(pair, target, phi, form.rows, f"{pair.name}->{target.family}")
 
 
 def _row_su_pp_so_complex(pair: SymmetricPair) -> Extension:
@@ -521,12 +511,6 @@ def _row_su_pp_so_complex(pair: SymmetricPair) -> Extension:
     if alpha is None:
         raise InternalCheckError("complexified element escapes the su(p,p) span")
     return Extension(pair, t, alpha, f"{pair.name}->su_pp")
-
-
-def _split_omega(n: int) -> Mat:
-    return Mat.from_sparse(2 * n, 2 * n, {r: {(r + n) % (2 * n): 1 if r < n else -1}
-                                          for r in range(2 * n)})
-
 
 
 def _mapped_witness(pair: SymmetricPair, target: GradedAlgebra,

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import random
 import re
 from fractions import Fraction
@@ -433,6 +434,48 @@ def test_pair_assembly_rejects_wrong_conjugator():
     catalog._assemble_pair("blk", "sl_block", {}, h_mats, m_mats, Mat.diag([2, 2, -2]))
     with pytest.raises(InternalCheckError, match="^blk: conjugator action mismatch at 0$"):
         catalog._assemble_pair("blk", "sl_block", {}, h_mats, m_mats, Mat.diag([-1, 1, 1]))
+
+
+def test_split_keeps_the_basis_order_within_each_class():
+    # sl(3) in `bases` order: E_01, E_02, E_10, E_12, E_20, E_21, then the two diagonals
+    basis = bases.sl_basis(3)
+    h, m = catalog._split("blk", basis, Mat.diag([-1, -1, 1]))
+    assert (h, m) == ([basis[i] for i in (0, 2, 6, 7)], [basis[i] for i in (1, 3, 4, 5)])
+    e = Mat.diag([Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)])
+    gm1, g0, gp1 = catalog._split("blk", basis, e, grading=True)
+    assert (gm1, g0, gp1) == ([basis[2], basis[4]], [basis[i] for i in (3, 5, 6, 7)],
+                              [basis[0], basis[1]])
+
+
+def test_split_refuses_a_matrix_of_two_classes_and_a_non_diagonal_element():
+    from cartanext.errors import InternalCheckError
+
+    # E_01 + E_02 meets h at (0, 1) and m at (0, 2)
+    mixed = [Mat.unit(3, 3, 1, 0), Mat.unit(3, 3, 0, 1) + Mat.unit(3, 3, 0, 2)]
+    with pytest.raises(InternalCheckError, match="^blk: basis element 1 does not get one class$"):
+        catalog._split("blk", mixed, Mat.diag([-1, -1, 1]))
+    with pytest.raises(InternalCheckError, match="^blk: basis element 1 does not get one class$"):
+        catalog._split("blk", mixed, Mat.diag([1, 0, -1]), grading=True)
+    with pytest.raises(InternalCheckError, match="^blk: splitting element is not diagonal$"):
+        catalog._split("blk", mixed[:1], Mat.diag([-1, -1, 1]) + Mat.unit(3, 3, 0, 1))
+
+
+def test_group_type_spellings_share_one_memo_entry(monkeypatch):
+    # `bases` drops the spaces of a token, so both spellings name one algebra
+    fresh = functools.lru_cache(maxsize=None)(catalog._build_pair_cached.__wrapped__)
+    monkeypatch.setattr(catalog, "_build_pair_cached", fresh)
+    pair = build_pair("group_type", {"base": "sl(2, R)"})
+    assert build_pair("group_type", {"base": "sl(2,R)"}) is pair
+    assert fresh.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert pair.params["base"] == "sl(2,R)"
+
+
+def test_a_pair_that_is_not_semisimple_is_an_input_error():
+    # group(so(2)) is abelian: its centroid is not a product of fields
+    pair = build_pair("group_type", {"base": "so(2)"})
+    for call in (factor_decomposition, classify.centralizer_report):
+        with pytest.raises(InputError, match="^factor decomposition needs a semisimple algebra$"):
+            call(pair)
 
 
 # -- pair parameters -----------------------------------------------------------
