@@ -252,7 +252,8 @@ _GRAMMAR = re.compile(rf"([^(]*)\({_NUMBER}(?:,{_NUMBER})?(?:,([RC]))?\)")
 
 
 def _read_token(token: str) -> tuple:
-    """(ambient size, basis builder, integer arguments, normalized name)."""
+    """(ambient size, basis builder, integer arguments, normalized name,
+    (head, field)), the field "" for a token without one."""
     if not isinstance(token, str):
         raise InputError(f"algebra token must be a string, got {token!r}")
     tok = token.replace(" ", "")
@@ -261,16 +262,17 @@ def _read_token(token: str) -> tuple:
         raise InputError(f"cannot parse algebra token {token!r}")
     head, first, second, field = match.groups()
     ints = [int(first)] + ([int(second)] if second else [])
-    arity, size, build = _TOKENS.get((head, field or ""), (0, None, None))
+    key = (head, field or "")
+    arity, size, build = _TOKENS.get(key, (0, None, None))
     if len(ints) > arity:
         raise InputError(f"unsupported algebra token {token!r}")
-    return size, build, ints, tok
+    return size, build, ints, tok, key
 
 
 def algebra_token_size(token: str) -> int:
     """Realified ambient size of `parse_simple_algebra(token)`, read from the
     token alone, without building the basis."""
-    size, _build, ints, _name = _read_token(token)
+    size, _build, ints, _name, _key = _read_token(token)
     return size(ints)
 
 
@@ -280,5 +282,5 @@ def parse_simple_algebra(token: str) -> tuple[list, str]:
     Returns (basis, normalized name).  `sp(2n,R)` takes the full matrix size,
     so sp(2,R) is the 2x2 realization.
     """
-    _size, build, ints, name = _read_token(token)
+    _size, build, ints, name, _key = _read_token(token)
     return build(ints), name

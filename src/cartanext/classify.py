@@ -92,10 +92,12 @@ def standard_witness(pair: SymmetricPair, target: GradedAlgebra,
     n = pair.dim_m
     if n != target.dim_gm1:
         raise InputError("frame dimensions do not match")
-    frame = frame or Mat.identity(n)
-    frame_inv = invert(frame)
     rep = isotropy_rep(pair)
-    framed = [(frame @ a @ frame_inv).flat() for a in rep.action]
+    if frame is None:
+        frame, framed = Mat.identity(n), [a.flat() for a in rep.action]
+    else:
+        frame_inv = invert(frame)
+        framed = [(frame @ a @ frame_inv).flat() for a in rep.action]
     rhs = Mat.from_sparse(len(framed), n * n, dict(enumerate(framed))).transpose()
     sol = solve_linear(g0_action_solver(target), rhs)
     if sol is None:
@@ -461,23 +463,19 @@ def _row_quaternionic_sp1(pair: SymmetricPair) -> Extension:
 
 
 def _row_lagrangean_group(pair: SymmetricPair) -> Extension:
-    base = pair.params["base"]
-    if not base.startswith("sp("):
+    _size, _build, ints, _name, key = bases._read_token(pair.params["base"])
+    if key != ("sp", "R"):
         raise InputError("Lagrangean rows need a symplectic group-type pair")
-    size = int(base.split("(")[1].split(",")[0])
-    return _group_row(pair, build_graded("lagrangean", {"n": size}),
-                      bases.symplectic_form(size // 2))
+    return _group_row(pair, build_graded("lagrangean", {"n": ints[0]}),
+                      bases.symplectic_form(ints[0] // 2))
 
 
 def _row_spinorial_group(pair: SymmetricPair) -> Extension:
-    base = pair.params["base"]
-    if not base.startswith("so("):
+    _size, _build, ints, _name, key = bases._read_token(pair.params["base"])
+    if key != ("so", ""):
         raise InputError("spinorial rows need an orthogonal group-type pair")
-    args = base.split("(")[1].rstrip(")").split(",")
-    p = int(args[0])
-    q = int(args[1]) if len(args) > 1 else 0
-    return _group_row(pair, build_graded("spinorial", {"n": p + q}),
-                      Mat.diag([1] * p + [-1] * q))
+    signs = bases._signs(ints)
+    return _group_row(pair, build_graded("spinorial", {"n": len(signs)}), Mat.diag(signs))
 
 
 def _group_row(pair: SymmetricPair, target: GradedAlgebra, form: Mat) -> Extension:

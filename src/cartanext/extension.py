@@ -5,6 +5,13 @@ target, stored as a coordinate matrix.  This module validates the shape
 axioms, computes curvature and torsion exactly, tests holomorphy against
 explicit complex structures, and solves the normalization system that pins
 the unique grade-one part in the projective families.
+
+Curvature is kept as sparse vectors, and the contraction, the torsion and
+flatness checks and `Curvature.evaluate` read them so; the dense
+`Curvature.values` is formed only when a caller reads it.  The solved b2 is
+checked for equivariance on the generator picks of h, by the argument in
+`_assert_b2_equivariant`, and on all of h when that argument's conditions
+are not seen to hold.
 """
 
 from __future__ import annotations
@@ -13,8 +20,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .catalog import GradedAlgebra, SymmetricPair
+from .catalog import GradedAlgebra, SymmetricPair, isotropy_rep
 from .errors import InputError, InternalCheckError, StructuralError
+from .lie import generating_indices, generator_chain
 from .linalg import ZERO, Mat, _dense, _sparse, invert, solve_linear
 
 
@@ -103,9 +111,11 @@ def _defect(table: list, u: dict, v: dict, combo: dict, cols: list) -> dict:
     for i, a in u.items():
         row_i = table[i]
         for j, b in v.items():
-            ab = a * b
-            for k, c in row_i[j].items():
-                out[k] = out.get(k, 0) + ab * c
+            cell = row_i[j]
+            if cell:
+                ab = a * b
+                for k, c in cell.items():
+                    out[k] = out.get(k, 0) + ab * c
     for k, c in combo.items():
         for t, x in cols[k].items():
             out[t] = out.get(t, 0) - c * x
@@ -163,35 +173,58 @@ def validate(ext: Extension) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Curvature:
-    """kappa(X, Y) = [alpha X, alpha Y] - alpha([X, Y]) on the m-basis."""
+    """kappa(X, Y) = [alpha X, alpha Y] - alpha([X, Y]) on the m-basis.
 
-    ext: Extension
-    values: dict  # (a, b) with a < b -> target coordinate vector
+    `curvature` keeps kappa as sparse vectors {(a, b): {t: x}}, a < b, with
+    no zeros, and the readers below read that form.  `values`, the same
+    vectors as dense lists of Fractions, is formed when it is first read,
+    and from then on it is the one source of every reader: a Curvature
+    built from caller-given dense values, or values changed in place, is
+    read as it stands.
+    """
+
+    def __init__(self, ext: Extension, values: Optional[dict] = None,
+                 vectors: Optional[dict] = None):
+        self.ext = ext
+        self._values = values
+        self._vectors = vectors
+
+    @property
+    def values(self) -> dict:
+        """(a, b) with a < b -> target coordinate vector, dense."""
+        if self._values is None:
+            dim = self.ext.target.dim
+            self._values = {key: _dense(vec, dim) for key, vec in self._vectors.items()}
+            self._vectors = None
+        return self._values
+
+    def _rows(self) -> dict:
+        """kappa's values as {(a, b): {t: x}}, from `values` once it exists."""
+        if self._values is None:
+            return self._vectors
+        return {key: _sparse(vec) for key, vec in self._values.items()}
 
     def get(self, a: int, b: int) -> list:
+        dim = self.ext.target.dim
         if a == b:
-            return [ZERO] * self.ext.target.dim
-        if a < b:
-            return list(self.values[(a, b)])
-        return [-x for x in self.values[(b, a)]]
+            return [ZERO] * dim
+        key = (min(a, b), max(a, b))
+        vec = list(self._values[key]) if self._values is not None else _dense(self._vectors[key], dim)
+        return vec if a < b else [-x for x in vec]
 
     def evaluate(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list:
-        u, v = _sparse(u), _sparse(v)
-        pairs = {(min(a, b), max(a, b)) for a in u for b in v if a != b}
-        return _dense(_evaluate({key: _sparse(self.values[key]) for key in pairs}, u, v),
-                      self.ext.target.dim)
+        return _dense(_evaluate(self._rows(), _sparse(u), _sparse(v)), self.ext.target.dim)
 
     def component_zero(self, grade: int) -> bool:
-        idx = self.ext.target.grade_indices(grade)
-        return all(all(vec[i] == 0 for i in idx) for vec in self.values.values())
+        idx = frozenset(self.ext.target.grade_indices(grade))
+        return not any(idx.intersection(vec) for vec in self._rows().values())
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in vec) for vec in self.values.values())
+        return not any(self._rows().values())
 
     def nonzero_entries(self) -> int:
-        return sum(1 for vec in self.values.values() for x in vec if x != 0)
+        return sum(map(len, self._rows().values()))
 
 
 def _evaluate(values: dict, u: dict, v: dict) -> dict:
@@ -212,12 +245,12 @@ def curvature(ext: Extension) -> Curvature:
     table_g = target.algebra.constants.table
     cols = _sparse_cols(ext.alpha)
     m = pair.m_indices
-    values = {}
+    vectors = {}
     for a in range(pair.dim_m):
         for b in range(a + 1, pair.dim_m):
             defect = _defect(table_g, cols[m[a]], cols[m[b]], table_k[m[a]][m[b]], cols)
-            values[(a, b)] = _dense(defect, target.dim)
-    return Curvature(ext, values)
+            vectors[(a, b)] = {t: x for t, x in defect.items() if x}
+    return Curvature(ext, vectors=vectors)
 
 
 def torsion_free(ext: Extension, kappa: Optional[Curvature] = None) -> bool:
@@ -299,19 +332,31 @@ def dstar_projective(ext: Extension, kappa: Optional[Curvature] = None) -> list:
 
 
 def _dstar(ext: Extension, kappa: Curvature) -> list:
-    """`dstar_projective` as sparse vectors, zero sums kept."""
+    """`dstar_projective` as sparse vectors, zero sums kept.
+
+    With F the inverse frame, X^i = sum_a F_ai X_a, so the contraction at
+    X_j is sum_b F_bj D_b with D_b = sum_a [W_a, kappa(X_a, X_b)] and W_a =
+    sum_i F_ai Z_i: n^2 brackets for any frame."""
     target = ext.target
-    n = target.dim_gm1
-    frame_inv = _sparse_cols(invert(ext.frame()))
-    values = {key: _sparse(vec) for key, vec in kappa.values.items()}
-    sc_g = target.algebra.constants
+    frame_inv = invert(ext.frame())
+    values = kappa._rows()
+    bracket_with = target.algebra.constants.bracket_with
+    d = []
+    for b in range(target.dim_gm1):
+        acc: dict = {}
+        for a, row in frame_inv.sparse.items():
+            if a != b:
+                key, sign = ((a, b), 1) if a < b else ((b, a), -1)
+                for i, f in row.items():
+                    for t, c in bracket_with(target.plus_one[i], values[key]).items():
+                        acc[t] = acc.get(t, 0) + sign * f * c
+        d.append(acc)
     out = []
-    for j in range(n):
+    for col in _sparse_cols(frame_inv):
         total: dict = {}
-        for i in range(n):
-            kij = _evaluate(values, frame_inv[i], frame_inv[j])
-            for t, c in sc_g.bracket_with(target.plus_one[i], kij).items():
-                total[t] = total.get(t, 0) + c
+        for b, f in col.items():
+            for t, c in d[b].items():
+                total[t] = total.get(t, 0) + f * c
         out.append(total)
     return out
 
@@ -395,23 +440,80 @@ def solve_projective_b2(ext: Extension) -> B2Solution:
 
 
 def _assert_b2_equivariant(ext: Extension, b2: Mat) -> None:
-    """b2 must intertwine the induced actions on g_-1 and g_1."""
-    target = ext.target
+    """b2 must intertwine the induced actions on g_-1 and g_1: b2 A_-(X) =
+    A_+(X) b2 for every X in h, where A_-(X) and A_+(X) are the g_-1 and g_1
+    blocks of ad(alpha X).
+
+    Only the generator picks of h (`lie.generating_indices` of the isotropy
+    algebra) are checked when `_chain_picks` returns them and each ad(alpha
+    X_s) of a pick s maps g_-1 and g_1 into themselves, which is seen while
+    its blocks are formed.  Proof: let V be g_-1 or g_1.  Both sides of the
+    condition are linear in X, so the X in h for which ad(alpha X) maps V
+    into V, and the X for which moreover b2 intertwines, form subspaces T
+    and S, and the picks lie in both.  Take the vectors v_k of
+    `lie.generator_chain` in order.  If v_k = [X_s, v_j] with v_j in S, then
+    alpha v_k = [alpha X_s, alpha v_j] (`_chain_picks`), and the target's
+    table is antisymmetric and satisfies Jacobi (its recorded realization
+    certificate), so ad(alpha v_k) = [ad(alpha X_s), ad(alpha v_j)]: it maps
+    V into V, and its blocks are the commutators of the blocks, which b2
+    intertwines.  So every v_k lies in S, and the v_k span h.  When a
+    condition fails, every basis element of h is checked.
+    """
+    target, h = ext.target, ext.pair.h_indices
     sc_g = target.algebra.constants
     cols = _sparse_cols(ext.alpha)
 
-    def block(az: dict, idx: Sequence[int]) -> Mat:
-        # ad(az) on span(idx): column c is [az, X_c] = -[X_c, az]
-        local = {t: r for r, t in enumerate(idx)}
-        rows: dict = {}
-        for c, x in enumerate(idx):
-            for t, v in sc_g.bracket_with(x, az).items():
-                if t in local:
-                    rows.setdefault(local[t], {})[c] = -v
-        return Mat.from_sparse(len(idx), len(idx), rows)
+    def check(xs) -> bool:
+        """Raise unless b2 intertwines at each x in xs; whether each
+        ad(alpha X_x) maps g_-1 and g_1 into themselves."""
+        kept = True
+        for x in xs:
+            a_minus, kept_minus = _ad_block(sc_g, cols[x], target.minus_one)
+            a_plus, kept_plus = _ad_block(sc_g, cols[x], target.plus_one)
+            if b2 @ a_minus != a_plus @ b2:
+                raise InternalCheckError("solved b2 is not equivariant")
+            kept = kept and kept_minus and kept_plus
+        return kept
 
-    for h in ext.pair.h_indices:
-        a_minus = block(cols[h], target.minus_one)
-        a_plus = block(cols[h], target.plus_one)
-        if b2 @ a_minus != a_plus @ b2:
-            raise InternalCheckError("solved b2 is not equivariant")
+    picks = _chain_picks(ext, cols)
+    if not (picks and check(picks)):
+        check(x for x in h if x not in picks)
+
+
+def _ad_block(sc_g, az: dict, idx: Sequence[int]) -> tuple:
+    """ad(az) on span(idx) followed by the projection to it, as a matrix,
+    and whether ad(az) maps span(idx) into itself.  Column c is [az, X_c] =
+    -[X_c, az]."""
+    local = {t: r for r, t in enumerate(idx)}
+    rows: dict = {}
+    kept = True
+    for c, x in enumerate(idx):
+        for t, v in sc_g.bracket_with(x, az).items():
+            if t in local:
+                rows.setdefault(local[t], {})[c] = -v
+            elif v:
+                kept = False
+    return Mat.from_sparse(len(idx), len(idx), rows), kept
+
+
+def _chain_picks(ext: Extension, cols: list) -> list:
+    """The generator picks of h, in the pair's basis, when the target's table
+    carries its recorded realization certificate and alpha v = [alpha X_s,
+    alpha v_j] for each vector v = [X_s, v_j] of `lie.generator_chain` of
+    the isotropy algebra, read in the pair's basis; [] otherwise."""
+    target, h = ext.target, ext.pair.h_indices
+    if not (h and target.algebra._recorded()):
+        return []
+    table_g = target.algebra.constants.table
+    algebra = isotropy_rep(ext.pair).algebra
+    images = []  # alpha of each chain vector
+    for v, s, j in generator_chain(algebra):
+        coords = {h[i]: c for i, c in v.items()}
+        if s is not None and any(_defect(table_g, cols[h[s]], images[j], coords, cols).values()):
+            return []
+        image: dict = {}
+        for k, c in coords.items():
+            for t, x in cols[k].items():
+                image[t] = image.get(t, 0) + c * x
+        images.append(image)
+    return [h[s] for s in generating_indices(algebra)]

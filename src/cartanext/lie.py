@@ -593,13 +593,30 @@ def generating_indices(algebra: MatrixLieAlgebra) -> list:
     return list(_generator_picks(algebra))
 
 
+def generator_chain(algebra: MatrixLieAlgebra) -> list:
+    """The basis of the algebra that `generating_indices` finds on the way,
+    each vector with how it was found: (v, s, j) when v = [X_s, v_j] for a
+    pick s and the j-th vector v_j, j smaller than v's own position, and
+    ({i: 1}, None, None) for a pick i.  The vectors are sparse coordinates,
+    brackets read from the table with zero sums kept.  Kept with the picks;
+    each call returns a new list."""
+    return list(_generator_search(algebra)[1])
+
+
 @derived
 def _generator_picks(algebra: MatrixLieAlgebra) -> tuple:
     """The picks of `generating_indices`, as a tuple."""
+    return _generator_search(algebra)[0]
+
+
+@derived
+def _generator_search(algebra: MatrixLieAlgebra) -> tuple:
+    """The picks of `generating_indices` and the chain of
+    `generator_chain`, as tuples."""
     dim = algebra.dim
     sc = algebra.constants
     span = SpanSolver(dim)
-    found = []  # a basis of the subalgebra generated so far, sparse
+    found = []  # a basis of the subalgebra generated so far, as (v, s, j)
     picked = []
     for i in range(dim):
         if span.rank == dim:
@@ -609,16 +626,16 @@ def _generator_picks(algebra: MatrixLieAlgebra) -> tuple:
         # `found` is closed under ad X_s for the earlier picks: apply ad X_i
         # to it, and every ad X_s to each vector that enters from here on
         picked.append(i)
-        work = [(v, (i,)) for v in found] + [({i: 1}, tuple(picked))]
-        found.append({i: 1})
+        work = [(j, (i,)) for j in range(len(found))] + [(len(found), tuple(picked))]
+        found.append(({i: 1}, None, None))
         while work and span.rank < dim:
-            v, gens = work.pop()
+            j, gens = work.pop()
             for s in gens:
-                w = sc.bracket_with(s, v)
+                w = sc.bracket_with(s, found[j][0])
                 if span.insert(w):
-                    found.append(w)
-                    work.append((w, tuple(picked)))
-    return tuple(picked)
+                    work.append((len(found), tuple(picked)))
+                    found.append((w, s, j))
+    return tuple(picked), tuple(found)
 
 
 @derived

@@ -134,6 +134,27 @@ def test_verify_family_rows(family, pair_family, params):
     assert is_flat(v.witness, kappa)
 
 
+# sha256 of the canonical extension JSON of the group-type row witnesses,
+# recorded before the rows read their base token through `bases._read_token`
+GROUP_ROW_DIGESTS = [
+    ("spinorial", "so(2,1)", "a88a7f112544dc2db87785af001dd1c9109e68db5c8cab7a2b5e26dd1f2f3776"),
+    ("spinorial", "so(3)", "b6825be89a0c791a29b472860c7f6dab139acde27fa426d478d87d4b779719d7"),
+    ("lagrangean", "sp(2,R)", "7066195dc2a0de10179da9df3603d89c250d086fc055ae400b6cdc1dedb139cd"),
+    ("lagrangean", "sp(4,R)", "06216cd9d995801d7e11c6c43398c7fd3507b360f61b8934904547846dbf825c"),
+]
+
+
+@pytest.mark.parametrize("family,base,digest", GROUP_ROW_DIGESTS)
+def test_group_row_witnesses_are_unchanged(family, base, digest):
+    import hashlib
+
+    from cartanext import io
+
+    pair = build_pair("group_type", {"base": base})
+    ext = classify._ROW_BUILDERS[(family, "group_type")](pair)
+    assert hashlib.sha256(io.canonical_dumps(io.extension_to_json(ext)).encode()).hexdigest() == digest
+
+
 def test_quaternion_certificates():
     pair = build_pair("sp1_block", {"p": 1, "q": 1})
     cert = classify.quaternion_relation_certificate(pair)

@@ -14,9 +14,9 @@ import pytest
 from cartanext import catalog, classify, lie
 from cartanext.catalog import (build_pair, centroid, direct_sum_pairs, factor_decomposition,
                                isotropy_rep)
-from cartanext.lie import (Representation, commutant_basis, generating_indices,
+from cartanext.lie import (Representation, commutant_basis, generating_indices, generator_chain,
                            invariant_bilinear_forms, make_algebra)
-from cartanext.linalg import Mat
+from cartanext.linalg import Mat, matrix_rank
 from conftest import reference_commutant_basis, reference_invariant_bilinear_forms
 
 F = Fraction
@@ -156,6 +156,20 @@ def test_generating_indices_are_kept_on_the_algebra(monkeypatch):
     kept = alg._derived["_generator_picks"]
     assert generating_indices(alg) == list(kept) and -1 not in kept
     assert generating_indices(alg) is not generating_indices(alg)
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids=lambda p: p.name)
+def test_generator_chain_is_a_basis_of_brackets_of_the_picks(pair):
+    alg = pair.k_algebra
+    chain = generator_chain(alg)
+    assert [v for v, s, _ in chain if s is None] == [{i: 1} for i in generating_indices(alg)]
+    for k, (v, s, j) in enumerate(chain):
+        if s is not None:
+            assert s in generating_indices(alg) and j < k
+            assert v == alg.constants.bracket_with(s, chain[j][0])
+    assert matrix_rank(Mat.from_sparse(len(chain), alg.dim, dict(enumerate(
+        v for v, _, _ in chain)))) == len(chain) == alg.dim
+    assert generator_chain(alg) is not chain and generator_chain(alg) == chain
 
 
 def test_generating_sets_are_smaller_than_the_basis():

@@ -91,6 +91,11 @@ def test_a_witness_needs_matching_dimensions():
      "Lagrangean rows need a symplectic group-type pair"),
     ("spinorial", "group_type", {"base": "sl(2,R)"},
      "spinorial rows need an orthogonal group-type pair"),
+    # complex tokens: the rows read the field off the token grammar
+    ("lagrangean", "group_type", {"base": "sp(2,C)"},
+     "Lagrangean rows need a symplectic group-type pair"),
+    ("spinorial", "group_type", {"base": "so(3,C)"},
+     "spinorial rows need an orthogonal group-type pair"),
 ])
 def test_a_row_outside_its_rank_bound_is_undecided(family, pair_family, params, reason):
     verdict = classify.verify_family_row(family, build_pair(pair_family, params))
