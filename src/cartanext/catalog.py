@@ -48,11 +48,14 @@ MAX_DIM = 500
 
 
 @dataclass
-class GradedAlgebra:
+class GradedAlgebra(DerivedData):
     """A one-graded algebra with explicit grade index sets and flip element.
 
     Builds are memoized and shared, so the index sets, layouts and grading
-    coordinates are tuples and the parameters a FrozenDict."""
+    coordinates are tuples and the parameters a FrozenDict.  Data derived
+    once per target (`extension.projective_normalization_operator`) is kept
+    in the `_derived` dict (see `lie.DerivedData`), which `==` and
+    `dataclasses.replace` ignore."""
 
     algebra: MatrixLieAlgebra
     family: str
@@ -532,13 +535,17 @@ def verify_graded(g: GradedAlgebra) -> list:
     is one kernel (`MatrixLieAlgebra.realization_certified` and
     `largest_ideal_dim` hold the proofs).  For an algebra built by
     `make_algebra` the realization was established during that build and
-    is read here; any other algebra is checked here.  Where a certificate
-    does not apply, the full scans `jacobi_witnesses` and
+    is read here; any other algebra is checked here.  Antisymmetry is read
+    off the same record: a recorded table (`MatrixLieAlgebra._recorded`)
+    was written antisymmetric when it was built, each cell (j, i) as the
+    negation of the cell (i, j) in one step and the diagonal empty, so
+    only an unrecorded table takes the `antisymmetry_holds` scan.  Where a
+    certificate does not apply, the full scans `jacobi_witnesses` and
     `largest_invariant_subspace_dim` run instead, so failing tables report
     the same witnesses and dimensions."""
     failures = []
     sc = g.algebra.constants
-    antisymmetric = sc.antisymmetry_holds()
+    antisymmetric = g.algebra._recorded() or sc.antisymmetry_holds()
     if not antisymmetric:
         failures.append("structure constants are not antisymmetric")
     if not (antisymmetric and g.algebra.realization_certified()):
@@ -915,14 +922,15 @@ def verify_pair(pair: SymmetricPair) -> list:
     As in `verify_graded`, the Jacobi identity is certified by the basis
     matrices realizing the structure constants (established by
     `make_algebra` during the build, or checked here for an algebra made
-    any other way) and, once it and antisymmetry hold, effectivity is one
+    any other way), a recorded table counts as antisymmetric without the
+    `antisymmetry_holds` scan, and, once both hold, effectivity is one
     kernel.  The kernel needs [h, h] inside h and [h, m] inside m.
     Construction checks the eigenspace brackets, but a pair made by
     `dataclasses.replace` skips that, so the certificate reads them off the
     table itself, and the full search runs where they fail."""
     failures = []
     sc = pair.k_algebra.constants
-    antisymmetric = sc.antisymmetry_holds()
+    antisymmetric = pair.k_algebra._recorded() or sc.antisymmetry_holds()
     if not antisymmetric:
         failures.append("structure constants are not antisymmetric")
     if not (antisymmetric and pair.k_algebra.realization_certified()):

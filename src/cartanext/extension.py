@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .catalog import GradedAlgebra, SymmetricPair, isotropy_rep
 from .errors import InputError, InternalCheckError, StructuralError
-from .lie import generating_indices, generator_chain
+from .lie import FrozenDict, derived, generating_indices, generator_chain
 from .linalg import ZERO, Mat, _dense, _sparse, invert, solve_linear
 
 
@@ -361,6 +361,7 @@ def _dstar(ext: Extension, kappa: Curvature) -> list:
     return out
 
 
+@derived
 def projective_normalization_operator(target: GradedAlgebra) -> tuple[Mat, dict]:
     """The linear operator taking b2 to its contribution to the contraction.
 
@@ -369,7 +370,9 @@ def projective_normalization_operator(target: GradedAlgebra) -> tuple[Mat, dict]
     elementary g_1 vector); equations are indexed by (j, t) for the
     g_1-coordinate t of the contraction at X_j.  Every bracket is read from
     the structure-constant table: u[i][k] = [X^-_i, X^+_k] is a table row,
-    and each [X^+_i, u] is summed over the rows table[X^+_i][m].
+    and each [X^+_i, u] is summed over the rows table[X^+_i][m].  It
+    depends on the target alone, so it is built once per target and kept
+    on it (see `lie.derived`); the index is a read-only `FrozenDict`.
     """
     n = target.dim_gm1
     sc_g = target.algebra.constants
@@ -398,7 +401,8 @@ def projective_normalization_operator(target: GradedAlgebra) -> tuple[Mat, dict]
             for j0 in range(n):
                 for t, c in sc_g.bracket_with(plus[j0], u_table[j][k0]).items():
                     add(t, j, k0 * n + j0, -c)
-    return Mat.from_sparse(n * len(plus), width, data), {"equations": width, "unknowns": width}
+    return (Mat.from_sparse(n * len(plus), width, data),
+            FrozenDict({"equations": width, "unknowns": width}))
 
 
 def solve_projective_b2(ext: Extension) -> B2Solution:

@@ -47,7 +47,10 @@ from .linalg import (
 class FrozenDict(dict):
     """A dict that refuses changes.  Builds are memoized and shared, so a
     write to their parameters or structure constants would reach every
-    later build.  No instance attributes, so a cell costs what a dict does."""
+    later build.  No instance attributes, so a cell costs what a dict does.
+    One structure table holds each one-term cell {k: 1} or {k: -1} as one
+    shared object (see `_one_term_cells`), so a write that got past the refusal
+    would also reach every position holding that object."""
 
     __slots__ = ()
 
@@ -95,13 +98,38 @@ class DerivedData:
 _EMPTY_CELL = FrozenDict()
 
 
+def _cell_pair(cell: dict, shared: dict) -> tuple:
+    """The frozen cells (cell, -cell) of [X_i, X_j] and [X_j, X_i] in one
+    table build; a one-term cell goes to `_one_term_cells`, any other is
+    frozen anew, with its negation."""
+    if len(cell) == 1:
+        return _one_term_cells(*next(iter(cell.items())), shared)
+    return FrozenDict(cell), FrozenDict({k: -c for k, c in cell.items()})
+
+
+def _one_term_cells(k: int, c, shared: dict) -> tuple:
+    """The frozen cells ({k: c}, {k: -c}) in one table build.  For an int c
+    of 1 or -1, what most brackets of a catalog basis are, they are the two
+    cells {k: 1} and {k: -1} that `shared` keeps for k in that build, made
+    on their first use; for any other c they are made anew."""
+    if c.__class__ is int and (c == 1 or c == -1):
+        pair = shared.get(k)
+        if pair is None:
+            pair = shared[k] = (FrozenDict({k: 1}), FrozenDict({k: -1}))
+        return pair if c == 1 else (pair[1], pair[0])
+    return FrozenDict({k: c}), FrozenDict({k: -c})
+
+
 class StructureConstants:
     """Sparse structure constants c[i][j] = {k: coefficient}.
 
     Integral coefficients are stored as int, the others as Fraction; readers
     of `table` and `row` only add, multiply and compare them.  A table built
-    by `make_algebra` is frozen: its rows are tuples, every cell is a
-    read-only `FrozenDict`, and every empty cell is one shared mapping.
+    by `make_algebra` or `subalgebra` is frozen: its rows are tuples, every
+    cell is a read-only `FrozenDict`, every empty cell is one shared
+    mapping, and each one-term cell {k: 1} or {k: -1} is one object shared
+    within the table (`_one_term_cells`).  Readers compare cells by value,
+    never by identity.
     """
 
     def __init__(self, dim: int, table: Sequence):
@@ -314,7 +342,9 @@ class MatrixLieAlgebra(DerivedData):
         """True when the basis matrices realize the structure constants: they
         are linearly independent and [X_i, X_j] = sum_k c_ij^k X_k for every
         i < j.  False means only that this was not shown.  The table must be
-        antisymmetric; callers check that first.
+        antisymmetric; callers check that first, and a recorded table (see
+        `_recorded`) is: both functions that record one write c_ji as the
+        negation of c_ij in the step that writes c_ij, and leave c_ii empty.
 
         Proof that the Jacobi identity then holds.  Let phi send the
         coordinate vector e_i to X_i.  One fresh `SpanSolver` pass, which
@@ -359,7 +389,11 @@ class MatrixLieAlgebra(DerivedData):
 
     def _recorded(self) -> bool:
         """Whether the table and basis are the very objects recorded as
-        certified under "realization_certified" (see there)."""
+        certified under "realization_certified" (see there).  Such a table
+        is antisymmetric: only `make_algebra` and `subalgebra` record one,
+        and both write each pair of cells (i, j), (j, i) as a cell and its
+        negation and leave the diagonal empty; the identity test and the
+        frozen cells keep it the table they wrote."""
         done = self._derived.get("realization_certified")
         return done is not None and done[0] is self.constants.table and done[1] is self.basis
 
@@ -395,10 +429,14 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
     - any other bracket is decomposed by elimination (`ClosureError` when
       it lies outside the span), and the decomposition is tested by
       forming sum_k c_ij^k X_k as a flat vector and comparing.
-    The cell of (j, i) is the negated cell of (i, j).  The table is frozen
-    (tuple rows, `FrozenDict` cells), and if every test held, the table and
-    the basis tuple are recorded as certified on the algebra.  The span
-    becomes the algebra's `_ambient_span` (see `coordinate_matrix`).
+    The cells of (i, j) and (j, i) are written in one step, the second the
+    negation of the first (`_one_term_cells`: a cell {k: 1} or {k: -1} is
+    one of two cells shared by every such bracket of the build), and the
+    diagonal stays empty, so the table is antisymmetric by construction.
+    The table is frozen (tuple rows, `FrozenDict` cells), and if every test
+    held, the table and the basis tuple are recorded as certified on the
+    algebra.  The span becomes the algebra's `_ambient_span` (see
+    `coordinate_matrix`).
     """
     if not basis:
         raise InputError("empty basis")
@@ -419,6 +457,7 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
     negated = [{p: -v for p, v in flat.items()} for flat in flats]
     certified = True
     table = [[_EMPTY_CELL] * dim for _ in range(dim)]
+    shared: dict = {}  # the one-term cells of this build (`_one_term_cells`)
     index = _BracketIndex(basis, n)
     for i in range(dim):
         index.drop_first()  # the index holds X_j for j > i
@@ -434,7 +473,7 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
                     c = v // w if not v % w else Fraction(v) / w  # an int when integral
                     if any(bracket[q] != c * u for q, u in x.items()):
                         continue
-                fwd = {k: c}
+                cells = _one_term_cells(k, c, shared)
                 break
             else:
                 fwd = span.sparse_decompose(bracket)
@@ -442,8 +481,8 @@ def make_algebra(basis: Sequence[Mat], name: str = "") -> MatrixLieAlgebra:
                     raise ClosureError(i, j)
                 if certified and _combine((c, flats[k]) for k, c in fwd.items()) != bracket:
                     certified = False
-            table[i][j] = FrozenDict(fwd)
-            table[j][i] = FrozenDict({k: -c for k, c in fwd.items()})
+                cells = _cell_pair(fwd, shared)
+            table[i][j], table[j][i] = cells
     for i in range(dim):  # row by row, so that only one row is held twice
         table[i] = tuple(table[i])
     table = tuple(table)
@@ -466,7 +505,9 @@ def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> Ma
     vector is a unit vector e_i, as for the isotropy algebra h, the cell of
     a pair is the parent's cell renumbered, and a bracket leaves the span
     exactly when that cell has an index outside them.  A unit vector e_i
-    takes the basis matrix X_i itself, any other v `element(v)`.
+    takes the basis matrix X_i itself, any other v `element(v)`.  As in
+    `make_algebra`, the cells of (a, b) and (b, a) are written in one step
+    as a cell and its negation (`_cell_pair`), and the diagonal stays empty.
 
     When the algebra's realization certificate is recorded (see
     `realization_certified`), the subalgebra's is recorded too.  Proof:
@@ -482,6 +523,7 @@ def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> Ma
     dim = len(vecs)
     units = {min(v): a for a, v in enumerate(vecs) if v == {min(v): 1}}
     table = [[_EMPTY_CELL] * dim for _ in range(dim)]
+    shared: dict = {}  # the one-term cells of this build (`_one_term_cells`)
     for a in range(dim):
         for b in range(a + 1, dim):
             if len(units) == dim:  # unit vectors: the parent's cell, renumbered
@@ -496,8 +538,7 @@ def subalgebra(algebra: MatrixLieAlgebra, vecs: Sequence[dict], name: str) -> Ma
             if cell is None:
                 raise ClosureError(a, b)
             if cell:
-                table[a][b] = FrozenDict(cell)
-                table[b][a] = FrozenDict({k: -c for k, c in cell.items()})
+                table[a][b], table[b][a] = _cell_pair(cell, shared)
     basis = tuple(algebra.basis[min(v)] if v == {min(v): 1} else algebra.element(v) for v in vecs)
     sub = MatrixLieAlgebra(algebra.ambient_size, basis, name,
                            StructureConstants(dim, tuple(map(tuple, table))))
@@ -549,25 +590,32 @@ def _ambient_span(algebra: MatrixLieAlgebra) -> SpanSolver:
 
 @derived
 def killing_form(algebra: MatrixLieAlgebra) -> Mat:
-    """Gram matrix B(X_i, X_j) = trace(ad X_i ad X_j) from structure constants."""
+    """Gram matrix B(X_i, X_j) = trace(ad X_i ad X_j) = sum over k, l of
+    c_il^k c_jk^l, from structure constants.
+
+    The nonzero entries are grouped once by their position (l, k): at[l, k]
+    lists the pairs (i, c_il^k).  Each term of B(X_i, X_j) pairs an entry
+    listed at (l, k) with one listed at (k, l), so B is the sum, over the
+    positions (l, k), of the products of the list at (l, k) with the list
+    at (k, l), and no pair of cells without a common position is visited."""
     dim = algebra.dim
-    t = algebra.constants.table
+    at: dict = {}
+    for i, row in enumerate(algebra.constants.table):
+        for l in itertools.compress(range(dim), row):
+            for k, c in row[l].items():
+                at.setdefault((l, k), []).append((i, c))
     data: dict = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            s = 0
-            for l in range(dim):
-                row = t[i][l]
-                if not row:
-                    continue
-                tj = t[j]
-                for k, c in row.items():
-                    d = tj[k].get(l)
-                    if d is not None:
-                        s += c * d
-            if s:
-                data.setdefault(i, {})[j] = data.setdefault(j, {})[i] = s
-    return Mat.from_sparse(dim, dim, data)
+    for (l, k), left in at.items():
+        right = at.get((k, l))
+        if right is None:
+            continue
+        for i, c in left:
+            out = data.setdefault(i, {})
+            for j, d in right:
+                out[j] = out.get(j, 0) + c * d
+    # columns in increasing order, as the index-pair loop left them, so that
+    # `submatrix` and the congruence of `symmetric_signature` take the same path
+    return Mat.from_sparse(dim, dim, {i: dict(sorted(data[i].items())) for i in sorted(data)})
 
 
 def generating_indices(algebra: MatrixLieAlgebra) -> list:

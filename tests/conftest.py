@@ -1071,6 +1071,32 @@ def reference_verify_pair(pair: SymmetricPair) -> list:
     return failures
 
 
+# -- the Killing form by index pairs, which the grouping by cell position
+# replaced, kept verbatim (only renamed and undecorated) -------------------------
+
+
+def reference_killing_form(algebra: MatrixLieAlgebra) -> Mat:
+    """Gram matrix B(X_i, X_j) = trace(ad X_i ad X_j) from structure constants."""
+    dim = algebra.dim
+    t = algebra.constants.table
+    data: dict = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            s = 0
+            for l in range(dim):
+                row = t[i][l]
+                if not row:
+                    continue
+                tj = t[j]
+                for k, c in row.items():
+                    d = tj[k].get(l)
+                    if d is not None:
+                        s += c * d
+            if s:
+                data.setdefault(i, {})[j] = data.setdefault(j, {})[i] = s
+    return Mat.from_sparse(dim, dim, data)
+
+
 # -- the generating-set Jacobi certificate that the realization certificate
 # replaced, kept verbatim (only renamed; the method `StructureConstants.
 # jacobi_certified` as a function of the table) --------------------------------

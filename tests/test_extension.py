@@ -264,6 +264,35 @@ def test_normalization_homogeneous_pattern():
         assert op == Mat.from_rows(expected)
 
 
+def test_normalization_operator_is_built_once_per_target(monkeypatch):
+    from functools import lru_cache
+
+    from cartanext.cli import default_manifest, run_verify_catalog
+    # fresh targets, so no operator kept by an earlier test is read
+    fresh = lru_cache(maxsize=None)(catalog._build_graded_cached.__wrapped__)
+    monkeypatch.setattr(catalog, "_build_graded_cached", fresh)
+    got = []
+    memoized = extension.projective_normalization_operator
+
+    def recorded(target):
+        got.append((target, memoized(target)))
+        return got[-1][1]
+
+    monkeypatch.setattr(extension, "projective_normalization_operator", recorded)
+    assert run_verify_catalog(default_manifest(), seed=0)["overall"] == "PASS"
+    assert len(got) == 18
+    # one operator object per target: 5 builds
+    assert len({id(t) for t, _ in got}) == len({id(op) for _, (op, _) in got}) == 5
+    target, (op, meta) = got[0]
+    assert (op, meta) == memoized.__wrapped__(target)
+    with pytest.raises(TypeError):
+        meta["unknowns"] = 0
+    copy = dataclasses.replace(target)
+    op_copy, _ = memoized(copy)
+    assert op_copy == op and op_copy is not op
+    assert memoized(copy)[0] is op_copy and memoized(target)[0] is op
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_normalization_kernel_trivial(n):
     target = build_graded("projective", {"n": n})
