@@ -4,7 +4,8 @@ Complex matrices realify to 2m x 2m blocks [[Re, -Im], [Im, Re]] (real part
 stacked over imaginary part); quaternionic matrices to 4m x 4m blocks acting
 on the (1, i, j, k) component stacking.  Both realifications are algebra
 homomorphisms, so bracket closure is inherited from the complex or
-quaternionic matrix algebra.
+quaternionic matrix algebra.  The complex forms are `complexify` of a real
+basis.
 """
 
 from __future__ import annotations
@@ -67,17 +68,14 @@ def quaternion_elementary(m: int, r: int, s: int, unit: tuple) -> Mat:
     return realify_quaternion([Mat.unit(m, m, r, s, x) for x in unit])
 
 
-def complex_elementary(m: int, r: int, s: int, re: int = 1, im: int = 0) -> Mat:
-    return realify_complex(Mat.unit(m, m, r, s, re), Mat.unit(m, m, r, s, im))
-
-
 # ---------------------------------------------------------------------------
 # Classical algebra bases
 # ---------------------------------------------------------------------------
 
 
 def sl_basis(n: int) -> list:
-    """sl(n, R): off-diagonal units plus E_ii - E_00."""
+    """sl(n, R): the off-diagonal units E_ij in row-major order, then
+    E_ii - E_00."""
     if n < 2:
         raise InputError("sl(n) needs n >= 2")
     out = [Mat.unit(n, n, i, j) for i in range(n) for j in range(n) if i != j]
@@ -86,33 +84,31 @@ def sl_basis(n: int) -> list:
     return out
 
 
-def sl_complex_basis(n: int) -> list:
-    """Realified sl(n, C)."""
-    if n < 2:
-        raise InputError("sl(n, C) needs n >= 2")
+def so_form_basis(form: Mat) -> list:
+    """so of a symmetric signed-permutation form F, the X with X^T F + F X = 0.
+
+    With F e_c = s_c e_p(c), each position (r, c) in row-major order gives
+    E_rc - s_r s_c E_p(c)p(r), and the first position of each such pair is
+    kept; a position that is its own partner gives 0 and is skipped."""
+    n = form.rows
+    cells = [list(form.sparse.get(r, {}).items()) for r in range(n)]
+    if (form.cols != n or any(len(c) != 1 or c[0][1] not in (1, -1) for c in cells)
+            or form != form.transpose()):
+        raise InputError("so needs a symmetric signed-permutation form: signs must be +-1")
+    p, s = zip(*(c[0] for c in cells)) if n else ((), ())
     out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                out.append(complex_elementary(n, i, j, 1, 0))
-                out.append(complex_elementary(n, i, j, 0, 1))
-    for i in range(1, n):
-        diag = Mat.unit(n, n, i, i) - Mat.unit(n, n, 0, 0)
-        out.append(realify_complex(diag, Mat.zero(n, n)))
-        out.append(realify_complex(Mat.zero(n, n), diag))
+    for r in range(n):
+        for c in range(n):
+            if (r, c) < (p[c], p[r]):
+                rows = {r: {c: 1}}
+                rows.setdefault(p[c], {})[p[r]] = -s[r] * s[c]
+                out.append(Mat.from_sparse(n, n, rows))
     return out
 
 
 def so_diag_basis(signs: Sequence[int]) -> list:
     """so of a diagonal +-1 form: E_ij - g_i g_j E_ji for i < j."""
-    n = len(signs)
-    if any(s not in (1, -1) for s in signs):
-        raise InputError("signs must be +-1")
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(Mat.unit(n, n, i, j) - Mat.unit(n, n, j, i, signs[i] * signs[j]))
-    return out
+    return so_form_basis(Mat.diag(signs))
 
 
 def sp_split_basis(n: int) -> list:
@@ -197,29 +193,28 @@ def sp_pq_basis(signs: Sequence[int]) -> list:
     return out
 
 
-def so_complex_basis(n: int) -> list:
-    """Realified so(n, C): complex antisymmetric matrices."""
+def sl_quaternion_basis(m: int) -> list:
+    """Realified sl(m, H), the quaternionic matrices of real trace 0: each
+    unit times E_rs off the diagonal in row-major order, then i, j, k times
+    E_ii, then E_ii - E_00."""
+    out = [quaternion_elementary(m, r, s, q) for r in range(m) for s in range(m) if r != s
+           for q in QUATERNION_UNITS]
+    out += [quaternion_elementary(m, i, i, q) for i in range(m) for q in (Q_I, Q_J, Q_K)]
+    one = quaternion_elementary(m, 0, 0, Q_ONE)
+    return out + [quaternion_elementary(m, i, i, Q_ONE) - one for i in range(1, m)]
+
+
+def complexify(basis: Sequence[Mat]) -> list:
+    """The realified complex span of a real basis: each element as a real
+    part, then as an imaginary part."""
+    zero = Mat.zero(*basis[0].shape)
+    return [z for x in basis for z in (realify_complex(x, zero), realify_complex(zero, x))]
+
+
+def _least(n: int, name: str) -> int:
     if n < 2:
-        raise InputError("so(n, C) needs n >= 2")
-    zero = Mat.zero(n, n)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            anti = Mat.unit(n, n, i, j) - Mat.unit(n, n, j, i)
-            out.append(realify_complex(anti, zero))
-            out.append(realify_complex(zero, anti))
-    return out
-
-
-def sp_complex_basis(n: int) -> list:
-    """Realified sp(2n, C) for the split form."""
-    out = []
-    m = 2 * n
-    zero = Mat.zero(m, m)
-    for real in sp_split_basis(n):
-        out.append(realify_complex(real, zero))
-        out.append(realify_complex(zero, real))
-    return out
+        raise InputError(f"{name} needs n >= 2")
+    return n
 
 
 def _half(size: int, name: str) -> int:
@@ -236,11 +231,13 @@ def _signs(a: list) -> list:
 # the size and the basis both from the integer arguments
 _TOKENS = {
     ("sl", "R"): (1, lambda a: a[0], lambda a: sl_basis(a[0])),
-    ("sl", "C"): (1, lambda a: 2 * a[0], lambda a: sl_complex_basis(a[0])),
-    ("so", "C"): (1, lambda a: 2 * a[0], lambda a: so_complex_basis(a[0])),
+    ("sl", "C"): (1, lambda a: 2 * a[0], lambda a: complexify(sl_basis(_least(a[0], "sl(n, C)")))),
+    ("so", "C"): (1, lambda a: 2 * a[0],
+                  lambda a: complexify(so_diag_basis([1] * _least(a[0], "so(n, C)")))),
     ("so", ""): (2, sum, lambda a: so_diag_basis(_signs(a))),
     ("sp", "R"): (1, lambda a: a[0], lambda a: sp_split_basis(_half(a[0], "sp(2n,R)"))),
-    ("sp", "C"): (1, lambda a: 2 * a[0], lambda a: sp_complex_basis(_half(a[0], "sp(2n,C)"))),
+    ("sp", "C"): (1, lambda a: 2 * a[0],
+                  lambda a: complexify(sp_split_basis(_half(a[0], "sp(2n,C)")))),
     ("su", ""): (2, lambda a: 2 * sum(a), lambda a: su_basis(_signs(a))),
     ("so*", ""): (1, lambda a: 2 * a[0], lambda a: so_star_basis(_half(a[0], "so*(2n)"))),
 }

@@ -1,22 +1,23 @@
 """Catalog of one-graded target algebras and semisimple symmetric pairs.
 
-Every object is built from explicit elementary-matrix patterns at
-user-chosen small ranks (realified ambient size capped at 32), so each
-construction is deterministic, exact and auditable against the block
-displays it implements.  The block pairs (`sl_block`, `so_block`,
-`su_block`, `sp1_block`, `so_star`) and the h-projective and Lagrangean
-targets take their bases from `cartanext.bases`, and `conformal_model`
-takes the conformal target's; `_split` sorts such a basis into classes,
-keeping its order, entry by entry: a matrix nonzero at (r, c) falls in
-the class f_r f_c of a diagonal involution f (+1 in h, -1 in m), or
-e_r - e_c of a diagonal grading element e.
+Every object is built at user-chosen small ranks (realified ambient size
+capped at 32), so each construction is deterministic, exact and auditable
+against the block displays it implements.  Every graded target but su(p, p)
+and every block pair takes one basis from `cartanext.bases`; the
+`conformal_model` and `so_complex` pairs take the conformal and spinorial
+targets'.  One entry loop sorts such a basis, keeping its order, and
+checks it: a matrix nonzero at (r, c) falls in the class f_r f_c of a
+diagonal involution f (+1 in h, -1 in m; `_split`), or has the grade
+e_r - e_c of a diagonal grading element e and the flip sign f_r f_c of
+that grade (`_by_grade`, which `_assemble_graded` runs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+import operator
+from functools import lru_cache
 from itertools import compress
 from typing import Optional, Sequence
 
@@ -152,18 +153,25 @@ def _diagonal(name: str, what: str, m: Mat) -> list:
     return [m.sparse[i][i] if i in m.sparse else 0 for i in range(m.rows)]
 
 
-def _split(name: str, basis: Sequence[Mat], diagonal: Mat, grading: bool = False) -> list:
-    """`basis` sorted into classes, each kept in the given order, by the
-    rule `_assemble_graded` checks: entry by entry, d_r d_c at each nonzero
-    (r, c) for a diagonal involution d, the classes +1 (h) then -1 (m), or,
-    with `grading`, d_r - d_c for a diagonal grading element d, the classes
-    -1, 0 then 1.  InternalCheckError when a matrix gets no class or two."""
-    d = _diagonal(name, "splitting", diagonal)
-    # the rule on the few distinct values of d, so that no entry pays a Fraction operation
-    values = list(dict.fromkeys(d))
-    at = [values.index(x) for x in d]
-    rule = [[x - y if grading else x * y for y in values] for x in values]
-    classes = {k: [] for k in ((-1, 0, 1) if grading else (1, -1))}
+def _rule_table(d: list, rule) -> tuple:
+    """(at, table) with table[at[r]][at[c]] = rule(d_r, d_c), the rule taken
+    once for each pair of the few distinct values of d, so that no matrix
+    entry pays a Fraction operation; the values are told apart by ==, since
+    hashing a Fraction costs more than a few comparisons."""
+    values = []
+    for x in d:
+        if x not in values:
+            values.append(x)
+    return [values.index(x) for x in d], [[rule(x, y) for y in values] for x in values]
+
+
+def _split(name: str, basis: Sequence[Mat], diagonal: Mat) -> list:
+    """`basis` sorted into the classes +1 (h) then -1 (m) of a diagonal
+    involution d, each kept in the given order: a matrix nonzero at (r, c)
+    falls in the class d_r d_c.  InternalCheckError when a matrix gets no
+    class or two."""
+    at, rule = _rule_table(_diagonal(name, "splitting", diagonal), operator.mul)
+    classes = {1: [], -1: []}
     for idx, b in enumerate(basis):
         found = {rule[at[r]][at[c]] for r, row in b.sparse.items() for c in row}
         k = found.pop() if len(found) == 1 else None
@@ -173,97 +181,99 @@ def _split(name: str, basis: Sequence[Mat], diagonal: Mat, grading: bool = False
     return list(classes.values())
 
 
-def _assemble_graded(name, family, params, gm1, g0, gp1, e_mat, flip,
-                     gm1_layout, ambient_j=None) -> GradedAlgebra:
-    basis = list(gm1) + list(g0) + list(gp1)
+def _grade_code(x: tuple, y: tuple):
+    """The grade e_r - e_c of an entry as an int, when it is -1, 0 or 1 and
+    its flip sign f_r f_c is the one of that grade, else the pair (grade,
+    sign); x = (e_r, f_r) and y = (e_c, f_c)."""
+    k, sign = x[0] - y[0], x[1] * y[1]
+    if k in (-1, 0, 1) and sign == (1 if k == 0 else -1):
+        return int(k)
+    return k, sign
+
+
+def _by_grade(name: str, basis: Sequence[Mat], e_mat: Mat, flip: Mat) -> tuple:
+    """(g_-1, g_0, g_1): `basis` sorted stably by the grades of the diagonal
+    grading element E and checked against the diagonal flip.
+
+    [E, X] = kX and flip X flip = +-X hold entry by entry: a matrix nonzero
+    at (r, c) has grade e_r - e_c and flip sign f_r f_c there.  Each matrix
+    must get one grade k in {-1, 0, 1}, and the sign -1 for k = +-1, +1 for
+    k = 0; InternalCheckError naming its index in `basis` otherwise, or
+    when the flip does not square to the identity."""
+    e, f = _diagonal(name, "grading", e_mat), _diagonal(name, "flip", flip)
+    at, rule = _rule_table(list(zip(e, f)), _grade_code)
+    grades = {-1: [], 0: [], 1: []}
+    for idx, b in enumerate(basis):
+        found = {rule[at[r]][at[c]] for r, row in b.sparse.items() for c in row}
+        k = next(iter(found)) if len(found) == 1 else None
+        if k not in grades:  # no grade, two, one outside -1, 0, 1, or a wrong sign
+            ks = {c[0] if isinstance(c, tuple) else c for c in found}
+            if len(ks) != 1 or ks.pop() not in grades:
+                raise InternalCheckError(f"{name}: basis element {idx} does not get one grade")
+            raise InternalCheckError(f"{name}: flip conjugation sign wrong on element {idx}")
+        grades[k].append(b)
+    if any(x * x != 1 for x in f):
+        raise InternalCheckError(f"{name}: flip element does not square to the identity")
+    return tuple(grades.values())
+
+
+def _assemble_graded(name, family, params, basis, e_mat, flip, gm1_layout,
+                     ambient_j=None) -> GradedAlgebra:
+    """The graded algebra of `basis`, in the order `_by_grade` sorts it."""
     _check_bounds(basis[0].rows, len(basis))
-    algebra = make_algebra(basis, name)
+    gm1, g0, gp1 = _by_grade(name, basis, e_mat, flip)
+    algebra = make_algebra(gm1 + g0 + gp1, name)
     n0, n1 = len(gm1), len(g0)
     minus_one = tuple(range(n0))
     zero = tuple(range(n0, n0 + n1))
-    plus_one = tuple(range(n0 + n1, len(basis)))
-    # for diagonal E and flip, [E, X] = kX and flip X flip = +-X hold entry
-    # by entry: e_r - e_c = k and f_r f_c = +-1 at each nonzero X[r][c]
-    e, f = _diagonal(name, "grading", e_mat), _diagonal(name, "flip", flip)
-    for idx, b in enumerate(basis):
-        k = -1 if idx < n0 else (0 if idx < n0 + n1 else 1)
-        entries = [(r, c) for r, row in b.sparse.items() for c in row]
-        if any(e[r] - e[c] != k for r, c in entries):
-            raise InternalCheckError(f"{name}: ad(E) is not {k} on basis element {idx}")
-        sign = 1 if k == 0 else -1
-        if any(f[r] * f[c] != sign for r, c in entries):
-            raise InternalCheckError(f"{name}: flip conjugation sign wrong on element {idx}")
+    plus_one = tuple(range(n0 + n1, algebra.dim))
     coords = algebra.coordinate_matrix([e_mat])
     if coords is None:
         raise InternalCheckError(f"{name}: grading element not in the span")
     if any(i in coords.sparse for i in minus_one + plus_one):
         raise InternalCheckError(f"{name}: grading element has nonzero off-grade part")
-    if any(x * x != 1 for x in f):
-        raise InternalCheckError(f"{name}: flip element does not square to the identity")
     return GradedAlgebra(
         algebra, family, _frozen(params), tuple(coords.col(0)), minus_one, zero, plus_one,
         flip, tuple(gm1_layout), ambient_j,
     )
 
 
-def _sl_split_parts(p: int, q: int):
-    """Blocks of sl(p+q, R) graded by the (p | q) coordinate split."""
+def _sl_target(name: str, family: str, params: dict, p: int, q: int) -> GradedAlgebra:
+    """sl(p+q, R) graded by the (p | q) coordinate split.  Its g_1 lists the
+    transposes of g_-1 in their order, which is by columns; `bases.sl_basis`
+    lists g_1 by rows, another order once p >= 2."""
     n = p + q
-    gm1, gp1, layout = [], [], []
-    for r in range(q):
-        for c in range(p):
-            gm1.append(Mat.unit(n, n, p + r, c))
-            layout.append((r, c))
-    for r in range(q):
-        for c in range(p):
-            gp1.append(Mat.unit(n, n, c, p + r))
-    g0 = []
-    for i in range(p):
-        for j in range(p):
-            if i != j:
-                g0.append(Mat.unit(n, n, i, j))
-    for i in range(q):
-        for j in range(q):
-            if i != j:
-                g0.append(Mat.unit(n, n, p + i, p + j))
-    for i in range(1, n):
-        g0.append(Mat.unit(n, n, i, i) - Mat.unit(n, n, 0, 0))
-    e_mat = Mat.diag([Fraction(q, n)] * p + [Fraction(-p, n)] * q)
-    flip = Mat.diag([-1] * p + [1] * q)
-    return gm1, g0, gp1, e_mat, flip, layout
+    basis = bases.sl_basis(n)
+    # sl_basis lists E_ij, i != j, row by row: E_ij for i < j is element i (n - 1) + j - 1
+    g1 = [c * (n - 1) + j - 1 for j in range(p, n) for c in range(p)]
+    skip = set(g1)
+    basis = [b for i, b in enumerate(basis) if i not in skip] + [basis[i] for i in g1]
+    return _assemble_graded(
+        name, family, params, basis, Mat.diag([Fraction(q, n)] * p + [Fraction(-p, n)] * q),
+        Mat.diag([-1] * p + [1] * q), [(r, c) for r in range(q) for c in range(p)],
+    )
 
 
 def _build_projective(params: dict) -> GradedAlgebra:
     n = int(params["n"])
     if n < 1:
         raise InputError("projective rank n must be >= 1")
-    gm1, g0, gp1, e, flip, layout = _sl_split_parts(1, n)
-    return _assemble_graded(
-        f"sl({n + 1},R)-projective", "projective", {"n": n},
-        gm1, g0, gp1, e, flip, layout,
-    )
+    return _sl_target(f"sl({n + 1},R)-projective", "projective", {"n": n}, 1, n)
 
 
 def _build_grassmannian(params: dict) -> GradedAlgebra:
     p, q = int(params["p"]), int(params["q"])
     if p < 2 or q < 2:
         raise InputError("grassmannian needs p, q >= 2 (smaller ranks are projective)")
-    gm1, g0, gp1, e, flip, layout = _sl_split_parts(p, q)
-    return _assemble_graded(
-        f"sl({p + q},R)-grassmannian({p},{q})", "grassmannian", {"p": p, "q": q},
-        gm1, g0, gp1, e, flip, layout,
-    )
+    return _sl_target(f"sl({p + q},R)-grassmannian({p},{q})", "grassmannian", {"p": p, "q": q},
+                      p, q)
 
 
 def _build_para_quaternionic(params: dict) -> GradedAlgebra:
     n = int(params["n"])
     if n < 2:
         raise InputError("para-quaternionic rank n must be >= 2")
-    gm1, g0, gp1, e, flip, layout = _sl_split_parts(2, n)
-    return _assemble_graded(
-        f"sl({n + 2},R)-para-quaternionic", "para_quaternionic", {"n": n},
-        gm1, g0, gp1, e, flip, layout,
-    )
+    return _sl_target(f"sl({n + 2},R)-para-quaternionic", "para_quaternionic", {"n": n}, 2, n)
 
 
 def _build_h_projective(params: dict) -> GradedAlgebra:
@@ -272,47 +282,32 @@ def _build_h_projective(params: dict) -> GradedAlgebra:
         raise InputError("h_projective rank n must be >= 1")
     m = n + 1
     zero = Mat.zero(m, m)
-    name = f"sl({m},C)-h-projective"
-    e_mat = bases.realify_complex(Mat.diag([Fraction(n, m)] + [Fraction(-1, m)] * n), zero)
-    gm1, g0, gp1 = _split(name, bases.sl_complex_basis(m), e_mat, grading=True)
-    flip = bases.realify_complex(Mat.diag([-1] + [1] * n), zero)
     return _assemble_graded(
-        name, "h_projective", {"n": n}, gm1, g0, gp1, e_mat, flip,
+        f"sl({m},C)-h-projective", "h_projective", {"n": n},
+        bases.complexify(bases.sl_basis(m)),
+        bases.realify_complex(Mat.diag([Fraction(n, m)] + [Fraction(-1, m)] * n), zero),
+        bases.realify_complex(Mat.diag([-1] + [1] * n), zero),
         [(r, comp) for r in range(n) for comp in range(2)],
         ambient_j=bases.complex_unit_matrix(m),
     )
 
 
-def _conformal_parts(signs: Sequence[int]):
-    """Blocks of so(p+1, q+1) with isotropic first and last coordinates."""
-    n = len(signs)
-    m = n + 2
-    gm1, gp1 = [], []
-    for r in range(n):
-        gm1.append(Mat.unit(m, m, 1 + r, 0) - Mat.unit(m, m, m - 1, 1 + r, signs[r]))
-        gp1.append(Mat.unit(m, m, 0, 1 + r) - Mat.unit(m, m, 1 + r, m - 1, signs[r]))
-    g0 = [Mat.unit(m, m, 0, 0) - Mat.unit(m, m, m - 1, m - 1)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            g0.append(
-                Mat.unit(m, m, 1 + i, 1 + j) - Mat.unit(m, m, 1 + j, 1 + i, signs[i] * signs[j])
-            )
-    e_mat = g0[0]
-    flip = Mat.diag([-1] + [1] * n + [-1])
-    layout = list(range(n))
-    return gm1, g0, gp1, e_mat, flip, layout
+def _light_cone(signs: Sequence[int]) -> Mat:
+    """The form of so(p+1, q+1) with isotropic first and last coordinates."""
+    m = len(signs) + 2
+    return Mat.from_sparse(m, m, {0: {m - 1: 1}, m - 1: {0: 1},
+                                  **{1 + r: {1 + r: s} for r, s in enumerate(signs)}})
 
 
 def _build_conformal(params: dict) -> GradedAlgebra:
     p, q = int(params["p"]), int(params["q"])
     if p + q < 1:
         raise InputError("conformal needs p + q >= 1")
-    signs = [1] * p + [-1] * q
-    gm1, g0, gp1, e, flip, layout = _conformal_parts(signs)
-    return _assemble_graded(
-        f"so({p + 1},{q + 1})-conformal", "conformal", {"p": p, "q": q},
-        gm1, g0, gp1, e, flip, layout,
-    )
+    n = p + q
+    basis = bases.so_form_basis(_light_cone([1] * p + [-1] * q))
+    # the first element, E_00 - E_(n+1)(n+1), is the grading element
+    return _assemble_graded(f"so({p + 1},{q + 1})-conformal", "conformal", {"p": p, "q": q},
+                            basis, basis[0], Mat.diag([-1] + [1] * n + [-1]), range(n))
 
 
 def _build_complex_conformal(params: dict) -> GradedAlgebra:
@@ -320,27 +315,12 @@ def _build_complex_conformal(params: dict) -> GradedAlgebra:
     if n < 1:
         raise InputError("complex conformal needs n >= 1")
     m = n + 2
-    zero = Mat.zero(m, m)
-    real_gm1, real_g0, real_gp1, e_real, flip_real, _ = _conformal_parts([1] * n)
-    gm1, gp1, layout = [], [], []
-    for r in range(n):
-        for comp in range(2):
-            re = real_gm1[r] if comp == 0 else zero
-            im = zero if comp == 0 else real_gm1[r]
-            gm1.append(bases.realify_complex(re, im))
-            re = real_gp1[r] if comp == 0 else zero
-            im = zero if comp == 0 else real_gp1[r]
-            gp1.append(bases.realify_complex(re, im))
-            layout.append((r, comp))
-    g0 = []
-    for b in real_g0:
-        g0.append(bases.realify_complex(b, zero))
-        g0.append(bases.realify_complex(zero, b))
-    e_mat = bases.realify_complex(e_real, zero)
-    flip = bases.realify_complex(flip_real, zero)
+    basis = bases.complexify(bases.so_form_basis(_light_cone([1] * n)))
+    # the first element, the real E_00 - E_(n+1)(n+1), is the grading element
     return _assemble_graded(
-        f"so({m},C)-conformal", "complex_conformal", {"n": n},
-        gm1, g0, gp1, e_mat, flip, layout,
+        f"so({m},C)-conformal", "complex_conformal", {"n": n}, basis, basis[0],
+        bases.realify_complex(Mat.diag([-1] + [1] * n + [-1]), Mat.zero(m, m)),
+        [(r, comp) for r in range(n) for comp in range(2)],
         ambient_j=bases.complex_unit_matrix(m),
     )
 
@@ -350,71 +330,41 @@ def _build_quaternionic(params: dict) -> GradedAlgebra:
     if n < 1:
         raise InputError("quaternionic rank n must be >= 1")
     m = n + 1
-    gm1, gp1, layout = [], [], []
-    for r in range(n):
-        for comp, unit in enumerate(bases.QUATERNION_UNITS):
-            gm1.append(bases.quaternion_elementary(m, 1 + r, 0, unit))
-            gp1.append(bases.quaternion_elementary(m, 0, 1 + r, unit))
-            layout.append((r, comp))
-    g0 = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                for unit in bases.QUATERNION_UNITS:
-                    g0.append(bases.quaternion_elementary(m, 1 + i, 1 + j, unit))
-    for i in range(m):
-        for unit in (bases.Q_I, bases.Q_J, bases.Q_K):
-            g0.append(bases.quaternion_elementary(m, i, i, unit))
-    for i in range(n):
-        g0.append(
-            bases.quaternion_elementary(m, 1 + i, 1 + i, bases.Q_ONE)
-            - bases.quaternion_elementary(m, 0, 0, bases.Q_ONE)
-        )
-    e_parts = [Mat.diag([Fraction(n, m)] + [Fraction(-1, m)] * n)] + [Mat.zero(m, m)] * 3
-    e_mat = bases.realify_quaternion(e_parts)
-    flip = bases.realify_quaternion([Mat.diag([-1] + [1] * n)] + [Mat.zero(m, m)] * 3)
+    zeros = [Mat.zero(m, m)] * 3
     return _assemble_graded(
-        f"sl({m},H)-quaternionic", "quaternionic", {"n": n},
-        gm1, g0, gp1, e_mat, flip, layout,
+        f"sl({m},H)-quaternionic", "quaternionic", {"n": n}, bases.sl_quaternion_basis(m),
+        bases.realify_quaternion([Mat.diag([Fraction(n, m)] + [Fraction(-1, m)] * n)] + zeros),
+        bases.realify_quaternion([Mat.diag([-1] + [1] * n)] + zeros),
+        [(r, comp) for r in range(n) for comp in range(4)],
     )
-
-
-def _alt_pairs(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def _build_lagrangean(params: dict) -> GradedAlgebra:
     n = int(params["n"])
     if n < 1:
         raise InputError("lagrangean rank n must be >= 1")
-    name = f"sp({2 * n},R)-lagrangean"
-    e_mat = Mat.diag([Fraction(1, 2)] * n + [Fraction(-1, 2)] * n)
-    gm1, g0, gp1 = _split(name, bases.sp_split_basis(n), e_mat, grading=True)
     return _assemble_graded(
-        name, "lagrangean", {"n": n}, gm1, g0, gp1, e_mat, Mat.diag([-1] * n + [1] * n),
+        f"sp({2 * n},R)-lagrangean", "lagrangean", {"n": n}, bases.sp_split_basis(n),
+        Mat.diag([Fraction(1, 2)] * n + [Fraction(-1, 2)] * n), Mat.diag([-1] * n + [1] * n),
         [(i, j) for i in range(n) for j in range(i, n)],
     )
+
+
+def _spinorial_parts(n: int) -> tuple:
+    """so(n, n) of the split form [[0, I], [I, 0]], with the grading element
+    and flip of its halves."""
+    m = 2 * n
+    split = Mat.from_sparse(m, m, {r: {(r + n) % m: 1} for r in range(m)})
+    return (bases.so_form_basis(split), Mat.diag([Fraction(1, 2)] * n + [Fraction(-1, 2)] * n),
+            Mat.diag([-1] * n + [1] * n))
 
 
 def _build_spinorial(params: dict) -> GradedAlgebra:
     n = int(params["n"])
     if n < 3:
         raise InputError("spinorial rank n must be >= 3 (lower ranks are not effective)")
-    m = 2 * n
-    layout = _alt_pairs(n)
-    gm1 = [Mat.unit(m, m, n + i, j) - Mat.unit(m, m, n + j, i) for (i, j) in layout]
-    gp1 = [Mat.unit(m, m, i, n + j) - Mat.unit(m, m, j, n + i) for (i, j) in layout]
-    g0 = [
-        Mat.unit(m, m, i, j) - Mat.unit(m, m, n + j, n + i)
-        for i in range(n)
-        for j in range(n)
-    ]
-    e_mat = Mat.diag([Fraction(1, 2)] * n + [Fraction(-1, 2)] * n)
-    flip = Mat.diag([-1] * n + [1] * n)
-    return _assemble_graded(
-        f"so({n},{n})-spinorial", "spinorial", {"n": n},
-        gm1, g0, gp1, e_mat, flip, layout,
-    )
+    return _assemble_graded(f"so({n},{n})-spinorial", "spinorial", {"n": n}, *_spinorial_parts(n),
+                            [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def _u_block_matrices(n: int) -> tuple[list, list]:
@@ -461,9 +411,10 @@ def _build_su_pp(params: dict) -> GradedAlgebra:
         g0.append(_g0_su(m, n, zero_n, diag))
     e_mat = _g0_su(m, n, Mat.identity(n).scale(Fraction(1, 2)), zero_n)
     flip = bases.realify_complex(Mat.diag([-1] * n + [1] * n), zero_m)
+    # written by hand: the u(n) blocks of g_-1 and g_1 list every "a", then
+    # every "s", then every "d" matrix, an order no row-major read gives
     return _assemble_graded(
-        f"su({p},{p})", "su_pp", {"p": p},
-        gm1, g0, gp1, e_mat, flip, layout,
+        f"su({p},{p})", "su_pp", {"p": p}, gm1 + g0 + gp1, e_mat, flip, layout,
         ambient_j=bases.complex_unit_matrix(m),
     )
 
@@ -499,11 +450,19 @@ _GRADED_BUILDERS = {
 GRADED_FAMILIES = tuple(_GRADED_BUILDERS)
 
 
-# The integer parameters of each graded family; `expected_graded_dims` checks them.
-_GRADED_PARAMS = {
-    "projective": ("n",), "h_projective": ("n",), "conformal": ("p", "q"),
-    "complex_conformal": ("n",), "quaternionic": ("n",), "para_quaternionic": ("n",),
-    "grassmannian": ("p", "q"), "lagrangean": ("n",), "spinorial": ("n",), "su_pp": ("p",),
+# Parameters of each graded family and the (dim g, dim g_-1) they give;
+# `expected_graded_dims` reads and checks them.
+_GRADED_SIZES = {
+    "projective": (("n",), lambda n: ((n + 1) ** 2 - 1, n)),
+    "h_projective": (("n",), lambda n: (2 * ((n + 1) ** 2 - 1), 2 * n)),
+    "conformal": (("p", "q"), lambda p, q: ((p + q + 2) * (p + q + 1) // 2, p + q)),
+    "complex_conformal": (("n",), lambda n: ((n + 2) * (n + 1), 2 * n)),
+    "quaternionic": (("n",), lambda n: (4 * (n + 1) ** 2 - 1, 4 * n)),
+    "para_quaternionic": (("n",), lambda n: ((n + 2) ** 2 - 1, 2 * n)),
+    "grassmannian": (("p", "q"), lambda p, q: ((p + q) ** 2 - 1, p * q)),
+    "lagrangean": (("n",), lambda n: (n * (2 * n + 1), n * (n + 1) // 2)),
+    "spinorial": (("n",), lambda n: (n * (2 * n - 1), n * (n - 1) // 2)),
+    "su_pp": (("p",), lambda p: (4 * p * p - 1, p * p)),
 }
 
 
@@ -523,7 +482,7 @@ def build_graded(family: str, params: dict) -> GradedAlgebra:
     if not isinstance(params, dict):
         raise InputError(f"{family} parameters must be a mapping, got {params!r}")
     _check_dim(expected_graded_dims(family, params)["dim_g"])
-    key = tuple((name, params[name]) for name in _GRADED_PARAMS[family])
+    key = tuple((name, params[name]) for name in _GRADED_SIZES[family][0])
     return _build_graded_cached(family, key)
 
 
@@ -780,23 +739,10 @@ def _pair_so_complex(params: dict) -> SymmetricPair:
     n = int(params["n"])
     if n < 2:
         raise InputError("so_complex needs n >= 2")
-    graded = build_graded("spinorial", {"n": n}) if n >= 3 else None
-    if graded is not None:
-        k_mats = list(graded.algebra.basis)
-    else:
-        m = 2 * n
-        k_mats = []
-        for (i, j) in _alt_pairs(n):
-            k_mats.append(Mat.unit(m, m, n + i, j) - Mat.unit(m, m, n + j, i))
-            k_mats.append(Mat.unit(m, m, i, n + j) - Mat.unit(m, m, j, n + i))
-        k_mats += [
-            Mat.unit(m, m, i, j) - Mat.unit(m, m, n + j, n + i)
-            for i in range(n)
-            for j in range(n)
-        ]
-    return _pair_from_involution(
-        f"(so({n},{n}),so({n},C))", "so_complex", {"n": n}, k_mats, -bases.symplectic_form(n)
-    )
+    name = f"(so({n},{n}),so({n},C))"
+    # the spinorial target's basis in its graded order, also at n = 2
+    k_mats = [b for grade in _by_grade(name, *_spinorial_parts(n)) for b in grade]
+    return _pair_from_involution(name, "so_complex", {"n": n}, k_mats, -bases.symplectic_form(n))
 
 
 def _pair_sp1_block(params: dict) -> SymmetricPair:
@@ -1171,35 +1117,8 @@ def expected_graded_dims(family: str, params: dict) -> dict:
 
     Raises InputError naming a parameter that is missing or not an integer.
     """
-    param = partial(_int_param, family, params)
-    if family == "projective":
-        n = param("n")
-        return {"dim_g": (n + 1) ** 2 - 1, "dim_gm1": n}
-    if family == "h_projective":
-        n = param("n")
-        return {"dim_g": 2 * ((n + 1) ** 2 - 1), "dim_gm1": 2 * n}
-    if family == "conformal":
-        n = param("p") + param("q")
-        return {"dim_g": (n + 2) * (n + 1) // 2, "dim_gm1": n}
-    if family == "complex_conformal":
-        n = param("n")
-        return {"dim_g": (n + 2) * (n + 1), "dim_gm1": 2 * n}
-    if family == "quaternionic":
-        n = param("n")
-        return {"dim_g": 4 * (n + 1) ** 2 - 1, "dim_gm1": 4 * n}
-    if family == "para_quaternionic":
-        n = param("n")
-        return {"dim_g": (n + 2) ** 2 - 1, "dim_gm1": 2 * n}
-    if family == "grassmannian":
-        p, q = param("p"), param("q")
-        return {"dim_g": (p + q) ** 2 - 1, "dim_gm1": p * q}
-    if family == "lagrangean":
-        n = param("n")
-        return {"dim_g": n * (2 * n + 1), "dim_gm1": n * (n + 1) // 2}
-    if family == "spinorial":
-        n = param("n")
-        return {"dim_g": n * (2 * n - 1), "dim_gm1": n * (n - 1) // 2}
-    if family == "su_pp":
-        p = param("p")
-        return {"dim_g": 4 * p * p - 1, "dim_gm1": p * p}
-    raise InputError(f"no dimension formula for family {family!r}")
+    if not isinstance(family, str) or family not in _GRADED_SIZES:
+        raise InputError(f"no dimension formula for family {family!r}")
+    names, dims = _GRADED_SIZES[family]
+    dim_g, dim_gm1 = dims(*(_int_param(family, params, name) for name in names))
+    return {"dim_g": dim_g, "dim_gm1": dim_gm1}

@@ -337,25 +337,36 @@ def test_effectivity_holds_for_grid():
 # -- assembly checks ---------------------------------------------------------
 
 
+def _sl_parts(p, q):
+    """g_-1, g_0 and g_1 of sl(p+q, R) graded by the (p | q) split, in the
+    catalog's order, with its grading element, flip and layout."""
+    n = p + q
+    g = catalog._sl_target("blk", "grassmannian", {"p": p, "q": q}, p, q)
+    basis, n0, n1 = list(g.algebra.basis), len(g.minus_one), len(g.zero)
+    e = Mat.diag([Fraction(q, n)] * p + [Fraction(-p, n)] * q)
+    return basis[:n0], basis[n0:n0 + n1], basis[n0 + n1:], e, g.flip_element, g.gm1_layout
+
+
 def test_graded_assembly_rejects_wrong_grading_element():
     from cartanext.errors import InternalCheckError
 
-    gm1, g0, gp1, e, flip, layout = catalog._sl_split_parts(1, 2)
+    gm1, g0, gp1, e, flip, layout = _sl_parts(1, 2)
     wrong = e + Mat.diag([0, 0, 1])  # commutes with E_10 but not with E_20
+    # E_20, element 1, reads grade 0 under the wrong E, where the flip gives it sign -1
     with pytest.raises(InternalCheckError,
-                       match=r"^sl3: ad\(E\) is not -1 on basis element 1$"):
-        catalog._assemble_graded("sl3", "projective", {"n": 2}, gm1, g0, gp1, wrong, flip,
+                       match="^sl3: flip conjugation sign wrong on element 1$"):
+        catalog._assemble_graded("sl3", "projective", {"n": 2}, gm1 + g0 + gp1, wrong, flip,
                                  layout)
 
 
 def test_graded_assembly_rejects_wrong_flip_sign():
     from cartanext.errors import InternalCheckError
 
-    gm1, g0, gp1, e, flip, layout = catalog._sl_split_parts(1, 2)
+    gm1, g0, gp1, e, flip, layout = _sl_parts(1, 2)
     wrong = Mat.diag([1, -1, 1])  # conjugation fixes E_20, which lies in g_-1
     with pytest.raises(InternalCheckError,
                        match="^sl3: flip conjugation sign wrong on element 1$"):
-        catalog._assemble_graded("sl3", "projective", {"n": 2}, gm1, g0, gp1, e, wrong,
+        catalog._assemble_graded("sl3", "projective", {"n": 2}, gm1 + g0 + gp1, e, wrong,
                                  layout)
 
 
@@ -370,10 +381,13 @@ def _outcome(assemble, *args):
 
 @pytest.mark.parametrize("p, q", [(1, 3), (2, 2), (3, 1)])
 def test_graded_checks_by_entry_match_the_product_checks(p, q):
-    # seeded diagonal E and flips, most of them wrong somewhere: the same
-    # algebra, or the same message with the same first failing element
+    # seeded diagonal E and flips, most of them wrong somewhere, against the
+    # product checks on the pre-split lists: the same algebra, or the same
+    # message with the same first failing element.  Where the reference
+    # refuses an ad(E), the one-basis assembler, which reads the grades
+    # rather than being told them, must refuse too, by any message
     rng = random.Random(f"{p}-{q}")
-    gm1, g0, gp1, e, flip, layout = catalog._sl_split_parts(p, q)
+    gm1, g0, gp1, e, flip, layout = _sl_parts(p, q)
     n = p + q
     outcomes = set()
     for _ in range(40):
@@ -382,10 +396,14 @@ def test_graded_checks_by_entry_match_the_product_checks(p, q):
                   for i in range(n)]
         f_diag = [flip[i, i] * (rng.choice([-1, 2, 0]) if rng.random() < 0.15 else 1)
                   for i in range(n)]
-        args = ("blk", "grassmannian", {"p": p, "q": q}, gm1, g0, gp1, Mat.diag(e_diag),
-                Mat.diag(f_diag), layout)
-        got = _outcome(catalog._assemble_graded, *args)
-        assert got == _outcome(reference_assemble_graded, *args), (e_diag, f_diag)
+        args = ("blk", "grassmannian", {"p": p, "q": q}, Mat.diag(e_diag), Mat.diag(f_diag),
+                layout)
+        got = _outcome(catalog._assemble_graded, *args[:3], gm1 + g0 + gp1, *args[3:])
+        want = _outcome(reference_assemble_graded, *args[:3], gm1, g0, gp1, *args[3:])
+        if isinstance(want, str) and "ad(E)" in want:
+            assert isinstance(got, str), (e_diag, f_diag)
+        else:
+            assert got == want, (e_diag, f_diag)
         outcomes.add(got if isinstance(got, str) else "built")
     assert "built" in outcomes and "blk: grading element not in the span" in outcomes, outcomes
     assert len(outcomes) > 4, outcomes
@@ -398,13 +416,13 @@ def test_graded_build_refuses_a_non_diagonal_element(which, monkeypatch):
     from cartanext.errors import InternalCheckError
 
     def sentinel(params):
-        gm1, g0, gp1, e, flip, layout = catalog._sl_split_parts(1, params["n"])
+        gm1, g0, gp1, e, flip, layout = _sl_parts(1, params["n"])
         off = Mat.unit(e.rows, e.rows, 0, 1)
         if which == "grading":
             e = e + off
         else:
             flip = flip + off
-        return catalog._assemble_graded("sentinel", "projective", params, gm1, g0, gp1, e,
+        return catalog._assemble_graded("sentinel", "projective", params, gm1 + g0 + gp1, e,
                                         flip, layout)
 
     monkeypatch.setitem(catalog._GRADED_BUILDERS, "projective", sentinel)
@@ -441,10 +459,12 @@ def test_split_keeps_the_basis_order_within_each_class():
     basis = bases.sl_basis(3)
     h, m = catalog._split("blk", basis, Mat.diag([-1, -1, 1]))
     assert (h, m) == ([basis[i] for i in (0, 2, 6, 7)], [basis[i] for i in (1, 3, 4, 5)])
+    # the assembler sorts by grade the same way: g_-1, g_0, g_1, each in the given order
     e = Mat.diag([Fraction(2, 3), Fraction(-1, 3), Fraction(-1, 3)])
-    gm1, g0, gp1 = catalog._split("blk", basis, e, grading=True)
-    assert (gm1, g0, gp1) == ([basis[2], basis[4]], [basis[i] for i in (3, 5, 6, 7)],
-                              [basis[0], basis[1]])
+    g = catalog._assemble_graded("blk", "projective", {"n": 2}, basis, e, Mat.diag([-1, 1, 1]),
+                                 [(0, 0), (1, 0)])
+    assert list(g.algebra.basis) == [basis[i] for i in (2, 4, 3, 5, 6, 7, 0, 1)]
+    assert (g.minus_one, g.zero, g.plus_one) == ((0, 1), (2, 3, 4, 5), (6, 7))
 
 
 def test_split_refuses_a_matrix_of_two_classes_and_a_non_diagonal_element():
@@ -454,8 +474,12 @@ def test_split_refuses_a_matrix_of_two_classes_and_a_non_diagonal_element():
     mixed = [Mat.unit(3, 3, 1, 0), Mat.unit(3, 3, 0, 1) + Mat.unit(3, 3, 0, 2)]
     with pytest.raises(InternalCheckError, match="^blk: basis element 1 does not get one class$"):
         catalog._split("blk", mixed, Mat.diag([-1, -1, 1]))
-    with pytest.raises(InternalCheckError, match="^blk: basis element 1 does not get one class$"):
-        catalog._split("blk", mixed, Mat.diag([1, 0, -1]), grading=True)
+    # under E = diag(1, 0, -1), E_01 + E_02 has grades 1 and 2, and E_02 alone grade 2
+    for two in (mixed, [mixed[0], Mat.unit(3, 3, 0, 2)]):
+        with pytest.raises(InternalCheckError,
+                           match="^blk: basis element 1 does not get one grade$"):
+            catalog._assemble_graded("blk", "projective", {"n": 2}, two, Mat.diag([1, 0, -1]),
+                                     Mat.diag([-1, 1, 1]), [])
     with pytest.raises(InternalCheckError, match="^blk: splitting element is not diagonal$"):
         catalog._split("blk", mixed[:1], Mat.diag([-1, -1, 1]) + Mat.unit(3, 3, 0, 1))
 
@@ -496,6 +520,7 @@ def test_a_pair_that_is_not_semisimple_is_an_input_error():
     ("group_type", {"base": "e8(1)"},
      r"group_type parameter 'base': unsupported algebra token 'e8\(1\)'"),
     ("group_type", {"base": "so(1)"}, r"group_type parameter 'base': 'so\(1\)' is the zero algebra"),
+    ("group_type", {"base": "so(0)"}, r"group_type parameter 'base': 'so\(0\)' is the zero algebra"),
 ] + [
     # each of these used to build a pair: a negative count built
     # group(so(3)) or group(su(3)) under the raw name, an extra argument was

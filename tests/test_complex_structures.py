@@ -91,7 +91,8 @@ def _hand_built():
         "OTHER": Representation(sl2_alg, 4, [s @ _block_diag(m, m) @ s_inv for m in sl2]),
         "odd": Representation(make_algebra([Mat.from_rows([[0, 1], [0, 0]])], "n"), 1,
                               [Mat.zero(1, 1)]),
-        "sl2C-adjoint": make_algebra(bases.sl_complex_basis(2), "sl2C").adjoint_representation(),
+        "sl2C-adjoint": make_algebra(bases.complexify(bases.sl_basis(2)),
+                                     "sl2C").adjoint_representation(),
     }
 
 

@@ -140,7 +140,7 @@ def _params_text(params: dict) -> str:
                     for k, v in params.items())
 
 
-_GRADED_NAMES = catalog._GRADED_PARAMS
+_GRADED_NAMES = {family: names for family, (names, _) in catalog._GRADED_SIZES.items()}
 _PAIR_NAMES = {family: names for family, (names, _) in catalog._PAIR_SIZES.items()}
 _BASES = ("sl(2,R)", "so(3)", "su(2)", "sl(0,R)", "so(2)", "sl(2,Q)", "x", "", "sp(-1,R)")
 

@@ -136,7 +136,7 @@ def test_killing_abelian_zero():
 
 
 def test_killing_invariance_identity(sl2_basis, so3_basis):
-    for basis in (list(sl2_basis), list(so3_basis), bases.sl_complex_basis(2)):
+    for basis in (list(sl2_basis), list(so3_basis), bases.complexify(bases.sl_basis(2))):
         alg = make_algebra(basis, "test")
         gram = killing_form(alg)
         dim = alg.dim
@@ -460,7 +460,7 @@ def test_complex_structures_properties(sl2_basis):
 
 
 def test_realified_complex_adjoint_commutant_is_C():
-    basis = bases.sl_complex_basis(2)
+    basis = bases.complexify(bases.sl_basis(2))
     alg = make_algebra(basis, "sl2C")
     cls = commutant(alg.adjoint_representation())
     assert cls.label == "C"

@@ -47,7 +47,7 @@ def test_a_pair_that_is_not_semisimple_is_undecided():
 def test_a_complex_structure_that_moves_h_rules_the_structure_out():
     """Realified sl(2,C) with sigma = complex conjugation: h = sl(2,R) and
     m = i sl(2,R), and the centroid's J = +-i swaps them."""
-    pair = _pair_from_involution("sl(2,C)/sl(2,R)", "api", {}, bases.sl_complex_basis(2),
+    pair = _pair_from_involution("sl(2,C)/sl(2,R)", "api", {}, bases.complexify(bases.sl_basis(2)),
                                  Mat.diag([1, 1, -1, -1]))
     assert (pair.dim_h, pair.dim_m) == (3, 3)
     assert _verdict(classify.decide_h_projective(pair)) == \
